@@ -140,10 +140,17 @@ def cmd_tensor_hom(args: argparse.Namespace) -> int:
 
 def cmd_free_algebra(args: argparse.Namespace) -> int:
     p = FreeForestOperad(parse_forest(args.operad))
-    generators = {str(k): str(v) for k, v in _read_json_source(args.generators).items()}
-    inputs = {
-        str(k): [str(x) for x in v] for k, v in _read_json_source(args.inputs).items()
-    }
+    generators = _read_json_source(args.generators)
+    if not isinstance(generators, dict) or not all(
+        isinstance(c, str) for c in generators.values()
+    ):
+        raise TreeError("--generators must be a JSON object of index -> color string")
+    inputs = _read_json_source(args.inputs)
+    if not isinstance(inputs, dict) or not all(
+        isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+        for xs in inputs.values()
+    ):
+        raise TreeError("--inputs must be a JSON object of index -> list of strings")
     terms = free_algebra(p, generators, inputs, args.output_color)
     payload = {
         "count": len(terms),

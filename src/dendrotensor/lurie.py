@@ -37,7 +37,7 @@ from random import Random
 from typing import Any, Mapping, Sequence
 
 from .levelforest import STAR, FinSimplex, edge_name
-from .omegacat import Operation, is_cut, operations
+from .omegacat import Operation, _cut_table, _CutMemo, _operation, is_cut
 from .shuffle import shuffles
 from .treecore import Forest, Tree, TreeError, as_forest, cut_at
 
@@ -251,34 +251,45 @@ class FiniteOperad(ABC):
         return tuple(index.get(tuple(sorted(inputs)), ()))
 
 
+def _index_by_output(
+    table: Mapping[tuple[tuple[str, ...], str], tuple[Label, ...]],
+) -> dict[str, tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]]:
+    """Group an ``(inputs, output) -> labels`` table by output, each group
+    in the order of its inputs (the order of the sorted table)."""
+    index: dict[str, list[tuple[tuple[str, ...], tuple[Label, ...]]]] = {}
+    for (inputs, output), labels in sorted(table.items()):
+        index.setdefault(output, []).append((inputs, labels))
+    return {output: tuple(entries) for output, entries in index.items()}
+
+
 class FreeForestOperad(FiniteOperad):
     """The free operad of a forest: colors are edges, operations are cuts."""
 
     def __init__(self, forest: Tree | Forest):
         self.forest = as_forest(forest)
-        self._cuts: dict[str, tuple[Operation, ...]] = {}
-
-    def _cuts_above(self, e: str) -> tuple[Operation, ...]:
-        if e not in self._cuts:
-            self._cuts[e] = operations(self.forest, e)
-        return self._cuts[e]
+        self._cuts = _CutMemo(self.forest)
+        self._by_output: dict[str, tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
+        self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
 
     def colors(self) -> tuple[str, ...]:
         return self.forest.edges
 
     def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
-        key = tuple(sorted(inputs))
-        if len(set(key)) != len(key) or output not in self.forest.edge_set:
-            return ()
-        for op in self._cuts_above(output):
-            if op.inputs == key:
-                return (op,)
-        return ()
+        index = self._by_inputs.get(output)
+        if index is None:
+            if output not in self.forest.edge_set:
+                return ()
+            index = self._by_inputs[output] = dict(self.ops_by_output(output))
+        return index.get(tuple(sorted(inputs)), ())
 
     def ops_by_output(
         self, output: str
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        return tuple((op.inputs, (op,)) for op in self._cuts_above(output))
+        entries = self._by_output.get(output)
+        if entries is None:
+            entries = tuple((op.inputs, (op,)) for op in self._cuts(output))
+            self._by_output[output] = entries
+        return entries
 
     def identity(self, color: str) -> Label:
         return Operation(color, (color,))
@@ -327,6 +338,7 @@ class TableOperad(FiniteOperad):
             key = ((c,), c)
             if not self._table.get(key):
                 self._table[key] = (f"id:{c}",)
+        self._by_output = _index_by_output(self._table)
 
     @staticmethod
     def from_json(obj: Mapping[str, Any] | str) -> "TableOperad":
@@ -359,11 +371,7 @@ class TableOperad(FiniteOperad):
     def ops_by_output(
         self, output: str
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        return tuple(
-            (inputs, labels)
-            for (inputs, out), labels in sorted(self._table.items())
-            if out == output
-        )
+        return self._by_output.get(output, ())
 
     def identity(self, color: str) -> Label:
         return self._table[((color,), color)][0]
@@ -373,36 +381,40 @@ class BVTensorOperad(FiniteOperad):
     """The tensor of trees as a finite operad: colors are the tuple edges of
     the shuffles, operations are the cuts of all shuffles with each cut
     appearing once.  Substitution is cut union, under which the family is
-    closed."""
+    closed.
+
+    The table is built once, from one bottom-up pass over the cuts of each
+    shuffle, and indexed by output color with each color's operations in
+    the order of their sorted inputs."""
 
     def __init__(self, factors: Sequence[Tree]):
         self.factors = tuple(factors)
         self.shuffle_trees = shuffles(self.factors)
-        table: dict[tuple[tuple[str, ...], str], Operation] = {}
+        table: dict[tuple[tuple[str, ...], str], tuple[Operation]] = {}
         colors: set[str] = set()
         for t in self.shuffle_trees:
             colors |= t.edge_set
-            for e in t.edges:
-                for op in operations(t, e):
-                    table[(op.inputs, op.output)] = op
+            cuts: dict[str, list[tuple[str, ...]]] = {}
+            _cut_table(t, t.root, cuts)
+            for e, inputs_at in cuts.items():
+                for inputs in inputs_at:
+                    key = (inputs, e)
+                    if key not in table:
+                        table[key] = (_operation(e, inputs),)
         self._colors = tuple(sorted(colors))
         self._table = table
+        self._by_output = _index_by_output(table)
 
     def colors(self) -> tuple[str, ...]:
         return self._colors
 
     def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
-        op = self._table.get((tuple(sorted(inputs)), output))
-        return (op,) if op is not None else ()
+        return self._table.get((tuple(sorted(inputs)), output), ())
 
     def ops_by_output(
         self, output: str
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        return tuple(
-            (inputs, (op,))
-            for (inputs, out), op in sorted(self._table.items())
-            if out == output
-        )
+        return self._by_output.get(output, ())
 
     def identity(self, color: str) -> Label:
         return Operation(color, (color,))

@@ -16,6 +16,7 @@ does.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -65,32 +66,101 @@ class Operation:
         return f"{self.output}<-({','.join(self.inputs)})"
 
 
-def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
-    """All operations of the free operad on ``scope`` with output color ``e``.
+def _cut_order(inputs: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    return len(inputs), inputs
 
-    Computed as the closure of ``{e}`` under single-edge expansion; distinct
-    expansion orders converge, so cuts are deduplicated as edge sets.
+
+def _cut_table(
+    t: Tree, e: str, memo: dict[str, list[tuple[str, ...]]] | None = None
+) -> list[tuple[str, ...]]:
+    """The input sets of the cuts of ``t`` with output ``e``, each a sorted
+    tuple, listed by size and then lexicographically.
+
+    Built bottom-up with an explicit stack: the cuts above an edge are the
+    edge itself plus every union of one cut per input of the vertex above
+    it, so a stump gives the empty cut.  With ``memo`` the table of every
+    edge above ``e`` is kept there and reused; without it each table is
+    dropped as soon as the table below it is built.
     """
-    forest = as_forest(scope)
+    keep = memo is not None
+    tables = memo if keep else {}
+    order: list[str] = []
+    pending = [e]
+    while pending:
+        d = pending.pop()
+        if d in tables:
+            continue
+        order.append(d)
+        v = t.vertex_above.get(d)
+        if v is not None:
+            pending.extend(v.in_edges)
+    take = tables.__getitem__ if keep else tables.pop
+    for d in reversed(order):
+        v = t.vertex_above.get(d)
+        if v is None:
+            cuts = [(d,)]
+        elif len(v.in_edges) == 1:
+            below = take(v.in_edges[0])
+            cuts = list(below) if keep else below
+            insort(cuts, (d,), key=_cut_order)
+        else:
+            unions: list[tuple[str, ...]] = [()]
+            for c in v.in_edges:
+                below = take(c)
+                unions = [u + cut for u in unions for cut in below]
+            cuts = [tuple(sorted(u)) for u in unions]
+            cuts.append((d,))
+            cuts.sort()
+            cuts.sort(key=len)  # stable, so by size and then lexicographically
+        tables[d] = cuts
+    return tables[e] if keep else tables.pop(e)
+
+
+def _operation(output: str, inputs: tuple[str, ...]) -> Operation:
+    """An :class:`Operation` from inputs already sorted and distinct, as
+    :func:`_cut_table` lists them, without checking them again."""
+    op = object.__new__(Operation)
+    object.__setattr__(op, "output", output)
+    object.__setattr__(op, "inputs", inputs)
+    return op
+
+
+class _CutMemo:
+    """The operations of one forest's free operad by output, built on
+    demand over one shared cut memo and kept: one per ``hom`` call, or per
+    :class:`~dendrotensor.lurie.FreeForestOperad`."""
+
+    def __init__(self, forest: Forest):
+        self.forest = forest
+        self._tables: dict[str, list[tuple[str, ...]]] = {}
+        self._ops: dict[str, tuple[Operation, ...]] = {}
+
+    def __call__(self, e: str) -> tuple[Operation, ...]:
+        ops = self._ops.get(e)
+        if ops is None:
+            t = _component(self.forest, e)
+            cuts = _cut_table(t, e, self._tables)
+            ops = self._ops[e] = tuple(_operation(e, c) for c in cuts)
+        return ops
+
+
+def _component(forest: Forest, e: str) -> Tree:
     t = forest.component_of.get(e)
     if t is None:
         raise TreeError(f"no edge {e!r} in {serialize_forest(forest)}")
-    seen: set[frozenset[str]] = {frozenset((e,))}
-    frontier: list[frozenset[str]] = [frozenset((e,))]
-    while frontier:
-        cut = frontier.pop()
-        for d in cut:
-            v = t.vertex_above.get(d)
-            if v is None:
-                continue
-            new = (cut - {d}) | set(v.in_edges)
-            if new not in seen:
-                seen.add(new)
-                frontier.append(new)
-    return tuple(
-        Operation(e, tuple(sorted(c)))
-        for c in sorted(seen, key=lambda c: (len(c), tuple(sorted(c))))
-    )
+    return t
+
+
+def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
+    """All operations of the free operad on ``scope`` with output color ``e``,
+    listed by number of inputs and then by the sorted inputs.
+
+    An operation is a cut: ``{e}`` itself, or one cut above each input of
+    the vertex above ``e`` taken together; a stump above ``e`` gives the
+    nullary operation.
+    """
+    t = _component(as_forest(scope), e)
+    return tuple(_operation(e, c) for c in _cut_table(t, e))
 
 
 def is_cut(t: Tree, e: str, members: Iterable[str]) -> bool:
@@ -160,8 +230,7 @@ def identity_map(scope: Tree | Forest) -> OperadMap:
 
 def _embeddings(
     s_tree: Tree,
-    target: Forest,
-    ops_at: dict[str, tuple[Operation, ...]],
+    ops_at: _CutMemo,
     s_edge: str,
     t_edge: str,
     memo: dict[tuple[str, str], list[tuple[dict[str, str], dict[str, Operation]]]],
@@ -173,16 +242,14 @@ def _embeddings(
     if v is None:
         memo[key] = [({s_edge: t_edge}, {})]
         return memo[key]
-    if t_edge not in ops_at:
-        ops_at[t_edge] = operations(target, t_edge)
     out: list[tuple[dict[str, str], dict[str, Operation]]] = []
     k = len(v.in_edges)
-    for op in ops_at[t_edge]:
+    for op in ops_at(t_edge):
         if len(op.inputs) != k:
             continue
         for image in permutations(op.inputs):
             branches = [
-                _embeddings(s_tree, target, ops_at, d, image[i], memo)
+                _embeddings(s_tree, ops_at, d, image[i], memo)
                 for i, d in enumerate(v.in_edges)
             ]
             if any(not b for b in branches):
@@ -208,13 +275,13 @@ def hom(source: Tree | Forest, target: Tree | Forest) -> tuple[OperadMap, ...]:
     """
     src = as_forest(source)
     tgt = as_forest(target)
-    ops_at: dict[str, tuple[Operation, ...]] = {}
+    ops_at = _CutMemo(tgt)
     per_component: list[list[tuple[dict[str, str], dict[str, Operation]]]] = []
     for t in src.components:
         memo: dict[tuple[str, str], list] = {}
         frags: list[tuple[dict[str, str], dict[str, Operation]]] = []
         for root_image in tgt.edges:
-            frags.extend(_embeddings(t, tgt, ops_at, t.root, root_image, memo))
+            frags.extend(_embeddings(t, ops_at, t.root, root_image, memo))
         per_component.append(frags)
     maps = []
     for combo in product(*per_component):

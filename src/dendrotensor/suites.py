@@ -67,7 +67,9 @@ __all__ = ["SuiteConfig", "SUITE_NAMES", "run_check", "report_json"]
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs shared by every suite; ``None`` falls back to the suite's own
-    default (the sizes the acceptance runs use)."""
+    default (the sizes the acceptance runs use).  Sizes must be at least 1,
+    the truncation at least 0 and the stump probability in [0, 1]; anything
+    else raises :class:`ValueError`."""
 
     seed: int = 42
     instances: int | None = None
@@ -76,6 +78,22 @@ class SuiteConfig:
     max_width: int | None = None
     truncation: int = 4
     stump_probability: float = 0.2
+
+    def __post_init__(self) -> None:
+        for name in ("instances", "max_edges", "max_levels", "max_width"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.truncation < 0:
+            raise ValueError(f"truncation must be at least 0, got {self.truncation}")
+        if not 0.0 <= self.stump_probability <= 1.0:
+            raise ValueError(
+                f"stump_probability must lie in [0, 1], got {self.stump_probability}"
+            )
+
+
+def _or_default(value: int | None, default: int) -> int:
+    return default if value is None else value
 
 
 Record = dict[str, Any]
@@ -102,9 +120,9 @@ def _operator_json(phi: SimplicialOperator) -> dict[str, Any]:
 
 
 def suite_functoriality(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 200
-    width = cfg.max_width or 5
-    length = cfg.max_levels or 4
+    n = _or_default(cfg.instances, 200)
+    width = _or_default(cfg.max_width, 5)
+    length = _or_default(cfg.max_levels, 4)
     rng = _rng(cfg, "functoriality")
     records: list[Record] = []
     for i in range(n):
@@ -159,8 +177,8 @@ def _level_rename_iso(padded: Forest, omega: Forest) -> bool:
 
 
 def suite_retract(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 100
-    edges = cfg.max_edges or 10
+    n = _or_default(cfg.instances, 100)
+    edges = _or_default(cfg.max_edges, 10)
     rng = _rng(cfg, "retract")
     records: list[Record] = []
     for i in range(n):
@@ -198,8 +216,8 @@ def _tree_with_inner(rng: Random, max_edges_: int, sp: float, prefix: str) -> Tr
 
 
 def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 100
-    edges = cfg.max_edges or 7
+    n = _or_default(cfg.instances, 100)
+    edges = _or_default(cfg.max_edges, 7)
     rng = _rng(cfg, "segal")
     records: list[Record] = []
     for i in range(n):
@@ -226,7 +244,7 @@ def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 
 
 def suite_d3(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 50
+    n = _or_default(cfg.instances, 50)
     rng = _rng(cfg, "d3")
     records: list[Record] = []
     for i in range(n):
@@ -255,10 +273,10 @@ def suite_d3(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 
 
 def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 100
-    edges = cfg.max_edges or 8
-    width = cfg.max_width or 4
-    length = min(cfg.max_levels or 3, 3)
+    n = _or_default(cfg.instances, 100)
+    edges = _or_default(cfg.max_edges, 8)
+    width = _or_default(cfg.max_width, 4)
+    length = min(_or_default(cfg.max_levels, 3), 3)
     rng = _rng(cfg, "nerve")
     records: list[Record] = []
     for i in range(n):
@@ -314,11 +332,11 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 
 
 def suite_fibrous(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 25
+    n = _or_default(cfg.instances, 25)
     rng = _rng(cfg, "fibrous")
     records: list[Record] = []
     for i in range(n):
-        f = random_forest(rng, cfg.max_edges or 6, cfg.stump_probability, min_components=1)
+        f = random_forest(rng, _or_default(cfg.max_edges, 6), cfg.stump_probability, min_components=1)
         rep = check_fibrous(
             EllPresentation(FreeForestOperad(f)),
             truncation=cfg.truncation,
@@ -385,8 +403,8 @@ def _random_factors(
 
 
 def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 100
-    edges = cfg.max_edges or 5
+    n = _or_default(cfg.instances, 100)
+    edges = _or_default(cfg.max_edges, 5)
     rng = _rng(cfg, "shuffles")
     records: list[Record] = []
     for m in range(1, 8):
@@ -452,7 +470,7 @@ def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 
 
 def suite_assoc(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 25
+    n = _or_default(cfg.instances, 25)
     rng = _rng(cfg, "assoc")
     records: list[Record] = []
     three = ([[0, 1], 2], [0, [1, 2]])
@@ -479,7 +497,7 @@ def suite_assoc(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 
 
 def suite_interior(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 25
+    n = _or_default(cfg.instances, 25)
     rng = _rng(cfg, "interior")
     sp = max(cfg.stump_probability, 0.35)
     records: list[Record] = []
@@ -520,7 +538,7 @@ def _freealg_oracle(p, generators, inputs, output):
 
 
 def suite_freealg(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = cfg.instances or 100
+    n = _or_default(cfg.instances, 100)
     rng = _rng(cfg, "freealg")
     records: list[Record] = []
     for i in range(n):

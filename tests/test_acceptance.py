@@ -5,6 +5,7 @@ under ``pytest -v`` the per-test PASSED/FAILED line carries the verdict) and
 enforces its instance counts and wall-clock budgets.
 """
 
+import hashlib
 import json
 import time
 from functools import lru_cache
@@ -13,6 +14,9 @@ from dendrotensor.cli import main
 from dendrotensor.suites import SuiteConfig, run_check
 
 SEED = 42
+# sha256 of the `check all --seed 42` report; a change that alters its bytes
+# must say why and update this digest
+REPORT_SHA256 = "3366aa59c75d1b0e4ee0a5e158115570340a712944b6921357f870258316c93e"
 
 
 def _run(suite, bound_s, **cfg_kwargs):
@@ -170,6 +174,7 @@ def test_criterion_10_deterministic_reports(tmp_path, capsys):
     elapsed = time.monotonic() - t0
     capsys.readouterr()
     assert blobs[0] == blobs[1], "reports differ across runs at the same seed"
+    assert hashlib.sha256(blobs[0]).hexdigest() == REPORT_SHA256
     assert elapsed < 300.0
     with capsys.disabled():
         _announce(10, f"check all --seed 42 byte-identical twice, both runs in {elapsed:.1f}s < 300s")

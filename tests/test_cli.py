@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dendrotensor.cli import main
+from dendrotensor.suites import SuiteConfig
 
 WORKED_INPUT = json.dumps(
     {
@@ -163,6 +164,27 @@ def test_free_algebra_text(capsys):
     assert "i" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--generators", "[1,2]"),
+        ("--generators", '{"i": 1}'),
+        ("--inputs", '["x"]'),
+        ("--inputs", '{"i": "x"}'),
+        ("--inputs", '{"i": [1]}'),
+    ],
+)
+def test_free_algebra_rejects_bad_json_shape(capsys, flag, value):
+    args = {"--generators": '{"i": "d", "j": "e"}', "--inputs": '{"i": ["x"], "j": ["y"]}'}
+    args[flag] = value
+    argv = ["free-algebra", "{c[d,e]}", "--output-color", "c"]
+    for k, v in args.items():
+        argv += [k, v]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+
+
 # -- check ------------------------------------------------------------------------
 
 
@@ -210,6 +232,40 @@ def test_check_report_is_deterministic(tmp_path):
         )
         outs.append(dest.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--instances", "0"),
+        ("--instances", "-5"),
+        ("--max-edges", "0"),
+        ("--max-levels", "0"),
+        ("--max-width", "-1"),
+        ("--truncation", "-3"),
+        ("--stump-probability", "7"),
+        ("--stump-probability", "-0.1"),
+    ],
+)
+def test_check_rejects_out_of_range_settings(capsys, flag, value):
+    assert main(["check", "segal", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dendrotensor: error:") and err.count("\n") == 1
+
+
+def test_suite_config_validates_its_settings():
+    for bad in (
+        {"instances": 0},
+        {"max_edges": 0},
+        {"max_levels": -1},
+        {"max_width": 0},
+        {"truncation": -1},
+        {"stump_probability": 1.5},
+        {"stump_probability": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            SuiteConfig(**bad)
+    SuiteConfig(instances=1, truncation=0, stump_probability=1.0)
 
 
 def test_check_exit_one_on_failures(monkeypatch, capsys):

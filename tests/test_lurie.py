@@ -41,7 +41,8 @@ from dendrotensor import (
     smash,
 )
 from dendrotensor.lurie import EllPresentation
-from dendrotensor._rand import random_tree
+from dendrotensor._rand import random_forest, random_tree
+from test_omegacat import closure_operations
 
 EXHAUSTIVE = dict(
     colorings_per_shape=999,
@@ -157,6 +158,95 @@ def test_bv_tensor_operad_collects_shuffle_cuts():
         for e in s.edges:
             for op in operations(s, e):
                 assert op in b.ops(op.inputs, op.output)
+
+
+def _sorted_filter(table, output):
+    """The listing ``ops_by_output`` gave before the tables were indexed:
+    the whole table, sorted, filtered by output."""
+    return tuple(
+        (inputs, labels)
+        for (inputs, out), labels in sorted(table.items())
+        if out == output
+    )
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("p[x]", "q[u]"),
+        ("x0[x1[],x2[x3,x4]]", "y0[y1[],y2[y3,y4]]"),
+        ("x0[x1[x3,x4],x2]", "y0[y1[y2]]"),
+        ("a[b,c]", "d[e]", "f"),
+    ],
+)
+def test_bv_tensor_index_matches_sorted_table(texts):
+    factors = [parse_tree(t) for t in texts]
+    b = BVTensorOperad(factors)
+    table = {}
+    for s in shuffles(factors):
+        for e in s.edges:
+            for op in closure_operations(s, e):
+                table[(op.inputs, op.output)] = (op,)
+    for c in b.colors():
+        assert b.ops_by_output(c) == _sorted_filter(table, c)
+    for (inputs, output), labels in table.items():
+        assert b.ops(tuple(reversed(inputs)), output) == labels
+    assert b.ops_by_output("absent") == ()
+
+
+def test_table_operad_index_matches_sorted_table():
+    rng = Random(5)
+    for _ in range(40):
+        colors = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+        entries = [
+            {
+                "inputs": [rng.choice(colors) for _ in range(rng.randint(0, 3))],
+                "output": rng.choice(colors),
+                "elements": [f"m{rng.randint(0, 3)}" for _ in range(rng.randint(1, 2))],
+            }
+            for _ in range(rng.randint(0, 8))
+        ]
+        p = TableOperad.from_json({"colors": colors, "operations": entries})
+        table = {
+            (tuple(e["inputs"]), e["output"]): tuple(e["elements"])
+            for e in p.to_json()["operations"]
+        }
+        for c in colors:
+            assert p.ops_by_output(c) == _sorted_filter(table, c)
+        assert p.ops_by_output("absent") == ()
+
+
+def _scan_ops(p, inputs, output):
+    """``FreeForestOperad.ops`` as a scan of the listing at ``output``."""
+    key = tuple(sorted(inputs))
+    if len(set(key)) != len(key) or output not in p.colors():
+        return ()
+    for fam, labels in p.ops_by_output(output):
+        if fam == key:
+            return labels
+    return ()
+
+
+def test_free_forest_ops_lookup_matches_scan():
+    rng = Random(8)
+    for _ in range(60):
+        forest = random_forest(rng, 9, 0.3, min_components=1)
+        p = FreeForestOperad(forest)
+        edges = list(forest.edges)
+        for output in rng.sample(edges, len(edges)):
+            queries = [op.inputs[::-1] for op in closure_operations(forest, output)]
+            queries += [
+                tuple(rng.sample(edges, rng.randint(0, min(4, len(edges)))))
+                for _ in range(6)
+            ]
+            queries += [q + q[:1] for q in queries if q]
+            for q in queries:
+                assert p.ops(q, output) == _scan_ops(p, q, output)
+        assert p.ops((), "absent") == () == _scan_ops(p, (), "absent")
+        for output in edges:
+            assert p.ops_by_output(output) == tuple(
+                (op.inputs, (op,)) for op in closure_operations(forest, output)
+            )
 
 
 # -- fiberwise morphisms ---------------------------------------------------------

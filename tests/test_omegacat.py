@@ -5,8 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrotensor import (
+    FreeForestOperad,
     Operation,
+    Tree,
     TreeError,
+    Vertex,
+    as_forest,
     classify_elementary,
     compose,
     eta,
@@ -22,6 +26,29 @@ from dendrotensor import (
 from dendrotensor._rand import random_forest, random_tree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def closure_operations(scope, e):
+    """Reference for :func:`operations`: the closure of ``{e}`` under
+    replacing one edge by the inputs of the vertex above it, deduplicated as
+    edge sets and listed by size, then by sorted inputs."""
+    t = as_forest(scope).component_of[e]
+    seen = {frozenset((e,))}
+    frontier = [frozenset((e,))]
+    while frontier:
+        cut = frontier.pop()
+        for d in cut:
+            v = t.vertex_above.get(d)
+            if v is None:
+                continue
+            new = (cut - {d}) | set(v.in_edges)
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return tuple(
+        Operation(e, tuple(sorted(c)))
+        for c in sorted(seen, key=lambda c: (len(c), tuple(sorted(c))))
+    )
 
 
 def count_cuts_below(t, e):
@@ -71,6 +98,31 @@ def test_operations_match_recursive_product_oracle():
             assert len(got) == count_cuts_below(t, e)
             assert all(op.output == e for op in got)
             assert all(is_cut(t, e, op.inputs) for op in got)
+
+
+@given(seeds, st.sampled_from([0.0, 0.2, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_operations_equal_closure_oracle(seed, stump_probability):
+    rng = Random(seed)
+    scopes = [
+        random_tree(rng, 10, stump_probability),
+        random_forest(rng, 12, stump_probability),
+    ]
+    for scope in scopes:
+        for e in as_forest(scope).edges:
+            assert operations(scope, e) == closure_operations(scope, e)
+
+
+def test_operations_on_deep_chain():
+    # built with the constructor: the parser still recurses once per level
+    n = 3000
+    names = [f"c{k}" for k in range(n + 1)]
+    chain = Tree(names[0], tuple(Vertex(names[k], (names[k + 1],)) for k in range(n)))
+    ops = operations(chain, names[0])
+    assert len(ops) == n + 1
+    assert sorted(op.inputs for op in ops) == sorted((d,) for d in names)
+    listed = FreeForestOperad(chain).ops_by_output(names[0])
+    assert listed == tuple((op.inputs, (op,)) for op in ops)
 
 
 @given(seeds)
