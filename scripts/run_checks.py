@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Run the verification suites across a sweep of seeds and summarize.
 
+Each seed's line ends with the sha256 of its report bytes, so two checkouts
+can be shown to write identical reports over a whole sweep.
+
 Usage:
     python3 scripts/run_checks.py --seeds 42 7 9 11 --out-dir reports/
+    python3 scripts/run_checks.py --suite fibrous --seeds 1 2 3 7 42
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from dataclasses import dataclass
@@ -31,16 +36,16 @@ def sweep(cfg: SweepConfig) -> int:
         elapsed = time.monotonic() - t0
         n_records = sum(len(s["records"]) for s in report["suites"])
         total_failures += report["failures"]
+        text = report_json(report)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         print(
             f"seed {seed:>6}: {report['failures']} failures / "
-            f"{n_records} records in {elapsed:.1f}s"
+            f"{n_records} records in {elapsed:.1f}s  sha256 {digest}"
         )
         if cfg.out_dir:
             out = Path(cfg.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"report-{cfg.suite}-{seed}.json").write_text(
-                report_json(report), encoding="utf-8"
-            )
+            (out / f"report-{cfg.suite}-{seed}.json").write_text(text, encoding="utf-8")
     return 1 if total_failures else 0
 
 

@@ -102,6 +102,14 @@ class FinSimplex:
             obj = json.loads(obj)
         if not isinstance(obj, Mapping) or "levels" not in obj or "maps" not in obj:
             raise TreeError("chain JSON needs 'levels' and 'maps'")
+        if not isinstance(obj["levels"], list) or not all(
+            isinstance(lev, list) for lev in obj["levels"]
+        ):
+            raise TreeError("chain JSON 'levels' must be a list of lists")
+        if not isinstance(obj["maps"], list) or not all(
+            isinstance(m, Mapping) for m in obj["maps"]
+        ):
+            raise TreeError("chain JSON 'maps' must be a list of objects")
         levels = tuple(tuple(str(a) for a in lev) for lev in obj["levels"])
         maps = tuple(
             tuple(sorted((str(a), str(b)) for a, b in m.items()))

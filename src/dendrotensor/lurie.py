@@ -28,13 +28,15 @@ each cut counted once).  On top of these sit:
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations, product
 from random import Random
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name
 from .omegacat import Operation, _cut_table, _CutMemo, _operation, is_cut
@@ -121,6 +123,13 @@ class FinPtdMor:
             if v not in allowed:
                 raise TreeError(f"pointed map hits a non-element {v!r}")
 
+    def __hash__(self) -> int:
+        # frozen, so the hash is kept: the fibrous checks key a memo on maps
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.values))
+        return h
+
     @cached_property
     def mapping(self) -> dict[Elem, Elem]:
         return dict(zip(self.src.elements, self.values))
@@ -128,8 +137,16 @@ class FinPtdMor:
     def __call__(self, x: Elem) -> Elem:
         return self.mapping[x]
 
+    @cached_property
+    def fibers(self) -> dict[Elem, tuple[Elem, ...]]:
+        """The fiber of every value hit (``STAR`` included), in source order."""
+        out: dict[Elem, list[Elem]] = {}
+        for x, v in zip(self.src.elements, self.values):
+            out.setdefault(v, []).append(x)
+        return {v: tuple(xs) for v, xs in out.items()}
+
     def fiber(self, j: Elem) -> tuple[Elem, ...]:
-        return tuple(x for x in self.src.elements if self.mapping[x] == j)
+        return self.fibers.get(j, ())
 
     @property
     def is_inert(self) -> bool:
@@ -449,6 +466,13 @@ class EllObject:
         if len(self.colors) != len(self.base.elements):
             raise TreeError("need exactly one color per element")
 
+    def __hash__(self) -> int:
+        # kept for the same memo as FinPtdMor's
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.base, self.colors))
+        return h
+
     def color_of(self, x: Elem) -> str:
         return self.colors[self.base.elements.index(x)]
 
@@ -593,12 +617,35 @@ class FibrousReport:
         return not self.failures
 
 
-def _all_pointed_maps(src: FinPtdObj, dst: FinPtdObj) -> list[FinPtdMor]:
-    choices = tuple(dst.elements) + (STAR,)
-    return [
-        FinPtdMor(src, dst, vals)
-        for vals in product(choices, repeat=len(src.elements))
-    ]
+class _PointedMaps(Sequence):
+    """Every pointed map from ``src`` into each of ``dsts`` in turn, each
+    block in the order ``product`` lists the value tuples (``STAR`` last
+    among the choices).  The ``i``-th map is decoded from ``i`` when asked
+    for, so sampling a few maps builds only those; ``Random.sample`` draws
+    its indices from ``len`` alone and picks the same maps as it would from
+    the materialized list."""
+
+    def __init__(self, src: FinPtdObj, dsts: Sequence[FinPtdObj]):
+        self.src = src
+        self.blocks = tuple((dst, (len(dst) + 1) ** len(src)) for dst in dsts)
+        self.size = sum(n for _, n in self.blocks)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> FinPtdMor:
+        if not 0 <= i < self.size:
+            raise IndexError("pointed map index out of range")
+        for dst, n in self.blocks:
+            if i >= n:
+                i -= n
+                continue
+            choices = dst.elements + (STAR,)
+            values = []
+            for _ in self.src.elements:
+                i, digit = divmod(i, len(choices))
+                values.append(choices[digit])
+            return FinPtdMor(self.src, dst, tuple(reversed(values)))
 
 
 def _all_inerts(src: FinPtdObj) -> list[FinPtdMor]:
@@ -617,9 +664,8 @@ def _all_inerts(src: FinPtdObj) -> list[FinPtdMor]:
 
 
 def _sample(rng: Random, pool: Sequence, k: int) -> list:
-    pool = list(pool)
     if len(pool) <= k:
-        return pool
+        return list(pool)
     return rng.sample(pool, k)
 
 
@@ -685,16 +731,43 @@ def check_fibrous(
       the restrictions to single elements, via the collapse lifts;
     * morphisms into an object over ``<m>`` are computed componentwise
       through the collapse lifts.
+
+    Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
+    a memo local to the call, keyed by the values of ``(alpha, src, dst)``,
+    keeps the listing with its multiplicities (counts use it, so a family
+    listed twice, as in the ``duplicate-family`` fixture, still counts
+    twice) and, once membership is asked, the set of its morphisms.  The
+    memo goes when the call returns.  Random draws and comparisons are those
+    of listing every hom afresh.
     """
     rng = rng or Random(0)
     report = FibrousReport()
     colors = pres.operad.colors()
+    listings: dict[tuple[FinPtdMor, EllObject, EllObject], tuple[EllMorphism, ...]] = {}
+    members: dict[tuple[FinPtdMor, EllObject, EllObject], frozenset[EllMorphism]] = {}
+
+    def listed(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple[EllMorphism, ...]:
+        key = (alpha, src, dst)
+        found = listings.get(key)
+        if found is None:
+            found = listings[key] = pres.hom(alpha, src, dst)
+        return found
+
+    def is_listed(
+        alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism
+    ) -> bool:
+        key = (alpha, src, dst)
+        found = members.get(key)
+        if found is None:
+            found = members[key] = frozenset(listed(alpha, src, dst))
+        return mor in found
 
     def fail(msg: str) -> None:
         if len(report.failures) < max_failures:
             report.failures.append(msg)
 
     # cocartesian lifts of inerts and their universal property
+    targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
     for m in range(truncation + 1):
         src_base = FinPtdObj.skeleton(m)
         inerts = _all_inerts(src_base)
@@ -703,34 +776,33 @@ def check_fibrous(
             for alpha in _sample(rng, inerts, inerts_per_shape):
                 lift = pres.inert_lift(alpha, x)
                 report.cocartesian_checked += 1
-                if lift not in pres.hom(alpha, x, lift.dst):
+                if not is_listed(alpha, x, lift.dst, lift):
                     fail(
                         f"lift over {alpha.values} from colors {c} is not "
                         "among the listed morphisms"
                     )
                     continue
                 y = lift.dst
-                betas: list[FinPtdMor] = []
-                for z in range(truncation + 1):
-                    betas.extend(_all_pointed_maps(y.base, FinPtdObj.skeleton(z)))
+                betas = _PointedMaps(y.base, targets)
                 for beta in _sample(rng, betas, betas_per_lift):
                     gamma = beta.after(alpha)
-                    by_dst: dict[EllObject, list[EllMorphism]] = {}
+                    # per target: how often each composite ``g ∘ lift`` occurs
+                    through_lift: dict[EllObject, Counter[EllMorphism]] = {}
                     for z_obj, h in _sampled_arrows(pres, rng, gamma, x, arrows_budget):
-                        if h not in pres.hom(gamma, x, z_obj):
+                        if not is_listed(gamma, x, z_obj, h):
                             fail(
                                 f"componentwise morphism over {gamma.values} "
                                 f"from colors {c} is not listed"
                             )
                             continue
-                        if z_obj not in by_dst:
-                            by_dst[z_obj] = list(pres.hom(beta, y, z_obj))
-                        matches = [
-                            g for g in by_dst[z_obj] if pres.compose(g, lift) == h
-                        ]
-                        if len(matches) != 1:
+                        if z_obj not in through_lift:
+                            through_lift[z_obj] = Counter(
+                                pres.compose(g, lift) for g in listed(beta, y, z_obj)
+                            )
+                        matches = through_lift[z_obj][h]
+                        if matches != 1:
                             fail(
-                                f"universal property: {len(matches)} factorizations "
+                                f"universal property: {matches} factorizations "
                                 f"over beta={beta.values} of a morphism over "
                                 f"{gamma.values} through the lift over "
                                 f"{alpha.values} from colors {c}"
@@ -742,40 +814,37 @@ def check_fibrous(
     for m in range(1, truncation + 1):
         base = FinPtdObj.skeleton(m)
         ident = FinPtdMor.identity(base)
+        rhos = [rho(m, i) for i in base.elements]
         pool = _coloring_pool(colors, rng, m, 2 * pairs_per_fiber)
         pairs = [(a, b) for a in pool for b in pool]
         for c, d in _sample(rng, pairs, pairs_per_fiber):
             x, y = EllObject(base, c), EllObject(base, d)
             report.fiber_products_checked += 1
-            lhs = pres.hom(ident, x, y)
-            factor_homs = []
-            for i in range(m):
-                xi = EllObject(one, (c[i],))
-                yi = EllObject(one, (d[i],))
-                factor_homs.append(pres.hom(id_one, xi, yi))
-            expected = 1
-            for fh in factor_homs:
-                expected *= len(fh)
+            lhs = listed(ident, x, y)
+            factors = [
+                (EllObject(one, (c[i],)), EllObject(one, (d[i],))) for i in range(m)
+            ]
+            expected = math.prod(len(listed(id_one, xi, yi)) for xi, yi in factors)
             if len(lhs) != expected:
                 fail(
                     f"fiber over <{m}> at colors {c} -> {d}: {len(lhs)} "
                     f"morphisms, expected the product {expected}"
                 )
                 continue
-            lifts = [pres.inert_lift(rho(m, i), y) for i in base.elements]
+            lifts = [pres.inert_lift(r, y) for r in rhos]
             seen = set()
             ok = True
             for g in lhs:
                 projections = []
-                for i, elem in enumerate(base.elements):
-                    gi = pres.compose(lifts[i], g)
+                for lift_i, (xi, yi) in zip(lifts, factors):
+                    gi = pres.compose(lift_i, g)
                     single = EllMorphism(
                         id_one,
-                        EllObject(one, (c[i],)),
+                        xi,
                         EllObject(one, (gi.dst.colors[0],)),
                         ((1, gi.component[1]),),
                     )
-                    if single not in factor_homs[i]:
+                    if not is_listed(id_one, xi, yi, single):
                         ok = False
                     projections.append(gi)
                 seen.add(tuple(projections))
@@ -788,24 +857,21 @@ def check_fibrous(
     # mapping into a tuple is computed componentwise
     for m in range(1, truncation + 1):
         tuple_base = FinPtdObj.skeleton(m)
+        rhos = [rho(m, i) for i in tuple_base.elements]
         for c_x in _coloring_pool(colors, rng, m, colorings_per_shape):
             x = EllObject(tuple_base, c_x)
-            lifts = [pres.inert_lift(rho(m, i), x) for i in tuple_base.elements]
+            lifts = [pres.inert_lift(r, x) for r in rhos]
             for ym in range(truncation + 1):
                 y_base = FinPtdObj.skeleton(ym)
-                fs = _all_pointed_maps(y_base, tuple_base)
+                fs = _PointedMaps(y_base, (tuple_base,))
                 for f in _sample(rng, fs, betas_per_lift):
+                    legs = [r.after(f) for r in rhos]
                     for c_y in _coloring_pool(colors, rng, ym, colorings_per_shape):
                         y = EllObject(y_base, c_y)
                         report.component_formulas_checked += 1
-                        lhs = pres.hom(f, y, x)
-                        rhs = [
-                            pres.hom(rho(m, i).after(f), y, lifts[idx].dst)
-                            for idx, i in enumerate(tuple_base.elements)
-                        ]
-                        expected = 1
-                        for r in rhs:
-                            expected *= len(r)
+                        lhs = listed(f, y, x)
+                        rhs = [(leg, y, lift.dst) for leg, lift in zip(legs, lifts)]
+                        expected = math.prod(len(listed(*key)) for key in rhs)
                         if len(lhs) != expected:
                             fail(
                                 f"componentwise count over f={f.values} into "
@@ -816,9 +882,9 @@ def check_fibrous(
                         ok = True
                         for g in lhs:
                             tup = []
-                            for idx in range(m):
-                                gi = pres.compose(lifts[idx], g)
-                                if gi not in rhs[idx]:
+                            for lift, key in zip(lifts, rhs):
+                                gi = pres.compose(lift, g)
+                                if not is_listed(*key, gi):
                                     ok = False
                                     break
                                 tup.append(gi)

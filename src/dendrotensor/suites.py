@@ -110,6 +110,21 @@ def _rng(cfg: SuiteConfig, suite: str) -> Random:
     return Random(f"{cfg.seed}:{suite}")
 
 
+MAX_DRAWS = 1000
+
+
+def _draw(attempt: Callable[[], Any], failure: str, **settings: Any) -> Any:
+    """The first draw ``attempt`` accepts (it returns ``None`` to reject one),
+    trying at most ``MAX_DRAWS`` times.  When every draw is rejected, raise
+    :class:`ValueError` with ``failure`` and the settings that caused it."""
+    for _ in range(MAX_DRAWS):
+        found = attempt()
+        if found is not None:
+            return found
+    shown = ", ".join(f"{k}={v}" for k, v in settings.items())
+    raise ValueError(f"{failure} in {MAX_DRAWS} draws ({shown})")
+
+
 def _operator_json(phi: SimplicialOperator) -> dict[str, Any]:
     return {"dom": phi.dom, "cod": phi.cod, "values": list(phi.values)}
 
@@ -208,11 +223,19 @@ def suite_retract(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def _tree_with_inner(rng: Random, max_edges_: int, sp: float, prefix: str) -> Tree:
-    while True:
+def _tree_with_inner(
+    rng: Random, max_edges_: int, sp: float, prefix: str, suite: str
+) -> Tree:
+    def attempt() -> Tree | None:
         t = random_tree(rng, max_edges_, sp, prefix=prefix)
-        if t.inner_edges:
-            return t
+        return t if t.inner_edges else None
+
+    return _draw(
+        attempt,
+        f"{suite}: no tree with an inner edge",
+        max_edges=max_edges_,
+        stump_probability=sp,
+    )
 
 
 def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
@@ -220,20 +243,27 @@ def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     edges = _or_default(cfg.max_edges, 7)
     rng = _rng(cfg, "segal")
     records: list[Record] = []
+
+    def attempt() -> tuple[Forest, FreeForestOperad, Tree, str] | None:
+        g = random_forest(rng, 8, cfg.stump_probability, min_components=1)
+        p = FreeForestOperad(g)
+        t = _tree_with_inner(rng, edges, cfg.stump_probability, "s", "segal")
+        b = rng.choice(sorted(t.inner_edges))
+        lower, upper = cut_at(t, b)
+        try:
+            n_low = len(maps_into(lower, p, cap=20000))
+            n_up = len(maps_into(upper, p, cap=20000))
+        except TreeError:
+            return None
+        return (g, p, t, b) if n_low * n_up <= 50000 else None
+
     for i in range(n):
-        while True:
-            g = random_forest(rng, 8, cfg.stump_probability, min_components=1)
-            p = FreeForestOperad(g)
-            t = _tree_with_inner(rng, edges, cfg.stump_probability, "s")
-            b = rng.choice(sorted(t.inner_edges))
-            lower, upper = cut_at(t, b)
-            try:
-                n_low = len(maps_into(lower, p, cap=20000))
-                n_up = len(maps_into(upper, p, cap=20000))
-            except TreeError:
-                continue
-            if n_low * n_up <= 50000:
-                break
+        g, p, t, b = _draw(
+            attempt,
+            "segal: no instance within the map-count bounds",
+            max_edges=edges,
+            stump_probability=cfg.stump_probability,
+        )
         witness = {"tree": serialize_tree(t), "edge": b, "operad": serialize_forest(g)}
         try:
             ok = segal_cut_check(p, t, b)
@@ -247,17 +277,23 @@ def suite_d3(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     n = _or_default(cfg.instances, 50)
     rng = _rng(cfg, "d3")
     records: list[Record] = []
+
+    def attempt(i: int) -> tuple[Forest, Forest, FreeForestOperad] | None:
+        f = Forest(()) if i == 0 else random_forest(rng, 8, cfg.stump_probability)
+        g = random_forest(rng, 6, cfg.stump_probability, min_components=1)
+        p = FreeForestOperad(g)
+        try:
+            sizes = [len(maps_into(t, p, cap=20000)) for t in f.components]
+        except TreeError:
+            return None
+        return (f, g, p) if math.prod(sizes) <= 20000 else None
+
     for i in range(n):
-        while True:
-            f = Forest(()) if i == 0 else random_forest(rng, 8, cfg.stump_probability)
-            g = random_forest(rng, 6, cfg.stump_probability, min_components=1)
-            p = FreeForestOperad(g)
-            try:
-                sizes = [len(maps_into(t, p, cap=20000)) for t in f.components]
-            except TreeError:
-                continue
-            if math.prod(sizes) <= 20000:
-                break
+        f, g, p = _draw(
+            lambda: attempt(i),
+            "d3: no instance within the map-count bound",
+            stump_probability=cfg.stump_probability,
+        )
         witness = {"forest": serialize_forest(f), "operad": serialize_forest(g)}
         try:
             ok = segal_components_check(p, f)
@@ -279,19 +315,29 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     length = min(_or_default(cfg.max_levels, 3), 3)
     rng = _rng(cfg, "nerve")
     records: list[Record] = []
+
+    def attempt() -> tuple[Forest, FreeForestOperad, FinSimplex, tuple, tuple] | None:
+        g = random_forest(rng, edges, cfg.stump_probability, min_components=1)
+        p = FreeForestOperad(g)
+        a = random_fin_simplex(rng, width, length)
+        if len(p.colors()) ** len(a.levels[0]) > 2000:
+            return None
+        try:
+            chains = enumerate_chains(p, a, cap=30000)
+            maps = maps_into(omega_obj(a), p, cap=60000)
+        except TreeError:
+            return None
+        return g, p, a, chains, maps
+
     for i in range(n):
-        while True:
-            g = random_forest(rng, edges, cfg.stump_probability, min_components=1)
-            p = FreeForestOperad(g)
-            a = random_fin_simplex(rng, width, length)
-            if len(p.colors()) ** len(a.levels[0]) > 2000:
-                continue
-            try:
-                chains = enumerate_chains(p, a, cap=30000)
-                maps = maps_into(omega_obj(a), p, cap=60000)
-            except TreeError:
-                continue
-            break
+        g, p, a, chains, maps = _draw(
+            attempt,
+            "nerve: no instance within the chain and map caps",
+            max_edges=edges,
+            max_width=width,
+            max_levels=length,
+            stump_probability=cfg.stump_probability,
+        )
         witness: dict[str, Any] = {
             "operad": serialize_forest(g),
             "simplex": a.to_json(),
@@ -390,16 +436,23 @@ def _linear(prefix: str, vertices: int) -> Tree:
 
 
 def _random_factors(
-    rng: Random, n_factors: int, max_edges_: int, sp: float, bound: int
+    rng: Random, n_factors: int, max_edges_: int, sp: float, bound: int, suite: str
 ) -> list[Tree]:
     prefixes = "abcd"
-    while True:
+
+    def attempt() -> list[Tree] | None:
         factors = [
             random_tree(rng, max_edges_, sp, prefix=prefixes[j])
             for j in range(n_factors)
         ]
-        if count_shuffles(factors) <= bound:
-            return factors
+        return factors if count_shuffles(factors) <= bound else None
+
+    return _draw(
+        attempt,
+        f"{suite}: no {n_factors} factors with at most {bound} shuffles",
+        max_edges=max_edges_,
+        stump_probability=sp,
+    )
 
 
 def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
@@ -419,7 +472,9 @@ def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
                 )
             )
     for i in range(n):
-        factors = _random_factors(rng, rng.randint(1, 3), edges, cfg.stump_probability, 3000)
+        factors = _random_factors(
+            rng, rng.randint(1, 3), edges, cfg.stump_probability, 3000, "shuffles"
+        )
         witness = {"factors": [serialize_tree(t) for t in factors]}
         try:
             sh = shuffles(factors)
@@ -477,7 +532,7 @@ def suite_assoc(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     four = ([[0, 1], [2, 3]], [[[0, 1], 2], 3])
     for i in range(n):
         nf = 4 if i % 5 == 4 else 3
-        factors = _random_factors(rng, nf, 3, cfg.stump_probability, 2000)
+        factors = _random_factors(rng, nf, 3, cfg.stump_probability, 2000, "assoc")
         br = rng.choice(four if nf == 4 else three)
         witness = {
             "factors": [serialize_tree(t) for t in factors],
@@ -502,7 +557,7 @@ def suite_interior(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     sp = max(cfg.stump_probability, 0.35)
     records: list[Record] = []
     for i in range(n):
-        factors = _random_factors(rng, rng.randint(1, 3), 4, sp, 2000)
+        factors = _random_factors(rng, rng.randint(1, 3), 4, sp, 2000, "interior")
         witness = {"factors": [serialize_tree(t) for t in factors]}
         try:
             dec = interior_decomposition(factors)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,21 @@ def test_omega_two_colors(capsys):
 def test_omega_empty(capsys):
     assert main(["omega", '{"levels": [[]], "maps": []}']) == 0
     assert capsys.readouterr().out == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"levels": [["1"], ["1"]], "maps": [5]}',
+        '{"levels": [["1"], ["1"]], "maps": {"1": "1"}}',
+        '{"levels": "12", "maps": []}',
+        '{"levels": [["1"], "1"], "maps": [{"1": "1"}]}',
+    ],
+)
+def test_omega_rejects_bad_json_shape(capsys, text):
+    assert main(["omega", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dendrotensor: error:") and err.count("\n") == 1
 
 
 def test_omega_stdin(capsys, monkeypatch):
@@ -251,6 +270,21 @@ def test_check_rejects_out_of_range_settings(capsys, flag, value):
     assert main(["check", "segal", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dendrotensor: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-edges", "2"), ("--stump-probability", "1")]
+)
+def test_check_gives_up_when_no_draw_can_succeed(flag, value):
+    # no tree of at most 2 edges, nor one of all stumps, has an inner edge;
+    # run in a subprocess so that an unbounded retry fails instead of hanging
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "check", "segal", "--instances", "1", flag, value]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert "segal" in done.stderr and "draws" in done.stderr
 
 
 def test_suite_config_validates_its_settings():

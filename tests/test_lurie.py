@@ -1,3 +1,5 @@
+import hashlib
+from collections import Counter
 from itertools import product
 from random import Random
 
@@ -37,10 +39,11 @@ from dendrotensor import (
     rho,
     segal_components_check,
     segal_cut_check,
+    serialize_forest,
     shuffles,
     smash,
 )
-from dendrotensor.lurie import EllPresentation
+from dendrotensor.lurie import EllPresentation, _PointedMaps
 from dendrotensor._rand import random_forest, random_tree
 from test_omegacat import closure_operations
 
@@ -65,6 +68,60 @@ def test_pointed_map_validation():
     f = FinPtdMor(two, one, (1, STAR))
     assert f(1) == 1 and f(2) == STAR
     assert f.fiber(1) == (1,)
+
+
+def _all_pointed_maps(src, dst):
+    """Oracle for the lazy pools: every pointed map ``src -> dst``, built."""
+    choices = tuple(dst.elements) + (STAR,)
+    return [FinPtdMor(src, dst, vals) for vals in product(choices, repeat=len(src))]
+
+
+POOL_SHAPES = [
+    (m, targets)
+    for m in range(5)
+    for targets in [(n,) for n in range(5)] + [tuple(range(5))]
+]
+
+
+@pytest.mark.parametrize("m, targets", POOL_SHAPES)
+def test_lazy_pool_equals_materialized_list(m, targets):
+    src = FinPtdObj.skeleton(m)
+    dsts = [FinPtdObj.skeleton(n) for n in targets]
+    lazy = _PointedMaps(src, dsts)
+    built = [f for dst in dsts for f in _all_pointed_maps(src, dst)]
+    assert len(lazy) == len(built)
+    assert [lazy[i] for i in range(len(lazy))] == built
+    assert list(lazy) == built
+    with pytest.raises(IndexError):
+        lazy[len(built)]
+
+
+def test_lazy_pool_samples_like_the_list():
+    # CPython's sample copies a population of at most 21 (k <= 5) and
+    # indexes a larger one; both branches must pick the same maps
+    branches = set()
+    for m, targets in POOL_SHAPES:
+        src = FinPtdObj.skeleton(m)
+        dsts = [FinPtdObj.skeleton(n) for n in targets]
+        lazy = _PointedMaps(src, dsts)
+        built = [f for dst in dsts for f in _all_pointed_maps(src, dst)]
+        for k in (1, 4, 5):
+            if k > len(built):
+                continue
+            branches.add(len(built) <= 21)
+            for seed in range(5):
+                r_lazy, r_built = Random(seed), Random(seed)
+                assert r_lazy.sample(lazy, k) == r_built.sample(built, k)
+                assert r_lazy.getstate() == r_built.getstate()
+    assert branches == {True, False}
+
+
+def test_fibers_match_a_scan_of_the_source():
+    src = FinPtdObj.skeleton(3)
+    dst = FinPtdObj.skeleton(2)
+    for f in _all_pointed_maps(src, dst):
+        for j in dst.elements + (STAR, 9):
+            assert f.fiber(j) == tuple(x for x in src.elements if f(x) == j)
 
 
 def test_classify_tags():
@@ -315,6 +372,110 @@ def test_fixture_detection_is_seed_independent():
         for name, pres in defect_fixtures():
             report = check_fibrous(pres, truncation=2, rng=Random(seed), **EXHAUSTIVE)
             assert not report.passed, f"{name} slipped through at seed {seed}"
+
+
+# Reports of check_fibrous recorded before the per-call hom memo and the lazy
+# pools: the three counters, then the number of failures and the sha256 of
+# their "\n"-joined list, first under the suite's own budgets (at most 25
+# failures kept) and then with every failure kept.  The report bytes carry
+# only pass or fail per fixture, so these pin the checks themselves.
+FIXTURE_REPORTS = {
+    "drop-active-family": (
+        (89, 272, 2804),
+        (8, "9ecaac6ebabab477e9b13becccb964694d3b1763f2cf160df170f823dbad8192"),
+        (8, "9ecaac6ebabab477e9b13becccb964694d3b1763f2cf160df170f823dbad8192"),
+    ),
+    "drop-restrictions": (
+        (89, 272, 2804),
+        (25, "0f30b6091c893c46ebc9f5819e5463387f1471e9130d8e0d57681c223320810e"),
+        (196, "5708f05da12310b359a8c5515d0a9230524efa0d39fed8031ac0e8d761e6ecc8"),
+    ),
+    "duplicate-family": (
+        (89, 272, 2804),
+        (25, "b78f81ebc9be4962b4e6e7f2c93b158391ca91be5c87ac39b2560bb1de9e1ac8"),
+        (456, "b8b38d2df384e6820863af78e27ae8316358018848f38bf5a6456d7fa9e60313"),
+    ),
+    "lossy-compose": (
+        (89, 272, 2804),
+        (25, "d0c5207f7be073b6c15316b15e50fd6d6cdef0fb96f33f2ff50ae8cfd1e6fb13"),
+        (1068, "b150610a4b5420a2d12435d49812ee74da2767fbb68eb65817513105672b2790"),
+    ),
+    "skew-lift": (
+        (89, 272, 2804),
+        (25, "f9337a3c471a82182853e23df4ef7bd04629b99435f3677b88c3afc50abe726f"),
+        (376, "d19f6c7778f5ce3a00fa809d7b6834a815fe6513908b6e9606e092438324320c"),
+    ),
+}
+CLEAN_INSTANCES = ["{t0_0;t1_0}", "{t0_0;t1_0[t1_1]}", "{t0_0;t1_0;t2_0[]}"]
+
+
+def _counters(report):
+    return (
+        report.cocartesian_checked,
+        report.fiber_products_checked,
+        report.component_formulas_checked,
+    )
+
+
+def _digest(failures):
+    return len(failures), hashlib.sha256("\n".join(failures).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REPORTS))
+def test_fixture_reports_are_pinned(name):
+    counters, kept, every = FIXTURE_REPORTS[name]
+    pres = dict(defect_fixtures())[name]
+    for max_failures, pinned in ((25, kept), (10**9, every)):
+        report = check_fibrous(
+            pres,
+            truncation=2,
+            rng=Random(f"42:fixture:{name}"),
+            max_failures=max_failures,
+            **EXHAUSTIVE,
+        )
+        assert _counters(report) == counters
+        assert _digest(report.failures) == pinned
+
+
+def test_clean_suite_instances_are_pinned():
+    rng = Random("42:fibrous")
+    for i, text in enumerate(CLEAN_INSTANCES):
+        forest = random_forest(rng, 6, 0.2, min_components=1)
+        assert serialize_forest(forest) == text
+        pres = EllPresentation(FreeForestOperad(forest))
+        report = check_fibrous(pres, truncation=4, rng=Random(f"42:fibrous:{i}"))
+        assert _counters(report) == (29, 12, 252)
+        assert report.failures == []
+
+
+class _CountingHoms:
+    """Records every hom listing the fibrous checks ask a presentation for."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.listed = Counter()
+
+    def hom(self, alpha, src, dst):
+        self.listed[(alpha, src, dst)] += 1
+        return super().hom(alpha, src, dst)
+
+
+HOM_COUNTING_CASES = [
+    (text, EllPresentation(FreeForestOperad(parse_forest(text))))
+    for text in ("{r[a[x],b[]]}", "{p[q,s]}")
+] + list(defect_fixtures())
+
+
+@pytest.mark.parametrize("name, pres", HOM_COUNTING_CASES)
+def test_each_hom_is_listed_once_per_check(name, pres):
+    counting = type("Counting", (_CountingHoms, type(pres)), {})(pres.operad)
+    for trunc, budgets in ((2, EXHAUSTIVE), (3, {})):
+        counting.listed.clear()
+        report = check_fibrous(counting, truncation=trunc, rng=Random(1), **budgets)
+        plain = check_fibrous(pres, truncation=trunc, rng=Random(1), **budgets)
+        assert _counters(report) == _counters(plain)
+        assert report.failures == plain.failures
+        assert counting.listed and max(counting.listed.values()) == 1
 
 
 # -- nerve ------------------------------------------------------------------------
