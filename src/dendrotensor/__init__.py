@@ -9,183 +9,20 @@ a finite operad can be checked for the cocartesian/product behavior its
 infinite-dimensional counterparts are defined by.
 """
 
-from .treecore import (
-    Forest,
-    Tree,
-    TreeError,
-    Vertex,
-    add_stumps,
-    as_forest,
-    contract_inner,
-    corolla,
-    cut_at,
-    eta,
-    graft,
-    interior,
-    max_edges,
-    parse_forest,
-    parse_tree,
-    serialize_forest,
-    serialize_tree,
-)
-from .omegacat import (
-    Operation,
-    OperadMap,
-    classify_elementary,
-    compose,
-    hom,
-    identity_map,
-    is_cut,
-    is_valid,
-    operations,
-    validate,
-)
-from .levelforest import (
-    STAR,
-    FinSimplex,
-    RetractWitness,
-    SimplicialOperator,
-    edge_name,
-    omega_mor,
-    omega_obj,
-    restrict,
-    retract_witness,
-)
-from .shuffle import (
-    AssocResult,
-    InteriorDecomposition,
-    TensorHom,
-    TransportResult,
-    assoc_inclusion,
-    count_shuffles,
-    decode,
-    encode,
-    flatten_name,
-    inclusion_map,
-    interior_decomposition,
-    intersect,
-    shuffles,
-    stump_transport,
-    tensor_hom,
-)
-from .lurie import (
-    BVTensorOperad,
-    Chain,
-    EllMorphism,
-    EllObject,
-    EllPresentation,
-    FibrousReport,
-    FinPtdMor,
-    FinPtdObj,
-    FiniteOperad,
-    ForestInto,
-    FreeForestOperad,
-    FreeTerm,
-    TableOperad,
-    chain_to_map,
-    check_fibrous,
-    classify,
-    defect_fixtures,
-    ell_compose,
-    ell_hom,
-    ell_identity,
-    enumerate_chains,
-    factorize,
-    free_algebra,
-    map_to_chain,
-    maps_into,
-    precompose,
-    restrict_chain,
-    rho,
-    segal_components_check,
-    segal_cut_check,
-    smash,
-)
+from . import levelforest, lurie, omegacat, shuffle, treecore
+from .levelforest import *  # noqa: F403
+from .lurie import *  # noqa: F403
+from .omegacat import *  # noqa: F403
+from .shuffle import *  # noqa: F403
+from .treecore import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Forest",
-    "Tree",
-    "TreeError",
-    "Vertex",
-    "add_stumps",
-    "as_forest",
-    "contract_inner",
-    "corolla",
-    "cut_at",
-    "eta",
-    "graft",
-    "interior",
-    "max_edges",
-    "parse_forest",
-    "parse_tree",
-    "serialize_forest",
-    "serialize_tree",
-    "Operation",
-    "OperadMap",
-    "classify_elementary",
-    "compose",
-    "hom",
-    "identity_map",
-    "is_cut",
-    "is_valid",
-    "operations",
-    "validate",
-    "STAR",
-    "FinSimplex",
-    "RetractWitness",
-    "SimplicialOperator",
-    "edge_name",
-    "omega_mor",
-    "omega_obj",
-    "restrict",
-    "retract_witness",
-    "AssocResult",
-    "InteriorDecomposition",
-    "TensorHom",
-    "TransportResult",
-    "assoc_inclusion",
-    "decode",
-    "encode",
-    "flatten_name",
-    "inclusion_map",
-    "interior_decomposition",
-    "intersect",
-    "shuffles",
-    "count_shuffles",
-    "stump_transport",
-    "tensor_hom",
-    "BVTensorOperad",
-    "Chain",
-    "EllMorphism",
-    "EllObject",
-    "EllPresentation",
-    "FibrousReport",
-    "FinPtdMor",
-    "FinPtdObj",
-    "FiniteOperad",
-    "ForestInto",
-    "FreeForestOperad",
-    "FreeTerm",
-    "TableOperad",
-    "chain_to_map",
-    "check_fibrous",
-    "classify",
-    "defect_fixtures",
-    "ell_compose",
-    "ell_hom",
-    "ell_identity",
-    "enumerate_chains",
-    "factorize",
-    "free_algebra",
-    "map_to_chain",
-    "maps_into",
-    "precompose",
-    "restrict_chain",
-    "rho",
-    "segal_components_check",
-    "segal_cut_check",
-    "smash",
+    *treecore.__all__,
+    *omegacat.__all__,
+    *levelforest.__all__,
+    *shuffle.__all__,
+    *lurie.__all__,
     "__version__",
 ]

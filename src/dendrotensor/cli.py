@@ -21,11 +21,14 @@ from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
 from .omegacat import OperadMap, hom
 from .render import gallery_dot, to_dot
-from .shuffle import shuffles, tensor_hom
+from .shuffle import count_shuffles, shuffles, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
-from .treecore import TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
+from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
 __all__ = ["main"]
+
+# default cap on the shuffles that ``shuffles`` and ``tensor-hom`` build
+MAX_RESULTS = 1_000_000
 
 
 def _read_json_source(arg: str) -> Any:
@@ -93,8 +96,18 @@ def cmd_hom(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_shuffle_count(factors: list[Tree], cap: int) -> None:
+    """Refuse, before building any, factors with more than ``cap`` shuffles."""
+    if cap < 1:
+        raise ValueError(f"--max-results must be at least 1, got {cap}")
+    n = count_shuffles(factors)
+    if n > cap:
+        raise ValueError(f"the factors have {n} shuffles, more than --max-results {cap}")
+
+
 def cmd_shuffles(args: argparse.Namespace) -> int:
     factors = [parse_tree(t) for t in args.factors]
+    _check_shuffle_count(factors, args.max_results)
     sh = shuffles(factors)
     if args.format == "dot":
         _emit(gallery_dot(sh, "shuffles"), args.out)
@@ -114,6 +127,7 @@ def cmd_shuffles(args: argparse.Namespace) -> int:
 def cmd_tensor_hom(args: argparse.Namespace) -> int:
     probe = parse_tree(args.probe)
     factors = [parse_tree(t) for t in args.factors]
+    _check_shuffle_count(factors, args.max_results)
     maps = tensor_hom(probe, factors)
     payload = {
         "count": len(maps),
@@ -206,6 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact tree, forest, shuffle, and finite-operad combinatorics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    max_help = "refuse factors with more shuffles than this (default %(default)s)"
 
     p_omega = sub.add_parser("omega", help="turn a level diagram of pointed maps into its forest")
     p_omega.add_argument("input", help="level diagram JSON: inline, a path, or - for stdin")
@@ -224,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("factors", nargs="+", help="factor trees with disjoint edge names")
     p_sh.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p_sh.add_argument("--out", default=None)
+    p_sh.add_argument("--max-results", type=int, default=MAX_RESULTS, help=max_help)
     p_sh.set_defaults(func=cmd_shuffles)
 
     p_th = sub.add_parser("tensor-hom", help="maps from a tree's free operad into a tensor of trees")
@@ -231,6 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("factors", nargs="+", help="tensor factor trees")
     p_th.add_argument("--format", choices=("json", "text"), default="json")
     p_th.add_argument("--out", default=None)
+    p_th.add_argument("--max-results", type=int, default=MAX_RESULTS, help=max_help)
     p_th.set_defaults(func=cmd_tensor_hom)
 
     p_fa = sub.add_parser("free-algebra", help="free-algebra terms over a forest's free operad")
@@ -267,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (TreeError, ValueError, KeyError, OSError) as exc:
         print(f"dendrotensor: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"dendrotensor: error: input nested too deeply ({exc})", file=sys.stderr)
         return 2
 
 

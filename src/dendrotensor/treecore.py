@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 __all__ = [
     "TreeError",
     "Vertex",
     "Tree",
     "Forest",
-    "check_name",
     "eta",
     "corolla",
     "parse_tree",
@@ -82,6 +82,49 @@ class Vertex:
         return not self.in_edges
 
 
+_out_edge = attrgetter("out_edge")
+
+
+def _reject(root: str, verts: tuple[Vertex, ...]) -> NoReturn:
+    """Raise the first error the tree checks find, taken in this order: two
+    vertices with one output, the root used as an input, an edge that is an
+    input twice, a vertex output that is neither the root nor an input, and
+    a cycle (edges that never reach the root).  ``verts`` is sorted by
+    output; called only on vertex sets that are not a tree."""
+    outputs: set[str] = set()
+    for v in verts:
+        if v.out_edge in outputs:
+            raise TreeError(f"two vertices share output edge {v.out_edge!r}")
+        outputs.add(v.out_edge)
+    parent: dict[str, str] = {}
+    for v in verts:
+        for d in v.in_edges:
+            if d == root:
+                raise TreeError(f"root edge {d!r} used as an input")
+            if d in parent:
+                raise TreeError(f"edge {d!r} is an input of two vertices")
+            parent[d] = v.out_edge
+    edges = {root} | set(parent)
+    for v in verts:
+        if v.out_edge not in edges:
+            raise TreeError(
+                f"vertex output {v.out_edge!r} is neither the root nor an input"
+            )
+    # walk each edge down along parent links; edges already known to reach
+    # the root end the walk, so each link is followed once
+    rooted = {root}
+    for e in edges:
+        path: set[str] = set()
+        cur = e
+        while cur not in rooted:
+            if cur in path:
+                raise TreeError(f"cycle through edge {cur!r}")
+            path.add(cur)
+            cur = parent[cur]
+        rooted |= path
+    raise AssertionError(f"tree walk refused a tree rooted at {root!r}")
+
+
 @dataclass(frozen=True)
 class Tree:
     """A finite rooted tree, canonically ordered and validated on construction.
@@ -95,37 +138,26 @@ class Tree:
     vertices: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
-        check_name(self.root)
-        verts = tuple(sorted(self.vertices, key=lambda v: v.out_edge))
+        root = check_name(self.root)
+        verts = tuple(sorted(self.vertices, key=_out_edge))
         object.__setattr__(self, "vertices", verts)
-        above: dict[str, Vertex] = {}
-        for v in verts:
-            if v.out_edge in above:
-                raise TreeError(f"two vertices share output edge {v.out_edge!r}")
-            above[v.out_edge] = v
-        parent: dict[str, str] = {}
-        for v in verts:
-            for d in v.in_edges:
-                if d == self.root:
-                    raise TreeError(f"root edge {d!r} used as an input")
-                if d in parent:
-                    raise TreeError(f"edge {d!r} is an input of two vertices")
-                parent[d] = v.out_edge
-        edges = {self.root} | set(parent)
-        for v in verts:
-            if v.out_edge not in edges:
-                raise TreeError(
-                    f"vertex output {v.out_edge!r} is neither the root nor an input"
-                )
-        # connectivity: every edge must reach the root along parent links
-        for e in edges:
-            seen: set[str] = set()
-            cur = e
-            while cur != self.root:
-                if cur in seen:
-                    raise TreeError(f"cycle through edge {cur!r}")
-                seen.add(cur)
-                cur = parent[cur]
+        above = {v.out_edge: v for v in verts}
+        # One walk up from the root, opening each vertex at most once.  A
+        # tree opens every vertex and reaches each edge once.  A reused input,
+        # the root as an input, a cycle or a vertex off the tree leaves a
+        # vertex unopened or reaches some edge twice; two vertices with one
+        # output leave ``above`` short.
+        unopened = above.copy()
+        reached = [root]
+        for e in reached:  # reached grows as the walk goes
+            v = unopened.pop(e, None)
+            if v is not None:
+                reached += v.in_edges
+        if len(above) != len(verts) or unopened or len(set(reached)) != len(reached):
+            _reject(root, verts)
+        # vertex_above is a cached_property; filling its slot here hands it the
+        # dict just built instead of rebuilding it on first use
+        self.__dict__["vertex_above"] = above
 
     # -- derived structure -------------------------------------------------
 
@@ -295,18 +327,34 @@ class _Parser:
         return self.text[start:self.pos]
 
     def edge(self, acc: list[Vertex]) -> str:
-        nm = self.name()
-        if self.peek() == "[":
-            self.pos += 1
-            ins: list[str] = []
-            if self.peek() != "]":
-                ins.append(self.edge(acc))
-                while self.peek() == ",":
+        """Parse one edge and everything above it, appending each vertex to
+        ``acc`` as its ``]`` is read; returns the edge's name."""
+        # the vertices whose "[" has been read and whose "]" has not, each
+        # with the inputs parsed so far
+        open_: list[tuple[str, list[str]]] = []
+        while True:
+            nm = self.name()
+            if self.peek() == "[":
+                self.pos += 1
+                if self.peek() != "]":
+                    open_.append((nm, []))
+                    continue
+                self.pos += 1
+                acc.append(Vertex(nm, ()))
+            # nm is complete: hand it to the open vertex below it, and close
+            # that vertex too when no "," follows
+            while open_:
+                out, ins = open_[-1]
+                ins.append(nm)
+                if self.peek() == ",":
                     self.pos += 1
-                    ins.append(self.edge(acc))
-            self.expect("]")
-            acc.append(Vertex(nm, tuple(ins)))
-        return nm
+                    break
+                self.expect("]")
+                open_.pop()
+                acc.append(Vertex(out, tuple(ins)))
+                nm = out
+            else:
+                return nm
 
     def tree(self) -> Tree:
         acc: list[Vertex] = []
@@ -348,15 +396,25 @@ def parse_forest(text: str) -> Forest:
     return f
 
 
-def _serialize_edge(t: Tree, e: str) -> str:
-    v = t.vertex_above.get(e)
-    if v is None:
-        return e
-    return e + "[" + ",".join(_serialize_edge(t, d) for d in v.in_edges) + "]"
-
-
 def serialize_tree(t: Tree) -> str:
-    return _serialize_edge(t, t.root)
+    above = t.vertex_above
+    out: list[str] = []
+    # tokens still to emit, next one last: edge names, and the "," and "]"
+    # that follow children (reserved characters, so never an edge name)
+    stack = [t.root]
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        v = above.get(e)
+        if v is not None:
+            out.append("[")
+            stack.append("]")
+            for d in reversed(v.in_edges):
+                stack.append(d)
+                stack.append(",")
+            if v.in_edges:
+                stack.pop()  # no "," before the first child
+    return "".join(out)
 
 
 def serialize_forest(f: Forest) -> str:

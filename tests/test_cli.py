@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,73 @@ def test_shuffles_dot_gallery(capsys):
 def test_shuffles_rejects_shared_names(capsys):
     assert main(["shuffles", "r[a]", "r[b]"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# sha256 of `shuffles PIN_A PIN_B` (14 trees, stumps in both factors); a
+# change to the serialized trees or their order fails here
+PIN_A, PIN_B = "a[b[c,d[]],e[f]]", "x[y[w,v],z[]]"
+PINNED_SHUFFLES = {
+    "json": "be3e7256ba9951109b434990d04fafa5856f37890fb5ebc5df95988f280e314e",
+    "dot": "9f0ca0e8e9008e7be0b73052def033fd0290e310849ea8a5b7939de123a4d98c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_SHUFFLES))
+def test_shuffles_output_bytes_are_pinned(capsys, fmt):
+    assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_SHUFFLES[fmt]
+
+
+# two depth-3 binary trees: 20,173,952 shuffles
+BIN3_A = "a[b[c[d,e],f[g,h]],i[j[k,l],m[n,o]]]"
+BIN3_B = "p[q[r[s,t],u[v,w]],x[y[z,z1],z2[z3,z4]]]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shuffles", BIN3_A, BIN3_B],
+        ["tensor-hom", "e[f,g]", BIN3_A, BIN3_B],
+        ["shuffles", "a0[a1[a2]]", "b0[b1]", "--max-results", "2"],
+    ],
+)
+def test_oversized_shuffle_enumerations_are_refused(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dendrotensor: error:") and err.count("\n") == 1
+    assert "--max-results" in err
+
+
+def test_max_results_admits_exactly_the_count(capsys):
+    assert main(["shuffles", "a0[a1[a2]]", "b0[b1]", "--max-results", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count: 3"
+    assert main(["tensor-hom", "e[f,g]", "p[x,y]", "q", "--max-results", "1"]) == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-4"])
+def test_max_results_must_be_positive(capsys, cap):
+    assert main(["shuffles", "a0[a1]", "b0[b1]", "--max-results", cap]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_deep_shuffle_exits_2_with_one_line():
+    # a 1500-deep chain: parsing and building it are iterative, the shuffle
+    # count recurses past Python's limit; that must end in exit 2, not a traceback
+    chain = "e0" + "".join(f"[e{i}" for i in range(1, 1501)) + "]" * 1500
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "shuffles", chain, "x[y]"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("dendrotensor: error:")
+    assert done.stderr.count("\n") == 1
+
+
+def test_deep_single_factor_shuffle_succeeds(capsys):
+    chain = "e0" + "".join(f"[e{i}" for i in range(1, 1501)) + "]" * 1500
+    assert main(["shuffles", chain]) == 0
+    assert capsys.readouterr().out == "count: 1\n" + chain + "\n"
 
 
 # -- tensor-hom ----------------------------------------------------------------

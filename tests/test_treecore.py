@@ -24,6 +24,7 @@ from dendrotensor import (
     serialize_tree,
 )
 from dendrotensor._rand import random_forest, random_tree
+from dendrotensor.treecore import _Parser
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -245,3 +246,214 @@ def test_subtree_edges():
     t = parse_tree("r[a[x,y[]],b]")
     assert t.subtree_edges("a") == frozenset({"a", "x", "y"})
     assert t.subtree_edges("r") == t.edge_set
+
+
+# -- the O(E) checks against the old ones ---------------------------------------
+
+
+def check_tree(root, vertices):
+    """Reference for the checks of :class:`Tree`: the old validator, which
+    walks every edge down to the root (O(edges x depth))."""
+    verts = tuple(sorted(vertices, key=lambda v: v.out_edge))
+    above = {}
+    for v in verts:
+        if v.out_edge in above:
+            raise TreeError(f"two vertices share output edge {v.out_edge!r}")
+        above[v.out_edge] = v
+    parent = {}
+    for v in verts:
+        for d in v.in_edges:
+            if d == root:
+                raise TreeError(f"root edge {d!r} used as an input")
+            if d in parent:
+                raise TreeError(f"edge {d!r} is an input of two vertices")
+            parent[d] = v.out_edge
+    edges = {root} | set(parent)
+    for v in verts:
+        if v.out_edge not in edges:
+            raise TreeError(
+                f"vertex output {v.out_edge!r} is neither the root nor an input"
+            )
+    for e in edges:
+        seen = set()
+        cur = e
+        while cur != root:
+            if cur in seen:
+                raise TreeError(f"cycle through edge {cur!r}")
+            seen.add(cur)
+            cur = parent[cur]
+    return above
+
+
+def serialize_recursively(above, e):
+    """Reference for :func:`serialize_tree`: the old recursive serializer."""
+    v = above.get(e)
+    if v is None:
+        return e
+    return e + "[" + ",".join(serialize_recursively(above, d) for d in v.in_edges) + "]"
+
+
+class RecursiveParser(_Parser):
+    """Reference for the parser: the old recursive ``edge``."""
+
+    def edge(self, acc):
+        nm = self.name()
+        if self.peek() == "[":
+            self.pos += 1
+            ins = []
+            if self.peek() != "]":
+                ins.append(self.edge(acc))
+                while self.peek() == ",":
+                    self.pos += 1
+                    ins.append(self.edge(acc))
+            self.expect("]")
+            acc.append(Vertex(nm, tuple(ins)))
+        return nm
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except TreeError as exc:
+        return "error", str(exc)
+
+
+def built(root, vertices):
+    t = Tree(root, vertices)
+    return serialize_tree(t), t.vertex_above
+
+
+def checked(root, vertices):
+    above = check_tree(root, vertices)
+    return serialize_recursively(above, root), above
+
+
+CORRUPTIONS = ("cycle", "input twice", "root as input", "orphan", "duplicate output")
+
+
+def corrupt(t, kind, rng):
+    """``t``'s vertices with one defect of the given kind, or None when ``t``
+    is too small to carry it."""
+    verts = list(t.vertices)
+    below = {d: i for i, v in enumerate(verts) for d in v.in_edges}
+
+    def with_inputs(i, ins):
+        verts[i] = Vertex(verts[i].out_edge, tuple(ins))
+
+    if kind == "cycle":
+        # move an inner edge up into its own subtree, in place of an edge above it
+        inner = sorted(t.inner_edges)
+        if not inner:
+            return None
+        e = rng.choice(inner)
+        m = rng.choice(sorted(t.subtree_edges(e) - {e}) or [e])
+        if m == e:
+            return None
+        with_inputs(below[e], [d for d in verts[below[e]].in_edges if d != e])
+        with_inputs(below[m], [e if d == m else d for d in verts[below[m]].in_edges])
+    elif kind == "input twice":
+        used = sorted(below)
+        if not used or len(verts) < 2:
+            return None
+        d = rng.choice(used)
+        others = [i for i in range(len(verts)) if i != below[d]]
+        i = rng.choice(others)
+        with_inputs(i, verts[i].in_edges + (d,))
+    elif kind == "root as input":
+        if not verts:
+            return None
+        i = rng.randrange(len(verts))
+        with_inputs(i, verts[i].in_edges + (t.root,))
+    elif kind == "orphan":
+        verts.append(Vertex("z", rng.choice([(), ("z0",), ("z0", "z1")])))
+    else:
+        if not verts:
+            return None
+        out = rng.choice(verts).out_edge
+        verts.append(Vertex(out, rng.choice([(), ("z0",)])))
+    rng.shuffle(verts)
+    return tuple(verts)
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_tree_checks_match_the_old_validator(seed):
+    rng = Random(seed)
+    t = random_tree(rng, 12, 0.25)
+    verts = list(t.vertices)
+    rng.shuffle(verts)
+    got = outcome(built, t.root, tuple(verts))
+    assert got[0] == "ok"
+    assert got == outcome(checked, t.root, tuple(verts))
+
+
+@given(seeds, st.sampled_from(CORRUPTIONS))
+@settings(max_examples=400, deadline=None)
+def test_corrupt_vertex_sets_fail_like_the_old_validator(seed, kind):
+    rng = Random(seed)
+    verts = None
+    while verts is None:
+        t = random_tree(rng, 16, 0.2)
+        verts = corrupt(t, kind, rng)
+    got = outcome(built, t.root, verts)
+    assert got[0] == "error"
+    assert got == outcome(checked, t.root, verts)
+
+
+@pytest.mark.parametrize(
+    "root, vertices, message",
+    [
+        ("r", [("r", "ab"), ("a", "c"), ("b", "c")], "edge 'c' is an input of two vertices"),
+        ("r", [("r", "a"), ("a", "r")], "root edge 'r' used as an input"),
+        ("r", [("r", "a"), ("x", "")], "vertex output 'x' is neither the root nor an input"),
+        ("r", [("r", "a"), ("a", ""), ("a", "b")], "two vertices share output edge 'a'"),
+        ("r", [("r", "a"), ("b", "c"), ("c", "b")], "cycle through edge"),
+    ],
+)
+def test_each_defect_names_its_edge(root, vertices, message):
+    verts = tuple(Vertex(o, tuple(ins)) for o, ins in vertices)
+    with pytest.raises(TreeError, match=message):
+        Tree(root, verts)
+    with pytest.raises(TreeError, match=message):
+        check_tree(root, verts)
+
+
+@given(st.text(alphabet="ab[],; ", max_size=24))
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_the_recursive_one(text):
+    def parse(cls):
+        p = cls(text)
+        t = p.tree()
+        p.end()
+        return t
+
+    assert outcome(parse, _Parser) == outcome(parse, RecursiveParser)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_parser_matches_the_recursive_one_on_trees(seed):
+    text = serialize_tree(random_tree(Random(seed), 12, 0.25))
+    assert RecursiveParser(text).tree() == _Parser(text).tree() == parse_tree(text)
+
+
+def chain(n):
+    return Tree("e0", tuple(Vertex(f"e{i}", (f"e{i + 1}",)) for i in range(n)))
+
+
+def test_deep_chain_round_trips():
+    t = chain(5000)
+    text = serialize_tree(t)
+    assert text == "e0" + "".join(f"[e{i}" for i in range(1, 5001)) + "]" * 5000
+    assert parse_tree(text) == t
+    assert parse_forest("{" + text + "}").components == (t,)
+
+
+def test_deep_chain_defects_are_found():
+    verts = chain(5000).vertices
+    with pytest.raises(TreeError, match="root edge 'e0' used as an input"):
+        Tree("e0", verts + (Vertex("e5000", ("e0",)),))
+    # close the top of the chain into a loop hanging off nothing
+    loop = verts[1:] + (Vertex("e5000", ("e1",)), Vertex("e0", ()))
+    with pytest.raises(TreeError, match="cycle through edge"):
+        Tree("e0", loop)
