@@ -39,7 +39,7 @@ from random import Random
 from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name
-from .omegacat import Operation, _cut_table, _CutMemo, _operation, is_cut
+from .omegacat import Operation, _component, _cut_interior, _cut_table, _operation, is_cut
 from .shuffle import shuffles
 from .treecore import Forest, Tree, TreeError, as_forest, cut_at
 
@@ -279,12 +279,39 @@ def _index_by_output(
     return {output: tuple(entries) for output, entries in index.items()}
 
 
-class FreeForestOperad(FiniteOperad):
+class _CutOperad(FiniteOperad):
+    """A finite operad whose operations are cuts, each an :class:`Operation`
+    with distinct inputs: the trivial cut is the identity and substitution
+    is cut union.  Subclasses say which cuts are operations."""
+
+    def identity(self, color: str) -> Label:
+        return Operation(color, (color,))
+
+    def subst(self, p: Operation, args: Mapping[str, Operation]) -> Operation:
+        if set(args) != set(p.inputs):
+            raise TreeError(f"substitution arguments do not match the inputs of {p}")
+        collected: list[str] = []
+        for c in p.inputs:
+            q = args[c]
+            if q.output != c:
+                raise TreeError(f"substitution argument at {c!r} has output {q.output!r}")
+            collected.extend(q.inputs)
+        out = Operation(p.output, tuple(collected))
+        if not self._has(out):
+            raise TreeError(f"substitution produced {out}, which is not an operation")
+        return out
+
+    @abstractmethod
+    def _has(self, op: Operation) -> bool:
+        """Whether the cut ``op`` is an operation of this operad."""
+
+
+class FreeForestOperad(_CutOperad):
     """The free operad of a forest: colors are edges, operations are cuts."""
 
     def __init__(self, forest: Tree | Forest):
         self.forest = as_forest(forest)
-        self._cuts = _CutMemo(self.forest)
+        self._cuts: dict[str, list[tuple[str, ...]]] = {}
         self._by_output: dict[str, tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
         self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
 
@@ -304,27 +331,15 @@ class FreeForestOperad(FiniteOperad):
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
         entries = self._by_output.get(output)
         if entries is None:
-            entries = tuple((op.inputs, (op,)) for op in self._cuts(output))
+            t = _component(self.forest, output)
+            entries = tuple(
+                (c, (_operation(output, c),)) for c in _cut_table(t, output, self._cuts)
+            )
             self._by_output[output] = entries
         return entries
 
-    def identity(self, color: str) -> Label:
-        return Operation(color, (color,))
-
-    def subst(self, p: Operation, args: Mapping[str, Operation]) -> Operation:
-        if set(args) != set(p.inputs):
-            raise TreeError("substitution arguments do not match inputs")
-        collected: list[str] = []
-        for c in p.inputs:
-            q = args[c]
-            if q.output != c:
-                raise TreeError(f"argument at {c!r} has output {q.output!r}")
-            collected.extend(q.inputs)
-        out = Operation(p.output, tuple(collected))
-        t = self.forest.component_of[p.output]
-        if not is_cut(t, out.output, out.input_set):
-            raise TreeError(f"substitution produced a non-cut {out}")
-        return out
+    def _has(self, op: Operation) -> bool:
+        return is_cut(_component(self.forest, op.output), op.output, op.inputs)
 
 
 class TableOperad(FiniteOperad):
@@ -394,7 +409,7 @@ class TableOperad(FiniteOperad):
         return self._table[((color,), color)][0]
 
 
-class BVTensorOperad(FiniteOperad):
+class BVTensorOperad(_CutOperad):
     """The tensor of trees as a finite operad: colors are the tuple edges of
     the shuffles, operations are the cuts of all shuffles with each cut
     appearing once.  Substitution is cut union, under which the family is
@@ -433,21 +448,8 @@ class BVTensorOperad(FiniteOperad):
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
         return self._by_output.get(output, ())
 
-    def identity(self, color: str) -> Label:
-        return Operation(color, (color,))
-
-    def subst(self, p: Operation, args: Mapping[str, Operation]) -> Operation:
-        if set(args) != set(p.inputs):
-            raise TreeError("substitution arguments do not match inputs")
-        collected: list[str] = []
-        for c in p.inputs:
-            if args[c].output != c:
-                raise TreeError("substitution argument output mismatch")
-            collected.extend(args[c].inputs)
-        out = Operation(p.output, tuple(collected))
-        if (out.inputs, out.output) not in self._table:
-            raise TreeError(f"tensor substitution left the cut table: {out}")
-        return out
+    def _has(self, op: Operation) -> bool:
+        return (op.inputs, op.output) in self._table
 
 
 # ---------------------------------------------------------------------------
@@ -1194,19 +1196,17 @@ def restrict_chain(p: FiniteOperad, ch: Chain, phi) -> Chain:
 
 def _eval_cut(p: FiniteOperad, m: ForestInto, forest: Forest, op: Operation) -> Label:
     """The image in ``p`` of a cut of the forest under a map out of its free
-    operad, by substituting down from the cut's output."""
+    operad: substitute the map's components bottom-up over the edges from
+    the cut's inputs down to its output."""
     t = forest.component_of[op.output]
-
-    def ev(e: str, mem: frozenset[str]) -> Label:
-        if mem == frozenset((e,)):
-            return p.identity(m.color[e])
-        v = t.vertex_above[e]
-        args = {
-            m.color[d]: ev(d, mem & t.subtree_edges(d)) for d in v.in_edges
-        }
-        return p.subst(m.component[e], args)
-
-    return ev(op.output, op.input_set)
+    interior = _cut_interior(t, op.output, op.input_set)
+    if interior is None:
+        raise TreeError(f"invalid cut {op} evaluated through map")
+    value = {d: p.identity(m.color[d]) for d in op.inputs}
+    for e in reversed(interior):
+        args = {m.color[d]: value[d] for d in t.vertex_above[e].in_edges}
+        value[e] = p.subst(m.component[e], args)
+    return value[op.output]
 
 
 def precompose(p: FiniteOperad, m: ForestInto, h) -> ForestInto:

@@ -9,9 +9,12 @@ determined by its output edge together with its set of input edges.
 
 A map between such operads is recorded by where the colors go (``edge_map``)
 and where each generating vertex goes (``vertex_map``, an operation of the
-target).  Composition pushes operations through the second map; no relations
-ever have to be checked beyond cut validity, which is what :func:`validate`
-does.
+target).  Such a map is a source-shaped dendrex of the nerve of the target
+operad, so :func:`hom` lists them with :func:`~dendrotensor.lurie.maps_into`.
+Composition pushes operations through the second map; no relations ever
+have to be checked beyond cut validity, which is what :func:`validate` does.
+One walk up from a cut's output, with an explicit stack, decides whether a
+set of edges is a cut and lists the edges below it for substitution.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .treecore import Forest, Tree, TreeError, as_forest, serialize_forest
 
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Operation:
     """An operation of a free forest operad: output edge plus input edge set.
 
@@ -125,25 +127,6 @@ def _operation(output: str, inputs: tuple[str, ...]) -> Operation:
     return op
 
 
-class _CutMemo:
-    """The operations of one forest's free operad by output, built on
-    demand over one shared cut memo and kept: one per ``hom`` call, or per
-    :class:`~dendrotensor.lurie.FreeForestOperad`."""
-
-    def __init__(self, forest: Forest):
-        self.forest = forest
-        self._tables: dict[str, list[tuple[str, ...]]] = {}
-        self._ops: dict[str, tuple[Operation, ...]] = {}
-
-    def __call__(self, e: str) -> tuple[Operation, ...]:
-        ops = self._ops.get(e)
-        if ops is None:
-            t = _component(self.forest, e)
-            cuts = _cut_table(t, e, self._tables)
-            ops = self._ops[e] = tuple(_operation(e, c) for c in cuts)
-        return ops
-
-
 def _component(forest: Forest, e: str) -> Tree:
     t = forest.component_of.get(e)
     if t is None:
@@ -163,23 +146,36 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
     return tuple(_operation(e, c) for c in _cut_table(t, e))
 
 
-def is_cut(t: Tree, e: str, members: Iterable[str]) -> bool:
-    """Decide whether ``members`` is a valid input set for output ``e``."""
-    mem = frozenset(members)
-    if not mem <= t.subtree_edges(e):
-        return False
+def _cut_interior(t: Tree, e: str, members: Collection[str]) -> list[str] | None:
+    """The edges from ``e`` up to the cut ``members``, members excluded and
+    each edge listed before the edges above it, or ``None`` when ``members``
+    (distinct edges) is not a cut of ``t`` with output ``e``.
 
-    def go(d: str, m: frozenset[str]) -> bool:
-        if m == frozenset((d,)):
-            return True
-        if d in m:
-            return False
+    One walk up from ``e`` that stops at members: ``members`` is a cut
+    exactly when every branch of the walk ends at a member or a stump and
+    every member is reached.
+    """
+    if e not in t.edge_set:
+        raise TreeError(f"no edge {e!r} in tree")
+    interior: list[str] = []
+    reached = 0
+    pending = [e]
+    while pending:
+        d = pending.pop()
+        if d in members:
+            reached += 1
+            continue
         v = t.vertex_above.get(d)
         if v is None:
-            return False
-        return all(go(c, m & t.subtree_edges(c)) for c in v.in_edges)
+            return None
+        interior.append(d)
+        pending.extend(v.in_edges)
+    return interior if reached == len(members) else None
 
-    return go(e, mem)
+
+def is_cut(t: Tree, e: str, members: Iterable[str]) -> bool:
+    """Decide whether ``members`` is a valid input set for output ``e``."""
+    return _cut_interior(t, e, frozenset(members)) is not None
 
 
 @dataclass(frozen=True)
@@ -228,90 +224,35 @@ def identity_map(scope: Tree | Forest) -> OperadMap:
     )
 
 
-def _embeddings(
-    s_tree: Tree,
-    ops_at: _CutMemo,
-    s_edge: str,
-    t_edge: str,
-    memo: dict[tuple[str, str], list[tuple[dict[str, str], dict[str, Operation]]]],
-) -> list[tuple[dict[str, str], dict[str, Operation]]]:
-    key = (s_edge, t_edge)
-    if key in memo:
-        return memo[key]
-    v = s_tree.vertex_above.get(s_edge)
-    if v is None:
-        memo[key] = [({s_edge: t_edge}, {})]
-        return memo[key]
-    out: list[tuple[dict[str, str], dict[str, Operation]]] = []
-    k = len(v.in_edges)
-    for op in ops_at(t_edge):
-        if len(op.inputs) != k:
-            continue
-        for image in permutations(op.inputs):
-            branches = [
-                _embeddings(s_tree, ops_at, d, image[i], memo)
-                for i, d in enumerate(v.in_edges)
-            ]
-            if any(not b for b in branches):
-                continue
-            for combo in product(*branches):
-                e_map: dict[str, str] = {s_edge: t_edge}
-                v_map: dict[str, Operation] = {s_edge: op}
-                for fe, fv in combo:
-                    e_map.update(fe)
-                    v_map.update(fv)
-                out.append((e_map, v_map))
-    memo[key] = out
-    return out
-
-
 def hom(source: Tree | Forest, target: Tree | Forest) -> tuple[OperadMap, ...]:
     """Enumerate every operad map between the generated free operads.
 
-    Down each source component the root may land on any target edge; a vertex
-    of arity ``k`` then lands on any arity-``k`` operation above its output's
-    image, in any of the ``k!`` input matchings.  The empty source forest has
-    exactly one (empty) map anywhere.
+    Each map of :func:`~dendrotensor.lurie.maps_into` into
+    :class:`~dendrotensor.lurie.FreeForestOperad` is read as an
+    :class:`OperadMap`, in the order listed there.  Each source root may
+    land on any target edge; a vertex of arity ``k`` then lands on any
+    arity-``k`` cut above its output's image, in any of the ``k!`` input
+    matchings.  The empty source forest has exactly one (empty) map
+    anywhere.
     """
+    from .lurie import FreeForestOperad, maps_into
+
     src = as_forest(source)
     tgt = as_forest(target)
-    ops_at = _CutMemo(tgt)
-    per_component: list[list[tuple[dict[str, str], dict[str, Operation]]]] = []
-    for t in src.components:
-        memo: dict[tuple[str, str], list] = {}
-        frags: list[tuple[dict[str, str], dict[str, Operation]]] = []
-        for root_image in tgt.edges:
-            frags.extend(_embeddings(t, ops_at, t.root, root_image, memo))
-        per_component.append(frags)
-    maps = []
-    for combo in product(*per_component):
-        e_map: dict[str, str] = {}
-        v_map: dict[str, Operation] = {}
-        for fe, fv in combo:
-            e_map.update(fe)
-            v_map.update(fv)
-        maps.append(OperadMap.build(src, tgt, e_map, v_map))
-    return tuple(maps)
+    return tuple(
+        OperadMap(src, tgt, m.colors, m.components)
+        for m in maps_into(src, FreeForestOperad(tgt))
+    )
 
 
 def _push(g: OperadMap, op: Operation) -> Operation:
-    """Image of a source operation under ``g``, by splitting the cut over
-    the branches of the tree between output and inputs."""
-    t = g.source.component_of[op.output]
+    """Image of a source operation under ``g``: a cut goes to the images of
+    its inputs over the image of its output."""
+    t = _component(g.source, op.output)
+    if _cut_interior(t, op.output, op.input_set) is None:
+        raise TreeError(f"invalid cut {op} pushed through map")
     ge = g.edge
-
-    def img(d: str, mem: frozenset[str]) -> frozenset[str]:
-        if mem == frozenset((d,)):
-            return frozenset((ge[d],))
-        v = t.vertex_above.get(d)
-        if v is None:
-            raise TreeError(f"invalid cut {op} pushed through map")
-        out: frozenset[str] = frozenset()
-        for c in v.in_edges:
-            out |= img(c, mem & t.subtree_edges(c))
-        return out
-
-    return Operation(ge[op.output], tuple(sorted(img(op.output, op.input_set))))
+    return Operation(ge[op.output], tuple(ge[d] for d in op.inputs))
 
 
 def compose(g: OperadMap, f: OperadMap) -> OperadMap:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from itertools import product
 from random import Random
@@ -191,6 +192,33 @@ def test_free_forest_operad_subst():
     assert got == Operation("r", ("x",))
     with pytest.raises(TreeError):
         p.subst(top, {"a": Operation("a", ("x",))})
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        FreeForestOperad(parse_tree("r[a[x],b[]]")),
+        BVTensorOperad([parse_tree("p[x,y]"), parse_tree("q[u]")]),
+    ],
+    ids=["free", "tensor"],
+)
+def test_subst_names_each_rejection(p):
+    top = next(
+        op
+        for c in p.colors()
+        for _, ops in p.ops_by_output(c)
+        for op in ops
+        if len(op.inputs) == 2
+    )
+    a, b = top.inputs
+    assert p.subst(top, {a: p.identity(a), b: p.identity(b)}) == top
+    with pytest.raises(TreeError, match="arguments do not match the inputs"):
+        p.subst(top, {a: p.identity(a)})
+    with pytest.raises(TreeError, match=re.escape(f"argument at {a!r} has output {b!r}")):
+        p.subst(top, {a: p.identity(b), b: p.identity(b)})
+    # ``top.output`` lies below ``b``, so the two together are no cut
+    with pytest.raises(TreeError, match="which is not an operation"):
+        p.subst(top, {a: Operation(a, (top.output,)), b: p.identity(b)})
 
 
 def test_table_operad_json_round_trip():

@@ -1,3 +1,7 @@
+import importlib
+import types
+from pathlib import Path
+
 import dendrotensor
 
 # the names the package exported when ``__all__`` was kept by hand
@@ -31,3 +35,17 @@ def test_exports_are_unchanged_and_resolve():
     for name in dendrotensor.__all__:
         assert getattr(dendrotensor, name) is not None
 
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracer.py patches these by name, and its methods through the
+    # class's own __dict__: one renamed or moved to a base class breaks
+    # `perfbench/run.py --trace 1`.  The file is read, not imported, so no
+    # bytecode is written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    for module, attr, _, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"dendrotensor.{module}"), attr))
+    for module, cls_name, method, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"dendrotensor.{module}"), cls_name)
+        assert method in cls.__dict__, f"{cls_name}.{method}"
