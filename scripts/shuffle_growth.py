@@ -2,8 +2,9 @@
 """How fast shuffle counts grow: chains vs full binary trees.
 
 Chains interleave like lattice paths (multinomials); bushy trees blow past
-them because independent branches interleave independently.  The count uses
-the exact recursion, so no shuffle is ever materialized.
+them because independent branches interleave independently.  The exact count
+folds the table of shuffle states into sums of products, so no shuffle is
+ever materialized.
 
 Usage:
     python3 scripts/shuffle_growth.py --max-depth 4

@@ -21,7 +21,7 @@ from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
 from .omegacat import OperadMap, hom
 from .render import gallery_dot, to_dot
-from .shuffle import count_shuffles, shuffles, tensor_hom
+from .shuffle import TensorHom, count_shuffles, shuffles, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
@@ -52,7 +52,7 @@ def _json_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def _map_json(m: OperadMap) -> dict[str, Any]:
+def _map_json(m: OperadMap | TensorHom) -> dict[str, Any]:
     return {
         "edge_map": dict(m.edge_map),
         "vertex_map": {
@@ -131,17 +131,7 @@ def cmd_tensor_hom(args: argparse.Namespace) -> int:
     maps = tensor_hom(probe, factors)
     payload = {
         "count": len(maps),
-        "maps": [
-            {
-                "edge_map": dict(m.edge_map),
-                "vertex_map": {
-                    v: {"output": op.output, "inputs": list(op.inputs)}
-                    for v, op in m.vertex_map
-                },
-                "witness_shuffle": serialize_tree(m.witness),
-            }
-            for m in maps
-        ],
+        "maps": [{**_map_json(m), "witness_shuffle": serialize_tree(m.witness)} for m in maps],
     }
     if args.format == "text":
         lines = [f"count: {len(maps)}"]

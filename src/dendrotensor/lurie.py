@@ -498,6 +498,26 @@ def _fiber_colors(alpha: FinPtdMor, src: EllObject, j: Elem) -> tuple[str, ...]:
     return tuple(src.color_of(i) for i in alpha.fiber(j))
 
 
+def _choices(
+    p: FiniteOperad, gamma: FinPtdMor, src: EllObject
+) -> list[list[tuple[Elem, str, Label]]]:
+    """For each target element ``k`` of ``gamma``, every ``(k, output color,
+    operation)`` choice accepting the colors of ``k``'s fiber in ``src``."""
+    return [
+        [(k, c, lab) for c, lab in p.ops_for_inputs(_fiber_colors(gamma, src, k))]
+        for k in gamma.dst.elements
+    ]
+
+
+def _arrow(
+    gamma: FinPtdMor, src: EllObject, combo: Sequence[tuple[Elem, str, Label]]
+) -> tuple[EllObject, EllMorphism]:
+    """The target and the morphism out of ``src`` over ``gamma`` given by one
+    :func:`_choices` entry per target element."""
+    dst = EllObject(gamma.dst, tuple(c for _, c, _ in combo))
+    return dst, EllMorphism(gamma, src, dst, tuple((k, lab) for k, _, lab in combo))
+
+
 def ell_hom(
     p: FiniteOperad, alpha: FinPtdMor, src: EllObject, dst: EllObject
 ) -> tuple[EllMorphism, ...]:
@@ -570,14 +590,9 @@ class EllPresentation:
         operation)`` choice per target element)."""
         if gamma.src != src.base:
             raise TreeError("source object does not sit over the map")
-        per_elem = []
-        for k in gamma.dst.elements:
-            fam = _fiber_colors(gamma, src, k)
-            per_elem.append([(k, c, lab) for c, lab in self.operad.ops_for_inputs(fam)])
         out = []
-        for combo in product(*per_elem):
-            dst = EllObject(gamma.dst, tuple(c for _, c, _ in combo))
-            mor = EllMorphism(gamma, src, dst, tuple((k, lab) for k, _, lab in combo))
+        for combo in product(*_choices(self.operad, gamma, src)):
+            dst, mor = _arrow(gamma, src, combo)
             out.extend([(dst, mor)] * self.admit(gamma, src, dst, mor))
         return tuple(out)
 
@@ -692,22 +707,10 @@ def _sampled_arrows(
 ) -> list[tuple[EllObject, EllMorphism]]:
     """Morphisms out of ``src`` over ``gamma``: all of them when few, else a
     random selection assembled choice-by-choice."""
-    per_elem = []
-    total = 1
-    for k in gamma.dst.elements:
-        fam = _fiber_colors(gamma, src, k)
-        opts = pres.operad.ops_for_inputs(fam)
-        per_elem.append((k, opts))
-        total *= len(opts)
-    if total <= budget:
+    choices = _choices(pres.operad, gamma, src)
+    if math.prod(len(opts) for opts in choices) <= budget:
         return list(pres.arrows_from(gamma, src))
-    out = []
-    for _ in range(budget):
-        combo = [(k, *rng.choice(opts)) for k, opts in per_elem]
-        dst = EllObject(gamma.dst, tuple(c for _, c, _ in combo))
-        mor = EllMorphism(gamma, src, dst, tuple((k, lab) for k, _, lab in combo))
-        out.append((dst, mor))
-    return out
+    return [_arrow(gamma, src, [rng.choice(opts) for opts in choices]) for _ in range(budget)]
 
 
 def check_fibrous(
@@ -1118,15 +1121,8 @@ def enumerate_chains(
                 raise TreeError(f"chain enumeration exceeded cap {cap}")
             chains.append(Chain(a, tuple(objs), tuple(arrows)))
             return
-        alpha = als[i]
-        src = objs[-1]
-        per_elem = []
-        for k in xs[i + 1].elements:
-            fam = _fiber_colors(alpha, src, k)
-            per_elem.append([(k, c, lab) for c, lab in p.ops_for_inputs(fam)])
-        for combo in product(*per_elem):
-            dst = EllObject(xs[i + 1], tuple(c for _, c, _ in combo))
-            mor = EllMorphism(alpha, src, dst, tuple((k, lab) for k, _, lab in combo))
+        for combo in product(*_choices(p, als[i], objs[-1])):
+            dst, mor = _arrow(als[i], objs[-1], combo)
             rec(i + 1, objs + [dst], arrows + [mor])
 
     for c0 in product(p.colors(), repeat=len(xs[0].elements)):

@@ -7,7 +7,9 @@ moves: advance one coordinate that still has a non-stump vertex above it
 factor and at least one is a stump edge — close the tuple with a stump.  A
 tuple all of whose coordinates are leaves is a leaf.  This is the unique
 closing discipline for which the maximal edges of every shuffle are exactly
-the tuples of factor-maximal edges.
+the tuples of factor-maximal edges.  The reachable tuples and their moves
+are listed once, by one walk without recursion, and that table is folded
+into the shuffles themselves or into their count.
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner
@@ -19,8 +21,10 @@ probe forest into all shuffles at once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
 from .omegacat import OperadMap, Operation, hom, validate
@@ -109,10 +113,50 @@ def flatten_name(name: str) -> tuple[str, ...]:
     return (name,)
 
 
+# a state of the shuffle walk: one edge of each factor
+_State = tuple[str, ...]
+
+
+def _state_table(factors: Sequence[Tree]) -> list[tuple[_State, list[tuple[_State, ...]]]]:
+    """Every state reachable from the root tuple with its moves, each state
+    after the states its moves reach, so the root comes last.
+
+    A move lists the states it opens: advancing coordinate ``i`` opens one
+    per input of the vertex above it, closing a tuple with a stump opens
+    none.  A state with no moves is a leaf.  The walk keeps its own stack.
+    """
+    above = [t.vertex_above for t in factors]
+    moves_of: dict[_State, list[tuple[_State, ...]]] = {}
+    order: list[_State] = []
+    stack = [(tuple(t.root for t in factors), False)]
+    while stack:
+        state, expanded = stack.pop()
+        if expanded:
+            order.append(state)
+            continue
+        if state in moves_of:
+            continue
+        verts = [a.get(e) for a, e in zip(above, state)]
+        moves = [
+            tuple(state[:i] + (d,) + state[i + 1 :] for d in v.in_edges)
+            for i, v in enumerate(verts)
+            if v is not None and v.in_edges
+        ]
+        if not moves and any(v is not None for v in verts):
+            moves = [()]
+        moves_of[state] = moves
+        stack.append((state, True))
+        stack.extend((c, False) for move in moves for c in move)
+    return [(s, moves_of[s]) for s in order]
+
+
 def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
     """All shuffles of the given trees, in a deterministic order.
 
     A single factor is its own (only) shuffle and keeps its edge names.
+    Each state of :func:`_state_table` gets the vertex tuples of its partial
+    shuffles, move by move and then in ``product`` order over the moved-to
+    states' lists; a list is dropped once every state that uses it is done.
     """
     if not factors:
         raise TreeError("need at least one factor")
@@ -128,65 +172,34 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
             raise TreeError(f"factors share edge names: {sorted(dup)}")
         seen |= t.edge_set
 
-    memo: dict[tuple[str, ...], tuple[tuple[Vertex, ...], ...]] = {}
-
-    def build(state: tuple[str, ...]) -> tuple[tuple[Vertex, ...], ...]:
-        if state in memo:
-            return memo[state]
-        verts = [factors[i].vertex_above.get(e) for i, e in enumerate(state)]
-        if all(v is None for v in verts):
-            memo[state] = ((),)
-            return memo[state]
-        if all(v is None or v.is_stump for v in verts):
-            memo[state] = ((Vertex(encode(state), ()),),)
-            return memo[state]
-        opts: list[tuple[Vertex, ...]] = []
-        for i, v in enumerate(verts):
-            if v is None or v.is_stump:
-                continue
-            children = [state[:i] + (d,) + state[i + 1 :] for d in v.in_edges]
-            branches = [build(c) for c in children]
-            head = Vertex(encode(state), tuple(encode(c) for c in children))
-            for combo in product(*branches):
-                acc: tuple[Vertex, ...] = (head,)
-                for part in combo:
-                    acc = acc + part
-                opts.append(acc)
-        memo[state] = tuple(opts)
-        return memo[state]
-
-    root = tuple(t.root for t in factors)
-    return tuple(Tree(encode(root), vs) for vs in build(root))
+    table = _state_table(factors)
+    users = Counter(c for _, moves in table for move in moves for c in move)
+    lists: dict[_State, list[tuple[Vertex, ...]]] = {}
+    for state, moves in table:
+        lists[state] = [] if moves else [()]
+        for move in moves:
+            partial = [(Vertex(encode(state), tuple(encode(c) for c in move)),)]
+            for c in move:
+                users[c] -= 1
+                below = lists[c] if users[c] else lists.pop(c)
+                partial = [head + part for head in partial for part in below]
+            lists[state] += partial
+    root = encode(state)  # the root state comes last
+    return tuple(Tree(root, vs) for vs in lists[state])
 
 
 def count_shuffles(factors: Sequence[Tree]) -> int:
-    """How many shuffles the factors admit, by the same recursion as
-    :func:`shuffles` but summing counts instead of materializing trees —
-    cheap even when the answer is astronomically large."""
+    """How many shuffles the factors admit: :func:`_state_table` folded into
+    sums over moves of products of counts, nothing materialized, so cheap
+    even when the answer is astronomically large."""
     if not factors:
         raise TreeError("need at least one factor")
     if len(factors) == 1:
         return 1
-    memo: dict[tuple[str, ...], int] = {}
-
-    def count(state: tuple[str, ...]) -> int:
-        if state in memo:
-            return memo[state]
-        verts = [factors[i].vertex_above.get(e) for i, e in enumerate(state)]
-        total = 1
-        if not all(v is None or v.is_stump for v in verts):
-            total = 0
-            for i, v in enumerate(verts):
-                if v is None or v.is_stump:
-                    continue
-                branches = 1
-                for d in v.in_edges:
-                    branches *= count(state[:i] + (d,) + state[i + 1 :])
-                total += branches
-        memo[state] = total
-        return total
-
-    return count(tuple(t.root for t in factors))
+    counts: dict[_State, int] = {}
+    for state, moves in _state_table(factors):
+        counts[state] = sum(prod(counts[c] for c in move) for move in moves) if moves else 1
+    return counts[state]  # the root state comes last
 
 
 def intersect(shuffs: Sequence[Tree]) -> Tree:

@@ -180,13 +180,23 @@ def test_max_results_must_be_positive(capsys, cap):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-def test_deep_shuffle_exits_2_with_one_line():
-    # a 1500-deep chain: parsing and building it are iterative, the shuffle
-    # count recurses past Python's limit; that must end in exit 2, not a traceback
-    chain = "e0" + "".join(f"[e{i}" for i in range(1, 1501)) + "]" * 1500
+DEEP_CHAIN = "e0" + "".join(f"[e{i}" for i in range(1, 1501)) + "]" * 1500
+
+
+def test_deep_shuffle_succeeds(capsys):
+    # the shuffle walk keeps an explicit stack, so a 1500-deep factor is fine
+    assert main(["shuffles", DEEP_CHAIN, "x"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "count: 1"
+    assert len(out) == 2
+
+
+def test_deep_hom_exits_2_with_one_line():
+    # the map enumeration behind `hom` still recurses once per edge of depth;
+    # running past Python's limit must end in exit 2, not a traceback
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = [sys.executable, "-c", code, "shuffles", chain, "x[y]"]
+    argv = [sys.executable, "-c", code, "hom", DEEP_CHAIN, "x[y]"]
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith("dendrotensor: error:")
@@ -194,12 +204,26 @@ def test_deep_shuffle_exits_2_with_one_line():
 
 
 def test_deep_single_factor_shuffle_succeeds(capsys):
-    chain = "e0" + "".join(f"[e{i}" for i in range(1, 1501)) + "]" * 1500
-    assert main(["shuffles", chain]) == 0
-    assert capsys.readouterr().out == "count: 1\n" + chain + "\n"
+    assert main(["shuffles", DEEP_CHAIN]) == 0
+    assert capsys.readouterr().out == "count: 1\n" + DEEP_CHAIN + "\n"
 
 
 # -- tensor-hom ----------------------------------------------------------------
+
+
+# sha256 of `tensor-hom e[f,g] PIN_A PIN_B` (190 maps); the witness of each
+# map is the first shuffle that holds it, so this pins the shuffle order too
+PINNED_TENSOR_HOM = {
+    "json": "ef6a5c82dc7ad74c6ed76032f3c9ea0613e9b98a9ec3ae62b55c32715663e9ed",
+    "text": "f5e8e84933c42ce8c89053ecc1552e6172ac2a0cf5a0f60a4295ec839a261fd3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_TENSOR_HOM))
+def test_tensor_hom_output_bytes_are_pinned(capsys, fmt):
+    assert main(["tensor-hom", "e[f,g]", PIN_A, PIN_B, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_TENSOR_HOM[fmt]
 
 
 def test_tensor_hom_corolla_pair(capsys):

@@ -93,6 +93,94 @@ def test_count_matches_enumeration_random(seed):
     assert count_shuffles(fs) == len(shuffles(fs))
 
 
+# -- the state walk against the recursive oracles -------------------------------
+
+
+def oracle_shuffles(factors):
+    """The recursive enumeration the state walk replaced, kept as the order
+    oracle: one memoized call per state, vertex tuples concatenated."""
+    if len(factors) == 1:
+        return (factors[0],)
+    memo = {}
+
+    def build(state):
+        if state in memo:
+            return memo[state]
+        verts = [factors[i].vertex_above.get(e) for i, e in enumerate(state)]
+        if all(v is None for v in verts):
+            memo[state] = ((),)
+            return memo[state]
+        if all(v is None or v.is_stump for v in verts):
+            memo[state] = ((Vertex(encode(state), ()),),)
+            return memo[state]
+        opts = []
+        for i, v in enumerate(verts):
+            if v is None or v.is_stump:
+                continue
+            children = [state[:i] + (d,) + state[i + 1 :] for d in v.in_edges]
+            branches = [build(c) for c in children]
+            head = Vertex(encode(state), tuple(encode(c) for c in children))
+            for combo in product(*branches):
+                acc = (head,)
+                for part in combo:
+                    acc = acc + part
+                opts.append(acc)
+        memo[state] = tuple(opts)
+        return memo[state]
+
+    root = tuple(t.root for t in factors)
+    return tuple(Tree(encode(root), vs) for vs in build(root))
+
+
+def oracle_count(factors):
+    """The recursive count the state walk replaced."""
+    if len(factors) == 1:
+        return 1
+    memo = {}
+
+    def count(state):
+        if state in memo:
+            return memo[state]
+        verts = [factors[i].vertex_above.get(e) for i, e in enumerate(state)]
+        total = 1
+        if not all(v is None or v.is_stump for v in verts):
+            total = 0
+            for i, v in enumerate(verts):
+                if v is None or v.is_stump:
+                    continue
+                branches = 1
+                for d in v.in_edges:
+                    branches *= count(state[:i] + (d,) + state[i + 1 :])
+                total += branches
+        memo[state] = total
+        return total
+
+    return count(tuple(t.root for t in factors))
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=120, deadline=None)
+def test_state_walk_matches_recursive_oracles(seed, k):
+    rng = Random(seed)
+    size = {1: 8, 2: 6, 3: 4}[k]
+    fs = [random_tree(rng, size, 0.3, prefix=p) for p in "abc"[:k]]
+    assert shuffles(fs) == oracle_shuffles(fs)
+    assert count_shuffles(fs) == oracle_count(fs)
+
+
+def test_bare_edges_shuffle_to_one_bare_edge():
+    fs = [parse_tree("a"), parse_tree("b")]
+    assert shuffles(fs) == oracle_shuffles(fs) == (Tree(encode(("a", "b")), ()),)
+    assert count_shuffles(fs) == 1
+
+
+def test_state_walk_on_deep_chain():
+    # the recursive oracles recurse once per edge of depth and overflow here
+    deep = linear("e", 1500)
+    assert len(shuffles([deep, parse_tree("x")])) == 1
+    assert count_shuffles([deep, parse_tree("x[y]")]) == 1501
+
+
 # -- shuffle laws --------------------------------------------------------------
 
 
