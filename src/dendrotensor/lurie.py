@@ -31,7 +31,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations, product
@@ -1011,71 +1011,74 @@ class ForestInto:
     def component(self) -> dict[str, Label]:
         return dict(self.components)
 
+    @staticmethod
+    def build(
+        colors: Iterable[tuple[str, str]], components: Iterable[tuple[str, Label]]
+    ) -> "ForestInto":
+        """The map with these ``(edge, color)`` and ``(edge, operation)`` pairs."""
+        return ForestInto(tuple(sorted(colors)), tuple(sorted(components)))
+
 
 def maps_into(
     scope: Tree | Forest, p: FiniteOperad, cap: int | None = None
 ) -> tuple[ForestInto, ...]:
     """Enumerate the maps from the free operad of ``scope`` into ``p``:
     choose a color per edge and, at each vertex, an operation accepting the
-    chosen input colors (in any matching of inputs to colors).  ``cap``
-    aborts (with :class:`TreeError`) once the answer is known to exceed it,
-    before materializing anything that large."""
+    chosen input colors (in any matching of inputs to colors).  Each
+    component is one explicit-stack post-order pass over ``(edge, color)``
+    keys, whose sub-maps share their children: ``(key, (edge, operation),
+    *child nodes)``, or ``(key, None)`` at a leaf.  ``cap`` raises
+    :class:`TreeError` when the product of the per-component counts exceeds
+    it, before any map is assembled."""
     forest = as_forest(scope)
     all_colors = p.colors()
-    per_comp: list[list[tuple[dict[str, str], dict[str, Label]]]] = []
+    per_comp: list[list[tuple]] = []
     for t in forest.components:
-        memo: dict[tuple[str, str], list] = {}
-
-        def emb(e: str, c: str, t: Tree = t, memo=memo):
-            key = (e, c)
-            if key in memo:
-                return memo[key]
-            v = t.vertex_above.get(e)
-            if v is None:
-                memo[key] = [({e: c}, {})]
-                return memo[key]
-            out = []
-            k = len(v.in_edges)
-            for fam, labels in p.ops_by_output(c):
-                if len(fam) != k:
-                    continue
-                for assignment in sorted(set(permutations(fam))):
-                    branches = [
-                        emb(d, assignment[i]) for i, d in enumerate(v.in_edges)
+        above = t.vertex_above
+        subs: dict[tuple[str, str], list[tuple]] = {}
+        moves: dict[tuple[str, str], list] = {}
+        stack = [(t.root, c) for c in all_colors]
+        while stack:
+            key = stack.pop()
+            if key in moves:
+                # second visit: every child key is done
+                nodes: list[tuple] = []
+                for labels, kids in moves.pop(key):
+                    pairs = [(key[0], lab) for lab in labels]
+                    nodes += [
+                        (key, pair) + combo
+                        for combo in product(*[subs[d] for d in kids])
+                        for pair in pairs
                     ]
-                    if any(not b for b in branches):
-                        continue
-                    for combo in product(*branches):
-                        for lab in labels:
-                            cmap: dict[str, str] = {e: c}
-                            vmap: dict[str, Label] = {e: lab}
-                            for fc, fv in combo:
-                                cmap.update(fc)
-                                vmap.update(fv)
-                            out.append((cmap, vmap))
-            memo[key] = out
-            return out
-
-        frags: list[tuple[dict[str, str], dict[str, Label]]] = []
-        for c in all_colors:
-            frags.extend(emb(t.root, c))
-        per_comp.append(frags)
+                subs[key] = nodes
+            elif key[0] not in above:
+                subs[key] = [(key, None)]
+            elif key not in subs:
+                ins = above[key[0]].in_edges
+                k = len(ins)
+                moves[key] = fam_moves = [
+                    (labels, tuple(zip(ins, assignment)))
+                    for fam, labels in p.ops_by_output(key[1])
+                    if len(fam) == k
+                    for assignment in sorted(set(permutations(fam)))
+                ]
+                stack.append(key)
+                stack += [d for _, kids in fam_moves for d in kids if d not in subs]
+        per_comp.append([node for c in all_colors for node in subs[(t.root, c)]])
     if cap is not None:
-        total = 1
-        for frags in per_comp:
-            total *= len(frags)
+        total = math.prod(len(roots) for roots in per_comp)
         if total > cap:
             raise TreeError(f"map enumeration would produce {total} > cap {cap}")
     out = []
     for combo in product(*per_comp):
-        cmap: dict[str, str] = {}
-        vmap: dict[str, Label] = {}
-        for fc, fv in combo:
-            cmap.update(fc)
-            vmap.update(fv)
-        out.append(
-            ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
-        )
+        colors, comps, walk = [], [], list(combo)
+        while walk:
+            node = walk.pop()
+            colors.append(node[0])
+            if node[1] is not None:
+                comps.append(node[1])
+            walk += node[2:]
+        out.append(ForestInto.build(colors, comps))
     return tuple(out)
 
 
@@ -1142,7 +1145,7 @@ def chain_to_map(ch: Chain) -> ForestInto:
     for i, mor in enumerate(ch.arrows, start=1):
         for k, lab in mor.components:
             vmap[edge_name(i, str(k))] = lab
-    return ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
+    return ForestInto.build(cmap.items(), vmap.items())
 
 
 def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
@@ -1209,11 +1212,10 @@ def precompose(p: FiniteOperad, m: ForestInto, h) -> ForestInto:
     """Precompose a map out of the free operad of ``h.target`` with the
     operad map ``h``, yielding a map out of the free operad of
     ``h.source``."""
-    cmap = {e: m.color[img] for e, img in h.edge.items()}
-    vmap = {
-        w: _eval_cut(p, m, h.target, op) for w, op in h.vertex.items()
-    }
-    return ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
+    return ForestInto.build(
+        ((e, m.color[img]) for e, img in h.edge.items()),
+        ((w, _eval_cut(p, m, h.target, op)) for w, op in h.vertex.items()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1223,13 +1225,10 @@ def precompose(p: FiniteOperad, m: ForestInto, h) -> ForestInto:
 
 def _restrict_into(m: ForestInto, part: Tree | Forest) -> ForestInto:
     sub = as_forest(part)
-    cmap = {e: m.color[e] for e in sub.edges}
-    vmap = {
-        v.out_edge: m.component[v.out_edge]
-        for t in sub.components
-        for v in t.vertices
-    }
-    return ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
+    outs = [v.out_edge for t in sub.components for v in t.vertices]
+    return ForestInto.build(
+        ((e, m.color[e]) for e in sub.edges), ((e, m.component[e]) for e in outs)
+    )
 
 
 def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
@@ -1259,21 +1258,15 @@ def segal_components_check(p: FiniteOperad, f: Tree | Forest) -> bool:
     forest = as_forest(f)
     whole = maps_into(forest, p)
     parts = [maps_into(t, p) for t in forest.components]
-    expected = 1
-    for q in parts:
-        expected *= len(q)
-    if len(whole) != expected:
+    if len(whole) != math.prod(len(q) for q in parts):
         return False
-    rebuilt = set()
-    for combo in product(*parts):
-        cmap: dict[str, str] = {}
-        vmap: dict[str, Label] = {}
-        for frag in combo:
-            cmap.update(frag.color)
-            vmap.update(frag.component)
-        rebuilt.add(
-            ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
+    rebuilt = {
+        ForestInto.build(
+            (pair for frag in combo for pair in frag.colors),
+            (pair for frag in combo for pair in frag.components),
         )
+        for combo in product(*parts)
+    }
     return rebuilt == set(whole)
 
 

@@ -191,13 +191,25 @@ def test_deep_shuffle_succeeds(capsys):
     assert len(out) == 2
 
 
-def test_deep_hom_exits_2_with_one_line():
-    # the map enumeration behind `hom` still recurses once per edge of depth;
-    # running past Python's limit must end in exit 2, not a traceback
+@pytest.mark.parametrize("argv", [["hom", DEEP_CHAIN, "x"], ["tensor-hom", DEEP_CHAIN, "x", "y"]])
+def test_deep_hom_succeeds(capsys, argv):
+    # the map enumeration keeps an explicit stack, so a 1500-deep source is fine
+    assert main(argv + ["--format", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "count: 1"
+    assert len(out) == 2
+
+
+def test_deep_json_exits_2_with_one_line():
+    # the JSON decoder recurses once per level of nesting; running past
+    # Python's limit must end in exit 2, not a traceback
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
-    argv = [sys.executable, "-c", code, "hom", DEEP_CHAIN, "x[y]"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    argv = [sys.executable, "-c", code, "omega", "-"]
+    deep = "[" * 100_000 + "]" * 100_000
+    done = subprocess.run(
+        argv, input=deep, capture_output=True, text=True, env=env, timeout=60
+    )
     assert done.returncode == 2
     assert done.stderr.startswith("dendrotensor: error:")
     assert done.stderr.count("\n") == 1

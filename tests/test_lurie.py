@@ -1,10 +1,12 @@
 import hashlib
 import re
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrotensor import (
     STAR,
@@ -13,11 +15,13 @@ from dendrotensor import (
     FinPtdMor,
     FinPtdObj,
     FinSimplex,
+    ForestInto,
     FreeForestOperad,
     Operation,
     SimplicialOperator,
     TableOperad,
     TreeError,
+    as_forest,
     chain_to_map,
     check_fibrous,
     classify,
@@ -45,8 +49,10 @@ from dendrotensor import (
     smash,
 )
 from dendrotensor.lurie import EllPresentation, _PointedMaps
-from dendrotensor._rand import random_forest, random_tree
-from test_omegacat import closure_operations
+from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
+from test_omegacat import chain_tree, closure_operations
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 EXHAUSTIVE = dict(
     colorings_per_shape=999,
@@ -279,19 +285,26 @@ def test_bv_tensor_index_matches_sorted_table(texts):
     assert b.ops_by_output("absent") == ()
 
 
+def random_table_operad(rng):
+    """Up to four colors and eight entries of 0-3 inputs (colors may repeat
+    within a family), each with one or two labels."""
+    colors = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+    entries = [
+        {
+            "inputs": [rng.choice(colors) for _ in range(rng.randint(0, 3))],
+            "output": rng.choice(colors),
+            "elements": [f"m{rng.randint(0, 3)}" for _ in range(rng.randint(1, 2))],
+        }
+        for _ in range(rng.randint(0, 8))
+    ]
+    return TableOperad.from_json({"colors": colors, "operations": entries})
+
+
 def test_table_operad_index_matches_sorted_table():
     rng = Random(5)
     for _ in range(40):
-        colors = ["a", "b", "c", "d"][: rng.randint(1, 4)]
-        entries = [
-            {
-                "inputs": [rng.choice(colors) for _ in range(rng.randint(0, 3))],
-                "output": rng.choice(colors),
-                "elements": [f"m{rng.randint(0, 3)}" for _ in range(rng.randint(1, 2))],
-            }
-            for _ in range(rng.randint(0, 8))
-        ]
-        p = TableOperad.from_json({"colors": colors, "operations": entries})
+        p = random_table_operad(rng)
+        colors = p.colors()
         table = {
             (tuple(e["inputs"]), e["output"]): tuple(e["elements"])
             for e in p.to_json()["operations"]
@@ -554,6 +567,126 @@ def test_enumeration_caps_abort():
         enumerate_chains(p, SMALL_SIMPLEX, cap=1)
     with pytest.raises(TreeError):
         maps_into(omega_obj(SMALL_SIMPLEX), p, cap=1)
+
+
+# -- maps_into against the recursive oracle -----------------------------------------
+
+
+def oracle_maps_into(scope, p, cap=None):
+    """The recursive enumeration the explicit-stack pass replaced, kept as
+    the order and cap oracle: one memoized call per (edge, color), each
+    sub-map a pair of dicts copying its subtree."""
+    forest = as_forest(scope)
+    all_colors = p.colors()
+    per_comp = []
+    for t in forest.components:
+        memo = {}
+
+        def emb(e, c, t=t, memo=memo):
+            key = (e, c)
+            if key in memo:
+                return memo[key]
+            v = t.vertex_above.get(e)
+            if v is None:
+                memo[key] = [({e: c}, {})]
+                return memo[key]
+            out = []
+            k = len(v.in_edges)
+            for fam, labels in p.ops_by_output(c):
+                if len(fam) != k:
+                    continue
+                for assignment in sorted(set(permutations(fam))):
+                    branches = [
+                        emb(d, assignment[i]) for i, d in enumerate(v.in_edges)
+                    ]
+                    if any(not b for b in branches):
+                        continue
+                    for combo in product(*branches):
+                        for lab in labels:
+                            cmap = {e: c}
+                            vmap = {e: lab}
+                            for fc, fv in combo:
+                                cmap.update(fc)
+                                vmap.update(fv)
+                            out.append((cmap, vmap))
+            memo[key] = out
+            return out
+
+        frags = []
+        for c in all_colors:
+            frags.extend(emb(t.root, c))
+        per_comp.append(frags)
+    if cap is not None:
+        total = 1
+        for frags in per_comp:
+            total *= len(frags)
+        if total > cap:
+            raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+    out = []
+    for combo in product(*per_comp):
+        cmap = {}
+        vmap = {}
+        for fc, fv in combo:
+            cmap.update(fc)
+            vmap.update(fv)
+        out.append(
+            ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
+        )
+    return tuple(out)
+
+
+def _random_target(rng, kind):
+    if kind == "free":
+        return FreeForestOperad(random_forest(rng, 6, 0.3, min_components=1))
+    if kind == "tensor":
+        return BVTensorOperad(
+            [random_tree(rng, 3, 0.3, prefix=q) for q in ("a", "b")]
+        )
+    return random_table_operad(rng)
+
+
+@given(seeds, st.sampled_from(["free", "tensor", "table"]))
+@settings(max_examples=300, deadline=None)
+def test_maps_into_equals_recursive_oracle(seed, kind):
+    rng = Random(seed)
+    p = _random_target(rng, kind)
+    scope = random_forest(rng, 6, 0.3)
+    expected = oracle_maps_into(scope, p)
+    assert maps_into(scope, p) == expected
+    n = len(expected)
+    for cap in (0, n - 1, n):
+        if n > cap:
+            with pytest.raises(TreeError) as got:
+                maps_into(scope, p, cap=cap)
+            with pytest.raises(TreeError) as want:
+                oracle_maps_into(scope, p, cap=cap)
+            assert str(got.value) == str(want.value)
+        else:
+            assert maps_into(scope, p, cap=cap) == expected
+
+
+def test_maps_into_on_deep_chains():
+    # one map per switch point from color x to color y along 1501 edges
+    maps = maps_into(chain_tree(1500), FreeForestOperad(parse_forest("{x[y]}")))
+    assert len(maps) == 1502
+    assert len(set(maps)) == 1502
+    (only,) = maps_into(chain_tree(5000), FreeForestOperad(parse_forest("{x}")))
+    assert set(only.color.values()) == {"x"}
+    assert len(only.components) == 5000
+
+
+def test_chains_biject_with_maps_into_table_operads():
+    rng = Random(17)
+    for _ in range(300):
+        p = random_table_operad(rng)
+        a = random_fin_simplex(rng, 3, 2)
+        chains = enumerate_chains(p, a)
+        maps = maps_into(omega_obj(a), p)
+        images = [chain_to_map(ch) for ch in chains]
+        assert len(images) == len(set(images)) == len(maps) == len(set(maps))
+        assert set(images) == set(maps)
+        for ch in chains:
+            assert map_to_chain(p, a, chain_to_map(ch)) == ch
 
 
 # -- Segal decompositions ----------------------------------------------------------
