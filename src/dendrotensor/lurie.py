@@ -40,7 +40,7 @@ from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name
 from .omegacat import Operation, _component, _cut_interior, _cut_table, _operation, is_cut
-from .shuffle import shuffles
+from .shuffle import _tensor_cuts
 from .treecore import Forest, Tree, TreeError, as_forest, cut_at
 
 __all__ = [
@@ -415,27 +415,16 @@ class BVTensorOperad(_CutOperad):
     appearing once.  Substitution is cut union, under which the family is
     closed.
 
-    The table is built once, from one bottom-up pass over the cuts of each
-    shuffle, and indexed by output color with each color's operations in
-    the order of their sorted inputs."""
+    The cuts come from one fold of the shuffle state table, without building
+    any shuffle, and are indexed by output color with each color's
+    operations in the order of their sorted inputs."""
 
     def __init__(self, factors: Sequence[Tree]):
         self.factors = tuple(factors)
-        self.shuffle_trees = shuffles(self.factors)
-        table: dict[tuple[tuple[str, ...], str], tuple[Operation]] = {}
-        colors: set[str] = set()
-        for t in self.shuffle_trees:
-            colors |= t.edge_set
-            cuts: dict[str, list[tuple[str, ...]]] = {}
-            _cut_table(t, t.root, cuts)
-            for e, inputs_at in cuts.items():
-                for inputs in inputs_at:
-                    key = (inputs, e)
-                    if key not in table:
-                        table[key] = (_operation(e, inputs),)
-        self._colors = tuple(sorted(colors))
-        self._table = table
-        self._by_output = _index_by_output(table)
+        cuts = _tensor_cuts(self.factors)
+        self._colors = tuple(sorted(cuts))
+        self._table = {(ins, e): (_operation(e, ins),) for e, at in cuts.items() for ins in at}
+        self._by_output = _index_by_output(self._table)
 
     def colors(self) -> tuple[str, ...]:
         return self._colors
@@ -598,9 +587,6 @@ class EllPresentation:
 
     def compose(self, g: EllMorphism, f: EllMorphism) -> EllMorphism:
         return ell_compose(self.operad, g, f)
-
-    def identity_of(self, x: EllObject) -> EllMorphism:
-        return ell_identity(self.operad, x)
 
     def inert_lift(self, alpha: FinPtdMor, src: EllObject) -> EllMorphism:
         """The canonical lift of an inert map out of ``src``: restrict the

@@ -9,14 +9,14 @@ tuple all of whose coordinates are leaves is a leaf.  This is the unique
 closing discipline for which the maximal edges of every shuffle are exactly
 the tuples of factor-maximal edges.  The reachable tuples and their moves
 are listed once, by one walk without recursion, and that table is folded
-into the shuffles themselves or into their count.
+into the shuffles, into their count, or into the cuts of all of them.
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner
 edges, transport of shuffles along closing a factor leaf with a stump,
 recovery of all shuffles from the shuffles of the stump-free interiors, the
 inclusion of nested (bracketed) shuffles into flat ones, and maps from a
-probe forest into all shuffles at once.
+probe tree into the tensor, each held by some shuffle.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from itertools import product
 from math import prod
 from typing import Iterable, Sequence
 
-from .omegacat import OperadMap, Operation, hom, validate
+from .omegacat import OperadMap, Operation, validate
 from .treecore import (
-    Forest,
     Tree,
     TreeError,
     Vertex,
     add_stumps,
-    as_forest,
     contract_inner,
     interior,
     max_edges,
@@ -124,7 +122,20 @@ def _state_table(factors: Sequence[Tree]) -> list[tuple[_State, list[tuple[_Stat
     A move lists the states it opens: advancing coordinate ``i`` opens one
     per input of the vertex above it, closing a tuple with a stump opens
     none.  A state with no moves is a leaf.  The walk keeps its own stack.
+    Every check on the factors is made here.
     """
+    if not factors:
+        raise TreeError("need at least one factor")
+    if len(factors) > 1:  # a lone factor keeps its names
+        for t in factors:
+            for e in t.edges:
+                _check_tuplable(e)
+    seen: set[str] = set()
+    for t in factors:
+        dup = seen & t.edge_set
+        if dup:
+            raise TreeError(f"factors share edge names: {sorted(dup)}")
+        seen |= t.edge_set
     above = [t.vertex_above for t in factors]
     moves_of: dict[_State, list[tuple[_State, ...]]] = {}
     order: list[_State] = []
@@ -158,20 +169,8 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
     shuffles, move by move and then in ``product`` order over the moved-to
     states' lists; a list is dropped once every state that uses it is done.
     """
-    if not factors:
-        raise TreeError("need at least one factor")
     if len(factors) == 1:
         return (factors[0],)
-    for t in factors:
-        for e in t.edges:
-            _check_tuplable(e)
-    seen: set[str] = set()
-    for t in factors:
-        dup = seen & set(t.edges)
-        if dup:
-            raise TreeError(f"factors share edge names: {sorted(dup)}")
-        seen |= t.edge_set
-
     table = _state_table(factors)
     users = Counter(c for _, moves in table for move in moves for c in move)
     lists: dict[_State, list[tuple[Vertex, ...]]] = {}
@@ -192,14 +191,24 @@ def count_shuffles(factors: Sequence[Tree]) -> int:
     """How many shuffles the factors admit: :func:`_state_table` folded into
     sums over moves of products of counts, nothing materialized, so cheap
     even when the answer is astronomically large."""
-    if not factors:
-        raise TreeError("need at least one factor")
-    if len(factors) == 1:
-        return 1
     counts: dict[_State, int] = {}
     for state, moves in _state_table(factors):
         counts[state] = sum(prod(counts[c] for c in move) for move in moves) if moves else 1
     return counts[state]  # the root state comes last
+
+
+def _tensor_cuts(factors: Sequence[Tree]) -> dict[str, set[tuple[str, ...]]]:
+    """The input sets (sorted tuples) of the cuts of every shuffle of the
+    factors, by output edge: :func:`_state_table` folded so that the cuts at
+    a state are the state itself plus, move by move, every union of one cut
+    per moved-to state.  A single factor keeps its edge names."""
+    name = encode if len(factors) > 1 else (lambda state: state[0])
+    cuts: dict[_State, set[tuple[str, ...]]] = {}
+    for state, moves in _state_table(factors):
+        cuts[state] = at = {(name(state),)}
+        for move in moves:
+            at.update(tuple(sorted(sum(combo, ()))) for combo in product(*[cuts[c] for c in move]))
+    return {name(state): at for state, at in cuts.items()}
 
 
 def intersect(shuffs: Sequence[Tree]) -> Tree:
@@ -370,23 +379,28 @@ def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocRes
 
 @dataclass(frozen=True)
 class TensorHom:
-    """A map from a probe forest into the shuffle tensor: edge images are
-    tuple edges, vertex images are cuts; two maps into different shuffles
-    with the same tuple data are the same map."""
+    """A map from a probe tree into the shuffle tensor: edge images are
+    tuple edges, vertex images are cuts, and ``witness`` is the first
+    shuffle that holds every edge image."""
 
     edge_map: tuple[tuple[str, str], ...]
     vertex_map: tuple[tuple[str, Operation], ...]
     witness: Tree
 
 
-def tensor_hom(probe: Tree | Forest, factors: Sequence[Tree]) -> tuple[TensorHom, ...]:
-    """All maps from the free operad of ``probe`` into the tensor of the
-    factors: maps into each shuffle, deduplicated by their tuple data."""
-    src = as_forest(probe)
-    found: dict[tuple, TensorHom] = {}
-    for a in shuffles(factors):
-        for m in hom(src, a):
-            key = (m.edge_map, m.vertex_map)
-            if key not in found:
-                found[key] = TensorHom(m.edge_map, m.vertex_map, a)
-    return tuple(found[k] for k in sorted(found))
+def tensor_hom(probe: Tree, factors: Sequence[Tree]) -> tuple[TensorHom, ...]:
+    """All maps from the free operad of the tree ``probe`` into the tensor of
+    the factors: the maps into :class:`~dendrotensor.lurie.BVTensorOperad`,
+    sorted, each of which lands in a shuffle.  A forest probe is refused, as
+    its components may land in different shuffles."""
+    from .lurie import BVTensorOperad, maps_into
+
+    if not isinstance(probe, Tree):
+        raise TreeError("tensor_hom takes a tree probe, not a forest")
+    trees = shuffles(factors)
+    out = []
+    maps = maps_into(probe, BVTensorOperad(factors))
+    for colors, comps in sorted((m.colors, m.components) for m in maps):
+        image = {c for _, c in colors}
+        out.append(TensorHom(colors, comps, next(a for a in trees if image <= a.edge_set)))
+    return tuple(out)

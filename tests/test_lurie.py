@@ -20,7 +20,9 @@ from dendrotensor import (
     Operation,
     SimplicialOperator,
     TableOperad,
+    Tree,
     TreeError,
+    Vertex,
     as_forest,
     chain_to_map,
     check_fibrous,
@@ -48,9 +50,14 @@ from dendrotensor import (
     shuffles,
     smash,
 )
+from dendrotensor import lurie as lurie_module
+from dendrotensor import omegacat as omegacat_module
+from dendrotensor import shuffle as shuffle_module
 from dendrotensor.lurie import EllPresentation, _PointedMaps
+from dendrotensor.omegacat import _cut_table
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
 from test_omegacat import chain_tree, closure_operations
+from test_shuffle import random_factors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -283,6 +290,61 @@ def test_bv_tensor_index_matches_sorted_table(texts):
     for (inputs, output), labels in table.items():
         assert b.ops(tuple(reversed(inputs)), output) == labels
     assert b.ops_by_output("absent") == ()
+
+
+def oracle_bv_tensor(factors):
+    """The colors and table ``BVTensorOperad`` built before it folded the
+    shuffle states: every shuffle built, cut-tabled bottom-up, and each cut
+    kept once."""
+    table, colors = {}, set()
+    for t in shuffles(factors):
+        colors |= t.edge_set
+        cuts = {}
+        _cut_table(t, t.root, cuts)
+        for e, inputs_at in cuts.items():
+            for inputs in inputs_at:
+                table.setdefault((inputs, e), (Operation(e, inputs),))
+    return tuple(sorted(colors)), table
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_bv_tensor_fold_equals_per_shuffle_oracle(seed, k):
+    fs = random_factors(Random(seed), k)
+    b = BVTensorOperad(fs)
+    colors, table = oracle_bv_tensor(fs)
+    assert b.colors() == colors
+    for c in colors:
+        assert b.ops_by_output(c) == _sorted_filter(table, c)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_single_factor_tensor_keeps_its_names(seed):
+    t = random_tree(Random(seed), 8, 0.3)
+    b, f = BVTensorOperad([t]), FreeForestOperad(t)
+    assert b.colors() == tuple(sorted(t.edges))
+    for c in t.edges:
+        # the same cuts; the tensor lists them by sorted inputs, the free
+        # operad by size first
+        assert b.ops_by_output(c) == tuple(sorted(f.ops_by_output(c)))
+
+
+def test_single_factor_tensor_accepts_untuplable_names():
+    t = Tree("x|y", (Vertex("x|y", ("(z",)),))
+    assert BVTensorOperad([t]).ops_by_output("x|y") == FreeForestOperad(t).ops_by_output("x|y")
+
+
+def test_bv_tensor_builds_no_shuffle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    fs = [parse_tree("p[x,y]"), parse_tree("q[u]")]
+    colors, _ = oracle_bv_tensor(fs)
+    monkeypatch.setattr(shuffle_module, "shuffles", refuse)
+    monkeypatch.setattr(omegacat_module, "_cut_table", refuse)
+    monkeypatch.setattr(lurie_module, "_cut_table", refuse)
+    assert BVTensorOperad(fs).colors() == colors
 
 
 def random_table_operad(rng):

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 from itertools import product
 from random import Random
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrotensor import (
+    BVTensorOperad,
+    TensorHom,
     Tree,
     TreeError,
     Vertex,
@@ -14,10 +17,12 @@ from dendrotensor import (
     count_shuffles,
     decode,
     encode,
+    hom,
     inclusion_map,
     interior_decomposition,
     intersect,
     max_edges,
+    parse_forest,
     parse_tree,
     serialize_tree,
     shuffles,
@@ -25,6 +30,8 @@ from dendrotensor import (
     tensor_hom,
     validate,
 )
+from dendrotensor import lurie as lurie_module
+from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_tree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -202,6 +209,23 @@ def test_shared_edge_names_rejected():
         shuffles([parse_tree("r[a]"), parse_tree("r[b]")])
 
 
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ([], "need at least one factor"),
+        # names that cannot enter a tuple are found before shared names
+        ([Tree("x|y", ()), Tree("x|y", ())], "bare separator in edge name 'x|y'"),
+        ([linear("u", 1), Tree("(z", ())], "unbalanced parentheses in edge name '(z'"),
+        ([linear("u", 1), linear("v", 1), linear("u", 2)], "factors share edge names: ['u0', 'u1']"),
+    ],
+)
+def test_factor_checks_are_shared(factors, message):
+    # count_shuffles makes the same checks since they moved into the state walk
+    for build in (shuffles, BVTensorOperad, count_shuffles):
+        with pytest.raises(TreeError, match=re.escape(message)):
+            build(factors)
+
+
 def test_two_corollas_give_two_shuffles():
     sh = shuffles([parse_tree("p[x,y]"), parse_tree("q[u,v]")])
     assert len(sh) == 2
@@ -354,6 +378,69 @@ def test_tensor_hom_fixed_count():
         assert m.witness in shuffles(factors) or any(
             serialize_tree(m.witness) == serialize_tree(s) for s in shuffles(factors)
         )
+
+
+def random_factors(rng, k, bound=150):
+    """``k`` small random factors with stumps: of six draws, the one with
+    the most shuffles up to ``bound`` (one bare edge each if none fits)."""
+    size = {1: 8, 2: 6, 3: 4}[k]
+    best = (0, [Tree(f"{q}0", ()) for q in "abc"[:k]])
+    for _ in range(6):
+        fs = [random_tree(rng, size, 0.2, prefix=q) for q in "abc"[:k]]
+        n = count_shuffles(fs)
+        if best[0] < n <= bound:
+            best = (n, fs)
+    return best[1]
+
+
+def oracle_tensor_hom(probe, factors):
+    """``tensor_hom`` before it read ``maps_into``: ``hom`` into every
+    shuffle, each map kept once with the first shuffle that holds it."""
+    found = {}
+    for a in shuffles(factors):
+        for m in hom(probe, a):
+            found.setdefault((m.edge_map, m.vertex_map), TensorHom(m.edge_map, m.vertex_map, a))
+    return tuple(found[k] for k in sorted(found))
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_tensor_hom_equals_union_over_shuffles(seed, k):
+    # the shuffle lemma: a map of a tree into the tensor operad lands in one
+    # shuffle, so the maps into it are the maps into the shuffles
+    rng = Random(seed)
+    fs = random_factors(rng, k)
+    probe = random_tree(rng, 4, 0.2, prefix="t")
+    assert tensor_hom(probe, fs) == oracle_tensor_hom(probe, fs)
+
+
+def test_tensor_hom_reads_maps_into_once(monkeypatch):
+    calls = []
+    real = lurie_module.maps_into
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    probe, fs = parse_tree("e[f,g]"), [parse_tree("p[x,y]"), parse_tree("q[u]")]
+    expected = oracle_tensor_hom(probe, fs)
+    monkeypatch.setattr(lurie_module, "maps_into", counted)
+    monkeypatch.setattr(omegacat_module, "hom", refuse)
+    assert tensor_hom(probe, fs) == expected
+    assert len(calls) == 1
+
+
+def test_tensor_hom_refuses_forest_probes():
+    # the components of a forest may land in different shuffles: here 15, 15
+    # and 36 maps each, 8,100 pairs, of which only 5,288 share a shuffle
+    probe = parse_forest("{t0_0;t1_0;t2_0[t2_1]}")
+    fs = [parse_tree("a0[a1[a2]]"), parse_tree("b0[b1[b4],b2,b3]")]
+    assert [len(tensor_hom(t, fs)) for t in probe.components] == [15, 15, 36]
+    with pytest.raises(TreeError, match="tree probe"):
+        tensor_hom(probe, fs)
 
 
 def test_tensor_hom_deduplicates_across_shuffles():
