@@ -31,7 +31,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations, product
@@ -39,9 +39,10 @@ from random import Random
 from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name
-from .omegacat import Operation, _component, _cut_interior, _cut_table, _operation, is_cut
-from .shuffle import _tensor_cuts
-from .treecore import Forest, Tree, TreeError, as_forest, cut_at
+from .omegacat import Moves, Operation, _component, _cut_interior, _fold_cuts, _operation
+from .omegacat import _tree_moves, is_cut
+from .shuffle import _state_table
+from .treecore import Forest, Tree, TreeError, as_forest, cut_at, serialize_forest
 
 __all__ = [
     "FinPtdObj",
@@ -282,7 +283,40 @@ def _index_by_output(
 class _CutOperad(FiniteOperad):
     """A finite operad whose operations are cuts, each an :class:`Operation`
     with distinct inputs: the trivial cut is the identity and substitution
-    is cut union.  Subclasses say which cuts are operations."""
+    is cut union.  A subclass gives its colors, a container of them and
+    their moves.  A color's cuts are folded (``omegacat._fold_cuts``) on first
+    demand, through one memo, and listed by inputs, then stably by ``_key``."""
+
+    _key = None
+
+    def __init__(self, colors: tuple[str, ...], known: Container[str], moves_of: Moves):
+        self._colors = colors
+        self._known = known
+        self._moves_of = moves_of
+        self._cuts: dict[str, list[tuple[str, ...]]] = {}
+        self._by_output: dict[str, tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
+        self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
+
+    def colors(self) -> tuple[str, ...]:
+        return self._colors
+
+    def _unknown(self, color: str) -> tuple[()]:
+        return ()  # the listing of a color this operad lacks
+
+    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
+        index = self._by_inputs.get(output)
+        if index is None and output in self._known:
+            index = self._by_inputs[output] = dict(self.ops_by_output(output))
+        return () if index is None else index.get(tuple(sorted(inputs)), ())
+
+    def ops_by_output(self, output: str) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+        entries = self._by_output.get(output)
+        if entries is None:
+            if output not in self._known:
+                return self._unknown(output)
+            cuts = _fold_cuts(output, self._moves_of, self._key, self._cuts)
+            entries = self._by_output[output] = tuple((c, (_operation(output, c),)) for c in cuts)
+        return entries
 
     def identity(self, color: str) -> Label:
         return Operation(color, (color,))
@@ -301,44 +335,27 @@ class _CutOperad(FiniteOperad):
             raise TreeError(f"substitution produced {out}, which is not an operation")
         return out
 
-    @abstractmethod
     def _has(self, op: Operation) -> bool:
-        """Whether the cut ``op`` is an operation of this operad."""
+        """Whether the cut ``op`` is an operation of this operad: listed."""
+        return bool(self.ops(op.inputs, op.output))
 
 
 class FreeForestOperad(_CutOperad):
-    """The free operad of a forest: colors are edges, operations are cuts."""
+    """The free operad of a forest: colors are edges, operations are cuts,
+    listed by size and then lexicographically; an unknown color raises."""
+
+    _key = len
 
     def __init__(self, forest: Tree | Forest):
         self.forest = as_forest(forest)
-        self._cuts: dict[str, list[tuple[str, ...]]] = {}
-        self._by_output: dict[str, tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
-        self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
+        super().__init__(self.forest.edges, self.forest.edge_set, _tree_moves(self.forest.components))
 
-    def colors(self) -> tuple[str, ...]:
-        return self.forest.edges
+    ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
 
-    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
-        index = self._by_inputs.get(output)
-        if index is None:
-            if output not in self.forest.edge_set:
-                return ()
-            index = self._by_inputs[output] = dict(self.ops_by_output(output))
-        return index.get(tuple(sorted(inputs)), ())
+    def _unknown(self, color: str) -> tuple[()]:
+        raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
 
-    def ops_by_output(
-        self, output: str
-    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        entries = self._by_output.get(output)
-        if entries is None:
-            t = _component(self.forest, output)
-            entries = tuple(
-                (c, (_operation(output, c),)) for c in _cut_table(t, output, self._cuts)
-            )
-            self._by_output[output] = entries
-        return entries
-
-    def _has(self, op: Operation) -> bool:
+    def _has(self, op: Operation) -> bool:  # one walk, no listing built
         return is_cut(_component(self.forest, op.output), op.output, op.inputs)
 
 
@@ -413,32 +430,16 @@ class BVTensorOperad(_CutOperad):
     """The tensor of trees as a finite operad: colors are the tuple edges of
     the shuffles, operations are the cuts of all shuffles with each cut
     appearing once.  Substitution is cut union, under which the family is
-    closed.
-
-    The cuts come from one fold of the shuffle state table, without building
-    any shuffle, and are indexed by output color with each color's
-    operations in the order of their sorted inputs."""
+    closed.  Only the shuffle state table is built up front: a color's cuts
+    are folded from its state on demand, without building any shuffle, and
+    listed by sorted inputs; an unknown color lists nothing."""
 
     def __init__(self, factors: Sequence[Tree]):
         self.factors = tuple(factors)
-        cuts = _tensor_cuts(self.factors)
-        self._colors = tuple(sorted(cuts))
-        self._table = {(ins, e): (_operation(e, ins),) for e, at in cuts.items() for ins in at}
-        self._by_output = _index_by_output(self._table)
+        moves = dict(_state_table(self.factors))
+        super().__init__(tuple(sorted(moves)), moves, moves.__getitem__)
 
-    def colors(self) -> tuple[str, ...]:
-        return self._colors
-
-    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
-        return self._table.get((tuple(sorted(inputs)), output), ())
-
-    def ops_by_output(
-        self, output: str
-    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        return self._by_output.get(output, ())
-
-    def _has(self, op: Operation) -> bool:
-        return (op.inputs, op.output) in self._table
+    ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1047,9 @@ def maps_into(
                     (labels, tuple(zip(ins, assignment)))
                     for fam, labels in p.ops_by_output(key[1])
                     if len(fam) == k
-                    for assignment in sorted(set(permutations(fam)))
+                    # fam is sorted: with distinct colors permutations come in order, once each
+                    for assignment in (permutations(fam) if len(set(fam)) == k
+                                       else sorted(set(permutations(fam))))
                 ]
                 stack.append(key)
                 stack += [d for _, kids in fam_moves for d in kids if d not in subs]

@@ -6,6 +6,9 @@ replacing an edge by the inputs of the vertex above it (a stump contributes
 nothing, so nullary operations appear exactly when stumps can close every
 branch).  Because each edge has at most one vertex above it, an operation is
 determined by its output edge together with its set of input edges.
+One fold, :func:`_fold_cuts`, lists the cuts of tree edges and of shuffle
+states alike: a move goes to the inputs of the vertex above, or as the
+shuffle state table says.
 
 A map between such operads is recorded by where the colors go (``edge_map``)
 and where each generating vertex goes (``vertex_map``, an operation of the
@@ -19,12 +22,11 @@ set of edges is a cut and lists the edges below it for substitution.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .treecore import Forest, Tree, TreeError, as_forest, serialize_forest
+from .treecore import Forest, Tree, TreeError, Vertex, as_forest, serialize_forest
 
 __all__ = [
     "Operation",
@@ -68,59 +70,65 @@ class Operation:
         return f"{self.output}<-({','.join(self.inputs)})"
 
 
-def _cut_order(inputs: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
-    return len(inputs), inputs
+Moves = Callable[[str], Sequence[tuple[str, ...]]]  # each move lists the nodes it reaches
 
 
-def _cut_table(
-    t: Tree, e: str, memo: dict[str, list[tuple[str, ...]]] | None = None
+def _fold_cuts(
+    node: str, moves_of: Moves, key: Callable | None = None, memo: dict | None = None
 ) -> list[tuple[str, ...]]:
-    """The input sets of the cuts of ``t`` with output ``e``, each a sorted
-    tuple, listed by size and then lexicographically.
-
-    Built bottom-up with an explicit stack: the cuts above an edge are the
-    edge itself plus every union of one cut per input of the vertex above
-    it, so a stump gives the empty cut.  With ``memo`` the table of every
-    edge above ``e`` is kept there and reused; without it each table is
-    dropped as soon as the table below it is built.
-    """
+    """The cuts from ``node`` (sorted input tuples), listed by inputs, then
+    stably by ``key``: the node itself plus, move by move, every union of one
+    cut per node the move reaches (a stump's empty move gives the empty cut).
+    Built bottom-up with an explicit stack over an acyclic move graph; only a
+    node with two moves can meet a cut twice, so only such nodes deduplicate.
+    ``memo`` keeps every node's cuts, by inputs; without it each list is
+    dropped or extended in place once read, so each node has one reader."""
     keep = memo is not None
     tables = memo if keep else {}
-    order: list[str] = []
-    pending = [e]
-    while pending:
-        d = pending.pop()
-        if d in tables:
-            continue
-        order.append(d)
-        v = t.vertex_above.get(d)
-        if v is not None:
-            pending.extend(v.in_edges)
     take = tables.__getitem__ if keep else tables.pop
-    for d in reversed(order):
-        v = t.vertex_above.get(d)
-        if v is None:
-            cuts = [(d,)]
-        elif len(v.in_edges) == 1:
-            below = take(v.in_edges[0])
-            cuts = list(below) if keep else below
-            insort(cuts, (d,), key=_cut_order)
-        else:
-            unions: list[tuple[str, ...]] = [()]
-            for c in v.in_edges:
-                below = take(c)
-                unions = [u + cut for u in unions for cut in below]
-            cuts = [tuple(sorted(u)) for u in unions]
+    stack: list = [node]
+    while stack:
+        d = stack.pop()
+        if type(d) is str:
+            if d not in tables:
+                stack.append((d, moves := moves_of(d)))  # built once every node above is
+                for move in moves:
+                    stack += move
+            continue
+        d, moves = d
+        if len(moves) == 1 and len(moves[0]) == 1:
+            cuts = take(moves[0][0])
+            if keep:
+                cuts = cuts.copy()
             cuts.append((d,))
-            cuts.sort()
-            cuts.sort(key=len)  # stable, so by size and then lexicographically
+            cuts.sort()  # near-linear: one element appended to a sorted list
+        elif moves:
+            cuts = [(d,)]
+            for move in moves:
+                unions: list[tuple[str, ...]] = [()]
+                for c in move:
+                    below = take(c)
+                    unions = [u + cut for u in unions for cut in below]
+                cuts += unions if len(move) == 1 else [tuple(sorted(u)) for u in unions]
+            cuts = sorted(set(cuts) if len(moves) > 1 else cuts)
+        else:
+            cuts = [(d,)]
         tables[d] = cuts
-    return tables[e] if keep else tables.pop(e)
+    cuts = tables[node] if keep else tables.pop(node)
+    return sorted(cuts, key=key) if key else cuts
+
+
+def _tree_moves(trees: Iterable[Tree]) -> Moves:
+    """An edge's moves: the inputs of the vertex above it, if any."""
+    above: dict[str, Vertex] = {}
+    for t in trees:
+        above |= t.vertex_above
+    return lambda d: () if (v := above.get(d)) is None else (v.in_edges,)
 
 
 def _operation(output: str, inputs: tuple[str, ...]) -> Operation:
     """An :class:`Operation` from inputs already sorted and distinct, as
-    :func:`_cut_table` lists them, without checking them again."""
+    :func:`_fold_cuts` lists them, without checking them again."""
     op = object.__new__(Operation)
     object.__setattr__(op, "output", output)
     object.__setattr__(op, "inputs", inputs)
@@ -142,8 +150,8 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
     the vertex above ``e`` taken together; a stump above ``e`` gives the
     nullary operation.
     """
-    t = _component(as_forest(scope), e)
-    return tuple(_operation(e, c) for c in _cut_table(t, e))
+    moves = _tree_moves([_component(as_forest(scope), e)])
+    return tuple(_operation(e, c) for c in _fold_cuts(e, moves, len))
 
 
 def _cut_interior(t: Tree, e: str, members: Collection[str]) -> list[str] | None:

@@ -9,7 +9,8 @@ tuple all of whose coordinates are leaves is a leaf.  This is the unique
 closing discipline for which the maximal edges of every shuffle are exactly
 the tuples of factor-maximal edges.  The reachable tuples and their moves
 are listed once, by one walk without recursion, and that table is folded
-into the shuffles, into their count, or into the cuts of all of them.
+into the shuffles or their count; the tensor operad folds it into cuts a
+color at a time, as a tree's cuts are (``omegacat._fold_cuts``).
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner
@@ -115,9 +116,10 @@ def flatten_name(name: str) -> tuple[str, ...]:
 _State = tuple[str, ...]
 
 
-def _state_table(factors: Sequence[Tree]) -> list[tuple[_State, list[tuple[_State, ...]]]]:
+def _state_table(factors: Sequence[Tree]) -> list[tuple[str, list[tuple[str, ...]]]]:
     """Every state reachable from the root tuple with its moves, each state
-    after the states its moves reach, so the root comes last.
+    after the states its moves reach, so the root comes last.  States are
+    given by their edge names (:func:`encode`; a lone factor keeps its own).
 
     A move lists the states it opens: advancing coordinate ``i`` opens one
     per input of the vertex above it, closing a tuple with a stump opens
@@ -158,7 +160,8 @@ def _state_table(factors: Sequence[Tree]) -> list[tuple[_State, list[tuple[_Stat
         moves_of[state] = moves
         stack.append((state, True))
         stack.extend((c, False) for move in moves for c in move)
-    return [(s, moves_of[s]) for s in order]
+    name = {s: encode(s) if len(s) > 1 else s[0] for s in order}
+    return [(name[s], [tuple(name[c] for c in move) for move in moves_of[s]]) for s in order]
 
 
 def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
@@ -173,42 +176,27 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
         return (factors[0],)
     table = _state_table(factors)
     users = Counter(c for _, moves in table for move in moves for c in move)
-    lists: dict[_State, list[tuple[Vertex, ...]]] = {}
+    lists: dict[str, list[tuple[Vertex, ...]]] = {}
     for state, moves in table:
         lists[state] = [] if moves else [()]
         for move in moves:
-            partial = [(Vertex(encode(state), tuple(encode(c) for c in move)),)]
+            partial = [(Vertex(state, move),)]
             for c in move:
                 users[c] -= 1
                 below = lists[c] if users[c] else lists.pop(c)
                 partial = [head + part for head in partial for part in below]
             lists[state] += partial
-    root = encode(state)  # the root state comes last
-    return tuple(Tree(root, vs) for vs in lists[state])
+    return tuple(Tree(state, vs) for vs in lists[state])  # the root comes last
 
 
 def count_shuffles(factors: Sequence[Tree]) -> int:
     """How many shuffles the factors admit: :func:`_state_table` folded into
     sums over moves of products of counts, nothing materialized, so cheap
     even when the answer is astronomically large."""
-    counts: dict[_State, int] = {}
+    counts: dict[str, int] = {}
     for state, moves in _state_table(factors):
         counts[state] = sum(prod(counts[c] for c in move) for move in moves) if moves else 1
     return counts[state]  # the root state comes last
-
-
-def _tensor_cuts(factors: Sequence[Tree]) -> dict[str, set[tuple[str, ...]]]:
-    """The input sets (sorted tuples) of the cuts of every shuffle of the
-    factors, by output edge: :func:`_state_table` folded so that the cuts at
-    a state are the state itself plus, move by move, every union of one cut
-    per moved-to state.  A single factor keeps its edge names."""
-    name = encode if len(factors) > 1 else (lambda state: state[0])
-    cuts: dict[_State, set[tuple[str, ...]]] = {}
-    for state, moves in _state_table(factors):
-        cuts[state] = at = {(name(state),)}
-        for move in moves:
-            at.update(tuple(sorted(sum(combo, ()))) for combo in product(*[cuts[c] for c in move]))
-    return {name(state): at for state, at in cuts.items()}
 
 
 def intersect(shuffs: Sequence[Tree]) -> Tree:

@@ -287,6 +287,23 @@ def test_free_algebra_text(capsys):
     assert "i" in capsys.readouterr().out
 
 
+def test_free_algebra_rejects_unknown_output_color(capsys):
+    argv = [
+        "free-algebra",
+        "{c[d,e]}",
+        "--generators",
+        '{"i":"d"}',
+        "--inputs",
+        '{"i":["x"]}',
+        "--output-color",
+        "z",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dendrotensor: error: no edge 'z' in {c[d,e]}\n"
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

@@ -32,6 +32,7 @@ from dendrotensor import (
     ell_hom,
     ell_identity,
     enumerate_chains,
+    eta,
     factorize,
     free_algebra,
     map_to_chain,
@@ -49,14 +50,14 @@ from dendrotensor import (
     serialize_forest,
     shuffles,
     smash,
+    tensor_hom,
 )
 from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.lurie import EllPresentation, _PointedMaps
-from dendrotensor.omegacat import _cut_table
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
-from test_omegacat import chain_tree, closure_operations
+from test_omegacat import chain_tree, closure_operations, oracle_cut_table
 from test_shuffle import random_factors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -300,7 +301,7 @@ def oracle_bv_tensor(factors):
     for t in shuffles(factors):
         colors |= t.edge_set
         cuts = {}
-        _cut_table(t, t.root, cuts)
+        oracle_cut_table(t, t.root, cuts)
         for e, inputs_at in cuts.items():
             for inputs in inputs_at:
                 table.setdefault((inputs, e), (Operation(e, inputs),))
@@ -336,15 +337,36 @@ def test_single_factor_tensor_accepts_untuplable_names():
 
 
 def test_bv_tensor_builds_no_shuffle(monkeypatch):
+    # the fold is shared with the free operads, so what is refused is any
+    # shuffle tree and any tree's moves: the tensor folds state moves only
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
     fs = [parse_tree("p[x,y]"), parse_tree("q[u]")]
-    colors, _ = oracle_bv_tensor(fs)
+    colors, table = oracle_bv_tensor(fs)
     monkeypatch.setattr(shuffle_module, "shuffles", refuse)
-    monkeypatch.setattr(omegacat_module, "_cut_table", refuse)
-    monkeypatch.setattr(lurie_module, "_cut_table", refuse)
-    assert BVTensorOperad(fs).colors() == colors
+    monkeypatch.setattr(omegacat_module, "_tree_moves", refuse)
+    monkeypatch.setattr(lurie_module, "_tree_moves", refuse)
+    b = BVTensorOperad(fs)
+    assert b.colors() == colors
+    for c in colors:
+        assert b.ops_by_output(c) == _sorted_filter(table, c)
+
+
+def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
+    # a probe without vertices asks for no operation, so the tensor of a
+    # deep chain must not fold any of its (quadratically many) cuts
+    def refuse(*args, **kwargs):
+        raise AssertionError("folded")
+
+    monkeypatch.setattr(omegacat_module, "_fold_cuts", refuse)
+    monkeypatch.setattr(lurie_module, "_fold_cuts", refuse)
+    factors = [chain_tree(1500), parse_tree("x")]
+    maps = maps_into(eta("f"), BVTensorOperad(factors))
+    assert len(maps) == len(set(maps)) == 1501
+    homs = tensor_hom(eta("f"), factors)
+    assert len(homs) == 1501
+    assert {h.edge_map for h in homs} == {m.colors for m in maps}
 
 
 def random_table_operad(rng):

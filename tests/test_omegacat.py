@@ -1,3 +1,4 @@
+from bisect import insort
 from itertools import permutations, product
 from random import Random
 
@@ -30,6 +31,7 @@ from dendrotensor import (
     validate,
 )
 from dendrotensor._rand import random_forest, random_tree
+from dendrotensor.omegacat import _fold_cuts, _tree_moves
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -198,6 +200,49 @@ def chain_tree(n):
     return Tree(names[0], tuple(Vertex(names[k], (names[k + 1],)) for k in range(n)))
 
 
+def _cut_order(inputs):
+    return len(inputs), inputs
+
+
+def oracle_cut_table(t, e, memo=None):
+    """Reference for the cut fold on trees: the tree-only table it replaced.
+    The input sets of the cuts of ``t`` with output ``e``, each a sorted
+    tuple, listed by size and then lexicographically; every table above
+    ``e`` sorted as it is built, and kept in ``memo`` when one is given."""
+    keep = memo is not None
+    tables = memo if keep else {}
+    order = []
+    pending = [e]
+    while pending:
+        d = pending.pop()
+        if d in tables:
+            continue
+        order.append(d)
+        v = t.vertex_above.get(d)
+        if v is not None:
+            pending.extend(v.in_edges)
+    take = tables.__getitem__ if keep else tables.pop
+    for d in reversed(order):
+        v = t.vertex_above.get(d)
+        if v is None:
+            cuts = [(d,)]
+        elif len(v.in_edges) == 1:
+            below = take(v.in_edges[0])
+            cuts = list(below) if keep else below
+            insort(cuts, (d,), key=_cut_order)
+        else:
+            unions = [()]
+            for c in v.in_edges:
+                below = take(c)
+                unions = [u + cut for u in unions for cut in below]
+            cuts = [tuple(sorted(u)) for u in unions]
+            cuts.append((d,))
+            cuts.sort()
+            cuts.sort(key=len)
+        tables[d] = cuts
+    return tables[e] if keep else tables.pop(e)
+
+
 # -- operations --------------------------------------------------------------
 
 
@@ -258,6 +303,25 @@ def test_operations_on_deep_chain():
     assert sorted(op.inputs for op in ops) == sorted((d,) for d in names)
     listed = FreeForestOperad(chain).ops_by_output(names[0])
     assert listed == tuple((op.inputs, (op,)) for op in ops)
+
+
+@given(seeds, st.sampled_from([0.0, 0.2, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_cut_fold_equals_table_oracle(seed, stump_probability):
+    # the same lists in the same order, with and without a memo, asked for
+    # in a random order of edges so a memo holds tables built for others
+    rng = Random(seed)
+    forest = random_forest(rng, 16, stump_probability, min_components=1)
+    for t in forest.components:
+        moves = _tree_moves([t])
+        memo, oracle_memo = {}, {}
+        edges = list(t.edges)
+        rng.shuffle(edges)
+        for e in edges:
+            want = oracle_cut_table(t, e)
+            assert _fold_cuts(e, moves, len) == want
+            assert _fold_cuts(e, moves, len, memo) == want
+            assert oracle_cut_table(t, e, oracle_memo) == want
 
 
 @given(seeds)

@@ -33,6 +33,8 @@ from dendrotensor import (
 from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_tree
+from dendrotensor.omegacat import _fold_cuts
+from dendrotensor.shuffle import _state_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -391,6 +393,37 @@ def random_factors(rng, k, bound=150):
         if best[0] < n <= bound:
             best = (n, fs)
     return best[1]
+
+
+def oracle_tensor_cuts(factors):
+    """Reference for the cut fold on shuffle states: the tensor-only fold it
+    replaced.  The input sets of the cuts of every shuffle, by output edge,
+    each set built for every state at once."""
+    cuts = {}
+    for state, moves in _state_table(factors):
+        cuts[state] = at = {(state,)}
+        for move in moves:
+            at.update(tuple(sorted(sum(combo, ()))) for combo in product(*[cuts[c] for c in move]))
+    return cuts
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_cut_fold_equals_tensor_oracle(seed, k):
+    # the same cuts, each once, whether the states are folded one color at
+    # a time through a shared memo or alone
+    rng = Random(seed)
+    fs = random_factors(rng, k)
+    moves = dict(_state_table(fs))
+    want = oracle_tensor_cuts(fs)
+    assert set(moves) == set(want)
+    memo = {}
+    colors = list(moves)
+    rng.shuffle(colors)
+    for c in colors:
+        for got in (_fold_cuts(c, moves.__getitem__, None, memo),
+                    _fold_cuts(c, moves.__getitem__, None, {})):
+            assert got == sorted(want[c])
 
 
 def oracle_tensor_hom(probe, factors):
