@@ -138,6 +138,7 @@ PIN_A, PIN_B = "a[b[c,d[]],e[f]]", "x[y[w,v],z[]]"
 PINNED_SHUFFLES = {
     "json": "be3e7256ba9951109b434990d04fafa5856f37890fb5ebc5df95988f280e314e",
     "dot": "9f0ca0e8e9008e7be0b73052def033fd0290e310849ea8a5b7939de123a4d98c",
+    "text": "39c880ec46ec5953964df0027d5207fb079afe3c76c994bb2c3b5f343db4b4e2",
 }
 
 
@@ -146,6 +147,23 @@ def test_shuffles_output_bytes_are_pinned(capsys, fmt):
     assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == PINNED_SHUFFLES[fmt]
+
+
+# sha256 of `shuffles r[a1,a10[]] x[y,z[]]` (2 trees): children print in the
+# sorted order of their tuple names, where `(a10|x)` comes before `(a1|x)`
+# though `a1` comes before `a10`
+SORTED_PAIR = ["r[a1,a10[]]", "x[y,z[]]"]
+PINNED_SORTED_PAIR = {
+    "json": "26e9da227d04861efcface40fd59b0d6a9bbcce5bbc5d44c6040df2198508c1c",
+    "text": "94efcbc1bc6e55eb0f72a570cdede5ef15731aa4c8732a91b1146dc6e1984e2b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_SORTED_PAIR))
+def test_shuffles_sorted_child_order_is_pinned(capsys, fmt):
+    assert main(["shuffles", *SORTED_PAIR, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_SORTED_PAIR[fmt]
 
 
 # two depth-3 binary trees: 20,173,952 shuffles
