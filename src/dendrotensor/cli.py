@@ -21,7 +21,7 @@ from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
 from .omegacat import OperadMap, hom
 from .render import gallery_dot, to_dot
-from .shuffle import TensorHom, count_shuffles, shuffles, tensor_hom
+from .shuffle import TensorHom, _shuffle_texts, count_shuffles, shuffles, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
@@ -96,31 +96,30 @@ def cmd_hom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_shuffle_count(factors: list[Tree], cap: int) -> None:
-    """Refuse, before building any, factors with more than ``cap`` shuffles."""
+def _check_shuffle_count(factors: list[Tree], cap: int) -> int:
+    """Refuse, before building any, factors with more than ``cap`` shuffles;
+    return how many they have."""
     if cap < 1:
         raise ValueError(f"--max-results must be at least 1, got {cap}")
     n = count_shuffles(factors)
     if n > cap:
         raise ValueError(f"the factors have {n} shuffles, more than --max-results {cap}")
+    return n
 
 
 def cmd_shuffles(args: argparse.Namespace) -> int:
     factors = [parse_tree(t) for t in args.factors]
-    _check_shuffle_count(factors, args.max_results)
-    sh = shuffles(factors)
+    n = _check_shuffle_count(factors, args.max_results)
+    # json and text print each shuffle's canonical text, folded without trees
+    listing = shuffles(factors) if args.format == "dot" else _shuffle_texts(factors)
+    if len(listing) != n:
+        raise ValueError(f"listed {len(listing)} shuffles, but the factors have {n}")
     if args.format == "dot":
-        _emit(gallery_dot(sh, "shuffles"), args.out)
+        _emit(gallery_dot(listing, "shuffles"), args.out)
     elif args.format == "json":
-        _emit(
-            _json_line(
-                {"count": len(sh), "shuffles": [serialize_tree(t) for t in sh]}
-            ),
-            args.out,
-        )
+        _emit(_json_line({"count": n, "shuffles": listing}), args.out)
     else:
-        lines = [f"count: {len(sh)}"] + [serialize_tree(t) for t in sh]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join([f"count: {n}", *listing]) + "\n", args.out)
     return 0
 
 

@@ -9,8 +9,8 @@ tuple all of whose coordinates are leaves is a leaf.  This is the unique
 closing discipline for which the maximal edges of every shuffle are exactly
 the tuples of factor-maximal edges.  The reachable tuples and their moves
 are listed once, by one walk without recursion, and that table is folded
-into the shuffles or their count; the tensor operad folds it into cuts a
-color at a time, as a tree's cuts are (``omegacat._fold_cuts``).
+into the shuffles, their texts or their count; the tensor operad folds it
+into cuts a color at a time, as a tree's cuts are (``omegacat._fold_cuts``).
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner
@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .omegacat import OperadMap, Operation, validate
@@ -187,6 +188,32 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
                 partial = [head + part for head in partial for part in below]
             lists[state] += partial
     return tuple(Tree(state, vs) for vs in lists[state])  # the root comes last
+
+
+def _shuffle_texts(factors: Sequence[Tree]) -> list[str]:
+    """The canonical texts (:func:`serialize_tree`) of :func:`shuffles`, in
+    its order, folded from :func:`_state_table` with no tree built: a leaf
+    state is its name, a move gives ``name[`` and its children's texts, in
+    the sorted order of their names (a vertex's order), then ``]``."""
+    if len(factors) == 1:
+        return [serialize_tree(factors[0])]
+    table = _state_table(factors)
+    users = Counter(c for _, moves in table for move in moves for c in move)
+    lists: dict[str, list[str]] = {}
+    for state, moves in table:
+        lists[state] = [] if moves else [state]
+        for move in moves:
+            below = []
+            for c in move:
+                users[c] -= 1
+                below.append(lists[c] if users[c] else lists.pop(c))
+            combos: Iterable[tuple[str, ...]] = product(*below)
+            perm = sorted(range(len(move)), key=move.__getitem__)
+            if perm != sorted(perm):
+                combos = map(itemgetter(*perm), combos)
+            head = state + "["
+            lists[state] += [head + ",".join(combo) + "]" for combo in combos]
+    return lists[state]  # the root comes last
 
 
 def count_shuffles(factors: Sequence[Tree]) -> int:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from dendrotensor import cli as cli_module
+from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
 from dendrotensor.suites import SuiteConfig
 
@@ -164,6 +166,31 @@ def test_shuffles_sorted_child_order_is_pinned(capsys, fmt):
     assert main(["shuffles", *SORTED_PAIR, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == PINNED_SORTED_PAIR[fmt]
+
+
+def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
+    # json and text are folded from the state table; only dot draws trees
+    def refuse(factors):
+        raise RuntimeError("shuffles() called")
+
+    monkeypatch.setattr(shuffle_module, "shuffles", refuse)
+    monkeypatch.setattr(cli_module, "shuffles", refuse)
+    for fmt in ("json", "text"):
+        assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == PINNED_SHUFFLES[fmt]
+    with pytest.raises(RuntimeError, match="shuffles"):
+        main(["shuffles", PIN_A, PIN_B, "--format", "dot"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_listing_shorter_than_the_count_is_refused(monkeypatch, capsys, fmt):
+    real = cli_module._shuffle_texts
+    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda factors: real(factors)[:-1])
+    assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dendrotensor: error:") and captured.err.count("\n") == 1
 
 
 # two depth-3 binary trees: 20,173,952 shuffles

@@ -34,7 +34,7 @@ from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_tree
 from dendrotensor.omegacat import _fold_cuts
-from dendrotensor.shuffle import _state_table
+from dendrotensor.shuffle import _shuffle_texts, _state_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -188,6 +188,47 @@ def test_state_walk_on_deep_chain():
     deep = linear("e", 1500)
     assert len(shuffles([deep, parse_tree("x")])) == 1
     assert count_shuffles([deep, parse_tree("x[y]")]) == 1501
+
+
+# -- the text fold against serialize_tree ---------------------------------------
+
+
+def binary_names(rng, t, prefix):
+    """``t`` with its edges renamed to ``prefix`` and distinct binary numerals
+    (``1``, ``10``, ``11``, ...), so that one name is often a prefix of
+    another and the order of tuple names, where ``(a10|x)`` < ``(a1|x)``,
+    differs from the order of their coordinates."""
+    numerals = rng.sample(range(1, 64), len(t.edges))
+    new = {e: f"{prefix}{n:b}" for e, n in zip(t.edges, numerals)}
+    return Tree(new[t.root], tuple(
+        Vertex(new[v.out_edge], tuple(new[d] for d in v.in_edges)) for v in t.vertices
+    ))
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_shuffle_texts_equal_serialized_shuffles(seed, k):
+    rng = Random(seed)
+    size = {1: 8, 2: 6, 3: 4}[k]
+    fs = [binary_names(rng, random_tree(rng, size, 0.3, prefix=p), p) for p in "abc"[:k]]
+    trees = shuffles(fs)
+    texts = _shuffle_texts(fs)
+    assert texts == [serialize_tree(t) for t in trees]
+    assert tuple(parse_tree(x) for x in texts) == trees
+
+
+def test_shuffle_texts_sort_children_by_tuple_name():
+    fs = [parse_tree("r[a1,a10[]]"), parse_tree("x[y,z[]]")]
+    assert _shuffle_texts(fs) == [
+        "(r|x)[(a10|x)[(a10|y)[],(a10|z)[]],(a1|x)[(a1|y),(a1|z)[]]]",
+        "(r|x)[(r|y)[(a10|y)[],(a1|y)],(r|z)[(a10|z)[],(a1|z)[]]]",
+    ]
+
+
+def test_shuffle_texts_on_deep_chain():
+    fs = [linear("e", 1500), parse_tree("x[y]")]
+    texts = _shuffle_texts(fs)
+    assert len(set(texts)) == len(texts) == count_shuffles(fs) == 1501
 
 
 # -- shuffle laws --------------------------------------------------------------
