@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .omegacat import OperadMap, Operation

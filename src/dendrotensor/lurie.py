@@ -33,7 +33,6 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations_with_replacement, permutations, product
 from random import Random
 from typing import Any
@@ -42,7 +41,7 @@ from .levelforest import STAR, FinSimplex, edge_name
 from .omegacat import Moves, Operation, _component, _cut_interior, _fold_cuts, _operation
 from .omegacat import _tree_moves, is_cut
 from .shuffle import _state_table
-from .treecore import Forest, Tree, TreeError, as_forest, cut_at, serialize_forest
+from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, serialize_forest
 
 __all__ = [
     "FinPtdObj",
@@ -131,14 +130,14 @@ class FinPtdMor:
             h = self.__dict__["_hash"] = hash((self.src, self.dst, self.values))
         return h
 
-    @cached_property
+    @_cached
     def mapping(self) -> dict[Elem, Elem]:
         return dict(zip(self.src.elements, self.values))
 
     def __call__(self, x: Elem) -> Elem:
         return self.mapping[x]
 
-    @cached_property
+    @_cached
     def fibers(self) -> dict[Elem, tuple[Elem, ...]]:
         """The fiber of every value hit (``STAR`` included), in source order."""
         out: dict[Elem, list[Elem]] = {}
@@ -479,7 +478,7 @@ class EllMorphism:
     dst: EllObject
     components: tuple[tuple[Elem, Label], ...]
 
-    @cached_property
+    @_cached
     def component(self) -> dict[Elem, Label]:
         return dict(self.components)
 
@@ -990,11 +989,11 @@ class ForestInto:
     colors: tuple[tuple[str, str], ...]
     components: tuple[tuple[str, Label], ...]
 
-    @cached_property
+    @_cached
     def color(self) -> dict[str, str]:
         return dict(self.colors)
 
-    @cached_property
+    @_cached
     def component(self) -> dict[str, Label]:
         return dict(self.components)
 

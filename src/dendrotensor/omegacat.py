@@ -23,10 +23,9 @@ set of edges is a cut and lists the edges below it for substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .treecore import Forest, Tree, TreeError, Vertex, as_forest, serialize_forest
+from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, serialize_forest
 
 __all__ = [
     "Operation",
@@ -209,11 +208,11 @@ class OperadMap:
             tuple(sorted(vertex_map.items())),
         )
 
-    @cached_property
+    @_cached
     def edge(self) -> dict[str, str]:
         return dict(self.edge_map)
 
-    @cached_property
+    @_cached
     def vertex(self) -> dict[str, Operation]:
         return dict(self.vertex_map)
 

@@ -21,9 +21,8 @@ canonical: children are emitted in sorted name order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Generic, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 __all__ = [
     "TreeError",
@@ -50,6 +49,30 @@ RESERVED_CHARS = frozenset("[],;{}")
 
 class TreeError(ValueError):
     """Raised for malformed trees, forests, or invalid edge operations."""
+
+
+_T = TypeVar("_T")
+
+
+class _cached(Generic[_T]):
+    """A cached property without ``functools.cached_property``'s lock (taken
+    on every first access on CPython 3.11): a non-data descriptor whose
+    first access stores the value in the instance ``__dict__``, where every
+    later lookup finds it before the descriptor."""
+
+    def __init__(self, func: Callable[[Any], _T]) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> _T:
+        if obj is None:
+            return self  # type: ignore[return-value]
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def check_name(name: str) -> str:
@@ -155,39 +178,39 @@ class Tree:
                 reached += v.in_edges
         if len(above) != len(verts) or unopened or len(set(reached)) != len(reached):
             _reject(root, verts)
-        # vertex_above is a cached_property; filling its slot here hands it the
+        # vertex_above is a cached property; filling its slot here hands it the
         # dict just built instead of rebuilding it on first use
         self.__dict__["vertex_above"] = above
 
     # -- derived structure -------------------------------------------------
 
-    @cached_property
+    @_cached
     def vertex_above(self) -> dict[str, Vertex]:
         """Map each non-leaf edge to the vertex whose output it is."""
         return {v.out_edge: v for v in self.vertices}
 
-    @cached_property
+    @_cached
     def parent(self) -> dict[str, str]:
         """Map each non-root edge to the output edge of the vertex below it."""
         return {d: v.out_edge for v in self.vertices for d in v.in_edges}
 
-    @cached_property
+    @_cached
     def edges(self) -> tuple[str, ...]:
         return tuple(sorted({self.root} | set(self.parent)))
 
-    @cached_property
+    @_cached
     def edge_set(self) -> frozenset[str]:
         return frozenset(self.edges)
 
-    @cached_property
+    @_cached
     def leaves(self) -> tuple[str, ...]:
         return tuple(e for e in self.edges if e not in self.vertex_above)
 
-    @cached_property
+    @_cached
     def stump_edges(self) -> tuple[str, ...]:
         return tuple(v.out_edge for v in self.vertices if v.is_stump)
 
-    @cached_property
+    @_cached
     def depth(self) -> dict[str, int]:
         """Edge distance from the root (the root has depth 0)."""
         out = {self.root: 0}
@@ -225,7 +248,7 @@ class Tree:
         """
         return e != self.root and e in self.vertex_above
 
-    @cached_property
+    @_cached
     def inner_edges(self) -> tuple[str, ...]:
         return tuple(e for e in self.edges if self.is_inner(e))
 
@@ -251,15 +274,15 @@ class Forest:
                 raise TreeError(f"edge names reused across components: {sorted(overlap)}")
             seen |= t.edge_set
 
-    @cached_property
+    @_cached
     def edges(self) -> tuple[str, ...]:
         return tuple(sorted(e for t in self.components for e in t.edges))
 
-    @cached_property
+    @_cached
     def edge_set(self) -> frozenset[str]:
         return frozenset(self.edges)
 
-    @cached_property
+    @_cached
     def component_of(self) -> dict[str, Tree]:
         return {e: t for t in self.components for e in t.edges}
 
