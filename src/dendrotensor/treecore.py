@@ -65,9 +65,6 @@ class _cached(Generic[_T]):
         self.name = func.__name__
         self.__doc__ = func.__doc__
 
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
     def __get__(self, obj: Any, owner: type | None = None) -> _T:
         if obj is None:
             return self  # type: ignore[return-value]
