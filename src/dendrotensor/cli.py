@@ -27,7 +27,8 @@ from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_fores
 
 __all__ = ["main"]
 
-# default cap on the shuffles that ``shuffles`` and ``tensor-hom`` build
+# default cap on the shuffles that ``shuffles`` and ``tensor-hom`` build and
+# on the maps that ``hom`` lists; each is counted before anything is built
 MAX_RESULTS = 1_000_000
 
 
@@ -83,10 +84,16 @@ def cmd_omega(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_cap(cap: int) -> int:
+    if cap < 1:
+        raise ValueError(f"--max-results must be at least 1, got {cap}")
+    return cap
+
+
 def cmd_hom(args: argparse.Namespace) -> int:
     src = parse_forest(args.source)
     tgt = parse_forest(args.target)
-    maps = hom(src, tgt)
+    maps = hom(src, tgt, cap=_check_cap(args.max_results))
     if args.format == "text":
         lines = [f"count: {len(maps)}"]
         lines += [json.dumps(_map_json(m), ensure_ascii=False, sort_keys=True) for m in maps]
@@ -99,8 +106,7 @@ def cmd_hom(args: argparse.Namespace) -> int:
 def _check_shuffle_count(factors: list[Tree], cap: int) -> int:
     """Refuse, before building any, factors with more than ``cap`` shuffles;
     return how many they have."""
-    if cap < 1:
-        raise ValueError(f"--max-results must be at least 1, got {cap}")
+    _check_cap(cap)
     n = count_shuffles(factors)
     if n > cap:
         raise ValueError(f"the factors have {n} shuffles, more than --max-results {cap}")
@@ -222,6 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("target", help="target forest")
     p_hom.add_argument("--format", choices=("json", "text"), default="json")
     p_hom.add_argument("--out", default=None)
+    p_hom.add_argument(
+        "--max-results", type=int, default=MAX_RESULTS,
+        help="refuse more maps than this (default %(default)s)",
+    )
     p_hom.set_defaults(func=cmd_hom)
 
     p_sh = sub.add_parser("shuffles", help="enumerate the shuffles of a tensor of trees")

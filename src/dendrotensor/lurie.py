@@ -246,8 +246,11 @@ class FiniteOperad(ABC):
 
     @abstractmethod
     def ops_by_output(
-        self, output: str
-    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]: ...
+        self, output: str, arity: int | None = None
+    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+        """The ``(inputs, operations)`` entries with this output color, in a
+        fixed order; with an ``arity``, exactly the entries of that many
+        inputs, in the same relative order."""
 
     @abstractmethod
     def identity(self, color: str) -> Label: ...
@@ -284,7 +287,10 @@ class _CutOperad(FiniteOperad):
     with distinct inputs: the trivial cut is the identity and substitution
     is cut union.  A subclass gives its colors, a container of them and
     their moves.  A color's cuts are folded (``omegacat._fold_cuts``) on first
-    demand, through one memo, and listed by inputs, then stably by ``_key``."""
+    demand, through one memo, and listed by inputs, then stably by ``_key``.
+    A listing of one arity ``k`` is folded apart, with the fold bounded to
+    ``k`` inputs through a memo per ``k``, so it wraps only its own cuts; it
+    is memoized per ``(color, k)``."""
 
     _key = None
 
@@ -294,6 +300,8 @@ class _CutOperad(FiniteOperad):
         self._moves_of = moves_of
         self._cuts: dict[str, list[tuple[str, ...]]] = {}
         self._by_output: dict[str, tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
+        self._bounded: dict[int, dict[str, list[tuple[str, ...]]]] = {}
+        self._by_arity: dict[tuple[str, int], tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
         self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
 
     def colors(self) -> tuple[str, ...]:
@@ -308,13 +316,31 @@ class _CutOperad(FiniteOperad):
             index = self._by_inputs[output] = dict(self.ops_by_output(output))
         return () if index is None else index.get(tuple(sorted(inputs)), ())
 
-    def ops_by_output(self, output: str) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+    def ops_by_output(
+        self, output: str, arity: int | None = None
+    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+        if arity is not None:
+            return self._slice(output, arity)
         entries = self._by_output.get(output)
         if entries is None:
             if output not in self._known:
                 return self._unknown(output)
             cuts = _fold_cuts(output, self._moves_of, self._key, self._cuts)
             entries = self._by_output[output] = tuple((c, (_operation(output, c),)) for c in cuts)
+        return entries
+
+    def _slice(self, output: str, k: int) -> tuple[tuple[tuple[str, ...], tuple[Operation]], ...]:
+        """The entries of arity ``k`` at ``output``: its cuts of ``k`` inputs,
+        folded with no cut of more.  ``_key`` is ``None`` or ``len``, so within
+        one arity the listing is in the order of the inputs, as folded."""
+        entries = self._by_arity.get((output, k))
+        if entries is None:
+            if output not in self._known:
+                return self._unknown(output)
+            cuts = _fold_cuts(output, self._moves_of, None, self._bounded.setdefault(k, {}), k)
+            entries = self._by_arity[output, k] = tuple(
+                (c, (_operation(output, c),)) for c in cuts if len(c) == k
+            )
         return entries
 
     def identity(self, color: str) -> Label:
@@ -417,9 +443,10 @@ class TableOperad(FiniteOperad):
         return self._table.get((tuple(sorted(inputs)), output), ())
 
     def ops_by_output(
-        self, output: str
+        self, output: str, arity: int | None = None
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        return self._by_output.get(output, ())
+        entries = self._by_output.get(output, ())
+        return entries if arity is None else tuple(e for e in entries if len(e[0]) == arity)
 
     def identity(self, color: str) -> Label:
         return self._table[((color,), color)][0]
@@ -1010,53 +1037,77 @@ def maps_into(
 ) -> tuple[ForestInto, ...]:
     """Enumerate the maps from the free operad of ``scope`` into ``p``:
     choose a color per edge and, at each vertex, an operation accepting the
-    chosen input colors (in any matching of inputs to colors).  Each
-    component is one explicit-stack post-order pass over ``(edge, color)``
-    keys, whose sub-maps share their children: ``(key, (edge, operation),
-    *child nodes)``, or ``(key, None)`` at a leaf.  ``cap`` raises
-    :class:`TreeError` when the product of the per-component counts exceeds
-    it, before any map is assembled."""
+    chosen input colors (in any matching of inputs to colors).  A vertex of
+    arity ``k`` asks ``p`` only for its families of ``k`` inputs
+    (``p.ops_by_output(color, k)``).
+
+    Per component, one explicit-stack post-order pass over ``(edge, color)``
+    keys expands each key into its moves and counts its sub-maps: the sum
+    over its moves of the labels times the product of the child counts.
+    ``cap`` raises :class:`TreeError` when the product of the per-component
+    counts exceeds it, before any sub-map exists.  Then each key's sub-maps
+    are built in the same post-order, sharing their children: ``(key,
+    (edge, operation), *child nodes)``, or ``(key, None)`` at a leaf."""
     forest = as_forest(scope)
     all_colors = p.colors()
-    per_comp: list[list[tuple]] = []
+    passes: list[tuple[str, dict, list]] = []
+    total = 1
     for t in forest.components:
         above = t.vertex_above
-        subs: dict[tuple[str, str], list[tuple]] = {}
         moves: dict[tuple[str, str], list] = {}
+        count: dict[tuple[str, str], int] = {}
+        order: list[tuple[str, str]] = []  # post-order: each key after its children
         stack = [(t.root, c) for c in all_colors]
         while stack:
             key = stack.pop()
+            if key in count:
+                continue
             if key in moves:
-                # second visit: every child key is done
-                nodes: list[tuple] = []
-                for labels, kids in moves.pop(key):
-                    pairs = [(key[0], lab) for lab in labels]
-                    nodes += [
-                        (key, pair) + combo
-                        for combo in product(*[subs[d] for d in kids])
-                        for pair in pairs
-                    ]
-                subs[key] = nodes
+                # second visit: every child key is counted
+                n = 0
+                for labels, kids in moves[key]:
+                    m = len(labels)
+                    for d in kids:
+                        m *= count[d]
+                    n += m
+                count[key] = n
             elif key[0] not in above:
-                subs[key] = [(key, None)]
-            elif key not in subs:
+                count[key] = 1
+            else:
                 ins = above[key[0]].in_edges
                 k = len(ins)
                 moves[key] = fam_moves = [
                     (labels, tuple(zip(ins, assignment)))
-                    for fam, labels in p.ops_by_output(key[1])
-                    if len(fam) == k
+                    for fam, labels in p.ops_by_output(key[1], k)
                     # fam is sorted: with distinct colors permutations come in order, once each
                     for assignment in (permutations(fam) if len(set(fam)) == k
                                        else sorted(set(permutations(fam))))
                 ]
                 stack.append(key)
-                stack += [d for _, kids in fam_moves for d in kids if d not in subs]
-        per_comp.append([node for c in all_colors for node in subs[(t.root, c)]])
-    if cap is not None:
-        total = math.prod(len(roots) for roots in per_comp)
-        if total > cap:
-            raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+                stack += [d for _, kids in fam_moves for d in kids if d not in count]
+                continue
+            order.append(key)
+        total *= sum(count[(t.root, c)] for c in all_colors)
+        passes.append((t.root, moves, order))
+    if cap is not None and total > cap:
+        raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+    per_comp: list[list[tuple]] = []
+    for root, moves, order in passes:
+        subs: dict[tuple[str, str], list[tuple]] = {}
+        for key in order:
+            if key not in moves:
+                subs[key] = [(key, None)]
+                continue
+            nodes: list[tuple] = []
+            for labels, kids in moves[key]:
+                pairs = [(key[0], lab) for lab in labels]
+                nodes += [
+                    (key, pair) + combo
+                    for combo in product(*[subs[d] for d in kids])
+                    for pair in pairs
+                ]
+            subs[key] = nodes
+        per_comp.append([node for c in all_colors for node in subs[(root, c)]])
     out = []
     for combo in product(*per_comp):
         colors, comps, walk = [], [], list(combo)

@@ -8,7 +8,8 @@ branch).  Because each edge has at most one vertex above it, an operation is
 determined by its output edge together with its set of input edges.
 One fold, :func:`_fold_cuts`, lists the cuts of tree edges and of shuffle
 states alike: a move goes to the inputs of the vertex above, or as the
-shuffle state table says.
+shuffle state table says.  Bounded by a number of inputs, it lists only the
+cuts up to that arity, which is all a vertex of that arity can map to.
 
 A map between such operads is recorded by where the colors go (``edge_map``)
 and where each generating vertex goes (``vertex_map``, an operation of the
@@ -73,7 +74,11 @@ Moves = Callable[[str], Sequence[tuple[str, ...]]]  # each move lists the nodes 
 
 
 def _fold_cuts(
-    node: str, moves_of: Moves, key: Callable | None = None, memo: dict | None = None
+    node: str,
+    moves_of: Moves,
+    key: Callable | None = None,
+    memo: dict | None = None,
+    limit: int | None = None,
 ) -> list[tuple[str, ...]]:
     """The cuts from ``node`` (sorted input tuples), listed by inputs, then
     stably by ``key``: the node itself plus, move by move, every union of one
@@ -81,7 +86,13 @@ def _fold_cuts(
     Built bottom-up with an explicit stack over an acyclic move graph; only a
     node with two moves can meet a cut twice, so only such nodes deduplicate.
     ``memo`` keeps every node's cuts, by inputs; without it each list is
-    dropped or extended in place once read, so each node has one reader."""
+    dropped or extended in place once read, so each node has one reader.
+
+    With a ``limit`` (at least 0), only the node itself and the cuts of at
+    most ``limit`` inputs are listed, in the same order: the cuts a move
+    unions are disjoint, so a partial union only grows, and one past the
+    limit is dropped at once.  A memo then holds bounded lists and must
+    serve this ``limit`` only."""
     keep = memo is not None
     tables = memo if keep else {}
     take = tables.__getitem__ if keep else tables.pop
@@ -107,7 +118,12 @@ def _fold_cuts(
                 unions: list[tuple[str, ...]] = [()]
                 for c in move:
                     below = take(c)
-                    unions = [u + cut for u in unions for cut in below]
+                    if limit is None:
+                        unions = [u + cut for u in unions for cut in below]
+                    else:
+                        unions = [
+                            u + cut for u in unions for cut in below if len(u) + len(cut) <= limit
+                        ]
                 cuts += unions if len(move) == 1 else [tuple(sorted(u)) for u in unions]
             cuts = sorted(set(cuts) if len(moves) > 1 else cuts)
         else:
@@ -231,7 +247,9 @@ def identity_map(scope: Tree | Forest) -> OperadMap:
     )
 
 
-def hom(source: Tree | Forest, target: Tree | Forest) -> tuple[OperadMap, ...]:
+def hom(
+    source: Tree | Forest, target: Tree | Forest, cap: int | None = None
+) -> tuple[OperadMap, ...]:
     """Enumerate every operad map between the generated free operads.
 
     Each map of :func:`~dendrotensor.lurie.maps_into` into
@@ -239,8 +257,9 @@ def hom(source: Tree | Forest, target: Tree | Forest) -> tuple[OperadMap, ...]:
     :class:`OperadMap`, in the order listed there.  Each source root may
     land on any target edge; a vertex of arity ``k`` then lands on any
     arity-``k`` cut above its output's image, in any of the ``k!`` input
-    matchings.  The empty source forest has exactly one (empty) map
-    anywhere.
+    matchings; the target's cuts are folded only up to the source's arities.
+    The empty source forest has exactly one (empty) map anywhere.  ``cap`` raises :class:`TreeError`
+    when there are more maps than that, before any is built.
     """
     from .lurie import FreeForestOperad, maps_into
 
@@ -248,7 +267,7 @@ def hom(source: Tree | Forest, target: Tree | Forest) -> tuple[OperadMap, ...]:
     tgt = as_forest(target)
     return tuple(
         OperadMap(src, tgt, m.colors, m.components)
-        for m in maps_into(src, FreeForestOperad(tgt))
+        for m in maps_into(src, FreeForestOperad(tgt), cap)
     )
 
 

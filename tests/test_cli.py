@@ -11,6 +11,7 @@ from dendrotensor import cli as cli_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
 from dendrotensor.suites import SuiteConfig
+from test_omegacat import binary_text
 
 WORKED_INPUT = json.dumps(
     {
@@ -106,6 +107,35 @@ def test_hom_text_format(capsys):
     assert main(["hom", "e", "r[a]", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "2" in out.splitlines()[0]
+
+
+# sha256 of `hom bin2 bin5` (120 maps), as written when every cut of the
+# target was listed; the arity-sliced cut listing must keep these bytes
+PINNED_HOM = {
+    "json": "6f93a30dcdee40310446b01f2a071168522b27ec1ce21b0ed486a016f9af48e9",
+    "text": "57782b08070faebdc1512452c8eb7c87401817f57f52ac82ca47c1dec1460b88",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_HOM))
+def test_hom_output_bytes_are_pinned(capsys, fmt):
+    assert main(["hom", binary_text(2, "s"), binary_text(5, "t"), "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_HOM[fmt]
+
+
+def test_hom_over_max_results_exits_2_with_one_line(capsys):
+    # `s[a,b]` into `r[x[p,q],y]` has 4 maps: r <- (x,y) and x <- (p,q), each
+    # in two matchings
+    argv = ["hom", "s[a,b]", "r[x[p,q],y]", "--format", "text"]
+    assert main(argv + ["--max-results", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dendrotensor: error: map enumeration would produce 4 > cap 3\n"
+    assert main(argv + ["--max-results", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count: 4"
+    assert main(argv + ["--max-results", "0"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 # -- shuffles ------------------------------------------------------------------

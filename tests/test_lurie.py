@@ -35,6 +35,7 @@ from dendrotensor import (
     eta,
     factorize,
     free_algebra,
+    hom,
     map_to_chain,
     maps_into,
     omega_mor,
@@ -57,7 +58,7 @@ from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.lurie import EllPresentation, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
-from test_omegacat import chain_tree, closure_operations, oracle_cut_table
+from test_omegacat import binary_text, chain_tree, closure_operations, oracle_cut_table
 from test_shuffle import random_factors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -367,6 +368,78 @@ def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
     homs = tensor_hom(eta("f"), factors)
     assert len(homs) == 1501
     assert {h.edge_map for h in homs} == {m.colors for m in maps}
+
+
+def _arity_slice_oracle(p, c):
+    """What ``ops_by_output(c, k)`` must give for each ``k``: the full
+    listing filtered by number of inputs."""
+    full = p.ops_by_output(c)
+    top = max((len(fam) for fam, _ in full), default=0)
+    return {k: tuple(e for e in full if len(e[0]) == k) for k in range(top + 2)}
+
+
+@given(seeds, st.sampled_from(["free", "tensor"]), st.sampled_from([0.0, 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_arity_slice_equals_filtered_listing(seed, kind, stump_probability):
+    # slices asked for first, colors and arities in a random order, on an
+    # operad that never lists a color in full, so the bounded memos serve
+    # one another; the full listing comes from a second, fresh operad
+    rng = Random(seed)
+    if kind == "free":
+        forest = random_forest(rng, 9, stump_probability, min_components=1)
+        sliced, full = FreeForestOperad(forest), FreeForestOperad(forest)
+    else:
+        factors = [random_tree(rng, 4, stump_probability, prefix=q) for q in ("a", "b")]
+        sliced, full = BVTensorOperad(factors), BVTensorOperad(factors)
+    want = {c: _arity_slice_oracle(full, c) for c in full.colors()}
+    queries = [(c, k) for c in want for k in want[c]]
+    rng.shuffle(queries)
+    for c, k in queries:
+        assert sliced.ops_by_output(c, k) == want[c][k]
+    if kind == "free":
+        with pytest.raises(TreeError):
+            sliced.ops_by_output("absent", 1)
+    else:
+        assert sliced.ops_by_output("absent", 1) == () == sliced.ops_by_output("absent")
+
+
+def test_arity_slice_on_tables():
+    rng = Random(11)
+    for _ in range(40):
+        p = random_table_operad(rng)
+        for c in p.colors():
+            for k, entries in _arity_slice_oracle(p, c).items():
+                assert p.ops_by_output(c, k) == entries
+        assert p.ops_by_output("absent", 1) == ()
+
+
+def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):
+    # bin5 has 459,892 cuts over its 63 edges; every vertex of bin2 is
+    # binary, so only the 31 cuts of two inputs can take one
+    built = []
+
+    def counting(output, inputs):
+        built.append(output)
+        return omegacat_module._operation(output, inputs)
+
+    monkeypatch.setattr(lurie_module, "_operation", counting)
+    maps = hom(parse_tree(binary_text(2, "s")), parse_tree(binary_text(5, "t")))
+    assert len(maps) == len(set(maps)) == 120
+    assert len(built) < 1_000
+
+
+def test_maps_into_counts_before_building(monkeypatch):
+    # over the cap, maps_into must refuse from its counts alone: no sub-map
+    # is built, so the product that builds them is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    scope = parse_forest("{s[a,b];u[v[w]]}")
+    p = FreeForestOperad(parse_tree("r[x[p,q],y[z]]"))
+    n = len(maps_into(scope, p))
+    monkeypatch.setattr(lurie_module, "product", refuse)
+    with pytest.raises(TreeError, match=f"would produce {n} > cap {n - 1}"):
+        maps_into(scope, p, cap=n - 1)
 
 
 def random_table_operad(rng):

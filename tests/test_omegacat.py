@@ -200,6 +200,18 @@ def chain_tree(n):
     return Tree(names[0], tuple(Vertex(names[k], (names[k + 1],)) for k in range(n)))
 
 
+def binary_text(depth, prefix):
+    """The complete binary tree with ``depth`` levels of vertices, its edges
+    named ``prefix`` and a number, in preorder."""
+    names = iter(range(2 ** (depth + 1)))
+
+    def build(d):
+        name = f"{prefix}{next(names)}"
+        return name if d == 0 else f"{name}[{build(d - 1)},{build(d - 1)}]"
+
+    return build(depth)
+
+
 def _cut_order(inputs):
     return len(inputs), inputs
 
