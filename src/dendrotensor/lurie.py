@@ -288,9 +288,9 @@ class _CutOperad(FiniteOperad):
     is cut union.  A subclass gives its colors, a container of them and
     their moves.  A color's cuts are folded (``omegacat._fold_cuts``) on first
     demand, through one memo, and listed by inputs, then stably by ``_key``.
-    A listing of one arity ``k`` is folded apart, with the fold bounded to
-    ``k`` inputs through a memo per ``k``, so it wraps only its own cuts; it
-    is memoized per ``(color, k)``."""
+    A listing of one arity ``k`` is folded apart, bounded to the largest
+    arity asked for so far, through a second memo, so it wraps only its own
+    cuts.  Listings are memoized per ``(color, arity)``."""
 
     _key = None
 
@@ -299,9 +299,9 @@ class _CutOperad(FiniteOperad):
         self._known = known
         self._moves_of = moves_of
         self._cuts: dict[str, list[tuple[str, ...]]] = {}
-        self._by_output: dict[str, tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
-        self._bounded: dict[int, dict[str, list[tuple[str, ...]]]] = {}
-        self._by_arity: dict[tuple[str, int], tuple[tuple[tuple[str, ...], tuple[Operation]], ...]] = {}
+        self._limit = 0  # the bound of the folds in _bounded
+        self._bounded: dict[str, list[tuple[str, ...]]] = {}
+        self._listed: dict[tuple[str, int | None], tuple] = {}  # by (color, arity or None)
         self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
 
     def colors(self) -> tuple[str, ...]:
@@ -319,28 +319,20 @@ class _CutOperad(FiniteOperad):
     def ops_by_output(
         self, output: str, arity: int | None = None
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        if arity is not None:
-            return self._slice(output, arity)
-        entries = self._by_output.get(output)
+        entries = self._listed.get((output, arity))
         if entries is None:
             if output not in self._known:
                 return self._unknown(output)
-            cuts = _fold_cuts(output, self._moves_of, self._key, self._cuts)
-            entries = self._by_output[output] = tuple((c, (_operation(output, c),)) for c in cuts)
-        return entries
-
-    def _slice(self, output: str, k: int) -> tuple[tuple[tuple[str, ...], tuple[Operation]], ...]:
-        """The entries of arity ``k`` at ``output``: its cuts of ``k`` inputs,
-        folded with no cut of more.  ``_key`` is ``None`` or ``len``, so within
-        one arity the listing is in the order of the inputs, as folded."""
-        entries = self._by_arity.get((output, k))
-        if entries is None:
-            if output not in self._known:
-                return self._unknown(output)
-            cuts = _fold_cuts(output, self._moves_of, None, self._bounded.setdefault(k, {}), k)
-            entries = self._by_arity[output, k] = tuple(
-                (c, (_operation(output, c),)) for c in cuts if len(c) == k
-            )
+            if arity is None:
+                cuts = _fold_cuts(output, self._moves_of, self._key, self._cuts)
+            else:
+                # within one arity either ``_key`` (None or len) keeps the
+                # order of the inputs, so the bounded fold's order is kept
+                if arity > self._limit:  # a larger bound serves every smaller one
+                    self._limit, self._bounded = arity, {}
+                cuts = _fold_cuts(output, self._moves_of, None, self._bounded, self._limit)
+                cuts = [c for c in cuts if len(c) == arity]
+            entries = self._listed[output, arity] = tuple((c, (_operation(output, c),)) for c in cuts)
         return entries
 
     def identity(self, color: str) -> Label:
@@ -1041,38 +1033,28 @@ def maps_into(
     arity ``k`` asks ``p`` only for its families of ``k`` inputs
     (``p.ops_by_output(color, k)``).
 
-    Per component, one explicit-stack post-order pass over ``(edge, color)``
-    keys expands each key into its moves and counts its sub-maps: the sum
-    over its moves of the labels times the product of the child counts.
-    ``cap`` raises :class:`TreeError` when the product of the per-component
-    counts exceeds it, before any sub-map exists.  Then each key's sub-maps
-    are built in the same post-order, sharing their children: ``(key,
-    (edge, operation), *child nodes)``, or ``(key, None)`` at a leaf."""
+    Per component, one explicit-stack pass over ``(edge, color)`` keys
+    expands each key into its moves and lists the keys in post-order.  With
+    a ``cap``, each key's sub-maps are counted in that order: the sum over
+    its moves of the labels times the product of the child counts; a
+    product of the per-component counts above ``cap`` raises
+    :class:`TreeError` before any sub-map exists.  Then each key's sub-maps
+    are built in the same order, sharing their children: ``(key, (edge,
+    operation), *child nodes)``, or ``(key, None)`` at a leaf."""
     forest = as_forest(scope)
     all_colors = p.colors()
-    passes: list[tuple[str, dict, list]] = []
-    total = 1
+    passes: list[tuple[str, dict, dict]] = []
     for t in forest.components:
         above = t.vertex_above
         moves: dict[tuple[str, str], list] = {}
-        count: dict[tuple[str, str], int] = {}
-        order: list[tuple[str, str]] = []  # post-order: each key after its children
+        order: dict[tuple[str, str], None] = {}  # post-order: each key after its children
         stack = [(t.root, c) for c in all_colors]
         while stack:
             key = stack.pop()
-            if key in count:
+            if key in order:
                 continue
-            if key in moves:
-                # second visit: every child key is counted
-                n = 0
-                for labels, kids in moves[key]:
-                    m = len(labels)
-                    for d in kids:
-                        m *= count[d]
-                    n += m
-                count[key] = n
-            elif key[0] not in above:
-                count[key] = 1
+            if key in moves or key[0] not in above:  # every child is done, or a leaf
+                order[key] = None
             else:
                 ins = above[key[0]].in_edges
                 k = len(ins)
@@ -1084,13 +1066,25 @@ def maps_into(
                                        else sorted(set(permutations(fam))))
                 ]
                 stack.append(key)
-                stack += [d for _, kids in fam_moves for d in kids if d not in count]
-                continue
-            order.append(key)
-        total *= sum(count[(t.root, c)] for c in all_colors)
+                stack += [d for _, kids in fam_moves for d in kids if d not in order]
         passes.append((t.root, moves, order))
-    if cap is not None and total > cap:
-        raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+    if cap is not None:
+        total = 1
+        for root, moves, order in passes:
+            count: dict[tuple[str, str], int] = {}
+            for key in order:
+                n = 1
+                if key in moves:
+                    n = 0
+                    for labels, kids in moves[key]:
+                        m = len(labels)
+                        for d in kids:
+                            m *= count[d]
+                        n += m
+                count[key] = n
+            total *= sum(count[(root, c)] for c in all_colors)
+        if total > cap:
+            raise TreeError(f"map enumeration would produce {total} > cap {cap}")
     per_comp: list[list[tuple]] = []
     for root, moves, order in passes:
         subs: dict[tuple[str, str], list[tuple]] = {}
