@@ -3,7 +3,8 @@
 
 With exhaustive budgets every fixture is caught deterministically; with tiny
 random budgets detection becomes probabilistic.  This sweeps the budget and
-reports the detection rate over seeds, fixture by fixture.
+reports the detection rate over seeds, fixture by fixture.  Each check stops
+at its first failure, since only whether it failed is counted.
 
 Usage:
     python3 scripts/fixture_detection.py --seeds 20 --truncation 2
@@ -62,6 +63,7 @@ def main() -> int:
                     betas_per_lift=lv.betas,
                     arrows_budget=lv.arrows,
                     pairs_per_fiber=lv.pairs,
+                    stop_on_failure=True,  # only whether a failure was found is read
                 )
                 caught += 0 if report.passed else 1
             cells.append(f"{caught}/{args.seeds}")

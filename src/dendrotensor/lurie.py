@@ -31,7 +31,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from random import Random
@@ -105,6 +105,12 @@ class FinPtdObj:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @_cached
+    def pointed(self) -> frozenset[Elem]:
+        """The elements with the basepoint: the values a map into this set
+        may take, built once for every map that checks them."""
+        return frozenset(self.elements + (STAR,))
+
 
 @dataclass(frozen=True)
 class FinPtdMor:
@@ -118,10 +124,10 @@ class FinPtdMor:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.src.elements):
             raise TreeError("pointed map must cover every source element")
-        allowed = set(self.dst.elements) | {STAR}
-        for v in self.values:
-            if v not in allowed:
-                raise TreeError(f"pointed map hits a non-element {v!r}")
+        allowed = self.dst.pointed
+        if not allowed.issuperset(self.values):
+            bad = next(v for v in self.values if v not in allowed)
+            raise TreeError(f"pointed map hits a non-element {bad!r}")
 
     def __hash__(self) -> int:
         # frozen, so the hash is kept: the fibrous checks key a memo on maps
@@ -497,6 +503,13 @@ class EllMorphism:
     dst: EllObject
     components: tuple[tuple[Elem, Label], ...]
 
+    def __hash__(self) -> int:
+        # kept, as FinPtdMor's: the fibrous checks hash listings into sets
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.alpha, self.src, self.dst, self.components))
+        return h
+
     @_cached
     def component(self) -> dict[Elem, Label]:
         return dict(self.components)
@@ -530,13 +543,18 @@ def ell_hom(
     p: FiniteOperad, alpha: FinPtdMor, src: EllObject, dst: EllObject
 ) -> tuple[EllMorphism, ...]:
     """All morphisms from ``src`` to ``dst`` over ``alpha``: the product over
-    target elements of the operation sets at the fiber colorings."""
-    if alpha.src != src.base or alpha.dst != dst.base:
+    target elements of the operation sets at the fiber colorings (empty as
+    soon as one of those sets is)."""
+    if (alpha.src is not src.base and alpha.src != src.base) or (
+        alpha.dst is not dst.base and alpha.dst != dst.base
+    ):
         raise TreeError("objects do not sit over the pointed map")
+    fibers = alpha.fibers
     per_elem = []
-    for j in dst.base.elements:
-        fam = _fiber_colors(alpha, src, j)
-        labels = p.ops(fam, dst.color_of(j))
+    for j, color in zip(dst.base.elements, dst.colors):
+        labels = p.ops(tuple(src.color_of(i) for i in fibers.get(j, ())), color)
+        if not labels:
+            return ()
         per_elem.append([(j, lab) for lab in labels])
     return tuple(
         EllMorphism(alpha, src, dst, tuple(combo)) for combo in product(*per_elem)
@@ -729,6 +747,7 @@ def check_fibrous(
     arrows_budget: int = 8,
     pairs_per_fiber: int = 3,
     max_failures: int = 25,
+    stop_on_failure: bool = False,
 ) -> FibrousReport:
     """Verify, on finite sets, that the presentation behaves like the
     category of operators of an operad over pointed sets:
@@ -742,22 +761,79 @@ def check_fibrous(
     * morphisms into an object over ``<m>`` are computed componentwise
       through the collapse lifts.
 
+    The report keeps the first ``max_failures`` failures.  With
+    ``stop_on_failure`` it is returned as soon as the first failure is
+    recorded: it then holds that one failure, the full run's first, and
+    counts only the checks made up to it; use it when only
+    ``report.passed`` is read.  A ``truncation`` below 0 or a
+    ``max_failures`` below 1, which would run no check or keep no failure
+    and so pass vacuously, raises :class:`TreeError`.
+
     Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
-    a memo local to the call, keyed by the values of ``(alpha, src, dst)``,
-    keeps the listing with its multiplicities (counts use it, so a family
-    listed twice, as in the ``duplicate-family`` fixture, still counts
-    twice) and, once membership is asked, the set of its morphisms.  The
-    memo goes when the call returns.  Random draws and comparisons are those
-    of listing every hom afresh.
+    a memo local to the call, keyed by the plain values of ``(alpha, src,
+    dst)``, keeps the listing with its multiplicities (counts use it, so a
+    family listed twice, as in the ``duplicate-family`` fixture, still
+    counts twice) and, once membership is asked, the set of its morphisms.
+    The memo goes when the call returns.  Random draws and comparisons are
+    those of listing every hom afresh.
     """
-    rng = rng or Random(0)
+    if truncation < 0:
+        raise TreeError(f"check_fibrous needs truncation >= 0, got {truncation}")
+    if max_failures < 1:
+        raise TreeError(f"check_fibrous needs max_failures >= 1, got {max_failures}")
     report = FibrousReport()
+    for msg in _fibrous_failures(
+        pres,
+        report,
+        truncation,
+        rng or Random(0),
+        colorings_per_shape,
+        inerts_per_shape,
+        betas_per_lift,
+        arrows_budget,
+        pairs_per_fiber,
+    ):
+        if len(report.failures) < max_failures:
+            report.failures.append(msg)
+        if stop_on_failure:
+            break
+    return report
+
+
+def _hom_key(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple:
+    """The plain values that make ``(alpha, src, dst)`` equal: hashing and
+    comparing them costs no dataclass method call."""
+    return (
+        alpha.src.elements,
+        alpha.dst.elements,
+        alpha.values,
+        src.base.elements,
+        src.colors,
+        dst.base.elements,
+        dst.colors,
+    )
+
+
+def _fibrous_failures(
+    pres: EllPresentation,
+    report: FibrousReport,
+    truncation: int,
+    rng: Random,
+    colorings_per_shape: int,
+    inerts_per_shape: int,
+    betas_per_lift: int,
+    arrows_budget: int,
+    pairs_per_fiber: int,
+) -> Iterator[str]:
+    """The checks of :func:`check_fibrous`, in order: each failure is
+    yielded when found, and ``report``'s counters are raised as the checks
+    are made."""
     colors = pres.operad.colors()
-    listings: dict[tuple[FinPtdMor, EllObject, EllObject], tuple[EllMorphism, ...]] = {}
-    members: dict[tuple[FinPtdMor, EllObject, EllObject], frozenset[EllMorphism]] = {}
+    listings: dict[tuple, tuple[EllMorphism, ...]] = {}
+    members: dict[tuple, frozenset[EllMorphism]] = {}
 
     def listed(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple[EllMorphism, ...]:
-        key = (alpha, src, dst)
+        key = _hom_key(alpha, src, dst)
         found = listings.get(key)
         if found is None:
             found = listings[key] = pres.hom(alpha, src, dst)
@@ -766,15 +842,11 @@ def check_fibrous(
     def is_listed(
         alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism
     ) -> bool:
-        key = (alpha, src, dst)
+        key = _hom_key(alpha, src, dst)
         found = members.get(key)
         if found is None:
             found = members[key] = frozenset(listed(alpha, src, dst))
         return mor in found
-
-    def fail(msg: str) -> None:
-        if len(report.failures) < max_failures:
-            report.failures.append(msg)
 
     # cocartesian lifts of inerts and their universal property
     targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
@@ -787,7 +859,7 @@ def check_fibrous(
                 lift = pres.inert_lift(alpha, x)
                 report.cocartesian_checked += 1
                 if not is_listed(alpha, x, lift.dst, lift):
-                    fail(
+                    yield (
                         f"lift over {alpha.values} from colors {c} is not "
                         "among the listed morphisms"
                     )
@@ -800,7 +872,7 @@ def check_fibrous(
                     through_lift: dict[EllObject, Counter[EllMorphism]] = {}
                     for z_obj, h in _sampled_arrows(pres, rng, gamma, x, arrows_budget):
                         if not is_listed(gamma, x, z_obj, h):
-                            fail(
+                            yield (
                                 f"componentwise morphism over {gamma.values} "
                                 f"from colors {c} is not listed"
                             )
@@ -811,7 +883,7 @@ def check_fibrous(
                             )
                         matches = through_lift[z_obj][h]
                         if matches != 1:
-                            fail(
+                            yield (
                                 f"universal property: {matches} factorizations "
                                 f"over beta={beta.values} of a morphism over "
                                 f"{gamma.values} through the lift over "
@@ -836,7 +908,7 @@ def check_fibrous(
             ]
             expected = math.prod(len(listed(id_one, xi, yi)) for xi, yi in factors)
             if len(lhs) != expected:
-                fail(
+                yield (
                     f"fiber over <{m}> at colors {c} -> {d}: {len(lhs)} "
                     f"morphisms, expected the product {expected}"
                 )
@@ -859,7 +931,7 @@ def check_fibrous(
                     projections.append(gi)
                 seen.add(tuple(projections))
             if not ok or len(seen) != len(lhs):
-                fail(
+                yield (
                     f"fiber projections over <{m}> at colors {c} -> {d} "
                     "are not jointly bijective"
                 )
@@ -883,7 +955,7 @@ def check_fibrous(
                         rhs = [(leg, y, lift.dst) for leg, lift in zip(legs, lifts)]
                         expected = math.prod(len(listed(*key)) for key in rhs)
                         if len(lhs) != expected:
-                            fail(
+                            yield (
                                 f"componentwise count over f={f.values} into "
                                 f"colors {c_x}: {len(lhs)} vs {expected}"
                             )
@@ -901,11 +973,10 @@ def check_fibrous(
                             else:
                                 seen.add(tuple(tup))
                         if not ok or len(seen) != len(lhs):
-                            fail(
+                            yield (
                                 f"componentwise projections over f={f.values} "
                                 f"into colors {c_x} are not jointly bijective"
                             )
-    return report
 
 
 # -- defect fixtures ---------------------------------------------------------

@@ -396,6 +396,8 @@ def suite_fibrous(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
                 {"forest": serialize_forest(f), "failures": rep.failures[:5]},
             )
         )
+    # a fixture's record carries only whether a defect was found, so its
+    # check stops at the first failure instead of re-confirming the defect
     for name, fixture in defect_fixtures():
         rep = check_fibrous(
             fixture,
@@ -406,6 +408,7 @@ def suite_fibrous(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             betas_per_lift=999,
             arrows_budget=500,
             pairs_per_fiber=999,
+            stop_on_failure=True,
         )
         records.append(
             _rec(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dendrotensor import (
     STAR,
     BVTensorOperad,
+    EllMorphism,
     EllObject,
     FinPtdMor,
     FinPtdObj,
@@ -56,6 +57,7 @@ from dendrotensor import (
 from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
+from dendrotensor import suites as suites_module
 from dendrotensor.lurie import EllPresentation, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
 from test_omegacat import binary_text, chain_tree, closure_operations, oracle_cut_table
@@ -674,6 +676,158 @@ def test_each_hom_is_listed_once_per_check(name, pres):
         assert _counters(report) == _counters(plain)
         assert report.failures == plain.failures
         assert counting.listed and max(counting.listed.values()) == 1
+
+
+SUITE_SEEDS = (0, 1, 7)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REPORTS))
+def test_early_stop_keeps_the_first_failure(name):
+    pres = dict(defect_fixtures())[name]
+    for seed in SUITE_SEEDS + (f"42:fixture:{name}",):
+        full = check_fibrous(pres, truncation=2, rng=Random(seed), **EXHAUSTIVE)
+        stop = check_fibrous(
+            pres, truncation=2, rng=Random(seed), stop_on_failure=True, **EXHAUSTIVE
+        )
+        assert stop.passed == full.passed
+        assert stop.failures == full.failures[:1]
+        assert all(s <= f for s, f in zip(_counters(stop), _counters(full)))
+
+
+def test_early_stop_changes_nothing_on_clean_instances():
+    rng = Random("42:fibrous")
+    for i, text in enumerate(CLEAN_INSTANCES):
+        forest = random_forest(rng, 6, 0.2, min_components=1)
+        assert serialize_forest(forest) == text
+        pres = EllPresentation(FreeForestOperad(forest))
+        full = check_fibrous(pres, truncation=4, rng=Random(f"42:fibrous:{i}"))
+        stop = check_fibrous(
+            pres, truncation=4, rng=Random(f"42:fibrous:{i}"), stop_on_failure=True
+        )
+        assert stop == full
+
+
+# Checked to the end, the five fixtures list 5 x 2,825 = 14,125 homs in the
+# suite's fixture loop; stopped at their first failure they list 1,601.
+FIXTURE_LOOP_HOMS = 2000
+
+
+def test_suite_fixtures_stop_at_their_first_failure(monkeypatch):
+    made = []
+
+    def counting_fixtures():
+        for name, pres in defect_fixtures():
+            made.append(type("Counting", (_CountingHoms, type(pres)), {})(pres.operad))
+            yield name, made[-1]
+
+    monkeypatch.setattr(suites_module, "defect_fixtures", counting_fixtures)
+    records, _ = suites_module.suite_fibrous(suites_module.SuiteConfig(seed=42, instances=1))
+    assert [r["status"] for r in records if r["check"] == "defect-detected"] == ["pass"] * 5
+    assert len(made) == 5
+    assert sum(sum(c.listed.values()) for c in made) < FIXTURE_LOOP_HOMS
+
+
+VACUOUS = {"max_failures=0": {"max_failures": 0}, "max_failures=-3": {"max_failures": -3},
+           "truncation=-1": {"truncation": -1}}
+
+
+@pytest.mark.parametrize("name", ["honest"] + sorted(FIXTURE_REPORTS))
+@pytest.mark.parametrize("bad", sorted(VACUOUS))
+def test_vacuous_settings_are_refused(name, bad):
+    # at these settings the check kept no failure or ran no check, and passed
+    fixtures = dict(defect_fixtures())
+    fixtures["honest"] = EllPresentation(FreeForestOperad(parse_forest("{p[q,s]}")))
+    kwargs = {"truncation": 2, **EXHAUSTIVE, **VACUOUS[bad]}
+    with pytest.raises(TreeError, match=r"^check_fibrous needs [a-z_]+ >= [01], got -?\d+$"):
+        check_fibrous(fixtures[name], rng=Random(0), **kwargs)
+
+
+def oracle_ell_hom(p, alpha, src, dst):
+    """Reference for ``ell_hom``: the listing before the early exit on an
+    empty operation set, the identity test on bases and the fibre lookups."""
+    if alpha.src != src.base or alpha.dst != dst.base:
+        raise TreeError("objects do not sit over the pointed map")
+    per_elem = []
+    for j in dst.base.elements:
+        fam = tuple(src.color_of(i) for i in alpha.fiber(j))
+        labels = p.ops(fam, dst.color_of(j))
+        per_elem.append([(j, lab) for lab in labels])
+    return tuple(
+        EllMorphism(alpha, src, dst, tuple(combo)) for combo in product(*per_elem)
+    )
+
+
+def _random_hom(rng, p):
+    """A pointed map ``<m> -> <n>`` (``m, n <= 3``) with a source coloured
+    from one or two colours, so colours repeat, and a target that is either
+    reached by some arrow or coloured at random; now and then a base is a
+    fresh equal object, or a base of the wrong size."""
+    colors = p.colors()
+    palette = rng.sample(colors, min(len(colors), rng.randint(1, 2)))
+    m, n = rng.randint(0, 3), rng.randint(0, 3)
+    src_base, dst_base = FinPtdObj.skeleton(m), FinPtdObj.skeleton(n)
+    alpha = FinPtdMor(
+        src_base, dst_base, tuple(rng.choice(dst_base.elements + (STAR,)) for _ in range(m))
+    )
+    src = EllObject(src_base, tuple(rng.choice(palette) for _ in range(m)))
+    reached = [y for y, _ in EllPresentation(p).arrows_from(alpha, src)]
+    if reached and rng.random() < 0.7:
+        dst = rng.choice(reached)
+    else:
+        dst = EllObject(dst_base, tuple(rng.choice(colors) for _ in range(n)))
+    move = rng.random()
+    if move < 0.1:
+        src = EllObject(FinPtdObj.skeleton(m), src.colors)
+    elif move < 0.15:
+        src = EllObject(FinPtdObj.skeleton(m + 1), src.colors + (colors[0],))
+    elif move < 0.2:
+        dst = EllObject(FinPtdObj.skeleton(n + 1), dst.colors + (colors[0],))
+    return alpha, src, dst
+
+
+def _same_hom(p, alpha, src, dst):
+    try:
+        expected = oracle_ell_hom(p, alpha, src, dst)
+    except TreeError as want:
+        with pytest.raises(TreeError) as got:
+            ell_hom(p, alpha, src, dst)
+        assert str(got.value) == str(want)
+        return None
+    assert ell_hom(p, alpha, src, dst) == expected
+    return expected
+
+
+@given(seeds, st.sampled_from(["free", "tensor", "table"]))
+@settings(max_examples=200, deadline=None)
+def test_ell_hom_equals_oracle(seed, kind):
+    rng = Random(seed)
+    p = _random_target(rng, kind)
+    for _ in range(10):
+        _same_hom(p, *_random_hom(rng, p))
+
+
+def test_ell_hom_oracle_cases_are_covered():
+    # homs into <0>, homs with a target element over an empty fibre, empty
+    # homs, homs with a repeated source colour, and mismatched bases
+    seen = Counter()
+    rng = Random(3)
+    for kind in ("free", "tensor", "table") * 40:
+        p = _random_target(rng, kind)
+        for _ in range(10):
+            alpha, src, dst = _random_hom(rng, p)
+            listed = _same_hom(p, alpha, src, dst)
+            if listed is None:
+                seen["mismatch"] += 1
+                continue
+            seen["into <0>"] += not dst.base.elements
+            seen["empty fibre, listed"] += bool(listed) and any(
+                not alpha.fiber(j) for j in dst.base.elements
+            )
+            seen["empty"] += not listed
+            seen[f"repeated colour, {kind}"] += bool(listed) and len(set(src.colors)) < len(src.colors)
+    kinds = [f"repeated colour, {kind}" for kind in ("free", "tensor", "table")]
+    for case in ["mismatch", "into <0>", "empty fibre, listed", "empty"] + kinds:
+        assert seen[case] >= 5, (case, seen)
 
 
 # -- nerve ------------------------------------------------------------------------
