@@ -63,7 +63,7 @@ def main() -> int:
                     betas_per_lift=lv.betas,
                     arrows_budget=lv.arrows,
                     pairs_per_fiber=lv.pairs,
-                    stop_on_failure=True,  # only whether a failure was found is read
+                    stop_on_failure=True,
                 )
                 caught += 0 if report.passed else 1
             cells.append(f"{caught}/{args.seeds}")

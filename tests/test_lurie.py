@@ -568,10 +568,17 @@ def test_every_defect_fixture_is_detected():
 
 
 def test_fixture_detection_is_seed_independent():
-    for seed in (0, 1, 7, 42):
-        for name, pres in defect_fixtures():
+    # a run stopped at its first failure keeps exactly the full run's first
+    # failure, after no more checks than the full run made
+    for name, pres in defect_fixtures():
+        for seed in (0, 1, 7, 42, f"42:fixture:{name}"):
             report = check_fibrous(pres, truncation=2, rng=Random(seed), **EXHAUSTIVE)
             assert not report.passed, f"{name} slipped through at seed {seed}"
+            stop = check_fibrous(
+                pres, truncation=2, rng=Random(seed), stop_on_failure=True, **EXHAUSTIVE
+            )
+            assert stop.failures == report.failures[:1]
+            assert all(s <= f for s, f in zip(_counters(stop), _counters(report)))
 
 
 # Reports of check_fibrous recorded before the per-call hom memo and the lazy
@@ -676,22 +683,6 @@ def test_each_hom_is_listed_once_per_check(name, pres):
         assert _counters(report) == _counters(plain)
         assert report.failures == plain.failures
         assert counting.listed and max(counting.listed.values()) == 1
-
-
-SUITE_SEEDS = (0, 1, 7)
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURE_REPORTS))
-def test_early_stop_keeps_the_first_failure(name):
-    pres = dict(defect_fixtures())[name]
-    for seed in SUITE_SEEDS + (f"42:fixture:{name}",):
-        full = check_fibrous(pres, truncation=2, rng=Random(seed), **EXHAUSTIVE)
-        stop = check_fibrous(
-            pres, truncation=2, rng=Random(seed), stop_on_failure=True, **EXHAUSTIVE
-        )
-        assert stop.passed == full.passed
-        assert stop.failures == full.failures[:1]
-        assert all(s <= f for s, f in zip(_counters(stop), _counters(full)))
 
 
 def test_early_stop_changes_nothing_on_clean_instances():
