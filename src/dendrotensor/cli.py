@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ from typing import Any
 from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
 from .omegacat import OperadMap, hom
-from .render import gallery_dot, to_dot
+from .render import gallery_dot, json_text, to_dot
 from .shuffle import TensorHom, _shuffle_texts, count_shuffles, shuffles, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
@@ -49,10 +50,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_line(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-
-
 def _map_json(m: OperadMap | TensorHom) -> dict[str, Any]:
     return {
         "edge_map": dict(m.edge_map),
@@ -70,7 +67,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
         _emit(to_dot(f, "omega"), args.out)
     elif args.format == "json":
         _emit(
-            _json_line(
+            json_text(
                 {
                     "forest": serialize_forest(f),
                     "components": len(f.components),
@@ -99,7 +96,7 @@ def cmd_hom(args: argparse.Namespace) -> int:
         lines += [json.dumps(_map_json(m), ensure_ascii=False, sort_keys=True) for m in maps]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_line({"count": len(maps), "maps": [_map_json(m) for m in maps]}), args.out)
+        _emit(json_text({"count": len(maps), "maps": [_map_json(m) for m in maps]}), args.out)
     return 0
 
 
@@ -123,7 +120,7 @@ def cmd_shuffles(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(gallery_dot(listing, "shuffles"), args.out)
     elif args.format == "json":
-        _emit(_json_line({"count": n, "shuffles": listing}), args.out)
+        _emit(json_text({"count": n, "shuffles": listing}), args.out)
     else:
         _emit("\n".join([f"count: {n}", *listing]) + "\n", args.out)
     return 0
@@ -143,7 +140,7 @@ def cmd_tensor_hom(args: argparse.Namespace) -> int:
         lines += [json.dumps(entry, ensure_ascii=False, sort_keys=True) for entry in payload["maps"]]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_line(payload), args.out)
+        _emit(json_text(payload), args.out)
     return 0
 
 
@@ -179,7 +176,7 @@ def cmd_free_algebra(args: argparse.Namespace) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_line(payload), args.out)
+        _emit(json_text(payload), args.out)
     return 0
 
 
@@ -209,7 +206,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report["failures"] == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one;
+    parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="dendrotensor",
         description="Exact tree, forest, shuffle, and finite-operad combinatorics.",

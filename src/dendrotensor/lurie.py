@@ -765,9 +765,10 @@ def check_fibrous(
     ``stop_on_failure`` it is returned as soon as the first failure is
     recorded: it then holds that one failure, the full run's first, and
     counts only the checks made up to it; use it when only
-    ``report.passed`` is read.  A ``truncation`` below 0 or a
-    ``max_failures`` below 1, which would run no check or keep no failure
-    and so pass vacuously, raises :class:`TreeError`.
+    ``report.passed`` is read.  A ``truncation`` below 0, or a sampling
+    budget or ``max_failures`` below 1, which would run no check of some
+    kind or keep no failure and so pass vacuously, raises
+    :class:`TreeError`.
 
     Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
     a memo local to the call, keyed by the plain values of ``(alpha, src,
@@ -779,8 +780,16 @@ def check_fibrous(
     """
     if truncation < 0:
         raise TreeError(f"check_fibrous needs truncation >= 0, got {truncation}")
-    if max_failures < 1:
-        raise TreeError(f"check_fibrous needs max_failures >= 1, got {max_failures}")
+    for name, value in (
+        ("colorings_per_shape", colorings_per_shape),
+        ("inerts_per_shape", inerts_per_shape),
+        ("betas_per_lift", betas_per_lift),
+        ("arrows_budget", arrows_budget),
+        ("pairs_per_fiber", pairs_per_fiber),
+        ("max_failures", max_failures),
+    ):
+        if value < 1:
+            raise TreeError(f"check_fibrous needs {name} >= 1, got {value}")
     report = FibrousReport()
     for msg in _fibrous_failures(
         pres,

@@ -1,25 +1,33 @@
-"""Graphviz DOT emission for trees and forests.
+"""Output text: Graphviz DOT for trees and forests, and indented JSON.
 
-Conventions: the root hangs at the bottom, interior vertices are dots,
+DOT conventions: the root hangs at the bottom, interior vertices are dots,
 stumps are filled squares, leaves end in open circles, and every edge is
 labeled by its name.  Forests whose edge names all carry level prefixes
 (``ℓi:a``) additionally get one rank per level joined by a dashed level
 axis, so the drawing reads like a level diagram.
+
+:func:`json_text` writes the indented JSON of every command and report.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from json.encoder import encode_basestring
 
 from .treecore import Forest, Tree, as_forest
 
-__all__ = ["to_dot", "gallery_dot"]
+__all__ = ["to_dot", "gallery_dot", "json_text"]
 
 _LEVEL_RE = re.compile(r"^ℓ(\d+):")
 
 
+def _esc(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _q(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + _esc(s) + '"'
 
 
 def _level_of(edge: str) -> int | None:
@@ -27,52 +35,58 @@ def _level_of(edge: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _emit_tree(t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]]) -> None:
-    def upper_id(e: str) -> str:
-        return f"v:{tag}:{e}" if e in t.vertex_above else f"leaf:{tag}:{e}"
-
+def _emit_tree(t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] | None) -> None:
+    """Append the nodes and edges of ``t`` to ``lines``, quoting each edge
+    name once; given ``ranks``, also file each edge's upper node under the
+    level of a level-prefixed edge name."""
+    esc = {e: _esc(e) for e in t.edges}
+    above = t.vertex_above
     for v in t.vertices:
-        nid = f"v:{tag}:{v.out_edge}"
+        nid = f'"v:{tag}:{esc[v.out_edge]}"'
         if v.is_stump:
             lines.append(
-                f"  {_q(nid)} [shape=square, style=filled, fillcolor=black, "
+                f"  {nid} [shape=square, style=filled, fillcolor=black, "
                 'label="", width=0.12, fixedsize=true];'
             )
         else:
-            lines.append(f"  {_q(nid)} [shape=point, width=0.08];")
+            lines.append(f"  {nid} [shape=point, width=0.08];")
     for e in t.leaves:
         lines.append(
-            f"  {_q(f'leaf:{tag}:{e}')} [shape=circle, label=\"\", width=0.12, "
-            "fixedsize=true];"
+            f'  "leaf:{tag}:{esc[e]}" [shape=circle, label="", width=0.12, fixedsize=true];'
         )
-    anchor = f"root:{tag}"
-    lines.append(f"  {_q(anchor)} [shape=none, label=\"\", width=0.01];")
-    for e in t.edges:
-        parent_v = t.parent.get(e)
-        lower = f"v:{tag}:{parent_v}" if parent_v is not None else anchor
-        lines.append(
-            f"  {_q(lower)} -> {_q(upper_id(e))} [label={_q(e)}, arrowhead=none];"
-        )
-        lvl = _level_of(e)
-        if lvl is not None:
-            ranks.setdefault(lvl, []).append(upper_id(e))
+    anchor = f'"root:{tag}"'
+    lines.append(f'  {anchor} [shape=none, label="", width=0.01];')
+    parent = t.parent
+    for e, x in esc.items():
+        kind = "v" if e in above else "leaf"
+        parent_v = parent.get(e)
+        lower = f'"v:{tag}:{esc[parent_v]}"' if parent_v is not None else anchor
+        lines.append(f'  {lower} -> "{kind}:{tag}:{x}" [label="{x}", arrowhead=none];')
+        if ranks is not None:
+            lvl = _level_of(e)
+            if lvl is not None:
+                ranks.setdefault(lvl, []).append(f"{kind}:{tag}:{e}")
 
 
-def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
-    forest = as_forest(scope)
-    lines = [
+def _head(name: str) -> list[str]:
+    return [
         f"digraph {_q(name)} {{",
         "  rankdir=BT;",
         "  node [fontsize=10];",
         "  edge [fontsize=10];",
     ]
-    ranks: dict[int, list[str]] = {}
+
+
+def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
+    forest = as_forest(scope)
+    lines = _head(name)
     leveled = bool(forest.edges) and all(
         _level_of(e) is not None for e in forest.edges
     )
+    ranks: dict[int, list[str]] | None = {} if leveled else None
     for i, t in enumerate(forest.components):
         _emit_tree(t, str(i), lines, ranks)
-    if leveled and ranks:
+    if ranks:
         lo, hi = min(ranks), max(ranks)
         for lvl in range(lo, hi + 1):
             axis = f"lvl:{lvl}"
@@ -90,18 +104,62 @@ def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
 
 def gallery_dot(trees: list[Tree] | tuple[Tree, ...], name: str = "gallery") -> str:
     """Several trees side by side as clusters of one digraph."""
-    lines = [
-        f"digraph {_q(name)} {{",
-        "  rankdir=BT;",
-        "  node [fontsize=10];",
-        "  edge [fontsize=10];",
-    ]
+    lines = _head(name)
     for i, t in enumerate(trees):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="{i}";')
-        sub: list[str] = []
-        _emit_tree(t, str(i), sub, {})
-        lines.extend("  " + ln.strip() for ln in sub)
+        _emit_tree(t, str(i), lines, None)
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def json_text(obj: object) -> str:
+    """``json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True)`` and
+    a newline, byte for byte, written at the speed of the C string encoder
+    (``json`` itself drops to its pure-Python encoder once ``indent`` is
+    set).  Strings, dicts with ``str`` keys, lists and tuples are written
+    here and every other scalar by ``json.dumps``; a value with any other
+    dict key, or one this writer cannot finish (a cycle, say), goes whole
+    through ``json.dumps``, which converts or refuses it as ``json`` does."""
+    out: list[str] = []
+    try:
+        _write_json(obj, "\n", out)
+    except (TypeError, RecursionError):
+        return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(x: object, pad: str, out: list[str]) -> None:
+    """Append the chunks of ``x`` to ``out``; ``pad`` is a newline and the
+    indent of the line ``x`` starts on.  Every item of a container shares
+    one separator string: a fresh one per item stayed alive in ``out``
+    until the join."""
+    if isinstance(x, str):
+        out.append(encode_basestring(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k in sorted(x):
+            # encode_basestring raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring(k) + ": ")
+            _write_json(x[k], inner, out)
+            sep = comma
+        out.append(pad + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(x))

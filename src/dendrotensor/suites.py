@@ -8,7 +8,6 @@ time-dependent, so identical seeds and configs give byte-identical reports.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -40,6 +39,7 @@ from .lurie import (
     segal_cut_check,
 )
 from .omegacat import compose, identity_map, validate
+from .render import json_text
 from .shuffle import (
     assoc_inclusion,
     count_shuffles,
@@ -676,4 +676,4 @@ def run_check(name: str, cfg: SuiteConfig) -> dict[str, Any]:
 
 
 def report_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return json_text(report)

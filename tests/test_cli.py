@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -551,3 +552,44 @@ def test_malformed_json_is_error(capsys):
 
 def test_bad_suite_name_is_usage_error():
     assert main(["check", "nonsense"]) == 2
+
+
+# -- one parser per process ----------------------------------------------------------
+
+# calls in one process whose parses differ: a cap that refuses, then the
+# default cap, usage errors between good calls, `check` with its defaults
+REUSE_SEQUENCE = [
+    ["hom", binary_text(2, "s"), binary_text(5, "t"), "--max-results", "5"],
+    ["hom", binary_text(2, "s"), binary_text(5, "t"), "--format", "text"],
+    ["hom", "e"],
+    ["shuffles", PIN_A, PIN_B, "--format", "dot"],
+    ["check", "nonsense"],
+    ["shuffles", "a0[a1[a2]]", "b0[b1]"],
+    ["check", "shuffles"],
+    ["omega", WORKED_INPUT, "--format", "dot"],
+]
+
+
+def _timeless(err: str) -> str:
+    return re.sub(r"in \d+\.\d+s", "in <t>s", err)
+
+
+def test_one_parser_serves_every_call(capsys):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
+    cli_module._build_parser.cache_clear()
+    codes = []
+    for argv in REUSE_SEQUENCE:
+        got = main(argv)
+        codes.append(got)
+        captured = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+        )
+        assert (got, captured.out, _timeless(captured.err)) == (
+            alone.returncode, alone.stdout, _timeless(alone.stderr)
+        ), argv
+    assert codes == [2, 0, 2, 0, 2, 0, 0, 0]
+    info = cli_module._build_parser.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
