@@ -28,31 +28,21 @@ def random_tree(
     """A rooted tree with between 1 and ``max_edges`` edges; interior growth
     stops at leaves or, with the given probability, at stumps."""
     budget = rng.randint(1, max_edges)
-    used = 0
+    root = f"{prefix}0"
+    used = 1
     vertices: list[Vertex] = []
-
-    def fresh() -> str:
-        nonlocal used
-        used += 1
-        return f"{prefix}{used - 1}"
-
-    def grow(e: str) -> None:
-        if used >= budget:
-            return
+    pending = [root]  # grown in pre-order, each edge's inputs left to right
+    while pending and used < budget:
+        e = pending.pop()
         roll = rng.random()
         if roll < stump_probability:
             vertices.append(Vertex(e, ()))
-            return
-        if roll < stump_probability + 0.25:
-            return
-        k = rng.randint(1, min(3, budget - used))
-        kids = tuple(fresh() for _ in range(k))
-        vertices.append(Vertex(e, kids))
-        for d in kids:
-            grow(d)
-
-    root = fresh()
-    grow(root)
+        elif roll >= stump_probability + 0.25:
+            k = rng.randint(1, min(3, budget - used))
+            kids = tuple(f"{prefix}{used + i}" for i in range(k))
+            used += k
+            vertices.append(Vertex(e, kids))
+            pending += reversed(kids)
     return Tree(root, tuple(vertices))
 
 

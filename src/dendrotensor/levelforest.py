@@ -42,6 +42,16 @@ def edge_name(level: int, element: str) -> str:
     return f"ℓ{level}:{element}"
 
 
+def split_edge_name(edge: str) -> tuple[int, str] | None:
+    """The ``(level, element)`` of an :func:`edge_name`, read up to the first
+    ``:``; ``None`` unless ``edge`` is ``ℓ``, decimal digits, ``:`` and the
+    element."""
+    level, colon, element = edge[1:].partition(":")
+    if edge[:1] == "ℓ" and colon and level.isdecimal():
+        return int(level), element
+    return None
+
+
 @dataclass(frozen=True)
 class FinSimplex:
     """A chain of composable maps between finite sets with a free basepoint.
@@ -225,8 +235,8 @@ def omega_mor(phi: SimplicialOperator, a: FinSimplex) -> OperadMap:
     tgt = omega_obj(a)
 
     def rename(e: str) -> str:
-        lvl, elem = e[1:].split(":", 1)
-        return edge_name(phi(int(lvl)), elem)
+        lvl, elem = split_edge_name(e)
+        return edge_name(phi(lvl), elem)
 
     edge_map = {e: rename(e) for e in src.edges}
     vertex_map = {

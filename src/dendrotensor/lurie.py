@@ -37,11 +37,11 @@ from itertools import combinations_with_replacement, permutations, product
 from random import Random
 from typing import Any
 
-from .levelforest import STAR, FinSimplex, edge_name
+from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
 from .omegacat import Moves, Operation, _component, _cut_interior, _fold_cuts, _operation
 from .omegacat import _tree_moves, is_cut
 from .shuffle import _state_table
-from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, serialize_forest
+from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
 
 __all__ = [
     "FinPtdObj",
@@ -266,15 +266,15 @@ class FiniteOperad(ABC):
 
     def ops_for_inputs(self, inputs: Sequence[str]) -> tuple[tuple[str, Label], ...]:
         """All ``(output color, operation)`` pairs accepting these inputs."""
-        try:
-            index = self._input_index
-        except AttributeError:
-            index = {}
-            for c in self.colors():
-                for key, labels in self.ops_by_output(c):
-                    index.setdefault(key, []).extend((c, p) for p in labels)
-            self._input_index: dict[tuple[str, ...], list[tuple[str, Label]]] = index
-        return tuple(index.get(tuple(sorted(inputs)), ()))
+        return tuple(self._input_index.get(tuple(sorted(inputs)), ()))
+
+    @_cached
+    def _input_index(self) -> dict[tuple[str, ...], list[tuple[str, Label]]]:
+        index: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
+        for c in self.colors():
+            for key, labels in self.ops_by_output(c):
+                index.setdefault(key, []).extend((c, p) for p in labels)
+        return index
 
 
 def _index_by_output(
@@ -293,10 +293,13 @@ class _CutOperad(FiniteOperad):
     with distinct inputs: the trivial cut is the identity and substitution
     is cut union.  A subclass gives its colors, a container of them and
     their moves.  A color's cuts are folded (``omegacat._fold_cuts``) on first
-    demand, through one memo, and listed by inputs, then stably by ``_key``.
-    A listing of one arity ``k`` is folded apart, bounded to the largest
-    arity asked for so far, through a second memo, so it wraps only its own
-    cuts.  Listings are memoized per ``(color, arity)``."""
+    demand through one memo, ``_folds``, whose lists all hold the cuts of at
+    most ``_limit`` inputs.  A listing of one arity ``k`` needs the bound
+    ``k``, a full listing the bound ``inf``; the memo is emptied only when a
+    larger bound than ``_limit`` is asked for, and a color already in it is
+    read without folding.  A full listing is sorted stably by ``_key`` (the
+    fold lists by inputs), an arity slice keeps the fold's order.  Listings
+    are memoized per ``(color, arity)``."""
 
     _key = None
 
@@ -304,9 +307,8 @@ class _CutOperad(FiniteOperad):
         self._colors = colors
         self._known = known
         self._moves_of = moves_of
-        self._cuts: dict[str, list[tuple[str, ...]]] = {}
-        self._limit = 0  # the bound of the folds in _bounded
-        self._bounded: dict[str, list[tuple[str, ...]]] = {}
+        self._limit: float = 0  # the bound of every list in _folds
+        self._folds: dict[str, list[tuple[str, ...]]] = {}
         self._listed: dict[tuple[str, int | None], tuple] = {}  # by (color, arity or None)
         self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
 
@@ -329,14 +331,15 @@ class _CutOperad(FiniteOperad):
         if entries is None:
             if output not in self._known:
                 return self._unknown(output)
+            bound = math.inf if arity is None else arity
+            if bound > self._limit:  # a larger bound serves every smaller one
+                self._limit, self._folds = bound, {}
+            cuts = self._folds.get(output)
+            if cuts is None:
+                cuts = _fold_cuts(output, self._moves_of, self._folds, self._limit)
             if arity is None:
-                cuts = _fold_cuts(output, self._moves_of, self._key, self._cuts)
+                cuts = sorted(cuts, key=self._key)
             else:
-                # within one arity either ``_key`` (None or len) keeps the
-                # order of the inputs, so the bounded fold's order is kept
-                if arity > self._limit:  # a larger bound serves every smaller one
-                    self._limit, self._bounded = arity, {}
-                cuts = _fold_cuts(output, self._moves_of, None, self._bounded, self._limit)
                 cuts = [c for c in cuts if len(c) == arity]
             entries = self._listed[output, arity] = tuple((c, (_operation(output, c),)) for c in cuts)
         return entries
@@ -1063,8 +1066,6 @@ def defect_fixtures() -> tuple[tuple[str, EllPresentation], ...]:
     one way the fibrous checks must detect: a forgotten family over an
     active collapse, forgotten restriction morphisms over inerts, a
     duplicated family, a lossy composition, and a skewed inert lift."""
-    from .treecore import parse_forest
-
     base = parse_forest("{r[a[x],b[]]}")
     return (
         ("drop-active-family", _DropBinaryCollapse(FreeForestOperad(base))),
@@ -1289,8 +1290,6 @@ def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
 def restrict_chain(p: FiniteOperad, ch: Chain, phi) -> Chain:
     """Reindex a chain along a monotone operator by composing its arrows
     (an empty segment contributes the identity)."""
-    from .levelforest import restrict as restrict_simplex
-
     b = restrict_simplex(ch.simplex, phi)
     objs = [ch.objects[phi(j)] for j in range(phi.dom + 1)]
     arrows = []

@@ -23,6 +23,7 @@ set of edges is a cut and lists the edges below it for substitution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -74,25 +75,19 @@ Moves = Callable[[str], Sequence[tuple[str, ...]]]  # each move lists the nodes 
 
 
 def _fold_cuts(
-    node: str,
-    moves_of: Moves,
-    key: Callable | None = None,
-    memo: dict | None = None,
-    limit: int | None = None,
+    node: str, moves_of: Moves, memo: dict | None = None, limit: float = math.inf
 ) -> list[tuple[str, ...]]:
-    """The cuts from ``node`` (sorted input tuples), listed by inputs, then
-    stably by ``key``: the node itself plus, move by move, every union of one
-    cut per node the move reaches (a stump's empty move gives the empty cut).
+    """The cuts from ``node`` of at most ``limit`` inputs, plus ``node``
+    itself, as sorted input tuples listed by inputs: the node itself plus,
+    move by move, every union of one cut per node the move reaches (a
+    stump's empty move gives the empty cut).  The cuts a move unions are
+    disjoint, so a partial union only grows and one past ``limit`` is
+    dropped at once; the default ``inf`` lists every cut.
     Built bottom-up with an explicit stack over an acyclic move graph; only a
     node with two moves can meet a cut twice, so only such nodes deduplicate.
-    ``memo`` keeps every node's cuts, by inputs; without it each list is
-    dropped or extended in place once read, so each node has one reader.
-
-    With a ``limit`` (at least 0), only the node itself and the cuts of at
-    most ``limit`` inputs are listed, in the same order: the cuts a move
-    unions are disjoint, so a partial union only grows, and one past the
-    limit is dropped at once.  A memo then holds bounded lists and must
-    serve this ``limit`` only."""
+    ``memo`` keeps every node's cuts, by inputs, and serves this ``limit``
+    only; without it each list is dropped or extended in place once read, so
+    each node has one reader.  The caller sorts the result as it needs."""
     keep = memo is not None
     tables = memo if keep else {}
     take = tables.__getitem__ if keep else tables.pop
@@ -118,19 +113,13 @@ def _fold_cuts(
                 unions: list[tuple[str, ...]] = [()]
                 for c in move:
                     below = take(c)
-                    if limit is None:
-                        unions = [u + cut for u in unions for cut in below]
-                    else:
-                        unions = [
-                            u + cut for u in unions for cut in below if len(u) + len(cut) <= limit
-                        ]
+                    unions = [u + cut for u in unions for cut in below if len(u) + len(cut) <= limit]
                 cuts += unions if len(move) == 1 else [tuple(sorted(u)) for u in unions]
             cuts = sorted(set(cuts) if len(moves) > 1 else cuts)
         else:
             cuts = [(d,)]
         tables[d] = cuts
-    cuts = tables[node] if keep else tables.pop(node)
-    return sorted(cuts, key=key) if key else cuts
+    return tables[node] if keep else tables.pop(node)
 
 
 def _tree_moves(trees: Iterable[Tree]) -> Moves:
@@ -163,10 +152,12 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
 
     An operation is a cut: ``{e}`` itself, or one cut above each input of
     the vertex above ``e`` taken together; a stump above ``e`` gives the
-    nullary operation.
+    nullary operation.  The cuts are folded without a memo, so each node's
+    list is dropped once read, and the fold's order (by inputs) is sorted
+    stably by size.
     """
     moves = _tree_moves([_component(as_forest(scope), e)])
-    return tuple(_operation(e, c) for c in _fold_cuts(e, moves, len))
+    return tuple(_operation(e, c) for c in sorted(_fold_cuts(e, moves), key=len))
 
 
 def _cut_interior(t: Tree, e: str, members: Collection[str]) -> list[str] | None:

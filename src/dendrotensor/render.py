@@ -12,14 +12,12 @@ axis, so the drawing reads like a level diagram.
 from __future__ import annotations
 
 import json
-import re
 from json.encoder import encode_basestring
 
+from .levelforest import split_edge_name
 from .treecore import Forest, Tree, as_forest
 
 __all__ = ["to_dot", "gallery_dot", "json_text"]
-
-_LEVEL_RE = re.compile(r"^ℓ(\d+):")
 
 
 def _esc(s: str) -> str:
@@ -28,11 +26,6 @@ def _esc(s: str) -> str:
 
 def _q(s: str) -> str:
     return '"' + _esc(s) + '"'
-
-
-def _level_of(edge: str) -> int | None:
-    m = _LEVEL_RE.match(edge)
-    return int(m.group(1)) if m else None
 
 
 def _emit_tree(t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] | None) -> None:
@@ -63,9 +56,9 @@ def _emit_tree(t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] 
         lower = f'"v:{tag}:{esc[parent_v]}"' if parent_v is not None else anchor
         lines.append(f'  {lower} -> "{kind}:{tag}:{x}" [label="{x}", arrowhead=none];')
         if ranks is not None:
-            lvl = _level_of(e)
-            if lvl is not None:
-                ranks.setdefault(lvl, []).append(f"{kind}:{tag}:{e}")
+            level = split_edge_name(e)
+            if level is not None:
+                ranks.setdefault(level[0], []).append(f"{kind}:{tag}:{e}")
 
 
 def _head(name: str) -> list[str]:
@@ -80,9 +73,7 @@ def _head(name: str) -> list[str]:
 def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
     forest = as_forest(scope)
     lines = _head(name)
-    leveled = bool(forest.edges) and all(
-        _level_of(e) is not None for e in forest.edges
-    )
+    leveled = bool(forest.edges) and all(split_edge_name(e) is not None for e in forest.edges)
     ranks: dict[int, list[str]] | None = {} if leveled else None
     for i, t in enumerate(forest.components):
         _emit_tree(t, str(i), lines, ranks)

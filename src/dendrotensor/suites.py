@@ -22,6 +22,7 @@ from .levelforest import (
     omega_obj,
     restrict,
     retract_witness,
+    split_edge_name,
 )
 from .lurie import (
     EllPresentation,
@@ -171,9 +172,10 @@ def _level_rename_iso(padded: Forest, omega: Forest) -> bool:
     exactly — the explicit isomorphism the padding promises."""
     mapping: dict[str, str] = {}
     for e in omega.edges:
-        if ":" not in e:
+        level = split_edge_name(e)
+        if level is None:
             return False
-        mapping[e.split(":", 1)[1]] = e
+        mapping[level[1]] = e
     if set(mapping) != padded.edge_set:
         return False
     renamed = Forest(

@@ -296,6 +296,15 @@ def test_deep_single_factor_shuffle_succeeds(capsys):
     assert capsys.readouterr().out == "count: 1\n" + DEEP_CHAIN + "\n"
 
 
+@pytest.mark.parametrize("suite", ["shuffles", "segal"])
+def test_deep_random_instances_succeed(capsys, suite):
+    # without stumps a 20000-edge budget draws trees thousands of edges deep;
+    # the generator keeps an explicit stack, so the suites see them
+    argv = ["check", suite, "--max-edges", "20000", "--instances", "2", "--stump-probability", "0"]
+    assert main(argv) == 0
+    assert "input nested too deeply" not in capsys.readouterr().err
+
+
 # -- tensor-hom ----------------------------------------------------------------
 
 

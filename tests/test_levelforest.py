@@ -20,6 +20,7 @@ from dendrotensor import (
     validate,
 )
 from dendrotensor._rand import random_fin_simplex, random_forest, random_operator
+from dendrotensor.levelforest import edge_name, split_edge_name
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -195,3 +196,9 @@ def test_padding_only_extends_leaves():
     for e in orig.edges:
         assert e in pad.edge_set
         assert orig.parent.get(e) == pad.parent.get(e)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.text(max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_split_edge_name_inverts_edge_name(level, element):
+    assert split_edge_name(edge_name(level, element)) == (level, element)

@@ -60,7 +60,9 @@ from dendrotensor import shuffle as shuffle_module
 from dendrotensor import suites as suites_module
 from dendrotensor.lurie import EllPresentation, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
-from test_omegacat import binary_text, chain_tree, closure_operations, oracle_cut_table
+from dendrotensor.omegacat import _tree_moves
+from dendrotensor.shuffle import _state_table
+from test_omegacat import binary_text, chain_tree, closure_operations, oracle_cut_table, oracle_fold_cuts
 from test_shuffle import random_factors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -413,6 +415,102 @@ def test_arity_slice_on_tables():
             for k, entries in _arity_slice_oracle(p, c).items():
                 assert p.ops_by_output(c, k) == entries
         assert p.ops_by_output("absent", 1) == ()
+
+
+class OracleCutListing:
+    """The listing of a cut operad before its two fold memos became one: a
+    full listing folds through ``cuts``, sorted by ``key``; a slice folds
+    through ``bounded``, emptied and bounded anew whenever a larger arity
+    than any before is asked for."""
+
+    def __init__(self, colors, moves_of, key):
+        self.colors, self.moves_of, self.key = colors, moves_of, key
+        self.cuts, self.limit, self.bounded, self.listed = {}, 0, {}, {}
+
+    def ops_by_output(self, output, arity=None):
+        entries = self.listed.get((output, arity))
+        if entries is None:
+            if arity is None:
+                cuts = oracle_fold_cuts(output, self.moves_of, self.key, self.cuts)
+            else:
+                if arity > self.limit:
+                    self.limit, self.bounded = arity, {}
+                cuts = oracle_fold_cuts(output, self.moves_of, None, self.bounded, self.limit)
+                cuts = [c for c in cuts if len(c) == arity]
+            entries = tuple((c, (Operation(output, c),)) for c in cuts)
+            self.listed[output, arity] = entries
+        return entries
+
+    def ops(self, inputs, output):
+        return dict(self.ops_by_output(output)).get(tuple(sorted(inputs)), ())
+
+    def ops_for_inputs(self, inputs):
+        return tuple((c, op) for c in self.colors for op in self.ops(inputs, c))
+
+
+def _cut_operad_and_oracle(rng, kind, stump_probability):
+    if kind == "free":
+        forest = random_forest(rng, 9, stump_probability, min_components=1)
+        oracle = OracleCutListing(forest.edges, _tree_moves(forest.components), len)
+        return FreeForestOperad(forest), oracle
+    factors = [random_tree(rng, 4, stump_probability, prefix=q) for q in ("a", "b")]
+    moves = dict(_state_table(factors))
+    return BVTensorOperad(factors), OracleCutListing(tuple(sorted(moves)), moves.__getitem__, None)
+
+
+@given(seeds, st.sampled_from(["free", "tensor"]), st.sampled_from([0.0, 0.3]))
+@settings(max_examples=150, deadline=None)
+def test_cut_listing_equals_two_memo_oracle(seed, kind, stump_probability):
+    # full listings, slices whose arity rises and falls, ops and
+    # ops_for_inputs, interleaved at random on one operad: one fold memo
+    # under one bound gives the entries, in the order, that two memos gave
+    rng = Random(seed)
+    p, oracle = _cut_operad_and_oracle(rng, kind, stump_probability)
+    colors = p.colors()
+    assert colors == oracle.colors
+    for _ in range(40):
+        c = rng.choice(colors)
+        query = rng.randrange(4)
+        if query == 0:
+            assert p.ops_by_output(c) == oracle.ops_by_output(c)
+        elif query == 1:
+            k = rng.randrange(6)
+            assert p.ops_by_output(c, k) == oracle.ops_by_output(c, k)
+        else:
+            inputs = list(rng.choice(oracle.ops_by_output(c))[0])
+            if rng.random() < 0.3:
+                inputs = rng.sample(colors, min(len(colors), rng.randrange(4)))
+            rng.shuffle(inputs)
+            if query == 2:
+                assert p.ops(inputs, c) == oracle.ops(inputs, c)
+            else:
+                assert p.ops_for_inputs(inputs) == oracle.ops_for_inputs(inputs)
+
+
+@pytest.mark.parametrize("kind", ["free", "tensor"])
+def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
+    # every color lies above the root, so one fold of the root puts every
+    # color in the memo: a slice at or below its bound folds nothing more
+    if kind == "free":
+        p, root = FreeForestOperad(parse_tree("r[a[x,y,z[]],b[u,v],c]")), "r"
+    else:
+        p, root = BVTensorOperad([parse_tree("p[x,y]"), parse_tree("q[u[w],v]")]), "(p|q)"
+    fold = lurie_module._fold_cuts
+    calls = []
+    monkeypatch.setattr(lurie_module, "_fold_cuts", lambda *a: calls.append(a[0]) or fold(*a))
+    p.ops_by_output(root, 2)
+    for c in p.colors():
+        for k in (2, 0, 1):
+            p.ops_by_output(c, k)
+    assert calls == [root]
+    p.ops_by_output(root, 3)  # a larger bound empties the memo
+    assert calls == [root, root]
+    p.ops_by_output(root)
+    for c in p.colors():
+        p.ops_by_output(c)
+        for k in (4, 1, 3, 0, 2):
+            p.ops_by_output(c, k)
+    assert calls == [root, root, root]
 
 
 def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from bisect import insort
 from itertools import permutations, product
 from random import Random
@@ -331,9 +332,73 @@ def test_cut_fold_equals_table_oracle(seed, stump_probability):
         rng.shuffle(edges)
         for e in edges:
             want = oracle_cut_table(t, e)
-            assert _fold_cuts(e, moves, len) == want
-            assert _fold_cuts(e, moves, len, memo) == want
+            assert sorted(_fold_cuts(e, moves), key=len) == want
+            assert sorted(_fold_cuts(e, moves, memo), key=len) == want
             assert oracle_cut_table(t, e, oracle_memo) == want
+
+
+def oracle_fold_cuts(node, moves_of, key=None, memo=None, limit=None):
+    """``_fold_cuts`` before it lost its sort ``key`` and its unbounded
+    branch: listed by inputs, then stably by ``key``; ``limit=None`` lists
+    every cut and skips the size check."""
+    keep = memo is not None
+    tables = memo if keep else {}
+    take = tables.__getitem__ if keep else tables.pop
+    stack = [node]
+    while stack:
+        d = stack.pop()
+        if type(d) is str:
+            if d not in tables:
+                stack.append((d, moves := moves_of(d)))
+                for move in moves:
+                    stack += move
+            continue
+        d, moves = d
+        if len(moves) == 1 and len(moves[0]) == 1:
+            cuts = take(moves[0][0])
+            if keep:
+                cuts = cuts.copy()
+            cuts.append((d,))
+            cuts.sort()
+        elif moves:
+            cuts = [(d,)]
+            for move in moves:
+                unions = [()]
+                for c in move:
+                    below = take(c)
+                    if limit is None:
+                        unions = [u + cut for u in unions for cut in below]
+                    else:
+                        unions = [
+                            u + cut for u in unions for cut in below if len(u) + len(cut) <= limit
+                        ]
+                cuts += unions if len(move) == 1 else [tuple(sorted(u)) for u in unions]
+            cuts = sorted(set(cuts) if len(moves) > 1 else cuts)
+        else:
+            cuts = [(d,)]
+        tables[d] = cuts
+    cuts = tables[node] if keep else tables.pop(node)
+    return sorted(cuts, key=key) if key else cuts
+
+
+@given(seeds, st.sampled_from([0.0, 0.2, 0.5]), st.sampled_from([None, 0, 1, 2, 3, 5]))
+@settings(max_examples=100, deadline=None)
+def test_cut_fold_equals_keyed_fold_oracle(seed, stump_probability, limit):
+    # one bound checked on every union, ``inf`` for none, and the caller's
+    # sort give the lists the keyed, two-branch fold gave, memo or not
+    rng = Random(seed)
+    forest = random_forest(rng, 16, stump_probability, min_components=1)
+    bound = math.inf if limit is None else limit
+    for t in forest.components:
+        moves = _tree_moves([t])
+        memo, oracle_memo = {}, {}
+        edges = list(t.edges)
+        rng.shuffle(edges)
+        for e in edges:
+            for key in (None, len):
+                want = oracle_fold_cuts(e, moves, key, oracle_memo, limit)
+                assert sorted(_fold_cuts(e, moves, memo, bound), key=key) == want
+                assert sorted(_fold_cuts(e, moves, None, bound), key=key) == want
 
 
 @given(seeds)

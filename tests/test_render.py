@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dendrotensor import Forest, Tree, Vertex, as_forest, omega_obj, shuffles
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
+from dendrotensor.levelforest import split_edge_name
 from dendrotensor.render import gallery_dot, json_text, to_dot
 from test_shuffle import random_factors
 
@@ -28,6 +29,15 @@ def _oracle_q(s):
 def _oracle_level_of(edge):
     m = _ORACLE_LEVEL_RE.match(edge)
     return int(m.group(1)) if m else None
+
+
+@given(st.text(alphabet="ℓ0123456789٣²:ax", max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_split_edge_name_reads_the_level_the_regex_reads(edge):
+    split = split_edge_name(edge)
+    assert (None if split is None else split[0]) == _oracle_level_of(edge)
+    if split is not None:
+        assert edge.endswith(":" + split[1])
 
 
 def oracle_emit_tree(t, tag, lines, ranks):

@@ -462,8 +462,8 @@ def test_cut_fold_equals_tensor_oracle(seed, k):
     colors = list(moves)
     rng.shuffle(colors)
     for c in colors:
-        for got in (_fold_cuts(c, moves.__getitem__, None, memo),
-                    _fold_cuts(c, moves.__getitem__, None, {})):
+        for got in (_fold_cuts(c, moves.__getitem__, memo),
+                    _fold_cuts(c, moves.__getitem__, {})):
             assert got == sorted(want[c])
 
 

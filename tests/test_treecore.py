@@ -457,3 +457,54 @@ def test_deep_chain_defects_are_found():
     loop = verts[1:] + (Vertex("e5000", ("e1",)), Vertex("e0", ()))
     with pytest.raises(TreeError, match="cycle through edge"):
         Tree("e0", loop)
+
+
+# -- the random tree generator -------------------------------------------------
+
+
+def oracle_random_tree(rng, max_edges, stump_probability=0.2, prefix="e"):
+    """``random_tree`` before its explicit stack: the same draws, grown by
+    recursion in pre-order (so it fails on trees thousands of edges deep)."""
+    budget = rng.randint(1, max_edges)
+    used = 0
+    vertices = []
+
+    def fresh():
+        nonlocal used
+        used += 1
+        return f"{prefix}{used - 1}"
+
+    def grow(e):
+        if used >= budget:
+            return
+        roll = rng.random()
+        if roll < stump_probability:
+            vertices.append(Vertex(e, ()))
+            return
+        if roll < stump_probability + 0.25:
+            return
+        k = rng.randint(1, min(3, budget - used))
+        kids = tuple(fresh() for _ in range(k))
+        vertices.append(Vertex(e, kids))
+        for d in kids:
+            grow(d)
+
+    root = fresh()
+    grow(root)
+    return Tree(root, tuple(vertices))
+
+
+@given(seeds, st.integers(min_value=1, max_value=60), st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_random_tree_equals_recursive_oracle(seed, max_edges, stump_probability):
+    # the same tree, vertex for vertex, and the same draws consumed
+    rng, oracle_rng = Random(seed), Random(seed)
+    t = random_tree(rng, max_edges, stump_probability, prefix="p")
+    want = oracle_random_tree(oracle_rng, max_edges, stump_probability, prefix="p")
+    assert (t.root, t.vertices) == (want.root, want.vertices)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_random_tree_grows_past_the_recursion_limit():
+    t = random_tree(Random(0), 20000, 0.0)
+    assert max(t.depth.values()) == 4917
