@@ -29,7 +29,8 @@ from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_fores
 __all__ = ["main"]
 
 # default cap on the shuffles that ``shuffles`` and ``tensor-hom`` build and
-# on the maps that ``hom`` lists; each is counted before anything is built
+# on the maps that ``hom`` and ``tensor-hom`` list; each is counted before
+# anything is built
 MAX_RESULTS = 1_000_000
 
 
@@ -130,7 +131,7 @@ def cmd_tensor_hom(args: argparse.Namespace) -> int:
     probe = parse_tree(args.probe)
     factors = [parse_tree(t) for t in args.factors]
     _check_shuffle_count(factors, args.max_results)
-    maps = tensor_hom(probe, factors)
+    maps = tensor_hom(probe, factors, cap=args.max_results)
     payload = {
         "count": len(maps),
         "maps": [{**_map_json(m), "witness_shuffle": serialize_tree(m.witness)} for m in maps],
@@ -246,7 +247,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("factors", nargs="+", help="tensor factor trees")
     p_th.add_argument("--format", choices=("json", "text"), default="json")
     p_th.add_argument("--out", default=None)
-    p_th.add_argument("--max-results", type=int, default=MAX_RESULTS, help=max_help)
+    p_th.add_argument(
+        "--max-results", type=int, default=MAX_RESULTS,
+        help="refuse factors with more shuffles, or more maps, than this (default %(default)s)",
+    )
     p_th.set_defaults(func=cmd_tensor_hom)
 
     p_fa = sub.add_parser("free-algebra", help="free-algebra terms over a forest's free operad")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .omegacat import OperadMap, Operation
-from .treecore import Forest, Tree, TreeError, Vertex, as_forest, check_name
+from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, check_name
 
 __all__ = [
     "STAR",
@@ -88,6 +88,11 @@ class FinSimplex:
     @property
     def n(self) -> int:
         return len(self.levels) - 1
+
+    @_cached
+    def edge_names(self) -> tuple[dict[str, str], ...]:
+        """Per level, each element's :func:`edge_name`, built once per chain."""
+        return tuple({x: edge_name(i, x) for x in lev} for i, lev in enumerate(self.levels))
 
     def alpha(self, i: int) -> dict[str, str]:
         """The map out of level ``i-1`` (so ``alpha(1)`` starts the chain)."""
@@ -207,8 +212,13 @@ def omega_obj(a: FinSimplex) -> Forest:
     preim: dict[tuple[int, str], list[str]] = {}
     for i in range(1, n + 1):
         step = a.alpha(i)
-        for x in a.levels[i]:
-            preim[(i, x)] = [b for b in a.levels[i - 1] if step[b] == x]
+        below: dict[str, list[str]] = {x: [] for x in a.levels[i]}
+        for b in a.levels[i - 1]:  # one pass, so each list keeps level order
+            if step[b] != STAR:
+                below[step[b]].append(b)
+        preim.update(((i, x), bs) for x, bs in below.items())
+
+    names = a.edge_names
 
     def build(root_level: int, root_elem: str) -> Tree:
         verts: list[Vertex] = []
@@ -218,11 +228,9 @@ def omega_obj(a: FinSimplex) -> Forest:
             if i == 0:
                 continue
             below = preim[(i, x)]
-            verts.append(
-                Vertex(edge_name(i, x), tuple(edge_name(i - 1, b) for b in below))
-            )
+            verts.append(Vertex(names[i][x], tuple([names[i - 1][b] for b in below])))
             pending.extend((i - 1, b) for b in below)
-        return Tree(edge_name(root_level, root_elem), tuple(verts))
+        return Tree(names[root_level][root_elem], tuple(verts))
 
     return Forest(tuple(build(i, x) for i, x in roots))
 

@@ -98,9 +98,21 @@ class FinPtdObj:
         if STAR in self.elements:
             raise TreeError("'*' is the basepoint, not an element")
 
+    def __hash__(self) -> int:
+        # kept, as FinPtdMor's: objects and maps over this set hash it
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self.elements)
+        return h
+
     @staticmethod
     def skeleton(n: int) -> "FinPtdObj":
-        return FinPtdObj(tuple(range(1, n + 1)))
+        """The skeleton ``<n>``, one shared object per ``n``, so that its hash,
+        positions and pointed set are built once for every user."""
+        sk = _SKELETA.get(n)
+        if sk is None:
+            sk = _SKELETA[n] = FinPtdObj(tuple(range(1, n + 1)))
+        return sk
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -110,6 +122,15 @@ class FinPtdObj:
         """The elements with the basepoint: the values a map into this set
         may take, built once for every map that checks them."""
         return frozenset(self.elements + (STAR,))
+
+    @_cached
+    def position(self) -> dict[Elem, int]:
+        """Each element's index in ``elements``: where an object over this
+        set keeps the element's colour."""
+        return {x: i for i, x in enumerate(self.elements)}
+
+
+_SKELETA: dict[int, FinPtdObj] = {}
 
 
 @dataclass(frozen=True)
@@ -146,10 +167,10 @@ class FinPtdMor:
     @_cached
     def fibers(self) -> dict[Elem, tuple[Elem, ...]]:
         """The fiber of every value hit (``STAR`` included), in source order."""
-        out: dict[Elem, list[Elem]] = {}
+        out: dict[Elem, tuple[Elem, ...]] = {}
         for x, v in zip(self.src.elements, self.values):
-            out.setdefault(v, []).append(x)
-        return {v: tuple(xs) for v, xs in out.items()}
+            out[v] = out[v] + (x,) if v in out else (x,)
+        return out
 
     def fiber(self, j: Elem) -> tuple[Elem, ...]:
         return self.fibers.get(j, ())
@@ -170,11 +191,16 @@ class FinPtdMor:
     def identity(x: FinPtdObj) -> "FinPtdMor":
         return FinPtdMor(x, x, x.elements)
 
+    @_cached
+    def _pointed_mapping(self) -> dict[Elem, Elem]:
+        """``mapping`` with the basepoint sent to itself."""
+        return dict(zip(self.src.elements + (STAR,), self.values + (STAR,)))
+
     def after(self, other: "FinPtdMor") -> "FinPtdMor":
         """Composite ``self ∘ other`` (basepoint absorbing)."""
-        if other.dst != self.src:
+        if other.dst is not self.src and other.dst != self.src:
             raise TreeError("pointed maps do not compose")
-        vals = tuple(STAR if v == STAR else self.mapping[v] for v in other.values)
+        vals = tuple(map(self._pointed_mapping.__getitem__, other.values))
         return FinPtdMor(other.src, self.dst, vals)
 
 
@@ -266,15 +292,15 @@ class FiniteOperad(ABC):
 
     def ops_for_inputs(self, inputs: Sequence[str]) -> tuple[tuple[str, Label], ...]:
         """All ``(output color, operation)`` pairs accepting these inputs."""
-        return tuple(self._input_index.get(tuple(sorted(inputs)), ()))
+        return self._input_index.get(tuple(sorted(inputs)), ())
 
     @_cached
-    def _input_index(self) -> dict[tuple[str, ...], list[tuple[str, Label]]]:
+    def _input_index(self) -> dict[tuple[str, ...], tuple[tuple[str, Label], ...]]:
         index: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
         for c in self.colors():
             for key, labels in self.ops_by_output(c):
                 index.setdefault(key, []).extend((c, p) for p in labels)
-        return index
+        return {key: tuple(pairs) for key, pairs in index.items()}
 
 
 def _index_by_output(
@@ -493,7 +519,7 @@ class EllObject:
         return h
 
     def color_of(self, x: Elem) -> str:
-        return self.colors[self.base.elements.index(x)]
+        return self.colors[self.base.position[x]]
 
 
 @dataclass(frozen=True)
@@ -507,10 +533,13 @@ class EllMorphism:
     components: tuple[tuple[Elem, Label], ...]
 
     def __hash__(self) -> int:
-        # kept, as FinPtdMor's: the fibrous checks hash listings into sets
+        # kept, as FinPtdMor's: the fibrous checks hash listings into sets;
+        # hashed on plain values, which equal morphisms share
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.alpha, self.src, self.dst, self.components))
+            h = self.__dict__["_hash"] = hash(
+                (self.alpha.values, self.src.colors, self.dst.colors, self.components)
+            )
         return h
 
     @_cached
@@ -518,17 +547,17 @@ class EllMorphism:
         return dict(self.components)
 
 
-def _fiber_colors(alpha: FinPtdMor, src: EllObject, j: Elem) -> tuple[str, ...]:
-    return tuple(src.color_of(i) for i in alpha.fiber(j))
-
-
 def _choices(
     p: FiniteOperad, gamma: FinPtdMor, src: EllObject
 ) -> list[list[tuple[Elem, str, Label]]]:
     """For each target element ``k`` of ``gamma``, every ``(k, output color,
     operation)`` choice accepting the colors of ``k``'s fiber in ``src``."""
+    pos, colors, fibers = src.base.position, src.colors, gamma.fibers
     return [
-        [(k, c, lab) for c, lab in p.ops_for_inputs(_fiber_colors(gamma, src, k))]
+        [
+            (k, c, lab)
+            for c, lab in p.ops_for_inputs([colors[pos[i]] for i in fibers.get(k, ())])
+        ]
         for k in gamma.dst.elements
     ]
 
@@ -538,8 +567,8 @@ def _arrow(
 ) -> tuple[EllObject, EllMorphism]:
     """The target and the morphism out of ``src`` over ``gamma`` given by one
     :func:`_choices` entry per target element."""
-    dst = EllObject(gamma.dst, tuple(c for _, c, _ in combo))
-    return dst, EllMorphism(gamma, src, dst, tuple((k, lab) for k, _, lab in combo))
+    dst = EllObject(gamma.dst, tuple([c for _, c, _ in combo]))
+    return dst, EllMorphism(gamma, src, dst, tuple([(k, lab) for k, _, lab in combo]))
 
 
 def ell_hom(
@@ -552,15 +581,16 @@ def ell_hom(
         alpha.dst is not dst.base and alpha.dst != dst.base
     ):
         raise TreeError("objects do not sit over the pointed map")
-    fibers = alpha.fibers
+    pos, colors, fibers = src.base.position, src.colors, alpha.fibers
+    targets = dst.base.elements
     per_elem = []
-    for j, color in zip(dst.base.elements, dst.colors):
-        labels = p.ops(tuple(src.color_of(i) for i in fibers.get(j, ())), color)
+    for j, color in zip(targets, dst.colors):
+        labels = p.ops([colors[pos[i]] for i in fibers.get(j, ())], color)
         if not labels:
             return ()
-        per_elem.append([(j, lab) for lab in labels])
+        per_elem.append(labels)
     return tuple(
-        EllMorphism(alpha, src, dst, tuple(combo)) for combo in product(*per_elem)
+        EllMorphism(alpha, src, dst, tuple(zip(targets, combo))) for combo in product(*per_elem)
     )
 
 
@@ -576,11 +606,12 @@ def ell_identity(p: FiniteOperad, x: EllObject) -> EllMorphism:
 def ell_compose(p: FiniteOperad, g: EllMorphism, f: EllMorphism) -> EllMorphism:
     """The composite ``g`` after ``f``: substitute the components of ``f``
     into each component of ``g`` along the fibers of ``g``'s map."""
-    if f.dst != g.src:
+    if f.dst is not g.src and f.dst != g.src:
         raise TreeError("fiberwise morphisms do not compose")
+    pos, colors, fibers = g.src.base.position, g.src.colors, g.alpha.fibers
     comps = []
     for k in g.dst.base.elements:
-        args = {g.src.color_of(j): f.component[j] for j in g.alpha.fiber(k)}
+        args = {colors[pos[j]]: f.component[j] for j in fibers.get(k, ())}
         comps.append((k, p.subst(g.component[k], args)))
     return EllMorphism(g.alpha.after(f.alpha), f.src, g.dst, tuple(comps))
 
@@ -619,8 +650,14 @@ class EllPresentation:
         operation)`` choice per target element)."""
         if gamma.src != src.base:
             raise TreeError("source object does not sit over the map")
+        return self._admitted(gamma, src, _choices(self.operad, gamma, src))
+
+    def _admitted(
+        self, gamma: FinPtdMor, src: EllObject, choices: list[list[tuple[Elem, str, Label]]]
+    ) -> tuple[tuple[EllObject, EllMorphism], ...]:
+        """The arrows of :meth:`arrows_from`, from its :func:`_choices`."""
         out = []
-        for combo in product(*_choices(self.operad, gamma, src)):
+        for combo in product(*choices):
             dst, mor = _arrow(gamma, src, combo)
             out.extend([(dst, mor)] * self.admit(gamma, src, dst, mor))
         return tuple(out)
@@ -670,8 +707,11 @@ class _PointedMaps(Sequence):
 
     def __init__(self, src: FinPtdObj, dsts: Sequence[FinPtdObj]):
         self.src = src
-        self.blocks = tuple((dst, (len(dst) + 1) ** len(src)) for dst in dsts)
-        self.size = sum(n for _, n in self.blocks)
+        # per target: its size and the values a map may take, STAR last
+        self.blocks = tuple(
+            (dst, (len(dst) + 1) ** len(src), dst.elements + (STAR,)) for dst in dsts
+        )
+        self.size = sum(n for _, n, _ in self.blocks)
 
     def __len__(self) -> int:
         return self.size
@@ -679,16 +719,17 @@ class _PointedMaps(Sequence):
     def __getitem__(self, i: int) -> FinPtdMor:
         if not 0 <= i < self.size:
             raise IndexError("pointed map index out of range")
-        for dst, n in self.blocks:
+        for dst, n, choices in self.blocks:
             if i >= n:
                 i -= n
                 continue
-            choices = dst.elements + (STAR,)
+            base = len(choices)
             values = []
             for _ in self.src.elements:
-                i, digit = divmod(i, len(choices))
+                i, digit = divmod(i, base)
                 values.append(choices[digit])
-            return FinPtdMor(self.src, dst, tuple(reversed(values)))
+            values.reverse()
+            return FinPtdMor(self.src, dst, tuple(values))
 
 
 def _all_inerts(src: FinPtdObj) -> list[FinPtdMor]:
@@ -735,7 +776,7 @@ def _sampled_arrows(
     random selection assembled choice-by-choice."""
     choices = _choices(pres.operad, gamma, src)
     if math.prod(len(opts) for opts in choices) <= budget:
-        return list(pres.arrows_from(gamma, src))
+        return list(pres._admitted(gamma, src, choices))
     return [_arrow(gamma, src, [rng.choice(opts) for opts in choices]) for _ in range(budget)]
 
 
@@ -812,20 +853,6 @@ def check_fibrous(
     return report
 
 
-def _hom_key(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple:
-    """The plain values that make ``(alpha, src, dst)`` equal: hashing and
-    comparing them costs no dataclass method call."""
-    return (
-        alpha.src.elements,
-        alpha.dst.elements,
-        alpha.values,
-        src.base.elements,
-        src.colors,
-        dst.base.elements,
-        dst.colors,
-    )
-
-
 def _fibrous_failures(
     pres: EllPresentation,
     report: FibrousReport,
@@ -844,20 +871,30 @@ def _fibrous_failures(
     listings: dict[tuple, tuple[EllMorphism, ...]] = {}
     members: dict[tuple, frozenset[EllMorphism]] = {}
 
-    def listed(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple[EllMorphism, ...]:
-        key = _hom_key(alpha, src, dst)
+    # the memo's key is the plain values that make (alpha, src, dst) equal,
+    # which hash and compare without a dataclass method call; a caller that
+    # asks for one hom repeatedly passes the key it built once
+    def listed(
+        alpha: FinPtdMor, src: EllObject, dst: EllObject, key: tuple | None = None
+    ) -> tuple[EllMorphism, ...]:
+        if key is None:
+            key = (alpha.src.elements, alpha.dst.elements, alpha.values,
+                   src.base.elements, src.colors, dst.base.elements, dst.colors)
         found = listings.get(key)
         if found is None:
             found = listings[key] = pres.hom(alpha, src, dst)
         return found
 
     def is_listed(
-        alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism
+        alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism,
+        key: tuple | None = None,
     ) -> bool:
-        key = _hom_key(alpha, src, dst)
+        if key is None:
+            key = (alpha.src.elements, alpha.dst.elements, alpha.values,
+                   src.base.elements, src.colors, dst.base.elements, dst.colors)
         found = members.get(key)
         if found is None:
-            found = members[key] = frozenset(listed(alpha, src, dst))
+            found = members[key] = frozenset(listed(alpha, src, dst, key))
         return mor in found
 
     # cocartesian lifts of inerts and their universal property
@@ -954,18 +991,28 @@ def _fibrous_failures(
         rhos = [rho(m, i) for i in tuple_base.elements]
         for c_x in _coloring_pool(colors, rng, m, colorings_per_shape):
             x = EllObject(tuple_base, c_x)
+            x_part = (tuple_base.elements, c_x)
             lifts = [pres.inert_lift(r, x) for r in rhos]
             for ym in range(truncation + 1):
                 y_base = FinPtdObj.skeleton(ym)
                 fs = _PointedMaps(y_base, (tuple_base,))
                 for f in _sample(rng, fs, betas_per_lift):
-                    legs = [r.after(f) for r in rhos]
+                    f_part = (f.src.elements, f.dst.elements, f.values)
+                    # each leg's hom, with the part of its key fixed by f
+                    legs = [
+                        (leg, lift.dst, (leg.src.elements, leg.dst.elements, leg.values),
+                         (lift.dst.base.elements, lift.dst.colors))
+                        for leg, lift in zip((r.after(f) for r in rhos), lifts)
+                    ]
                     for c_y in _coloring_pool(colors, rng, ym, colorings_per_shape):
                         y = EllObject(y_base, c_y)
+                        y_part = (y_base.elements, c_y)
                         report.component_formulas_checked += 1
-                        lhs = listed(f, y, x)
-                        rhs = [(leg, y, lift.dst) for leg, lift in zip(legs, lifts)]
-                        expected = math.prod(len(listed(*key)) for key in rhs)
+                        lhs = listed(f, y, x, f_part + y_part + x_part)
+                        rhs = [(leg, z, head + y_part + tail) for leg, z, head, tail in legs]
+                        expected = 1
+                        for leg, z, key in rhs:
+                            expected *= len(listed(leg, y, z, key))
                         if len(lhs) != expected:
                             yield (
                                 f"componentwise count over f={f.values} into "
@@ -976,9 +1023,9 @@ def _fibrous_failures(
                         ok = True
                         for g in lhs:
                             tup = []
-                            for lift, key in zip(lifts, rhs):
+                            for lift, (leg, z, key) in zip(lifts, rhs):
                                 gi = pres.compose(lift, g)
-                                if not is_listed(*key, gi):
+                                if not is_listed(leg, y, z, gi, key):
                                     ok = False
                                     break
                                 tup.append(gi)
@@ -1114,58 +1161,18 @@ def maps_into(
     arity ``k`` asks ``p`` only for its families of ``k`` inputs
     (``p.ops_by_output(color, k)``).
 
-    Per component, one explicit-stack pass over ``(edge, color)`` keys
-    expands each key into its moves and lists the keys in post-order.  With
-    a ``cap``, each key's sub-maps are counted in that order: the sum over
-    its moves of the labels times the product of the child counts; a
-    product of the per-component counts above ``cap`` raises
-    :class:`TreeError` before any sub-map exists.  Then each key's sub-maps
-    are built in the same order, sharing their children: ``(key, (edge,
-    operation), *child nodes)``, or ``(key, None)`` at a leaf."""
-    forest = as_forest(scope)
-    all_colors = p.colors()
-    passes: list[tuple[str, dict, dict]] = []
-    for t in forest.components:
-        above = t.vertex_above
-        moves: dict[tuple[str, str], list] = {}
-        order: dict[tuple[str, str], None] = {}  # post-order: each key after its children
-        stack = [(t.root, c) for c in all_colors]
-        while stack:
-            key = stack.pop()
-            if key in order:
-                continue
-            if key in moves or key[0] not in above:  # every child is done, or a leaf
-                order[key] = None
-            else:
-                ins = above[key[0]].in_edges
-                k = len(ins)
-                moves[key] = fam_moves = [
-                    (labels, tuple(zip(ins, assignment)))
-                    for fam, labels in p.ops_by_output(key[1], k)
-                    # fam is sorted: with distinct colors permutations come in order, once each
-                    for assignment in (permutations(fam) if len(set(fam)) == k
-                                       else sorted(set(permutations(fam))))
-                ]
-                stack.append(key)
-                stack += [d for _, kids in fam_moves for d in kids if d not in order]
-        passes.append((t.root, moves, order))
+    The keys of each component are listed by :func:`_key_passes`.  With a
+    ``cap``, the maps are counted first (:func:`_map_count`), and a count
+    above ``cap`` raises :class:`TreeError` before any sub-map exists.  Then
+    each key's sub-maps are built in post-order, sharing their children:
+    ``(key, (edge, operation), *child nodes)``, or ``(key, None)`` at a
+    leaf."""
+    passes = _key_passes(scope, p)
     if cap is not None:
-        total = 1
-        for root, moves, order in passes:
-            count: dict[tuple[str, str], int] = {}
-            for key in order:
-                n = 1
-                if key in moves:
-                    n = 0
-                    for labels, kids in moves[key]:
-                        m = len(labels)
-                        for d in kids:
-                            m *= count[d]
-                        n += m
-                count[key] = n
-            total *= sum(count[(root, c)] for c in all_colors)
+        total = _map_count(passes, p)
         if total > cap:
             raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+    all_colors = p.colors()
     per_comp: list[list[tuple]] = []
     for root, moves, order in passes:
         subs: dict[tuple[str, str], list[tuple]] = {}
@@ -1194,6 +1201,63 @@ def maps_into(
             walk += node[2:]
         out.append(ForestInto.build(colors, comps))
     return tuple(out)
+
+
+def _key_passes(scope: Tree | Forest, p: FiniteOperad) -> list[tuple[str, dict, dict]]:
+    """Per component of ``scope``, one explicit-stack pass over ``(edge,
+    color)`` keys: ``(root, moves, order)``, where ``moves`` expands each
+    key above a vertex into its ``(labels, child keys)`` moves and ``order``
+    lists the keys in post-order, each after its children."""
+    all_colors = p.colors()
+    passes: list[tuple[str, dict, dict]] = []
+    for t in as_forest(scope).components:
+        above = t.vertex_above
+        moves: dict[tuple[str, str], list] = {}
+        order: dict[tuple[str, str], None] = {}  # post-order: each key after its children
+        stack = [(t.root, c) for c in all_colors]
+        while stack:
+            key = stack.pop()
+            if key in order:
+                continue
+            if key in moves or key[0] not in above:  # every child is done, or a leaf
+                order[key] = None
+            else:
+                ins = above[key[0]].in_edges
+                k = len(ins)
+                moves[key] = fam_moves = [
+                    (labels, tuple(zip(ins, assignment)))
+                    for fam, labels in p.ops_by_output(key[1], k)
+                    # fam is sorted: with distinct colors permutations come in order, once each
+                    for assignment in (permutations(fam) if len(set(fam)) == k
+                                       else sorted(set(permutations(fam))))
+                ]
+                stack.append(key)
+                stack += [d for _, kids in fam_moves for d in kids if d not in order]
+        passes.append((t.root, moves, order))
+    return passes
+
+
+def _map_count(passes: list[tuple[str, dict, dict]], p: FiniteOperad) -> int:
+    """How many maps :func:`maps_into` lists from these passes, counted
+    without building one: a key's count is the sum over its moves of the
+    labels times the product of the child counts, and the maps are the
+    product over components of the counts at the root."""
+    all_colors = p.colors()
+    total = 1
+    for root, moves, order in passes:
+        count: dict[tuple[str, str], int] = {}
+        for key in order:
+            n = 1
+            if key in moves:
+                n = 0
+                for labels, kids in moves[key]:
+                    m = len(labels)
+                    for d in kids:
+                        m *= count[d]
+                    n += m
+            count[key] = n
+        total *= sum(count[(root, c)] for c in all_colors)
+    return total
 
 
 @dataclass(frozen=True)
@@ -1250,15 +1314,20 @@ def enumerate_chains(
 def chain_to_map(ch: Chain) -> ForestInto:
     """Read a chain as a map out of the free operad of the diagram's forest:
     the level-``i`` element ``a`` colors edge ``ℓi:a``, the arrow component
-    at ``a`` is the operation at vertex ``ℓi:a``."""
+    at ``a`` is the operation at vertex ``ℓi:a``.  Edge names are read from
+    the simplex's table; an element off the simplex's levels is named
+    afresh."""
+    names = ch.simplex.edge_names
     cmap: dict[str, str] = {}
     for i, obj in enumerate(ch.objects):
-        for x in obj.base.elements:
-            cmap[edge_name(i, str(x))] = obj.color_of(x)
+        level = names[i] if i < len(names) else {}
+        for x, c in zip(obj.base.elements, obj.colors):
+            cmap[level.get(x) or edge_name(i, str(x))] = c
     vmap: dict[str, Label] = {}
     for i, mor in enumerate(ch.arrows, start=1):
+        level = names[i] if i < len(names) else {}
         for k, lab in mor.components:
-            vmap[edge_name(i, str(k))] = lab
+            vmap[level.get(k) or edge_name(i, str(k))] = lab
     return ForestInto.build(cmap.items(), vmap.items())
 
 
@@ -1266,10 +1335,9 @@ def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
     """Inverse of :func:`chain_to_map` over the same diagram."""
     xs = _level_objects(a)
     als = _level_maps(a)
+    names = a.edge_names
     objs = [
-        EllObject(
-            xs[i], tuple(m.color[edge_name(i, str(x))] for x in xs[i].elements)
-        )
+        EllObject(xs[i], tuple(m.color[names[i][x]] for x in xs[i].elements))
         for i in range(a.n + 1)
     ]
     arrows = [
@@ -1277,10 +1345,7 @@ def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
             als[i],
             objs[i],
             objs[i + 1],
-            tuple(
-                (k, m.component[edge_name(i + 1, str(k))])
-                for k in xs[i + 1].elements
-            ),
+            tuple((k, m.component[names[i + 1][k]]) for k in xs[i + 1].elements),
         )
         for i in range(a.n)
     ]

@@ -403,18 +403,22 @@ class TensorHom:
     witness: Tree
 
 
-def tensor_hom(probe: Tree, factors: Sequence[Tree]) -> tuple[TensorHom, ...]:
+def tensor_hom(
+    probe: Tree, factors: Sequence[Tree], cap: int | None = None
+) -> tuple[TensorHom, ...]:
     """All maps from the free operad of the tree ``probe`` into the tensor of
     the factors: the maps into :class:`~dendrotensor.lurie.BVTensorOperad`,
     sorted, each of which lands in a shuffle.  A forest probe is refused, as
-    its components may land in different shuffles."""
+    its components may land in different shuffles.  ``cap`` raises
+    :class:`TreeError` when there are more maps than that, before any map
+    or shuffle is built."""
     from .lurie import BVTensorOperad, maps_into
 
     if not isinstance(probe, Tree):
         raise TreeError("tensor_hom takes a tree probe, not a forest")
+    maps = maps_into(probe, BVTensorOperad(factors), cap)
     trees = shuffles(factors)
     out = []
-    maps = maps_into(probe, BVTensorOperad(factors))
     for colors, comps in sorted((m.colors, m.components) for m in maps):
         image = {c for _, c in colors}
         out.append(TensorHom(colors, comps, next(a for a in trees if image <= a.edge_set)))

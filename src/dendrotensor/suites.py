@@ -26,6 +26,8 @@ from .levelforest import (
 )
 from .lurie import (
     EllPresentation,
+    _key_passes,
+    _map_count,
     FreeForestOperad,
     check_fibrous,
     chain_to_map,
@@ -240,6 +242,12 @@ def _tree_with_inner(
     )
 
 
+def _map_total(scope: Tree | Forest, p: FreeForestOperad) -> int:
+    """How many maps ``maps_into(scope, p)`` lists, counted as its ``cap``
+    check counts them, so that sizing a draw builds no map."""
+    return _map_count(_key_passes(scope, p), p)
+
+
 def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     n = _or_default(cfg.instances, 100)
     edges = _or_default(cfg.max_edges, 7)
@@ -251,11 +259,8 @@ def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
         p = FreeForestOperad(g)
         t = _tree_with_inner(rng, edges, cfg.stump_probability, "s", "segal")
         b = rng.choice(sorted(t.inner_edges))
-        lower, upper = cut_at(t, b)
-        try:
-            n_low = len(maps_into(lower, p, cap=20000))
-            n_up = len(maps_into(upper, p, cap=20000))
-        except TreeError:
+        n_low, n_up = (_map_total(part, p) for part in cut_at(t, b))
+        if n_low > 20000 or n_up > 20000:
             return None
         return (g, p, t, b) if n_low * n_up <= 50000 else None
 
@@ -284,9 +289,8 @@ def suite_d3(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
         f = Forest(()) if i == 0 else random_forest(rng, 8, cfg.stump_probability)
         g = random_forest(rng, 6, cfg.stump_probability, min_components=1)
         p = FreeForestOperad(g)
-        try:
-            sizes = [len(maps_into(t, p, cap=20000)) for t in f.components]
-        except TreeError:
+        sizes = [_map_total(t, p) for t in f.components]
+        if any(n > 20000 for n in sizes):
             return None
         return (f, g, p) if math.prod(sizes) <= 20000 else None
 
@@ -345,20 +349,19 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             "simplex": a.to_json(),
         }
         try:
+            # each chain is read as a map once; the checks below reuse it
             image = [chain_to_map(ch) for ch in chains]
+            distinct = set(image)
             ok = (
-                len(set(image)) == len(chains) == len(maps)
-                and set(image) == set(maps)
-                and all(
-                    map_to_chain(p, a, chain_to_map(ch)) == ch
-                    for ch in chains[: min(len(chains), 50)]
-                )
+                len(distinct) == len(chains) == len(maps)
+                and distinct == set(maps)
+                and all(map_to_chain(p, a, m) == ch for ch, m in zip(chains[:50], image))
             )
             phi = random_operator(rng, rng.randint(0, 3), a.n)
             h = omega_mor(phi, a)
             nat_ok = all(
-                chain_to_map(restrict_chain(p, ch, phi)) == precompose(p, chain_to_map(ch), h)
-                for ch in chains[: min(len(chains), 20)]
+                chain_to_map(restrict_chain(p, ch, phi)) == precompose(p, m, h)
+                for ch, m in zip(chains[:20], image)
             )
             witness["phi"] = _operator_json(phi)
         except TreeError as exc:

@@ -244,10 +244,29 @@ def test_oversized_shuffle_enumerations_are_refused(capsys, argv):
     assert "--max-results" in err
 
 
+CHAIN200 = "c0" + "".join(f"[c{i}" for i in range(1, 200)) + "]" * 199
+
+
+def test_tensor_hom_caps_its_maps(capsys, monkeypatch):
+    # 200 shuffles, within the cap, but 60,300 maps: refused as hom refuses,
+    # before any shuffle is built
+    monkeypatch.setattr(shuffle_module, "shuffles", None)
+    assert main(["tensor-hom", "f[g]", CHAIN200, "x[y]", "--max-results", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dendrotensor: error: map enumeration would produce 60300 > cap 1000\n"
+    assert main(["hom", "f[g]", CHAIN200, "--max-results", "10"]) == 2
+    assert capsys.readouterr().err == "dendrotensor: error: map enumeration would produce 20100 > cap 10\n"
+
+
 def test_max_results_admits_exactly_the_count(capsys):
     assert main(["shuffles", "a0[a1[a2]]", "b0[b1]", "--max-results", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "count: 3"
-    assert main(["tensor-hom", "e[f,g]", "p[x,y]", "q", "--max-results", "1"]) == 0
+    # one shuffle and two maps: the cap bounds both, so 2 is the least it admits
+    assert main(["tensor-hom", "e[f,g]", "p[x,y]", "q", "--max-results", "2"]) == 0
+    assert capsys.readouterr().out.startswith('{\n  "count": 2,')
+    assert main(["tensor-hom", "e[f,g]", "p[x,y]", "q", "--max-results", "1"]) == 2
+    assert capsys.readouterr().err == "dendrotensor: error: map enumeration would produce 2 > cap 1\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-4"])

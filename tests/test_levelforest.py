@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from dendrotensor import (
     STAR,
     FinSimplex,
+    Forest,
     SimplicialOperator,
+    Tree,
     TreeError,
+    Vertex,
     compose,
     identity_map,
     omega_mor,
@@ -79,6 +82,45 @@ def test_everything_dies_gives_stumps():
 
 
 # -- simplicial operators ----------------------------------------------------
+
+
+def oracle_omega_obj(a):
+    """``omega_obj`` with its old preimage lists: one scan of the level below
+    for every element."""
+    n = a.n
+    roots = [(n, x) for x in a.levels[n]]
+    for i in range(n):
+        step = a.alpha(i + 1)
+        roots.extend((i, x) for x in a.levels[i] if step[x] == STAR)
+    preim = {}
+    for i in range(1, n + 1):
+        step = a.alpha(i)
+        for x in a.levels[i]:
+            preim[(i, x)] = [b for b in a.levels[i - 1] if step[b] == x]
+
+    def build(root_level, root_elem):
+        verts, pending = [], [(root_level, root_elem)]
+        while pending:
+            i, x = pending.pop()
+            if i == 0:
+                continue
+            below = preim[(i, x)]
+            verts.append(Vertex(edge_name(i, x), tuple(edge_name(i - 1, b) for b in below)))
+            pending.extend((i - 1, b) for b in below)
+        return Tree(edge_name(root_level, root_elem), tuple(verts))
+
+    return Forest(tuple(build(i, x) for i, x in roots))
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_omega_obj_equals_the_per_element_scan(seed):
+    # the same components in the same order as the scan it replaced
+    rng = Random(seed)
+    a = random_fin_simplex(rng, rng.randint(1, 6), rng.randint(0, 4))
+    got = omega_obj(a)
+    assert got == oracle_omega_obj(a)
+    assert omega_obj(a) is not got  # built afresh on every call
 
 
 def test_operator_validation():

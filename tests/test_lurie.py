@@ -58,6 +58,7 @@ from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor import suites as suites_module
+from dendrotensor.levelforest import edge_name
 from dendrotensor.lurie import EllPresentation, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
 from dendrotensor.omegacat import _tree_moves
@@ -922,6 +923,259 @@ def test_ell_hom_oracle_cases_are_covered():
         assert seen[case] >= 5, (case, seen)
 
 
+# -- the fiberwise layer read by position, against the code it replaced -----------
+
+
+def replaced_color_of(obj, x):
+    """``EllObject.color_of`` before objects read colours by position."""
+    return obj.colors[obj.base.elements.index(x)]
+
+
+def replaced_ell_hom(p, alpha, src, dst):
+    """``ell_hom`` before it read fibre colours by position."""
+    if (alpha.src is not src.base and alpha.src != src.base) or (
+        alpha.dst is not dst.base and alpha.dst != dst.base
+    ):
+        raise TreeError("objects do not sit over the pointed map")
+    fibers = alpha.fibers
+    per_elem = []
+    for j, color in zip(dst.base.elements, dst.colors):
+        labels = p.ops(tuple(replaced_color_of(src, i) for i in fibers.get(j, ())), color)
+        if not labels:
+            return ()
+        per_elem.append([(j, lab) for lab in labels])
+    return tuple(
+        EllMorphism(alpha, src, dst, tuple(combo)) for combo in product(*per_elem)
+    )
+
+
+def replaced_after(g, f):
+    """``FinPtdMor.after`` before it mapped through one pointed dict."""
+    if f.dst != g.src:
+        raise TreeError("pointed maps do not compose")
+    return FinPtdMor(f.src, g.dst, tuple(STAR if v == STAR else g.mapping[v] for v in f.values))
+
+
+def replaced_arrows_from(p, gamma, src):
+    """``EllPresentation.arrows_from`` before its choices read by position."""
+    if gamma.src != src.base:
+        raise TreeError("source object does not sit over the map")
+    choices = [
+        [(k, c, lab) for c, lab in p.ops_for_inputs(
+            tuple(replaced_color_of(src, i) for i in gamma.fiber(k)))]
+        for k in gamma.dst.elements
+    ]
+    out = []
+    for combo in product(*choices):
+        dst = EllObject(gamma.dst, tuple(c for _, c, _ in combo))
+        out.append((dst, EllMorphism(gamma, src, dst, tuple((k, lab) for k, _, lab in combo))))
+    return tuple(out)
+
+
+def replaced_chain_to_map(ch):
+    """``chain_to_map`` before it read edge names from the simplex's table."""
+    cmap = {}
+    for i, obj in enumerate(ch.objects):
+        for x in obj.base.elements:
+            cmap[edge_name(i, str(x))] = replaced_color_of(obj, x)
+    vmap = {}
+    for i, mor in enumerate(ch.arrows, start=1):
+        for k, lab in mor.components:
+            vmap[edge_name(i, str(k))] = lab
+    return ForestInto.build(cmap.items(), vmap.items())
+
+
+# elements of bases that are not skeleta: strings, other integers, and "1"
+# beside 1, which name the same edge
+BASE_ELEMENTS = (0, 1, 2, 5, -3, "1", "a", "b", "x1", "ℓ")
+
+
+def _random_base(rng):
+    if rng.random() < 0.3:
+        return FinPtdObj.skeleton(rng.randint(0, 3))
+    return FinPtdObj(tuple(rng.sample(BASE_ELEMENTS, rng.randint(0, 3))))
+
+
+def _random_pointed_map(rng, src, dst):
+    return FinPtdMor(src, dst, tuple(rng.choice(dst.elements + (STAR,)) for _ in src.elements))
+
+
+def test_skeleta_are_shared_and_equal_to_fresh_sets():
+    assert FinPtdObj.skeleton(3) is FinPtdObj.skeleton(3)
+    fresh = FinPtdObj((1, 2, 3))
+    assert fresh is not FinPtdObj.skeleton(3)
+    assert fresh == FinPtdObj.skeleton(3) and hash(fresh) == hash(FinPtdObj.skeleton(3))
+    assert FinPtdObj(("b", 1, "a")).position == {"b": 0, 1: 1, "a": 2}
+    assert rho(3, 2).src is FinPtdObj.skeleton(3) and rho(3, 2).dst is FinPtdObj.skeleton(1)
+
+
+@given(seeds, st.sampled_from(["free", "tensor", "table"]))
+@settings(max_examples=150, deadline=None)
+def test_position_reads_equal_the_replaced_code(seed, kind):
+    # bases that are not skeleta, maps hitting STAR, composites and the
+    # arrows out of an object, on all three realizations
+    rng = Random(seed)
+    p = _random_target(rng, kind)
+    colors = p.colors()
+    pres = EllPresentation(p)
+    for _ in range(8):
+        src_base, mid_base, dst_base = (_random_base(rng) for _ in range(3))
+        alpha = _random_pointed_map(rng, src_base, mid_base)
+        beta = _random_pointed_map(rng, mid_base, dst_base)
+        assert beta.after(alpha) == replaced_after(beta, alpha)
+        if alpha.dst != alpha.src:
+            with pytest.raises(TreeError, match="^pointed maps do not compose$"):
+                alpha.after(alpha)
+        src = EllObject(src_base, tuple(rng.choice(colors) for _ in src_base.elements))
+        assert [src.color_of(x) for x in src_base.elements] == list(src.colors)
+        arrows = pres.arrows_from(alpha, src)
+        assert arrows == replaced_arrows_from(p, alpha, src)
+        if arrows and rng.random() < 0.7:
+            dst, f = rng.choice(arrows)
+        else:
+            dst = EllObject(mid_base, tuple(rng.choice(colors) for _ in mid_base.elements))
+            f = None
+        assert ell_hom(p, alpha, src, dst) == replaced_ell_hom(p, alpha, src, dst)
+        if f is not None and kind != "table":
+            for _, g in pres.arrows_from(beta, dst)[:3]:
+                composite = ell_compose(p, g, f)
+                assert composite.alpha == replaced_after(g.alpha, f.alpha)
+                assert composite in ell_hom(p, composite.alpha, src, g.dst)
+
+
+def test_position_reads_refuse_what_the_replaced_code_refused():
+    p = FreeForestOperad(parse_forest("{r[a,b]}"))
+    two, other = FinPtdObj.skeleton(2), FinPtdObj(("a", "b"))
+    alpha = FinPtdMor(two, FinPtdObj.skeleton(1), (1, STAR))
+    src = EllObject(other, ("a", "b"))
+    dst = EllObject(FinPtdObj.skeleton(1), ("r",))
+    for call in (lambda: ell_hom(p, alpha, src, dst), lambda: replaced_ell_hom(p, alpha, src, dst)):
+        with pytest.raises(TreeError, match="^objects do not sit over the pointed map$"):
+            call()
+    for call in (lambda: EllPresentation(p).arrows_from(alpha, src),
+                 lambda: replaced_arrows_from(p, alpha, src)):
+        with pytest.raises(TreeError, match="^source object does not sit over the map$"):
+            call()
+    back = FinPtdMor(other, two, (2, 1))
+    for call in (lambda: back.after(alpha), lambda: replaced_after(back, alpha)):
+        with pytest.raises(TreeError, match="^pointed maps do not compose$"):
+            call()
+
+
+def _off_level_chain(rng, ch):
+    """The chain over another simplex, or with its objects moved off the
+    simplex's levels: elements given as integers or renamed, or one level
+    more or fewer than the simplex has."""
+    move = rng.randrange(4)
+    if move == 0:
+        return lurie_module.Chain(random_fin_simplex(rng, 3, 3), ch.objects, ch.arrows)
+    if move == 3:
+        objs = ch.objects[:-1] if len(ch.objects) > 1 and rng.random() < 0.5 else ch.objects + ch.objects[-1:]
+        return lurie_module.Chain(ch.simplex, objs, ch.arrows)
+    if move == 1:  # "2" becomes 2, which names the same edge
+        def base(b):
+            return FinPtdObj(tuple(int(x) if x.isdecimal() else x for x in b.elements))
+    else:
+        def base(b):
+            return FinPtdObj(tuple(f"{x}_" for x in b.elements))
+    objs = tuple(EllObject(base(o.base), o.colors) for o in ch.objects)
+    return lurie_module.Chain(ch.simplex, objs, ch.arrows)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_chain_to_map_equals_the_replaced_code(seed):
+    rng = Random(seed)
+    p = FreeForestOperad(random_forest(rng, 4, 0.3, min_components=1))
+    a = random_fin_simplex(rng, 3, 3)
+    try:
+        chains = enumerate_chains(p, a, cap=400)
+    except TreeError:
+        chains = ()
+    for ch in chains[:10]:
+        assert chain_to_map(ch) == replaced_chain_to_map(ch)
+        off = _off_level_chain(rng, ch)
+        assert chain_to_map(off) == replaced_chain_to_map(off)
+
+
+# The sha256 of the ordered (alpha.values, src.colors, dst.colors) of every
+# pres.hom call, and of the (alpha.values, src.colors, dst.colors,
+# components) of both inputs of every pres.compose call, recorded before the
+# fiberwise layer read colours by position: the three clean suite instances
+# at truncation 4 and the five fixtures run to the end at truncation 2,
+# with the suite's seeds.
+CALL_SEQUENCES = {
+    "{t0_0;t1_0}": (
+        "615bb472d038534dd7290728d87638f2abc041ac9b2dfad1254ed810398330a3",
+        "0f08f0f6c2413c4934c96598f8b11c9d752879a875b65dac6b766ec9d6ab6f09",
+    ),
+    "{t0_0;t1_0[t1_1]}": (
+        "c10539e3ae4df83890473dfc7ec34fd399072f141be0554b140c7378e965c882",
+        "6fac923ed961a72af030951afae3d3e6b2b2627bc9f6acd1dcad13e1d0ccaf50",
+    ),
+    "{t0_0;t1_0;t2_0[]}": (
+        "eb1bf3d87ed1b872c892f99da0ef5c5e68b1dd6c8b453cb6d7d8af3865156344",
+        "003492576aaeb25d57e11a91f1985bc08ceb7ad4af5ea3144f4009f066f18853",
+    ),
+    "drop-active-family": (
+        "5442f5b7c059a78e45030e024e45412869851fdc30fcced68c528535cc05f2c4",
+        "790b54022f6b539b3d843681d707a46733964277af719e9909d6166192bddec3",
+    ),
+    "drop-restrictions": (
+        "fd1dcebd81596f5383e02d4e5e527912f3d98bd530add4387f9139d8ee8c7b20",
+        "3c9b23c915204379c4c3b7d27ee149810e18ff35234c2d550c0f1fbb633d019d",
+    ),
+    "duplicate-family": (
+        "9929b326c456704490e5f5615a8886fcaa699b9c3af1f0d531d58c3ebdc0da26",
+        "62221a29057dbc58ff53f754fe43577bfcfe5c9e08243ae24ba4d69f2b6fdc5e",
+    ),
+    "lossy-compose": (
+        "9929b326c456704490e5f5615a8886fcaa699b9c3af1f0d531d58c3ebdc0da26",
+        "ed10aab8bbac7daf0d1ea5b9db160b1cd7aab6ffe6c71046e13ae2e147c9dd24",
+    ),
+    "skew-lift": (
+        "99cd4e2b02bef42420e830c4fbf5e7dab10250c50d50a13ab57ddbccf9487700",
+        "b2929613304982e740ee45b3948420bbcba690de6553e345ca5620a9f5b07230",
+    ),
+}
+
+
+class _RecordingCalls:
+    """Hashes, in order, every hom and composition a presentation is asked
+    for."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.homs, self.composes = hashlib.sha256(), hashlib.sha256()
+
+    def hom(self, alpha, src, dst):
+        self.homs.update(repr((alpha.values, src.colors, dst.colors)).encode())
+        return super().hom(alpha, src, dst)
+
+    def compose(self, g, f):
+        parts = tuple((m.alpha.values, m.src.colors, m.dst.colors, m.components) for m in (g, f))
+        self.composes.update(repr(parts).encode())
+        return super().compose(g, f)
+
+
+def _call_sequence_runs():
+    rng = Random("42:fibrous")
+    for i, text in enumerate(CLEAN_INSTANCES):
+        forest = random_forest(rng, 6, 0.2, min_components=1)
+        assert serialize_forest(forest) == text
+        yield text, EllPresentation(FreeForestOperad(forest)), dict(truncation=4, rng=Random(f"42:fibrous:{i}"))
+    for name, pres in defect_fixtures():
+        yield name, pres, dict(truncation=2, rng=Random(f"42:fixture:{name}"), **EXHAUSTIVE)
+
+
+@pytest.mark.parametrize("name", list(CALL_SEQUENCES))
+def test_hom_and_compose_call_sequences_are_pinned(name):
+    _, pres, kwargs = next(run for run in _call_sequence_runs() if run[0] == name)
+    recording = type("Recording", (_RecordingCalls, type(pres)), {})(pres.operad)
+    check_fibrous(recording, **kwargs)
+    assert (recording.homs.hexdigest(), recording.composes.hexdigest()) == CALL_SEQUENCES[name]
+
+
 # -- nerve ------------------------------------------------------------------------
 
 
@@ -1066,6 +1320,61 @@ def test_maps_into_equals_recursive_oracle(seed, kind):
             assert str(got.value) == str(want.value)
         else:
             assert maps_into(scope, p, cap=cap) == expected
+
+
+@given(seeds, st.sampled_from(["free", "tensor", "table"]))
+@settings(max_examples=150, deadline=None)
+def test_map_count_equals_the_listing(seed, kind):
+    rng = Random(seed)
+    p = _random_target(rng, kind)
+    scope = random_forest(rng, 6, 0.3)
+    passes = lurie_module._key_passes(scope, p)
+    assert lurie_module._map_count(passes, p) == len(maps_into(scope, p))
+
+
+# sha256 of each suite's report at seed 42, as the suite wrote it when it
+# sized its draws by listing the maps under a cap of 20,000
+SEGAL_REPORTS = {
+    "segal": "42b6dbbc46c69ba8cdd7f8eca46bbb6b0e69304682e018e1dea9e389f9d10bcf",
+    "d3": "90873db27b7d3b9d6958212baac3cc9d91f461c822c204ee2882f491312e299e",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SEGAL_REPORTS))
+def test_segal_suites_size_their_draws_without_building_maps(monkeypatch, suite):
+    # each draw is sized by the count alone: maps_into runs only inside the
+    # Segal checks, never with a cap, and the draws are the same
+    calls = []
+    real = lurie_module.maps_into
+
+    def counted(scope, p, cap=None):
+        calls.append(cap)
+        return real(scope, p, cap)
+
+    monkeypatch.setattr(lurie_module, "maps_into", counted)
+    monkeypatch.setattr(suites_module, "maps_into", counted)
+    report = suites_module.run_check(suite, suites_module.SuiteConfig(seed=42))
+    text = suites_module.report_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEGAL_REPORTS[suite]
+    assert calls and set(calls) == {None}
+    if suite == "segal":  # the whole tree and its two parts, once each
+        assert len(calls) == 3 * report["suites"][0]["params"]["instances"]
+
+
+def test_nerve_suite_reads_each_chain_once(monkeypatch):
+    converted = []
+    real = suites_module.chain_to_map
+
+    def to_map(ch):
+        converted.append(ch)  # kept alive, so no two share an id
+        return real(ch)
+
+    cfg = suites_module.SuiteConfig(seed=42, instances=6)
+    expected = suites_module.suite_nerve(cfg)
+    monkeypatch.setattr(suites_module, "chain_to_map", to_map)
+    assert suites_module.suite_nerve(cfg) == expected
+    assert len(converted) > 6 * 20
+    assert len({id(ch) for ch in converted}) == len(converted)
 
 
 def test_maps_into_on_deep_chains():
