@@ -22,7 +22,7 @@ from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
 from .omegacat import OperadMap, hom
 from .render import gallery_dot, json_text, to_dot
-from .shuffle import TensorHom, _shuffle_texts, count_shuffles, shuffles, tensor_hom
+from .shuffle import TensorHom, _count_states, _shuffle_texts, _shuffle_trees, _state_table, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
@@ -101,21 +101,23 @@ def cmd_hom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_shuffle_count(factors: list[Tree], cap: int) -> int:
+def _check_shuffle_count(factors: list[Tree], cap: int) -> tuple[list, int]:
     """Refuse, before building any, factors with more than ``cap`` shuffles;
-    return how many they have."""
+    return their state table and how many shuffles they have."""
     _check_cap(cap)
-    n = count_shuffles(factors)
+    table = _state_table(factors)
+    n = _count_states(table)
     if n > cap:
         raise ValueError(f"the factors have {n} shuffles, more than --max-results {cap}")
-    return n
+    return table, n
 
 
 def cmd_shuffles(args: argparse.Namespace) -> int:
     factors = [parse_tree(t) for t in args.factors]
-    n = _check_shuffle_count(factors, args.max_results)
+    table, n = _check_shuffle_count(factors, args.max_results)
     # json and text print each shuffle's canonical text, folded without trees
-    listing = shuffles(factors) if args.format == "dot" else _shuffle_texts(factors)
+    fold = _shuffle_trees if args.format == "dot" else _shuffle_texts
+    listing = fold(factors, table)
     if len(listing) != n:
         raise ValueError(f"listed {len(listing)} shuffles, but the factors have {n}")
     if args.format == "dot":

@@ -31,9 +31,10 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
+from operator import itemgetter
 from random import Random
 from typing import Any
 
@@ -489,7 +490,8 @@ class BVTensorOperad(_CutOperad):
 
     def __init__(self, factors: Sequence[Tree]):
         self.factors = tuple(factors)
-        moves = dict(_state_table(self.factors))
+        # each state's moves, in the state table's order
+        self._states = moves = dict(_state_table(self.factors))
         super().__init__(tuple(sorted(moves)), moves, moves.__getitem__)
 
     ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
@@ -1128,6 +1130,10 @@ def defect_fixtures() -> tuple[tuple[str, EllPresentation], ...]:
 # ---------------------------------------------------------------------------
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class ForestInto:
     """A map from the free operad of a forest into a finite operad: a color
@@ -1151,6 +1157,42 @@ class ForestInto:
         """The map with these ``(edge, color)`` and ``(edge, operation)`` pairs."""
         return ForestInto(tuple(sorted(colors)), tuple(sorted(components)))
 
+    @staticmethod
+    def _ordered(colors: tuple, components: tuple) -> "ForestInto":
+        """The map with these pair tuples, each already sorted by edge."""
+        m = _new(ForestInto)
+        _set(m, "colors", colors)
+        _set(m, "components", components)
+        return m
+
+
+def _gather(order: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function taking a sequence to the tuple of its items at
+    ``order``, one C-level ``itemgetter`` call for two or more."""
+    if len(order) > 1:
+        return itemgetter(*order)
+    if order:
+        (i,) = order
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
+def _sorting(names: Sequence[str]) -> Callable[[Sequence], tuple]:
+    """The gather putting items named ``names`` (distinct) in name order."""
+    return _gather(sorted(range(len(names)), key=names.__getitem__))
+
+
+def _vertex_outs(scope: Tree | Forest) -> list[str]:
+    """The output edges of the vertices, in the order of a map's
+    ``components``."""
+    return sorted(v.out_edge for t in as_forest(scope).components for v in t.vertices)
+
+
+def _selecting(among: Sequence[str], names: Iterable[str]) -> Callable[[Sequence], tuple]:
+    """The gather reading, from items named ``among``, those named ``names``."""
+    at = {e: i for i, e in enumerate(among)}
+    return _gather([at[e] for e in names])
+
 
 def maps_into(
     scope: Tree | Forest, p: FiniteOperad, cap: int | None = None
@@ -1166,14 +1208,18 @@ def maps_into(
     above ``cap`` raises :class:`TreeError` before any sub-map exists.  Then
     each key's sub-maps are built in post-order, sharing their children:
     ``(key, (edge, operation), *child nodes)``, or ``(key, None)`` at a
-    leaf."""
+    leaf.  Each root sub-map is walked once.  Every walk of one component
+    visits its edges in the same order (a node's children follow its
+    vertex's ``in_edges``), so one permutation, found at the first walk,
+    puts the pairs of each in edge order; the maps out of a forest join one
+    map of each component (:func:`_recombined`)."""
     passes = _key_passes(scope, p)
     if cap is not None:
         total = _map_count(passes, p)
         if total > cap:
             raise TreeError(f"map enumeration would produce {total} > cap {cap}")
     all_colors = p.colors()
-    per_comp: list[list[tuple]] = []
+    parts: list[list[tuple[tuple, tuple]]] = []
     for root, moves, order in passes:
         subs: dict[tuple[str, str], list[tuple]] = {}
         for key in order:
@@ -1189,18 +1235,39 @@ def maps_into(
                     for pair in pairs
                 ]
             subs[key] = nodes
-        per_comp.append([node for c in all_colors for node in subs[(root, c)]])
-    out = []
-    for combo in product(*per_comp):
-        colors, comps, walk = [], [], list(combo)
-        while walk:
-            node = walk.pop()
-            colors.append(node[0])
-            if node[1] is not None:
-                comps.append(node[1])
-            walk += node[2:]
-        out.append(ForestInto.build(colors, comps))
-    return tuple(out)
+        part = []
+        for c in all_colors:
+            for node in subs[(root, c)]:
+                keys, pairs, walk = [], [], [node]
+                while walk:
+                    sub = walk.pop()
+                    keys.append(sub[0])
+                    pairs.append(sub[1])
+                    walk += sub[2:]
+                if not part:  # every walk of this component has this edge order
+                    by_edge = sorted(range(len(keys)), key=lambda i: keys[i][0])
+                    colors_of = _gather(by_edge)
+                    components_of = _gather([i for i in by_edge if pairs[i] is not None])
+                part.append((colors_of(keys), components_of(pairs)))
+        parts.append(part)
+    rows = parts[0] if len(parts) == 1 else _recombined(as_forest(scope).components, parts)
+    ordered = ForestInto._ordered
+    return tuple([ordered(colors, components) for colors, components in rows])
+
+
+def _recombined(
+    components: Sequence[Tree], parts: Sequence[Sequence[tuple[tuple, tuple]]]
+) -> list[tuple[tuple, tuple]]:
+    """The pair tuples of each tuple of maps out of the ``components``, one
+    map of each from ``parts`` in ``product`` order, where each map is given
+    by its pair tuples sorted by edge.  A tuple's pairs are concatenated and
+    put in edge order by one permutation, found once."""
+    rows: list[tuple[tuple, tuple]] = [((), ())]
+    for part in parts:
+        rows = [(c + pc, v + pv) for c, v in rows for pc, pv in part]
+    colors_of = _sorting([e for t in components for e in t.edges])
+    components_of = _sorting([e for t in components for e in _vertex_outs(t)])
+    return [(colors_of(c), components_of(v)) for c, v in rows]
 
 
 def _key_passes(scope: Tree | Forest, p: FiniteOperad) -> list[tuple[str, dict, dict]]:
@@ -1400,51 +1467,50 @@ def precompose(p: FiniteOperad, m: ForestInto, h) -> ForestInto:
 # ---------------------------------------------------------------------------
 
 
-def _restrict_into(m: ForestInto, part: Tree | Forest) -> ForestInto:
-    sub = as_forest(part)
-    outs = [v.out_edge for t in sub.components for v in t.vertices]
-    return ForestInto.build(
-        ((e, m.color[e]) for e in sub.edges), ((e, m.component[e]) for e in outs)
-    )
-
-
 def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
     """Maps out of the free operad of a tree are pairs of maps out of the
     two parts at an inner edge, agreeing on the edge's color.  Returns
-    whether the restriction pairing is a bijection onto such pairs."""
+    whether the restriction pairing is a bijection onto such pairs.
+
+    A map is compared by its pair tuples; the restriction to each part is a
+    fixed selection of the whole's edges and vertices."""
     lower, upper = cut_at(t, b)
     whole = maps_into(t, p)
     lows = maps_into(lower, p)
     ups = maps_into(upper, p)
+    lo_b, up_b = lower.edges.index(b), upper.edges.index(b)
+    ups_at: dict[str, list[tuple]] = {}
+    for up in ups:
+        ups_at.setdefault(up.colors[up_b][1], []).append((up.colors, up.components))
     matched = {
-        (lo, up)
+        (lo.colors, lo.components) + up
         for lo in lows
-        for up in ups
-        if lo.color[b] == up.color[b]
+        for up in ups_at.get(lo.colors[lo_b][1], ())
     }
-    split = [(_restrict_into(m, lower), _restrict_into(m, upper)) for m in whole]
-    return (
-        len(split) == len(set(split)) == len(matched)
-        and set(split) == matched
-    )
+    outs = _vertex_outs(t)
+    lo_colors, up_colors = _selecting(t.edges, lower.edges), _selecting(t.edges, upper.edges)
+    lo_comps, up_comps = _selecting(outs, _vertex_outs(lower)), _selecting(outs, _vertex_outs(upper))
+    split = [
+        (lo_colors(m.colors), lo_comps(m.components), up_colors(m.colors), up_comps(m.components))
+        for m in whole
+    ]
+    distinct = set(split)
+    return len(split) == len(distinct) == len(matched) and distinct == matched
 
 
 def segal_components_check(p: FiniteOperad, f: Tree | Forest) -> bool:
     """Maps out of the free operad of a forest are tuples of maps out of its
-    components (the empty forest admitting exactly the empty map)."""
+    components (the empty forest admitting exactly the empty map).
+
+    Each tuple's concatenated pair tuples are put in edge order by one
+    permutation, found once."""
     forest = as_forest(f)
     whole = maps_into(forest, p)
     parts = [maps_into(t, p) for t in forest.components]
     if len(whole) != math.prod(len(q) for q in parts):
         return False
-    rebuilt = {
-        ForestInto.build(
-            (pair for frag in combo for pair in frag.colors),
-            (pair for frag in combo for pair in frag.components),
-        )
-        for combo in product(*parts)
-    }
-    return rebuilt == set(whole)
+    rebuilt = _recombined(forest.components, [[(m.colors, m.components) for m in q] for q in parts])
+    return set(rebuilt) == {(m.colors, m.components) for m in whole}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .omegacat import OperadMap, Operation, validate
 from .treecore import (
@@ -175,7 +175,17 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
     """
     if len(factors) == 1:
         return (factors[0],)
-    table = _state_table(factors)
+    return _shuffle_trees(factors, _state_table(factors))
+
+
+# the (state, moves) pairs of a state table, in its order; read twice
+_Table = Collection[tuple[str, Sequence[tuple[str, ...]]]]
+
+
+def _shuffle_trees(factors: Sequence[Tree], table: _Table) -> tuple[Tree, ...]:
+    """:func:`shuffles`, folded from the factors' state table."""
+    if len(factors) == 1:
+        return (factors[0],)
     users = Counter(c for _, moves in table for move in moves for c in move)
     lists: dict[str, list[tuple[Vertex, ...]]] = {}
     for state, moves in table:
@@ -190,14 +200,13 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
     return tuple(Tree(state, vs) for vs in lists[state])  # the root comes last
 
 
-def _shuffle_texts(factors: Sequence[Tree]) -> list[str]:
+def _shuffle_texts(factors: Sequence[Tree], table: _Table) -> list[str]:
     """The canonical texts (:func:`serialize_tree`) of :func:`shuffles`, in
-    its order, folded from :func:`_state_table` with no tree built: a leaf
-    state is its name, a move gives ``name[`` and its children's texts, in
-    the sorted order of their names (a vertex's order), then ``]``."""
+    its order, folded from the factors' state table with no tree built: a
+    leaf state is its name, a move gives ``name[`` and its children's texts,
+    in the sorted order of their names (a vertex's order), then ``]``."""
     if len(factors) == 1:
         return [serialize_tree(factors[0])]
-    table = _state_table(factors)
     users = Counter(c for _, moves in table for move in moves for c in move)
     lists: dict[str, list[str]] = {}
     for state, moves in table:
@@ -220,8 +229,13 @@ def count_shuffles(factors: Sequence[Tree]) -> int:
     """How many shuffles the factors admit: :func:`_state_table` folded into
     sums over moves of products of counts, nothing materialized, so cheap
     even when the answer is astronomically large."""
+    return _count_states(_state_table(factors))
+
+
+def _count_states(table: _Table) -> int:
+    """:func:`count_shuffles`, folded from the factors' state table."""
     counts: dict[str, int] = {}
-    for state, moves in _state_table(factors):
+    for state, moves in table:
         counts[state] = sum(prod(counts[c] for c in move) for move in moves) if moves else 1
     return counts[state]  # the root state comes last
 
@@ -416,8 +430,9 @@ def tensor_hom(
 
     if not isinstance(probe, Tree):
         raise TreeError("tensor_hom takes a tree probe, not a forest")
-    maps = maps_into(probe, BVTensorOperad(factors), cap)
-    trees = shuffles(factors)
+    tensor = BVTensorOperad(factors)
+    maps = maps_into(probe, tensor, cap)
+    trees = _shuffle_trees(tensor.factors, tensor._states.items())  # one state table for both
     out = []
     for colors, comps in sorted((m.colors, m.components) for m in maps):
         image = {c for _, c in colors}

@@ -20,6 +20,7 @@ canonical: children are emitted in sorted name order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, NoReturn, Sequence, TypeVar
@@ -72,12 +73,17 @@ class _cached(Generic[_T]):
         return value
 
 
+# a reserved character or whitespace (``\s`` matches exactly the
+# characters for which ``str.isspace`` holds)
+_ILLEGAL = re.compile(r"[\s" + re.escape("".join(sorted(RESERVED_CHARS))) + "]")
+
+
 def check_name(name: str) -> str:
     if not name:
         raise TreeError("edge name must be nonempty")
-    for ch in name:
-        if ch in RESERVED_CHARS or ch.isspace():
-            raise TreeError(f"illegal character {ch!r} in edge name {name!r}")
+    bad = _ILLEGAL.search(name)
+    if bad:
+        raise TreeError(f"illegal character {bad.group()!r} in edge name {name!r}")
     return name
 
 

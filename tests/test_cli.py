@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dendrotensor import cli as cli_module
+from dendrotensor import lurie as lurie_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
 from dendrotensor.suites import SuiteConfig
@@ -201,11 +202,12 @@ def test_shuffles_sorted_child_order_is_pinned(capsys, fmt):
 
 def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
     # json and text are folded from the state table; only dot draws trees
-    def refuse(factors):
+    def refuse(*args):
         raise RuntimeError("shuffles() called")
 
     monkeypatch.setattr(shuffle_module, "shuffles", refuse)
-    monkeypatch.setattr(cli_module, "shuffles", refuse)
+    monkeypatch.setattr(shuffle_module, "_shuffle_trees", refuse)
+    monkeypatch.setattr(cli_module, "_shuffle_trees", refuse)
     for fmt in ("json", "text"):
         assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 0
         out = capsys.readouterr().out.encode("utf-8")
@@ -214,10 +216,37 @@ def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
         main(["shuffles", PIN_A, PIN_B, "--format", "dot"])
 
 
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["shuffles", PIN_A, PIN_B, "--format", "json"], 1),
+        (["shuffles", PIN_A, PIN_B, "--format", "text"], 1),
+        (["shuffles", PIN_A, PIN_B, "--format", "dot"], 1),
+        (["shuffles", PIN_A], 1),
+        # the count's table, then one inside tensor_hom for the tensor
+        # operad and the witnesses
+        (["tensor-hom", "e[f,g]", PIN_A, PIN_B], 2),
+    ],
+)
+def test_state_table_built_once_per_listing(monkeypatch, capsys, argv, tables):
+    built = []
+    real = shuffle_module._state_table
+
+    def counted(factors):
+        built.append(tuple(factors))
+        return real(factors)
+
+    for module in (shuffle_module, cli_module, lurie_module):
+        monkeypatch.setattr(module, "_state_table", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == tables
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_listing_shorter_than_the_count_is_refused(monkeypatch, capsys, fmt):
     real = cli_module._shuffle_texts
-    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda factors: real(factors)[:-1])
+    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda factors, table: real(factors, table)[:-1])
     assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -251,6 +280,7 @@ def test_tensor_hom_caps_its_maps(capsys, monkeypatch):
     # 200 shuffles, within the cap, but 60,300 maps: refused as hom refuses,
     # before any shuffle is built
     monkeypatch.setattr(shuffle_module, "shuffles", None)
+    monkeypatch.setattr(shuffle_module, "_shuffle_trees", None)
     assert main(["tensor-hom", "f[g]", CHAIN200, "x[y]", "--max-results", "1000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -16,6 +16,7 @@ from dendrotensor import (
     FinPtdMor,
     FinPtdObj,
     FinSimplex,
+    Forest,
     ForestInto,
     FreeForestOperad,
     Operation,
@@ -28,6 +29,7 @@ from dendrotensor import (
     chain_to_map,
     check_fibrous,
     classify,
+    cut_at,
     defect_fixtures,
     ell_compose,
     ell_hom,
@@ -1330,6 +1332,258 @@ def test_map_count_equals_the_listing(seed, kind):
     scope = random_forest(rng, 6, 0.3)
     passes = lurie_module._key_passes(scope, p)
     assert lurie_module._map_count(passes, p) == len(maps_into(scope, p))
+
+
+# -- maps_into and the Segal checks against the sort-based assembly -------------
+
+
+def sorted_assembly_maps_into(scope, p):
+    """The assembly the fixed edge order replaced: the same explicit-stack
+    pass over the keys of :func:`lurie._key_passes`, sub-maps as nodes
+    ``(key, (edge, operation), *child nodes)`` or ``(key, None)``, and every
+    map walked and sorted by ``ForestInto.build``."""
+    passes = lurie_module._key_passes(scope, p)
+    all_colors = p.colors()
+    per_comp = []
+    for root, moves, order in passes:
+        subs = {}
+        for key in order:
+            if key not in moves:
+                subs[key] = [(key, None)]
+                continue
+            nodes = []
+            for labels, kids in moves[key]:
+                pairs = [(key[0], lab) for lab in labels]
+                nodes += [
+                    (key, pair) + combo
+                    for combo in product(*[subs[d] for d in kids])
+                    for pair in pairs
+                ]
+            subs[key] = nodes
+        per_comp.append([node for c in all_colors for node in subs[(root, c)]])
+    out = []
+    for combo in product(*per_comp):
+        colors, comps, walk = [], [], list(combo)
+        while walk:
+            node = walk.pop()
+            colors.append(node[0])
+            if node[1] is not None:
+                comps.append(node[1])
+            walk += node[2:]
+        out.append(ForestInto.build(colors, comps))
+    return tuple(out)
+
+
+def _restrict_into_oracle(m, part):
+    sub = as_forest(part)
+    outs = [v.out_edge for t in sub.components for v in t.vertices]
+    return ForestInto.build(
+        ((e, m.color[e]) for e in sub.edges), ((e, m.component[e]) for e in outs)
+    )
+
+
+def oracle_segal_cut_check(p, t, b):
+    """The Segal cut check as it read before: restrictions rebuilt by name
+    and sorted, and every pair of ``lows x ups`` scanned for agreement at
+    ``b``."""
+    lower, upper = cut_at(t, b)
+    whole = lurie_module.maps_into(t, p)
+    lows = lurie_module.maps_into(lower, p)
+    ups = lurie_module.maps_into(upper, p)
+    matched = {(lo, up) for lo in lows for up in ups if lo.color[b] == up.color[b]}
+    split = [(_restrict_into_oracle(m, lower), _restrict_into_oracle(m, upper)) for m in whole]
+    return len(split) == len(set(split)) == len(matched) and set(split) == matched
+
+
+def oracle_segal_components_check(p, f):
+    """The components check as it read before: each tuple of part maps
+    rebuilt and sorted by ``ForestInto.build``."""
+    forest = as_forest(f)
+    whole = lurie_module.maps_into(forest, p)
+    parts = [lurie_module.maps_into(t, p) for t in forest.components]
+    if len(whole) != len(list(product(*parts))):
+        return False
+    rebuilt = {
+        ForestInto.build(
+            (pair for frag in combo for pair in frag.colors),
+            (pair for frag in combo for pair in frag.components),
+        )
+        for combo in product(*parts)
+    }
+    return rebuilt == set(whole)
+
+
+def _scrambled(rng, forest):
+    """The forest with fresh edge names drawn at random, so that the
+    components' edges interleave in name order."""
+    edges = [e for t in forest.components for e in t.edges]
+    fresh = dict(zip(edges, (f"n{i}" for i in rng.sample(range(100, 1000), len(edges)))))
+    return Forest(
+        tuple(
+            Tree(fresh[t.root], tuple(Vertex(fresh[v.out_edge], tuple(fresh[d] for d in v.in_edges)) for v in t.vertices))
+            for t in forest.components
+        )
+    )
+
+
+def _assembly_instance(rng, kind, shape):
+    """A target and a scope of the given shape, drawn again (up to 20
+    times) while the scope has no map into the target."""
+    for _ in range(20):
+        p = _random_target(rng, kind)
+        if shape == "empty":
+            return p, Forest(())
+        if shape == "stumps":
+            scope = random_forest(rng, 6, 0.9, max_components=3, min_components=1)
+        else:
+            k = int(shape)
+            scope = random_forest(rng, 7, 0.3, max_components=k, min_components=k)
+        scope = _scrambled(rng, scope)
+        if maps_into(scope, p):
+            break
+    return p, scope
+
+
+@given(seeds, st.sampled_from(["free", "tensor"]), st.sampled_from(["1", "2", "3", "stumps", "empty"]))
+@settings(max_examples=300, deadline=None)
+def test_maps_into_equals_sorted_assembly(seed, kind, shape):
+    rng = Random(seed)
+    p, scope = _assembly_instance(rng, kind, shape)
+    got = maps_into(scope, p)
+    assert got == sorted_assembly_maps_into(scope, p)
+    for m in got:  # the fields keep their invariant: pairs sorted by edge
+        assert m.colors == tuple(sorted(m.colors))
+        assert m.components == tuple(sorted(m.components))
+        assert [e for e, _ in m.colors] == list(as_forest(scope).edges)
+    if shape == "empty":
+        assert got == (ForestInto((), ()),)
+
+
+def _drop(maps, p):
+    return maps[1:]
+
+
+def _duplicate(maps, p):  # one map in place of another, the length kept
+    return maps[:-1] + maps[:1] if len(maps) > 1 else maps + maps
+
+
+def _swap_color(maps, p):
+    """One colour of the first map replaced by the next colour of ``p``."""
+    if not maps or not maps[0].colors:
+        return maps
+    colors = p.colors()
+    (e, c), *rest = maps[0].colors
+    other = colors[(colors.index(c) + 1) % len(colors)] if c in colors else colors[0]
+    return (ForestInto(((e, other), *rest), maps[0].components),) + maps[1:]
+
+
+PERTURBATIONS = {"drop": _drop, "duplicate": _duplicate, "swap": _swap_color}
+
+
+def _perturbing(monkeypatch, hit, how):
+    """``lurie.maps_into`` with ``how`` applied to its maps of every scope
+    for which ``hit(scope)`` holds."""
+    real = lurie_module.maps_into
+
+    def fake(scope, p, cap=None):
+        maps = real(scope, p, cap)
+        return how(maps, p) if hit(scope) else maps
+
+    monkeypatch.setattr(lurie_module, "maps_into", fake)
+
+
+def _cut_instance(rng, kind):
+    """A target, a tree with an inner edge and that edge, drawn again (up to
+    20 times) while the tree has no map into the target."""
+    for _ in range(20):
+        p = _random_target(rng, kind)
+        t = random_tree(rng, 7, 0.3, prefix="m")
+        while not t.inner_edges:
+            t = random_tree(rng, 7, 0.3, prefix="m")
+        t = _scrambled(rng, Forest((t,))).components[0]
+        if maps_into(t, p):
+            break
+    return p, t, rng.choice(t.inner_edges)
+
+
+@given(
+    seeds,
+    st.sampled_from(["free", "tensor"]),
+    st.sampled_from([None, *PERTURBATIONS]),
+    st.sampled_from(["whole", "lower", "upper"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_segal_cut_check_equals_oracle(seed, kind, perturbation, where):
+    rng = Random(seed)
+    p, t, b = _cut_instance(rng, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        if perturbation:
+            hits = {
+                "whole": lambda s: s is t,
+                "lower": lambda s: s is not t and t.root in s.edge_set,
+                "upper": lambda s: s is not t and s.root == b,
+            }
+            _perturbing(mp, hits[where], PERTURBATIONS[perturbation])
+        got = segal_cut_check(p, t, b)
+        assert got == oracle_segal_cut_check(p, t, b)
+    if perturbation is None:
+        assert got
+
+
+@given(
+    seeds,
+    st.sampled_from(["free", "tensor"]),
+    st.sampled_from(["1", "2", "3", "stumps", "empty"]),
+    st.sampled_from([None, *PERTURBATIONS]),
+    st.sampled_from(["whole", "part"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_segal_components_check_equals_oracle(seed, kind, shape, perturbation, where):
+    rng = Random(seed)
+    p, forest = _assembly_instance(rng, kind, shape)
+    with pytest.MonkeyPatch.context() as mp:
+        if perturbation:
+            first = forest.components[:1]
+            hits = {"whole": lambda s: s is forest, "part": lambda s: any(s is c for c in first)}
+            _perturbing(mp, hits[where], PERTURBATIONS[perturbation])
+        got = segal_components_check(p, forest)
+        assert got == oracle_segal_components_check(p, forest)
+    if perturbation is None:
+        assert got
+
+
+# negative controls: each check returns False once maps_into drops or
+# duplicates one map of the whole, or swaps one colour of one part's map
+CUT_CONTROL = (FreeForestOperad(parse_forest("{r[a[x,y],b[]]}")), parse_tree("m[n[o,p],q[]]"), "n")
+COMPONENTS_CONTROL = (FreeForestOperad(parse_forest("{r[a[x],b[]]}")), parse_forest("{m;n[o]}"))
+
+
+@pytest.mark.parametrize(
+    "perturbation, where", [("drop", "whole"), ("duplicate", "whole"), ("swap", "lower"), ("swap", "upper")]
+)
+def test_segal_cut_check_fails_on_a_broken_listing(monkeypatch, perturbation, where):
+    p, t, b = CUT_CONTROL
+    assert segal_cut_check(p, t, b)
+    lower, upper = cut_at(t, b)
+    hits = {
+        "whole": lambda s: s is t,
+        "lower": lambda s: s == lower,
+        "upper": lambda s: s == upper,
+    }
+    _perturbing(monkeypatch, hits[where], PERTURBATIONS[perturbation])
+    assert not segal_cut_check(p, t, b)
+    assert not oracle_segal_cut_check(p, t, b)
+
+
+@pytest.mark.parametrize("perturbation, where", [("drop", "whole"), ("duplicate", "whole"), ("swap", "part")])
+def test_segal_components_check_fails_on_a_broken_listing(monkeypatch, perturbation, where):
+    p, forest = COMPONENTS_CONTROL
+    assert segal_components_check(p, forest)
+    for comp in forest.components if where == "part" else (forest,):
+        with monkeypatch.context() as mp:
+            _perturbing(mp, lambda s, comp=comp: s is comp, PERTURBATIONS[perturbation])
+            assert not segal_components_check(p, forest)
+            assert not oracle_segal_components_check(p, forest)
 
 
 # sha256 of each suite's report at seed 42, as the suite wrote it when it

@@ -1,3 +1,4 @@
+import sys
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from dendrotensor import (
     serialize_forest,
     serialize_tree,
 )
+from dendrotensor import treecore as treecore_module
 from dendrotensor._rand import random_forest, random_tree
 from dendrotensor.treecore import _Parser
 
@@ -508,3 +510,50 @@ def test_random_tree_equals_recursive_oracle(seed, max_edges, stump_probability)
 def test_random_tree_grows_past_the_recursion_limit():
     t = random_tree(Random(0), 20000, 0.0)
     assert max(t.depth.values()) == 4917
+
+
+# -- edge-name check against the character loop it replaced -------------------
+
+
+def oracle_check_name(name):
+    """The per-character loop :func:`treecore.check_name` replaced."""
+    if not name:
+        raise TreeError("edge name must be nonempty")
+    for ch in name:
+        if ch in treecore_module.RESERVED_CHARS or ch.isspace():
+            raise TreeError(f"illegal character {ch!r} in edge name {name!r}")
+    return name
+
+
+def _verdict(check, name):
+    try:
+        return check(name)
+    except TreeError as exc:
+        return ("error", str(exc))
+
+
+def test_check_name_refuses_exactly_the_oracles_characters():
+    # every code point, alone and after a legal prefix
+    refused = []
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        for name in (ch, "e" + ch):
+            got = _verdict(treecore_module.check_name, name)
+            assert got == _verdict(oracle_check_name, name), (hex(cp), got)
+        if got != "e" + ch:
+            refused.append(ch)
+    assert set("[],;{} \t\n\x0b\x0c\r\x85\xa0　") <= set(refused)
+    assert len(refused) == 6 + sum(ch.isspace() for ch in map(chr, range(sys.maxunicode + 1)))
+
+
+@given(st.text(alphabet=st.sampled_from("ab[],;{} \t 　x\xa0é"), max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_check_name_message_equals_oracle_on_random_names(name):
+    # the first illegal character is the one named, as the loop named it
+    assert _verdict(treecore_module.check_name, name) == _verdict(oracle_check_name, name)
+
+
+@given(st.text(max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_check_name_equals_oracle_on_arbitrary_text(name):
+    assert _verdict(treecore_module.check_name, name) == _verdict(oracle_check_name, name)
