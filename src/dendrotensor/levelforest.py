@@ -309,14 +309,13 @@ def retract_witness(f: Tree | Forest) -> RetractWitness:
     n = max(heights, default=0)
 
     level_of: dict[str, int] = {}
+    by_level: list[list[str]] = [[] for _ in range(n + 1)]  # by component, then by name
     for t, height in zip(padded_comps, heights):
+        depth = t.depth
         for e in t.edges:
-            level_of[e] = height - t.depth[e]
-
-    levels = tuple(
-        tuple(e for t in padded_comps for e in sorted(t.edges) if level_of[e] == i)
-        for i in range(n + 1)
-    )
+            level_of[e] = level = height - depth[e]
+            by_level[level].append(e)
+    levels = tuple(map(tuple, by_level))
     maps = []
     for i in range(n):
         row = []

@@ -39,7 +39,7 @@ from random import Random
 from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
-from .omegacat import Moves, Operation, _component, _cut_interior, _fold_cuts, _operation
+from .omegacat import Operation, _component, _cut_interior, _fold, _fold_cuts, _operation
 from .omegacat import _tree_moves, is_cut
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
@@ -318,22 +318,20 @@ def _index_by_output(
 class _CutOperad(FiniteOperad):
     """A finite operad whose operations are cuts, each an :class:`Operation`
     with distinct inputs: the trivial cut is the identity and substitution
-    is cut union.  A subclass gives its colors, a container of them and
-    their moves.  A color's cuts are folded (``omegacat._fold_cuts``) on first
-    demand through one memo, ``_folds``, whose lists all hold the cuts of at
-    most ``_limit`` inputs.  A listing of one arity ``k`` needs the bound
-    ``k``, a full listing the bound ``inf``; the memo is emptied only when a
-    larger bound than ``_limit`` is asked for, and a color already in it is
-    read without folding.  A full listing is sorted stably by ``_key`` (the
-    fold lists by inputs), an arity slice keeps the fold's order.  Listings
-    are memoized per ``(color, arity)``."""
+    is cut union.  A subclass gives its colors and a container of them, and
+    folds cuts into one memo, ``_folds``, whose lists all hold the cuts of
+    at most ``_limit`` inputs (``_cuts``).  A listing of one arity ``k``
+    needs the bound ``k``, a full listing the bound ``inf``; the memo is
+    emptied only when a larger bound than ``_limit`` is asked for, and a
+    color already in it is read without folding.  A full listing is sorted
+    stably by ``_key`` (the fold lists by inputs), an arity slice keeps the
+    fold's order.  Listings are memoized per ``(color, arity)``."""
 
     _key = None
 
-    def __init__(self, colors: tuple[str, ...], known: Container[str], moves_of: Moves):
+    def __init__(self, colors: tuple[str, ...], known: Container[str]):
         self._colors = colors
         self._known = known
-        self._moves_of = moves_of
         self._limit: float = 0  # the bound of every list in _folds
         self._folds: dict[str, list[tuple[str, ...]]] = {}
         self._listed: dict[tuple[str, int | None], tuple] = {}  # by (color, arity or None)
@@ -344,6 +342,10 @@ class _CutOperad(FiniteOperad):
 
     def _unknown(self, color: str) -> tuple[()]:
         return ()  # the listing of a color this operad lacks
+
+    @abstractmethod
+    def _cuts(self, color: str) -> list[tuple[str, ...]]:
+        """The color's cuts of at most ``_limit`` inputs, from ``_folds``."""
 
     def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
         index = self._by_inputs.get(output)
@@ -361,9 +363,7 @@ class _CutOperad(FiniteOperad):
             bound = math.inf if arity is None else arity
             if bound > self._limit:  # a larger bound serves every smaller one
                 self._limit, self._folds = bound, {}
-            cuts = self._folds.get(output)
-            if cuts is None:
-                cuts = _fold_cuts(output, self._moves_of, self._folds, self._limit)
+            cuts = self._cuts(output)
             if arity is None:
                 cuts = sorted(cuts, key=self._key)
             else:
@@ -401,9 +401,15 @@ class FreeForestOperad(_CutOperad):
 
     def __init__(self, forest: Tree | Forest):
         self.forest = as_forest(forest)
-        super().__init__(self.forest.edges, self.forest.edge_set, _tree_moves(self.forest.components))
+        super().__init__(self.forest.edges, self.forest.edge_set)
+        self._moves_of = _tree_moves(self.forest.components)
 
     ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
+
+    def _cuts(self, color: str) -> list[tuple[str, ...]]:
+        # lazy per color: only the edges above it that the memo lacks are folded
+        cuts = self._folds.get(color)
+        return _fold_cuts(color, self._moves_of, self._folds, self._limit) if cuts is None else cuts
 
     def _unknown(self, color: str) -> tuple[()]:
         raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
@@ -484,17 +490,26 @@ class BVTensorOperad(_CutOperad):
     """The tensor of trees as a finite operad: colors are the tuple edges of
     the shuffles, operations are the cuts of all shuffles with each cut
     appearing once.  Substitution is cut union, under which the family is
-    closed.  Only the shuffle state table is built up front: a color's cuts
-    are folded from its state on demand, without building any shuffle, and
-    listed by sorted inputs; an unknown color lists nothing."""
+    closed.  Only the shuffle state table is built up front, without any
+    shuffle; the first listing under a bound folds the cuts of every state
+    in one loop over the table (``omegacat._fold``), which lists each state
+    after the states its moves reach, so that the table reversed is a
+    stack whose every pop can be folded at once.  A full listing of any one
+    color thus folds every state without a bound.  Entries are listed by
+    sorted inputs; an unknown color lists nothing."""
 
     def __init__(self, factors: Sequence[Tree]):
         self.factors = tuple(factors)
         # each state's moves, in the state table's order
         self._states = moves = dict(_state_table(self.factors))
-        super().__init__(tuple(sorted(moves)), moves, moves.__getitem__)
+        super().__init__(tuple(sorted(moves)), moves)
 
     ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
+
+    def _cuts(self, color: str) -> list[tuple[str, ...]]:
+        if not self._folds:  # emptied by a larger bound, or never filled
+            _fold(list(self._states.items())[::-1], None, self._folds, self._limit)
+        return self._folds[color]
 
 
 # ---------------------------------------------------------------------------
@@ -1203,56 +1218,108 @@ def maps_into(
     arity ``k`` asks ``p`` only for its families of ``k`` inputs
     (``p.ops_by_output(color, k)``).
 
-    The keys of each component are listed by :func:`_key_passes`.  With a
-    ``cap``, the maps are counted first (:func:`_map_count`), and a count
-    above ``cap`` raises :class:`TreeError` before any sub-map exists.  Then
-    each key's sub-maps are built in post-order, sharing their children:
-    ``(key, (edge, operation), *child nodes)``, or ``(key, None)`` at a
-    leaf.  Each root sub-map is walked once.  Every walk of one component
-    visits its edges in the same order (a node's children follow its
-    vertex's ``in_edges``), so one permutation, found at the first walk,
-    puts the pairs of each in edge order; the maps out of a forest join one
-    map of each component (:func:`_recombined`)."""
+    :func:`_key_passes` gives each component's keys with their moves and
+    map counts; with a ``cap``, a count above it raises :class:`TreeError`
+    before any map is listed.  :func:`_odometer` lists each component's
+    maps as pair tuples already in edge order, and the maps out of a forest
+    join one map of each component (:func:`_recombined`)."""
     passes = _key_passes(scope, p)
     if cap is not None:
         total = _map_count(passes, p)
         if total > cap:
             raise TreeError(f"map enumeration would produce {total} > cap {cap}")
     all_colors = p.colors()
-    parts: list[list[tuple[tuple, tuple]]] = []
-    for root, moves, order in passes:
-        subs: dict[tuple[str, str], list[tuple]] = {}
-        for key in order:
-            if key not in moves:
-                subs[key] = [(key, None)]
-                continue
-            nodes: list[tuple] = []
-            for labels, kids in moves[key]:
-                pairs = [(key[0], lab) for lab in labels]
-                nodes += [
-                    (key, pair) + combo
-                    for combo in product(*[subs[d] for d in kids])
-                    for pair in pairs
-                ]
-            subs[key] = nodes
-        part = []
-        for c in all_colors:
-            for node in subs[(root, c)]:
-                keys, pairs, walk = [], [], [node]
-                while walk:
-                    sub = walk.pop()
-                    keys.append(sub[0])
-                    pairs.append(sub[1])
-                    walk += sub[2:]
-                if not part:  # every walk of this component has this edge order
-                    by_edge = sorted(range(len(keys)), key=lambda i: keys[i][0])
-                    colors_of = _gather(by_edge)
-                    components_of = _gather([i for i in by_edge if pairs[i] is not None])
-                part.append((colors_of(keys), components_of(pairs)))
-        parts.append(part)
-    rows = parts[0] if len(parts) == 1 else _recombined(as_forest(scope).components, parts)
+    components = as_forest(scope).components
+    parts = [_odometer(t, moves, count, all_colors) for t, (_, moves, count) in zip(components, passes)]
+    rows = parts[0] if len(parts) == 1 else _recombined(components, parts)
     ordered = ForestInto._ordered
-    return tuple([ordered(colors, components) for colors, components in rows])
+    return tuple([ordered(colors, comps) for colors, comps in rows])
+
+
+def _odometer(
+    t: Tree, moves: dict, count: dict, all_colors: Sequence[str]
+) -> list[tuple[tuple, tuple]]:
+    """The pair tuples of the maps out of ``t``, each in edge order, as
+    :func:`maps_into` lists them: by root color, then as an odometer over
+    the positions of ``t``'s Euler tour, a move on entering a vertex and a
+    label on leaving it, the last position turning fastest.  At every
+    vertex that is move, then ``product`` over the children, then label.
+    A label position is left out where every move has one label, as no
+    turn of it is possible.
+
+    The choice at a position writes into two rows kept in edge order: a
+    move writes its child keys (they are the ``(edge, color)`` pairs) and
+    its first label's ``(edge, operation)`` pair, a label its own pair.  A
+    move also sets the options of the positions it opens: its child
+    vertices' moves and its own labels.  ``live`` holds the positions that
+    can still turn, with their next option, the last on top; turning one
+    resets every later position to its first option.  Every key reached
+    has a count above 0 and keeps only the moves that reach a map
+    (:func:`_key_passes`), so no reset meets a dead end and each turn emits
+    one map."""
+    above = t.vertex_above
+    multi = {e for (e, _), fam_moves in moves.items() for labels, _ in fam_moves if len(labels) > 1}
+    slot = {e: i for i, e in enumerate(t.edges)}  # the edges are sorted
+    vslot = {e: i for i, e in enumerate(sorted(above))}
+    # per position of the tour: the child slots it writes, the (child,
+    # position) pairs and the label position it opens, and the slot and
+    # edge of its (edge, operation) pair
+    slots, opened, labelled, pair_at, edge = [], [], [], [], []
+    stack = [(t.root, 0, 0)] if t.root in above else []  # (edge, position of its parent, child index)
+    while stack:
+        e, up, i = stack.pop()
+        q = len(edge)
+        edge.append(e)
+        pair_at.append(vslot[e])
+        labelled.append(None)
+        if i < 0:  # the label position of the vertex entered at up
+            labelled[up] = q
+            slots.append(())
+            opened.append(())
+            continue
+        if q:
+            opened[up].append((i, q))
+        ins = above[e].in_edges
+        slots.append(tuple([slot[d] for d in ins]))
+        opened.append([])
+        if e in multi:
+            stack.append((e, q, -1))
+        for i in range(len(ins) - 1, -1, -1):
+            if ins[i] in above:
+                stack.append((ins[i], q, i))
+    m = len(edge)
+    colors: list = [None] * len(slot)
+    comps: list = [None] * len(vslot)
+    opts: list = [()] * m
+    root = slot[t.root]
+    rows: list[tuple[tuple, tuple]] = []
+    for c in all_colors:
+        key = (t.root, c)
+        if not count[key]:
+            continue
+        colors[root] = key
+        if not m:  # a bare edge
+            rows.append(((key,), ()))
+            continue
+        opts[0] = moves[key]
+        live = [(0, 0)]
+        while live:
+            q, j = live.pop()
+            for q in range(q, m):
+                o = opts[q]
+                if len(o) > j + 1:
+                    live.append((q, j + 1))
+                labels, kids = o[j]
+                for s, d in zip(slots[q], kids):
+                    colors[s] = d
+                for i, r in opened[q]:
+                    opts[r] = moves[kids[i]]
+                comps[pair_at[q]] = (edge[q], labels[0])
+                if labelled[q] is not None:  # a label position's options, as moves
+                    opts[labelled[q]] = [((lab,), ()) for lab in labels]
+                j = 0
+            rows.append((tuple(colors), tuple(comps)))
+    return rows
 
 
 def _recombined(
@@ -1272,58 +1339,69 @@ def _recombined(
 
 def _key_passes(scope: Tree | Forest, p: FiniteOperad) -> list[tuple[str, dict, dict]]:
     """Per component of ``scope``, one explicit-stack pass over ``(edge,
-    color)`` keys: ``(root, moves, order)``, where ``moves`` expands each
-    key above a vertex into its ``(labels, child keys)`` moves and ``order``
-    lists the keys in post-order, each after its children."""
+    color)`` keys: ``(root, moves, count)``.  ``moves`` expands each key
+    above a vertex into its ``(labels, child keys)`` moves and ``count``
+    gives each key's number of sub-maps, listing the keys in post-order,
+    each after its children.  A key's count is the sum over its moves of
+    the labels times the product of the child counts; once it is known,
+    only the moves of a count above 0 are kept.  A leaf key counts 1 and is
+    done when first seen."""
     all_colors = p.colors()
     passes: list[tuple[str, dict, dict]] = []
     for t in as_forest(scope).components:
         above = t.vertex_above
         moves: dict[tuple[str, str], list] = {}
-        order: dict[tuple[str, str], None] = {}  # post-order: each key after its children
+        count: dict[tuple[str, str], int] = {}  # post-order: each key after its children
         stack = [(t.root, c) for c in all_colors]
+        if t.root not in above:
+            count = dict.fromkeys(stack, 1)
+            stack = []
         while stack:
             key = stack.pop()
-            if key in order:
+            if key in count:
                 continue
-            if key in moves or key[0] not in above:  # every child is done, or a leaf
-                order[key] = None
-            else:
-                ins = above[key[0]].in_edges
-                k = len(ins)
-                moves[key] = fam_moves = [
-                    (labels, tuple(zip(ins, assignment)))
-                    for fam, labels in p.ops_by_output(key[1], k)
-                    # fam is sorted: with distinct colors permutations come in order, once each
-                    for assignment in (permutations(fam) if len(set(fam)) == k
-                                       else sorted(set(permutations(fam))))
-                ]
-                stack.append(key)
-                stack += [d for _, kids in fam_moves for d in kids if d not in order]
-        passes.append((t.root, moves, order))
+            fam_moves = moves.get(key)
+            if fam_moves is not None:  # every child is done
+                n = 0
+                kept = []
+                for move in fam_moves:
+                    m = len(move[0])
+                    for d in move[1]:
+                        m *= count[d]
+                    if m:
+                        n += m
+                        kept.append(move)
+                moves[key] = kept
+                count[key] = n
+                continue
+            ins = above[key[0]].in_edges
+            k = len(ins)
+            moves[key] = fam_moves = [
+                (labels, tuple(zip(ins, assignment)))
+                for fam, labels in p.ops_by_output(key[1], k)
+                # fam is sorted: with distinct colors permutations come in order, once each
+                for assignment in (permutations(fam) if k < 2 or len(set(fam)) == k
+                                   else sorted(set(permutations(fam))))
+            ]
+            stack.append(key)
+            for _, kids in fam_moves:
+                for d in kids:
+                    if d not in count:
+                        if d[0] in above:
+                            stack.append(d)
+                        else:
+                            count[d] = 1
+        passes.append((t.root, moves, count))
     return passes
 
 
 def _map_count(passes: list[tuple[str, dict, dict]], p: FiniteOperad) -> int:
-    """How many maps :func:`maps_into` lists from these passes, counted
-    without building one: a key's count is the sum over its moves of the
-    labels times the product of the child counts, and the maps are the
-    product over components of the counts at the root."""
-    all_colors = p.colors()
+    """How many maps :func:`maps_into` lists from these passes, read from
+    their counts without building one: the product over components of the
+    counts at the root."""
     total = 1
-    for root, moves, order in passes:
-        count: dict[tuple[str, str], int] = {}
-        for key in order:
-            n = 1
-            if key in moves:
-                n = 0
-                for labels, kids in moves[key]:
-                    m = len(labels)
-                    for d in kids:
-                        m *= count[d]
-                    n += m
-            count[key] = n
-        total *= sum(count[(root, c)] for c in all_colors)
+    for root, _, count in passes:
+        total *= sum(count[(root, c)] for c in p.colors())
     return total
 
 

@@ -6,10 +6,12 @@ replacing an edge by the inputs of the vertex above it (a stump contributes
 nothing, so nullary operations appear exactly when stumps can close every
 branch).  Because each edge has at most one vertex above it, an operation is
 determined by its output edge together with its set of input edges.
-One fold, :func:`_fold_cuts`, lists the cuts of tree edges and of shuffle
+One fold, :func:`_fold`, lists the cuts of tree edges and of shuffle
 states alike: a move goes to the inputs of the vertex above, or as the
-shuffle state table says.  Bounded by a number of inputs, it lists only the
-cuts up to that arity, which is all a vertex of that arity can map to.
+shuffle state table says.  It folds from one node on demand
+(:func:`_fold_cuts`) or over a whole table at once.  Bounded by a number of
+inputs, it lists only the cuts up to that arity, which is all a vertex of
+that arity can map to.
 
 A map between such operads is recorded by where the colors go (``edge_map``)
 and where each generating vertex goes (``vertex_map``, an operation of the
@@ -78,25 +80,42 @@ def _fold_cuts(
     node: str, moves_of: Moves, memo: dict | None = None, limit: float = math.inf
 ) -> list[tuple[str, ...]]:
     """The cuts from ``node`` of at most ``limit`` inputs, plus ``node``
-    itself, as sorted input tuples listed by inputs: the node itself plus,
-    move by move, every union of one cut per node the move reaches (a
-    stump's empty move gives the empty cut).  The cuts a move unions are
-    disjoint, so a partial union only grows and one past ``limit`` is
-    dropped at once; the default ``inf`` lists every cut.
-    Built bottom-up with an explicit stack over an acyclic move graph; only a
-    node with two moves can meet a cut twice, so only such nodes deduplicate.
-    ``memo`` keeps every node's cuts, by inputs, and serves this ``limit``
-    only; without it each list is dropped or extended in place once read, so
-    each node has one reader.  The caller sorts the result as it needs."""
+    itself, as :func:`_fold` lists them, folding only the nodes reachable
+    from ``node`` that ``memo`` lacks.  ``memo`` keeps every node's cuts, by
+    inputs, and serves this ``limit`` only; without it each list is dropped
+    or extended in place once read, so each node has one reader.  The
+    caller sorts the result as it needs."""
     keep = memo is not None
     tables = memo if keep else {}
+    _fold([node], moves_of, tables, limit, keep)
+    return tables[node] if keep else tables.pop(node)
+
+
+def _fold(
+    stack: list, moves_of: Moves | None, tables: dict, limit: float = math.inf, keep: bool = True
+) -> None:
+    """Fold into ``tables`` the cuts of the nodes on ``stack``, children
+    first: as sorted input tuples of at most ``limit`` inputs, listed by
+    inputs, the node itself plus, move by move, every union of one cut per
+    node the move reaches (a stump's empty move gives the empty cut).
+
+    An item of ``stack`` is a node, which, unless ``tables`` has it, is put
+    back with its moves (``moves_of``) under the nodes they reach, or a
+    ``(node, moves)`` pair, folded when popped.  So one node gives its fold
+    over an acyclic move graph, and a list of pairs in which each node comes
+    before the nodes its moves reach (a shuffle state table, reversed) folds
+    every node in one loop.  The cuts a move unions are disjoint, so a
+    partial union only grows and one past ``limit`` is dropped at once; the
+    default ``inf`` keeps every cut.  Only a node with two moves can meet a
+    cut twice, so only such nodes deduplicate.  With ``keep`` false each
+    list read is popped or extended in place, for graphs in which every node
+    has one reader."""
     take = tables.__getitem__ if keep else tables.pop
-    stack: list = [node]
     while stack:
         d = stack.pop()
         if type(d) is str:
             if d not in tables:
-                stack.append((d, moves := moves_of(d)))  # built once every node above is
+                stack.append((d, moves := moves_of(d)))  # folded once every node above is
                 for move in moves:
                     stack += move
             continue
@@ -110,6 +129,9 @@ def _fold_cuts(
         elif moves:
             cuts = [(d,)]
             for move in moves:
+                if len(move) == 1 and limit >= 1:  # each of the child's cuts is within the limit
+                    cuts += take(move[0])
+                    continue
                 unions: list[tuple[str, ...]] = [()]
                 for c in move:
                     below = take(c)
@@ -119,7 +141,6 @@ def _fold_cuts(
         else:
             cuts = [(d,)]
         tables[d] = cuts
-    return tables[node] if keep else tables.pop(node)
 
 
 def _tree_moves(trees: Iterable[Tree]) -> Moves:

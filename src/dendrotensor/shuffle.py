@@ -10,7 +10,8 @@ closing discipline for which the maximal edges of every shuffle are exactly
 the tuples of factor-maximal edges.  The reachable tuples and their moves
 are listed once, by one walk without recursion, and that table is folded
 into the shuffles, their texts or their count; the tensor operad folds it
-into cuts a color at a time, as a tree's cuts are (``omegacat._fold_cuts``).
+into cuts, every state in one loop, by the fold that lists a tree's cuts
+(``omegacat._fold``).
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner

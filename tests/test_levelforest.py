@@ -229,6 +229,30 @@ def test_retract_witness_random(seed):
     assert _strip(w.omega).canonical_key() == w.padded.canonical_key()
 
 
+def oracle_retract_levels(f, padded):
+    """The levels of a retract witness as they were listed before one pass
+    bucketed them: each component's height from the unpadded forest, and
+    every padded edge filtered once per level."""
+    heights = []
+    for t in f.components:
+        h_leaf = max((t.depth[e] for e in t.leaves), default=0)
+        h_stump = max((t.depth[s] + 1 for s in t.stump_edges), default=0)
+        heights.append(max(h_leaf, h_stump))
+    level_of = {e: h - t.depth[e] for t, h in zip(padded.components, heights) for e in t.edges}
+    return tuple(
+        tuple(e for t in padded.components for e in sorted(t.edges) if level_of[e] == i)
+        for i in range(max(heights, default=0) + 1)
+    )
+
+
+@given(seeds, st.sampled_from([0.0, 0.3]))
+@settings(max_examples=100, deadline=None)
+def test_retract_levels_equal_per_level_filter(seed, stump_probability):
+    f = random_forest(Random(seed), 12, stump_probability)
+    w = retract_witness(f)
+    assert w.simplex.levels == oracle_retract_levels(f, w.padded)
+
+
 def test_padding_only_extends_leaves():
     f = parse_forest("{r[a,b[x]]}")
     w = retract_witness(f)

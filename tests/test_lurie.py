@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from collections import Counter
 from itertools import permutations, product
@@ -493,7 +494,9 @@ def test_cut_listing_equals_two_memo_oracle(seed, kind, stump_probability):
 @pytest.mark.parametrize("kind", ["free", "tensor"])
 def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
     # every color lies above the root, so one fold of the root puts every
-    # color in the memo: a slice at or below its bound folds nothing more
+    # color in the memo: a slice at or below its bound folds nothing more.
+    # A tensor instead folds its whole state table in one loop, once per
+    # bound (each such fold is recorded as the root's, with its limit)
     if kind == "free":
         p, root = FreeForestOperad(parse_tree("r[a[x,y,z[]],b[u,v],c]")), "r"
     else:
@@ -501,7 +504,10 @@ def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
     fold = lurie_module._fold_cuts
     calls = []
     monkeypatch.setattr(lurie_module, "_fold_cuts", lambda *a: calls.append(a[0]) or fold(*a))
+    table_fold, limits = lurie_module._fold, []
+    monkeypatch.setattr(lurie_module, "_fold", lambda *a: calls.append(root) or limits.append(a[3]) or table_fold(*a))
     p.ops_by_output(root, 2)
+    assert kind == "free" or set(p._folds) == set(p.colors())
     for c in p.colors():
         for k in (2, 0, 1):
             p.ops_by_output(c, k)
@@ -514,6 +520,7 @@ def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
         for k in (4, 1, 3, 0, 2):
             p.ops_by_output(c, k)
     assert calls == [root, root, root]
+    assert limits == ([] if kind == "free" else [2, 3, math.inf])
 
 
 def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):
@@ -532,8 +539,8 @@ def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):
 
 
 def test_maps_into_counts_before_building(monkeypatch):
-    # over the cap, maps_into must refuse from its counts alone: no sub-map
-    # is built, so the product that builds them is never called
+    # over the cap, maps_into must refuse from its counts alone: no map is
+    # listed, so neither the odometer nor a product is ever called
     def refuse(*args, **kwargs):
         raise AssertionError("built")
 
@@ -541,6 +548,7 @@ def test_maps_into_counts_before_building(monkeypatch):
     p = FreeForestOperad(parse_tree("r[x[p,q],y[z]]"))
     n = len(maps_into(scope, p))
     monkeypatch.setattr(lurie_module, "product", refuse)
+    monkeypatch.setattr(lurie_module, "_odometer", refuse)
     with pytest.raises(TreeError, match=f"would produce {n} > cap {n - 1}"):
         maps_into(scope, p, cap=n - 1)
 
@@ -1459,6 +1467,175 @@ def test_maps_into_equals_sorted_assembly(seed, kind, shape):
         assert got == (ForestInto((), ()),)
 
 
+# -- maps_into against the node-and-walk assembly ------------------------------
+
+
+def node_walk_key_passes(scope, p):
+    """The key pass before it counted: per component ``(root, moves,
+    order)``, every move kept and every key, leaves too, pushed and popped
+    on one explicit stack; ``order`` lists the keys in post-order."""
+    all_colors = p.colors()
+    passes = []
+    for t in as_forest(scope).components:
+        above = t.vertex_above
+        moves, order = {}, {}
+        stack = [(t.root, c) for c in all_colors]
+        while stack:
+            key = stack.pop()
+            if key in order:
+                continue
+            if key in moves or key[0] not in above:
+                order[key] = None
+            else:
+                ins = above[key[0]].in_edges
+                k = len(ins)
+                moves[key] = fam_moves = [
+                    (labels, tuple(zip(ins, assignment)))
+                    for fam, labels in p.ops_by_output(key[1], k)
+                    for assignment in (permutations(fam) if len(set(fam)) == k
+                                       else sorted(set(permutations(fam))))
+                ]
+                stack.append(key)
+                stack += [d for _, kids in fam_moves for d in kids if d not in order]
+        passes.append((t.root, moves, order))
+    return passes
+
+
+def node_walk_maps_into(scope, p, cap=None):
+    """``maps_into`` before the odometer: a second loop counts the maps for
+    the cap; each key's sub-maps are nodes ``(key, (edge, operation),
+    *child nodes)`` or ``(key, None)`` built in post-order with ``product``
+    over the children and the label innermost, and each root node is walked
+    once and put in edge order by one gather per component."""
+    passes = node_walk_key_passes(scope, p)
+    all_colors = p.colors()
+    if cap is not None:
+        total = 1
+        for root, moves, order in passes:
+            count = {}
+            for key in order:
+                n = 1
+                if key in moves:
+                    n = sum(len(labels) * math.prod(count[d] for d in kids) for labels, kids in moves[key])
+                count[key] = n
+            total *= sum(count[(root, c)] for c in all_colors)
+        if total > cap:
+            raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+    parts = []
+    for root, moves, order in passes:
+        subs = {}
+        for key in order:
+            if key not in moves:
+                subs[key] = [(key, None)]
+                continue
+            nodes = []
+            for labels, kids in moves[key]:
+                pairs = [(key[0], lab) for lab in labels]
+                nodes += [(key, pair) + combo for combo in product(*[subs[d] for d in kids]) for pair in pairs]
+            subs[key] = nodes
+        part = []
+        for c in all_colors:
+            for node in subs[(root, c)]:
+                keys, pairs, walk = [], [], [node]
+                while walk:
+                    sub = walk.pop()
+                    keys.append(sub[0])
+                    pairs.append(sub[1])
+                    walk += sub[2:]
+                by_edge = sorted(range(len(keys)), key=lambda i: keys[i][0])
+                part.append((tuple(keys[i] for i in by_edge), tuple(pairs[i] for i in by_edge if pairs[i] is not None)))
+        parts.append(part)
+    components = as_forest(scope).components
+    rows = parts[0] if len(parts) == 1 else lurie_module._recombined(components, parts)
+    return tuple(ForestInto(colors, comps) for colors, comps in rows)
+
+
+def multi_label_table_operad(rng):
+    """Up to three colors and eight entries of 0-3 inputs, colors repeating
+    within a family, each entry with two or three labels: the only targets
+    where the label order shows."""
+    colors = ["a", "b", "c"][: rng.randint(1, 3)]
+    entries = [
+        {
+            "inputs": [rng.choice(colors) for _ in range(rng.randint(0, 3))],
+            "output": rng.choice(colors),
+            "elements": [f"m{i}" for i in rng.sample(range(5), rng.randint(2, 3))],
+        }
+        for _ in range(rng.randint(1, 8))
+    ]
+    return TableOperad.from_json({"colors": colors, "operations": entries})
+
+
+def _odometer_instance(rng, kind, shape):
+    draw = multi_label_table_operad if kind == "table" else lambda rng: _random_target(rng, kind)
+    p = draw(rng)
+    if shape == "empty":
+        return p, Forest(())
+    if shape == "stumps":
+        scope = random_forest(rng, 6, 0.9, max_components=3, min_components=1)
+    elif shape == "binary":  # sibling vertices, so the children's order shows
+        scope = Forest((parse_tree("r[x[x1],y[y1]]"),))
+        for _ in range(20):  # a target it maps into, if one is drawn
+            if maps_into(scope, p):
+                break
+            p = draw(rng)
+    elif shape == "bare":  # bare-edge components beside trees
+        trees = random_forest(rng, 5, 0.3, max_components=2, min_components=1).components
+        scope = Forest(trees + tuple(Tree(f"z{i}", ()) for i in range(rng.randint(1, 2))))
+    else:
+        k = int(shape)
+        scope = random_forest(rng, 7, 0.3, max_components=k, min_components=k)
+    return p, _scrambled(rng, scope)
+
+
+@given(
+    seeds,
+    st.sampled_from(["free", "tensor", "table"]),
+    st.sampled_from(["1", "2", "3", "stumps", "bare", "binary", "empty"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_maps_into_equals_node_walk_assembly(seed, kind, shape):
+    # the same maps in the same order as the nodes and walks the odometer
+    # replaced, and the same refusal at caps n - 1 and n
+    rng = Random(seed)
+    p, scope = _odometer_instance(rng, kind, shape)
+    want = node_walk_maps_into(scope, p)
+    got = maps_into(scope, p)
+    assert got == want
+    assert [(m.colors, m.components) for m in got] == [(m.colors, m.components) for m in want]
+    n = len(want)
+    assert lurie_module._map_count(lurie_module._key_passes(scope, p), p) == n
+    if n:
+        with pytest.raises(TreeError) as raised:
+            maps_into(scope, p, cap=n - 1)
+        with pytest.raises(TreeError) as expected:
+            node_walk_maps_into(scope, p, cap=n - 1)
+        assert str(raised.value) == str(expected.value)
+    assert maps_into(scope, p, cap=n) == want
+
+
+def test_odometer_turns_labels_after_children():
+    # two labels at the root and two sub-maps at each child: the label turns
+    # fastest, then the last child, then the first, and the move slowest
+    p = TableOperad.from_json({
+        "colors": ["a", "b"],
+        "operations": [
+            {"inputs": ["a", "b"], "output": "a", "elements": ["m", "n"]},
+            {"inputs": ["a"], "output": "a", "elements": ["u"]},
+            {"inputs": ["b"], "output": "a", "elements": ["v"]},
+            {"inputs": ["a"], "output": "b", "elements": ["w"]},
+        ],
+    })
+    scope = parse_tree("r[x[x1],y[y1]]")
+    got = maps_into(scope, p)
+    assert got == node_walk_maps_into(scope, p)
+    first = [(m.color["x"], m.color["y"]) for m in got[:8]]
+    assert first == [("a", "b")] * 8
+    assert "".join(m.color["x1"] + m.color["y1"] + m.component["r"] for m in got[:8]) == (
+        "aam" "aan" "abm" "abn" "bam" "ban" "bbm" "bbn"
+    )
+
+
 def _drop(maps, p):
     return maps[1:]
 
@@ -1613,6 +1790,42 @@ def test_segal_suites_size_their_draws_without_building_maps(monkeypatch, suite)
     assert calls and set(calls) == {None}
     if suite == "segal":  # the whole tree and its two parts, once each
         assert len(calls) == 3 * report["suites"][0]["params"]["instances"]
+
+
+@pytest.mark.parametrize("suite, scale", [("segal", 100), ("segal", 2000), ("d3", 5000)])
+def test_segal_suites_keep_only_draws_within_their_map_bounds(monkeypatch, suite, scale):
+    # at the defaults no draw comes near the bounds (at seed 42 a part has at
+    # most 16 maps), so every count _map_total reads is scaled: draws over a
+    # bound are then rejected, and the instances checked are exactly the
+    # draws within both bounds
+    part_bound, product_bound = {"segal": (20000, 50000), "d3": (20000, 20000)}[suite]
+    check_name = {"segal": "segal_cut_check", "d3": "segal_components_check"}[suite]
+    real_operad, real_total = suites_module.FreeForestOperad, suites_module._map_total
+    real_check = getattr(suites_module, check_name)
+    draws, checked = [], []  # each draw's operad and scaled part counts; the operads checked
+
+    def operad(g):
+        draws.append((real_operad(g), []))
+        return draws[-1][0]
+
+    def total(scope, p):
+        assert p is draws[-1][0]
+        draws[-1][1].append(scale * real_total(scope, p))
+        return draws[-1][1][-1]
+
+    def check(p, *args):
+        checked.append(p)
+        return real_check(p, *args)
+
+    monkeypatch.setattr(suites_module, "FreeForestOperad", operad)
+    monkeypatch.setattr(suites_module, "_map_total", total)
+    monkeypatch.setattr(suites_module, check_name, check)
+    report = suites_module.run_check(suite, suites_module.SuiteConfig(seed=42, instances=30))
+    assert report["failures"] == 0 and len(checked) == 30
+    over_part = [p for p, sizes in draws if max(sizes, default=0) > part_bound]
+    over_product = [p for p, sizes in draws if p not in over_part and math.prod(sizes) > product_bound]
+    assert over_product and (over_part or scale == 100)
+    assert checked == [p for p, _ in draws if p not in over_part and p not in over_product]
 
 
 def test_nerve_suite_reads_each_chain_once(monkeypatch):
