@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
@@ -49,6 +49,20 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_listing(args: argparse.Namespace, key: str, items: list, lines: Iterable[str]) -> None:
+    """Write a listing: ``{"count": n, key: items}`` as JSON, or, for
+    ``--format text``, a ``count: n`` line and then ``lines``, one per item
+    (read only for text)."""
+    if args.format == "text":
+        _emit("\n".join([f"count: {len(items)}", *lines]) + "\n", args.out)
+    else:
+        _emit(json_text({"count": len(items), key: items}), args.out)
+
+
+def _json_line(entry: dict[str, Any]) -> str:
+    return json.dumps(entry, ensure_ascii=False, sort_keys=True)
 
 
 def _map_json(m: OperadMap | TensorHom) -> dict[str, Any]:
@@ -91,13 +105,8 @@ def _check_cap(cap: int) -> int:
 def cmd_hom(args: argparse.Namespace) -> int:
     src = parse_forest(args.source)
     tgt = parse_forest(args.target)
-    maps = hom(src, tgt, cap=_check_cap(args.max_results))
-    if args.format == "text":
-        lines = [f"count: {len(maps)}"]
-        lines += [json.dumps(_map_json(m), ensure_ascii=False, sort_keys=True) for m in maps]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json_text({"count": len(maps), "maps": [_map_json(m) for m in maps]}), args.out)
+    maps = [_map_json(m) for m in hom(src, tgt, cap=_check_cap(args.max_results))]
+    _emit_listing(args, "maps", maps, map(_json_line, maps))
     return 0
 
 
@@ -117,15 +126,13 @@ def cmd_shuffles(args: argparse.Namespace) -> int:
     table, n = _check_shuffle_count(factors, args.max_results)
     # json and text print each shuffle's canonical text, folded without trees
     fold = _shuffle_trees if args.format == "dot" else _shuffle_texts
-    listing = fold(factors, table)
+    listing = fold(table)
     if len(listing) != n:
         raise ValueError(f"listed {len(listing)} shuffles, but the factors have {n}")
     if args.format == "dot":
         _emit(gallery_dot(listing, "shuffles"), args.out)
-    elif args.format == "json":
-        _emit(json_text({"count": n, "shuffles": listing}), args.out)
     else:
-        _emit("\n".join([f"count: {n}", *listing]) + "\n", args.out)
+        _emit_listing(args, "shuffles", listing, listing)
     return 0
 
 
@@ -133,17 +140,11 @@ def cmd_tensor_hom(args: argparse.Namespace) -> int:
     probe = parse_tree(args.probe)
     factors = [parse_tree(t) for t in args.factors]
     _check_shuffle_count(factors, args.max_results)
-    maps = tensor_hom(probe, factors, cap=args.max_results)
-    payload = {
-        "count": len(maps),
-        "maps": [{**_map_json(m), "witness_shuffle": serialize_tree(m.witness)} for m in maps],
-    }
-    if args.format == "text":
-        lines = [f"count: {len(maps)}"]
-        lines += [json.dumps(entry, ensure_ascii=False, sort_keys=True) for entry in payload["maps"]]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json_text(payload), args.out)
+    maps = [
+        {**_map_json(m), "witness_shuffle": serialize_tree(m.witness)}
+        for m in tensor_hom(probe, factors, cap=args.max_results)
+    ]
+    _emit_listing(args, "maps", maps, map(_json_line, maps))
     return 0
 
 
@@ -161,25 +162,15 @@ def cmd_free_algebra(args: argparse.Namespace) -> int:
     ):
         raise TreeError("--inputs must be a JSON object of index -> list of strings")
     terms = free_algebra(p, generators, inputs, args.output_color)
-    payload = {
-        "count": len(terms),
-        "terms": [
-            {
-                "indices": list(t.indices),
-                "operation": str(t.label),
-                "args": list(t.args),
-            }
+    _emit_listing(
+        args,
+        "terms",
+        [
+            {"indices": list(t.indices), "operation": str(t.label), "args": list(t.args)}
             for t in terms
         ],
-    }
-    if args.format == "text":
-        lines = [f"count: {len(terms)}"]
-        lines += [
-            f"{'·'.join(t.indices)} | {t.label} | ({','.join(t.args)})" for t in terms
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json_text(payload), args.out)
+        (f"{'·'.join(t.indices)} | {t.label} | ({','.join(t.args)})" for t in terms),
+    )
     return 0
 
 

@@ -7,11 +7,14 @@ moves: advance one coordinate that still has a non-stump vertex above it
 factor and at least one is a stump edge — close the tuple with a stump.  A
 tuple all of whose coordinates are leaves is a leaf.  This is the unique
 closing discipline for which the maximal edges of every shuffle are exactly
-the tuples of factor-maximal edges.  The reachable tuples and their moves
-are listed once, by one walk without recursion, and that table is folded
-into the shuffles, their texts or their count; the tensor operad folds it
-into cuts, every state in one loop, by the fold that lists a tree's cuts
-(``omegacat._fold``).
+the tuples of factor-maximal edges.  A tuple of two or more coordinates is
+named by :func:`encode`; a lone factor is the unit case, its own only
+shuffle, and its states keep their bare edge names (:func:`_name`), so it
+takes the same walk and folds as every other tuple.  The reachable tuples
+and their moves are listed once, by one walk without recursion, and that
+table is folded into the shuffles, their texts or their count; the tensor
+operad folds it into cuts, every state in one loop, by the fold that lists
+a tree's cuts (``omegacat._fold``).
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner
@@ -63,6 +66,12 @@ __all__ = [
 
 def encode(coords: Sequence[str]) -> str:
     return "(" + "|".join(coords) + ")"
+
+
+def _name(coords: Sequence[str]) -> str:
+    """The edge name of a state: its bare edge name when it has one
+    coordinate (a lone factor), else :func:`encode` of its coordinates."""
+    return coords[0] if len(coords) == 1 else encode(coords)
 
 
 def _check_tuplable(name: str) -> None:
@@ -121,7 +130,8 @@ _State = tuple[str, ...]
 def _state_table(factors: Sequence[Tree]) -> list[tuple[str, list[tuple[str, ...]]]]:
     """Every state reachable from the root tuple with its moves, each state
     after the states its moves reach, so the root comes last.  States are
-    given by their edge names (:func:`encode`; a lone factor keeps its own).
+    given by their edge names (:func:`_name`), so a lone factor's table is
+    the factor itself, one move per non-stump vertex and one close per stump.
 
     A move lists the states it opens: advancing coordinate ``i`` opens one
     per input of the vertex above it, closing a tuple with a stump opens
@@ -162,7 +172,7 @@ def _state_table(factors: Sequence[Tree]) -> list[tuple[str, list[tuple[str, ...
         moves_of[state] = moves
         stack.append((state, True))
         stack.extend((c, False) for move in moves for c in move)
-    name = {s: encode(s) if len(s) > 1 else s[0] for s in order}
+    name = {s: _name(s) for s in order}
     return [(name[s], [tuple(name[c] for c in move) for move in moves_of[s]]) for s in order]
 
 
@@ -174,19 +184,16 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
     shuffles, move by move and then in ``product`` order over the moved-to
     states' lists; a list is dropped once every state that uses it is done.
     """
-    if len(factors) == 1:
-        return (factors[0],)
-    return _shuffle_trees(factors, _state_table(factors))
+    return _shuffle_trees(_state_table(factors))
 
 
 # the (state, moves) pairs of a state table, in its order; read twice
 _Table = Collection[tuple[str, Sequence[tuple[str, ...]]]]
 
 
-def _shuffle_trees(factors: Sequence[Tree], table: _Table) -> tuple[Tree, ...]:
-    """:func:`shuffles`, folded from the factors' state table."""
-    if len(factors) == 1:
-        return (factors[0],)
+def _shuffle_trees(table: _Table) -> tuple[Tree, ...]:
+    """:func:`shuffles`, folded from the factors' state table; a lone
+    factor's table folds back into a tree equal to the factor."""
     users = Counter(c for _, moves in table for move in moves for c in move)
     lists: dict[str, list[tuple[Vertex, ...]]] = {}
     for state, moves in table:
@@ -201,13 +208,12 @@ def _shuffle_trees(factors: Sequence[Tree], table: _Table) -> tuple[Tree, ...]:
     return tuple(Tree(state, vs) for vs in lists[state])  # the root comes last
 
 
-def _shuffle_texts(factors: Sequence[Tree], table: _Table) -> list[str]:
+def _shuffle_texts(table: _Table) -> list[str]:
     """The canonical texts (:func:`serialize_tree`) of :func:`shuffles`, in
     its order, folded from the factors' state table with no tree built: a
     leaf state is its name, a move gives ``name[`` and its children's texts,
-    in the sorted order of their names (a vertex's order), then ``]``."""
-    if len(factors) == 1:
-        return [serialize_tree(factors[0])]
+    in the sorted order of their names (a vertex's order), then ``]``.  A
+    lone factor's table folds into the factor's own text."""
     users = Counter(c for _, moves in table for move in moves for c in move)
     lists: dict[str, list[str]] = {}
     for state, moves in table:
@@ -284,27 +290,25 @@ class TransportResult:
 
 def stump_transport(factors: Sequence[Tree], i: int, leaf: str) -> TransportResult:
     """Close leaf ``leaf`` of factor ``i`` with a stump and transport every
-    shuffle across: in each shuffle, close the leaves whose ``i``-th
-    coordinate is that leaf.  The transported trees are checked to be
-    exactly the shuffles of the modified factors."""
+    shuffle across.  Every shuffle's leaves are the tuples of factor leaves,
+    so each closes the same leaves: the tuples whose ``i``-th coordinate is
+    ``leaf`` (``leaf`` itself for a lone factor).  The transported trees
+    are checked against the texts folded from the modified factors' state
+    table."""
     if not 0 <= i < len(factors):
         raise TreeError(f"no factor {i}")
     after_factors = tuple(
         add_stumps(t, [leaf]) if j == i else t for j, t in enumerate(factors)
     )
-    before = shuffles(factors)
-    pairs = []
-    for a in before:
-        if len(factors) == 1:
-            targets: Iterable[str] = [leaf]
-        else:
-            targets = [e for e in a.leaves if decode(e)[i] == leaf]
-        pairs.append((a, add_stumps(a, targets)))
-    direct = sorted(serialize_tree(t) for t in shuffles(after_factors))
-    moved = sorted(serialize_tree(p[1]) for p in pairs)
-    if direct != moved:
+    closing = {
+        _name(c)
+        for c in product(*([leaf] if j == i else t.leaves for j, t in enumerate(factors)))
+    }
+    pairs = tuple((a, add_stumps(a, closing)) for a in shuffles(factors))
+    direct = sorted(_shuffle_texts(_state_table(after_factors)))
+    if direct != sorted(serialize_tree(b) for _, b in pairs):
         raise TreeError("stump transport failed to match the direct shuffles")
-    return TransportResult(after_factors, tuple(pairs))
+    return TransportResult(after_factors, pairs)
 
 
 @dataclass(frozen=True)
@@ -318,26 +322,21 @@ class InteriorDecomposition:
 
 
 def interior_decomposition(factors: Sequence[Tree]) -> InteriorDecomposition:
+    """Recover every shuffle of the factors from the shuffles of their
+    interiors (:func:`~dendrotensor.treecore.interior`).  An interior
+    shuffle's leaves are the tuples of factor-maximal edges; closing the
+    boundary, those with some stump-edge coordinate, gives a shuffle of the
+    factors.  The closed trees are checked against the texts folded from
+    the factors' state table."""
     ints = tuple(interior(t) for t in factors)
-    if len(factors) == 1:
-        boundary = tuple(sorted(set(max_edges(factors[0])) - set(factors[0].leaves)))
-        pairs = ((ints[0], add_stumps(ints[0], boundary)),)
-        return InteriorDecomposition(ints, boundary, pairs)
-    max_tuples = {
-        encode(c) for c in product(*(max_edges(t) for t in factors))
-    }
-    leaf_tuples = {encode(c) for c in product(*(t.leaves for t in factors))}
+    max_tuples = {_name(c) for c in product(*(max_edges(t) for t in factors))}
+    leaf_tuples = {_name(c) for c in product(*(t.leaves for t in factors))}
     boundary = tuple(sorted(max_tuples - leaf_tuples))
-    bset = set(boundary)
-    pairs = []
-    for b in shuffles(ints):
-        to_close = [e for e in b.leaves if e in bset]
-        pairs.append((b, add_stumps(b, to_close)))
-    direct = sorted(serialize_tree(t) for t in shuffles(factors))
-    closed = sorted(serialize_tree(p[1]) for p in pairs)
-    if direct != closed:
+    pairs = tuple((b, add_stumps(b, boundary)) for b in shuffles(ints))
+    direct = sorted(_shuffle_texts(_state_table(factors)))
+    if direct != sorted(serialize_tree(c) for _, c in pairs):
         raise TreeError("interior decomposition failed to recover the shuffles")
-    return InteriorDecomposition(ints, boundary, tuple(pairs))
+    return InteriorDecomposition(ints, boundary, pairs)
 
 
 Bracketing = int | Sequence["Bracketing"]
@@ -354,8 +353,7 @@ def _flatten_bracketing(br: Bracketing) -> list[int]:
 
 def _rename(t: Tree) -> Tree:
     def flat(e: str) -> str:
-        parts = flatten_name(e)
-        return encode(parts) if len(parts) > 1 else parts[0]
+        return _name(flatten_name(e))
 
     return Tree(
         flat(t.root),
@@ -399,8 +397,9 @@ def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocRes
     for t in evaluate(bracketing):
         r = _rename(t)
         nested[serialize_tree(r)] = r
-    flat = shuffles(list(factors))
-    flat_keys = {serialize_tree(t) for t in flat}
+    table = _state_table(factors)
+    flat = _shuffle_trees(table)
+    flat_keys = set(_shuffle_texts(table))
     unreached = tuple(sorted(k for k in nested if k not in flat_keys))
     return AssocResult(
         tuple(nested[k] for k in sorted(nested)), flat, unreached
@@ -433,7 +432,7 @@ def tensor_hom(
         raise TreeError("tensor_hom takes a tree probe, not a forest")
     tensor = BVTensorOperad(factors)
     maps = maps_into(probe, tensor, cap)
-    trees = _shuffle_trees(tensor.factors, tensor._states.items())  # one state table for both
+    trees = _shuffle_trees(tensor._states.items())  # one state table for both
     out = []
     for colors, comps in sorted((m.colors, m.components) for m in maps):
         image = {c for _, c in colors}

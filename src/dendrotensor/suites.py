@@ -44,9 +44,11 @@ from .lurie import (
 from .omegacat import compose, identity_map, validate
 from .render import json_text
 from .shuffle import (
+    _name,
+    _shuffle_texts,
+    _state_table,
     assoc_inclusion,
     count_shuffles,
-    encode,
     inclusion_map,
     interior_decomposition,
     intersect,
@@ -488,16 +490,10 @@ def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             sh = shuffles(factors)
             texts = [serialize_tree(s) for s in sh]
             distinct_ok = len(sh) >= 1 and len(set(texts)) == len(sh)
-            if len(factors) == 1:
-                root_ok = sh == (factors[0],)
-                max_ok = True
-            else:
-                root = encode(tuple(t.root for t in factors))
-                root_ok = all(s.root == root for s in sh)
-                expected_max = sorted(
-                    encode(c) for c in product(*(max_edges(t) for t in factors))
-                )
-                max_ok = all(sorted(max_edges(s)) == expected_max for s in sh)
+            root = _name(tuple(t.root for t in factors))
+            root_ok = all(s.root == root for s in sh)
+            expected_max = sorted(_name(c) for c in product(*(max_edges(t) for t in factors)))
+            max_ok = all(sorted(max_edges(s)) == expected_max for s in sh)
             records.append(_rec("root-law", i, root_ok, witness))
             records.append(_rec("max-law", i, max_ok, witness))
             records.append(_rec("distinct", i, distinct_ok, witness))
@@ -570,7 +566,7 @@ def suite_interior(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
         try:
             dec = interior_decomposition(factors)
             closed = sorted(serialize_tree(p[1]) for p in dec.pairs)
-            direct = sorted(serialize_tree(t) for t in shuffles(factors))
+            direct = sorted(_shuffle_texts(_state_table(factors)))
             ok = closed == direct and len(set(closed)) == len(closed)
         except TreeError as exc:
             ok, witness = False, {**witness, "error": str(exc)}

@@ -246,7 +246,7 @@ def test_state_table_built_once_per_listing(monkeypatch, capsys, argv, tables):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_listing_shorter_than_the_count_is_refused(monkeypatch, capsys, fmt):
     real = cli_module._shuffle_texts
-    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda factors, table: real(factors, table)[:-1])
+    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda table: real(table)[:-1])
     assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

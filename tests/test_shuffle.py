@@ -212,14 +212,14 @@ def test_shuffle_texts_equal_serialized_shuffles(seed, k):
     size = {1: 8, 2: 6, 3: 4}[k]
     fs = [binary_names(rng, random_tree(rng, size, 0.3, prefix=p), p) for p in "abc"[:k]]
     trees = shuffles(fs)
-    texts = _shuffle_texts(fs, _state_table(fs))
+    texts = _shuffle_texts(_state_table(fs))
     assert texts == [serialize_tree(t) for t in trees]
     assert tuple(parse_tree(x) for x in texts) == trees
 
 
 def test_shuffle_texts_sort_children_by_tuple_name():
     fs = [parse_tree("r[a1,a10[]]"), parse_tree("x[y,z[]]")]
-    assert _shuffle_texts(fs, _state_table(fs)) == [
+    assert _shuffle_texts(_state_table(fs)) == [
         "(r|x)[(a10|x)[(a10|y)[],(a10|z)[]],(a1|x)[(a1|y),(a1|z)[]]]",
         "(r|x)[(r|y)[(a10|y)[],(a1|y)],(r|z)[(a10|z)[],(a1|z)[]]]",
     ]
@@ -227,7 +227,7 @@ def test_shuffle_texts_sort_children_by_tuple_name():
 
 def test_shuffle_texts_on_deep_chain():
     fs = [linear("e", 1500), parse_tree("x[y]")]
-    texts = _shuffle_texts(fs, _state_table(fs))
+    texts = _shuffle_texts(_state_table(fs))
     assert len(set(texts)) == len(texts) == count_shuffles(fs) == 1501
 
 
