@@ -397,9 +397,8 @@ def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocRes
     for t in evaluate(bracketing):
         r = _rename(t)
         nested[serialize_tree(r)] = r
-    table = _state_table(factors)
-    flat = _shuffle_trees(table)
-    flat_keys = set(_shuffle_texts(table))
+    flat = shuffles(list(factors))
+    flat_keys = {serialize_tree(t) for t in flat}
     unreached = tuple(sorted(k for k in nested if k not in flat_keys))
     return AssocResult(
         tuple(nested[k] for k in sorted(nested)), flat, unreached

@@ -491,7 +491,9 @@ def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             texts = [serialize_tree(s) for s in sh]
             distinct_ok = len(sh) >= 1 and len(set(texts)) == len(sh)
             root = _name(tuple(t.root for t in factors))
-            root_ok = all(s.root == root for s in sh)
+            root_ok = all(s.root == root for s in sh) and (
+                len(factors) > 1 or sh == tuple(factors)
+            )
             expected_max = sorted(_name(c) for c in product(*(max_edges(t) for t in factors)))
             max_ok = all(sorted(max_edges(s)) == expected_max for s in sh)
             records.append(_rec("root-law", i, root_ok, witness))

@@ -235,9 +235,13 @@ def test_shuffle_texts_on_deep_chain():
 
 
 def test_single_factor_is_itself():
-    t = parse_tree("r[a[x],b]")
-    assert shuffles([t]) == (t,)
-    assert count_shuffles([t]) == 1
+    # a lone factor is its own only shuffle: a bare edge, a stump, inner
+    # edges, stumps among leaves and a corolla
+    for text in ("a", "a[]", "r[a[x],b]", "r[a[],b[c,d[]]]", "r[a,b,c]"):
+        t = parse_tree(text)
+        assert shuffles([t]) == (t,)
+        assert _shuffle_texts(_state_table([t])) == [serialize_tree(t)]
+        assert count_shuffles([t]) == 1
 
 
 def test_no_factors_rejected():

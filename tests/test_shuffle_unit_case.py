@@ -1,19 +1,18 @@
-"""The shuffle layer against its earlier form, which forked on a lone factor.
+"""Transport and interior decomposition against their forms that forked on
+a lone factor.
 
-``forked_shuffles``, ``forked_shuffle_texts``, ``forked_stump_transport`` and
-``forked_interior_decomposition`` are the earlier forms of ``shuffles``,
-``_shuffle_texts``, ``stump_transport`` and ``interior_decomposition``, kept
-as oracles with their lone-factor branches: a lone factor was returned as it
-is, its text serialized, its transport closed ``leaf`` alone, and its
-interior decomposition returned before the self-check.  The shuffle layer
-now names a lone factor's states by their bare edge names and takes it
-through the same state table and folds as any other factor tuple; it must
-give the same trees, texts, pairs and errors.
+``forked_stump_transport`` and ``forked_interior_decomposition`` are the
+earlier forms of ``stump_transport`` and ``interior_decomposition``, kept as
+oracles with their lone-factor branches: a lone factor was its own only
+shuffle, its transport closed ``leaf`` alone, and its interior decomposition
+returned before the self-check.  The shuffle layer now names a lone factor's
+states by their bare edge names and takes it through the same state table
+and folds as any other factor tuple; it must give the same pairs, boundary
+and errors.  That a lone factor folds back into itself and its own text is
+``test_shuffle.test_single_factor_is_itself``.
 """
 
-from collections import Counter
 from itertools import product
-from operator import itemgetter
 from random import Random
 
 import pytest
@@ -23,7 +22,6 @@ from hypothesis import strategies as st
 from dendrotensor import (
     Tree,
     TreeError,
-    Vertex,
     interior_decomposition,
     parse_tree,
     serialize_tree,
@@ -37,8 +35,6 @@ from dendrotensor.shuffle import (
     InteriorDecomposition,
     TransportResult,
     _shuffle_texts,
-    _shuffle_trees,
-    _state_table,
     decode,
     encode,
 )
@@ -50,48 +46,12 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 # -- the earlier forms, kept as oracles ----------------------------------------
 
 
-def forked_shuffle_trees(factors, table):
-    if len(factors) == 1:
-        return (factors[0],)
-    users = Counter(c for _, moves in table for move in moves for c in move)
-    lists = {}
-    for state, moves in table:
-        lists[state] = [] if moves else [()]
-        for move in moves:
-            partial = [(Vertex(state, move),)]
-            for c in move:
-                users[c] -= 1
-                below = lists[c] if users[c] else lists.pop(c)
-                partial = [head + part for head in partial for part in below]
-            lists[state] += partial
-    return tuple(Tree(state, vs) for vs in lists[state])
-
-
 def forked_shuffles(factors):
+    """A lone factor returned as it is; two or more factors as ``shuffles``
+    lists them (checked against independent oracles in ``test_shuffle``)."""
     if len(factors) == 1:
         return (factors[0],)
-    return forked_shuffle_trees(factors, _state_table(factors))
-
-
-def forked_shuffle_texts(factors, table):
-    if len(factors) == 1:
-        return [serialize_tree(factors[0])]
-    users = Counter(c for _, moves in table for move in moves for c in move)
-    lists = {}
-    for state, moves in table:
-        lists[state] = [] if moves else [state]
-        for move in moves:
-            below = []
-            for c in move:
-                users[c] -= 1
-                below.append(lists[c] if users[c] else lists.pop(c))
-            combos = product(*below)
-            perm = sorted(range(len(move)), key=move.__getitem__)
-            if perm != sorted(perm):
-                combos = map(itemgetter(*perm), combos)
-            head = state + "["
-            lists[state] += [head + ",".join(combo) + "]" for combo in combos]
-    return lists[state]
+    return shuffles(factors)
 
 
 def forked_stump_transport(factors, i, leaf):
@@ -172,15 +132,6 @@ LONE = ["a", "a[]", "r[a[x],b]", "r[a[],b[c,d[]]]", "r[a,b,c]"]
 
 
 @given(seeds, st.integers(min_value=1, max_value=3))
-@settings(max_examples=120, deadline=None)
-def test_shuffles_and_texts_match_the_forked_folds(seed, k):
-    fs = draw_factors(seed, k)
-    table = _state_table(fs)
-    assert shuffles(fs) == _shuffle_trees(table) == forked_shuffles(fs)
-    assert _shuffle_texts(table) == forked_shuffle_texts(fs, table)
-
-
-@given(seeds, st.integers(min_value=1, max_value=3))
 @settings(max_examples=80, deadline=None)
 def test_stump_transport_matches_the_forked_transport(seed, k):
     fs = draw_factors(seed, k)
@@ -198,11 +149,8 @@ def test_interior_decomposition_matches_the_forked_one(seed, k):
 
 
 @pytest.mark.parametrize("text", LONE)
-def test_lone_factor_is_its_own_shuffle(text):
+def test_lone_factor_transport_and_interior_match_the_forked_ones(text):
     t = parse_tree(text)
-    table = _state_table([t])
-    assert shuffles([t]) == (t,)
-    assert _shuffle_texts(table) == [serialize_tree(t)]
     assert interior_decomposition([t]) == forked_interior_decomposition([t])
     for j, leaf in transport_cases([t]):
         assert outcome(stump_transport, [t], j, leaf) == outcome(
@@ -211,32 +159,55 @@ def test_lone_factor_is_its_own_shuffle(text):
 
 
 def test_no_factors_refused_alike():
-    for new, old in ((shuffles, forked_shuffles),
-                     (interior_decomposition, forked_interior_decomposition)):
-        assert outcome(new, []) == outcome(old, []) == ("error", "need at least one factor")
+    assert outcome(interior_decomposition, []) == outcome(
+        forked_interior_decomposition, []
+    ) == ("error", "need at least one factor")
 
 
 # -- the two checks a lone factor used to skip ---------------------------------
 
 
-def test_shuffles_suite_checks_the_max_law_of_a_lone_factor(monkeypatch):
-    # a lone factor's listed shuffle cut down to its root edge keeps the
-    # root, and loses its maximal edges unless the root is the only one
+def lone_suite_failures(monkeypatch, listed):
+    """Run the ``shuffles`` suite with each lone factor's shuffles listed as
+    ``listed(factor)``, or as they are where that gives ``None``; return the
+    factors so replaced and the failed records."""
     real = suites_module.shuffles
-    lone = []
+    replaced = []
 
-    def root_only(factors):
-        if len(factors) == 1 and max_edges(factors[0]) != (factors[0].root,):
-            lone.append(factors[0])
-            return (Tree(factors[0].root, ()),)
+    def patched(factors):
+        if len(factors) == 1 and (wrong := listed(factors[0])) is not None:
+            replaced.append(factors[0])
+            return (wrong,)
         return real(factors)
 
-    monkeypatch.setattr(suites_module, "shuffles", root_only)
+    monkeypatch.setattr(suites_module, "shuffles", patched)
     records, _ = suites_module.suite_shuffles(suites_module.SuiteConfig(seed=42, instances=30))
     failed = [r for r in records if r["status"] == "fail"]
-    assert lone
-    assert [r["check"] for r in failed] == ["max-law"] * len(lone)
+    assert replaced
     assert all(len(r["witness"]["factors"]) == 1 for r in failed)
+    return replaced, failed
+
+
+def test_shuffles_suite_checks_the_max_law_of_a_lone_factor(monkeypatch):
+    # cut down to its root edge, a lone factor keeps its root and loses its
+    # maximal edges unless the root is the only one
+    replaced, failed = lone_suite_failures(
+        monkeypatch,
+        lambda t: Tree(t.root, ()) if max_edges(t) != (t.root,) else None,
+    )
+    assert [r["check"] for r in failed] == ["root-law", "max-law"] * len(replaced)
+
+
+def test_shuffles_suite_checks_the_unit_law_of_a_lone_factor(monkeypatch):
+    # with its inner edges contracted, a lone factor keeps its root and its
+    # maximal edges; only the unit law tells it from the factor
+    replaced, failed = lone_suite_failures(
+        monkeypatch,
+        lambda t: parse_tree(f"{t.root}[{','.join(max_edges(t))}]")
+        if t.inner_edges and not t.stump_edges
+        else None,
+    )
+    assert [r["check"] for r in failed] == ["root-law"] * len(replaced)
 
 
 def test_interior_decomposition_checks_a_lone_factor(monkeypatch):
