@@ -21,7 +21,7 @@ from typing import Any, Iterable
 from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
 from .omegacat import OperadMap, hom
-from .render import gallery_dot, json_text, to_dot
+from .render import gallery_dot, json_escape, json_text, shuffles_json, to_dot
 from .shuffle import TensorHom, _count_states, _shuffle_texts, _shuffle_trees, _state_table, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
@@ -44,11 +44,13 @@ def _read_json_source(arg: str) -> Any:
     return json.loads(Path(arg).read_text(encoding="utf-8"))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(out: str | None, *pieces: str) -> None:
+    """Write the pieces in turn to the file ``out``, or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_listing(args: argparse.Namespace, key: str, items: list, lines: Iterable[str]) -> None:
@@ -56,9 +58,9 @@ def _emit_listing(args: argparse.Namespace, key: str, items: list, lines: Iterab
     ``--format text``, a ``count: n`` line and then ``lines``, one per item
     (read only for text)."""
     if args.format == "text":
-        _emit("\n".join([f"count: {len(items)}", *lines]) + "\n", args.out)
+        _emit(args.out, f"count: {len(items)}\n", "\n".join(lines), "\n" if items else "")
     else:
-        _emit(json_text({"count": len(items), key: items}), args.out)
+        _emit(args.out, json_text({"count": len(items), key: items}))
 
 
 def _json_line(entry: dict[str, Any]) -> str:
@@ -79,9 +81,10 @@ def cmd_omega(args: argparse.Namespace) -> int:
     a = FinSimplex.from_json(_read_json_source(args.input))
     f = omega_obj(a)
     if args.format == "dot":
-        _emit(to_dot(f, "omega"), args.out)
+        _emit(args.out, to_dot(f, "omega"))
     elif args.format == "json":
         _emit(
+            args.out,
             json_text(
                 {
                     "forest": serialize_forest(f),
@@ -89,10 +92,9 @@ def cmd_omega(args: argparse.Namespace) -> int:
                     "edges": len(f.edges),
                 }
             ),
-            args.out,
         )
     else:
-        _emit(serialize_forest(f) + "\n", args.out)
+        _emit(args.out, serialize_forest(f) + "\n")
     return 0
 
 
@@ -124,13 +126,18 @@ def _check_shuffle_count(factors: list[Tree], cap: int) -> tuple[list, int]:
 def cmd_shuffles(args: argparse.Namespace) -> int:
     factors = [parse_tree(t) for t in args.factors]
     table, n = _check_shuffle_count(factors, args.max_results)
-    # json and text print each shuffle's canonical text, folded without trees
-    fold = _shuffle_trees if args.format == "dot" else _shuffle_texts
-    listing = fold(table)
+    # json and text print each shuffle's canonical text, folded without
+    # trees; json escapes each state name once instead of every text
+    if args.format == "dot":
+        listing = _shuffle_trees(table)
+    else:
+        listing = _shuffle_texts(table, json_escape if args.format == "json" else str)
     if len(listing) != n:
         raise ValueError(f"listed {len(listing)} shuffles, but the factors have {n}")
     if args.format == "dot":
-        _emit(gallery_dot(listing, "shuffles"), args.out)
+        _emit(args.out, gallery_dot(listing, "shuffles"))
+    elif args.format == "json":
+        _emit(args.out, *shuffles_json(listing))
     else:
         _emit_listing(args, "shuffles", listing, listing)
     return 0
@@ -140,10 +147,16 @@ def cmd_tensor_hom(args: argparse.Namespace) -> int:
     probe = parse_tree(args.probe)
     factors = [parse_tree(t) for t in args.factors]
     _check_shuffle_count(factors, args.max_results)
-    maps = [
-        {**_map_json(m), "witness_shuffle": serialize_tree(m.witness)}
-        for m in tensor_hom(probe, factors, cap=args.max_results)
-    ]
+    homs = tensor_hom(probe, factors, cap=args.max_results)
+    # many maps share a witness: serialize each witness once, keyed by the
+    # tree object, which ``homs`` keeps alive
+    witness_text: dict[int, str] = {}
+    maps = []
+    for m in homs:
+        text = witness_text.get(id(m.witness))
+        if text is None:
+            text = witness_text[id(m.witness)] = serialize_tree(m.witness)
+        maps.append({**_map_json(m), "witness_shuffle": text})
     _emit_listing(args, "maps", maps, map(_json_line, maps))
     return 0
 
@@ -161,6 +174,15 @@ def cmd_free_algebra(args: argparse.Namespace) -> int:
         for xs in inputs.values()
     ):
         raise TreeError("--inputs must be a JSON object of index -> list of strings")
+    for idx, color in sorted(generators.items()):
+        if color not in p.forest.edge_set:
+            raise TreeError(f"generator {idx!r}: no edge {color!r} in {serialize_forest(p.forest)}")
+    stray = sorted(inputs.keys() - generators.keys())
+    if stray:
+        raise TreeError(f"--inputs entry {stray[0]!r} names no generator")
+    missing = sorted(generators.keys() - inputs.keys())
+    if missing:
+        raise TreeError(f"generator {missing[0]!r} has no --inputs entry")
     terms = free_algebra(p, generators, inputs, args.output_color)
     _emit_listing(
         args,
@@ -187,7 +209,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     report = run_check(args.suite, cfg)
     elapsed = time.monotonic() - t0
-    _emit(report_json(report), args.out)
+    _emit(args.out, report_json(report))
     for s in report["suites"]:
         print(
             f"{s['suite']}: {len(s['records'])} records, {s['failures']} failures",

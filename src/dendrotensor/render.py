@@ -6,18 +6,21 @@ labeled by its name.  Forests whose edge names all carry level prefixes
 (``ℓi:a``) additionally get one rank per level joined by a dashed level
 axis, so the drawing reads like a level diagram.
 
-:func:`json_text` writes the indented JSON of every command and report.
+:func:`json_text` writes the indented JSON of every command and report;
+:func:`shuffles_json` writes the one listing it does not, in the same
+bytes, from texts escaped beforehand (:func:`json_escape`).
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
+from typing import Sequence
 
 from .levelforest import split_edge_name
 from .treecore import Forest, Tree, as_forest
 
-__all__ = ["to_dot", "gallery_dot", "json_text"]
+__all__ = ["to_dot", "gallery_dot", "json_text", "json_escape", "shuffles_json"]
 
 
 def _esc(s: str) -> str:
@@ -112,7 +115,11 @@ def json_text(obj: object) -> str:
     set).  Strings, dicts with ``str`` keys, lists and tuples are written
     here and every other scalar by ``json.dumps``; a value with any other
     dict key, or one this writer cannot finish (a cycle, say), goes whole
-    through ``json.dumps``, which converts or refuses it as ``json`` does."""
+    through ``json.dumps``, which converts or refuses it as ``json`` does.
+
+    ``shuffles --format json`` bypasses it for :func:`shuffles_json`, as its
+    texts are escaped once per state name while they are folded; the bytes
+    are the same, which the tests check against this function."""
     out: list[str] = []
     try:
         _write_json(obj, "\n", out)
@@ -120,6 +127,23 @@ def json_text(obj: object) -> str:
         return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     out.append("\n")
     return "".join(out)
+
+
+def json_escape(s: str) -> str:
+    """``s`` as a JSON string body: :func:`json_text`'s escaping without the
+    quotes.  It maps each character on its own, so the escape of a
+    concatenation is the concatenation of the escapes."""
+    return encode_basestring(s)[1:-1]
+
+
+def shuffles_json(escaped: Sequence[str]) -> tuple[str, ...]:
+    """``json_text({"count": n, "shuffles": texts})`` in pieces to write in
+    turn, from the escaped texts (:func:`json_escape`): head, the one join
+    of the texts and tail, with no copy of the whole text made."""
+    if not escaped:
+        return (json_text({"count": 0, "shuffles": []}),)
+    head = f'{{\n  "count": {len(escaped)},\n  "shuffles": [\n    "'
+    return head, '",\n    "'.join(escaped), '"\n  ]\n}\n'
 
 
 def _write_json(x: object, pad: str, out: list[str]) -> None:

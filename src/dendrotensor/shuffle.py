@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .omegacat import OperadMap, Operation, validate
 from .treecore import (
@@ -208,16 +208,22 @@ def _shuffle_trees(table: _Table) -> tuple[Tree, ...]:
     return tuple(Tree(state, vs) for vs in lists[state])  # the root comes last
 
 
-def _shuffle_texts(table: _Table) -> list[str]:
+def _shuffle_texts(table: _Table, piece: Callable[[str], str] = str) -> list[str]:
     """The canonical texts (:func:`serialize_tree`) of :func:`shuffles`, in
     its order, folded from the factors' state table with no tree built: a
     leaf state is its name, a move gives ``name[`` and its children's texts,
     in the sorted order of their names (a vertex's order), then ``]``.  A
-    lone factor's table folds into the factor's own text."""
+    lone factor's table folds into the factor's own text.
+
+    ``piece`` maps each state name to what is written for it, once per
+    state; children are still ordered by their names.  A ``piece`` that
+    maps each character on its own, such as JSON string escaping, which
+    leaves ``[``, ``,`` and ``]`` as they are, gives that map of every text."""
     users = Counter(c for _, moves in table for move in moves for c in move)
     lists: dict[str, list[str]] = {}
     for state, moves in table:
-        lists[state] = [] if moves else [state]
+        text = piece(state)
+        lists[state] = [] if moves else [text]
         for move in moves:
             below = []
             for c in move:
@@ -227,7 +233,7 @@ def _shuffle_texts(table: _Table) -> list[str]:
             perm = sorted(range(len(move)), key=move.__getitem__)
             if perm != sorted(perm):
                 combos = map(itemgetter(*perm), combos)
-            head = state + "["
+            head = text + "["
             lists[state] += [head + ",".join(combo) + "]" for combo in combos]
     return lists[state]  # the root comes last
 

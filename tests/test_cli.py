@@ -12,7 +12,10 @@ from dendrotensor import cli as cli_module
 from dendrotensor import lurie as lurie_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
+from dendrotensor.render import json_escape, json_text, shuffles_json
+from dendrotensor.shuffle import _shuffle_texts, _state_table
 from dendrotensor.suites import SuiteConfig
+from dendrotensor.treecore import parse_tree
 from test_omegacat import binary_text
 
 WORKED_INPUT = json.dumps(
@@ -113,6 +116,14 @@ def test_hom_text_format(capsys):
 
 # sha256 of `hom bin2 bin5` (120 maps), as written when every cut of the
 # target was listed; the arity-sliced cut listing must keep these bytes
+def test_empty_text_listing_is_the_count_line(tmp_path, capsys):
+    assert main(["hom", "a[b,c]", "x", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "count: 0\n"
+    out = tmp_path / "h.txt"
+    assert main(["hom", "a[b,c]", "x", "--format", "text", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"count: 0\n"
+
+
 PINNED_HOM = {
     "json": "6f93a30dcdee40310446b01f2a071168522b27ec1ce21b0ed486a016f9af48e9",
     "text": "57782b08070faebdc1512452c8eb7c87401817f57f52ac82ca47c1dec1460b88",
@@ -200,6 +211,50 @@ def test_shuffles_sorted_child_order_is_pinned(capsys, fmt):
     assert hashlib.sha256(out).hexdigest() == PINNED_SORTED_PAIR[fmt]
 
 
+# `shuffles --format json` folds texts from escaped state names and writes
+# them as head, join and tail; json_text over the raw texts is the oracle.
+# `a"` sorts before `a#` but its escape `a\"` after it, so children must be
+# ordered by raw names
+ESCAPE_CASES = {
+    "quote-and-backslash": ['r[a",a#]', 'x\\[y,z"[]]'],
+    "controls": ["r[a\x01,b\x7f]", "x[y]"],
+    "non-ascii": ["é[ℓ0:a,ℓ0:b[]]", "x[y,z]"],
+    "lone-factor": ['r[a",a#[q\\]]'],
+    "stumps": ['r[a"[],b]', "x[y[],z]"],
+    "three-factors": ['r[a",a#]', "x[y]", "é[\x01]"],
+}
+
+
+def _shuffles_oracle(factors: list[str]) -> str:
+    table = _state_table([parse_tree(t) for t in factors])
+    texts = _shuffle_texts(table)
+    return json_text({"count": len(texts), "shuffles": texts})
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPE_CASES))
+def test_shuffles_json_matches_json_text(tmp_path, capsys, case):
+    factors = ESCAPE_CASES[case]
+    expected = _shuffles_oracle(factors)
+    table = _state_table([parse_tree(t) for t in factors])
+    assert "".join(shuffles_json(_shuffle_texts(table, json_escape))) == expected
+    assert main(["shuffles", *factors, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "s.json"
+    assert main(["shuffles", *factors, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_shuffles_json_of_raw_texts_fails_the_oracle():
+    # negative control: a quote in a state name must be escaped
+    factors = ESCAPE_CASES["quote-and-backslash"]
+    table = _state_table([parse_tree(t) for t in factors])
+    assert "".join(shuffles_json(_shuffle_texts(table))) != _shuffles_oracle(factors)
+
+
+def test_shuffles_json_empty_listing_matches_json_text():
+    assert "".join(shuffles_json([])) == json_text({"count": 0, "shuffles": []})
+
+
 def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
     # json and text are folded from the state table; only dot draws trees
     def refuse(*args):
@@ -246,7 +301,7 @@ def test_state_table_built_once_per_listing(monkeypatch, capsys, argv, tables):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_listing_shorter_than_the_count_is_refused(monkeypatch, capsys, fmt):
     real = cli_module._shuffle_texts
-    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda table: real(table)[:-1])
+    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda table, piece: real(table, piece)[:-1])
     assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -436,6 +491,28 @@ def test_free_algebra_rejects_unknown_output_color(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "dendrotensor: error: no edge 'z' in {c[d,e]}\n"
+
+
+@pytest.mark.parametrize(
+    "generators, inputs, error",
+    [
+        ('{"g":"z"}', '{"g":["i"]}', "generator 'g': no edge 'z' in {a}"),
+        ('{"g":"a"}', '{"h":["a"]}', "--inputs entry 'h' names no generator"),
+        ('{"g":"a","k":"a"}', '{"g":["i"]}', "generator 'k' has no --inputs entry"),
+    ],
+)
+def test_free_algebra_rejects_inconsistent_generators(capsys, generators, inputs, error):
+    argv = ["free-algebra", "a", "--generators", generators, "--inputs", inputs, "--output-color", "a"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dendrotensor: error: {error}\n"
+
+
+def test_free_algebra_admits_a_generator_with_no_elements(capsys):
+    argv = ["free-algebra", "a", "--generators", '{"g":"a"}', "--inputs", '{"g":[]}', "--output-color", "a"]
+    assert main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out == "count: 0\n"
 
 
 @pytest.mark.parametrize(
