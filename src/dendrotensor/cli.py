@@ -20,9 +20,9 @@ from typing import Any, Iterable
 
 from .levelforest import FinSimplex, omega_obj
 from .lurie import free_algebra, FreeForestOperad
-from .omegacat import OperadMap, hom
+from .omegacat import ForestInto, hom
 from .render import gallery_dot, json_escape, json_text, shuffles_json, to_dot
-from .shuffle import TensorHom, _count_states, _shuffle_texts, _shuffle_trees, _state_table, tensor_hom
+from .shuffle import _count_states, _shuffle_texts, _shuffle_trees, _state_table, tensor_hom
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
@@ -67,12 +67,12 @@ def _json_line(entry: dict[str, Any]) -> str:
     return json.dumps(entry, ensure_ascii=False, sort_keys=True)
 
 
-def _map_json(m: OperadMap | TensorHom) -> dict[str, Any]:
+def _map_json(m: ForestInto) -> dict[str, Any]:
     return {
-        "edge_map": dict(m.edge_map),
+        "edge_map": dict(m.colors),
         "vertex_map": {
             v: {"output": op.output, "inputs": list(op.inputs)}
-            for v, op in m.vertex_map
+            for v, op in m.components
         },
     }
 

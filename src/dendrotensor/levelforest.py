@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
-from .omegacat import OperadMap, Operation
+from .omegacat import OperadMap, Operation, _induced
 from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, check_name
 
 __all__ = [
@@ -239,22 +239,12 @@ def omega_mor(phi: SimplicialOperator, a: FinSimplex) -> OperadMap:
     """The operad map from the forest of the reindexed chain to the forest of
     ``a``: edges keep their element and move to the reindexed level, vertices
     land on the level-uniform cuts."""
-    src = omega_obj(restrict(a, phi))
-    tgt = omega_obj(a)
 
     def rename(e: str) -> str:
         lvl, elem = split_edge_name(e)
         return edge_name(phi(lvl), elem)
 
-    edge_map = {e: rename(e) for e in src.edges}
-    vertex_map = {
-        v.out_edge: Operation(
-            rename(v.out_edge), tuple(rename(d) for d in v.in_edges)
-        )
-        for t in src.components
-        for v in t.vertices
-    }
-    return OperadMap.build(src, tgt, edge_map, vertex_map)
+    return _induced(omega_obj(restrict(a, phi)), omega_obj(a), rename)
 
 
 @dataclass(frozen=True)
@@ -274,6 +264,25 @@ class RetractWitness:
     retraction: OperadMap
 
 
+def _padded_height(t: Tree) -> int:
+    """The height :func:`retract_witness` pads every leaf of ``t`` to: the
+    depth of its deepest leaf, or one above its deepest stump."""
+    depth = t.depth
+    h_leaf = max((depth[l] for l in t.leaves), default=0)
+    h_stump = max((depth[s] + 1 for s in t.stump_edges), default=0)
+    return max(h_leaf, h_stump)
+
+
+def _padded_edge_count(f: Tree | Forest) -> int:
+    """The number of edges of ``retract_witness(f).padded``, counted without
+    building it: each leaf gains its height minus its depth."""
+    total = 0
+    for t in as_forest(f).components:
+        height, depth = _padded_height(t), t.depth
+        total += len(t.edges) + sum(height - depth[l] for l in t.leaves)
+    return total
+
+
 def retract_witness(f: Tree | Forest) -> RetractWitness:
     forest = as_forest(f)
     used = set(forest.edge_set)
@@ -290,10 +299,7 @@ def retract_witness(f: Tree | Forest) -> RetractWitness:
     heights: list[int] = []
     base_of: dict[str, str] = {}
     for t in forest.components:
-        depth = t.depth
-        h_leaf = max((depth[l] for l in t.leaves), default=0)
-        h_stump = max((depth[s] + 1 for s in t.stump_edges), default=0)
-        height = max(h_leaf, h_stump)
+        depth, height = t.depth, _padded_height(t)
         verts = list(t.vertices)
         for leaf in t.leaves:
             below = leaf
@@ -330,16 +336,7 @@ def retract_witness(f: Tree | Forest) -> RetractWitness:
     def up(e: str) -> str:
         return edge_name(level_of[e], e)
 
-    section = OperadMap.build(
-        forest,
-        omega,
-        {e: up(e) for e in forest.edges},
-        {
-            v.out_edge: Operation(up(v.out_edge), tuple(up(d) for d in v.in_edges))
-            for t in forest.components
-            for v in t.vertices
-        },
-    )
+    section = _induced(forest, omega, up)
 
     def down(e: str) -> str:
         return base_of.get(e, e)

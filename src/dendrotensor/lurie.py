@@ -40,7 +40,7 @@ from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
 from .omegacat import Operation, _component, _cut_interior, _fold, _fold_cuts, _operation
-from .omegacat import _tree_moves, is_cut
+from .omegacat import ForestInto, OperadMap, _tree_moves, is_cut
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
 
@@ -1145,42 +1145,6 @@ def defect_fixtures() -> tuple[tuple[str, EllPresentation], ...]:
 # ---------------------------------------------------------------------------
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
-@dataclass(frozen=True)
-class ForestInto:
-    """A map from the free operad of a forest into a finite operad: a color
-    per edge and an operation per vertex (keyed by its output edge)."""
-
-    colors: tuple[tuple[str, str], ...]
-    components: tuple[tuple[str, Label], ...]
-
-    @_cached
-    def color(self) -> dict[str, str]:
-        return dict(self.colors)
-
-    @_cached
-    def component(self) -> dict[str, Label]:
-        return dict(self.components)
-
-    @staticmethod
-    def build(
-        colors: Iterable[tuple[str, str]], components: Iterable[tuple[str, Label]]
-    ) -> "ForestInto":
-        """The map with these ``(edge, color)`` and ``(edge, operation)`` pairs."""
-        return ForestInto(tuple(sorted(colors)), tuple(sorted(components)))
-
-    @staticmethod
-    def _ordered(colors: tuple, components: tuple) -> "ForestInto":
-        """The map with these pair tuples, each already sorted by edge."""
-        m = _new(ForestInto)
-        _set(m, "colors", colors)
-        _set(m, "components", components)
-        return m
-
-
 def _gather(order: Sequence[int]) -> Callable[[Sequence], tuple]:
     """The function taking a sequence to the tuple of its items at
     ``order``, one C-level ``itemgetter`` call for two or more."""
@@ -1530,13 +1494,13 @@ def _eval_cut(p: FiniteOperad, m: ForestInto, forest: Forest, op: Operation) -> 
     return value[op.output]
 
 
-def precompose(p: FiniteOperad, m: ForestInto, h) -> ForestInto:
-    """Precompose a map out of the free operad of ``h.target`` with the
-    operad map ``h``, yielding a map out of the free operad of
-    ``h.source``."""
+def precompose(p: FiniteOperad, m: ForestInto, h: OperadMap) -> ForestInto:
+    """Precompose a map ``m`` out of the free operad of ``h.target`` with the
+    operad map ``h``: each edge of ``h.source`` takes the color of its image,
+    and each vertex the value under ``m`` of its image cut."""
     return ForestInto.build(
-        ((e, m.color[img]) for e, img in h.edge.items()),
-        ((w, _eval_cut(p, m, h.target, op)) for w, op in h.vertex.items()),
+        ((e, m.color[img]) for e, img in h.colors),
+        ((w, _eval_cut(p, m, h.target, op)) for w, op in h.components),
     )
 
 

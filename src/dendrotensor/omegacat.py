@@ -13,12 +13,13 @@ shuffle state table says.  It folds from one node on demand
 inputs, it lists only the cuts up to that arity, which is all a vertex of
 that arity can map to.
 
-A map between such operads is recorded by where the colors go (``edge_map``)
-and where each generating vertex goes (``vertex_map``, an operation of the
-target).  Such a map is a source-shaped dendrex of the nerve of the target
-operad, so :func:`hom` lists them with :func:`~dendrotensor.lurie.maps_into`.
-Composition pushes operations through the second map; no relations ever
-have to be checked beyond cut validity, which is what :func:`validate` does.
+A map out of a free forest operad is one record, :class:`ForestInto`: the
+color of each edge (``colors``) and the operation of the target at each
+vertex (``components``).  It is a source-shaped dendrex of the target's
+nerve, so :func:`hom` lists maps with :func:`~dendrotensor.lurie.maps_into`
+and attaches both forests (:class:`OperadMap`).  Composition pushes
+operations through the second map; no relations ever have to be checked
+beyond cut validity, which is what :func:`validate` does.
 One walk up from a cut's output, with an explicit stack, decides whether a
 set of edges is a cut and lists the edges below it for substitution.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, serialize_forest
 
@@ -213,50 +214,86 @@ def is_cut(t: Tree, e: str, members: Iterable[str]) -> bool:
     return _cut_interior(t, e, frozenset(members)) is not None
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
-class OperadMap:
-    """A map of free forest operads, stored as sorted association tuples."""
+class ForestInto:
+    """A map from the free operad of a forest into a finite operad: a color
+    per edge and an operation per vertex (keyed by its output edge)."""
+
+    colors: tuple[tuple[str, str], ...]
+    components: tuple[tuple[str, Any], ...]
+
+    @_cached
+    def color(self) -> dict[str, str]:
+        return dict(self.colors)
+
+    @_cached
+    def component(self) -> dict[str, Any]:
+        return dict(self.components)
+
+    @staticmethod
+    def build(
+        colors: Iterable[tuple[str, str]], components: Iterable[tuple[str, Any]]
+    ) -> "ForestInto":
+        """The map with these ``(edge, color)`` and ``(edge, operation)`` pairs."""
+        return ForestInto(tuple(sorted(colors)), tuple(sorted(components)))
+
+    @staticmethod
+    def _ordered(colors: tuple, components: tuple) -> "ForestInto":
+        """The map with these pair tuples, each already sorted by edge."""
+        m = _new(ForestInto)
+        _set(m, "colors", colors)
+        _set(m, "components", components)
+        return m
+
+
+@dataclass(frozen=True)
+class OperadMap(ForestInto):
+    """A map of free forest operads: a :class:`ForestInto` whose operations
+    are cuts of ``target``, with its ``source`` and ``target`` forests."""
 
     source: Forest
     target: Forest
-    edge_map: tuple[tuple[str, str], ...]
-    vertex_map: tuple[tuple[str, Operation], ...]
 
     @staticmethod
     def build(
         source: Tree | Forest,
         target: Tree | Forest,
-        edge_map: Mapping[str, str],
-        vertex_map: Mapping[str, Operation],
+        colors: Mapping[str, str],
+        components: Mapping[str, Operation],
     ) -> "OperadMap":
         return OperadMap(
+            tuple(sorted(colors.items())),
+            tuple(sorted(components.items())),
             as_forest(source),
             as_forest(target),
-            tuple(sorted(edge_map.items())),
-            tuple(sorted(vertex_map.items())),
         )
 
-    @_cached
-    def edge(self) -> dict[str, str]:
-        return dict(self.edge_map)
 
-    @_cached
-    def vertex(self) -> dict[str, Operation]:
-        return dict(self.vertex_map)
+def _induced(
+    source: Tree | Forest, target: Tree | Forest, rename: Callable[[str], str]
+) -> OperadMap:
+    """The map sending each edge ``e`` to ``rename(e)`` and each vertex to
+    the cut over its renamed output with its renamed inputs."""
+    src = as_forest(source)
+    return OperadMap.build(
+        src,
+        target,
+        {e: rename(e) for e in src.edges},
+        {
+            v.out_edge: Operation(rename(v.out_edge), tuple(map(rename, v.in_edges)))
+            for t in src.components
+            for v in t.vertices
+        },
+    )
 
 
 def identity_map(scope: Tree | Forest) -> OperadMap:
     f = as_forest(scope)
-    return OperadMap.build(
-        f,
-        f,
-        {e: e for e in f.edges},
-        {
-            v.out_edge: Operation(v.out_edge, v.in_edges)
-            for t in f.components
-            for v in t.vertices
-        },
-    )
+    return _induced(f, f, lambda e: e)
 
 
 def hom(
@@ -265,8 +302,8 @@ def hom(
     """Enumerate every operad map between the generated free operads.
 
     Each map of :func:`~dendrotensor.lurie.maps_into` into
-    :class:`~dendrotensor.lurie.FreeForestOperad` is read as an
-    :class:`OperadMap`, in the order listed there.  Each source root may
+    :class:`~dendrotensor.lurie.FreeForestOperad` gets the two forests
+    attached, in the order listed there.  Each source root may
     land on any target edge; a vertex of arity ``k`` then lands on any
     arity-``k`` cut above its output's image, in any of the ``k!`` input
     matchings; the target's cuts are folded only up to the source's arities.
@@ -277,10 +314,8 @@ def hom(
 
     src = as_forest(source)
     tgt = as_forest(target)
-    return tuple(
-        OperadMap(src, tgt, m.colors, m.components)
-        for m in maps_into(src, FreeForestOperad(tgt), cap)
-    )
+    maps = maps_into(src, FreeForestOperad(tgt), cap)
+    return tuple([OperadMap(m.colors, m.components, src, tgt) for m in maps])
 
 
 def _push(g: OperadMap, op: Operation) -> Operation:
@@ -289,36 +324,36 @@ def _push(g: OperadMap, op: Operation) -> Operation:
     t = _component(g.source, op.output)
     if _cut_interior(t, op.output, op.input_set) is None:
         raise TreeError(f"invalid cut {op} pushed through map")
-    ge = g.edge
-    return Operation(ge[op.output], tuple(ge[d] for d in op.inputs))
+    gc = g.color
+    return Operation(gc[op.output], tuple(gc[d] for d in op.inputs))
 
 
 def compose(g: OperadMap, f: OperadMap) -> OperadMap:
     """The composite ``g`` after ``f`` (``f`` lands where ``g`` starts)."""
     if f.target.canonical_key() != g.source.canonical_key():
         raise TreeError("compose: middle forests disagree")
-    edge_map = {d: g.edge[img] for d, img in f.edge.items()}
-    vertex_map = {w: _push(g, op) for w, op in f.vertex.items()}
-    return OperadMap.build(f.source, g.target, edge_map, vertex_map)
+    colors = {d: g.color[img] for d, img in f.colors}
+    components = {w: _push(g, op) for w, op in f.components}
+    return OperadMap.build(f.source, g.target, colors, components)
 
 
 def validate(f: OperadMap) -> None:
     """Raise unless ``f`` is a well-formed operad map."""
     src, tgt = f.source, f.target
-    if set(f.edge) != set(src.edges):
-        raise TreeError("edge_map keys do not match source edges")
-    for e, img in f.edge.items():
+    if set(f.color) != set(src.edges):
+        raise TreeError("color keys do not match source edges")
+    for e, img in f.colors:
         if img not in tgt.edge_set:
             raise TreeError(f"edge image {img!r} not in target")
     expected_vertices = {v.out_edge for t in src.components for v in t.vertices}
-    if set(f.vertex) != expected_vertices:
-        raise TreeError("vertex_map keys do not match source vertices")
+    if set(f.component) != expected_vertices:
+        raise TreeError("component keys do not match source vertices")
     for t in src.components:
         for v in t.vertices:
-            op = f.vertex[v.out_edge]
-            if op.output != f.edge[v.out_edge]:
+            op = f.component[v.out_edge]
+            if op.output != f.color[v.out_edge]:
                 raise TreeError(f"vertex {v.out_edge!r}: output color mismatch")
-            images = [f.edge[d] for d in v.in_edges]
+            images = [f.color[d] for d in v.in_edges]
             if len(set(images)) != len(images):
                 raise TreeError(f"vertex {v.out_edge!r}: inputs collapse")
             if frozenset(images) != op.input_set:
@@ -337,7 +372,7 @@ def is_valid(f: OperadMap) -> bool:
 
 
 def _maps_to_generator(f: OperadMap, out_edge: str) -> bool:
-    op = f.vertex[out_edge]
+    op = f.component[out_edge]
     tgt = f.target.component_of[op.output]
     w = tgt.vertex_above.get(op.output)
     return w is not None and frozenset(w.in_edges) == op.input_set
@@ -352,12 +387,12 @@ def classify_elementary(f: OperadMap) -> str:
     """
     src, tgt = f.source, f.target
     src_edges = [e for t in src.components for e in t.edges]
-    values = [f.edge[e] for e in src_edges]
+    values = [f.color[e] for e in src_edges]
     injective = len(set(values)) == len(values)
     surjective = set(values) == set(tgt.edge_set)
     n_src_verts = sum(len(t.vertices) for t in src.components)
     n_tgt_verts = sum(len(t.vertices) for t in tgt.components)
-    all_generators = all(_maps_to_generator(f, w) for w in f.vertex)
+    all_generators = all(_maps_to_generator(f, w) for w in f.component)
 
     if injective and surjective and all_generators and n_src_verts == n_tgt_verts:
         return "iso"
@@ -368,14 +403,14 @@ def classify_elementary(f: OperadMap) -> str:
     if not s_tree.vertices and len(t_tree.vertices) == 1:
         return "edge_of_corolla"
 
-    identity_images = [w for w, op in f.vertex.items() if op.is_identity]
+    identity_images = [w for w, op in f.components if op.is_identity]
     if (
         len(src_edges) == len(tgt.edge_set) + 1
         and surjective
         and len(identity_images) == 1
         and len(s_tree.vertex_above[identity_images[0]].in_edges) == 1
         and all(
-            _maps_to_generator(f, w) for w in f.vertex if w != identity_images[0]
+            _maps_to_generator(f, w) for w in f.component if w != identity_images[0]
         )
     ):
         return "degeneracy"
@@ -383,12 +418,12 @@ def classify_elementary(f: OperadMap) -> str:
     missing = set(tgt.edge_set) - set(values)
     if injective and len(missing) == 1 and n_src_verts == n_tgt_verts - 1:
         (d,) = missing
-        non_gen = [w for w in f.vertex if not _maps_to_generator(f, w)]
+        non_gen = [w for w in f.component if not _maps_to_generator(f, w)]
         if t_tree.is_inner(d) and len(non_gen) == 1:
             return "inner_face"
 
     if injective and all_generators and n_src_verts == n_tgt_verts - 1:
-        used = {op.output for op in f.vertex.values()}
+        used = {op.output for _, op in f.components}
         unused = [w for w in t_tree.vertex_above if w not in used]
         if len(unused) == 1:
             return "outer_face"

@@ -33,7 +33,7 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
-from .omegacat import OperadMap, Operation, validate
+from .omegacat import ForestInto, OperadMap, _induced, validate
 from .treecore import (
     Tree,
     TreeError,
@@ -276,12 +276,7 @@ def inclusion_map(sub: Tree, sup: Tree) -> OperadMap:
     same inputs."""
     if not sub.edge_set <= sup.edge_set:
         raise TreeError("not a face: edges missing from the bigger tree")
-    m = OperadMap.build(
-        sub,
-        sup,
-        {e: e for e in sub.edges},
-        {v.out_edge: Operation(v.out_edge, v.in_edges) for v in sub.vertices},
-    )
+    m = _induced(sub, sup, lambda e: e)
     validate(m)
     return m
 
@@ -412,13 +407,12 @@ def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocRes
 
 
 @dataclass(frozen=True)
-class TensorHom:
-    """A map from a probe tree into the shuffle tensor: edge images are
-    tuple edges, vertex images are cuts, and ``witness`` is the first
-    shuffle that holds every edge image."""
+class TensorHom(ForestInto):
+    """A map from a probe tree into the shuffle tensor, a
+    :class:`~dendrotensor.omegacat.ForestInto` whose colors are tuple edges
+    and whose components are cuts, with ``witness``, the first shuffle that
+    holds every edge image."""
 
-    edge_map: tuple[tuple[str, str], ...]
-    vertex_map: tuple[tuple[str, Operation], ...]
     witness: Tree
 
 

@@ -18,6 +18,7 @@ from ._rand import random_fin_simplex, random_forest, random_operator, random_tr
 from .levelforest import (
     FinSimplex,
     SimplicialOperator,
+    _padded_edge_count,
     omega_mor,
     omega_obj,
     restrict,
@@ -197,6 +198,10 @@ def _level_rename_iso(padded: Forest, omega: Forest) -> bool:
     return renamed.canonical_key() == omega.canonical_key()
 
 
+# padded edges above which `retract` refuses a draw (padding grows as leaves × height)
+MAX_PADDED_EDGES = 100_000
+
+
 def suite_retract(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     n = _or_default(cfg.instances, 100)
     edges = _or_default(cfg.max_edges, 10)
@@ -208,6 +213,8 @@ def suite_retract(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
         else:
             sp = 0.5 if i % 3 == 0 else cfg.stump_probability
             f = random_forest(rng, edges, sp)
+        if (padded := _padded_edge_count(f)) > MAX_PADDED_EDGES:
+            raise ValueError(f"retract: instance {i} pads to {padded} edges > bound {MAX_PADDED_EDGES}")
         witness = {"forest": serialize_forest(f)}
         try:
             w = retract_witness(f)

@@ -375,7 +375,7 @@ def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
     assert len(maps) == len(set(maps)) == 1501
     homs = tensor_hom(eta("f"), factors)
     assert len(homs) == 1501
-    assert {h.edge_map for h in homs} == {m.colors for m in maps}
+    assert {h.colors for h in homs} == {m.colors for m in maps}
 
 
 def _arity_slice_oracle(p, c):

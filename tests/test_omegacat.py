@@ -157,7 +157,7 @@ def oracle_compose(g, f):
 
         def img(d, mem):
             if mem == frozenset((d,)):
-                return frozenset((g.edge[d],))
+                return frozenset((g.color[d],))
             v = t.vertex_above.get(d)
             if v is None:
                 raise TreeError(f"invalid cut {op} pushed through map")
@@ -166,11 +166,11 @@ def oracle_compose(g, f):
                 out |= img(c, mem & t.subtree_edges(c))
             return out
 
-        return Operation(g.edge[op.output], tuple(sorted(img(op.output, op.input_set))))
+        return Operation(g.color[op.output], tuple(sorted(img(op.output, op.input_set))))
 
-    edge_map = {d: g.edge[img] for d, img in f.edge.items()}
-    vertex_map = {w: push(op) for w, op in f.vertex.items()}
-    return OperadMap.build(f.source, g.target, edge_map, vertex_map)
+    colors = {d: g.color[img] for d, img in f.color.items()}
+    components = {w: push(op) for w, op in f.component.items()}
+    return OperadMap.build(f.source, g.target, colors, components)
 
 
 def oracle_precompose(p, m, h):
@@ -189,8 +189,8 @@ def oracle_precompose(p, m, h):
 
         return ev(op.output, op.input_set)
 
-    cmap = {e: m.color[img] for e, img in h.edge.items()}
-    vmap = {w: eval_cut(op) for w, op in h.vertex.items()}
+    cmap = {e: m.color[img] for e, img in h.color.items()}
+    vmap = {w: eval_cut(op) for w, op in h.component.items()}
     return ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
 
 
@@ -459,13 +459,13 @@ def test_precompose_on_deep_chain():
     n = 1500
     chain = chain_tree(n)
     ident = identity_map(chain)
-    m = ForestInto(ident.edge_map, ident.vertex_map)
+    m = ForestInto(ident.colors, ident.components)
     h = OperadMap.build(
         parse_tree("s[u]"), chain, {"s": "c0", "u": f"c{n}"},
         {"s": Operation("c0", (f"c{n}",))},
     )
     got = precompose(FreeForestOperad(chain), m, h)
-    assert got == ForestInto(h.edge_map, h.vertex_map)
+    assert got == ForestInto(h.colors, h.components)
 
 
 # -- maps --------------------------------------------------------------------
@@ -475,7 +475,7 @@ def test_hom_from_edge_counts_colors():
     t = parse_tree("r[a[x],b[]]")
     maps = hom(eta("e"), t)
     assert len(maps) == len(t.edges)
-    assert sorted(m.edge["e"] for m in maps) == sorted(t.edges)
+    assert sorted(m.color["e"] for m in maps) == sorted(t.edges)
 
 
 def test_hom_identity_and_validation():
@@ -596,7 +596,7 @@ def test_compose_rejects_non_cut_images(f):
 @pytest.mark.parametrize("f", _non_cut_images(), ids=["nested", "below"])
 def test_precompose_rejects_non_cut_images(f):
     ident = identity_map(f.target)
-    m = ForestInto(ident.edge_map, ident.vertex_map)
+    m = ForestInto(ident.colors, ident.components)
     with pytest.raises(TreeError, match="invalid cut"):
         precompose(FreeForestOperad(f.target), m, f)
 
@@ -608,10 +608,10 @@ def test_invalid_map_rejected():
     from dendrotensor import OperadMap
 
     wrong = OperadMap(
-        as_forest_source := bad.source,
-        bad.target,
-        dict(bad.edge),
-        {"r": Operation("r", ("a",))},
+        source=(as_forest_source := bad.source),
+        target=bad.target,
+        colors=bad.colors,
+        components=(("r", Operation("r", ("a",))),),
     )
     assert not is_valid(wrong)
     with pytest.raises(TreeError):
@@ -629,7 +629,7 @@ def test_classify_identity_is_iso():
 
 def test_classify_edge_of_corolla():
     maps = hom(eta("e"), parse_tree("r[a,b]"))
-    tags = {m.edge["e"]: classify_elementary(m) for m in maps}
+    tags = {m.color["e"]: classify_elementary(m) for m in maps}
     assert all(tag == "edge_of_corolla" for tag in tags.values())
 
 
@@ -640,12 +640,12 @@ def test_classify_faces():
     inner = [
         m
         for m in hom(squashed, whole)
-        if m.edge["r"] == "r" and m.edge["x"] == "x" and m.edge["b"] == "b"
+        if m.color["r"] == "r" and m.color["x"] == "x" and m.color["b"] == "b"
     ]
     assert inner and classify_elementary(inner[0]) == "inner_face"
     # outer face: include the top corolla
     top = parse_tree("a[x,y]")
-    outer = [m for m in hom(top, whole) if m.edge["a"] == "a" and m.edge["x"] == "x"]
+    outer = [m for m in hom(top, whole) if m.color["a"] == "a" and m.color["x"] == "x"]
     assert outer and classify_elementary(outer[0]) == "outer_face"
 
 
@@ -671,4 +671,4 @@ def test_empty_forest_is_initial(seed):
     tgt = random_forest(Random(seed), 5, 0.3)
     maps = hom(parse_forest("{}"), tgt)
     assert len(maps) == 1
-    assert maps[0].edge == {} and maps[0].vertex == {}
+    assert maps[0].color == {} and maps[0].component == {}

@@ -482,7 +482,7 @@ def oracle_tensor_hom(probe, factors):
     found = {}
     for a in shuffles(factors):
         for m in hom(probe, a):
-            found.setdefault((m.edge_map, m.vertex_map), TensorHom(m.edge_map, m.vertex_map, a))
+            found.setdefault((m.colors, m.components), TensorHom(m.colors, m.components, a))
     return tuple(found[k] for k in sorted(found))
 
 
