@@ -438,6 +438,28 @@ def test_tensor_hom_corolla_pair(capsys):
 # -- free-algebra ----------------------------------------------------------------
 
 
+# sha256 of 12 terms over a forest with a stump (`b[]`), two generators of
+# one colour (`g`, `h` on `a`) and a quote and non-ASCII text in an index and
+# in elements; taken before the listing was written from escaped pieces
+PIN_FREE_ALGEBRA_ARGV = [
+    "free-algebra", "{r[a,b[],c[d,e]];x[y]}",
+    "--generators", '{"g":"a","h":"a","k":"d","q\\"é":"e","m":"b"}',
+    "--inputs", '{"g":["x1","ℓ\\"2"],"h":["y"],"k":["z","w"],"q\\"é":["é"],"m":["s"]}',
+    "--output-color", "r",
+]
+PINNED_FREE_ALGEBRA = {
+    "json": "22c2d5ce79e5266a5cac62cc54cbf2ac9b7a857e0aa2238adf07b2aae4aa30cb",
+    "text": "0c6279475b251721cf4eb4bf86bfdf5a354e2fbe05dfb047ec81cf2113567438",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_FREE_ALGEBRA))
+def test_free_algebra_output_bytes_are_pinned(capsys, fmt):
+    assert main(PIN_FREE_ALGEBRA_ARGV + ["--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_FREE_ALGEBRA[fmt]
+
+
 def test_free_algebra_terms(capsys):
     code = main(
         [
