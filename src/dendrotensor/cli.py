@@ -19,12 +19,12 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .levelforest import FinSimplex, omega_obj
-from .lurie import free_algebra, FreeForestOperad
+from .lurie import BVTensorOperad, FreeForestOperad, free_algebra
 from .omegacat import ForestInto, hom
-from .render import gallery_dot, json_escape, json_text, shuffles_json, to_dot
-from .shuffle import _count_states, _shuffle_texts, _shuffle_trees, _state_table, tensor_hom
+from .render import gallery_dot, json_escape, json_text, listing_json, map_texts, term_texts, to_dot
+from .shuffle import _count_states, _shuffle_texts, _shuffle_trees, _state_table, _Table, _tensor_maps
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
-from .treecore import Tree, TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
+from .treecore import TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
 __all__ = ["main"]
 
@@ -53,28 +53,17 @@ def _emit(out: str | None, *pieces: str) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _emit_listing(args: argparse.Namespace, key: str, items: list, lines: Iterable[str]) -> None:
-    """Write a listing: ``{"count": n, key: items}`` as JSON, or, for
-    ``--format text``, a ``count: n`` line and then ``lines``, one per item
-    (read only for text)."""
-    if args.format == "text":
-        _emit(args.out, f"count: {len(items)}\n", "\n".join(lines), "\n" if items else "")
-    else:
-        _emit(args.out, json_text({"count": len(items), key: items}))
+def _emit_text(out: str | None, n: int, lines: Iterable[str]) -> None:
+    """Write a ``--format text`` listing: a ``count: n`` line, then
+    ``lines``, one per item."""
+    _emit(out, f"count: {n}\n", "\n".join(lines), "\n" if n else "")
 
 
-def _json_line(entry: dict[str, Any]) -> str:
+def _map_line(m: ForestInto, **extra: str) -> str:
+    """A map as one line of a ``--format text`` listing."""
+    vertex_map = {v: {"output": op.output, "inputs": list(op.inputs)} for v, op in m.components}
+    entry = {"edge_map": dict(m.colors), "vertex_map": vertex_map, **extra}
     return json.dumps(entry, ensure_ascii=False, sort_keys=True)
-
-
-def _map_json(m: ForestInto) -> dict[str, Any]:
-    return {
-        "edge_map": dict(m.colors),
-        "vertex_map": {
-            v: {"output": op.output, "inputs": list(op.inputs)}
-            for v, op in m.components
-        },
-    }
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
@@ -107,25 +96,28 @@ def _check_cap(cap: int) -> int:
 def cmd_hom(args: argparse.Namespace) -> int:
     src = parse_forest(args.source)
     tgt = parse_forest(args.target)
-    maps = [_map_json(m) for m in hom(src, tgt, cap=_check_cap(args.max_results))]
-    _emit_listing(args, "maps", maps, map(_json_line, maps))
+    maps = hom(src, tgt, cap=_check_cap(args.max_results))
+    if args.format == "text":
+        _emit_text(args.out, len(maps), map(_map_line, maps))
+    else:
+        _emit(args.out, *listing_json("maps", map_texts(maps)))
     return 0
 
 
-def _check_shuffle_count(factors: list[Tree], cap: int) -> tuple[list, int]:
-    """Refuse, before building any, factors with more than ``cap`` shuffles;
-    return their state table and how many shuffles they have."""
-    _check_cap(cap)
-    table = _state_table(factors)
+def _check_shuffle_count(table: _Table, cap: int) -> int:
+    """Refuse, before building any, a state table with more than ``cap``
+    shuffles; return how many it has."""
     n = _count_states(table)
     if n > cap:
         raise ValueError(f"the factors have {n} shuffles, more than --max-results {cap}")
-    return table, n
+    return n
 
 
 def cmd_shuffles(args: argparse.Namespace) -> int:
     factors = [parse_tree(t) for t in args.factors]
-    table, n = _check_shuffle_count(factors, args.max_results)
+    cap = _check_cap(args.max_results)
+    table = _state_table(factors)
+    n = _check_shuffle_count(table, cap)
     # json and text print each shuffle's canonical text, folded without
     # trees; json escapes each state name once instead of every text
     if args.format == "dot":
@@ -137,27 +129,36 @@ def cmd_shuffles(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(args.out, gallery_dot(listing, "shuffles"))
     elif args.format == "json":
-        _emit(args.out, *shuffles_json(listing))
+        _emit(args.out, *listing_json("shuffles", listing, '"'))
     else:
-        _emit_listing(args, "shuffles", listing, listing)
+        _emit_text(args.out, n, listing)
     return 0
 
 
 def cmd_tensor_hom(args: argparse.Namespace) -> int:
     probe = parse_tree(args.probe)
     factors = [parse_tree(t) for t in args.factors]
-    _check_shuffle_count(factors, args.max_results)
-    homs = tensor_hom(probe, factors, cap=args.max_results)
+    cap = _check_cap(args.max_results)
+    # one state table: counted, then folded into the operad's cuts and the
+    # witnesses
+    tensor = BVTensorOperad(factors)
+    _check_shuffle_count(tensor._states.items(), cap)
+    homs = _tensor_maps(probe, tensor, cap)
     # many maps share a witness: serialize each witness once, keyed by the
     # tree object, which ``homs`` keeps alive
+    piece = json_escape if args.format == "json" else str
     witness_text: dict[int, str] = {}
-    maps = []
+    witnesses = []
     for m in homs:
         text = witness_text.get(id(m.witness))
         if text is None:
-            text = witness_text[id(m.witness)] = serialize_tree(m.witness)
-        maps.append({**_map_json(m), "witness_shuffle": text})
-    _emit_listing(args, "maps", maps, map(_json_line, maps))
+            text = witness_text[id(m.witness)] = piece(serialize_tree(m.witness))
+        witnesses.append(text)
+    if args.format == "text":
+        lines = (_map_line(m, witness_shuffle=w) for m, w in zip(homs, witnesses))
+        _emit_text(args.out, len(homs), lines)
+    else:
+        _emit(args.out, *listing_json("maps", map_texts(homs, witnesses)))
     return 0
 
 
@@ -184,15 +185,11 @@ def cmd_free_algebra(args: argparse.Namespace) -> int:
     if missing:
         raise TreeError(f"generator {missing[0]!r} has no --inputs entry")
     terms = free_algebra(p, generators, inputs, args.output_color)
-    _emit_listing(
-        args,
-        "terms",
-        [
-            {"indices": list(t.indices), "operation": str(t.label), "args": list(t.args)}
-            for t in terms
-        ],
-        (f"{'·'.join(t.indices)} | {t.label} | ({','.join(t.args)})" for t in terms),
-    )
+    if args.format == "text":
+        lines = (f"{'·'.join(t.indices)} | {t.label} | ({','.join(t.args)})" for t in terms)
+        _emit_text(args.out, len(terms), lines)
+    else:
+        _emit(args.out, *listing_json("terms", term_texts(terms)))
     return 0
 
 

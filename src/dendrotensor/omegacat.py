@@ -337,9 +337,16 @@ def compose(g: OperadMap, f: OperadMap) -> OperadMap:
     return OperadMap.build(f.source, g.target, colors, components)
 
 
+def _strictly_sorted(pairs: tuple[tuple[str, Any], ...]) -> bool:
+    return all(a[0] < b[0] for a, b in zip(pairs, pairs[1:]))
+
+
 def validate(f: OperadMap) -> None:
-    """Raise unless ``f`` is a well-formed operad map."""
+    """Raise unless ``f`` is a well-formed operad map, its pair tuples
+    strictly sorted by edge, as equality and the JSON writer read them."""
     src, tgt = f.source, f.target
+    if not (_strictly_sorted(f.colors) and _strictly_sorted(f.components)):
+        raise TreeError("colors and components must be strictly sorted by edge")
     if set(f.color) != set(src.edges):
         raise TreeError("color keys do not match source edges")
     for e, img in f.colors:

@@ -4,23 +4,57 @@ DOT conventions: the root hangs at the bottom, interior vertices are dots,
 stumps are filled squares, leaves end in open circles, and every edge is
 labeled by its name.  Forests whose edge names all carry level prefixes
 (``ℓi:a``) additionally get one rank per level joined by a dashed level
-axis, so the drawing reads like a level diagram.
+axis, so the drawing reads like a level diagram.  One emitter draws the
+trees of :func:`to_dot` and :func:`gallery_dot`, quoting each edge name
+once per drawing and building each node id once per tree.
 
-:func:`json_text` writes the indented JSON of every command and report;
-:func:`shuffles_json` writes the one listing it does not, in the same
-bytes, from texts escaped beforehand (:func:`json_escape`).
+:func:`json_text` writes the indented JSON of every report and small
+object.  The listings of ``shuffles``, ``hom``, ``tensor-hom`` and
+``free-algebra`` are written in the same bytes from pieces instead:
+:func:`map_texts` and :func:`term_texts` write each map or term from names
+escaped once per listing (:func:`json_escape`), ``shuffles`` folds its texts
+from escaped state names, and :func:`listing_json` writes any of them as
+head, one join of the items and tail.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from json.encoder import encode_basestring
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .levelforest import split_edge_name
 from .treecore import Forest, Tree, as_forest
 
-__all__ = ["to_dot", "gallery_dot", "json_text", "json_escape", "shuffles_json"]
+if TYPE_CHECKING:
+    from .lurie import FreeTerm
+    from .omegacat import ForestInto, Operation
+
+__all__ = [
+    "to_dot",
+    "gallery_dot",
+    "json_text",
+    "json_escape",
+    "listing_json",
+    "map_texts",
+    "term_texts",
+]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key ``k`` with ``make(k)``; a hit is a
+    plain dict lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[str], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, k: str) -> str:
+        v = self[k] = self.make(k)
+        return v
 
 
 def _esc(s: str) -> str:
@@ -31,36 +65,39 @@ def _q(s: str) -> str:
     return '"' + _esc(s) + '"'
 
 
-def _emit_tree(t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] | None) -> None:
-    """Append the nodes and edges of ``t`` to ``lines``, quoting each edge
-    name once; given ``ranks``, also file each edge's upper node under the
-    level of a level-prefixed edge name."""
-    esc = {e: _esc(e) for e in t.edges}
-    above = t.vertex_above
+_STUMP = '[shape=square, style=filled, fillcolor=black, label="", width=0.12, fixedsize=true];'
+_POINT = "[shape=point, width=0.08];"
+_LEAF = '[shape=circle, label="", width=0.12, fixedsize=true];'
+
+
+def _emit_tree(
+    t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] | None, esc: _Memo
+) -> None:
+    """Append the nodes and edges of ``t`` to ``lines``, with edge names
+    quoted through ``esc``, the drawing's memo, and each node id built once;
+    given ``ranks``, also file each edge's upper node under the level of a
+    level-prefixed edge name."""
+    node: dict[str, str] = {}  # an edge's upper node: the vertex above it, or its leaf
     for v in t.vertices:
-        nid = f'"v:{tag}:{esc[v.out_edge]}"'
-        if v.is_stump:
-            lines.append(
-                f"  {nid} [shape=square, style=filled, fillcolor=black, "
-                'label="", width=0.12, fixedsize=true];'
-            )
-        else:
-            lines.append(f"  {nid} [shape=point, width=0.08];")
+        nid = node[v.out_edge] = f'"v:{tag}:{esc[v.out_edge]}"'
+        lines.append(f"  {nid} {_STUMP if v.is_stump else _POINT}")
     for e in t.leaves:
-        lines.append(
-            f'  "leaf:{tag}:{esc[e]}" [shape=circle, label="", width=0.12, fixedsize=true];'
-        )
+        nid = node[e] = f'"leaf:{tag}:{esc[e]}"'
+        lines.append(f"  {nid} {_LEAF}")
     anchor = f'"root:{tag}"'
     lines.append(f'  {anchor} [shape=none, label="", width=0.01];')
     parent = t.parent
-    for e, x in esc.items():
-        kind = "v" if e in above else "leaf"
-        parent_v = parent.get(e)
-        lower = f'"v:{tag}:{esc[parent_v]}"' if parent_v is not None else anchor
-        lines.append(f'  {lower} -> "{kind}:{tag}:{x}" [label="{x}", arrowhead=none];')
-        if ranks is not None:
+    lines += [
+        f'  {anchor if (p := parent.get(e)) is None else node[p]} -> {node[e]} '
+        f'[label="{esc[e]}", arrowhead=none];'
+        for e in t.edges
+    ]
+    if ranks is not None:
+        above = t.vertex_above
+        for e in t.edges:
             level = split_edge_name(e)
             if level is not None:
+                kind = "v" if e in above else "leaf"
                 ranks.setdefault(level[0], []).append(f"{kind}:{tag}:{e}")
 
 
@@ -78,8 +115,9 @@ def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
     lines = _head(name)
     leveled = bool(forest.edges) and all(split_edge_name(e) is not None for e in forest.edges)
     ranks: dict[int, list[str]] | None = {} if leveled else None
+    esc = _Memo(_esc)
     for i, t in enumerate(forest.components):
-        _emit_tree(t, str(i), lines, ranks)
+        _emit_tree(t, str(i), lines, ranks, esc)
     if ranks:
         lo, hi = min(ranks), max(ranks)
         for lvl in range(lo, hi + 1):
@@ -97,12 +135,15 @@ def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
 
 
 def gallery_dot(trees: list[Tree] | tuple[Tree, ...], name: str = "gallery") -> str:
-    """Several trees side by side as clusters of one digraph."""
+    """Several trees side by side as clusters of one digraph; each edge name
+    is quoted once for the whole gallery, as the shuffles of one factor
+    tuple share their state names."""
     lines = _head(name)
+    esc = _Memo(_esc)
     for i, t in enumerate(trees):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="{i}";')
-        _emit_tree(t, str(i), lines, None)
+        _emit_tree(t, str(i), lines, None, esc)
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -117,9 +158,9 @@ def json_text(obj: object) -> str:
     dict key, or one this writer cannot finish (a cycle, say), goes whole
     through ``json.dumps``, which converts or refuses it as ``json`` does.
 
-    ``shuffles --format json`` bypasses it for :func:`shuffles_json`, as its
-    texts are escaped once per state name while they are folded; the bytes
-    are the same, which the tests check against this function."""
+    The listings bypass it for :func:`listing_json`, as their names are
+    escaped once per listing; the bytes are the same, which the tests check
+    against this function."""
     out: list[str] = []
     try:
         _write_json(obj, "\n", out)
@@ -136,14 +177,87 @@ def json_escape(s: str) -> str:
     return encode_basestring(s)[1:-1]
 
 
-def shuffles_json(escaped: Sequence[str]) -> tuple[str, ...]:
-    """``json_text({"count": n, "shuffles": texts})`` in pieces to write in
-    turn, from the escaped texts (:func:`json_escape`): head, the one join
-    of the texts and tail, with no copy of the whole text made."""
-    if not escaped:
-        return (json_text({"count": 0, "shuffles": []}),)
-    head = f'{{\n  "count": {len(escaped)},\n  "shuffles": [\n    "'
-    return head, '",\n    "'.join(escaped), '"\n  ]\n}\n'
+def listing_json(key: str, items: Sequence[str], quote: str = "") -> tuple[str, ...]:
+    """``json_text({"count": n, key: values})`` in pieces to write in turn:
+    head, the one join of the items and tail, with no copy of the whole text
+    made.  Each item is one value's JSON text at the listing's indent
+    (:func:`map_texts`, :func:`term_texts`) or, with ``quote='"'``, one
+    string's escaped body (:func:`json_escape`).  ``key`` sorts after
+    ``count``, as ``maps``, ``shuffles`` and ``terms`` do."""
+    if not items:
+        return (json_text({"count": 0, key: []}),)
+    head = f'{{\n  "count": {len(items)},\n  {encode_basestring(key)}: [\n    {quote}'
+    return head, f"{quote},\n    {quote}".join(items), f"{quote}\n  ]\n}}\n"
+
+
+def _quoted() -> _Memo:
+    """A memo of each name's quoted JSON string."""
+    return _Memo(lambda s: f'"{json_escape(s)}"')
+
+
+def _list(texts: list[str], pad: str) -> str:
+    """A JSON list of the value texts ``texts`` whose own line starts with
+    ``pad``, a newline and its indent."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+def map_texts(maps: Sequence[ForestInto], witnesses: Iterable[str] | None = None) -> list[str]:
+    """Each map's JSON text as the ``hom`` and ``tensor-hom`` listings hold
+    it (:func:`listing_json`): ``{"edge_map": {edge: color}, "vertex_map":
+    {vertex: {"inputs": [...], "output": color}}}``, and, given
+    ``witnesses`` (one escaped text per map), ``"witness_shuffle"``.
+
+    Written from the pair tuples, which are sorted by edge as the keys are,
+    with each entry's key, each colour and each operation's whole block made
+    once per call.  Operations are memoized by identity, which ``maps``
+    keeps alive."""
+    key = _Memo(lambda e: f'\n        "{json_escape(e)}": ')
+    color = _quoted()
+    blocks: dict[int, str] = {}
+
+    def block(op: Operation) -> str:
+        inputs = _list([color[d] for d in op.inputs], "\n          ")
+        return f'{{\n          "inputs": {inputs},\n          "output": {color[op.output]}\n        }}'
+
+    end = "\n    }"
+    witness = _Memo(lambda w: f',\n      "witness_shuffle": "{w}"{end}')
+    closes = repeat(end) if witnesses is None else map(witness.__getitem__, witnesses)
+    out = []
+    for m, close in zip(maps, closes):
+        colors = [key[e] + color[c] for e, c in m.colors]
+        parts = []
+        for v, op in m.components:
+            text = blocks.get(id(op))
+            if text is None:
+                text = blocks[id(op)] = block(op)
+            parts.append(key[v] + text)
+        edge_map = "{" + ",".join(colors) + "\n      }" if colors else "{}"
+        vertex_map = "{" + ",".join(parts) + "\n      }" if parts else "{}"
+        out.append(f'{{\n      "edge_map": {edge_map},\n      "vertex_map": {vertex_map}{close}')
+    return out
+
+
+def term_texts(terms: Sequence[FreeTerm]) -> list[str]:
+    """Each term's JSON text as the ``free-algebra`` listing holds it
+    (:func:`listing_json`): ``{"args": [...], "indices": [...],
+    "operation": str(label)}``, from each argument and index quoted once per
+    call and each label's line written once, by identity, which ``terms``
+    keeps alive."""
+    q = _quoted()
+    labels: dict[int, str] = {}
+    pad = "\n      "
+    out = []
+    for t in terms:
+        op = labels.get(id(t.label))
+        if op is None:
+            op = labels[id(t.label)] = f',{pad}"operation": "{json_escape(str(t.label))}"\n    }}'
+        args = _list([q[a] for a in t.args], pad)
+        indices = _list([q[i] for i in t.indices], pad)
+        out.append(f'{{{pad}"args": {args},{pad}"indices": {indices}{op}')
+    return out
 
 
 def _write_json(x: object, pad: str, out: list[str]) -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 from .omegacat import ForestInto, OperadMap, _induced, validate
 from .treecore import (
@@ -44,6 +44,9 @@ from .treecore import (
     max_edges,
     serialize_tree,
 )
+
+if TYPE_CHECKING:
+    from .lurie import BVTensorOperad
 
 __all__ = [
     "encode",
@@ -425,13 +428,21 @@ def tensor_hom(
     its components may land in different shuffles.  ``cap`` raises
     :class:`TreeError` when there are more maps than that, before any map
     or shuffle is built."""
-    from .lurie import BVTensorOperad, maps_into
+    from .lurie import BVTensorOperad
 
     if not isinstance(probe, Tree):
         raise TreeError("tensor_hom takes a tree probe, not a forest")
-    tensor = BVTensorOperad(factors)
+    return _tensor_maps(probe, BVTensorOperad(factors), cap)
+
+
+def _tensor_maps(probe: Tree, tensor: BVTensorOperad, cap: int | None = None) -> tuple[TensorHom, ...]:
+    """:func:`tensor_hom` into ``tensor``, a built
+    :class:`~dendrotensor.lurie.BVTensorOperad`, whose one state table gives
+    both the operad and the witnesses."""
+    from .lurie import maps_into
+
     maps = maps_into(probe, tensor, cap)
-    trees = _shuffle_trees(tensor._states.items())  # one state table for both
+    trees = _shuffle_trees(tensor._states.items())
     out = []
     for colors, comps in sorted((m.colors, m.components) for m in maps):
         image = {c for _, c in colors}

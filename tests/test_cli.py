@@ -12,7 +12,7 @@ from dendrotensor import cli as cli_module
 from dendrotensor import lurie as lurie_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
-from dendrotensor.render import json_escape, json_text, shuffles_json
+from dendrotensor.render import json_escape, json_text, listing_json
 from dendrotensor.shuffle import _shuffle_texts, _state_table
 from dendrotensor.suites import SuiteConfig
 from dendrotensor.treecore import parse_tree
@@ -236,7 +236,7 @@ def test_shuffles_json_matches_json_text(tmp_path, capsys, case):
     factors = ESCAPE_CASES[case]
     expected = _shuffles_oracle(factors)
     table = _state_table([parse_tree(t) for t in factors])
-    assert "".join(shuffles_json(_shuffle_texts(table, json_escape))) == expected
+    assert "".join(listing_json("shuffles", _shuffle_texts(table, json_escape), '"')) == expected
     assert main(["shuffles", *factors, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected
     out = tmp_path / "s.json"
@@ -248,11 +248,11 @@ def test_shuffles_json_of_raw_texts_fails_the_oracle():
     # negative control: a quote in a state name must be escaped
     factors = ESCAPE_CASES["quote-and-backslash"]
     table = _state_table([parse_tree(t) for t in factors])
-    assert "".join(shuffles_json(_shuffle_texts(table))) != _shuffles_oracle(factors)
+    assert "".join(listing_json("shuffles", _shuffle_texts(table), '"')) != _shuffles_oracle(factors)
 
 
 def test_shuffles_json_empty_listing_matches_json_text():
-    assert "".join(shuffles_json([])) == json_text({"count": 0, "shuffles": []})
+    assert "".join(listing_json("shuffles", [], '"')) == json_text({"count": 0, "shuffles": []})
 
 
 def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
@@ -278,9 +278,9 @@ def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
         (["shuffles", PIN_A, PIN_B, "--format", "text"], 1),
         (["shuffles", PIN_A, PIN_B, "--format", "dot"], 1),
         (["shuffles", PIN_A], 1),
-        # the count's table, then one inside tensor_hom for the tensor
-        # operad and the witnesses
-        (["tensor-hom", "e[f,g]", PIN_A, PIN_B], 2),
+        # one table, counted, then folded into the tensor operad's cuts and
+        # the witnesses
+        (["tensor-hom", "e[f,g]", PIN_A, PIN_B], 1),
     ],
 )
 def test_state_table_built_once_per_listing(monkeypatch, capsys, argv, tables):

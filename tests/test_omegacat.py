@@ -619,6 +619,26 @@ def test_invalid_map_rejected():
     assert as_forest_source is bad.source
 
 
+def test_out_of_order_pairs_rejected():
+    # the identity's own pairs, reversed: every key and image is right, yet
+    # the record compares unequal to the identity, so validate refuses it
+    from dendrotensor import OperadMap
+
+    ident = identity_map(parse_tree("r[a,b]"))
+    flipped = OperadMap(ident.colors[::-1], ident.components, ident.source, ident.target)
+    assert flipped.color == ident.color and flipped != ident
+    with pytest.raises(TreeError, match="sorted"):
+        validate(flipped)
+    ident = identity_map(parse_tree("r[a[x],b[y]]"))
+    for colors, components in [
+        (ident.colors, ident.components[::-1]),
+        (ident.colors + ident.colors[-1:], ident.components),  # a repeated edge
+    ]:
+        with pytest.raises(TreeError, match="sorted"):
+            validate(OperadMap(colors, components, ident.source, ident.target))
+    validate(ident)
+
+
 # -- elementary shapes -------------------------------------------------------
 
 

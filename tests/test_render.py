@@ -7,10 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendrotensor import Forest, Tree, Vertex, as_forest, omega_obj, shuffles
+from dendrotensor import (
+    Forest,
+    FreeForestOperad,
+    Tree,
+    TreeError,
+    Vertex,
+    as_forest,
+    free_algebra,
+    hom,
+    omega_obj,
+    serialize_forest,
+    serialize_tree,
+    shuffles,
+    tensor_hom,
+)
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
+from dendrotensor.cli import main
 from dendrotensor.levelforest import split_edge_name
-from dendrotensor.render import gallery_dot, json_text, to_dot
+from dendrotensor.render import (
+    gallery_dot,
+    json_escape,
+    json_text,
+    listing_json,
+    map_texts,
+    term_texts,
+    to_dot,
+)
 from test_shuffle import random_factors
 
 # -- DOT -------------------------------------------------------------------------
@@ -277,3 +300,125 @@ def test_json_text_refuses_a_cycle_as_json_does():
     cycle["a"].append(cycle)
     with pytest.raises(ValueError, match="Circular reference"):
         json_text(cycle)
+
+
+# -- listings ---------------------------------------------------------------------
+
+# The map and term listings are written from names escaped once per listing;
+# the oracle is json_text over the dicts the CLI built for each item before.
+
+
+def replaced_map_json(m):
+    return {
+        "edge_map": dict(m.colors),
+        "vertex_map": {
+            v: {"output": op.output, "inputs": list(op.inputs)}
+            for v, op in m.components
+        },
+    }
+
+
+def replaced_tensor_map_json(m):
+    return {**replaced_map_json(m), "witness_shuffle": serialize_tree(m.witness)}
+
+
+def replaced_term_json(t):
+    return {"indices": list(t.indices), "operation": str(t.label), "args": list(t.args)}
+
+
+def oracle_listing(key, items):
+    return json_text({"count": len(items), key: items})
+
+
+def _written(key, texts):
+    return "".join(listing_json(key, texts))
+
+
+def test_listings_of_nothing_match_json_text():
+    assert _written("maps", map_texts([])) == oracle_listing("maps", [])
+    assert _written("maps", map_texts([], [])) == oracle_listing("maps", [])
+    assert _written("terms", term_texts([])) == oracle_listing("terms", [])
+
+
+def test_map_texts_match_the_replaced_dicts_on_random_hom(capsys):
+    rng = Random("map_texts:hom")
+    seen = dict.fromkeys(["empty", "bare-edge", "stump-image", "forest", "escaped", "maps"], 0)
+    for i in range(160):
+        src = rename(random_forest(rng, 4, 0.3, 2), rng, None)
+        tgt = rename(random_forest(rng, 9, 0.3, 2, 1), rng, None)
+        try:
+            maps = hom(src, tgt, cap=3000)
+        except TreeError:
+            continue
+        expected = oracle_listing("maps", [replaced_map_json(m) for m in maps])
+        assert _written("maps", map_texts(maps)) == expected
+        if i % 8 == 0:
+            assert main(["hom", "--", serialize_forest(src), serialize_forest(tgt)]) == 0
+            assert capsys.readouterr().out == expected
+        seen["empty"] += not maps
+        seen["bare-edge"] += any(not m.components for m in maps)
+        seen["stump-image"] += any(not op.inputs for m in maps for _, op in m.components)
+        seen["forest"] += len(src.components) > 1 and bool(maps)
+        seen["escaped"] += '\\"' in expected and "\\\\" in expected
+        seen["maps"] += len(maps)
+    assert all(seen.values()), seen
+
+
+def test_map_texts_match_the_replaced_dicts_on_random_tensor_hom(capsys):
+    rng = Random("map_texts:tensor_hom")
+    witnessed = 0
+    for i in range(40):
+        probe = rename(as_forest(random_tree(rng, 3, 0.3, "p")), rng, None).components[0]
+        factors = [
+            rename(as_forest(t), rng, None).components[0]
+            for t in random_factors(rng, rng.choice((1, 2)), 40)
+        ]
+        maps = tensor_hom(probe, factors, cap=3000)
+        expected = oracle_listing("maps", [replaced_tensor_map_json(m) for m in maps])
+        witnesses = [json_escape(serialize_tree(m.witness)) for m in maps]
+        assert _written("maps", map_texts(maps, witnesses)) == expected
+        if i % 5 == 0:
+            argv = ["tensor-hom", "--", serialize_tree(probe), *map(serialize_tree, factors)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+        witnessed += len({id(m.witness) for m in maps}) > 1
+    assert witnessed
+
+
+def test_map_texts_keep_escapes_and_indents_apart():
+    # one name as key, colour and input; an edge named like an escape
+    src, tgt = Tree('"', (Vertex('"', ("\\", "é")),)), Tree("ℓ", (Vertex("ℓ", ('"', "\\\"")),))
+    maps = hom(src, tgt)
+    assert len(maps) == 2
+    expected = oracle_listing("maps", [replaced_map_json(m) for m in maps])
+    assert _written("maps", map_texts(maps)) == expected
+
+
+def test_term_texts_match_the_replaced_dicts_on_random_free_algebras(capsys):
+    rng = Random("term_texts")
+    seen = dict.fromkeys(["empty", "nullary", "shared-colour"], 0)
+    for i in range(80):
+        forest = rename(random_forest(rng, 7, 0.35, 2, 1), rng, None)
+        edges = sorted(forest.edges)
+        names = [f"{rng.choice(AWKWARD)}g{j}" for j in range(rng.randint(1, 4))]
+        generators = {g: rng.choice(edges) for g in names}
+        inputs = {
+            g: [rng.choice(AWKWARD) + f"{g}.{k}" for k in range(rng.randint(0, 2))]
+            for g in generators
+        }
+        out = rng.choice(edges)
+        terms = free_algebra(FreeForestOperad(forest), generators, inputs, out)
+        expected = oracle_listing("terms", [replaced_term_json(t) for t in terms])
+        assert _written("terms", term_texts(terms)) == expected
+        if i % 8 == 0:
+            argv = [
+                "free-algebra", serialize_forest(forest),
+                "--generators", json.dumps(generators), "--inputs", json.dumps(inputs),
+                f"--output-color={out}",
+            ]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+        seen["empty"] += not terms
+        seen["nullary"] += any(not t.indices for t in terms)
+        seen["shared-colour"] += len(set(generators.values())) < len(generators) and bool(terms)
+    assert all(seen.values()), seen
