@@ -19,7 +19,8 @@ each cut counted once).  On top of these sit:
   computed componentwise), plus :func:`defect_fixtures`, five deliberately
   broken presentations the checks must catch;
 * chains of the presentation over a level diagram, in bijection with maps
-  out of the free operad of the diagram's forest, naturally in the diagram;
+  out of the free operad of the diagram's forest, naturally in the diagram
+  (:func:`precompose` reads images of cuts in a cut operad as cuts);
 * the two decompositions of maps out of a free forest operad: cutting a
   tree at an inner edge, and splitting a forest into its components;
 * free algebra term sets with their symmetrization quotient.
@@ -39,8 +40,8 @@ from random import Random
 from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
-from .omegacat import Operation, _component, _cut_interior, _fold, _fold_cuts, _operation
-from .omegacat import ForestInto, OperadMap, _tree_moves, is_cut
+from .omegacat import Operation, _fold, _fold_cuts, _image, _is_cut_of, _operation
+from .omegacat import ForestInto, OperadMap, _tree_moves
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
 
@@ -268,7 +269,8 @@ class FiniteOperad(ABC):
     an output color; ``ops`` ignores the order of ``inputs``.  ``subst``
     composes one operation into another; the cut-based realizations below
     support it (their operation families never repeat an input color, so
-    arguments can be keyed by color), plain tables do not.
+    arguments can be keyed by color), plain tables do not, nor does
+    :func:`precompose` take them.
     """
 
     @abstractmethod
@@ -415,7 +417,7 @@ class FreeForestOperad(_CutOperad):
         raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
 
     def _has(self, op: Operation) -> bool:  # one walk, no listing built
-        return is_cut(_component(self.forest, op.output), op.output, op.inputs)
+        return _is_cut_of(self.forest, op)
 
 
 class TableOperad(FiniteOperad):
@@ -1479,28 +1481,16 @@ def restrict_chain(p: FiniteOperad, ch: Chain, phi) -> Chain:
     return Chain(b, tuple(objs), tuple(arrows))
 
 
-def _eval_cut(p: FiniteOperad, m: ForestInto, forest: Forest, op: Operation) -> Label:
-    """The image in ``p`` of a cut of the forest under a map out of its free
-    operad: substitute the map's components bottom-up over the edges from
-    the cut's inputs down to its output."""
-    t = forest.component_of[op.output]
-    interior = _cut_interior(t, op.output, op.input_set)
-    if interior is None:
-        raise TreeError(f"invalid cut {op} evaluated through map")
-    value = {d: p.identity(m.color[d]) for d in op.inputs}
-    for e in reversed(interior):
-        args = {m.color[d]: value[d] for d in t.vertex_above[e].in_edges}
-        value[e] = p.subst(m.component[e], args)
-    return value[op.output]
-
-
 def precompose(p: FiniteOperad, m: ForestInto, h: OperadMap) -> ForestInto:
     """Precompose a map ``m`` out of the free operad of ``h.target`` with the
     operad map ``h``: each edge of ``h.source`` takes the color of its image,
-    and each vertex the value under ``m`` of its image cut."""
+    and each vertex the image under ``m`` of its image cut, a cut of ``p``
+    (``omegacat._image``); an operad ``p`` of another kind raises."""
+    if not isinstance(p, _CutOperad):
+        raise TreeError(f"precompose needs a cut operad, not a {type(p).__name__}")
     return ForestInto.build(
         ((e, m.color[img]) for e, img in h.colors),
-        ((w, _eval_cut(p, m, h.target, op)) for w, op in h.components),
+        ((w, _image(p._has, m, h.target, op)) for w, op in h.components),
     )
 
 
@@ -1570,23 +1560,6 @@ class FreeTerm:
     args: tuple[str, ...]
 
 
-def _canonical_term(
-    indices: tuple[str, ...], label: Label, args: tuple[str, ...]
-) -> FreeTerm:
-    """Orbit representative under permutations of equal indices: arguments
-    sorted within each block (the label is fixed, matching the trivial
-    symmetric action of the table realizations)."""
-    out: list[str] = []
-    i = 0
-    while i < len(indices):
-        j = i
-        while j < len(indices) and indices[j] == indices[i]:
-            j += 1
-        out.extend(sorted(args[i:j]))
-        i = j
-    return FreeTerm(indices, label, tuple(out))
-
-
 def free_algebra(
     p: FiniteOperad,
     generators: Mapping[str, str],
@@ -1595,31 +1568,21 @@ def free_algebra(
 ) -> tuple[FreeTerm, ...]:
     """The set of free-algebra terms at ``output``: one orbit of
     ``(operation, arguments)`` for each multiset of generator indices whose
-    colors the operation accepts, with one argument drawn per index."""
+    colors the operation accepts, with one argument drawn per index.  An
+    orbit is listed once, its arguments a sorted multiset per block of
+    equal indices (the symmetric action of the realizations is trivial)."""
+    def multisets(pool: Iterable[str], k: int) -> Iterator[tuple[str, ...]]:
+        return combinations_with_replacement(sorted(set(pool)), k)
+
     by_color: dict[str, list[str]] = {}
     for idx in sorted(generators):
         by_color.setdefault(generators[idx], []).append(idx)
-    terms: set[FreeTerm] = set()
+    terms: list[FreeTerm] = []
     for kappa, labels in p.ops_by_output(output):
-        cnt = Counter(kappa)
-        choice_lists = []
-        feasible = True
-        for c in sorted(cnt):
-            idxs = by_color.get(c, [])
-            if not idxs:
-                feasible = False
-                break
-            choice_lists.append(
-                list(combinations_with_replacement(idxs, cnt[c]))
-            )
-        if not feasible:
-            continue
-        for chosen in product(*choice_lists):
+        colors = sorted(Counter(kappa).items())
+        for chosen in product(*[multisets(by_color.get(c, ()), k) for c, k in colors]):
             gamma = tuple(sorted(i for grp in chosen for i in grp))
-            arg_pools = [tuple(inputs.get(i, ())) for i in gamma]
-            for lab in labels:
-                for args in product(*arg_pools):
-                    terms.add(_canonical_term(gamma, lab, args))
-    return tuple(
-        sorted(terms, key=lambda t: (t.indices, str(t.label), t.args))
-    )
+            for parts in product(*[multisets(inputs.get(i, ()), k) for i, k in Counter(gamma).items()]):
+                args = tuple([a for part in parts for a in part])
+                terms += [FreeTerm(gamma, lab, args) for lab in labels]
+    return tuple(sorted(terms, key=lambda t: (t.indices, str(t.label), t.args)))

@@ -17,17 +17,19 @@ A map out of a free forest operad is one record, :class:`ForestInto`: the
 color of each edge (``colors``) and the operation of the target at each
 vertex (``components``).  It is a source-shaped dendrex of the target's
 nerve, so :func:`hom` lists maps with :func:`~dendrotensor.lurie.maps_into`
-and attaches both forests (:class:`OperadMap`).  Composition pushes
-operations through the second map; no relations ever have to be checked
-beyond cut validity, which is what :func:`validate` does.
-One walk up from a cut's output, with an explicit stack, decides whether a
-set of edges is a cut and lists the edges below it for substitution.
+and attaches both forests (:class:`OperadMap`).  One walk up from a cut's
+output, with an explicit stack, decides whether a set of edges is a cut and
+lists the vertices inside it.  The image of a cut under a map (:func:`_image`)
+is that walk plus :func:`validate`'s check at each vertex inside, and
+:func:`compose` and :func:`~dendrotensor.lurie.precompose` send each vertex
+to the image of its image cut.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, serialize_forest
@@ -182,6 +184,17 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
     return tuple(_operation(e, c) for c in sorted(_fold_cuts(e, moves), key=len))
 
 
+def _cut_total(forest: Forest) -> int:
+    """How many operations the free operad on ``forest`` has, unlisted: an edge
+    has 1 cut at a leaf, else 1 plus the product of its inputs' counts."""
+    cuts: dict[str, int] = {}
+    for t in forest.components:
+        for e in reversed(t.depth):  # the walk from the root, inputs first
+            v = t.vertex_above.get(e)
+            cuts[e] = 1 if v is None else 1 + math.prod([cuts[d] for d in v.in_edges])
+    return sum(cuts.values())
+
+
 def _cut_interior(t: Tree, e: str, members: Collection[str]) -> list[str] | None:
     """The edges from ``e`` up to the cut ``members``, members excluded and
     each edge listed before the edges above it, or ``None`` when ``members``
@@ -318,22 +331,48 @@ def hom(
     return tuple([OperadMap(m.colors, m.components, src, tgt) for m in maps])
 
 
-def _push(g: OperadMap, op: Operation) -> Operation:
-    """Image of a source operation under ``g``: a cut goes to the images of
-    its inputs over the image of its output."""
-    t = _component(g.source, op.output)
-    if _cut_interior(t, op.output, op.input_set) is None:
-        raise TreeError(f"invalid cut {op} pushed through map")
-    gc = g.color
-    return Operation(gc[op.output], tuple(gc[d] for d in op.inputs))
+def _is_cut_of(forest: Forest, op: Operation) -> bool:
+    """Whether ``op`` is a cut of ``forest``."""
+    t = forest.component_of.get(op.output)
+    return t is not None and _cut_interior(t, op.output, op.input_set) is not None
+
+
+def _check_vertex(has: Callable[[Any], bool], m: ForestInto, v: Vertex) -> None:
+    """Raise unless ``m`` sends the vertex ``v`` to an operation ``has``
+    recognises, from the distinct colors of ``v``'s inputs to its output's."""
+    op = m.component[v.out_edge]
+    if op.output != m.color[v.out_edge]:
+        raise TreeError(f"vertex {v.out_edge!r}: output color mismatch")
+    images = [m.color[d] for d in v.in_edges]
+    if len(set(images)) != len(images):
+        raise TreeError(f"vertex {v.out_edge!r}: inputs collapse")
+    if frozenset(images) != op.input_set:
+        raise TreeError(f"vertex {v.out_edge!r}: input colors mismatch")
+    if not has(op):
+        raise TreeError(f"vertex {v.out_edge!r}: image is not a cut")
+
+
+def _image(has: Callable[[Any], bool], m: ForestInto, forest: Forest, op: Operation) -> Operation:
+    """The image of the cut ``op`` of ``forest`` under ``m``, a map into a
+    cut operad whose operations ``has`` recognises: one walk checks ``op``,
+    each vertex inside it gets :func:`validate`'s check, and then, since a
+    union of cuts along a cut is a cut, no walk checks the image."""
+    t = _component(forest, op.output)
+    interior = _cut_interior(t, op.output, op.input_set)
+    if interior is None:
+        raise TreeError(f"invalid cut {op} under a map")
+    for e in interior:
+        _check_vertex(has, m, t.vertex_above[e])
+    return Operation(m.color[op.output], tuple([m.color[d] for d in op.inputs]))
 
 
 def compose(g: OperadMap, f: OperadMap) -> OperadMap:
     """The composite ``g`` after ``f`` (``f`` lands where ``g`` starts)."""
     if f.target.canonical_key() != g.source.canonical_key():
         raise TreeError("compose: middle forests disagree")
+    has = partial(_is_cut_of, g.target)
     colors = {d: g.color[img] for d, img in f.colors}
-    components = {w: _push(g, op) for w, op in f.components}
+    components = {w: _image(has, g, g.source, op) for w, op in f.components}
     return OperadMap.build(f.source, g.target, colors, components)
 
 
@@ -352,22 +391,12 @@ def validate(f: OperadMap) -> None:
     for e, img in f.colors:
         if img not in tgt.edge_set:
             raise TreeError(f"edge image {img!r} not in target")
-    expected_vertices = {v.out_edge for t in src.components for v in t.vertices}
-    if set(f.component) != expected_vertices:
+    if set(f.component) != {v.out_edge for t in src.components for v in t.vertices}:
         raise TreeError("component keys do not match source vertices")
+    has = partial(_is_cut_of, tgt)
     for t in src.components:
         for v in t.vertices:
-            op = f.component[v.out_edge]
-            if op.output != f.color[v.out_edge]:
-                raise TreeError(f"vertex {v.out_edge!r}: output color mismatch")
-            images = [f.color[d] for d in v.in_edges]
-            if len(set(images)) != len(images):
-                raise TreeError(f"vertex {v.out_edge!r}: inputs collapse")
-            if frozenset(images) != op.input_set:
-                raise TreeError(f"vertex {v.out_edge!r}: input colors mismatch")
-            comp = tgt.component_of.get(op.output)
-            if comp is None or not is_cut(comp, op.output, op.input_set):
-                raise TreeError(f"vertex {v.out_edge!r}: image is not a cut")
+            _check_vertex(has, f, v)
 
 
 def is_valid(f: OperadMap) -> bool:

@@ -42,7 +42,7 @@ from .lurie import (
     segal_components_check,
     segal_cut_check,
 )
-from .omegacat import compose, identity_map, validate
+from .omegacat import _cut_total, compose, identity_map, validate
 from .render import json_text
 from .shuffle import (
     _name,
@@ -117,6 +117,7 @@ def _rng(cfg: SuiteConfig, suite: str) -> Random:
 
 
 MAX_DRAWS = 1000
+MAX_CUTS = 10_000  # the most operations of an operad drawn by nerve or fibrous, which list them all
 
 
 def _draw(attempt: Callable[[], Any], failure: str, **settings: Any) -> Any:
@@ -335,7 +336,7 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
         g = random_forest(rng, edges, cfg.stump_probability, min_components=1)
         p = FreeForestOperad(g)
         a = random_fin_simplex(rng, width, length)
-        if len(p.colors()) ** len(a.levels[0]) > 2000:
+        if len(p.colors()) ** len(a.levels[0]) > 2000 or _cut_total(g) > MAX_CUTS:
             return None
         try:
             chains = enumerate_chains(p, a, cap=30000)
@@ -393,10 +394,16 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 
 def suite_fibrous(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     n = _or_default(cfg.instances, 25)
+    edges = _or_default(cfg.max_edges, 6)
     rng = _rng(cfg, "fibrous")
     records: list[Record] = []
+
+    def attempt() -> Forest | None:
+        f = random_forest(rng, edges, cfg.stump_probability, min_components=1)
+        return f if _cut_total(f) <= MAX_CUTS else None
+
     for i in range(n):
-        f = random_forest(rng, _or_default(cfg.max_edges, 6), cfg.stump_probability, min_components=1)
+        f = _draw(attempt, "fibrous: no forest within the cut bound", max_edges=edges)
         rep = check_fibrous(
             EllPresentation(FreeForestOperad(f)),
             truncation=cfg.truncation,

@@ -641,6 +641,41 @@ def test_check_gives_up_when_no_draw_can_succeed(flag, value):
     assert "segal" in done.stderr and "draws" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nerve", "--seed", "0", "--max-edges", "200", "--instances", "3"],
+        ["fibrous", "--seed", "1", "--max-edges", "200", "--instances", "5"],
+    ],
+    ids=["nerve", "fibrous"],
+)
+def test_check_sizes_large_draws_by_cut_count(argv):
+    # both once drew an operad with about 10**17 operations and ran out of
+    # memory listing them; the child's address space is capped at 2 GiB so
+    # that such a listing fails at once
+    import resource
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "check", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap,
+    )
+    assert done.returncode == 0 or (done.returncode == 2 and done.stderr.count("\n") == 1), done.stderr
+
+
+@pytest.mark.parametrize("suite", ["nerve", "fibrous"])
+def test_cut_count_bound_rejects_draws(monkeypatch, suite):
+    from dendrotensor import suites
+
+    monkeypatch.setattr(suites, "MAX_CUTS", 0)
+    with pytest.raises(ValueError, match=f"{suite}: no .* in {suites.MAX_DRAWS} draws"):
+        suites.run_check(suite, SuiteConfig(instances=1))
+
+
 def test_suite_config_validates_its_settings():
     for bad in (
         {"instances": 0},

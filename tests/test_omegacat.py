@@ -14,6 +14,7 @@ from dendrotensor import (
     OperadMap,
     Operation,
     Tree,
+    TableOperad,
     TreeError,
     Vertex,
     as_forest,
@@ -31,8 +32,9 @@ from dendrotensor import (
     precompose,
     validate,
 )
+from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_forest, random_tree
-from dendrotensor.omegacat import _fold_cuts, _tree_moves
+from dendrotensor.omegacat import _cut_total, _fold_cuts, _tree_moves
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -192,6 +194,44 @@ def oracle_precompose(p, m, h):
     cmap = {e: m.color[img] for e, img in h.color.items()}
     vmap = {w: eval_cut(op) for w, op in h.component.items()}
     return ForestInto(tuple(sorted(cmap.items())), tuple(sorted(vmap.items())))
+
+
+def replaced_push(g, op):
+    """Reference for the image of a cut under :func:`compose`: the walk
+    that replaced :func:`oracle_compose`'s split, which reads only ``g``'s
+    colors and so never checks its vertex images."""
+    t = g.source.component_of[op.output]
+    if omegacat_module._cut_interior(t, op.output, op.input_set) is None:
+        raise TreeError(f"invalid cut {op} pushed through map")
+    return Operation(g.color[op.output], tuple(g.color[d] for d in op.inputs))
+
+
+def replaced_compose(g, f):
+    colors = {d: g.color[img] for d, img in f.colors}
+    components = {w: replaced_push(g, op) for w, op in f.components}
+    return OperadMap.build(f.source, g.target, colors, components)
+
+
+def replaced_eval_cut(p, m, forest, op):
+    """Reference for the image of a cut under :func:`precompose`: the
+    components of ``m`` substituted bottom-up over the edges inside the
+    cut, each result checked by ``p.subst`` with one more walk."""
+    t = forest.component_of[op.output]
+    interior = omegacat_module._cut_interior(t, op.output, op.input_set)
+    if interior is None:
+        raise TreeError(f"invalid cut {op} evaluated through map")
+    value = {d: p.identity(m.color[d]) for d in op.inputs}
+    for e in reversed(interior):
+        args = {m.color[d]: value[d] for d in t.vertex_above[e].in_edges}
+        value[e] = p.subst(m.component[e], args)
+    return value[op.output]
+
+
+def replaced_precompose(p, m, h):
+    return ForestInto.build(
+        ((e, m.color[img]) for e, img in h.colors),
+        ((w, replaced_eval_cut(p, m, h.target, op)) for w, op in h.components),
+    )
 
 
 def chain_tree(n):
@@ -546,28 +586,31 @@ def test_hom_equals_recursive_oracle_on_large_targets():
 @settings(max_examples=60, deadline=None)
 def test_compose_equals_recursive_oracle(seed, stump_probability):
     rng = Random(seed)
-    a = random_tree(rng, 5, stump_probability, prefix="a")
+    a = random_forest(rng, 5, stump_probability)
     b = random_tree(rng, 6, stump_probability, prefix="b")
     c = random_forest(rng, 6, stump_probability)
     # self-maps of ``b`` send its vertices to cuts with several inputs
     fs, gs = hom(a, b) + hom(b, b), hom(b, c) + hom(b, b)
     for f, g in product(rng.sample(fs, min(6, len(fs))), rng.sample(gs, min(6, len(gs)))):
-        assert compose(g, f) == oracle_compose(g, f)
+        got = compose(g, f)
+        assert got == oracle_compose(g, f) == replaced_compose(g, f)
+        validate(got)
 
 
 @given(seeds, st.sampled_from([0.0, 0.3]), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_precompose_equals_recursive_oracle(seed, stump_probability, tensor):
     rng = Random(seed)
-    s = random_tree(rng, 5, stump_probability, prefix="s")
-    t = random_tree(rng, 6, stump_probability, prefix="t")
+    s = random_forest(rng, 5, stump_probability)
+    t = random_forest(rng, 6, stump_probability)
     if tensor:
         p = BVTensorOperad([parse_tree("p[x,y]"), parse_tree("q[u]")])
     else:
-        p = FreeForestOperad(random_tree(rng, 5, stump_probability, prefix="u"))
+        p = FreeForestOperad(random_forest(rng, 5, stump_probability))
     ms, hs = maps_into(t, p), hom(s, t) + hom(t, t)
     for m, h in product(rng.sample(ms, min(6, len(ms))), rng.sample(hs, min(6, len(hs)))):
-        assert precompose(p, m, h) == oracle_precompose(p, m, h)
+        got = precompose(p, m, h)
+        assert got == oracle_precompose(p, m, h) == replaced_precompose(p, m, h)
 
 
 def _non_cut_images():
@@ -599,6 +642,76 @@ def test_precompose_rejects_non_cut_images(f):
     m = ForestInto(ident.colors, ident.components)
     with pytest.raises(TreeError, match="invalid cut"):
         precompose(FreeForestOperad(f.target), m, f)
+
+
+def test_compose_checks_the_vertex_images_it_reads():
+    # ``g`` sends its vertex to the non-cut ``r<-(a,x)`` of ``r[a[x]]``; the
+    # replaced push read only colors and returned a map
+    g = _non_cut_images()[0]
+    f = identity_map(g.source)
+    assert replaced_compose(g, f).component["s"] == Operation("r", ("a", "x"))
+    with pytest.raises(TreeError, match="image is not a cut"):
+        compose(g, f)
+
+
+def _table_target():
+    """A map out of ``c0[c1[c2]]`` into a one-color table, and maps into
+    that chain: a degeneracy, whose vertex image is an identity cut, and one
+    sending a vertex to the whole chain."""
+    p = TableOperad.from_json(
+        {"colors": ["c"], "operations": [{"inputs": ["c"], "output": "c", "elements": ["u"]}]}
+    )
+    chain = chain_tree(2)
+    m = ForestInto.build(((e, "c") for e in chain.edges), ((e, "u") for e in ("c0", "c1")))
+    source = parse_tree("s[w]")
+    degeneracy = OperadMap.build(source, chain, {"s": "c1", "w": "c1"}, {"s": Operation("c1", ("c1",))})
+    deep = OperadMap.build(source, chain, {"s": "c0", "w": "c2"}, {"s": Operation("c0", ("c2",))})
+    return p, m, [degeneracy, deep]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["identity-cut", "deep"])
+def test_precompose_into_a_table_raises_tree_error(which):
+    # the identity cut once gave the table's ``id:c`` label; the deep cut
+    # raised NotImplementedError from the table's missing substitution
+    p, m, hs = _table_target()
+    with pytest.raises(TreeError, match="cut operad"):
+        precompose(p, m, hs[which])
+
+
+def test_precompose_walks_each_cut_once(monkeypatch):
+    # the edges inside every cut walked, over one precompose onto the whole
+    # of a deep chain: the cut itself, then one generator per vertex inside
+    n = 1500
+    chain = chain_tree(n)
+    ident = identity_map(chain)
+    m = ForestInto(ident.colors, ident.components)
+    h = OperadMap.build(
+        parse_tree("s[u]"), chain, {"s": "c0", "u": f"c{n}"},
+        {"s": Operation("c0", (f"c{n}",))},
+    )
+    p = FreeForestOperad(chain)
+    walk = omegacat_module._cut_interior
+    steps = 0
+
+    def counted(t, e, members):
+        nonlocal steps
+        interior = walk(t, e, members)
+        steps += len(interior or ())
+        return interior
+
+    monkeypatch.setattr(omegacat_module, "_cut_interior", counted)
+    assert precompose(p, m, h) == ForestInto(h.colors, h.components)
+    assert steps <= 3 * n
+    steps = 0
+    replaced_precompose(p, m, h)  # a walk per substitution, each up to the cut
+    assert steps == 1_127_250
+
+
+@given(seeds, st.sampled_from([0.0, 0.3, 0.6]))
+@settings(max_examples=60, deadline=None)
+def test_cut_total_counts_every_operation(seed, stump_probability):
+    f = random_forest(Random(seed), 8, stump_probability)
+    assert _cut_total(f) == sum(len(operations(f, e)) for e in f.edges)
 
 
 def test_invalid_map_rejected():
