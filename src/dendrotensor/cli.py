@@ -21,8 +21,9 @@ from typing import Any, Iterable
 from .levelforest import FinSimplex, omega_obj
 from .lurie import BVTensorOperad, FreeForestOperad, free_algebra
 from .omegacat import ForestInto, hom
-from .render import gallery_dot, json_escape, json_text, listing_json, map_texts, term_texts, to_dot
-from .shuffle import _count_states, _shuffle_texts, _shuffle_trees, _state_table, _Table, _tensor_maps
+from .render import gallery_pieces, json_escape, json_text, listing_json, map_texts
+from .render import shuffle_clusters, term_texts, to_dot
+from .shuffle import _count_states, _shuffle_texts, _state_table, _Table, _tensor_maps
 from .suites import SUITE_NAMES, SuiteConfig, report_json, run_check
 from .treecore import TreeError, parse_forest, parse_tree, serialize_forest, serialize_tree
 
@@ -118,16 +119,17 @@ def cmd_shuffles(args: argparse.Namespace) -> int:
     cap = _check_cap(args.max_results)
     table = _state_table(factors)
     n = _check_shuffle_count(table, cap)
-    # json and text print each shuffle's canonical text, folded without
-    # trees; json escapes each state name once instead of every text
+    # every format is folded from the state table without trees: json and
+    # text print each shuffle's canonical text, json escaping each state
+    # name once instead of every text; dot writes one cluster per shuffle
     if args.format == "dot":
-        listing = _shuffle_trees(table)
+        listing = shuffle_clusters(table)
     else:
         listing = _shuffle_texts(table, json_escape if args.format == "json" else str)
     if len(listing) != n:
         raise ValueError(f"listed {len(listing)} shuffles, but the factors have {n}")
     if args.format == "dot":
-        _emit(args.out, gallery_dot(listing, "shuffles"))
+        _emit(args.out, *gallery_pieces(listing, "shuffles"))
     elif args.format == "json":
         _emit(args.out, *listing_json("shuffles", listing, '"'))
     else:

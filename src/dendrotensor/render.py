@@ -6,7 +6,10 @@ labeled by its name.  Forests whose edge names all carry level prefixes
 (``ℓi:a``) additionally get one rank per level joined by a dashed level
 axis, so the drawing reads like a level diagram.  One emitter draws the
 trees of :func:`to_dot` and :func:`gallery_dot`, quoting each edge name
-once per drawing and building each node id once per tree.
+once per drawing and building each node id once per tree.  The DOT gallery
+of the shuffles of a factor tuple is written in the same bytes from the
+factors' state table instead, with no tree built (:func:`shuffle_clusters`):
+every line of it is fixed by one state or one (parent, child) pair.
 
 :func:`json_text` writes the indented JSON of every report and small
 object.  The listings of ``shuffles``, ``hom``, ``tensor-hom`` and
@@ -25,6 +28,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .levelforest import split_edge_name
+from .shuffle import _shuffle_parts, _Table
 from .treecore import Forest, Tree, as_forest
 
 if TYPE_CHECKING:
@@ -34,6 +38,8 @@ if TYPE_CHECKING:
 __all__ = [
     "to_dot",
     "gallery_dot",
+    "gallery_pieces",
+    "shuffle_clusters",
     "json_text",
     "json_escape",
     "listing_json",
@@ -64,6 +70,10 @@ def _esc(s: str) -> str:
 def _q(s: str) -> str:
     return '"' + _esc(s) + '"'
 
+
+# where a shuffle cluster's lines take its tag: a reserved character, which
+# no edge name holds
+_TAG = "{"
 
 _STUMP = '[shape=square, style=filled, fillcolor=black, label="", width=0.12, fixedsize=true];'
 _POINT = "[shape=point, width=0.08];"
@@ -136,17 +146,75 @@ def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
 
 def gallery_dot(trees: list[Tree] | tuple[Tree, ...], name: str = "gallery") -> str:
     """Several trees side by side as clusters of one digraph; each edge name
-    is quoted once for the whole gallery, as the shuffles of one factor
-    tuple share their state names."""
-    lines = _head(name)
+    is quoted once for the whole gallery."""
     esc = _Memo(_esc)
+    clusters = []
     for i, t in enumerate(trees):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="{i}";')
+        lines = [f"  subgraph cluster_{i} {{", f'    label="{i}";']
         _emit_tree(t, str(i), lines, None, esc)
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append("  }\n")
+        clusters.append("\n".join(lines))
+    return "".join(gallery_pieces(clusters, name))
+
+
+def gallery_pieces(clusters: Sequence[str], name: str) -> tuple[str, str, str]:
+    """A gallery of the cluster texts ``clusters`` in pieces to write in
+    turn: head, the one join of the clusters and tail."""
+    return "\n".join(_head(name)) + "\n", "".join(clusters), "}\n"
+
+
+def shuffle_clusters(table: _Table) -> list[str]:
+    """The cluster texts of ``gallery_dot(shuffles(factors), name)``, for
+    :func:`gallery_pieces`, written from the factors' state table with no
+    tree built.
+
+    A cluster lists its vertex nodes, then its leaf nodes, each run sorted
+    by name, the root anchor, and then its edges sorted by name, each drawn
+    from its parent's node.  Each of these lines is fixed by a state or by a
+    (parent, child) pair, up to the cluster's tag, so each is written once
+    per listing, with each name escaped once, under an integer key that
+    places it in any cluster.  The fold of
+    :func:`~dendrotensor.shuffle._shuffle_parts` gives each shuffle the keys
+    of its pairs' lines; the root's are the same in every shuffle.  A
+    cluster is its lines in key order, joined, with the tag put in."""
+    moves_of = dict(table)
+    names = sorted(moves_of)
+    n = len(names)
+    rank = {s: r for r, s in enumerate(names)}
+    # each line by its key, which places it in a cluster: a vertex node's
+    # key is its state's rank r, a leaf node's n + r, the anchor's 2n and an
+    # edge's (r + 2)(n + 1) plus its parent's rank (the anchor's -1)
+    line: dict[int, str] = {}
+    node: dict[str, int] = {}  # each state's node key
+    lower = {-1: f'\n  "root:{_TAG}'}  # an edge line's start, by its parent's rank
+    upper: dict[str, str] = {}  # an edge line's rest, by its child
+    for r, s in enumerate(names):
+        moves, q = moves_of[s], _esc(s)
+        kind, shape = ("v", _POINT if moves[0] else _STUMP) if moves else ("leaf", _LEAF)
+        k = node[s] = r if moves else n + r
+        line[k] = f'\n  "{kind}:{_TAG}:{q}" {shape}'
+        lower[r] = f'\n  "v:{_TAG}:{q}'
+        upper[s] = f'" -> "{kind}:{_TAG}:{q}" [label="{q}", arrowhead=none];'
+    line[2 * n] = lower[-1] + '" [shape=none, label="", width=0.01];'
+
+    def edge(p: int, c: str) -> int:
+        k = (rank[c] + 2) * (n + 1) + p
+        line[k] = lower[p] + upper[c]
+        return k
+
+    def part(state: str, move: tuple[str, ...]) -> tuple[int, ...]:
+        p = rank[state]
+        return tuple(k for c in move for k in (node[c], edge(p, c)))
+
+    root, listing = _shuffle_parts(table, part)
+    top = (node[root], 2 * n, edge(-1, root))
+    text = line.__getitem__
+    clusters = []
+    for i, keys in enumerate(listing):
+        t = str(i)
+        body = "".join(map(text, sorted(keys + top))).replace(_TAG, t)
+        clusters.append(f'  subgraph cluster_{t} {{\n    label="{t}";{body}\n  }}\n')
+    return clusters
 
 
 def json_text(obj: object) -> str:

@@ -12,8 +12,9 @@ named by :func:`encode`; a lone factor is the unit case, its own only
 shuffle, and its states keep their bare edge names (:func:`_name`), so it
 takes the same walk and folds as every other tuple.  The reachable tuples
 and their moves are listed once, by one walk without recursion, and that
-table is folded into the shuffles, their texts or their count; the tensor
-operad folds it into cuts, every state in one loop, by the fold that lists
+table is folded into the shuffles, their texts, the lines of their DOT
+gallery (``render.shuffle_clusters``) or their count; the tensor operad
+folds it into cuts, every state in one loop, by the fold that lists
 a tree's cuts (``omegacat._fold``).
 
 The module also exposes the standard structure of the set of shuffles:
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
 
 from .omegacat import ForestInto, OperadMap, _induced, validate
 from .treecore import (
@@ -190,25 +191,39 @@ def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:
     return _shuffle_trees(_state_table(factors))
 
 
-# the (state, moves) pairs of a state table, in its order; read twice
+# the (state, moves) pairs of a state table, in its order; read more than once
 _Table = Collection[tuple[str, Sequence[tuple[str, ...]]]]
+_T = TypeVar("_T")
 
 
 def _shuffle_trees(table: _Table) -> tuple[Tree, ...]:
-    """:func:`shuffles`, folded from the factors' state table; a lone
-    factor's table folds back into a tree equal to the factor."""
+    """:func:`shuffles`, folded from the factors' state table by
+    :func:`_shuffle_parts` with one vertex per move; a lone factor's table
+    folds back into a tree equal to the factor."""
+    root, listing = _shuffle_parts(table, lambda state, move: (Vertex(state, move),))
+    return tuple(Tree(root, vs) for vs in listing)
+
+
+def _shuffle_parts(
+    table: _Table, part: Callable[[str, tuple[str, ...]], tuple[_T, ...]]
+) -> tuple[str, list[tuple[_T, ...]]]:
+    """The root state and, in :func:`shuffles` order, the concatenated
+    ``part(state, move)`` tuples of each shuffle: a leaf state gives ``()``,
+    a move gives its part and then, in ``product`` order, one tuple from
+    each moved-to state.  ``part`` is called once per move.  A state's list
+    is dropped once every state that uses it is done."""
     users = Counter(c for _, moves in table for move in moves for c in move)
-    lists: dict[str, list[tuple[Vertex, ...]]] = {}
+    lists: dict[str, list[tuple[_T, ...]]] = {}
     for state, moves in table:
         lists[state] = [] if moves else [()]
         for move in moves:
-            partial = [(Vertex(state, move),)]
+            partial = [part(state, move)]
             for c in move:
                 users[c] -= 1
                 below = lists[c] if users[c] else lists.pop(c)
-                partial = [head + part for head in partial for part in below]
+                partial = [head + p for head in partial for p in below]
             lists[state] += partial
-    return tuple(Tree(state, vs) for vs in lists[state])  # the root comes last
+    return state, lists[state]  # the root comes last
 
 
 def _shuffle_texts(table: _Table, piece: Callable[[str], str] = str) -> list[str]:

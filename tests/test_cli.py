@@ -10,6 +10,7 @@ import pytest
 
 from dendrotensor import cli as cli_module
 from dendrotensor import lurie as lurie_module
+from dendrotensor import render as render_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
 from dendrotensor.render import json_escape, json_text, listing_json
@@ -200,6 +201,7 @@ def test_shuffles_output_bytes_are_pinned(capsys, fmt):
 SORTED_PAIR = ["r[a1,a10[]]", "x[y,z[]]"]
 PINNED_SORTED_PAIR = {
     "json": "26e9da227d04861efcface40fd59b0d6a9bbcce5bbc5d44c6040df2198508c1c",
+    "dot": "68a155afe39fb697c9651af8bc0e5055dc5996845d4cdb8e74ad5733163e6fda",
     "text": "94efcbc1bc6e55eb0f72a570cdede5ef15731aa4c8732a91b1146dc6e1984e2b",
 }
 
@@ -223,6 +225,25 @@ ESCAPE_CASES = {
     "stumps": ['r[a"[],b]', "x[y[],z]"],
     "three-factors": ['r[a",a#]', "x[y]", "é[\x01]"],
 }
+
+
+# sha256 of `shuffles --format dot` on each escape case, as written when
+# the gallery was drawn from shuffle trees; DOT escapes only `"` and `\`
+PINNED_ESCAPE_DOT = {
+    "controls": "e1e975a4b551b8356622ee8eaf15fd8218907dd5519326616b1b3204fc1446a0",
+    "lone-factor": "d9c15a5ffc72287203cb9c9d057d16190173ed14f82d63e60bd350614b40a177",
+    "non-ascii": "e3fc82289a76149ef76c6ae2ffd4aecf5518677833bbd317891726d78526f212",
+    "quote-and-backslash": "42c59a03b9ee1b583e26da1e65a37929e942d87477e60d11c84e9fbb483fa265",
+    "stumps": "b7a48d222d21d5d4dda2c9e44ee939763f0de66bbb14ae87b26b628d59822558",
+    "three-factors": "62f2446f61f7e8fbc4b86efc829d351456f66683997ba11e921870bbdea3ff03",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ESCAPE_DOT))
+def test_shuffles_dot_escapes_are_pinned(capsys, case):
+    assert main(["shuffles", *ESCAPE_CASES[case], "--format", "dot"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PINNED_ESCAPE_DOT[case]
 
 
 def _shuffles_oracle(factors: list[str]) -> str:
@@ -255,20 +276,19 @@ def test_shuffles_json_empty_listing_matches_json_text():
     assert "".join(listing_json("shuffles", [], '"')) == json_text({"count": 0, "shuffles": []})
 
 
-def test_shuffles_json_and_text_build_no_trees(monkeypatch, capsys):
-    # json and text are folded from the state table; only dot draws trees
+def test_shuffles_listings_build_no_trees(monkeypatch, capsys):
+    # every format is folded from the state table; no shuffle tree is built
+    # or drawn
     def refuse(*args):
-        raise RuntimeError("shuffles() called")
+        raise RuntimeError("shuffle trees built")
 
     monkeypatch.setattr(shuffle_module, "shuffles", refuse)
     monkeypatch.setattr(shuffle_module, "_shuffle_trees", refuse)
-    monkeypatch.setattr(cli_module, "_shuffle_trees", refuse)
-    for fmt in ("json", "text"):
+    monkeypatch.setattr(render_module, "_emit_tree", refuse)
+    for fmt in sorted(PINNED_SHUFFLES):
         assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == PINNED_SHUFFLES[fmt]
-    with pytest.raises(RuntimeError, match="shuffles"):
-        main(["shuffles", PIN_A, PIN_B, "--format", "dot"])
 
 
 @pytest.mark.parametrize(
@@ -298,10 +318,19 @@ def test_state_table_built_once_per_listing(monkeypatch, capsys, argv, tables):
     assert len(built) == tables
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
 def test_listing_shorter_than_the_count_is_refused(monkeypatch, capsys, fmt):
-    real = cli_module._shuffle_texts
-    monkeypatch.setattr(cli_module, "_shuffle_texts", lambda table, piece: real(table, piece)[:-1])
+    if fmt == "dot":
+        real_fold = render_module._shuffle_parts
+
+        def short_fold(table, part):
+            root, listing = real_fold(table, part)
+            return root, listing[:-1]
+
+        monkeypatch.setattr(render_module, "_shuffle_parts", short_fold)
+    else:
+        real = cli_module._shuffle_texts
+        monkeypatch.setattr(cli_module, "_shuffle_texts", lambda table, piece: real(table, piece)[:-1])
     assert main(["shuffles", PIN_A, PIN_B, "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

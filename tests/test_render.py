@@ -22,18 +22,23 @@ from dendrotensor import (
     shuffles,
     tensor_hom,
 )
+from dendrotensor import render as render_module
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
 from dendrotensor.cli import main
 from dendrotensor.levelforest import split_edge_name
 from dendrotensor.render import (
     gallery_dot,
+    gallery_pieces,
     json_escape,
     json_text,
     listing_json,
     map_texts,
+    shuffle_clusters,
     term_texts,
     to_dot,
 )
+from dendrotensor.shuffle import _state_table
+from dendrotensor.treecore import RESERVED_CHARS, parse_tree
 from test_shuffle import random_factors
 
 # -- DOT -------------------------------------------------------------------------
@@ -203,6 +208,52 @@ def test_gallery_dot_matches_the_oracle():
     for k in (1, 2, 3):
         listing = shuffles(random_factors(rng, k))
         assert gallery_dot(listing, "shuffles") == oracle_gallery_dot(listing, "shuffles")
+
+
+def _shuffle_gallery(factors):
+    return "".join(gallery_pieces(shuffle_clusters(_state_table(factors)), "shuffles"))
+
+
+def test_shuffle_clusters_match_the_oracle():
+    # the gallery written from the state table against the trees drawn by
+    # the oracle: random factors with stumps, the same renamed with quotes,
+    # backslashes and level prefixes, a lone factor, and children whose
+    # sorted names (`a10`, `a1`) sort unlike their tuples
+    rng = Random("shuffle_clusters")
+    cases = [
+        [parse_tree("r[a1,a10[]]"), parse_tree("x[y,z[]]")],
+        [parse_tree('r[a",a#[q\\]]')],
+        [parse_tree("a0")],
+        [parse_tree("a0"), parse_tree("b0")],
+    ]
+    for k in (1, 2, 3):
+        for _ in range(20):
+            factors = random_factors(rng, k)
+            cases.append(factors)
+            cases.append(list(rename(Forest(tuple(factors)), rng, None).components))
+    stumps = quotes = 0
+    for factors in cases:
+        text = _shuffle_gallery(factors)
+        assert text == oracle_gallery_dot(shuffles(factors), "shuffles")
+        stumps += "shape=square" in text
+        quotes += '\\"' in text
+    assert stumps > 20 and quotes > 5
+
+
+def test_shuffle_clusters_of_unescaped_names_fail_the_oracle(monkeypatch):
+    # negative control: a quote in a state name must be escaped
+    factors = [parse_tree('r[a",b]'), parse_tree("x[y]")]
+    expected = oracle_gallery_dot(shuffles(factors), "shuffles")
+    assert _shuffle_gallery(factors) == expected
+    monkeypatch.setattr(render_module, "_esc", lambda s: s)
+    assert _shuffle_gallery(factors) != expected
+
+
+def test_shuffle_cluster_tag_is_no_name_character():
+    # the tag's place holder can be replaced because no edge name holds it
+    assert render_module._TAG in RESERVED_CHARS
+    with pytest.raises(TreeError):
+        parse_tree("r[a" + render_module._TAG + "]")
 
 
 # -- JSON -------------------------------------------------------------------------
