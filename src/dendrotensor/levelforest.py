@@ -59,6 +59,9 @@ class FinSimplex:
     ``levels[i]`` lists the level-``i`` elements (order is remembered and
     used for deterministic output); ``maps[i]`` sends level-``i`` elements to
     level-``i+1`` elements or to ``STAR``.
+
+    What depends only on the chain (edge names, :attr:`forest`, restrictions,
+    pointed levels) is built on first use and goes away with the chain.
     """
 
     levels: tuple[tuple[str, ...], ...]
@@ -93,6 +96,23 @@ class FinSimplex:
     def edge_names(self) -> tuple[dict[str, str], ...]:
         """Per level, each element's :func:`edge_name`, built once per chain."""
         return tuple({x: edge_name(i, x) for x in lev} for i, lev in enumerate(self.levels))
+
+    @_cached
+    def forest(self) -> Forest:
+        """The forest of this chain, built by :func:`omega_obj` once per chain
+        and shared by every reader."""
+        return omega_obj(self)
+
+    @_cached
+    def _restrictions(self) -> dict[SimplicialOperator, FinSimplex]:
+        return {}
+
+    @_cached
+    def pointed_levels(self) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+        """The levels as pointed sets and the maps between them, built once."""
+        from .lurie import _pointed_levels
+
+        return _pointed_levels(self)
 
     def alpha(self, i: int) -> dict[str, str]:
         """The map out of level ``i-1`` (so ``alpha(1)`` starts the chain)."""
@@ -186,19 +206,26 @@ class SimplicialOperator:
 
 
 def restrict(a: FinSimplex, phi: SimplicialOperator) -> FinSimplex:
-    """Reindex the chain along ``phi`` (levels ``phi(0), ..., phi(dom)``)."""
+    """Reindex the chain along ``phi`` (levels ``phi(0), ..., phi(dom)``),
+    once per chain and operator; the identity gives ``a`` itself."""
     if phi.cod != a.n:
         raise TreeError(f"operator lands in {phi.cod}, chain has length {a.n}")
-    levels = tuple(a.levels[phi(j)] for j in range(phi.dom + 1))
-    maps = tuple(
-        tuple(sorted(a.comp(phi(j - 1), phi(j)).items()))
-        for j in range(1, phi.dom + 1)
-    )
-    return FinSimplex(levels, maps)
+    if phi.values == tuple(range(a.n + 1)):
+        return a
+    memo = a._restrictions
+    if (b := memo.get(phi)) is None:
+        levels = tuple(a.levels[phi(j)] for j in range(phi.dom + 1))
+        maps = tuple(
+            tuple(sorted(a.comp(phi(j - 1), phi(j)).items()))
+            for j in range(1, phi.dom + 1)
+        )
+        b = memo[phi] = FinSimplex(levels, maps)
+    return b
 
 
 def omega_obj(a: FinSimplex) -> Forest:
-    """The forest generated by a chain.
+    """The forest generated by a chain, built afresh on every call;
+    :attr:`FinSimplex.forest` is the copy shared by the chain's readers.
 
     Component order: top-level elements first (in level order), then dying
     elements by ascending level, preserving level order within a level.
@@ -238,13 +265,12 @@ def omega_obj(a: FinSimplex) -> Forest:
 def omega_mor(phi: SimplicialOperator, a: FinSimplex) -> OperadMap:
     """The operad map from the forest of the reindexed chain to the forest of
     ``a``: edges keep their element and move to the reindexed level, vertices
-    land on the level-uniform cuts."""
-
-    def rename(e: str) -> str:
-        lvl, elem = split_edge_name(e)
-        return edge_name(phi(lvl), elem)
-
-    return _induced(omega_obj(restrict(a, phi)), omega_obj(a), rename)
+    land on the level-uniform cuts.  Both forests are the chains' shared
+    copies, and edges are renamed through their :attr:`~FinSimplex.edge_names`."""
+    b = restrict(a, phi)
+    to = a.edge_names
+    rename = {e: to[phi(j)][x] for j, names in enumerate(b.edge_names) for x, e in names.items()}
+    return _induced(b.forest, a.forest, rename.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -1380,19 +1380,17 @@ class Chain:
     arrows: tuple[EllMorphism, ...]
 
 
-def _level_objects(a: FinSimplex) -> tuple[FinPtdObj, ...]:
-    return tuple(FinPtdObj(tuple(lev)) for lev in a.levels)
-
-
-def _level_maps(a: FinSimplex) -> tuple[FinPtdMor, ...]:
-    xs = _level_objects(a)
+def _pointed_levels(a: FinSimplex) -> tuple[tuple[FinPtdObj, ...], tuple[FinPtdMor, ...]]:
+    """The levels of ``a`` as pointed sets and its maps between them; read
+    through :attr:`FinSimplex.pointed_levels`, which keeps them on ``a``."""
+    xs = tuple(FinPtdObj(tuple(lev)) for lev in a.levels)
     out = []
     for i in range(a.n):
         step = a.alpha(i + 1)
         out.append(
             FinPtdMor(xs[i], xs[i + 1], tuple(step[b] for b in xs[i].elements))
         )
-    return tuple(out)
+    return xs, tuple(out)
 
 
 def enumerate_chains(
@@ -1403,8 +1401,7 @@ def enumerate_chains(
     (dying elements impose nothing; empty fibers take nullary operations).
     ``cap`` aborts the enumeration with :class:`TreeError` once more than
     that many chains have been produced."""
-    xs = _level_objects(a)
-    als = _level_maps(a)
+    xs, als = a.pointed_levels
     chains: list[Chain] = []
 
     def rec(i: int, objs: list[EllObject], arrows: list[EllMorphism]) -> None:
@@ -1444,8 +1441,7 @@ def chain_to_map(ch: Chain) -> ForestInto:
 
 def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
     """Inverse of :func:`chain_to_map` over the same diagram."""
-    xs = _level_objects(a)
-    als = _level_maps(a)
+    xs, als = a.pointed_levels
     names = a.edge_names
     objs = [
         EllObject(xs[i], tuple(m.color[names[i][x]] for x in xs[i].elements))
@@ -1488,9 +1484,10 @@ def precompose(p: FiniteOperad, m: ForestInto, h: OperadMap) -> ForestInto:
     (``omegacat._image``); an operad ``p`` of another kind raises."""
     if not isinstance(p, _CutOperad):
         raise TreeError(f"precompose needs a cut operad, not a {type(p).__name__}")
+    checked: set[str] = set()
     return ForestInto.build(
         ((e, m.color[img]) for e, img in h.colors),
-        ((w, _image(p._has, m, h.target, op)) for w, op in h.components),
+        ((w, _image(p._has, m, h.target, op, checked)) for w, op in h.components),
     )
 
 

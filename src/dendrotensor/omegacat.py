@@ -20,9 +20,9 @@ nerve, so :func:`hom` lists maps with :func:`~dendrotensor.lurie.maps_into`
 and attaches both forests (:class:`OperadMap`).  One walk up from a cut's
 output, with an explicit stack, decides whether a set of edges is a cut and
 lists the vertices inside it.  The image of a cut under a map (:func:`_image`)
-is that walk plus :func:`validate`'s check at each vertex inside, and
-:func:`compose` and :func:`~dendrotensor.lurie.precompose` send each vertex
-to the image of its image cut.
+is that walk plus :func:`validate`'s check at each vertex inside, once per
+call of :func:`compose` or :func:`~dendrotensor.lurie.precompose`, which
+send each vertex to the image of its image cut.
 """
 
 from __future__ import annotations
@@ -352,27 +352,33 @@ def _check_vertex(has: Callable[[Any], bool], m: ForestInto, v: Vertex) -> None:
         raise TreeError(f"vertex {v.out_edge!r}: image is not a cut")
 
 
-def _image(has: Callable[[Any], bool], m: ForestInto, forest: Forest, op: Operation) -> Operation:
+def _image(
+    has: Callable[[Any], bool], m: ForestInto, forest: Forest, op: Operation, checked: set[str]
+) -> Operation:
     """The image of the cut ``op`` of ``forest`` under ``m``, a map into a
     cut operad whose operations ``has`` recognises: one walk checks ``op``,
-    each vertex inside it gets :func:`validate`'s check, and then, since a
-    union of cuts along a cut is a cut, no walk checks the image."""
+    each vertex inside it not yet in ``checked`` gets :func:`validate`'s
+    check and joins ``checked``, and then, since a union of cuts along a cut
+    is a cut, no walk checks the image."""
     t = _component(forest, op.output)
     interior = _cut_interior(t, op.output, op.input_set)
     if interior is None:
         raise TreeError(f"invalid cut {op} under a map")
     for e in interior:
-        _check_vertex(has, m, t.vertex_above[e])
+        if e not in checked:
+            _check_vertex(has, m, t.vertex_above[e])
+            checked.add(e)
     return Operation(m.color[op.output], tuple([m.color[d] for d in op.inputs]))
 
 
 def compose(g: OperadMap, f: OperadMap) -> OperadMap:
-    """The composite ``g`` after ``f`` (``f`` lands where ``g`` starts)."""
-    if f.target.canonical_key() != g.source.canonical_key():
+    """The composite ``g`` after ``f`` (``f`` lands where ``g`` starts); each
+    vertex of ``g`` a cut of ``f`` covers is checked once per call."""
+    if f.target is not g.source and f.target.canonical_key() != g.source.canonical_key():
         raise TreeError("compose: middle forests disagree")
-    has = partial(_is_cut_of, g.target)
+    has, checked = partial(_is_cut_of, g.target), set()
     colors = {d: g.color[img] for d, img in f.colors}
-    components = {w: _image(has, g, g.source, op) for w, op in f.components}
+    components = {w: _image(has, g, g.source, op, checked) for w, op in f.components}
     return OperadMap.build(f.source, g.target, colors, components)
 
 

@@ -149,10 +149,9 @@ def suite_functoriality(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]
     records: list[Record] = []
     for i in range(n):
         a = random_fin_simplex(rng, width, length)
-        fa = omega_obj(a)
         ident = omega_mor(SimplicialOperator.identity(a.n), a)
         records.append(
-            _rec("identity", i, ident == identity_map(fa), {"simplex": a.to_json()})
+            _rec("identity", i, ident == identity_map(a.forest), {"simplex": a.to_json()})
         )
         phi = random_operator(rng, rng.randint(0, length), a.n)
         psi = random_operator(rng, rng.randint(0, length), phi.dom)
@@ -340,7 +339,7 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             return None
         try:
             chains = enumerate_chains(p, a, cap=30000)
-            maps = maps_into(omega_obj(a), p, cap=60000)
+            maps = maps_into(a.forest, p, cap=60000)
         except TreeError:
             return None
         return g, p, a, chains, maps

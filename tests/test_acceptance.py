@@ -7,8 +7,12 @@ enforces its instance counts and wall-clock budgets.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,27 @@ def test_criterion_10_deterministic_reports(tmp_path, capsys):
     assert elapsed < 300.0
     with capsys.disabled():
         _announce(10, f"check all --seed 42 byte-identical twice, both runs in {elapsed:.1f}s < 300s")
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # the memos on a level diagram are dicts keyed on values that hash
+    # strings; two children with different string hashes write one report
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; from dendrotensor.cli import main; sys.exit(main(sys.argv[1:]))"
+    children = []
+    for hash_seed in ("0", "12345"):
+        dest = tmp_path / f"report-{hash_seed}.json"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        argv = [sys.executable, "-c", code, "check", "all", "--seed", str(SEED), "--out", str(dest)]
+        children.append((subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL), dest))
+    try:
+        assert [child.wait(timeout=300) for child, _ in children] == [0, 0]
+    finally:
+        for child, _ in children:
+            child.kill()
+    blobs = [dest.read_bytes() for _, dest in children]
+    assert blobs[0] == blobs[1]
+    assert hashlib.sha256(blobs[0]).hexdigest() == REPORT_SHA256
 
 
 # sha256 of the `check all` report at further seeds, taken before the maps

@@ -24,6 +24,7 @@ from dendrotensor import (
 )
 from dendrotensor._rand import random_fin_simplex, random_forest, random_operator
 from dendrotensor.levelforest import edge_name, split_edge_name
+from dendrotensor.omegacat import _induced
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -151,6 +152,53 @@ def test_restrict_requires_matching_length():
         restrict(WORKED, SimplicialOperator.identity(3))
 
 
+def oracle_restrict(a, phi):
+    """``restrict`` as it was before its memo: the reindexed chain built
+    afresh on every call, the identity included."""
+    if phi.cod != a.n:
+        raise TreeError(f"operator lands in {phi.cod}, chain has length {a.n}")
+    levels = tuple(a.levels[phi(j)] for j in range(phi.dom + 1))
+    maps = tuple(
+        tuple(sorted(a.comp(phi(j - 1), phi(j)).items())) for j in range(1, phi.dom + 1)
+    )
+    return FinSimplex(levels, maps)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_restrict_is_built_once_per_chain_and_operator(seed):
+    rng = Random(seed)
+    a = random_fin_simplex(rng, 5, 4)
+    phi = random_operator(rng, rng.randint(0, 4), a.n)
+    b = restrict(a, phi)
+    assert b == oracle_restrict(a, phi)
+    assert restrict(a, SimplicialOperator(phi.dom, phi.cod, phi.values)) is b
+    assert restrict(a, SimplicialOperator.identity(a.n)) is a
+    assert oracle_restrict(a, SimplicialOperator.identity(a.n)) == a
+
+
+def test_mismatched_restrict_raises_every_call_and_keeps_nothing():
+    phi = SimplicialOperator.identity(3)
+    for _ in range(2):
+        with pytest.raises(TreeError, match="chain has length 2"):
+            restrict(WORKED, phi)
+    assert phi not in WORKED._restrictions
+    a = FinSimplex.from_json(WORKED.to_json())
+    with pytest.raises(TreeError):
+        restrict(a, SimplicialOperator.face(1, 0))
+    assert a._restrictions == {}
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_forest_is_the_shared_copy_of_omega_obj(seed):
+    rng = Random(seed)
+    a = random_fin_simplex(rng, rng.randint(1, 6), rng.randint(0, 4))
+    assert a.forest == omega_obj(a) == oracle_omega_obj(a)
+    assert a.forest is a.forest
+    assert omega_obj(a) is not a.forest
+
+
 # -- functoriality of the forest map -----------------------------------------
 
 
@@ -178,6 +226,29 @@ def test_omega_mor_respects_composition_random(seed):
     lhs = omega_mor(phi.after(psi), a)
     rhs = compose(omega_mor(phi, a), omega_mor(psi, restrict(a, phi)))
     assert lhs == rhs
+
+
+def oracle_omega_mor(phi, a):
+    """``omega_mor`` as it was before the chains kept their forests: both
+    forests built afresh, each edge name split and rebuilt."""
+
+    def rename(e):
+        lvl, elem = split_edge_name(e)
+        return edge_name(phi(lvl), elem)
+
+    return _induced(omega_obj(oracle_restrict(a, phi)), omega_obj(a), rename)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_omega_mor_equals_the_split_name_renaming(seed):
+    rng = Random(seed)
+    a = random_fin_simplex(rng, 5, 4)
+    phi = random_operator(rng, rng.randint(0, 4), a.n)
+    got = omega_mor(phi, a)
+    assert got == oracle_omega_mor(phi, a)
+    assert got.source is restrict(a, phi).forest and got.target is a.forest
+    validate(got)
 
 
 # -- retracts ----------------------------------------------------------------

@@ -1213,6 +1213,29 @@ def test_degenerate_chain_round_trip():
     assert len(chains) == len(p.colors())
 
 
+def oracle_level_objects(a):
+    """The pointed levels as ``map_to_chain`` built them on every call."""
+    return tuple(FinPtdObj(tuple(lev)) for lev in a.levels)
+
+
+def oracle_level_maps(a):
+    xs = oracle_level_objects(a)
+    return tuple(
+        FinPtdMor(xs[i], xs[i + 1], tuple(a.alpha(i + 1)[b] for b in xs[i].elements))
+        for i in range(a.n)
+    )
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_pointed_levels_are_built_once_per_diagram(seed):
+    a = random_fin_simplex(Random(seed), 5, 4)
+    xs, als = a.pointed_levels
+    assert (xs, als) == (oracle_level_objects(a), oracle_level_maps(a))
+    assert a.pointed_levels is a.pointed_levels
+    assert FinSimplex(a.levels, a.maps).pointed_levels is not a.pointed_levels
+
+
 def test_restriction_naturality():
     p = FreeForestOperad(parse_forest("{r[a[x],b[]]}"))
     for phi in [

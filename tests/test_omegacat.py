@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dendrotensor import (
     BVTensorOperad,
+    Forest,
     ForestInto,
     FreeForestOperad,
     OperadMap,
@@ -652,6 +653,35 @@ def test_compose_checks_the_vertex_images_it_reads():
     assert replaced_compose(g, f).component["s"] == Operation("r", ("a", "x"))
     with pytest.raises(TreeError, match="image is not a cut"):
         compose(g, f)
+
+
+def test_compose_rejects_disagreeing_middle_forests():
+    f = identity_map(parse_tree("r[a,b]"))
+    g = identity_map(parse_tree("r[a[b]]"))
+    with pytest.raises(TreeError, match="middle forests disagree"):
+        compose(g, f)
+
+
+def test_compose_checks_each_vertex_once_and_skips_a_shared_middle(monkeypatch):
+    # the identity of a chain after a map sending both components of
+    # ``{s[u];t[w]}`` onto the whole chain: both image cuts cover every
+    # vertex of ``g``
+    n = 6
+    chain = chain_tree(n)
+    g = identity_map(chain)
+    f = OperadMap.build(
+        parse_forest("{s[u];t[w]}"), g.source, {"s": "c0", "u": f"c{n}", "t": "c0", "w": f"c{n}"},
+        {"s": Operation("c0", (f"c{n}",)), "t": Operation("c0", (f"c{n}",))},
+    )
+    validate(f)
+    checked, keys = [], []
+    check, key = omegacat_module._check_vertex, Forest.canonical_key
+    monkeypatch.setattr(omegacat_module, "_check_vertex", lambda has, m, v: checked.append(v) or check(has, m, v))
+    monkeypatch.setattr(Forest, "canonical_key", lambda self: keys.append(self) or key(self))
+    assert compose(g, f) == replaced_compose(g, f)
+    assert len(checked) == len(set(checked)) == n and keys == []
+    assert compose(identity_map(chain), f) == replaced_compose(g, f)
+    assert len(keys) == 2  # another middle forest, equal in value, is compared
 
 
 def _table_target():
