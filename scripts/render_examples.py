@@ -12,13 +12,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dendrotensor import FinSimplex, omega_obj, parse_tree, shuffles
-from dendrotensor.render import gallery_dot, to_dot
+from dendrotensor import FinSimplex, count_shuffles, omega_obj, parse_tree
+from dendrotensor.cli import main as cli_main
+from dendrotensor.render import to_dot
 
 CHAIN = {
     "levels": [[1, 2, 3, 4], [1, 2, 3], [1]],
     "maps": [{"1": 1, "2": 1, "3": 3, "4": 3}, {"1": 1, "2": 1, "3": "*"}],
 }
+FACTORS = ["p[x,y[]]", "q[u]"]
 
 
 def main() -> int:
@@ -31,13 +33,12 @@ def main() -> int:
     forest = omega_obj(FinSimplex.from_json(CHAIN))
     (out / "level_forest.dot").write_text(to_dot(forest, "level_forest"), encoding="utf-8")
 
-    factors = [parse_tree("p[x,y[]]"), parse_tree("q[u]")]
-    sh = shuffles(factors)
-    (out / "shuffle_gallery.dot").write_text(
-        gallery_dot(sh, "shuffles"), encoding="utf-8"
-    )
-    print(f"wrote {out / 'level_forest.dot'} and {out / 'shuffle_gallery.dot'} "
-          f"({len(sh)} shuffles)")
+    gallery = out / "shuffle_gallery.dot"
+    code = cli_main(["shuffles", *FACTORS, "--format", "dot", "--out", str(gallery)])
+    if code:
+        return code
+    n = count_shuffles([parse_tree(t) for t in FACTORS])
+    print(f"wrote {out / 'level_forest.dot'} and {gallery} ({n} shuffles)")
     return 0
 
 

@@ -1531,15 +1531,25 @@ def segal_components_check(p: FiniteOperad, f: Tree | Forest) -> bool:
     """Maps out of the free operad of a forest are tuples of maps out of its
     components (the empty forest admitting exactly the empty map).
 
-    Each tuple's concatenated pair tuples are put in edge order by one
-    permutation, found once."""
+    Checked from the whole's side: the whole's maps and each component's
+    are distinct, the whole has as many as the product of the components'
+    counts, and each component's restrictions of the whole's maps lie in its
+    listing.  The restrictions are fixed, disjoint selections of the whole's
+    edges and vertices that cover it, so restriction is injective and, with
+    the counts, a bijection."""
     forest = as_forest(f)
     whole = maps_into(forest, p)
     parts = [maps_into(t, p) for t in forest.components]
-    if len(whole) != math.prod(len(q) for q in parts):
+    pairs = {(m.colors, m.components) for m in whole}
+    if len(whole) != math.prod(len(q) for q in parts) or len(pairs) != len(whole):
         return False
-    rebuilt = _recombined(forest.components, [[(m.colors, m.components) for m in q] for q in parts])
-    return set(rebuilt) == {(m.colors, m.components) for m in whole}
+    outs = _vertex_outs(forest)
+    for t, q in zip(forest.components, parts):
+        listed = {(m.colors, m.components) for m in q}
+        colors, comps = _selecting(forest.edges, t.edges), _selecting(outs, _vertex_outs(t))
+        if len(listed) != len(q) or not {(colors(c), comps(v)) for c, v in pairs} <= listed:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,19 @@ stumps are filled squares, leaves end in open circles, and every edge is
 labeled by its name.  Forests whose edge names all carry level prefixes
 (``ℓi:a``) additionally get one rank per level joined by a dashed level
 axis, so the drawing reads like a level diagram.  One emitter draws the
-trees of :func:`to_dot` and :func:`gallery_dot`, quoting each edge name
-once per drawing and building each node id once per tree.  The DOT gallery
-of the shuffles of a factor tuple is written in the same bytes from the
-factors' state table instead, with no tree built (:func:`shuffle_clusters`):
-every line of it is fixed by one state or one (parent, child) pair.
+trees of :func:`to_dot` and :func:`gallery_dot`.  The DOT gallery of the
+shuffles of a factor tuple is written in the same bytes from the factors'
+state table instead, with no tree built (:func:`shuffle_clusters`): every
+line of it is fixed by one state or one (parent, child) pair.
 
-:func:`json_text` writes the indented JSON of every report and small
-object.  The listings of ``shuffles``, ``hom``, ``tensor-hom`` and
-``free-algebra`` are written in the same bytes from pieces instead:
-:func:`map_texts` and :func:`term_texts` write each map or term from names
-escaped once per listing (:func:`json_escape`), ``shuffles`` folds its texts
-from escaped state names, and :func:`listing_json` writes any of them as
-head, one join of the items and tail.
+:func:`json_text` is ``json.dumps`` with the indent, sorted keys and
+trailing newline of every report and small object.  The listings of
+``shuffles``, ``hom``, ``tensor-hom`` and ``free-algebra`` are written in
+the same bytes from pieces instead: :func:`map_texts` and
+:func:`term_texts` write each map or term from names escaped once per
+listing (:func:`json_escape`), ``shuffles`` folds its texts from escaped
+state names, and :func:`listing_json` writes any of them as head, one join
+of the items and tail.
 """
 
 from __future__ import annotations
@@ -80,26 +80,23 @@ _POINT = "[shape=point, width=0.08];"
 _LEAF = '[shape=circle, label="", width=0.12, fixedsize=true];'
 
 
-def _emit_tree(
-    t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] | None, esc: _Memo
-) -> None:
-    """Append the nodes and edges of ``t`` to ``lines``, with edge names
-    quoted through ``esc``, the drawing's memo, and each node id built once;
-    given ``ranks``, also file each edge's upper node under the level of a
-    level-prefixed edge name."""
+def _emit_tree(t: Tree, tag: str, lines: list[str], ranks: dict[int, list[str]] | None) -> None:
+    """Append the nodes and edges of ``t`` to ``lines``, each node id built
+    once; given ``ranks``, also file each edge's upper node under the level
+    of a level-prefixed edge name."""
     node: dict[str, str] = {}  # an edge's upper node: the vertex above it, or its leaf
     for v in t.vertices:
-        nid = node[v.out_edge] = f'"v:{tag}:{esc[v.out_edge]}"'
+        nid = node[v.out_edge] = f'"v:{tag}:{_esc(v.out_edge)}"'
         lines.append(f"  {nid} {_STUMP if v.is_stump else _POINT}")
     for e in t.leaves:
-        nid = node[e] = f'"leaf:{tag}:{esc[e]}"'
+        nid = node[e] = f'"leaf:{tag}:{_esc(e)}"'
         lines.append(f"  {nid} {_LEAF}")
     anchor = f'"root:{tag}"'
     lines.append(f'  {anchor} [shape=none, label="", width=0.01];')
     parent = t.parent
     lines += [
         f'  {anchor if (p := parent.get(e)) is None else node[p]} -> {node[e]} '
-        f'[label="{esc[e]}", arrowhead=none];'
+        f'[label="{_esc(e)}", arrowhead=none];'
         for e in t.edges
     ]
     if ranks is not None:
@@ -125,9 +122,8 @@ def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
     lines = _head(name)
     leveled = bool(forest.edges) and all(split_edge_name(e) is not None for e in forest.edges)
     ranks: dict[int, list[str]] | None = {} if leveled else None
-    esc = _Memo(_esc)
     for i, t in enumerate(forest.components):
-        _emit_tree(t, str(i), lines, ranks, esc)
+        _emit_tree(t, str(i), lines, ranks)
     if ranks:
         lo, hi = min(ranks), max(ranks)
         for lvl in range(lo, hi + 1):
@@ -145,13 +141,11 @@ def to_dot(scope: Tree | Forest, name: str = "forest") -> str:
 
 
 def gallery_dot(trees: list[Tree] | tuple[Tree, ...], name: str = "gallery") -> str:
-    """Several trees side by side as clusters of one digraph; each edge name
-    is quoted once for the whole gallery."""
-    esc = _Memo(_esc)
+    """Several trees side by side as clusters of one digraph."""
     clusters = []
     for i, t in enumerate(trees):
         lines = [f"  subgraph cluster_{i} {{", f'    label="{i}";']
-        _emit_tree(t, str(i), lines, None, esc)
+        _emit_tree(t, str(i), lines, None)
         lines.append("  }\n")
         clusters.append("\n".join(lines))
     return "".join(gallery_pieces(clusters, name))
@@ -218,24 +212,10 @@ def shuffle_clusters(table: _Table) -> list[str]:
 
 
 def json_text(obj: object) -> str:
-    """``json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True)`` and
-    a newline, byte for byte, written at the speed of the C string encoder
-    (``json`` itself drops to its pure-Python encoder once ``indent`` is
-    set).  Strings, dicts with ``str`` keys, lists and tuples are written
-    here and every other scalar by ``json.dumps``; a value with any other
-    dict key, or one this writer cannot finish (a cycle, say), goes whole
-    through ``json.dumps``, which converts or refuses it as ``json`` does.
-
-    The listings bypass it for :func:`listing_json`, as their names are
-    escaped once per listing; the bytes are the same, which the tests check
-    against this function."""
-    out: list[str] = []
-    try:
-        _write_json(obj, "\n", out)
-    except (TypeError, RecursionError):
-        return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    out.append("\n")
-    return "".join(out)
+    """``obj`` as indented JSON with sorted keys and a newline: the text of
+    every report and small object, and the bytes the listings are written
+    in from pieces."""
+    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 def json_escape(s: str) -> str:
@@ -326,37 +306,3 @@ def term_texts(terms: Sequence[FreeTerm]) -> list[str]:
         indices = _list([q[i] for i in t.indices], pad)
         out.append(f'{{{pad}"args": {args},{pad}"indices": {indices}{op}')
     return out
-
-
-def _write_json(x: object, pad: str, out: list[str]) -> None:
-    """Append the chunks of ``x`` to ``out``; ``pad`` is a newline and the
-    indent of the line ``x`` starts on.  Every item of a container shares
-    one separator string: a fresh one per item stayed alive in ``out``
-    until the join."""
-    if isinstance(x, str):
-        out.append(encode_basestring(x))
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep, comma = "{" + inner, "," + inner
-        for k in sorted(x):
-            # encode_basestring raises TypeError on a key that is not a str
-            out.append(sep + encode_basestring(k) + ": ")
-            _write_json(x[k], inner, out)
-            sep = comma
-        out.append(pad + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in x:
-            out.append(sep)
-            _write_json(item, inner, out)
-            sep = comma
-        out.append(pad + "]")
-    else:
-        out.append(json.dumps(x))

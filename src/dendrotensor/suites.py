@@ -149,26 +149,19 @@ def suite_functoriality(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]
     records: list[Record] = []
     for i in range(n):
         a = random_fin_simplex(rng, width, length)
-        ident = omega_mor(SimplicialOperator.identity(a.n), a)
-        records.append(
-            _rec("identity", i, ident == identity_map(a.forest), {"simplex": a.to_json()})
-        )
         phi = random_operator(rng, rng.randint(0, length), a.n)
         psi = random_operator(rng, rng.randint(0, length), phi.dom)
-        lhs = omega_mor(phi.after(psi), a)
-        rhs = compose(omega_mor(phi, a), omega_mor(psi, restrict(a, phi)))
-        records.append(
-            _rec(
-                "composition",
-                i,
-                lhs == rhs,
-                {
-                    "simplex": a.to_json(),
-                    "phi": _operator_json(phi),
-                    "psi": _operator_json(psi),
-                },
-            )
-        )
+        simplex = {"simplex": a.to_json()}
+        chain = {**simplex, "phi": _operator_json(phi), "psi": _operator_json(psi)}
+        try:
+            ident = omega_mor(SimplicialOperator.identity(a.n), a) == identity_map(a.forest)
+            lhs = omega_mor(phi.after(psi), a)
+            comp = lhs == compose(omega_mor(phi, a), omega_mor(psi, restrict(a, phi)))
+        except TreeError as exc:
+            ident = comp = False
+            simplex, chain = {**simplex, "error": str(exc)}, {**chain, "error": str(exc)}
+        records.append(_rec("identity", i, ident, simplex))
+        records.append(_rec("composition", i, comp, chain))
     return records, {"instances": n, "max_width": width, "max_levels": length}
 
 

@@ -13,7 +13,7 @@ from dendrotensor import lurie as lurie_module
 from dendrotensor import render as render_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
-from dendrotensor.render import json_escape, json_text, listing_json
+from dendrotensor.render import json_escape, listing_json
 from dendrotensor.shuffle import _shuffle_texts, _state_table
 from dendrotensor.suites import SuiteConfig
 from dendrotensor.treecore import parse_tree
@@ -214,7 +214,7 @@ def test_shuffles_sorted_child_order_is_pinned(capsys, fmt):
 
 
 # `shuffles --format json` folds texts from escaped state names and writes
-# them as head, join and tail; json_text over the raw texts is the oracle.
+# them as head, join and tail; json.dumps over the raw texts is the oracle.
 # `a"` sorts before `a#` but its escape `a\"` after it, so children must be
 # ordered by raw names
 ESCAPE_CASES = {
@@ -246,10 +246,14 @@ def test_shuffles_dot_escapes_are_pinned(capsys, case):
     assert hashlib.sha256(out).hexdigest() == PINNED_ESCAPE_DOT[case]
 
 
+def _json(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
 def _shuffles_oracle(factors: list[str]) -> str:
     table = _state_table([parse_tree(t) for t in factors])
     texts = _shuffle_texts(table)
-    return json_text({"count": len(texts), "shuffles": texts})
+    return _json({"count": len(texts), "shuffles": texts})
 
 
 @pytest.mark.parametrize("case", sorted(ESCAPE_CASES))
@@ -273,7 +277,7 @@ def test_shuffles_json_of_raw_texts_fails_the_oracle():
 
 
 def test_shuffles_json_empty_listing_matches_json_text():
-    assert "".join(listing_json("shuffles", [], '"')) == json_text({"count": 0, "shuffles": []})
+    assert "".join(listing_json("shuffles", [], '"')) == _json({"count": 0, "shuffles": []})
 
 
 def test_shuffles_listings_build_no_trees(monkeypatch, capsys):
@@ -611,6 +615,26 @@ def test_check_single_suite_passes(tmp_path, capsys):
     assert [s["suite"] for s in report["suites"]] == ["functoriality"]
     err = capsys.readouterr().err
     assert "functoriality" in err and "total: 0 failures" in err
+
+
+def test_check_records_a_functoriality_error_per_instance(monkeypatch, tmp_path, capsys):
+    # an error in one instance fails its two records and names itself in
+    # their witnesses; it neither ends the command nor skips an instance
+    from dendrotensor import suites
+    from dendrotensor.treecore import TreeError
+
+    def broken(f, g):
+        raise TreeError("no composite")
+
+    monkeypatch.setattr(suites, "compose", broken)
+    dest = tmp_path / "report.json"
+    assert main(["check", "functoriality", "--seed", "5", "--instances", "3", "--out", str(dest)]) == 1
+    records = json.loads(dest.read_text(encoding="utf-8"))["suites"][0]["records"]
+    assert [(r["check"], r["instance"]) for r in records] == [
+        (check, i) for i in range(3) for check in ("identity", "composition")
+    ]
+    assert all(r["status"] == "fail" and r["witness"]["error"] == "no composite" for r in records)
+    assert "total: 6 failures" in capsys.readouterr().err
 
 
 def test_check_report_is_deterministic(tmp_path):

@@ -370,6 +370,7 @@ def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
 
     monkeypatch.setattr(omegacat_module, "_fold_cuts", refuse)
     monkeypatch.setattr(lurie_module, "_fold_cuts", refuse)
+    monkeypatch.setattr(lurie_module, "_fold", refuse)
     factors = [chain_tree(1500), parse_tree("x")]
     maps = maps_into(eta("f"), BVTensorOperad(factors))
     assert len(maps) == len(set(maps)) == 1501
@@ -1784,6 +1785,25 @@ def test_segal_components_check_fails_on_a_broken_listing(monkeypatch, perturbat
             _perturbing(mp, lambda s, comp=comp: s is comp, PERTURBATIONS[perturbation])
             assert not segal_components_check(p, forest)
             assert not oracle_segal_components_check(p, forest)
+
+
+def test_segal_components_check_sees_a_wrong_recombination(monkeypatch):
+    # maps_into joins the components' maps with _recombined; a defect there
+    # must not sit on both sides of the check, as it did when the check
+    # rebuilt the whole with the same function
+    p, forest = COMPONENTS_CONTROL
+    assert segal_components_check(p, forest)
+    recombined = lurie_module._recombined
+
+    def swapped(components, parts):
+        # the colours of the first two edges trade places
+        rows = recombined(components, parts)
+        if len(components) < 2:
+            return rows
+        return [(((a, y), (b, x), *colors), comps) for ((a, x), (b, y), *colors), comps in rows]
+
+    monkeypatch.setattr(lurie_module, "_recombined", swapped)
+    assert not segal_components_check(p, forest)
 
 
 # sha256 of each suite's report at seed 42, as the suite wrote it when it

@@ -263,62 +263,6 @@ def oracle_json(obj):
     return json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-TEXT = st.text(
-    st.one_of(
-        st.sampled_from(
-            ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ℓ", "😀", "\u2028"]
-        ),
-        st.characters(),
-    ),
-    max_size=8,
-)
-SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(10**30), max_value=10**30),
-    st.floats(allow_nan=True, allow_infinity=True),
-    TEXT,
-)
-VALUES = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(TEXT, inner, max_size=4),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(VALUES)
-def test_json_text_matches_json_dumps(value):
-    assert json_text(value) == oracle_json(value)
-
-
-# keys json converts: int, float, bool and None become their JSON text;
-# the writer hands any value holding such a key to json.dumps whole
-KEYS = st.one_of(
-    TEXT, st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none()
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(KEYS, inner, max_size=3)),
-    max_leaves=12,
-))
-def test_json_text_converts_or_refuses_keys_as_json_does(value):
-    try:
-        expected = oracle_json(value)
-    except TypeError as exc:  # keys of mixed types cannot be sorted
-        with pytest.raises(TypeError, match=re.escape(str(exc))):
-            json_text(value)
-    else:
-        assert json_text(value) == expected
-
-
 @pytest.mark.parametrize(
     "value, expected",
     [
@@ -356,7 +300,7 @@ def test_json_text_refuses_a_cycle_as_json_does():
 # -- listings ---------------------------------------------------------------------
 
 # The map and term listings are written from names escaped once per listing;
-# the oracle is json_text over the dicts the CLI built for each item before.
+# the oracle is json.dumps over the dicts the CLI built for each item before.
 
 
 def replaced_map_json(m):
@@ -378,7 +322,7 @@ def replaced_term_json(t):
 
 
 def oracle_listing(key, items):
-    return json_text({"count": len(items), key: items})
+    return oracle_json({"count": len(items), key: items})
 
 
 def _written(key, texts):

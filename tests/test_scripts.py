@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dendrotensor import parse_tree, shuffles
+from dendrotensor.render import gallery_dot
 from test_acceptance import REPORT_SHA256
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -43,3 +46,7 @@ def test_render_examples_writes_its_files(tmp_path):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == ["level_forest.dot", "shuffle_gallery.dot"]
     assert all((tmp_path / name).read_text(encoding="utf-8").startswith("digraph") for name in written)
+    # the gallery drawn from shuffle trees is the oracle of the CLI's writer
+    factors = [parse_tree("p[x,y[]]"), parse_tree("q[u]")]
+    gallery = (tmp_path / "shuffle_gallery.dot").read_text(encoding="utf-8")
+    assert gallery == gallery_dot(shuffles(factors), "shuffles")
