@@ -32,7 +32,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from operator import itemgetter
@@ -40,8 +40,8 @@ from random import Random
 from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
-from .omegacat import Operation, _fold, _fold_cuts, _image, _is_cut_of, _operation
-from .omegacat import ForestInto, OperadMap, _tree_moves
+from .omegacat import Operation, _fold, _image, _is_cut_of, _operation, _tree_table
+from .omegacat import ForestInto, OperadMap
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
 
@@ -320,20 +320,21 @@ def _index_by_output(
 class _CutOperad(FiniteOperad):
     """A finite operad whose operations are cuts, each an :class:`Operation`
     with distinct inputs: the trivial cut is the identity and substitution
-    is cut union.  A subclass gives its colors and a container of them, and
-    folds cuts into one memo, ``_folds``, whose lists all hold the cuts of
-    at most ``_limit`` inputs (``_cuts``).  A listing of one arity ``k``
-    needs the bound ``k``, a full listing the bound ``inf``; the memo is
-    emptied only when a larger bound than ``_limit`` is asked for, and a
-    color already in it is read without folding.  A full listing is sorted
-    stably by ``_key`` (the fold lists by inputs), an arity slice keeps the
-    fold's order.  Listings are memoized per ``(color, arity)``."""
+    is cut union.  A subclass gives a table of ``(color, moves)`` pairs,
+    each after the colors its moves reach (``_states``).  The first listing
+    under a bound folds the whole table into one memo, ``_folds``, whose
+    lists all hold the cuts of at most ``_limit`` inputs (``_cuts``).  A
+    listing of one arity ``k`` needs the bound ``k``, a full listing the
+    bound ``inf``; the memo is emptied only when a larger bound than
+    ``_limit`` is asked for.  A full listing is sorted stably by ``_key``
+    (the fold lists by inputs), an arity slice keeps the fold's order.
+    Listings are memoized per ``(color, arity)``."""
 
     _key = None
 
-    def __init__(self, colors: tuple[str, ...], known: Container[str]):
-        self._colors = colors
-        self._known = known
+    def __init__(self, table: Iterable[tuple[str, Sequence[tuple[str, ...]]]]):
+        self._states = dict(table)  # each color's moves, in the table's order
+        self._colors = tuple(sorted(self._states))
         self._limit: float = 0  # the bound of every list in _folds
         self._folds: dict[str, list[tuple[str, ...]]] = {}
         self._listed: dict[tuple[str, int | None], tuple] = {}  # by (color, arity or None)
@@ -345,13 +346,15 @@ class _CutOperad(FiniteOperad):
     def _unknown(self, color: str) -> tuple[()]:
         return ()  # the listing of a color this operad lacks
 
-    @abstractmethod
     def _cuts(self, color: str) -> list[tuple[str, ...]]:
         """The color's cuts of at most ``_limit`` inputs, from ``_folds``."""
+        if not self._folds:  # emptied by a larger bound, or never filled
+            _fold(self._states.items(), self._folds, self._limit)
+        return self._folds[color]
 
     def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
         index = self._by_inputs.get(output)
-        if index is None and output in self._known:
+        if index is None and output in self._states:
             index = self._by_inputs[output] = dict(self.ops_by_output(output))
         return () if index is None else index.get(tuple(sorted(inputs)), ())
 
@@ -360,7 +363,7 @@ class _CutOperad(FiniteOperad):
     ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
         entries = self._listed.get((output, arity))
         if entries is None:
-            if output not in self._known:
+            if output not in self._states:
                 return self._unknown(output)
             bound = math.inf if arity is None else arity
             if bound > self._limit:  # a larger bound serves every smaller one
@@ -397,21 +400,16 @@ class _CutOperad(FiniteOperad):
 
 class FreeForestOperad(_CutOperad):
     """The free operad of a forest: colors are edges, operations are cuts,
-    listed by size and then lexicographically; an unknown color raises."""
+    listed by size and then lexicographically; an unknown color raises.
+    Its table is the forest's edge table (``omegacat._tree_table``)."""
 
     _key = len
 
     def __init__(self, forest: Tree | Forest):
         self.forest = as_forest(forest)
-        super().__init__(self.forest.edges, self.forest.edge_set)
-        self._moves_of = _tree_moves(self.forest.components)
+        super().__init__(_tree_table(self.forest.components))
 
     ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
-
-    def _cuts(self, color: str) -> list[tuple[str, ...]]:
-        # lazy per color: only the edges above it that the memo lacks are folded
-        cuts = self._folds.get(color)
-        return _fold_cuts(color, self._moves_of, self._folds, self._limit) if cuts is None else cuts
 
     def _unknown(self, color: str) -> tuple[()]:
         raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
@@ -492,26 +490,16 @@ class BVTensorOperad(_CutOperad):
     """The tensor of trees as a finite operad: colors are the tuple edges of
     the shuffles, operations are the cuts of all shuffles with each cut
     appearing once.  Substitution is cut union, under which the family is
-    closed.  Only the shuffle state table is built up front, without any
-    shuffle; the first listing under a bound folds the cuts of every state
-    in one loop over the table (``omegacat._fold``), which lists each state
-    after the states its moves reach, so that the table reversed is a
-    stack whose every pop can be folded at once.  A full listing of any one
-    color thus folds every state without a bound.  Entries are listed by
-    sorted inputs; an unknown color lists nothing."""
+    closed.  Its table is the shuffle state table (``shuffle._state_table``),
+    built up front without any shuffle, so a lone factor is the free operad
+    of that tree.  Entries are listed by sorted inputs; an unknown color
+    lists nothing."""
 
     def __init__(self, factors: Sequence[Tree]):
         self.factors = tuple(factors)
-        # each state's moves, in the state table's order
-        self._states = moves = dict(_state_table(self.factors))
-        super().__init__(tuple(sorted(moves)), moves)
+        super().__init__(_state_table(self.factors))
 
     ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
-
-    def _cuts(self, color: str) -> list[tuple[str, ...]]:
-        if not self._folds:  # emptied by a larger bound, or never filled
-            _fold(list(self._states.items())[::-1], None, self._folds, self._limit)
-        return self._folds[color]
 
 
 # ---------------------------------------------------------------------------
@@ -751,19 +739,36 @@ class _PointedMaps(Sequence):
             return FinPtdMor(self.src, dst, tuple(values))
 
 
-def _all_inerts(src: FinPtdObj) -> list[FinPtdMor]:
-    out = []
-    for k in range(len(src.elements) + 1):
-        for kept in permutations(src.elements, k):
-            index = {x: i + 1 for i, x in enumerate(kept)}
-            out.append(
-                FinPtdMor(
-                    src,
-                    FinPtdObj.skeleton(k),
-                    tuple(index.get(x, STAR) for x in src.elements),
-                )
-            )
-    return out
+class _Inerts(Sequence):
+    """Every inert map out of ``src``: for ``k = 0, ..., |src|`` in turn,
+    one per ordered choice of ``k`` kept elements, in the order
+    ``permutations`` lists them, the ``j``-th kept element sent to ``j``.
+    As in :class:`_PointedMaps`, the ``i``-th map is decoded from ``i`` when
+    asked for, so ``Random.sample`` picks the maps of the listed blocks
+    while building only those it picks."""
+
+    def __init__(self, src: FinPtdObj):
+        self.src = src
+        self.blocks = tuple(math.perm(len(src), k) for k in range(len(src) + 1))
+        self.size = sum(self.blocks)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> FinPtdMor:
+        if not 0 <= i < self.size:
+            raise IndexError("inert map index out of range")
+        k = 0
+        while i >= self.blocks[k]:
+            i -= self.blocks[k]
+            k += 1
+        rest = list(self.src.elements)
+        index = {}
+        for j in range(1, k + 1):  # the j-th kept element, ranked among the rest
+            digit, i = divmod(i, math.perm(len(rest) - 1, k - j))
+            index[rest.pop(digit)] = j
+        values = tuple(index.get(x, STAR) for x in self.src.elements)
+        return FinPtdMor(self.src, FinPtdObj.skeleton(k), values)
 
 
 def _sample(rng: Random, pool: Sequence, k: int) -> list:
@@ -920,7 +925,7 @@ def _fibrous_failures(
     targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
     for m in range(truncation + 1):
         src_base = FinPtdObj.skeleton(m)
-        inerts = _all_inerts(src_base)
+        inerts = _Inerts(src_base)
         for c in _coloring_pool(colors, rng, m, colorings_per_shape):
             x = EllObject(src_base, c)
             for alpha in _sample(rng, inerts, inerts_per_shape):

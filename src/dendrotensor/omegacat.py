@@ -7,11 +7,11 @@ nothing, so nullary operations appear exactly when stumps can close every
 branch).  Because each edge has at most one vertex above it, an operation is
 determined by its output edge together with its set of input edges.
 One fold, :func:`_fold`, lists the cuts of tree edges and of shuffle
-states alike: a move goes to the inputs of the vertex above, or as the
-shuffle state table says.  It folds from one node on demand
-(:func:`_fold_cuts`) or over a whole table at once.  Bounded by a number of
-inputs, it lists only the cuts up to that arity, which is all a vertex of
-that arity can map to.
+states alike, over a table of ``(node, moves)`` pairs, each node after the
+nodes its moves reach: a forest's edge table (:func:`_tree_table`), where a
+move goes to the inputs of the vertex above, or a shuffle state table.
+Bounded by a number of inputs, it lists only the cuts up to that arity,
+which is all a vertex of that arity can map to.
 
 A map out of a free forest operad is one record, :class:`ForestInto`: the
 color of each edge (``colors``) and the operation of the target at each
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping
 
 from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, serialize_forest
 
@@ -76,53 +76,19 @@ class Operation:
         return f"{self.output}<-({','.join(self.inputs)})"
 
 
-Moves = Callable[[str], Sequence[tuple[str, ...]]]  # each move lists the nodes it reaches
-
-
-def _fold_cuts(
-    node: str, moves_of: Moves, memo: dict | None = None, limit: float = math.inf
-) -> list[tuple[str, ...]]:
-    """The cuts from ``node`` of at most ``limit`` inputs, plus ``node``
-    itself, as :func:`_fold` lists them, folding only the nodes reachable
-    from ``node`` that ``memo`` lacks.  ``memo`` keeps every node's cuts, by
-    inputs, and serves this ``limit`` only; without it each list is dropped
-    or extended in place once read, so each node has one reader.  The
-    caller sorts the result as it needs."""
-    keep = memo is not None
-    tables = memo if keep else {}
-    _fold([node], moves_of, tables, limit, keep)
-    return tables[node] if keep else tables.pop(node)
-
-
-def _fold(
-    stack: list, moves_of: Moves | None, tables: dict, limit: float = math.inf, keep: bool = True
-) -> None:
-    """Fold into ``tables`` the cuts of the nodes on ``stack``, children
-    first: as sorted input tuples of at most ``limit`` inputs, listed by
-    inputs, the node itself plus, move by move, every union of one cut per
-    node the move reaches (a stump's empty move gives the empty cut).
-
-    An item of ``stack`` is a node, which, unless ``tables`` has it, is put
-    back with its moves (``moves_of``) under the nodes they reach, or a
-    ``(node, moves)`` pair, folded when popped.  So one node gives its fold
-    over an acyclic move graph, and a list of pairs in which each node comes
-    before the nodes its moves reach (a shuffle state table, reversed) folds
-    every node in one loop.  The cuts a move unions are disjoint, so a
-    partial union only grows and one past ``limit`` is dropped at once; the
-    default ``inf`` keeps every cut.  Only a node with two moves can meet a
-    cut twice, so only such nodes deduplicate.  With ``keep`` false each
-    list read is popped or extended in place, for graphs in which every node
-    has one reader."""
+def _fold(table: Iterable, tables: dict, limit: float = math.inf, keep: bool = True) -> None:
+    """Fold into ``tables`` the cuts of the nodes of ``table``, ``(node,
+    moves)`` pairs each after the nodes its moves reach: as sorted input
+    tuples of at most ``limit`` inputs, listed by inputs, the node itself
+    plus, move by move, every union of one cut per node the move reaches (a
+    stump's empty move gives the empty cut).  The cuts a move unions are
+    disjoint, so a partial union only grows and one past ``limit`` is
+    dropped at once; the default ``inf`` keeps every cut.  Only a node with
+    two moves can meet a cut twice, so only such nodes deduplicate.  With
+    ``keep`` false each list read is popped or extended in place, for
+    graphs in which every node has one reader."""
     take = tables.__getitem__ if keep else tables.pop
-    while stack:
-        d = stack.pop()
-        if type(d) is str:
-            if d not in tables:
-                stack.append((d, moves := moves_of(d)))  # folded once every node above is
-                for move in moves:
-                    stack += move
-            continue
-        d, moves = d
+    for d, moves in table:
         if len(moves) == 1 and len(moves[0]) == 1:
             cuts = take(moves[0][0])
             if keep:
@@ -146,17 +112,17 @@ def _fold(
         tables[d] = cuts
 
 
-def _tree_moves(trees: Iterable[Tree]) -> Moves:
-    """An edge's moves: the inputs of the vertex above it, if any."""
-    above: dict[str, Vertex] = {}
-    for t in trees:
-        above |= t.vertex_above
-    return lambda d: () if (v := above.get(d)) is None else (v.in_edges,)
+def _tree_table(trees: Iterable[Tree]) -> list[tuple[str, tuple]]:
+    """A forest's edge table, the one-factor ``shuffle._state_table``: each
+    edge after the edges above it, with one move, to the inputs of the vertex
+    above it, if it has one."""
+    return [(e, () if (v := t.vertex_above.get(e)) is None else (v.in_edges,))
+            for t in trees for e in reversed(t.depth)]
 
 
 def _operation(output: str, inputs: tuple[str, ...]) -> Operation:
     """An :class:`Operation` from inputs already sorted and distinct, as
-    :func:`_fold_cuts` lists them, without checking them again."""
+    :func:`_fold` lists them, without checking them again."""
     op = object.__new__(Operation)
     object.__setattr__(op, "output", output)
     object.__setattr__(op, "inputs", inputs)
@@ -176,12 +142,14 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
 
     An operation is a cut: ``{e}`` itself, or one cut above each input of
     the vertex above ``e`` taken together; a stump above ``e`` gives the
-    nullary operation.  The cuts are folded without a memo, so each node's
-    list is dropped once read, and the fold's order (by inputs) is sorted
-    stably by size.
+    nullary operation.  The edges of ``e``'s component weakly above ``e``
+    are folded without a memo, so each node's list is dropped once read,
+    and the fold's order (by inputs) is sorted stably by size.
     """
-    moves = _tree_moves([_component(as_forest(scope), e)])
-    return tuple(_operation(e, c) for c in sorted(_fold_cuts(e, moves), key=len))
+    t = _component(as_forest(scope), e)
+    above, cuts = t.subtree_edges(e), {}
+    _fold([row for row in _tree_table([t]) if row[0] in above], cuts, keep=False)
+    return tuple(_operation(e, c) for c in sorted(cuts[e], key=len))
 
 
 def _cut_total(forest: Forest) -> int:

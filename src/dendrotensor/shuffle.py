@@ -14,8 +14,9 @@ takes the same walk and folds as every other tuple.  The reachable tuples
 and their moves are listed once, by one walk without recursion, and that
 table is folded into the shuffles, their texts, the lines of their DOT
 gallery (``render.shuffle_clusters``) or their count; the tensor operad
-folds it into cuts, every state in one loop, by the fold that lists
-a tree's cuts (``omegacat._fold``).
+folds it into cuts, every state in one loop, by the fold that lists a free
+forest operad's cuts from its edge table (``omegacat._fold``), which is
+this table for a lone factor.
 
 The module also exposes the standard structure of the set of shuffles:
 pairwise (and wider) intersections by contracting the non-shared inner

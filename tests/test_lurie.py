@@ -62,11 +62,17 @@ from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor import suites as suites_module
 from dendrotensor.levelforest import edge_name
-from dendrotensor.lurie import EllPresentation, _PointedMaps
+from dendrotensor.lurie import EllPresentation, _Inerts, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
-from dendrotensor.omegacat import _tree_moves
 from dendrotensor.shuffle import _state_table
-from test_omegacat import binary_text, chain_tree, closure_operations, oracle_cut_table, oracle_fold_cuts
+from test_omegacat import (
+    binary_text,
+    chain_tree,
+    closure_operations,
+    oracle_cut_table,
+    oracle_fold_cuts,
+    tree_moves,
+)
 from test_shuffle import random_factors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -138,6 +144,60 @@ def test_lazy_pool_samples_like_the_list():
                 assert r_lazy.sample(lazy, k) == r_built.sample(built, k)
                 assert r_lazy.getstate() == r_built.getstate()
     assert branches == {True, False}
+
+
+def oracle_all_inerts(src):
+    """``_all_inerts``, which ``_Inerts`` replaced: every inert map out of
+    ``src``, built, by number of kept elements and then in the order
+    ``permutations`` lists the kept ones."""
+    out = []
+    for k in range(len(src.elements) + 1):
+        for kept in permutations(src.elements, k):
+            index = {x: i + 1 for i, x in enumerate(kept)}
+            out.append(
+                FinPtdMor(
+                    src,
+                    FinPtdObj.skeleton(k),
+                    tuple(index.get(x, STAR) for x in src.elements),
+                )
+            )
+    return out
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_lazy_inerts_equal_the_built_list(m):
+    src = FinPtdObj.skeleton(m)
+    lazy, built = _Inerts(src), oracle_all_inerts(src)
+    assert list(lazy) == built
+    assert all(f.is_inert for f in lazy)
+    with pytest.raises(IndexError):
+        lazy[len(built)]
+    for seed in range(5):
+        r_lazy, r_built = Random(seed), Random(seed)
+        k = min(4, len(built))
+        assert r_lazy.sample(lazy, k) == r_built.sample(built, k)
+        assert r_lazy.getstate() == r_built.getstate()
+
+
+def test_lazy_inerts_count_every_partial_permutation():
+    for m in range(13):
+        assert len(_Inerts(FinPtdObj.skeleton(m))) == sum(math.perm(m, k) for k in range(m + 1))
+    src = FinPtdObj.skeleton(12)
+    last = _Inerts(src)[len(_Inerts(src)) - 1]
+    assert last.values == tuple(range(12, 0, -1))
+
+
+def test_fibrous_check_builds_only_the_inerts_it_samples(monkeypatch):
+    # ⟨8⟩ alone has 109,601 inert maps; listing them all for every shape
+    # up to ⟨8⟩ built 129,327 maps in this call, where drawing four per
+    # coloring from the ranked sequence builds 3,741
+    built = []
+    post_init = FinPtdMor.__post_init__
+    monkeypatch.setattr(FinPtdMor, "__post_init__", lambda f: built.append(f) or post_init(f))
+    pres = EllPresentation(FreeForestOperad(parse_tree("r[a]")))
+    report = check_fibrous(pres, truncation=8, rng=Random(0))
+    assert report.passed
+    assert len(built) < 5_000
 
 
 def test_fibers_match_a_scan_of_the_source():
@@ -347,15 +407,16 @@ def test_single_factor_tensor_accepts_untuplable_names():
 
 def test_bv_tensor_builds_no_shuffle(monkeypatch):
     # the fold is shared with the free operads, so what is refused is any
-    # shuffle tree and any tree's moves: the tensor folds state moves only
+    # shuffle tree and any forest's edge table: the tensor folds its state
+    # table only
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
     fs = [parse_tree("p[x,y]"), parse_tree("q[u]")]
     colors, table = oracle_bv_tensor(fs)
     monkeypatch.setattr(shuffle_module, "shuffles", refuse)
-    monkeypatch.setattr(omegacat_module, "_tree_moves", refuse)
-    monkeypatch.setattr(lurie_module, "_tree_moves", refuse)
+    monkeypatch.setattr(omegacat_module, "_tree_table", refuse)
+    monkeypatch.setattr(lurie_module, "_tree_table", refuse)
     b = BVTensorOperad(fs)
     assert b.colors() == colors
     for c in colors:
@@ -368,8 +429,7 @@ def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("folded")
 
-    monkeypatch.setattr(omegacat_module, "_fold_cuts", refuse)
-    monkeypatch.setattr(lurie_module, "_fold_cuts", refuse)
+    monkeypatch.setattr(omegacat_module, "_fold", refuse)
     monkeypatch.setattr(lurie_module, "_fold", refuse)
     factors = [chain_tree(1500), parse_tree("x")]
     maps = maps_into(eta("f"), BVTensorOperad(factors))
@@ -456,7 +516,7 @@ class OracleCutListing:
 def _cut_operad_and_oracle(rng, kind, stump_probability):
     if kind == "free":
         forest = random_forest(rng, 9, stump_probability, min_components=1)
-        oracle = OracleCutListing(forest.edges, _tree_moves(forest.components), len)
+        oracle = OracleCutListing(forest.edges, tree_moves(forest.components), len)
         return FreeForestOperad(forest), oracle
     factors = [random_tree(rng, 4, stump_probability, prefix=q) for q in ("a", "b")]
     moves = dict(_state_table(factors))
@@ -494,34 +554,29 @@ def test_cut_listing_equals_two_memo_oracle(seed, kind, stump_probability):
 
 @pytest.mark.parametrize("kind", ["free", "tensor"])
 def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
-    # every color lies above the root, so one fold of the root puts every
-    # color in the memo: a slice at or below its bound folds nothing more.
-    # A tensor instead folds its whole state table in one loop, once per
-    # bound (each such fold is recorded as the root's, with its limit)
+    # the first listing under a bound folds the whole table in one loop, so
+    # every color is in the memo: a slice at or below its bound folds
+    # nothing more.  Each fold is recorded with its limit
     if kind == "free":
         p, root = FreeForestOperad(parse_tree("r[a[x,y,z[]],b[u,v],c]")), "r"
     else:
         p, root = BVTensorOperad([parse_tree("p[x,y]"), parse_tree("q[u[w],v]")]), "(p|q)"
-    fold = lurie_module._fold_cuts
-    calls = []
-    monkeypatch.setattr(lurie_module, "_fold_cuts", lambda *a: calls.append(a[0]) or fold(*a))
     table_fold, limits = lurie_module._fold, []
-    monkeypatch.setattr(lurie_module, "_fold", lambda *a: calls.append(root) or limits.append(a[3]) or table_fold(*a))
+    monkeypatch.setattr(lurie_module, "_fold", lambda *a: limits.append(a[2]) or table_fold(*a))
     p.ops_by_output(root, 2)
-    assert kind == "free" or set(p._folds) == set(p.colors())
+    assert set(p._folds) == set(p.colors())
     for c in p.colors():
         for k in (2, 0, 1):
             p.ops_by_output(c, k)
-    assert calls == [root]
+    assert limits == [2]
     p.ops_by_output(root, 3)  # a larger bound empties the memo
-    assert calls == [root, root]
+    assert limits == [2, 3]
     p.ops_by_output(root)
     for c in p.colors():
         p.ops_by_output(c)
         for k in (4, 1, 3, 0, 2):
             p.ops_by_output(c, k)
-    assert calls == [root, root, root]
-    assert limits == ([] if kind == "free" else [2, 3, math.inf])
+    assert limits == [2, 3, math.inf]
 
 
 def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):

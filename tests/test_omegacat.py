@@ -35,7 +35,8 @@ from dendrotensor import (
 )
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_forest, random_tree
-from dendrotensor.omegacat import _cut_total, _fold_cuts, _tree_moves
+from dendrotensor.omegacat import _cut_total, _fold, _tree_table
+from dendrotensor.shuffle import _state_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -359,23 +360,63 @@ def test_operations_on_deep_chain():
     assert listed == tuple((op.inputs, (op,)) for op in ops)
 
 
+def tree_moves(trees):
+    """An edge's moves, as the on-demand fold read them: the inputs of the
+    vertex above it, if any."""
+    above = {}
+    for t in trees:
+        above |= t.vertex_above
+    return lambda d: () if (v := above.get(d)) is None else (v.in_edges,)
+
+
+def fold_up_to(table, node, limit=math.inf):
+    """``node``'s cuts from a fold without a memo over ``table`` up to and
+    including ``node``: every list read is dropped, ``node``'s is not."""
+    end = [d for d, _ in table].index(node) + 1
+    tables = {}
+    _fold(table[:end], tables, limit, keep=False)
+    return tables[node]
+
+
 @given(seeds, st.sampled_from([0.0, 0.2, 0.5]))
 @settings(max_examples=100, deadline=None)
 def test_cut_fold_equals_table_oracle(seed, stump_probability):
-    # the same lists in the same order, with and without a memo, asked for
-    # in a random order of edges so a memo holds tables built for others
+    # the same lists in the same order, from one fold of the whole edge
+    # table into a memo and from a fold without one up to each edge, the
+    # edges asked for in a random order
     rng = Random(seed)
     forest = random_forest(rng, 16, stump_probability, min_components=1)
+    memo = {}
+    _fold(_tree_table(forest.components), memo)
+    assert set(memo) == set(forest.edges)
     for t in forest.components:
-        moves = _tree_moves([t])
-        memo, oracle_memo = {}, {}
+        table = _tree_table([t])
+        oracle_memo = {}
         edges = list(t.edges)
         rng.shuffle(edges)
         for e in edges:
             want = oracle_cut_table(t, e)
-            assert sorted(_fold_cuts(e, moves), key=len) == want
-            assert sorted(_fold_cuts(e, moves, memo), key=len) == want
+            assert sorted(memo[e], key=len) == want
+            assert sorted(fold_up_to(table, e), key=len) == want
             assert oracle_cut_table(t, e, oracle_memo) == want
+
+
+@given(seeds, st.sampled_from([0.0, 0.2, 0.5]))
+@settings(max_examples=100, deadline=None)
+def test_tree_table_is_the_one_factor_state_table(seed, stump_probability):
+    # the same (edge, moves) pairs, a stump's one empty move included, each
+    # edge after the edges its moves reach; a forest's table is its trees'
+    rng = Random(seed)
+    forest = random_forest(rng, 16, stump_probability, min_components=1)
+    for t in forest.components:
+        table = _tree_table([t])
+        states = [(d, tuple(moves)) for d, moves in _state_table([t])]
+        assert sorted(table) == sorted(states)
+        seen = set()
+        for d, moves in table:
+            assert all(c in seen for move in moves for c in move)
+            seen.add(d)
+    assert _tree_table(forest.components) == [p for t in forest.components for p in _tree_table([t])]
 
 
 def oracle_fold_cuts(node, moves_of, key=None, memo=None, limit=None):
@@ -431,15 +472,17 @@ def test_cut_fold_equals_keyed_fold_oracle(seed, stump_probability, limit):
     forest = random_forest(rng, 16, stump_probability, min_components=1)
     bound = math.inf if limit is None else limit
     for t in forest.components:
-        moves = _tree_moves([t])
+        moves = tree_moves([t])
+        table = _tree_table([t])
         memo, oracle_memo = {}, {}
+        _fold(table, memo, bound)
         edges = list(t.edges)
         rng.shuffle(edges)
         for e in edges:
             for key in (None, len):
                 want = oracle_fold_cuts(e, moves, key, oracle_memo, limit)
-                assert sorted(_fold_cuts(e, moves, memo, bound), key=key) == want
-                assert sorted(_fold_cuts(e, moves, None, bound), key=key) == want
+                assert sorted(memo[e], key=key) == want
+                assert sorted(fold_up_to(table, e, bound), key=key) == want
 
 
 @given(seeds)

@@ -33,7 +33,7 @@ from dendrotensor import (
 from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_tree
-from dendrotensor.omegacat import _fold, _fold_cuts
+from dendrotensor.omegacat import _fold
 from dendrotensor.shuffle import _shuffle_texts, _state_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -455,25 +455,27 @@ def oracle_tensor_cuts(factors):
 @given(seeds, st.integers(min_value=1, max_value=3))
 @settings(max_examples=150, deadline=None)
 def test_cut_fold_equals_tensor_oracle(seed, k):
-    # the same cuts, each once, whether the states are folded one color at
-    # a time through a shared memo, alone, or all at once over the table.
-    # Three factors of up to 150 shuffles can have 384,000 cuts (5 s in the
-    # oracle and the folds); at most 60 keep every draw under 0.1 s of
-    # folding, and over seeds 0-1499 reject 74 of 9,000 draws (27 at 150)
+    # the same cuts, each once, whether the whole table is folded, under a
+    # bound, or only up to one state.  Three factors of up to 150 shuffles
+    # can have 384,000 cuts (5 s in the oracle and the folds); at most 60
+    # keep every draw under 0.1 s of folding, and over seeds 0-1499 reject
+    # 74 of 9,000 draws (27 at 150)
     rng = Random(seed)
     fs = random_factors(rng, k, bound=60 if k == 3 else 150)
     table = _state_table(fs)
-    moves = dict(table)
     want = oracle_tensor_cuts(fs)
-    assert set(moves) == set(want)
-    memo, whole = {}, {}
-    _fold(table[::-1], None, whole)
-    colors = list(moves)
-    rng.shuffle(colors)
-    for c in colors:
-        for got in (_fold_cuts(c, moves.__getitem__, memo),
-                    _fold_cuts(c, moves.__getitem__, {}), whole[c]):
-            assert got == sorted(want[c])
+    assert [state for state, _ in table] == list(want)
+    whole, bounded = {}, {}
+    _fold(table, whole)
+    _fold(table, bounded, 2)
+    for c in want:
+        assert whole[c] == sorted(want[c])
+        assert bounded[c] == sorted(cut for cut in want[c] if len(cut) <= 2)
+    for end in rng.sample(range(len(table)), min(4, len(table))):
+        prefix = {}
+        _fold(table[: end + 1], prefix)
+        c = table[end][0]
+        assert prefix[c] == sorted(want[c])
 
 
 def oracle_tensor_hom(probe, factors):
