@@ -40,7 +40,7 @@ from random import Random
 from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
-from .omegacat import Operation, _fold, _image, _is_cut_of, _operation, _tree_table
+from .omegacat import Operation, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
 from .omegacat import ForestInto, OperadMap
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
@@ -320,15 +320,15 @@ def _index_by_output(
 class _CutOperad(FiniteOperad):
     """A finite operad whose operations are cuts, each an :class:`Operation`
     with distinct inputs: the trivial cut is the identity and substitution
-    is cut union.  A subclass gives a table of ``(color, moves)`` pairs,
-    each after the colors its moves reach (``_states``).  The first listing
-    under a bound folds the whole table into one memo, ``_folds``, whose
-    lists all hold the cuts of at most ``_limit`` inputs (``_cuts``).  A
-    listing of one arity ``k`` needs the bound ``k``, a full listing the
-    bound ``inf``; the memo is emptied only when a larger bound than
-    ``_limit`` is asked for.  A full listing is sorted stably by ``_key``
-    (the fold lists by inputs), an arity slice keeps the fold's order.
-    Listings are memoized per ``(color, arity)``."""
+    is cut union.  A subclass gives a table of ``(color, moves)`` pairs
+    (``_states``).  A listing of a color the memo ``_folds`` lacks folds
+    into it the rows of the colors above that color that it lacks
+    (``_cuts``), so a leaf folds one row; its lists all hold the cuts of at
+    most ``_limit`` inputs.  A listing of one arity ``k`` needs the bound
+    ``k``, a full listing the bound ``inf``; the memo is emptied only when a
+    larger bound than ``_limit`` is asked for.  A full listing is sorted
+    stably by ``_key`` (the fold lists by inputs), an arity slice keeps the
+    fold's order.  Listings are memoized per ``(color, arity)``."""
 
     _key = None
 
@@ -348,9 +348,12 @@ class _CutOperad(FiniteOperad):
 
     def _cuts(self, color: str) -> list[tuple[str, ...]]:
         """The color's cuts of at most ``_limit`` inputs, from ``_folds``."""
-        if not self._folds:  # emptied by a larger bound, or never filled
-            _fold(self._states.items(), self._folds, self._limit)
-        return self._folds[color]
+        cuts = self._folds.get(color)
+        if cuts is None:
+            rows = _rows_above(self._states.__getitem__, color, self._folds)
+            _fold(rows, self._folds, self._limit)
+            cuts = self._folds[color]
+        return cuts
 
     def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
         index = self._by_inputs.get(output)
@@ -401,13 +404,15 @@ class _CutOperad(FiniteOperad):
 class FreeForestOperad(_CutOperad):
     """The free operad of a forest: colors are edges, operations are cuts,
     listed by size and then lexicographically; an unknown color raises.
-    Its table is the forest's edge table (``omegacat._tree_table``)."""
+    Its table gives each edge the moves it has in its tree's one-factor
+    shuffle state table (``omegacat._edge_moves``)."""
 
     _key = len
 
     def __init__(self, forest: Tree | Forest):
         self.forest = as_forest(forest)
-        super().__init__(_tree_table(self.forest.components))
+        trees = self.forest.components
+        super().__init__((e, moves(e)) for t in trees for moves in [_edge_moves(t)] for e in t.edges)
 
     ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
 

@@ -7,11 +7,12 @@ nothing, so nullary operations appear exactly when stumps can close every
 branch).  Because each edge has at most one vertex above it, an operation is
 determined by its output edge together with its set of input edges.
 One fold, :func:`_fold`, lists the cuts of tree edges and of shuffle
-states alike, over a table of ``(node, moves)`` pairs, each node after the
-nodes its moves reach: a forest's edge table (:func:`_tree_table`), where a
-move goes to the inputs of the vertex above, or a shuffle state table.
-Bounded by a number of inputs, it lists only the cuts up to that arity,
-which is all a vertex of that arity can map to.
+states alike, over ``(node, moves)`` rows, each node after the nodes its
+moves reach, as :func:`_rows_above` walks them up from one node: from an
+edge, whose move goes to the inputs of the vertex above it
+(:func:`_edge_moves`), or from a shuffle state.  Bounded by a number of
+inputs, it lists only the cuts up to that arity, which is all a vertex of
+that arity can map to.
 
 A map out of a free forest operad is one record, :class:`ForestInto`: the
 color of each edge (``colors``) and the operation of the target at each
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Collection, Iterable, Mapping
+from typing import Any, Callable, Collection, Container, Iterable, Mapping, Sequence
 
 from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, serialize_forest
 
@@ -112,12 +113,31 @@ def _fold(table: Iterable, tables: dict, limit: float = math.inf, keep: bool = T
         tables[d] = cuts
 
 
-def _tree_table(trees: Iterable[Tree]) -> list[tuple[str, tuple]]:
-    """A forest's edge table, the one-factor ``shuffle._state_table``: each
-    edge after the edges above it, with one move, to the inputs of the vertex
-    above it, if it has one."""
-    return [(e, () if (v := t.vertex_above.get(e)) is None else (v.in_edges,))
-            for t in trees for e in reversed(t.depth)]
+def _rows_above(moves: Callable[[Any], Sequence[tuple]], start: Any, done: Container = ()) -> list:
+    """The ``(node, moves(node))`` rows of the nodes weakly above ``start``,
+    those its moves reach and so on, that ``done`` lacks, each row after the
+    rows of the nodes its moves reach, as :func:`_fold` reads them.  One
+    walk with its own stack; a node reached twice is expanded once."""
+    rows: list = []
+    reached: dict = {}  # a node's moves once expanded, None once rowed
+    stack = [] if start in done else [start]
+    while stack:
+        d = stack.pop()
+        if d not in reached:
+            reached[d] = reach = moves(d)
+            stack.append(d)  # rowed when popped again, after every node it reaches
+            stack += [c for move in reach for c in move if c not in done and c not in reached]
+        elif (reach := reached[d]) is not None:
+            rows.append((d, reach))
+            reached[d] = None
+    return rows
+
+
+def _edge_moves(t: Tree) -> Callable[[str], tuple]:
+    """An edge's moves in ``t``, as in its one-factor shuffle state table:
+    one, to the inputs of the vertex above it, if it has one."""
+    above = t.vertex_above
+    return lambda d: () if (v := above.get(d)) is None else (v.in_edges,)
 
 
 def _operation(output: str, inputs: tuple[str, ...]) -> Operation:
@@ -146,9 +166,8 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
     are folded without a memo, so each node's list is dropped once read,
     and the fold's order (by inputs) is sorted stably by size.
     """
-    t = _component(as_forest(scope), e)
-    above, cuts = t.subtree_edges(e), {}
-    _fold([row for row in _tree_table([t]) if row[0] in above], cuts, keep=False)
+    cuts: dict[str, list[tuple[str, ...]]] = {}
+    _fold(_rows_above(_edge_moves(_component(as_forest(scope), e)), e), cuts, keep=False)
     return tuple(_operation(e, c) for c in sorted(cuts[e], key=len))
 
 

@@ -35,7 +35,7 @@ from math import prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
 
-from .omegacat import ForestInto, OperadMap, _induced, validate
+from .omegacat import ForestInto, OperadMap, _induced, _rows_above, validate
 from .treecore import (
     Tree,
     TreeError,
@@ -140,7 +140,8 @@ def _state_table(factors: Sequence[Tree]) -> list[tuple[str, list[tuple[str, ...
 
     A move lists the states it opens: advancing coordinate ``i`` opens one
     per input of the vertex above it, closing a tuple with a stump opens
-    none.  A state with no moves is a leaf.  The walk keeps its own stack.
+    none.  A state with no moves is a leaf.  The walk from the root tuple is
+    :func:`~dendrotensor.omegacat._rows_above`'s.
     Every check on the factors is made here.
     """
     if not factors:
@@ -156,16 +157,8 @@ def _state_table(factors: Sequence[Tree]) -> list[tuple[str, list[tuple[str, ...
             raise TreeError(f"factors share edge names: {sorted(dup)}")
         seen |= t.edge_set
     above = [t.vertex_above for t in factors]
-    moves_of: dict[_State, list[tuple[_State, ...]]] = {}
-    order: list[_State] = []
-    stack = [(tuple(t.root for t in factors), False)]
-    while stack:
-        state, expanded = stack.pop()
-        if expanded:
-            order.append(state)
-            continue
-        if state in moves_of:
-            continue
+
+    def state_moves(state: _State) -> list[tuple[_State, ...]]:
         verts = [a.get(e) for a, e in zip(above, state)]
         moves = [
             tuple(state[:i] + (d,) + state[i + 1 :] for d in v.in_edges)
@@ -174,11 +167,11 @@ def _state_table(factors: Sequence[Tree]) -> list[tuple[str, list[tuple[str, ...
         ]
         if not moves and any(v is not None for v in verts):
             moves = [()]
-        moves_of[state] = moves
-        stack.append((state, True))
-        stack.extend((c, False) for move in moves for c in move)
-    name = {s: _name(s) for s in order}
-    return [(name[s], [tuple(name[c] for c in move) for move in moves_of[s]]) for s in order]
+        return moves
+
+    rows = _rows_above(state_moves, tuple(t.root for t in factors))
+    name = {s: _name(s) for s, _ in rows}
+    return [(name[s], [tuple(name[c] for c in move) for move in moves]) for s, moves in rows]
 
 
 def shuffles(factors: Sequence[Tree]) -> tuple[Tree, ...]:

@@ -64,7 +64,7 @@ from dendrotensor import suites as suites_module
 from dendrotensor.levelforest import edge_name
 from dendrotensor.lurie import EllPresentation, _Inerts, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
-from dendrotensor.shuffle import _state_table
+from dendrotensor.shuffle import _state_table, decode
 from test_omegacat import (
     binary_text,
     chain_tree,
@@ -406,17 +406,14 @@ def test_single_factor_tensor_accepts_untuplable_names():
 
 
 def test_bv_tensor_builds_no_shuffle(monkeypatch):
-    # the fold is shared with the free operads, so what is refused is any
-    # shuffle tree and any forest's edge table: the tensor folds its state
-    # table only
+    # the state table is walked and folded without any shuffle tree
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
     fs = [parse_tree("p[x,y]"), parse_tree("q[u]")]
     colors, table = oracle_bv_tensor(fs)
     monkeypatch.setattr(shuffle_module, "shuffles", refuse)
-    monkeypatch.setattr(omegacat_module, "_tree_table", refuse)
-    monkeypatch.setattr(lurie_module, "_tree_table", refuse)
+    monkeypatch.setattr(shuffle_module, "_shuffle_trees", refuse)
     b = BVTensorOperad(fs)
     assert b.colors() == colors
     for c in colors:
@@ -554,9 +551,9 @@ def test_cut_listing_equals_two_memo_oracle(seed, kind, stump_probability):
 
 @pytest.mark.parametrize("kind", ["free", "tensor"])
 def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
-    # the first listing under a bound folds the whole table in one loop, so
-    # every color is in the memo: a slice at or below its bound folds
-    # nothing more.  Each fold is recorded with its limit
+    # every color lies above the root, so one fold of the rows above the
+    # root puts every color in the memo: a slice at or below its bound
+    # folds nothing more.  Each fold is recorded with its limit
     if kind == "free":
         p, root = FreeForestOperad(parse_tree("r[a[x,y,z[]],b[u,v],c]")), "r"
     else:
@@ -577,6 +574,41 @@ def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
         for k in (4, 1, 3, 0, 2):
             p.ops_by_output(c, k)
     assert limits == [2, 3, math.inf]
+
+
+@pytest.mark.parametrize("kind", ["free", "tensor"])
+def test_cut_listing_folds_only_the_rows_above_its_color(monkeypatch, kind):
+    # bin5's root has 458,330 cuts, over 3 s and 200 MiB to list: a full
+    # listing of a leaf, of an edge of another component or of an inner
+    # edge of bin5 folds only the rows above it that the memo lacks, and
+    # the root then folds only the rest
+    big = parse_tree(binary_text(5, "t"))
+    if kind == "free":
+        p = FreeForestOperad(parse_forest(f"{{{binary_text(5, 't')};r[a,b[c]]}}"))
+        above = lambda c: set(p.forest.component_of[c].subtree_edges(c))
+        asks, root = ["t5", "b", "t2", "t33", "r"], "t0"
+    else:
+        p = BVTensorOperad([big, parse_tree("x")])
+        above = lambda c: {d for d in p.colors() if decode(d)[0] in big.subtree_edges(decode(c)[0])}
+        asks, root = ["(t5|x)", "(t2|x)", "(t33|x)"], "(t0|x)"
+    fold, folded = lurie_module._fold, []
+
+    def counted(rows, *args):
+        rows = list(rows)
+        folded.append({d for d, _ in rows})
+        assert len(rows) < 63 - 30, "folded the root's rows"
+        return fold(rows, *args)
+
+    monkeypatch.setattr(lurie_module, "_fold", counted)
+    done = set()
+    for c in asks:
+        assert p.ops_by_output(c) == p.ops_by_output(c)  # the second is a hit
+        assert folded[-1] == above(c) - done
+        done |= folded[-1]
+    assert len(folded) == len(asks)
+    with pytest.raises(AssertionError, match="root"):
+        p.ops_by_output(root)
+    assert folded[-1] == above(root) - done and len(folded[-1]) == 63 - 30
 
 
 def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):

@@ -35,7 +35,7 @@ from dendrotensor import (
 )
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor._rand import random_forest, random_tree
-from dendrotensor.omegacat import _cut_total, _fold, _tree_table
+from dendrotensor.omegacat import _cut_total, _edge_moves, _fold, _rows_above
 from dendrotensor.shuffle import _state_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -361,7 +361,7 @@ def test_operations_on_deep_chain():
 
 
 def tree_moves(trees):
-    """An edge's moves, as the on-demand fold read them: the inputs of the
+    """An edge's moves, as :func:`operations` walks them: the inputs of the
     vertex above it, if any."""
     above = {}
     for t in trees:
@@ -369,54 +369,73 @@ def tree_moves(trees):
     return lambda d: () if (v := above.get(d)) is None else (v.in_edges,)
 
 
-def fold_up_to(table, node, limit=math.inf):
-    """``node``'s cuts from a fold without a memo over ``table`` up to and
-    including ``node``: every list read is dropped, ``node``'s is not."""
-    end = [d for d, _ in table].index(node) + 1
-    tables = {}
-    _fold(table[:end], tables, limit, keep=False)
+def fold_above(trees, node, limit=math.inf, memo=None):
+    """``node``'s cuts from a fold of the rows weakly above it: into ``memo``,
+    which keeps every list and is folded only where it lacks a row, as a
+    free operad folds, or without one, every list read dropped, as
+    :func:`operations` folds."""
+    keep = memo is not None
+    tables = memo if keep else {}
+    _fold(_rows_above(tree_moves(trees), node, tables), tables, limit, keep)
     return tables[node]
 
 
 @given(seeds, st.sampled_from([0.0, 0.2, 0.5]))
 @settings(max_examples=100, deadline=None)
 def test_cut_fold_equals_table_oracle(seed, stump_probability):
-    # the same lists in the same order, from one fold of the whole edge
-    # table into a memo and from a fold without one up to each edge, the
-    # edges asked for in a random order
+    # the same lists in the same order, from one fold of the whole state
+    # table into a memo, from folds of the rows above each edge into a memo
+    # shared by every edge, and from such folds without a memo, the edges
+    # asked for in a random order
     rng = Random(seed)
     forest = random_forest(rng, 16, stump_probability, min_components=1)
-    memo = {}
-    _fold(_tree_table(forest.components), memo)
+    memo, lazy = {}, {}
+    _fold([row for t in forest.components for row in _state_table([t])], memo)
     assert set(memo) == set(forest.edges)
     for t in forest.components:
-        table = _tree_table([t])
         oracle_memo = {}
         edges = list(t.edges)
         rng.shuffle(edges)
         for e in edges:
             want = oracle_cut_table(t, e)
             assert sorted(memo[e], key=len) == want
-            assert sorted(fold_up_to(table, e), key=len) == want
+            assert sorted(fold_above([t], e, memo=lazy), key=len) == want
+            assert sorted(fold_above([t], e), key=len) == want
             assert oracle_cut_table(t, e, oracle_memo) == want
 
 
 @given(seeds, st.sampled_from([0.0, 0.2, 0.5]))
 @settings(max_examples=100, deadline=None)
-def test_tree_table_is_the_one_factor_state_table(seed, stump_probability):
-    # the same (edge, moves) pairs, a stump's one empty move included, each
-    # edge after the edges its moves reach; a forest's table is its trees'
+def test_rows_above_are_the_state_table_rows_above(seed, stump_probability):
+    # an edge's moves are its moves in the one-factor state table, a
+    # stump's one empty move included.  From the root the walk is that
+    # table; from an edge, the rows of the edges weakly above it, each after
+    # the rows its moves reach; rows already done are left out and the rest
+    # keep their order
     rng = Random(seed)
     forest = random_forest(rng, 16, stump_probability, min_components=1)
     for t in forest.components:
-        table = _tree_table([t])
-        states = [(d, tuple(moves)) for d, moves in _state_table([t])]
-        assert sorted(table) == sorted(states)
-        seen = set()
-        for d, moves in table:
-            assert all(c in seen for move in moves for c in move)
-            seen.add(d)
-    assert _tree_table(forest.components) == [p for t in forest.components for p in _tree_table([t])]
+        moves = _edge_moves(t)
+        assert [(d, tuple(m)) for d, m in _state_table([t])] == [(d, moves(d)) for d, _ in _state_table([t])]
+        rows = lambda e, done=(): [(d, tuple(m)) for d, m in _rows_above(moves, e, done)]
+        assert rows(t.root) == [(d, tuple(m)) for d, m in _state_table([t])]
+        for e in t.edges:
+            above = rows(e)
+            assert {d for d, _ in above} == set(t.subtree_edges(e))
+            assert above[-1][0] == e
+            seen = set()
+            for d, m in above:
+                assert all(c in seen for move in m for c in move)
+                seen.add(d)
+            done = {d for d, _ in rows(rng.choice(t.edges))}
+            assert rows(e, done) == [row for row in above if row[0] not in done]
+
+
+def test_rows_above_rows_a_node_reached_twice_once():
+    # c is reached from a and again from b before a's move to it is walked
+    moves = {"a": [("c", "b")], "b": [("c",)], "c": []}
+    assert _rows_above(moves.__getitem__, "a") == [("c", []), ("b", [("c",)]), ("a", [("c", "b")])]
+    assert _rows_above(moves.__getitem__, "a", {"c"}) == [("b", [("c",)]), ("a", [("c", "b")])]
 
 
 def oracle_fold_cuts(node, moves_of, key=None, memo=None, limit=None):
@@ -473,16 +492,16 @@ def test_cut_fold_equals_keyed_fold_oracle(seed, stump_probability, limit):
     bound = math.inf if limit is None else limit
     for t in forest.components:
         moves = tree_moves([t])
-        table = _tree_table([t])
-        memo, oracle_memo = {}, {}
-        _fold(table, memo, bound)
+        memo, lazy, oracle_memo = {}, {}, {}
+        _fold(_state_table([t]), memo, bound)
         edges = list(t.edges)
         rng.shuffle(edges)
         for e in edges:
             for key in (None, len):
                 want = oracle_fold_cuts(e, moves, key, oracle_memo, limit)
                 assert sorted(memo[e], key=key) == want
-                assert sorted(fold_up_to(table, e, bound), key=key) == want
+                assert sorted(fold_above([t], e, bound, lazy), key=key) == want
+                assert sorted(fold_above([t], e, bound), key=key) == want
 
 
 @given(seeds)
