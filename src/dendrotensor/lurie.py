@@ -1321,16 +1321,24 @@ def _key_passes(scope: Tree | Forest, p: FiniteOperad) -> list[tuple[str, dict, 
     each after its children.  A key's count is the sum over its moves of
     the labels times the product of the child counts; once it is known,
     only the moves of a count above 0 are kept.  A leaf key counts 1 and is
-    done when first seen."""
+    done when first seen.
+
+    The root keys are pushed in reverse, so they pop, and ``p`` is asked
+    for their operations, in ``p.colors()`` order, root first.  A cut
+    operad that folds lazily (``_CutOperad``) then folds at the first ask
+    the rows above the first color, a root of its table in the usual case,
+    in one :func:`_fold` call, where asking a leaf color first folds one
+    row per call.  The order of the asks shows nowhere else:
+    ``moves`` and ``count`` are read by key only."""
     all_colors = p.colors()
     passes: list[tuple[str, dict, dict]] = []
     for t in as_forest(scope).components:
         above = t.vertex_above
         moves: dict[tuple[str, str], list] = {}
         count: dict[tuple[str, str], int] = {}  # post-order: each key after its children
-        stack = [(t.root, c) for c in all_colors]
+        stack = [(t.root, c) for c in reversed(all_colors)]
         if t.root not in above:
-            count = dict.fromkeys(stack, 1)
+            count = dict.fromkeys(reversed(stack), 1)
             stack = []
         while stack:
             key = stack.pop()
@@ -1409,23 +1417,47 @@ def enumerate_chains(
     """All chains over the level diagram: a coloring of the bottom level,
     then one operation per element of each next level at its fiber colors
     (dying elements impose nothing; empty fibers take nullary operations).
-    ``cap`` aborts the enumeration with :class:`TreeError` once more than
-    that many chains have been produced."""
+
+    The arrows out of each coloring of a level are built once, level by
+    level, each target object once per coloring; counting the chains from
+    each coloring, top level down, comes before any :class:`Chain` is
+    built, so a ``cap`` below the total raises :class:`TreeError` at once.
+    The chains are then listed depth first in ``product`` order, through
+    the targets that reach the top level only."""
     xs, als = a.pointed_levels
+    objs = {c: EllObject(xs[0], c) for c in product(p.colors(), repeat=len(xs[0].elements))}
+    bottom = list(objs.values())
+    out: list[dict[tuple[str, ...], list[tuple[EllObject, EllMorphism]]]] = []  # per level, by coloring
+    for i in range(a.n):
+        above: dict[tuple[str, ...], EllObject] = {}
+        level = {}
+        for colors, obj in objs.items():
+            arrows = level[colors] = []
+            for combo in product(*_choices(p, als[i], obj)):
+                dst, mor = _arrow(als[i], obj, combo)
+                arrows.append((above.setdefault(dst.colors, dst), mor))
+        out.append(level)
+        objs = above
+    count = dict.fromkeys(objs, 1)  # chains from each coloring of the level
+    for level in reversed(out):
+        below, count = count, {}
+        for colors, arrows in level.items():
+            arrows[:] = [(dst, mor) for dst, mor in arrows if below[dst.colors]]
+            count[colors] = sum(below[dst.colors] for dst, _ in arrows)
+    total = sum(count.values())
+    if cap is not None and total > cap:
+        raise TreeError(f"chain enumeration would produce {total} > cap {cap}")
     chains: list[Chain] = []
-
-    def rec(i: int, objs: list[EllObject], arrows: list[EllMorphism]) -> None:
-        if i == a.n:
-            if cap is not None and len(chains) >= cap:
-                raise TreeError(f"chain enumeration exceeded cap {cap}")
-            chains.append(Chain(a, tuple(objs), tuple(arrows)))
-            return
-        for combo in product(*_choices(p, als[i], objs[-1])):
-            dst, mor = _arrow(als[i], objs[-1], combo)
-            rec(i + 1, objs + [dst], arrows + [mor])
-
-    for c0 in product(p.colors(), repeat=len(xs[0].elements)):
-        rec(0, [EllObject(xs[0], tuple(c0))], [])
+    stack = [((obj,), ()) for obj in reversed(bottom) if count[obj.colors]]
+    while stack:
+        objects, arrows = stack.pop()
+        if len(arrows) == a.n:
+            chains.append(Chain(a, objects, arrows))
+            continue
+        stack += [
+            (objects + (dst,), arrows + (mor,))
+            for dst, mor in reversed(out[len(arrows)][objects[-1].colors])
+        ]
     return tuple(chains)
 
 

@@ -29,6 +29,7 @@ send each vertex to the image of its image cut.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Collection, Container, Iterable, Mapping, Sequence
@@ -49,21 +50,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Operation:
-    """An operation of a free forest operad: output edge plus input edge set.
+class Operation(namedtuple("Operation", "output inputs")):
+    """An operation of a free forest operad: output edge plus input edge set,
+    the inputs sorted and distinct.
 
-    Ordered lexicographically by (output, inputs) so operation-keyed results
-    can be listed deterministically."""
+    The tuple ``(output, inputs)``, ordered lexicographically by output and
+    then inputs so operation-keyed results can be listed deterministically;
+    hashing, equality and order run in C.  As a tuple it compares equal to
+    the plain pair ``(output, inputs)``; no caller mixes the two.  Its
+    fields cannot be assigned (:class:`AttributeError`)."""
 
+    __slots__ = ()
     output: str
     inputs: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        ins = tuple(sorted(self.inputs))
+    def __new__(cls, output: str, inputs: Iterable[str]) -> "Operation":
+        ins = tuple(sorted(inputs))
         if len(set(ins)) != len(ins):
-            raise TreeError(f"duplicate inputs in operation at {self.output!r}")
-        object.__setattr__(self, "inputs", ins)
+            raise TreeError(f"duplicate inputs in operation at {output!r}")
+        return tuple.__new__(cls, (output, ins))
 
     @property
     def input_set(self) -> frozenset[str]:
@@ -142,11 +147,9 @@ def _edge_moves(t: Tree) -> Callable[[str], tuple]:
 
 def _operation(output: str, inputs: tuple[str, ...]) -> Operation:
     """An :class:`Operation` from inputs already sorted and distinct, as
-    :func:`_fold` lists them, without checking them again."""
-    op = object.__new__(Operation)
-    object.__setattr__(op, "output", output)
-    object.__setattr__(op, "inputs", inputs)
-    return op
+    :func:`_fold` lists them: the tuple built directly, without checking
+    them again."""
+    return tuple.__new__(Operation, (output, inputs))
 
 
 def _component(forest: Forest, e: str) -> Tree:

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -328,14 +329,14 @@ def test_bv_tensor_operad_collects_shuffle_cuts():
                 assert op in b.ops(op.inputs, op.output)
 
 
-def _sorted_filter(table, output):
-    """The listing ``ops_by_output`` gave before the tables were indexed:
-    the whole table, sorted, filtered by output."""
-    return tuple(
-        (inputs, labels)
-        for (inputs, out), labels in sorted(table.items())
-        if out == output
-    )
+def _sorted_by_output(table):
+    """The listings ``ops_by_output`` gave before the tables were indexed,
+    by output: the whole table, sorted once, filtered by each output; an
+    output the table lacks lists nothing."""
+    listed = {}
+    for (inputs, out), labels in sorted(table.items()):
+        listed.setdefault(out, []).append((inputs, labels))
+    return lambda output: tuple(listed.get(output, ()))
 
 
 @pytest.mark.parametrize(
@@ -355,8 +356,9 @@ def test_bv_tensor_index_matches_sorted_table(texts):
         for e in s.edges:
             for op in closure_operations(s, e):
                 table[(op.inputs, op.output)] = (op,)
+    listed = _sorted_by_output(table)
     for c in b.colors():
-        assert b.ops_by_output(c) == _sorted_filter(table, c)
+        assert b.ops_by_output(c) == listed(c)
     for (inputs, output), labels in table.items():
         assert b.ops(tuple(reversed(inputs)), output) == labels
     assert b.ops_by_output("absent") == ()
@@ -384,8 +386,9 @@ def test_bv_tensor_fold_equals_per_shuffle_oracle(seed, k):
     b = BVTensorOperad(fs)
     colors, table = oracle_bv_tensor(fs)
     assert b.colors() == colors
+    listed = _sorted_by_output(table)
     for c in colors:
-        assert b.ops_by_output(c) == _sorted_filter(table, c)
+        assert b.ops_by_output(c) == listed(c)
 
 
 @given(seeds)
@@ -416,8 +419,9 @@ def test_bv_tensor_builds_no_shuffle(monkeypatch):
     monkeypatch.setattr(shuffle_module, "_shuffle_trees", refuse)
     b = BVTensorOperad(fs)
     assert b.colors() == colors
+    listed = _sorted_by_output(table)
     for c in colors:
-        assert b.ops_by_output(c) == _sorted_filter(table, c)
+        assert b.ops_by_output(c) == listed(c)
 
 
 def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
@@ -611,6 +615,37 @@ def test_cut_listing_folds_only_the_rows_above_its_color(monkeypatch, kind):
     assert folded[-1] == above(root) - done and len(folded[-1]) == 63 - 30
 
 
+@pytest.mark.parametrize("kind", ["free", "tensor"])
+def test_maps_into_folds_once_per_table_root(monkeypatch, kind):
+    # the root keys are asked in color order, so a root of the table (the
+    # first color of its component) is asked first and its fold lists every
+    # row above it: one fold per table root.  Asked leaf first, the same
+    # listing folds one row per call
+    if kind == "free":
+        make = lambda: FreeForestOperad(parse_forest("{g0[g1[g3,g4],g2];h0[h1,h2[]]}"))
+        roots = ["g0", "h0"]
+    else:
+        make = lambda: BVTensorOperad([parse_tree("x0[x1[x3,x4],x2]"), parse_tree("y0[y1[y2]]")])
+        roots = ["(x0|y0)"]
+    fold, folded = lurie_module._fold, []
+
+    def counted(rows, *args):
+        rows = list(rows)
+        folded.append([d for d, _ in rows])
+        return fold(rows, *args)
+
+    monkeypatch.setattr(lurie_module, "_fold", counted)
+    corolla = parse_tree("s[a,b]")
+    p = make()
+    maps = maps_into(corolla, p)
+    assert [rows[-1] for rows in folded] == roots
+    assert sum(map(len, folded)) == len(p.colors())
+    folded.clear()
+    monkeypatch.setattr(lurie_module, "_key_passes", leaf_first_key_passes)
+    assert maps_into(corolla, make()) == maps
+    assert len(folded) > 2 * len(roots)
+
+
 def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):
     # bin5 has 459,892 cuts over its 63 edges; every vertex of bin2 is
     # binary, so only the 31 cuts of two inputs can take one
@@ -665,8 +700,9 @@ def test_table_operad_index_matches_sorted_table():
             (tuple(e["inputs"]), e["output"]): tuple(e["elements"])
             for e in p.to_json()["operations"]
         }
+        listed = _sorted_by_output(table)
         for c in colors:
-            assert p.ops_by_output(c) == _sorted_filter(table, c)
+            assert p.ops_by_output(c) == listed(c)
         assert p.ops_by_output("absent") == ()
 
 
@@ -1347,6 +1383,75 @@ def test_enumeration_caps_abort():
         maps_into(omega_obj(SMALL_SIMPLEX), p, cap=1)
 
 
+def recursive_enumerate_chains(p, a, cap=None):
+    """``enumerate_chains`` before it counted: every partial chain walked,
+    each arrow built again on every path, and the cap checked only on
+    complete chains."""
+    xs, als = a.pointed_levels
+    chains = []
+
+    def rec(i, objs, arrows):
+        if i == a.n:
+            if cap is not None and len(chains) >= cap:
+                raise TreeError(f"chain enumeration exceeded cap {cap}")
+            chains.append(lurie_module.Chain(a, tuple(objs), tuple(arrows)))
+            return
+        for combo in product(*lurie_module._choices(p, als[i], objs[-1])):
+            dst, mor = lurie_module._arrow(als[i], objs[-1], combo)
+            rec(i + 1, objs + [dst], arrows + [mor])
+
+    for c0 in product(p.colors(), repeat=len(xs[0].elements)):
+        rec(0, [EllObject(xs[0], tuple(c0))], [])
+    return tuple(chains)
+
+
+@given(seeds, st.sampled_from(["free", "table"]))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_chains_equals_recursive_oracle(seed, kind):
+    # the same chains in the same order, and a refusal exactly where the
+    # oracle's count of complete chains passes the cap
+    rng = Random(seed)
+    if kind == "free":
+        p = FreeForestOperad(random_forest(rng, 4, 0.3, min_components=1))
+    else:
+        p = random_table_operad(rng)
+    a = random_fin_simplex(rng, 3, 3)
+    try:
+        want = recursive_enumerate_chains(p, a, cap=400)
+    except TreeError:
+        with pytest.raises(TreeError, match="> cap 400"):
+            enumerate_chains(p, a, cap=400)
+        return
+    assert enumerate_chains(p, a) == want
+    n = len(want)
+    assert enumerate_chains(p, a, cap=n) == want
+    if n:
+        with pytest.raises(TreeError, match=f"would produce {n} > cap {n - 1}"):
+            enumerate_chains(p, a, cap=n - 1)
+
+
+def test_enumerate_chains_counts_before_it_builds(monkeypatch):
+    # a cap below the total raises before any Chain is built, and a listing
+    # builds one Chain per chain listed.  Here 144 partial chains reach
+    # level 1 and 10 reach the top, where two colors must be the inputs of
+    # one operation
+    p = FreeForestOperad(parse_forest("{r[a[x],b[]];s[c[y,z]]}"))
+    a = FinSimplex.from_json({"levels": [[1, 2], [1, 2], [1]], "maps": [{"1": 1, "2": 2}, {"1": 1, "2": 1}]})
+    want = recursive_enumerate_chains(p, a)
+    built = []
+    chain = lurie_module.Chain
+    monkeypatch.setattr(lurie_module, "Chain", lambda *args: built.append(args) or chain(*args))
+    chains = enumerate_chains(p, a)
+    assert chains == want and len(chains) > 1
+    assert len(built) == len(chains)
+    built.clear()
+    with pytest.raises(TreeError, match=f"would produce {len(chains)} > cap {len(chains) - 1}"):
+        enumerate_chains(p, a, cap=len(chains) - 1)
+    assert built == []
+    assert enumerate_chains(p, a, cap=len(chains)) == chains
+    assert len(built) == len(chains)
+
+
 # -- maps_into against the recursive oracle -----------------------------------------
 
 
@@ -1451,6 +1556,74 @@ def test_map_count_equals_the_listing(seed, kind):
     scope = random_forest(rng, 6, 0.3)
     passes = lurie_module._key_passes(scope, p)
     assert lurie_module._map_count(passes, p) == len(maps_into(scope, p))
+
+
+def leaf_first_key_passes(scope, p):
+    """:func:`lurie._key_passes` as it asked before: the root keys pushed in
+    color order, so they pop, and are asked for, last color first."""
+    all_colors = p.colors()
+    passes = []
+    for t in as_forest(scope).components:
+        above = t.vertex_above
+        moves, count = {}, {}
+        stack = [(t.root, c) for c in all_colors]
+        if t.root not in above:
+            count = dict.fromkeys(stack, 1)
+            stack = []
+        while stack:
+            key = stack.pop()
+            if key in count:
+                continue
+            fam_moves = moves.get(key)
+            if fam_moves is not None:
+                n = 0
+                kept = []
+                for move in fam_moves:
+                    m = len(move[0])
+                    for d in move[1]:
+                        m *= count[d]
+                    if m:
+                        n += m
+                        kept.append(move)
+                moves[key] = kept
+                count[key] = n
+                continue
+            ins = above[key[0]].in_edges
+            k = len(ins)
+            moves[key] = fam_moves = [
+                (labels, tuple(zip(ins, assignment)))
+                for fam, labels in p.ops_by_output(key[1], k)
+                for assignment in (permutations(fam) if k < 2 or len(set(fam)) == k
+                                   else sorted(set(permutations(fam))))
+            ]
+            stack.append(key)
+            for _, kids in fam_moves:
+                for d in kids:
+                    if d not in count:
+                        if d[0] in above:
+                            stack.append(d)
+                        else:
+                            count[d] = 1
+        passes.append((t.root, moves, count))
+    return passes
+
+
+@given(seeds, st.sampled_from(["free", "tensor"]), st.sampled_from([0.3, 0.9]))
+@settings(max_examples=150, deadline=None)
+def test_root_first_asks_list_the_leaf_first_maps(seed, kind, stump_probability):
+    # the same moves and counts, and the same maps in the same order, into
+    # a target folded root first and into a fresh one asked leaf first
+    rng = Random(seed)
+    scope = random_forest(rng, 6, stump_probability, max_components=2, min_components=1)
+    state = rng.getstate()
+    p = _random_target(rng, kind)
+    got = maps_into(scope, p)
+    rng.setstate(state)
+    q = _random_target(rng, kind)
+    with patch.object(lurie_module, "_key_passes", leaf_first_key_passes):
+        want = maps_into(scope, q)
+    assert [(m.colors, m.components) for m in got] == [(m.colors, m.components) for m in want]
+    assert lurie_module._key_passes(scope, p) == leaf_first_key_passes(scope, q)
 
 
 # -- maps_into and the Segal checks against the sort-based assembly -------------

@@ -308,6 +308,29 @@ def test_operation_normalizes_inputs():
         Operation("r", ("a", "a"))
 
 
+def test_operation_is_a_checked_pair():
+    # a tuple (output, inputs): the dataclass's repr, str, order and hash,
+    # read-only fields, and equal to the plain pair it is made of
+    op = Operation("r", ("b", "a"))
+    assert repr(op) == "Operation(output='r', inputs=('a', 'b'))"
+    assert str(op) == "r<-(a,b)"
+    assert str(Operation("b", ())) == "b<-()"
+    assert op == Operation("r", ["a", "b"]) == omegacat_module._operation("r", ("a", "b"))
+    assert hash(op) == hash(Operation("r", ("a", "b"))) == hash(("r", ("a", "b")))
+    assert op == ("r", ("a", "b"))
+    assert op.input_set == frozenset("ab") and not op.is_identity
+    assert Operation("r", ("r",)).is_identity
+    with pytest.raises(TreeError, match="duplicate inputs in operation at 'r'"):
+        Operation("r", ("a", "b", "a"))
+    for field in ("output", "inputs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, field, "x")
+    rng = Random(3)
+    ops = [op for _ in range(12) for t in [random_tree(rng, 6, 0.3)] for e in t.edges for op in operations(t, e)]
+    rng.shuffle(ops)
+    assert sorted(ops) == sorted(ops, key=lambda o: (o.output, o.inputs))
+
+
 def test_operations_fixed_counts():
     t = parse_tree("r[a[x,y],b[]]")
     assert len(operations(t, "r")) == count_cuts_below(t, "r") == 5
