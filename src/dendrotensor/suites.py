@@ -1,8 +1,13 @@
 """Seeded verification suites behind the ``check`` command.
 
-Each suite draws instances from its own deterministically derived generator
-(``Random(f"{seed}:{suite}")``), runs one family of exact checks, and emits
-records ``{check, instance, status, witness?}``.  Reports contain nothing
+Each suite is a draw and a check.  The draw takes the suite's generator,
+``Random(f"{seed}:{suite}")``, and an instance index, and returns the instance
+and its witness, or ``None`` to reject the draw.  The check returns a
+``(check, ok)`` result per check the suite declares; a third item adds to that
+record's witness.  One driver, :func:`_run`, owns the rest: the instance loop,
+the ``MAX_DRAWS`` retry, the rule that a :class:`TreeError` in a check fails
+each declared check of that instance (the run goes on), and the records
+``{check, instance, status, witness?}``.  Reports contain nothing
 time-dependent, so identical seeds and configs give byte-identical reports.
 """
 
@@ -12,11 +17,10 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import product
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ._rand import random_fin_simplex, random_forest, random_operator, random_tree
 from .levelforest import (
-    FinSimplex,
     SimplicialOperator,
     _padded_edge_count,
     omega_mor,
@@ -103,6 +107,7 @@ def _or_default(value: int | None, default: int) -> int:
 
 
 Record = dict[str, Any]
+Witness = dict[str, Any]
 
 
 def _rec(check: str, instance: Any, ok: bool, witness: Any = None) -> Record:
@@ -136,33 +141,45 @@ def _operator_json(phi: SimplicialOperator) -> dict[str, Any]:
     return {"dom": phi.dom, "cod": phi.cod, "values": list(phi.values)}
 
 
+class _Suite(NamedTuple):
+    """One suite at one config, as :func:`_run` runs it."""
+
+    params: dict[str, Any]  # the settings its report shows; "instances" counts the loop
+    checks: tuple[str, ...]  # the checks each instance's results name, in order
+    draw: Callable[[Random, int], tuple[Any, Witness] | None]
+    check: Callable[[Any, Random], list[tuple]]  # (check, ok) or (check, ok, witness items)
+    refusal: str = ""  # what every rejected draw lacked, for the give-up error
+    bounds: dict[str, Any] = {}  # the settings that error names
+    head: list[Record] = []  # fixed records ahead of the instances
+    tail: Callable[[], list[Record]] = lambda: []  # fixed records built after them
+
+
 # ---------------------------------------------------------------------------
 # level-forest suites
 # ---------------------------------------------------------------------------
 
 
-def suite_functoriality(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 200)
+def suite_functoriality(cfg: SuiteConfig) -> _Suite:
     width = _or_default(cfg.max_width, 5)
     length = _or_default(cfg.max_levels, 4)
-    rng = _rng(cfg, "functoriality")
-    records: list[Record] = []
-    for i in range(n):
+
+    def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         a = random_fin_simplex(rng, width, length)
         phi = random_operator(rng, rng.randint(0, length), a.n)
         psi = random_operator(rng, rng.randint(0, length), phi.dom)
-        simplex = {"simplex": a.to_json()}
-        chain = {**simplex, "phi": _operator_json(phi), "psi": _operator_json(psi)}
-        try:
-            ident = omega_mor(SimplicialOperator.identity(a.n), a) == identity_map(a.forest)
-            lhs = omega_mor(phi.after(psi), a)
-            comp = lhs == compose(omega_mor(phi, a), omega_mor(psi, restrict(a, phi)))
-        except TreeError as exc:
-            ident = comp = False
-            simplex, chain = {**simplex, "error": str(exc)}, {**chain, "error": str(exc)}
-        records.append(_rec("identity", i, ident, simplex))
-        records.append(_rec("composition", i, comp, chain))
-    return records, {"instances": n, "max_width": width, "max_levels": length}
+        return (a, phi, psi), {"simplex": a.to_json()}
+
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        a, phi, psi = instance
+        ident = omega_mor(SimplicialOperator.identity(a.n), a) == identity_map(a.forest)
+        lhs = omega_mor(phi.after(psi), a)
+        comp = lhs == compose(omega_mor(phi, a), omega_mor(psi, restrict(a, phi)))
+        chain = {"phi": _operator_json(phi), "psi": _operator_json(psi)}
+        return [("identity", ident), ("composition", comp, chain)]
+
+    n = _or_default(cfg.instances, 200)
+    params = {"instances": n, "max_width": width, "max_levels": length}
+    return _Suite(params, ("identity", "composition"), draw, check)
 
 
 def _level_rename_iso(padded: Forest, omega: Forest) -> bool:
@@ -195,12 +212,10 @@ def _level_rename_iso(padded: Forest, omega: Forest) -> bool:
 MAX_PADDED_EDGES = 100_000
 
 
-def suite_retract(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 100)
+def suite_retract(cfg: SuiteConfig) -> _Suite:
     edges = _or_default(cfg.max_edges, 10)
-    rng = _rng(cfg, "retract")
-    records: list[Record] = []
-    for i in range(n):
+
+    def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         if i == 0:
             f = Forest(())
         else:
@@ -208,20 +223,21 @@ def suite_retract(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             f = random_forest(rng, edges, sp)
         if (padded := _padded_edge_count(f)) > MAX_PADDED_EDGES:
             raise ValueError(f"retract: instance {i} pads to {padded} edges > bound {MAX_PADDED_EDGES}")
-        witness = {"forest": serialize_forest(f)}
-        try:
-            w = retract_witness(f)
-            validate(w.section)
-            validate(w.retraction)
-            ok = (
-                compose(w.retraction, w.section) == identity_map(f)
-                and _level_rename_iso(w.padded, w.omega)
-                and omega_obj(w.simplex).canonical_key() == w.omega.canonical_key()
-            )
-        except TreeError as exc:
-            ok, witness = False, {**witness, "error": str(exc)}
-        records.append(_rec("retract", i, ok, witness))
-    return records, {"instances": n, "max_edges": edges}
+        return f, {"forest": serialize_forest(f)}
+
+    def check(f: Forest, rng: Random) -> list[tuple]:
+        w = retract_witness(f)
+        validate(w.section)
+        validate(w.retraction)
+        ok = (
+            compose(w.retraction, w.section) == identity_map(f)
+            and _level_rename_iso(w.padded, w.omega)
+            and omega_obj(w.simplex).canonical_key() == w.omega.canonical_key()
+        )
+        return [("retract", ok)]
+
+    params = {"instances": _or_default(cfg.instances, 100), "max_edges": edges}
+    return _Suite(params, ("retract",), draw, check)
 
 
 # ---------------------------------------------------------------------------
@@ -250,65 +266,50 @@ def _map_total(scope: Tree | Forest, p: FreeForestOperad) -> int:
     return _map_count(_key_passes(scope, p), p)
 
 
-def suite_segal(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 100)
+def suite_segal(cfg: SuiteConfig) -> _Suite:
     edges = _or_default(cfg.max_edges, 7)
-    rng = _rng(cfg, "segal")
-    records: list[Record] = []
+    sp = cfg.stump_probability
 
-    def attempt() -> tuple[Forest, FreeForestOperad, Tree, str] | None:
-        g = random_forest(rng, 8, cfg.stump_probability, min_components=1)
+    def draw(rng: Random, i: int) -> tuple[Any, Witness] | None:
+        g = random_forest(rng, 8, sp, min_components=1)
         p = FreeForestOperad(g)
-        t = _tree_with_inner(rng, edges, cfg.stump_probability, "s", "segal")
+        t = _tree_with_inner(rng, edges, sp, "s", "segal")
         b = rng.choice(sorted(t.inner_edges))
         n_low, n_up = (_map_total(part, p) for part in cut_at(t, b))
-        if n_low > 20000 or n_up > 20000:
+        if max(n_low, n_up) > 20000 or n_low * n_up > 50000:
             return None
-        return (g, p, t, b) if n_low * n_up <= 50000 else None
+        return (p, t, b), {"tree": serialize_tree(t), "edge": b, "operad": serialize_forest(g)}
 
-    for i in range(n):
-        g, p, t, b = _draw(
-            attempt,
-            "segal: no instance within the map-count bounds",
-            max_edges=edges,
-            stump_probability=cfg.stump_probability,
-        )
-        witness = {"tree": serialize_tree(t), "edge": b, "operad": serialize_forest(g)}
-        try:
-            ok = segal_cut_check(p, t, b)
-        except TreeError as exc:
-            ok, witness = False, {**witness, "error": str(exc)}
-        records.append(_rec("segal-cut", i, ok, witness))
-    return records, {"instances": n, "max_edges": edges}
+    return _Suite(
+        {"instances": _or_default(cfg.instances, 100), "max_edges": edges},
+        ("segal-cut",),
+        draw,
+        lambda instance, rng: [("segal-cut", segal_cut_check(*instance))],
+        "no instance within the map-count bounds",
+        {"max_edges": edges, "stump_probability": sp},
+    )
 
 
-def suite_d3(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 50)
-    rng = _rng(cfg, "d3")
-    records: list[Record] = []
+def suite_d3(cfg: SuiteConfig) -> _Suite:
+    sp = cfg.stump_probability
 
-    def attempt(i: int) -> tuple[Forest, Forest, FreeForestOperad] | None:
-        f = Forest(()) if i == 0 else random_forest(rng, 8, cfg.stump_probability)
-        g = random_forest(rng, 6, cfg.stump_probability, min_components=1)
+    def draw(rng: Random, i: int) -> tuple[Any, Witness] | None:
+        f = Forest(()) if i == 0 else random_forest(rng, 8, sp)
+        g = random_forest(rng, 6, sp, min_components=1)
         p = FreeForestOperad(g)
         sizes = [_map_total(t, p) for t in f.components]
-        if any(n > 20000 for n in sizes):
+        if max(sizes, default=0) > 20000 or math.prod(sizes) > 20000:
             return None
-        return (f, g, p) if math.prod(sizes) <= 20000 else None
+        return (p, f), {"forest": serialize_forest(f), "operad": serialize_forest(g)}
 
-    for i in range(n):
-        f, g, p = _draw(
-            lambda: attempt(i),
-            "d3: no instance within the map-count bound",
-            stump_probability=cfg.stump_probability,
-        )
-        witness = {"forest": serialize_forest(f), "operad": serialize_forest(g)}
-        try:
-            ok = segal_components_check(p, f)
-        except TreeError as exc:
-            ok, witness = False, {**witness, "error": str(exc)}
-        records.append(_rec("components", i, ok, witness))
-    return records, {"instances": n}
+    return _Suite(
+        {"instances": _or_default(cfg.instances, 50)},
+        ("components",),
+        draw,
+        lambda instance, rng: [("components", segal_components_check(*instance))],
+        "no instance within the map-count bound",
+        {"stump_probability": sp},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +317,12 @@ def suite_d3(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 100)
+def suite_nerve(cfg: SuiteConfig) -> _Suite:
     edges = _or_default(cfg.max_edges, 8)
     width = _or_default(cfg.max_width, 4)
     length = min(_or_default(cfg.max_levels, 3), 3)
-    rng = _rng(cfg, "nerve")
-    records: list[Record] = []
 
-    def attempt() -> tuple[Forest, FreeForestOperad, FinSimplex, tuple, tuple] | None:
+    def draw(rng: Random, i: int) -> tuple[Any, Witness] | None:
         g = random_forest(rng, edges, cfg.stump_probability, min_components=1)
         p = FreeForestOperad(g)
         a = random_fin_simplex(rng, width, length)
@@ -333,50 +331,38 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
         try:
             chains = enumerate_chains(p, a, cap=30000)
             maps = maps_into(a.forest, p, cap=60000)
-        except TreeError:
+        except TreeError:  # over a cap
             return None
-        return g, p, a, chains, maps
+        return (p, a, chains, maps), {"operad": serialize_forest(g), "simplex": a.to_json()}
 
-    for i in range(n):
-        g, p, a, chains, maps = _draw(
-            attempt,
-            "nerve: no instance within the chain and map caps",
-            max_edges=edges,
-            max_width=width,
-            max_levels=length,
-            stump_probability=cfg.stump_probability,
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        p, a, chains, maps = instance
+        # each chain is read as a map once; the checks below reuse it
+        image = [chain_to_map(ch) for ch in chains]
+        distinct = set(image)
+        ok = (
+            len(distinct) == len(chains) == len(maps)
+            and distinct == set(maps)
+            and all(map_to_chain(p, a, m) == ch for ch, m in zip(chains[:50], image))
         )
-        witness: dict[str, Any] = {
-            "operad": serialize_forest(g),
-            "simplex": a.to_json(),
-        }
-        try:
-            # each chain is read as a map once; the checks below reuse it
-            image = [chain_to_map(ch) for ch in chains]
-            distinct = set(image)
-            ok = (
-                len(distinct) == len(chains) == len(maps)
-                and distinct == set(maps)
-                and all(map_to_chain(p, a, m) == ch for ch, m in zip(chains[:50], image))
-            )
-            phi = random_operator(rng, rng.randint(0, 3), a.n)
-            h = omega_mor(phi, a)
-            nat_ok = all(
-                chain_to_map(restrict_chain(p, ch, phi)) == precompose(p, m, h)
-                for ch, m in zip(chains[:20], image)
-            )
-            witness["phi"] = _operator_json(phi)
-        except TreeError as exc:
-            ok, nat_ok = False, False
-            witness["error"] = str(exc)
-        records.append(_rec("nerve-bijection", i, ok, witness))
-        records.append(_rec("nerve-naturality", i, nat_ok, witness))
-    return records, {
-        "instances": n,
-        "max_edges": edges,
-        "max_width": width,
-        "max_levels": length,
-    }
+        phi = random_operator(rng, rng.randint(0, 3), a.n)
+        h = omega_mor(phi, a)
+        nat_ok = all(
+            chain_to_map(restrict_chain(p, ch, phi)) == precompose(p, m, h)
+            for ch, m in zip(chains[:20], image)
+        )
+        drawn = {"phi": _operator_json(phi)}
+        return [("nerve-bijection", ok, drawn), ("nerve-naturality", nat_ok, drawn)]
+
+    sizes = {"max_edges": edges, "max_width": width, "max_levels": length}
+    return _Suite(
+        {"instances": _or_default(cfg.instances, 100), **sizes},
+        ("nerve-bijection", "nerve-naturality"),
+        draw,
+        check,
+        "no instance within the chain and map caps",
+        {**sizes, "stump_probability": cfg.stump_probability},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,58 +370,42 @@ def suite_nerve(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def suite_fibrous(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 25)
+def suite_fibrous(cfg: SuiteConfig) -> _Suite:
     edges = _or_default(cfg.max_edges, 6)
-    rng = _rng(cfg, "fibrous")
-    records: list[Record] = []
 
-    def attempt() -> Forest | None:
+    def draw(rng: Random, i: int) -> tuple[Any, Witness] | None:
         f = random_forest(rng, edges, cfg.stump_probability, min_components=1)
-        return f if _cut_total(f) <= MAX_CUTS else None
+        if _cut_total(f) > MAX_CUTS:
+            return None
+        return (f, Random(f"{cfg.seed}:fibrous:{i}")), {"forest": serialize_forest(f)}
 
-    for i in range(n):
-        f = _draw(attempt, "fibrous: no forest within the cut bound", max_edges=edges)
-        rep = check_fibrous(
-            EllPresentation(FreeForestOperad(f)),
-            truncation=cfg.truncation,
-            rng=Random(f"{cfg.seed}:fibrous:{i}"),
-        )
-        records.append(
-            _rec(
-                "fibrous",
-                i,
-                rep.passed,
-                {"forest": serialize_forest(f), "failures": rep.failures[:5]},
-            )
-        )
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        f, own = instance
+        pres = EllPresentation(FreeForestOperad(f))
+        rep = check_fibrous(pres, truncation=cfg.truncation, rng=own)
+        return [("fibrous", rep.passed, {"failures": rep.failures[:5]})]
+
     # a fixture's record carries only whether a defect was found, so its
     # check stops at the first failure instead of re-confirming the defect
-    for name, fixture in defect_fixtures():
-        rep = check_fibrous(
-            fixture,
-            truncation=2,
-            rng=Random(f"{cfg.seed}:fixture:{name}"),
-            colorings_per_shape=999,
-            inerts_per_shape=999,
-            betas_per_lift=999,
-            arrows_budget=500,
-            pairs_per_fiber=999,
-            stop_on_failure=True,
-        )
-        records.append(
-            _rec(
-                "defect-detected",
-                name,
-                not rep.passed,
-                {"fixture": name, "note": "defect escaped every check"},
+    def fixtures() -> list[Record]:
+        records = []
+        for name, fixture in defect_fixtures():
+            rep = check_fibrous(
+                fixture, truncation=2, rng=Random(f"{cfg.seed}:fixture:{name}"),
+                colorings_per_shape=999, inerts_per_shape=999, betas_per_lift=999,
+                arrows_budget=500, pairs_per_fiber=999, stop_on_failure=True,
             )
-        )
-    return records, {
-        "instances": n,
+            note = {"fixture": name, "note": "defect escaped every check"}
+            records.append(_rec("defect-detected", name, not rep.passed, note))
+        return records
+
+    params = {
+        "instances": _or_default(cfg.instances, 25),
         "truncation": cfg.truncation,
         "summary": f"verified up to ⟨{cfg.truncation}⟩",
     }
+    refusal = "no forest within the cut bound"
+    return _Suite(params, ("fibrous",), draw, check, refusal, {"max_edges": edges}, tail=fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -471,115 +441,111 @@ def _random_factors(
     )
 
 
-def suite_shuffles(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 100)
+def _factors_witness(factors: list[Tree]) -> Witness:
+    return {"factors": [serialize_tree(t) for t in factors]}
+
+
+def suite_shuffles(cfg: SuiteConfig) -> _Suite:
     edges = _or_default(cfg.max_edges, 5)
-    rng = _rng(cfg, "shuffles")
-    records: list[Record] = []
+    counts = []
     for m in range(1, 8):
         for k in range(1, 9 - m):
             count = len(shuffles([_linear("u", m), _linear("v", k)]))
-            records.append(
-                _rec(
-                    "chain-count",
-                    f"{m}+{k}",
-                    count == math.comb(m + k, m),
-                    {"got": count, "expected": math.comb(m + k, m)},
-                )
-            )
-    for i in range(n):
+            expected = math.comb(m + k, m)
+            witness = {"got": count, "expected": expected}
+            counts.append(_rec("chain-count", f"{m}+{k}", count == expected, witness))
+
+    def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         factors = _random_factors(
             rng, rng.randint(1, 3), edges, cfg.stump_probability, 3000, "shuffles"
         )
-        witness = {"factors": [serialize_tree(t) for t in factors]}
-        try:
-            sh = shuffles(factors)
-            texts = [serialize_tree(s) for s in sh]
-            distinct_ok = len(sh) >= 1 and len(set(texts)) == len(sh)
-            root = _name(tuple(t.root for t in factors))
-            root_ok = all(s.root == root for s in sh) and (
-                len(factors) > 1 or sh == tuple(factors)
-            )
-            expected_max = sorted(_name(c) for c in product(*(max_edges(t) for t in factors)))
-            max_ok = all(sorted(max_edges(s)) == expected_max for s in sh)
-            records.append(_rec("root-law", i, root_ok, witness))
-            records.append(_rec("max-law", i, max_ok, witness))
-            records.append(_rec("distinct", i, distinct_ok, witness))
-            inter_ok = True
-            if len(sh) >= 2:
-                if len(sh) * (len(sh) - 1) // 2 <= 5:
-                    pairs = [
-                        (a, b) for a in range(len(sh)) for b in range(a + 1, len(sh))
-                    ]
-                else:
-                    seen_pairs: set[tuple[int, int]] = set()
-                    while len(seen_pairs) < 5:
-                        a, b = rng.sample(range(len(sh)), 2)
-                        seen_pairs.add((min(a, b), max(a, b)))
-                    pairs = sorted(seen_pairs)
-                for a, b in pairs:
-                    inter = intersect([sh[a], sh[b]])
-                    for s in (sh[a], sh[b]):
-                        inclusion_map(inter, s)
-                        removed = s.edge_set - inter.edge_set
-                        if not removed <= set(s.inner_edges):
-                            inter_ok = False
-            records.append(_rec("intersection", i, inter_ok, witness))
-            leafy = [j for j, t in enumerate(factors) if t.leaves]
-            if leafy:
-                j = rng.choice(leafy)
-                leaf = rng.choice(sorted(factors[j].leaves))
-                stump_transport(factors, j, leaf)
-            records.append(_rec("transport", i, True, witness))
-        except TreeError as exc:
-            records.append(_rec("calculus", i, False, {**witness, "error": str(exc)}))
-    return records, {"instances": n, "max_edges": edges}
+        return factors, _factors_witness(factors)
+
+    def check(factors: list[Tree], rng: Random) -> list[tuple]:
+        sh = shuffles(factors)
+        texts = [serialize_tree(s) for s in sh]
+        distinct_ok = len(sh) >= 1 and len(set(texts)) == len(sh)
+        root = _name(tuple(t.root for t in factors))
+        root_ok = all(s.root == root for s in sh) and (
+            len(factors) > 1 or sh == tuple(factors)
+        )
+        expected_max = sorted(_name(c) for c in product(*(max_edges(t) for t in factors)))
+        max_ok = all(sorted(max_edges(s)) == expected_max for s in sh)
+        inter_ok = True
+        if len(sh) >= 2:
+            if len(sh) * (len(sh) - 1) // 2 <= 5:
+                pairs = [(a, b) for a in range(len(sh)) for b in range(a + 1, len(sh))]
+            else:
+                seen_pairs: set[tuple[int, int]] = set()
+                while len(seen_pairs) < 5:
+                    a, b = rng.sample(range(len(sh)), 2)
+                    seen_pairs.add((min(a, b), max(a, b)))
+                pairs = sorted(seen_pairs)
+            for a, b in pairs:
+                inter = intersect([sh[a], sh[b]])
+                for s in (sh[a], sh[b]):
+                    inclusion_map(inter, s)
+                    removed = s.edge_set - inter.edge_set
+                    if not removed <= set(s.inner_edges):
+                        inter_ok = False
+        leafy = [j for j, t in enumerate(factors) if t.leaves]
+        if leafy:
+            j = rng.choice(leafy)
+            leaf = rng.choice(sorted(factors[j].leaves))
+            stump_transport(factors, j, leaf)
+        return [
+            ("root-law", root_ok),
+            ("max-law", max_ok),
+            ("distinct", distinct_ok),
+            ("intersection", inter_ok),
+            ("transport", True),
+        ]
+
+    return _Suite(
+        {"instances": _or_default(cfg.instances, 100), "max_edges": edges},
+        ("root-law", "max-law", "distinct", "intersection", "transport"),
+        draw,
+        check,
+        head=counts,
+    )
 
 
-def suite_assoc(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 25)
-    rng = _rng(cfg, "assoc")
-    records: list[Record] = []
+def suite_assoc(cfg: SuiteConfig) -> _Suite:
     three = ([[0, 1], 2], [0, [1, 2]])
     four = ([[0, 1], [2, 3]], [[[0, 1], 2], 3])
-    for i in range(n):
+
+    def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         nf = 4 if i % 5 == 4 else 3
         factors = _random_factors(rng, nf, 3, cfg.stump_probability, 2000, "assoc")
         br = rng.choice(four if nf == 4 else three)
-        witness = {
-            "factors": [serialize_tree(t) for t in factors],
-            "bracketing": br,
-        }
-        try:
-            res = assoc_inclusion(factors, br)
-            ok = (
-                not res.unreached
-                and len(set(serialize_tree(t) for t in res.nested)) == len(res.nested)
-                and len(res.nested) <= len(res.flat)
-            )
-        except TreeError as exc:
-            ok, witness = False, {**witness, "error": str(exc)}
-        records.append(_rec("assoc-inclusion", i, ok, witness))
-    return records, {"instances": n}
+        return (factors, br), {**_factors_witness(factors), "bracketing": br}
+
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        res = assoc_inclusion(*instance)
+        ok = (
+            not res.unreached
+            and len(set(serialize_tree(t) for t in res.nested)) == len(res.nested)
+            and len(res.nested) <= len(res.flat)
+        )
+        return [("assoc-inclusion", ok)]
+
+    return _Suite({"instances": _or_default(cfg.instances, 25)}, ("assoc-inclusion",), draw, check)
 
 
-def suite_interior(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 25)
-    rng = _rng(cfg, "interior")
+def suite_interior(cfg: SuiteConfig) -> _Suite:
     sp = max(cfg.stump_probability, 0.35)
-    records: list[Record] = []
-    for i in range(n):
+
+    def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         factors = _random_factors(rng, rng.randint(1, 3), 4, sp, 2000, "interior")
-        witness = {"factors": [serialize_tree(t) for t in factors]}
-        try:
-            dec = interior_decomposition(factors)
-            closed = sorted(serialize_tree(p[1]) for p in dec.pairs)
-            direct = sorted(_shuffle_texts(_state_table(factors)))
-            ok = closed == direct and len(set(closed)) == len(closed)
-        except TreeError as exc:
-            ok, witness = False, {**witness, "error": str(exc)}
-        records.append(_rec("interior", i, ok, witness))
-    return records, {"instances": n}
+        return factors, _factors_witness(factors)
+
+    def check(factors: list[Tree], rng: Random) -> list[tuple]:
+        dec = interior_decomposition(factors)
+        closed = sorted(serialize_tree(p[1]) for p in dec.pairs)
+        direct = sorted(_shuffle_texts(_state_table(factors)))
+        return [("interior", closed == direct and len(set(closed)) == len(closed))]
+
+    return _Suite({"instances": _or_default(cfg.instances, 25)}, ("interior",), draw, check)
 
 
 # ---------------------------------------------------------------------------
@@ -604,20 +570,13 @@ def _freealg_oracle(p, generators, inputs, output):
     return found
 
 
-def suite_freealg(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
-    n = _or_default(cfg.instances, 100)
-    rng = _rng(cfg, "freealg")
-    records: list[Record] = []
-    for i in range(n):
+def suite_freealg(cfg: SuiteConfig) -> _Suite:
+    def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         g = random_forest(rng, 6, cfg.stump_probability, min_components=1)
         p = FreeForestOperad(g)
         colors = p.colors()
-        gens = {
-            f"g{j}": rng.choice(colors) for j in range(rng.randint(1, 4))
-        }
-        inputs = {
-            ix: [f"{ix}.{t}" for t in range(rng.randint(0, 3))] for ix in gens
-        }
+        gens = {f"g{j}": rng.choice(colors) for j in range(rng.randint(1, 4))}
+        inputs = {ix: [f"{ix}.{t}" for t in range(rng.randint(0, 3))] for ix in gens}
         output = rng.choice(colors)
         witness = {
             "operad": serialize_forest(g),
@@ -625,15 +584,14 @@ def suite_freealg(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
             "inputs": inputs,
             "output": output,
         }
-        try:
-            terms = free_algebra(p, gens, inputs, output)
-            keys = {(t.label, tuple(sorted(zip(t.indices, t.args)))) for t in terms}
-            oracle = _freealg_oracle(p, gens, inputs, output)
-            ok = len(keys) == len(terms) and keys == oracle
-        except TreeError as exc:
-            ok, witness = False, {**witness, "error": str(exc)}
-        records.append(_rec("free-algebra", i, ok, witness))
-    return records, {"instances": n}
+        return (p, gens, inputs, output), witness
+
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        terms = free_algebra(*instance)
+        keys = {(t.label, tuple(sorted(zip(t.indices, t.args)))) for t in terms}
+        return [("free-algebra", len(keys) == len(terms) and keys == _freealg_oracle(*instance))]
+
+    return _Suite({"instances": _or_default(cfg.instances, 100)}, ("free-algebra",), draw, check)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +599,7 @@ def suite_freealg(cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-_SUITES: dict[str, Callable[[SuiteConfig], tuple[list[Record], dict[str, Any]]]] = {
+_SUITES: dict[str, Callable[[SuiteConfig], _Suite]] = {
     "functoriality": suite_functoriality,
     "retract": suite_retract,
     "segal": suite_segal,
@@ -657,6 +615,26 @@ _SUITES: dict[str, Callable[[SuiteConfig], tuple[list[Record], dict[str, Any]]]]
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _run(name: str, cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
+    """Draw and check suite ``name``'s instances one at a time; return its
+    records and params.  A check that raises :class:`TreeError` fails every
+    check the suite declares for that instance, and the run goes on."""
+    suite = _SUITES[name](cfg)
+    rng = _rng(cfg, name)
+    records = list(suite.head)
+    for i in range(suite.params["instances"]):
+        instance, witness = _draw(
+            lambda: suite.draw(rng, i), f"{name}: {suite.refusal}", **suite.bounds
+        )
+        try:
+            results = suite.check(instance, rng)
+        except TreeError as exc:
+            results = [(check, False, {"error": str(exc)}) for check in suite.checks]
+        for check, ok, *more in results:
+            records.append(_rec(check, i, ok, {**witness, **more[0]} if more else witness))
+    return records + suite.tail(), suite.params
+
+
 def run_check(name: str, cfg: SuiteConfig) -> dict[str, Any]:
     """Run one suite (or ``all``) and assemble the deterministic report."""
     if name != "all" and name not in _SUITES:
@@ -665,7 +643,7 @@ def run_check(name: str, cfg: SuiteConfig) -> dict[str, Any]:
     suites = []
     total_failures = 0
     for s in names:
-        records, params = _SUITES[s](cfg)
+        records, params = _run(s, cfg)
         failures = sum(1 for r in records if r["status"] != "pass")
         total_failures += failures
         suites.append(

@@ -37,7 +37,7 @@ from dendrotensor import (
 from dendrotensor import suites as suites_module
 from dendrotensor._rand import random_fin_simplex, random_forest, random_operator, random_tree
 from dendrotensor.levelforest import _padded_edge_count, edge_name, split_edge_name
-from dendrotensor.suites import MAX_PADDED_EDGES, SuiteConfig, suite_retract
+from dendrotensor.suites import MAX_PADDED_EDGES, SuiteConfig, run_check
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -214,7 +214,7 @@ def test_retract_over_bound_raises_before_building(monkeypatch):
     monkeypatch.setattr(suites_module, "retract_witness", guarded)
     cfg = SuiteConfig(instances=2, max_edges=3000, stump_probability=0.0)
     with pytest.raises(ValueError, match=rf"pads to \d+ edges > bound {MAX_PADDED_EDGES}$"):
-        suite_retract(cfg)
+        run_check("retract", cfg)
 
 
 def test_check_retract_over_bound_exits_2_with_one_line():

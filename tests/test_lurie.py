@@ -945,7 +945,8 @@ def test_suite_fixtures_stop_at_their_first_failure(monkeypatch):
             yield name, made[-1]
 
     monkeypatch.setattr(suites_module, "defect_fixtures", counting_fixtures)
-    records, _ = suites_module.suite_fibrous(suites_module.SuiteConfig(seed=42, instances=1))
+    report = suites_module.run_check("fibrous", suites_module.SuiteConfig(seed=42, instances=1))
+    records = report["suites"][0]["records"]
     assert [r["status"] for r in records if r["check"] == "defect-detected"] == ["pass"] * 5
     assert len(made) == 5
     assert sum(sum(c.listed.values()) for c in made) < FIXTURE_LOOP_HOMS
@@ -2140,9 +2141,9 @@ def test_nerve_suite_reads_each_chain_once(monkeypatch):
         return real(ch)
 
     cfg = suites_module.SuiteConfig(seed=42, instances=6)
-    expected = suites_module.suite_nerve(cfg)
+    expected = suites_module.run_check("nerve", cfg)
     monkeypatch.setattr(suites_module, "chain_to_map", to_map)
-    assert suites_module.suite_nerve(cfg) == expected
+    assert suites_module.run_check("nerve", cfg) == expected
     assert len(converted) > 6 * 20
     assert len({id(ch) for ch in converted}) == len(converted)
 

@@ -181,7 +181,8 @@ def lone_suite_failures(monkeypatch, listed):
         return real(factors)
 
     monkeypatch.setattr(suites_module, "shuffles", patched)
-    records, _ = suites_module.suite_shuffles(suites_module.SuiteConfig(seed=42, instances=30))
+    report = suites_module.run_check("shuffles", suites_module.SuiteConfig(seed=42, instances=30))
+    records = report["suites"][0]["records"]
     failed = [r for r in records if r["status"] == "fail"]
     assert replaced
     assert all(len(r["witness"]["factors"]) == 1 for r in failed)

@@ -13,6 +13,7 @@ import pytest
 
 from dendrotensor import suites
 from dendrotensor.suites import SUITE_NAMES, SuiteConfig
+from dendrotensor.treecore import TreeError
 
 # suite -> (sha256 over every _rec call, sha256 over the generator's final state)
 DRAW_PINS = {
@@ -92,3 +93,46 @@ def test_draw_pins_tell_seeds_apart(monkeypatch):
     # identical `segal` sections, since no passing record shows its instance
     cfg42, cfg43 = SuiteConfig(seed=42, instances=3), SuiteConfig(seed=43, instances=3)
     assert _pins(monkeypatch, "segal", cfg42)[0] != _pins(monkeypatch, "segal", cfg43)[0]
+
+
+# the callee of each suite's check that is made to raise; each runs in that
+# check alone, so the draws and the fixed records are left as they are
+CHECK_CALLEES = {
+    "functoriality": "compose",
+    "retract": "retract_witness",
+    "segal": "segal_cut_check",
+    "d3": "segal_components_check",
+    "nerve": "omega_mor",
+    "fibrous": "EllPresentation",
+    "shuffles": "_name",
+    "assoc": "assoc_inclusion",
+    "interior": "interior_decomposition",
+    "freealg": "free_algebra",
+}
+
+
+def _instance_records(report):
+    return [r for r in report["suites"][0]["records"] if isinstance(r["instance"], int)]
+
+
+def _declared(name, instances):
+    checks = suites._SUITES[name](SuiteConfig()).checks
+    return [(check, i) for i in range(instances) for check in checks]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_instance_records_the_checks_its_suite_declares(name):
+    records = _instance_records(suites.run_check(name, SuiteConfig(seed=42, instances=2)))
+    assert [(r["check"], r["instance"]) for r in records] == _declared(name, 2)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_an_error_in_a_check_fails_each_declared_check_and_the_run_goes_on(monkeypatch, name):
+    def boom(*args, **kwargs):
+        raise TreeError("boom")
+
+    assert tuple(CHECK_CALLEES) == SUITE_NAMES
+    monkeypatch.setattr(suites, CHECK_CALLEES[name], boom)
+    records = _instance_records(suites.run_check(name, SuiteConfig(seed=42, instances=2)))
+    assert [(r["check"], r["instance"]) for r in records] == _declared(name, 2)
+    assert all(r["status"] == "fail" and r["witness"]["error"] == "boom" for r in records)
