@@ -52,6 +52,15 @@ def split_edge_name(edge: str) -> tuple[int, str] | None:
     return None
 
 
+def _element(value: Any) -> str:
+    """The name of a level element or map value read from JSON: a string or
+    an integer.  ``null``, booleans, floats, arrays and objects are refused."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    shown = json.dumps(value, ensure_ascii=False, default=repr)
+    raise TreeError(f"level elements and map values must be strings or integers, got {shown}")
+
+
 @dataclass(frozen=True)
 class FinSimplex:
     """A chain of composable maps between finite sets with a free basepoint.
@@ -144,9 +153,9 @@ class FinSimplex:
             isinstance(m, Mapping) for m in obj["maps"]
         ):
             raise TreeError("chain JSON 'maps' must be a list of objects")
-        levels = tuple(tuple(str(a) for a in lev) for lev in obj["levels"])
+        levels = tuple(tuple(_element(a) for a in lev) for lev in obj["levels"])
         maps = tuple(
-            tuple(sorted((str(a), str(b)) for a, b in m.items()))
+            tuple(sorted((_element(a), _element(b)) for a, b in m.items()))
             for m in obj["maps"]
         )
         return FinSimplex(levels, maps)

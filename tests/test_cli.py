@@ -76,6 +76,28 @@ def test_omega_rejects_bad_json_shape(capsys, text):
     assert err.startswith("dendrotensor: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "levels, maps",
+    [
+        ("[[null]]", "[]"),
+        ("[[true, 1]]", "[]"),
+        ("[[1.5]]", "[]"),
+        ("[[[1]]]", "[]"),
+        ('[[{"a": 1}]]', "[]"),
+        ("[[1], [1]]", '[{"1": null}]'),
+        ("[[1], [1]]", '[{"1": false}]'),
+        ("[[1], [1]]", '[{"1": 1.0}]'),
+        ("[[1], [1]]", '[{"1": [1]}]'),
+        ("[[1], [1]]", '[{"1": {"a": 1}}]'),
+    ],
+)
+def test_omega_refuses_level_scalars_that_are_no_names(capsys, levels, maps):
+    # once read with str: null became the edge ℓ0:None and true ℓ0:True
+    assert main(["omega", f'{{"levels": {levels}, "maps": {maps}}}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dendrotensor: error: level elements") and err.count("\n") == 1
+
+
 def test_omega_stdin(capsys, monkeypatch):
     import io
 

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -80,6 +81,29 @@ def test_empty_level_gives_empty_forest():
 def test_everything_dies_gives_stumps():
     a = FinSimplex.from_json({"levels": [[1], [1]], "maps": [{"1": STAR}]})
     assert serialize_forest(omega_obj(a)) == "{ℓ1:1[];ℓ0:1}"
+
+
+def test_level_elements_are_strings_or_integers():
+    a = FinSimplex.from_json({"levels": [[1, "x"], [1]], "maps": [{"1": 1, "x": STAR}]})
+    assert a.levels == (("1", "x"), ("1",))
+    assert serialize_forest(omega_obj(a)) == "{ℓ1:1[ℓ0:1];ℓ0:x}"
+
+
+# bool is an int subclass, so true and false are listed on their own
+NOT_NAMES = [(None, "null"), (True, "true"), (False, "false"), (1.5, "1.5"), (2.0, "2.0"),
+             ([1], "[1]"), ({"a": 1}, '{"a": 1}')]
+
+
+@pytest.mark.parametrize("value, shown", NOT_NAMES, ids=[shown for _, shown in NOT_NAMES])
+def test_level_element_that_is_no_name_is_refused(value, shown):
+    with pytest.raises(TreeError, match=re.escape(f"got {shown}") + "$"):
+        FinSimplex.from_json({"levels": [[1, value]], "maps": []})
+
+
+@pytest.mark.parametrize("value, shown", NOT_NAMES, ids=[shown for _, shown in NOT_NAMES])
+def test_map_value_that_is_no_name_is_refused(value, shown):
+    with pytest.raises(TreeError, match=re.escape(f"got {shown}") + "$"):
+        FinSimplex.from_json({"levels": [[1], [1]], "maps": [{"1": value}]})
 
 
 # -- simplicial operators ----------------------------------------------------
