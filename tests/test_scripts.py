@@ -41,6 +41,27 @@ def test_script_runs(script, args):
     assert _run(script, *args)
 
 
+def _span_lines(spans):
+    out = set()
+    for span in spans.split(","):
+        lo, _, hi = span.partition("-")
+        out.update(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def test_line_census_lists_reached_and_missed_lines():
+    out = _run("line_census.py", "check", "functoriality", "--instances", "1").splitlines()
+    assert out[0] == "# dendrotensor check functoriality --instances 1: exit 0"
+    at = next(k for k, line in enumerate(out) if line.startswith("src/dendrotensor/suites.py:_run "))
+    (kind, reached), (other, missed) = out[at + 1].split(), out[at + 2].split()
+    assert (kind, other) == ("reached:", "missed:")
+    # a clean run never takes the driver's TreeError branch
+    source = (SCRIPTS.parent / "src" / "dendrotensor" / "suites.py").read_text(encoding="utf-8")
+    branch = source.splitlines().index("        except TreeError as exc:") + 1
+    assert branch in _span_lines(missed) and branch - 1 in _span_lines(reached)
+    assert out[-1].startswith("total: ") and out[-1].endswith(" lines reached")
+
+
 def test_render_examples_writes_its_files(tmp_path):
     _run("render_examples.py", "--out-dir", str(tmp_path))
     written = sorted(p.name for p in tmp_path.iterdir())
