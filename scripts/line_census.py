@@ -20,7 +20,6 @@ import contextlib
 import io
 import shlex
 import sys
-import threading
 from inspect import CO_OPTIMIZED
 from itertools import groupby
 from pathlib import Path
@@ -81,13 +80,11 @@ def _traced(run):
         reached.setdefault(name, set())
         return local
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         result = run()
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return result, reached
 
 
