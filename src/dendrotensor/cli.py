@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+import unicodedata
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -43,6 +44,15 @@ def _read_json_source(arg: str) -> Any:
     if stripped.startswith("{") or stripped.startswith("["):
         return json.loads(arg)
     return json.loads(Path(arg).read_text(encoding="utf-8"))
+
+
+def _refuse_control(names: Iterable[str], what: str = "edge name") -> None:
+    """Refuse, for a ``--format text`` listing, which prints names bare, a
+    name holding a control character (Unicode category ``Cc``)."""
+    for e in names:
+        for ch in e:
+            if unicodedata.category(ch) == "Cc":
+                raise TreeError(f"control character {ch!r} in {what} {e!r}")
 
 
 def _emit(out: str | None, *pieces: str) -> None:
@@ -84,6 +94,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
             ),
         )
     else:
+        _refuse_control(f.edges)
         _emit(args.out, serialize_forest(f) + "\n")
     return 0
 
@@ -116,6 +127,8 @@ def _check_shuffle_count(table: _Table, cap: int) -> int:
 
 def cmd_shuffles(args: argparse.Namespace) -> int:
     factors = [parse_tree(t) for t in args.factors]
+    if args.format == "text":
+        _refuse_control(e for t in factors for e in t.edges)
     cap = _check_cap(args.max_results)
     table = _state_table(factors)
     n = _check_shuffle_count(table, cap)
@@ -177,6 +190,10 @@ def cmd_free_algebra(args: argparse.Namespace) -> int:
         for xs in inputs.values()
     ):
         raise TreeError("--inputs must be a JSON object of index -> list of strings")
+    if args.format == "text":
+        _refuse_control([*p.forest.edges, args.output_color])
+        _refuse_control(generators, "generator index")
+        _refuse_control((x for xs in inputs.values() for x in xs), "input element")
     for idx, color in sorted(generators.items()):
         if color not in p.forest.edge_set:
             raise TreeError(f"generator {idx!r}: no edge {color!r} in {serialize_forest(p.forest)}")

@@ -31,9 +31,10 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from operator import itemgetter
 from random import Random
@@ -101,7 +102,7 @@ class FinPtdObj:
             raise TreeError("'*' is the basepoint, not an element")
 
     def __hash__(self) -> int:
-        # kept, as FinPtdMor's: objects and maps over this set hash it
+        # kept: every object and map over this set hashes it
         h = self.__dict__.get("_hash")
         if h is None:
             h = self.__dict__["_hash"] = hash(self.elements)
@@ -135,29 +136,24 @@ class FinPtdObj:
 _SKELETA: dict[int, FinPtdObj] = {}
 
 
-@dataclass(frozen=True)
-class FinPtdMor:
+class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
     """A pointed map, recorded on the non-basepoint source elements;
-    ``values`` is aligned with ``src.elements`` and may hit ``STAR``."""
+    ``values`` is aligned with ``src.elements`` and may hit ``STAR``.
+
+    The tuple ``(src, dst, values)``, hashed and compared in C.  The
+    constructor checks the values; maps built here skip it (``_ptd_mor``)."""
 
     src: FinPtdObj
     dst: FinPtdObj
     values: tuple[Elem, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.src.elements):
+    def __init__(self, src: FinPtdObj, dst: FinPtdObj, values: tuple[Elem, ...]) -> None:
+        if len(values) != len(src.elements):
             raise TreeError("pointed map must cover every source element")
-        allowed = self.dst.pointed
-        if not allowed.issuperset(self.values):
-            bad = next(v for v in self.values if v not in allowed)
+        allowed = dst.pointed
+        if not allowed.issuperset(values):
+            bad = next(v for v in values if v not in allowed)
             raise TreeError(f"pointed map hits a non-element {bad!r}")
-
-    def __hash__(self) -> int:
-        # frozen, so the hash is kept: the fibrous checks key a memo on maps
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.src, self.dst, self.values))
-        return h
 
     @_cached
     def mapping(self) -> dict[Elem, Elem]:
@@ -191,7 +187,7 @@ class FinPtdMor:
 
     @staticmethod
     def identity(x: FinPtdObj) -> "FinPtdMor":
-        return FinPtdMor(x, x, x.elements)
+        return _ptd_mor((x, x, x.elements))
 
     @_cached
     def _pointed_mapping(self) -> dict[Elem, Elem]:
@@ -200,10 +196,15 @@ class FinPtdMor:
 
     def after(self, other: "FinPtdMor") -> "FinPtdMor":
         """Composite ``self ∘ other`` (basepoint absorbing)."""
-        if other.dst is not self.src and other.dst != self.src:
+        src, mid, values = other
+        if mid is not self.src and mid != self.src:
             raise TreeError("pointed maps do not compose")
-        vals = tuple(map(self._pointed_mapping.__getitem__, other.values))
-        return FinPtdMor(other.src, self.dst, vals)
+        return _ptd_mor((src, self.dst, tuple(map(self._pointed_mapping.__getitem__, values))))
+
+
+# the trusted constructors: each builds its tuple from fields that are valid
+# by construction, in C and without checking them again
+_ptd_mor = partial(tuple.__new__, FinPtdMor)
 
 
 def classify(f: FinPtdMor) -> tuple[str, ...]:
@@ -232,9 +233,7 @@ def rho(n: int, i: int) -> FinPtdMor:
     if not 1 <= i <= n:
         raise TreeError(f"rho({n}, {i}) out of range")
     sk = FinPtdObj.skeleton(n)
-    return FinPtdMor(
-        sk, FinPtdObj.skeleton(1), tuple(1 if x == i else STAR for x in sk.elements)
-    )
+    return _ptd_mor((sk, FinPtdObj.skeleton(1), tuple(1 if x == i else STAR for x in sk.elements)))
 
 
 def smash(f: FinPtdMor, g: FinPtdMor) -> FinPtdMor:
@@ -512,51 +511,39 @@ class BVTensorOperad(_CutOperad):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllObject:
-    """A pointed set with a color of the operad for each element."""
+class EllObject(namedtuple("EllObject", "base colors")):
+    """A pointed set with a color of the operad for each element: the tuple
+    ``(base, colors)``, hashed and compared in C."""
 
     base: FinPtdObj
     colors: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.colors) != len(self.base.elements):
+    def __new__(cls, base: FinPtdObj, colors: tuple[str, ...]) -> "EllObject":
+        if len(colors) != len(base.elements):
             raise TreeError("need exactly one color per element")
-
-    def __hash__(self) -> int:
-        # kept for the same memo as FinPtdMor's
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.base, self.colors))
-        return h
+        return tuple.__new__(cls, (base, colors))
 
     def color_of(self, x: Elem) -> str:
         return self.colors[self.base.position[x]]
 
 
-@dataclass(frozen=True)
-class EllMorphism:
+class EllMorphism(namedtuple("EllMorphism", "alpha src dst components")):
     """A morphism over a pointed map: one operation per target element,
-    accepting the colors of that element's fiber."""
+    accepting the colors of that element's fiber.  The tuple ``(alpha,
+    src, dst, components)``, hashed and compared in C."""
 
     alpha: FinPtdMor
     src: EllObject
     dst: EllObject
     components: tuple[tuple[Elem, Label], ...]
 
-    def __hash__(self) -> int:
-        # kept, as FinPtdMor's: the fibrous checks hash listings into sets;
-        # hashed on plain values, which equal morphisms share
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.alpha.values, self.src.colors, self.dst.colors, self.components)
-            )
-        return h
-
     @_cached
     def component(self) -> dict[Elem, Label]:
         return dict(self.components)
+
+
+_ell_obj = partial(tuple.__new__, EllObject)
+_ell_mor = partial(tuple.__new__, EllMorphism)
 
 
 def _choices(
@@ -579,8 +566,8 @@ def _arrow(
 ) -> tuple[EllObject, EllMorphism]:
     """The target and the morphism out of ``src`` over ``gamma`` given by one
     :func:`_choices` entry per target element."""
-    dst = EllObject(gamma.dst, tuple([c for _, c, _ in combo]))
-    return dst, EllMorphism(gamma, src, dst, tuple([(k, lab) for k, _, lab in combo]))
+    dst = _ell_obj((gamma.dst, tuple([c for _, c, _ in combo])))
+    return dst, _ell_mor((gamma, src, dst, tuple([(k, lab) for k, _, lab in combo])))
 
 
 def ell_hom(
@@ -589,43 +576,39 @@ def ell_hom(
     """All morphisms from ``src`` to ``dst`` over ``alpha``: the product over
     target elements of the operation sets at the fiber colorings (empty as
     soon as one of those sets is)."""
-    if (alpha.src is not src.base and alpha.src != src.base) or (
-        alpha.dst is not dst.base and alpha.dst != dst.base
-    ):
+    (a_src, a_dst, _), (s_base, colors), (d_base, d_colors) = alpha, src, dst
+    if (a_src is not s_base and a_src != s_base) or (a_dst is not d_base and a_dst != d_base):
         raise TreeError("objects do not sit over the pointed map")
-    pos, colors, fibers = src.base.position, src.colors, alpha.fibers
-    targets = dst.base.elements
+    pos, fibers, targets = s_base.position, alpha.fibers, d_base.elements
     per_elem = []
-    for j, color in zip(targets, dst.colors):
+    for j, color in zip(targets, d_colors):
         labels = p.ops([colors[pos[i]] for i in fibers.get(j, ())], color)
         if not labels:
             return ()
         per_elem.append(labels)
-    return tuple(
-        EllMorphism(alpha, src, dst, tuple(zip(targets, combo))) for combo in product(*per_elem)
-    )
+    return tuple([_ell_mor((alpha, src, dst, tuple(zip(targets, combo))))
+                  for combo in product(*per_elem)])
 
 
 def ell_identity(p: FiniteOperad, x: EllObject) -> EllMorphism:
-    return EllMorphism(
-        FinPtdMor.identity(x.base),
-        x,
-        x,
-        tuple((j, p.identity(x.color_of(j))) for j in x.base.elements),
-    )
+    base, colors = x
+    comps = tuple(zip(base.elements, map(p.identity, colors)))
+    return _ell_mor((FinPtdMor.identity(base), x, x, comps))
 
 
 def ell_compose(p: FiniteOperad, g: EllMorphism, f: EllMorphism) -> EllMorphism:
     """The composite ``g`` after ``f``: substitute the components of ``f``
     into each component of ``g`` along the fibers of ``g``'s map."""
-    if f.dst is not g.src and f.dst != g.src:
+    (g_alpha, mid, g_dst, _), (f_alpha, f_src, f_dst, _) = g, f
+    if f_dst is not mid and f_dst != mid:
         raise TreeError("fiberwise morphisms do not compose")
-    pos, colors, fibers = g.src.base.position, g.src.colors, g.alpha.fibers
+    pos, colors, fibers = mid.base.position, mid.colors, g_alpha.fibers
+    f_comp, g_comp, subst = f.component, g.component, p.subst
     comps = []
-    for k in g.dst.base.elements:
-        args = {colors[pos[j]]: f.component[j] for j in fibers.get(k, ())}
-        comps.append((k, p.subst(g.component[k], args)))
-    return EllMorphism(g.alpha.after(f.alpha), f.src, g.dst, tuple(comps))
+    for k in g_dst.base.elements:
+        args = {colors[pos[j]]: f_comp[j] for j in fibers.get(k, ())}
+        comps.append((k, subst(g_comp[k], args)))
+    return _ell_mor((g_alpha.after(f_alpha), f_src, g_dst, tuple(comps)))
 
 
 class EllPresentation:
@@ -682,14 +665,10 @@ class EllPresentation:
         coloring and use identity operations."""
         if not alpha.is_inert:
             raise TreeError("lifts are taken over inert maps only")
-        colors = tuple(src.color_of(alpha.fiber(j)[0]) for j in alpha.dst.elements)
-        dst = EllObject(alpha.dst, colors)
-        return EllMorphism(
-            alpha,
-            src,
-            dst,
-            tuple((j, self.operad.identity(c)) for j, c in zip(alpha.dst.elements, colors)),
-        )
+        targets = alpha.dst.elements
+        colors = tuple([src.color_of(alpha.fiber(j)[0]) for j in targets])
+        dst = _ell_obj((alpha.dst, colors))
+        return _ell_mor((alpha, src, dst, tuple(zip(targets, map(self.operad.identity, colors)))))
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +720,7 @@ class _PointedMaps(Sequence):
                 i, digit = divmod(i, base)
                 values.append(choices[digit])
             values.reverse()
-            return FinPtdMor(self.src, dst, tuple(values))
+            return _ptd_mor((self.src, dst, tuple(values)))
 
 
 class _Inerts(Sequence):
@@ -773,7 +752,7 @@ class _Inerts(Sequence):
             digit, i = divmod(i, math.perm(len(rest) - 1, k - j))
             index[rest.pop(digit)] = j
         values = tuple(index.get(x, STAR) for x in self.src.elements)
-        return FinPtdMor(self.src, FinPtdObj.skeleton(k), values)
+        return _ptd_mor((self.src, FinPtdObj.skeleton(k), values))
 
 
 def _sample(rng: Random, pool: Sequence, k: int) -> list:
@@ -790,8 +769,15 @@ def _coloring_pool(
     total = len(colors) ** m
     if total <= k:
         return list(product(colors, repeat=m))
-    pool = {tuple(rng.choice(colors) for _ in range(m)) for _ in range(3 * k)}
-    return _sample(rng, sorted(pool), k)
+    # 3k colourings, each colour drawn as ``rng.choice(colors)`` draws it
+    n, draw, bits = len(colors), rng.getrandbits, len(colors).bit_length()
+    drawn = []
+    for _ in range(3 * k * m):
+        r = draw(bits)
+        while r >= n:
+            r = draw(bits)
+        drawn.append(colors[r])
+    return _sample(rng, sorted(set(zip(*[iter(drawn)] * m))), k)
 
 
 def _sampled_arrows(
@@ -901,8 +887,8 @@ def _fibrous_failures(
     members: dict[tuple, frozenset[EllMorphism]] = {}
 
     # the memo's key is the plain values that make (alpha, src, dst) equal,
-    # which hash and compare without a dataclass method call; a caller that
-    # asks for one hom repeatedly passes the key it built once
+    # which hash without FinPtdObj's Python __hash__; a caller that asks
+    # for one hom repeatedly passes the key it built once
     def listed(
         alpha: FinPtdMor, src: EllObject, dst: EllObject, key: tuple | None = None
     ) -> tuple[EllMorphism, ...]:
@@ -932,7 +918,7 @@ def _fibrous_failures(
         src_base = FinPtdObj.skeleton(m)
         inerts = _Inerts(src_base)
         for c in _coloring_pool(colors, rng, m, colorings_per_shape):
-            x = EllObject(src_base, c)
+            x = _ell_obj((src_base, c))
             for alpha in _sample(rng, inerts, inerts_per_shape):
                 lift = pres.inert_lift(alpha, x)
                 report.cocartesian_checked += 1
@@ -978,11 +964,11 @@ def _fibrous_failures(
         pool = _coloring_pool(colors, rng, m, 2 * pairs_per_fiber)
         pairs = [(a, b) for a in pool for b in pool]
         for c, d in _sample(rng, pairs, pairs_per_fiber):
-            x, y = EllObject(base, c), EllObject(base, d)
+            x, y = _ell_obj((base, c)), _ell_obj((base, d))
             report.fiber_products_checked += 1
             lhs = listed(ident, x, y)
             factors = [
-                (EllObject(one, (c[i],)), EllObject(one, (d[i],))) for i in range(m)
+                (_ell_obj((one, (c[i],))), _ell_obj((one, (d[i],)))) for i in range(m)
             ]
             expected = math.prod(len(listed(id_one, xi, yi)) for xi, yi in factors)
             if len(lhs) != expected:
@@ -998,11 +984,8 @@ def _fibrous_failures(
                 projections = []
                 for lift_i, (xi, yi) in zip(lifts, factors):
                     gi = pres.compose(lift_i, g)
-                    single = EllMorphism(
-                        id_one,
-                        xi,
-                        EllObject(one, (gi.dst.colors[0],)),
-                        ((1, gi.component[1]),),
+                    single = _ell_mor(
+                        (id_one, xi, _ell_obj((one, (gi.dst.colors[0],))), ((1, gi.component[1]),))
                     )
                     if not is_listed(id_one, xi, yi, single):
                         ok = False
@@ -1019,7 +1002,7 @@ def _fibrous_failures(
         tuple_base = FinPtdObj.skeleton(m)
         rhos = [rho(m, i) for i in tuple_base.elements]
         for c_x in _coloring_pool(colors, rng, m, colorings_per_shape):
-            x = EllObject(tuple_base, c_x)
+            x = _ell_obj((tuple_base, c_x))
             x_part = (tuple_base.elements, c_x)
             lifts = [pres.inert_lift(r, x) for r in rhos]
             for ym in range(truncation + 1):
@@ -1034,7 +1017,7 @@ def _fibrous_failures(
                         for leg, lift in zip((r.after(f) for r in rhos), lifts)
                     ]
                     for c_y in _coloring_pool(colors, rng, ym, colorings_per_shape):
-                        y = EllObject(y_base, c_y)
+                        y = _ell_obj((y_base, c_y))
                         y_part = (y_base.elements, c_y)
                         report.component_formulas_checked += 1
                         lhs = listed(f, y, x, f_part + y_part + x_part)
@@ -1389,13 +1372,16 @@ def _map_count(passes: list[tuple[str, dict, dict]], p: FiniteOperad) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A chain of fiberwise morphisms lying over a level diagram."""
+class Chain(namedtuple("Chain", "simplex objects arrows")):
+    """A chain of fiberwise morphisms lying over a level diagram: the tuple
+    ``(simplex, objects, arrows)``, hashed and compared in C."""
 
     simplex: FinSimplex
     objects: tuple[EllObject, ...]
     arrows: tuple[EllMorphism, ...]
+
+
+_chain = partial(tuple.__new__, Chain)
 
 
 def _pointed_levels(a: FinSimplex) -> tuple[tuple[FinPtdObj, ...], tuple[FinPtdMor, ...]]:
@@ -1425,7 +1411,7 @@ def enumerate_chains(
     The chains are then listed depth first in ``product`` order, through
     the targets that reach the top level only."""
     xs, als = a.pointed_levels
-    objs = {c: EllObject(xs[0], c) for c in product(p.colors(), repeat=len(xs[0].elements))}
+    objs = {c: _ell_obj((xs[0], c)) for c in product(p.colors(), repeat=len(xs[0].elements))}
     bottom = list(objs.values())
     out: list[dict[tuple[str, ...], list[tuple[EllObject, EllMorphism]]]] = []  # per level, by coloring
     for i in range(a.n):
@@ -1486,19 +1472,15 @@ def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
     xs, als = a.pointed_levels
     names = a.edge_names
     objs = [
-        EllObject(xs[i], tuple(m.color[names[i][x]] for x in xs[i].elements))
+        _ell_obj((xs[i], tuple([m.color[names[i][x]] for x in xs[i].elements])))
         for i in range(a.n + 1)
     ]
     arrows = [
-        EllMorphism(
-            als[i],
-            objs[i],
-            objs[i + 1],
-            tuple((k, m.component[names[i + 1][k]]) for k in xs[i + 1].elements),
-        )
+        _ell_mor((als[i], objs[i], objs[i + 1],
+                  tuple([(k, m.component[names[i + 1][k]]) for k in xs[i + 1].elements])))
         for i in range(a.n)
     ]
-    return Chain(a, tuple(objs), tuple(arrows))
+    return _chain((a, tuple(objs), tuple(arrows)))
 
 
 def restrict_chain(p: FiniteOperad, ch: Chain, phi) -> Chain:
@@ -1516,7 +1498,7 @@ def restrict_chain(p: FiniteOperad, ch: Chain, phi) -> Chain:
             for t in range(lo + 1, hi):
                 acc = ell_compose(p, ch.arrows[t], acc)
             arrows.append(acc)
-    return Chain(b, tuple(objs), tuple(arrows))
+    return _chain((b, tuple(objs), tuple(arrows)))
 
 
 def precompose(p: FiniteOperad, m: ForestInto, h: OperadMap) -> ForestInto:

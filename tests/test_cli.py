@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -819,6 +820,68 @@ def test_malformed_json_is_error(capsys):
 
 def test_bad_suite_name_is_usage_error():
     assert main(["check", "nonsense"]) == 2
+
+
+# -- control characters in names -------------------------------------------------
+
+# the control characters (category Cc) that are not whitespace, which the
+# tree parser refuses already
+CONTROL = [chr(c) for c in range(0x110000) if unicodedata.category(chr(c)) == "Cc" and not chr(c).isspace()]
+FREE_ALGEBRA = ["free-algebra", "r[a]", "--generators", '{"1": "a"}', "--inputs", '{"1": ["g"]}', "--output-color", "r"]
+
+
+def _with(argv: list[str], old: str, new: str) -> list[str]:
+    return [new if arg == old else arg for arg in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, what, name",
+    [
+        (["omega", '{"levels": [["a\\u0001"], [1]], "maps": [{"a\\u0001": 1}]}'], "edge name", "ℓ0:a\x01"),
+        (["shuffles", "a\x01", "b"], "edge name", "a\x01"),
+        (["shuffles", "a", "b[c\x9f]", "--format", "text"], "edge name", "c\x9f"),
+        (_with(FREE_ALGEBRA, "r[a]", "r[a\x0e]") + ["--format", "text"], "edge name", "a\x0e"),
+        (_with(FREE_ALGEBRA, "r", "r\x7f") + ["--format", "text"], "edge name", "r\x7f"),
+        (_with(FREE_ALGEBRA, '{"1": "a"}', '{"\\u0002": "a"}') + ["--format", "text"], "generator index", "\x02"),
+        (_with(FREE_ALGEBRA, '{"1": ["g"]}', '{"1": ["g\\u0000"]}') + ["--format", "text"], "input element", "g\x00"),
+    ],
+)
+def test_text_listings_refuse_control_characters_with_one_line(capsys, argv, what, name):
+    # a text listing prints names bare: `shuffles 'a\x01' b` printed a raw
+    # \x01 and exited 0; now the command exits 2 before it writes anything
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dendrotensor: error: control character {name[-1]!r} in {what} {name!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, escaped",
+    [
+        (["omega", '{"levels": [["a\\u0001"]], "maps": []}', "--format", "json"], "ℓ0:a\\u0001"),
+        (["hom", "e", "r[a\x01]"], "a\\u0001"),
+        (["hom", "e", "r[a\x01]", "--format", "text"], "a\\u0001"),
+        (["shuffles", "a\x01", "b", "--format", "json"], "(a\\u0001|b)"),
+        (["tensor-hom", "p", "a\x01", "b"], "(a\\u0001|b)"),
+        (["tensor-hom", "p", "a\x01", "b", "--format", "text"], "(a\\u0001|b)"),
+        (_with(FREE_ALGEBRA, '{"1": ["g"]}', '{"1": ["g\\u0000"]}'), "g\\u0000"),
+    ],
+)
+def test_json_output_escapes_control_characters(capsys, argv, escaped):
+    # JSON listings, and the JSON lines of `hom` and `tensor-hom` text
+    # listings, escape control characters, so these commands still exit 0
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert escaped in out and not any(ch in out for ch in CONTROL)
+
+
+def test_every_control_character_is_refused_and_nothing_else(capsys):
+    for ch in CONTROL:
+        assert main(["shuffles", f"a{ch}", "b"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+    for ch in ("é", "\u200b", "\u00ad", "ℓ", "\U0001f333"):  # letters, format characters, a symbol
+        assert main(["shuffles", f"a{ch}", "b"]) == 0
+        assert capsys.readouterr().out == f"count: 1\n(a{ch}|b)\n"
 
 
 # -- one parser per process ----------------------------------------------------------

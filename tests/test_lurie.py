@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import re
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
@@ -193,12 +195,104 @@ def test_fibrous_check_builds_only_the_inerts_it_samples(monkeypatch):
     # up to ⟨8⟩ built 129,327 maps in this call, where drawing four per
     # coloring from the ranked sequence builds 3,741
     built = []
-    post_init = FinPtdMor.__post_init__
-    monkeypatch.setattr(FinPtdMor, "__post_init__", lambda f: built.append(f) or post_init(f))
+    trusted, init = lurie_module._ptd_mor, FinPtdMor.__init__
+    monkeypatch.setattr(lurie_module, "_ptd_mor", lambda fields: built.append(fields) or trusted(fields))
+    monkeypatch.setattr(FinPtdMor, "__init__", lambda f, *args: built.append(f) or init(f, *args))
     pres = EllPresentation(FreeForestOperad(parse_tree("r[a]")))
     report = check_fibrous(pres, truncation=8, rng=Random(0))
     assert report.passed
     assert len(built) < 5_000
+
+
+def _fiberwise_values():
+    """One value of each tuple type of the fiberwise layer, with its fields,
+    its public constructor and its trusted one."""
+    two, one = FinPtdObj.skeleton(2), FinPtdObj.skeleton(1)
+    p = FreeForestOperad(parse_forest("{r[a[x],b[]]}"))
+    a = FinSimplex.from_json({"levels": [[1, 2], [1]], "maps": [{"1": 1, "2": 1}]})
+    ch = enumerate_chains(p, a)[-1]
+    (alpha, src, dst, comps), (obj_base, obj_colors) = ch.arrows[0], ch.objects[0]
+    return [
+        (FinPtdMor, (two, one, (1, STAR)), lurie_module._ptd_mor),
+        (EllObject, (obj_base, obj_colors), lurie_module._ell_obj),
+        (EllMorphism, (alpha, src, dst, comps), lurie_module._ell_mor),
+        (lurie_module.Chain, (a, ch.objects, ch.arrows), lurie_module._chain),
+    ]
+
+
+FIBERWISE = _fiberwise_values()
+
+
+@pytest.mark.parametrize("cls, fields, trusted", FIBERWISE, ids=[v[0].__name__ for v in FIBERWISE])
+def test_fiberwise_values_are_their_field_tuples(cls, fields, trusted):
+    # equal to and hashed as the plain tuple of their fields, with the
+    # dataclass's repr, whether built checked or trusted
+    value = cls(*fields)
+    assert value == fields and hash(value) == hash(fields)
+    assert value == trusted(fields) and hash(value) == hash(trusted(fields))
+    assert type(trusted(fields)) is cls
+    assert tuple(value) == fields and value._fields == tuple(cls._fields)
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={v!r}" for name, v in zip(cls._fields, fields)) + ")"
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+@pytest.mark.parametrize("cls, fields, trusted", FIBERWISE, ids=[v[0].__name__ for v in FIBERWISE])
+def test_fiberwise_values_survive_pickle_and_copy(cls, fields, trusted):
+    value = trusted(fields)
+    for attr in ("mapping", "fibers", "_pointed_mapping", "component"):
+        getattr(value, attr, None)  # cached views ride along in the instance dict
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.copy(value), copy.deepcopy(value)]:
+        assert type(other) is cls and other == value and hash(other) == hash(value)
+        assert other.__dict__ == value.__dict__
+
+
+def test_fiberwise_constructors_raise_the_dataclass_errors():
+    two, one = FinPtdObj.skeleton(2), FinPtdObj.skeleton(1)
+    with pytest.raises(TreeError, match="^pointed map must cover every source element$"):
+        FinPtdMor(two, one, (1,))
+    with pytest.raises(TreeError, match="^pointed map hits a non-element 2$"):
+        FinPtdMor(two, one, (1, 2))
+    with pytest.raises(TreeError, match="^pointed map hits a non-element 'x'$"):
+        FinPtdMor(src=two, dst=one, values=("x", STAR))
+    with pytest.raises(TreeError, match="^need exactly one color per element$"):
+        EllObject(two, ("a",))
+    with pytest.raises(TreeError, match="^need exactly one color per element$"):
+        EllObject(base=one, colors=())
+    # the dataclasses of EllMorphism and Chain checked nothing; the tuples
+    # check nothing either
+    f = FinPtdMor(two, one, (1, STAR))
+    assert EllMorphism(f, "src", "dst", ()).components == ()
+    assert lurie_module.Chain("simplex", (), ()).arrows == ()
+    # the checked constructor is the class's own __init__, which the
+    # per-layer tracer wraps by name
+    assert "__init__" in FinPtdMor.__dict__
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coloring_pool_draws_as_rng_choice_does(seed):
+    # the old pool, kept as the oracle: one rng.choice per colour
+    def oracle(colors, rng, m, k):
+        if len(colors) ** m <= k:
+            return list(product(colors, repeat=m))
+        pool = {tuple(rng.choice(colors) for _ in range(m)) for _ in range(3 * k)}
+        return lurie_module._sample(rng, sorted(pool), k)
+
+    rng = Random(seed)
+    for n in range(1, 10):
+        colors = tuple(f"c{i}" for i in range(n))
+        for m in range(1, 5):
+            for k in (1, 2, 3, 6):
+                state = rng.getstate()
+                got = lurie_module._coloring_pool(colors, rng, m, k)
+                after = rng.getstate()
+                rng.setstate(state)
+                assert got == oracle(colors, rng, m, k)
+                assert rng.getstate() == after
+    assert lurie_module._coloring_pool((), rng, 2, 2) == []
 
 
 def test_fibers_match_a_scan_of_the_source():

@@ -13,7 +13,7 @@ import pytest
 
 from dendrotensor import suites
 from dendrotensor.suites import SUITE_NAMES, SuiteConfig
-from dendrotensor.treecore import TreeError
+from dendrotensor.treecore import TreeError, parse_forest
 
 # suite -> (sha256 over every _rec call, sha256 over the generator's final state)
 DRAW_PINS = {
@@ -136,3 +136,39 @@ def test_an_error_in_a_check_fails_each_declared_check_and_the_run_goes_on(monke
     records = _instance_records(suites.run_check(name, SuiteConfig(seed=42, instances=2)))
     assert [(r["check"], r["instance"]) for r in records] == _declared(name, 2)
     assert all(r["status"] == "fail" and r["witness"]["error"] == "boom" for r in records)
+
+
+@pytest.mark.parametrize("callee", ["enumerate_chains", "maps_into"])
+def test_nerve_draw_over_a_cap_is_rejected_and_drawn_again(monkeypatch, callee):
+    # a chain or map count over its cap raises TreeError in the draw, which
+    # rejects the draw: the suite draws again and the run completes
+    real, over = getattr(suites, callee), []
+
+    def once_over(*args, **kwargs):
+        if not over:
+            over.append(args)
+            raise TreeError("enumeration would produce 30001 > cap 30000")
+        return real(*args, **kwargs)
+
+    cfg = SuiteConfig(seed=42, instances=3)
+    plain = _instance_records(suites.run_check("nerve", cfg))
+    monkeypatch.setattr(suites, callee, once_over)
+    records = _instance_records(suites.run_check("nerve", cfg))
+    # a draw of the first instance was rejected and drawn again; each
+    # instance still records both checks, and every check passes
+    assert len(over) == 1
+    assert [(r["check"], r["instance"]) for r in records] == _declared("nerve", 3)
+    assert all(r["status"] == "pass" for r in records) and records == plain
+
+
+def test_level_rename_iso_refuses_what_the_padding_does_not_promise():
+    padded = parse_forest("{r[a,b[c]]}")
+    omega = parse_forest("{ℓ2:r[ℓ1:a,ℓ1:b[ℓ0:c]]}")
+    assert suites._level_rename_iso(padded, omega)
+    # an edge without a level prefix
+    assert not suites._level_rename_iso(padded, parse_forest("{ℓ2:r[ℓ1:a,ℓ1:b[c]]}"))
+    # every edge prefixed, but the renamed edge set is not the padded one's
+    assert not suites._level_rename_iso(padded, parse_forest("{ℓ2:r[ℓ1:a,ℓ1:b[ℓ0:d]]}"))
+    assert not suites._level_rename_iso(padded, parse_forest("{ℓ2:r[ℓ1:a,ℓ1:b]}"))
+    # the same edge set in another shape
+    assert not suites._level_rename_iso(padded, parse_forest("{ℓ2:r[ℓ1:b,ℓ1:a[ℓ0:c]]}"))
