@@ -6,6 +6,11 @@ random budgets detection becomes probabilistic.  This sweeps the budget and
 reports the detection rate over seeds, fixture by fixture.  Each check stops
 at its first failure, since only whether it failed is counted.
 
+Beside the five fixtures of ``defect_fixtures()`` the matrix runs two more
+(``silent_branch_fixtures()``), each built to fire one failure branch of the
+fibrous checks that none of the five fires; the report's fixed set stays
+the five.
+
 Usage:
     python3 scripts/fixture_detection.py --seeds 20 --truncation 2
 """
@@ -18,7 +23,51 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dendrotensor import check_fibrous, defect_fixtures
+from dendrotensor import (
+    EllObject,
+    EllPresentation,
+    FreeForestOperad,
+    check_fibrous,
+    defect_fixtures,
+    ell_identity,
+    parse_forest,
+)
+
+
+class DoubledFiberIdentity(EllPresentation):
+    """Lists one morphism over the identity of ``<2>`` twice: the identity
+    of the object colored by the first color at both elements.  The fiber
+    over ``<2>`` then has one morphism more than the product of the fibers
+    over ``<1>``."""
+
+    def admit(self, alpha, src, dst, mor):  # noqa: D102
+        if alpha.is_identity and len(alpha.src) == 2:
+            c = self.operad.colors()[0]
+            if mor == ell_identity(self.operad, EllObject(alpha.src, (c, c))):
+                return 2
+        return 1
+
+
+class UnlistedFirstMorphism(EllPresentation):
+    """Omits from ``hom`` the first morphism over every active map ``<2> ->
+    <1>``, which ``arrows_from`` (through ``_admitted``, as ``admit`` still
+    says 1) keeps yielding."""
+
+    def hom(self, alpha, src, dst):  # noqa: D102
+        listed = super().hom(alpha, src, dst)
+        if alpha.is_active and len(alpha.src) == 2 and len(alpha.dst) == 1:
+            return listed[1:]
+        return listed
+
+
+def silent_branch_fixtures():
+    """The two presentations over the operad of ``defect_fixtures()``, each
+    with the text of the failure branch it is built to fire."""
+    base = parse_forest("{r[a[x],b[]]}")
+    return (
+        ("doubled-fiber-identity", DoubledFiberIdentity(FreeForestOperad(base)), "expected the product"),
+        ("unlisted-first-morphism", UnlistedFirstMorphism(FreeForestOperad(base)), "is not listed"),
+    )
 
 
 @dataclass(frozen=True)
@@ -45,7 +94,7 @@ def main() -> int:
     ap.add_argument("--truncation", type=int, default=2)
     args = ap.parse_args()
 
-    fixtures = defect_fixtures()
+    fixtures = defect_fixtures() + tuple((name, pres) for name, pres, _ in silent_branch_fixtures())
     width = max(len(name) for name, _ in fixtures)
     header = " ".join(f"{lv.name:>10}" for lv in LEVELS)
     print(f"{'fixture':<{width}} {header}")

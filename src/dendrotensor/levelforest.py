@@ -117,6 +117,12 @@ class FinSimplex:
         return {}
 
     @_cached
+    def _map_pairs(self) -> tuple[tuple[dict, dict], ...]:
+        """Per level, the pair tuples ``lurie.chain_to_map`` has built for
+        object colours and for arrow components, built once per chain."""
+        return tuple(({}, {}) for _ in self.levels)
+
+    @_cached
     def pointed_levels(self) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
         """The levels as pointed sets and the maps between them, built once."""
         from .lurie import _pointed_levels

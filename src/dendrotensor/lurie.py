@@ -49,7 +49,6 @@ from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse
 __all__ = [
     "FinPtdObj",
     "FinPtdMor",
-    "classify",
     "factorize",
     "rho",
     "smash",
@@ -205,16 +204,6 @@ class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
 # the trusted constructors: each builds its tuple from fields that are valid
 # by construction, in C and without checking them again
 _ptd_mor = partial(tuple.__new__, FinPtdMor)
-
-
-def classify(f: FinPtdMor) -> tuple[str, ...]:
-    """Sorted tags among ``active`` / ``inert`` (isomorphisms get both)."""
-    tags = []
-    if f.is_active:
-        tags.append("active")
-    if f.is_inert:
-        tags.append("inert")
-    return tuple(sorted(tags))
 
 
 def factorize(f: FinPtdMor) -> tuple[FinPtdMor, FinPtdMor]:
@@ -1405,8 +1394,9 @@ def enumerate_chains(
     (dying elements impose nothing; empty fibers take nullary operations).
 
     The arrows out of each coloring of a level are built once, level by
-    level, each target object once per coloring; counting the chains from
-    each coloring, top level down, comes before any :class:`Chain` is
+    level: each target's choices once per fiber colors, each target object
+    once, looked up by its colors before it is built.  Counting the chains
+    from each coloring, top level down, comes before any :class:`Chain` is
     built, so a ``cap`` below the total raises :class:`TreeError` at once.
     The chains are then listed depth first in ``product`` order, through
     the targets that reach the top level only."""
@@ -1414,14 +1404,30 @@ def enumerate_chains(
     objs = {c: _ell_obj((xs[0], c)) for c in product(p.colors(), repeat=len(xs[0].elements))}
     bottom = list(objs.values())
     out: list[dict[tuple[str, ...], list[tuple[EllObject, EllMorphism]]]] = []  # per level, by coloring
-    for i in range(a.n):
+    for i, gamma in enumerate(als):
+        pos, fibers = xs[i].position, gamma.fibers
+        # per target: its fiber's positions, and its choices by fiber colors
+        targets = [([pos[x] for x in fibers.get(k, ())], k, {}) for k in gamma.dst.elements]
         above: dict[tuple[str, ...], EllObject] = {}
         level = {}
         for colors, obj in objs.items():
             arrows = level[colors] = []
-            for combo in product(*_choices(p, als[i], obj)):
-                dst, mor = _arrow(als[i], obj, combo)
-                arrows.append((above.setdefault(dst.colors, dst), mor))
+            per_target = []
+            for fib, k, seen in targets:
+                key = tuple([colors[j] for j in fib])
+                opts = seen.get(key)
+                if opts is None:
+                    opts = seen[key] = [(c, (k, lab)) for c, lab in p.ops_for_inputs(list(key))]
+                if not opts:
+                    break
+                per_target.append(opts)
+            else:
+                for combo in product(*per_target):
+                    dst_colors, comps = zip(*combo) if combo else ((), ())
+                    dst = above.get(dst_colors)
+                    if dst is None:
+                        dst = above[dst_colors] = _ell_obj((gamma.dst, dst_colors))
+                    arrows.append((dst, _ell_mor((gamma, obj, dst, comps))))
         out.append(level)
         objs = above
     count = dict.fromkeys(objs, 1)  # chains from each coloring of the level
@@ -1437,7 +1443,7 @@ def enumerate_chains(
     stack = [((obj,), ()) for obj in reversed(bottom) if count[obj.colors]]
     while stack:
         objects, arrows = stack.pop()
-        if len(arrows) == a.n:
+        if len(arrows) == len(als):
             chains.append(Chain(a, objects, arrows))
             continue
         stack += [
@@ -1447,24 +1453,47 @@ def enumerate_chains(
     return tuple(chains)
 
 
+def _level_pairs(level: dict[str, str], i: int, items: Iterable[tuple[Elem, Any]]) -> tuple:
+    """One level's ``(edge, value)`` pairs in edge order: each element names
+    the table's edge, or ``ℓi:x`` afresh when it is off the table."""
+    return tuple(sorted({level.get(x) or edge_name(i, str(x)): v for x, v in items}.items()))
+
+
 def chain_to_map(ch: Chain) -> ForestInto:
     """Read a chain as a map out of the free operad of the diagram's forest:
     the level-``i`` element ``a`` colors edge ``ℓi:a``, the arrow component
     at ``a`` is the operation at vertex ``ℓi:a``.  Edge names are read from
     the simplex's table; an element off the simplex's levels is named
-    afresh."""
-    names = ch.simplex.edge_names
-    cmap: dict[str, str] = {}
-    for i, obj in enumerate(ch.objects):
-        level = names[i] if i < len(names) else {}
-        for x, c in zip(obj.base.elements, obj.colors):
-            cmap[level.get(x) or edge_name(i, str(x))] = c
-    vmap: dict[str, Label] = {}
+    afresh.
+
+    Each level's pairs are built once per diagram and kept in its
+    ``_map_pairs``: an object over the level's own set is keyed by its
+    colors, and an arrow by its components once every component is on the
+    table, so ``1`` and ``True`` (equal, but named apart) never share a key."""
+    a = ch.simplex
+    names, memo, levels = a.edge_names, a._map_pairs, a.levels
+    colors, comps = [], []
+    for i, (base, cs) in enumerate(ch.objects):
+        if i < len(levels) and base.elements == levels[i]:
+            seen = memo[i][0]
+            pairs = seen.get(cs)
+            if pairs is None:  # the level's edge names, in its own order
+                pairs = seen[cs] = tuple(sorted(zip(names[i].values(), cs)))
+        else:
+            pairs = _level_pairs(names[i] if i < len(names) else {}, i, zip(base.elements, cs))
+        colors += pairs
     for i, mor in enumerate(ch.arrows, start=1):
-        level = names[i] if i < len(names) else {}
-        for k, lab in mor.components:
-            vmap[level.get(k) or edge_name(i, str(k))] = lab
-    return ForestInto.build(cmap.items(), vmap.items())
+        on, cps = i < len(names), mor.components
+        pairs = memo[i][1].get(cps) if on else None
+        if pairs is None:
+            level = names[i] if on else {}
+            pairs = _level_pairs(level, i, cps)
+            if on and all(k in level for k, _ in cps):
+                memo[i][1][cps] = pairs
+        comps += pairs
+    if len(ch.objects) > 10 or len(ch.arrows) > 9:  # "ℓ10:" sorts before "ℓ2:"
+        return ForestInto.build(colors, comps)
+    return ForestInto._ordered(tuple(colors), tuple(comps))
 
 
 def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:

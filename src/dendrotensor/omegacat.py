@@ -45,7 +45,6 @@ __all__ = [
     "identity_map",
     "compose",
     "validate",
-    "is_valid",
     "classify_elementary",
 ]
 
@@ -393,14 +392,6 @@ def validate(f: OperadMap) -> None:
     for t in src.components:
         for v in t.vertices:
             _check_vertex(has, f, v)
-
-
-def is_valid(f: OperadMap) -> bool:
-    try:
-        validate(f)
-    except TreeError:
-        return False
-    return True
 
 
 def _maps_to_generator(f: OperadMap, out_edge: str) -> bool:

@@ -30,7 +30,6 @@ __all__ = [
     "Vertex",
     "Tree",
     "Forest",
-    "eta",
     "corolla",
     "parse_tree",
     "parse_forest",
@@ -303,11 +302,6 @@ class Forest:
 
 
 # -- constructors ----------------------------------------------------------
-
-
-def eta(name: str = "e") -> Tree:
-    """The edge-only tree."""
-    return Tree(name, ())
 
 
 def corolla(root: str, leaves: Sequence[str] = ()) -> Tree:

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -9,11 +10,15 @@ from dendrotensor import (
     STAR,
     FinSimplex,
     Forest,
+    OperadMap,
+    Operation,
     SimplicialOperator,
     Tree,
     TreeError,
     Vertex,
+    classify_elementary,
     compose,
+    contract_inner,
     identity_map,
     omega_mor,
     omega_obj,
@@ -363,3 +368,119 @@ def test_padding_only_extends_leaves():
 @settings(max_examples=200, deadline=None)
 def test_split_edge_name_inverts_edge_name(level, element):
     assert split_edge_name(edge_name(level, element)) == (level, element)
+
+
+# -- ω on inner faces and degeneracies ---------------------------------------------
+
+
+def _inner_faces(a):
+    """The ``i`` with ``0 < i < n`` at which no level-``i`` element dies."""
+    return [i for i in range(1, a.n) if STAR not in a.alpha(i + 1).values()]
+
+
+def _with_component(f, w, op):
+    """``f`` with its vertex ``w`` sent to ``op`` instead."""
+    return OperadMap(f.colors, tuple(sorted({**f.component, w: op}.items())), f.source, f.target)
+
+
+def _generator(a, e):
+    """The generator of ``a``'s forest at edge ``e``: its vertex as a cut."""
+    v = a.forest.component_of[e].vertex_above[e]
+    return Operation(e, v.in_edges)
+
+
+def inner_face_contracts(f, a, i):
+    """Whether ``f``, read as ``omega_mor(d_i, a)``, is the contraction of
+    every level-``i`` edge of ``a``'s forest carried along its colour map:
+    the source's edges go one to one onto the edges that stay, and each
+    source vertex goes to the cut of its carried vertex, which is a vertex
+    of the contracted forest."""
+    gone = set(a.edge_names[i].values())
+    contracted = {
+        (v.out_edge, frozenset(v.in_edges))
+        for t in a.forest.components
+        for v in contract_inner(t, [e for e in t.edges if e in gone]).vertices
+    }
+    src_edges = [e for t in f.source.components for e in t.edges]
+    images = [f.color[e] for e in src_edges]
+    if len(set(images)) != len(images) or set(images) != set(a.forest.edge_set) - gone:
+        return False
+    carried = set()
+    for t in f.source.components:
+        for v in t.vertices:
+            vertex = (f.color[v.out_edge], frozenset(f.color[d] for d in v.in_edges))
+            op = f.component[v.out_edge]
+            if (op.output, op.input_set) != vertex:
+                return False
+            carried.add(vertex)
+    return carried == contracted
+
+
+def degeneracy_doubles(f, a, i):
+    """Whether ``f``, read as ``omega_mor(s_i, a)``, is onto on edges, hits
+    exactly the level-``i`` edges twice, and sends one unary vertex per
+    level-``i`` element, and no other, to an identity."""
+    level = set(a.edge_names[i].values())
+    hits = Counter(f.color[e] for t in f.source.components for e in t.edges)
+    doubled = {e for e, k in hits.items() if k == 2}
+    if set(hits) != set(a.forest.edge_set) or doubled != level or max(hits.values(), default=1) > 2:
+        return False
+    above = {v.out_edge: v for t in f.source.components for v in t.vertices}
+    identities = [w for w, op in f.components if op.is_identity]
+    return (
+        sorted(f.component[w].output for w in identities) == sorted(level)
+        and all(len(above[w].in_edges) == 1 for w in identities)
+    )
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_omega_sends_inner_faces_to_contractions(seed):
+    a = random_fin_simplex(Random(seed), 4, 4)
+    for i in _inner_faces(a):
+        assert inner_face_contracts(omega_mor(SimplicialOperator.face(a.n, i), a), a, i)
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_omega_sends_degeneracies_to_doublings(seed):
+    a = random_fin_simplex(Random(seed), 4, 3)
+    for i in range(a.n + 1):
+        f = omega_mor(SimplicialOperator.degeneracy(a.n, i), a)
+        assert degeneracy_doubles(f, a, i)
+        if len(a.forest.components) == 1 and len(a.levels[i]) == 1:
+            assert classify_elementary(f) == "degeneracy"
+
+
+def test_omega_degeneracy_of_one_element_is_classified():
+    a = FinSimplex.from_json({"levels": [["x", "y"], ["z"], ["r"]], "maps": [{"x": "z", "y": "z"}, {"z": "r"}]})
+    for i in range(3):
+        f = omega_mor(SimplicialOperator.degeneracy(2, i), a)
+        assert degeneracy_doubles(f, a, i)
+        assert (classify_elementary(f) == "degeneracy") == (i > 0)  # level 0 has two elements
+
+
+def test_face_and_degeneracy_claims_catch_mutants():
+    # an image that leaves a level-i edge uncontracted fails the face claim,
+    # and a repeated-level vertex sent to a generator fails the degeneracy claim
+    faces = degeneracies = 0
+    for seed in range(200):
+        a = random_fin_simplex(Random(seed), 4, 4)
+        for i in _inner_faces(a):
+            f = omega_mor(SimplicialOperator.face(a.n, i), a)
+            above = a.edge_names[i + 1].values()
+            for w, op in f.components:
+                if op.output in above and _generator(a, op.output) != op:
+                    assert inner_face_contracts(f, a, i)
+                    assert not inner_face_contracts(_with_component(f, w, _generator(a, op.output)), a, i)
+                    faces += 1
+                    break
+        for i in range(1, a.n + 1):
+            f = omega_mor(SimplicialOperator.degeneracy(a.n, i), a)
+            for w, op in f.components:
+                if op.is_identity:
+                    assert degeneracy_doubles(f, a, i)
+                    assert not degeneracy_doubles(_with_component(f, w, _generator(a, op.output)), a, i)
+                    degeneracies += 1
+                    break
+    assert faces > 20 and degeneracies > 20

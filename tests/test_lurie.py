@@ -3,8 +3,10 @@ import hashlib
 import math
 import pickle
 import re
+import types
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
+from pathlib import Path
 from random import Random
 from unittest.mock import patch
 
@@ -32,14 +34,12 @@ from dendrotensor import (
     as_forest,
     chain_to_map,
     check_fibrous,
-    classify,
     cut_at,
     defect_fixtures,
     ell_compose,
     ell_hom,
     ell_identity,
     enumerate_chains,
-    eta,
     factorize,
     free_algebra,
     hom,
@@ -303,6 +303,12 @@ def test_fibers_match_a_scan_of_the_source():
             assert f.fiber(j) == tuple(x for x in src.elements if f(x) == j)
 
 
+def classify(f):
+    """Sorted tags among ``active`` / ``inert`` (isomorphisms get both): the
+    test-only ``lurie.classify`` this module kept as an oracle."""
+    return tuple(sorted(tag for tag, holds in (("active", f.is_active), ("inert", f.is_inert)) if holds))
+
+
 def test_classify_tags():
     two, one = FinPtdObj.skeleton(2), FinPtdObj.skeleton(1)
     assert classify(FinPtdMor.identity(two)) == ("active", "inert")
@@ -527,9 +533,9 @@ def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
     monkeypatch.setattr(omegacat_module, "_fold", refuse)
     monkeypatch.setattr(lurie_module, "_fold", refuse)
     factors = [chain_tree(1500), parse_tree("x")]
-    maps = maps_into(eta("f"), BVTensorOperad(factors))
+    maps = maps_into(Tree("f", ()), BVTensorOperad(factors))
     assert len(maps) == len(set(maps)) == 1501
-    homs = tensor_hom(eta("f"), factors)
+    homs = tensor_hom(Tree("f", ()), factors)
     assert len(homs) == 1501
     assert {h.colors for h in homs} == {m.colors for m in maps}
 
@@ -906,6 +912,36 @@ def test_fixture_detection_is_seed_independent():
             )
             assert stop.failures == report.failures[:1]
             assert all(s <= f for s, f in zip(_counters(stop), _counters(report)))
+
+
+def _silent_branch_fixtures():
+    """``silent_branch_fixtures()`` of ``scripts/fixture_detection.py``; the
+    file is read, not imported, so no bytecode is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fixture_detection.py"
+    script = types.ModuleType("fixture_detection")
+    script.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), script.__dict__)
+    return script.silent_branch_fixtures()
+
+
+def test_silent_branch_fixtures_fire_their_branches():
+    # two presentations kept beside defect_fixtures() (whose five are the
+    # report's fixed set), each firing a failure branch none of the five fires
+    fixtures = _silent_branch_fixtures()
+    assert not {name for name, _, _ in fixtures} & {name for name, _ in defect_fixtures()}
+    fired = {}
+    for name, pres, branch in fixtures:
+        report = check_fibrous(pres, truncation=2, rng=Random(0), **EXHAUSTIVE)
+        fired[name] = sorted({f for f in report.failures if branch in f})
+    assert fired["doubled-fiber-identity"] == [
+        "fiber over <2> at colors ('a', 'a') -> ('a', 'a'): 2 morphisms, expected the product 1"
+    ]
+    assert fired["unlisted-first-morphism"] and all(
+        f.startswith("componentwise morphism over (1, 1) from colors ") for f in fired["unlisted-first-morphism"]
+    )
+    for _, pres in defect_fixtures():
+        failures = check_fibrous(pres, truncation=2, rng=Random(0), **EXHAUSTIVE).failures
+        assert not [f for f in failures for _, _, branch in fixtures if branch in f]
 
 
 # Reports of check_fibrous recorded before the per-call hom memo and the lazy
@@ -1327,6 +1363,87 @@ def test_chain_to_map_equals_the_replaced_code(seed):
         assert chain_to_map(off) == replaced_chain_to_map(off)
 
 
+def _renamed_chain(ch, rename):
+    """``ch`` with its objects' and arrows' elements renamed by ``rename``
+    (elements it does not name are kept), over the same simplex."""
+    def base(b):
+        return FinPtdObj(tuple(rename.get(x, x) for x in b.elements))
+    objs = tuple(EllObject(base(o.base), o.colors) for o in ch.objects)
+    arrows = tuple(
+        EllMorphism(m.alpha, m.src, m.dst, tuple((rename.get(k, k), lab) for k, lab in m.components))
+        for m in ch.arrows
+    )
+    return lurie_module.Chain(ch.simplex, objs, arrows)
+
+
+# element renamings whose values compare equal but name edges apart (1 and
+# True), or name the same edge (2 and "2")
+EQUAL_BUT_NAMED_APART = [{"1": 1}, {"1": True}, {"2": 2}, {"2": "2"}, {"1": True, "2": 2}, {"1": 1, "2": "2"}, {}]
+
+
+@pytest.mark.parametrize("order", [EQUAL_BUT_NAMED_APART, EQUAL_BUT_NAMED_APART[::-1]])
+def test_chain_to_map_keeps_equal_elements_named_apart(order):
+    # one diagram, read by chains whose elements are 1, then True, and the
+    # other way round: a memo keyed by equality alone would hand the second
+    # the first one's edge names
+    p = FreeForestOperad(parse_forest("{r[a[x],b[]];s}"))
+    a = FinSimplex.from_json({"levels": [[1, 2], [1, 2], [1]], "maps": [{"1": 1, "2": 2}, {"1": 1, "2": 1}]})
+    chains = enumerate_chains(p, a)
+    assert len(chains) > 4
+    for ch in chains[:5]:
+        for rename in order:
+            moved = _renamed_chain(ch, rename)
+            assert chain_to_map(moved) == replaced_chain_to_map(moved)
+        assert chain_to_map(ch) == replaced_chain_to_map(ch)
+    one = _renamed_chain(chains[0], {"1": 1})
+    true = _renamed_chain(chains[0], {"1": True})
+    assert one == true and chain_to_map(one) != chain_to_map(true)
+    assert "ℓ0:True" in chain_to_map(true).color and "ℓ1:True" in chain_to_map(true).component
+
+
+def test_chain_to_map_orders_edges_past_level_nine():
+    # "ℓ10:1" sorts before "ℓ2:1": past ten levels the joined pairs are sorted
+    p = FreeForestOperad(parse_forest("{x[y];z}"))
+    for n in (8, 9, 10, 11, 12):
+        a = FinSimplex.from_json({"levels": [[1]] * (n + 1), "maps": [{"1": 1}] * n})
+        chains = enumerate_chains(p, a)
+        assert len(chains) > n
+        for ch in chains:
+            assert chain_to_map(ch) == replaced_chain_to_map(ch)
+            longer = lurie_module.Chain(a, ch.objects + ch.objects[-1:], ch.arrows + ch.arrows[-1:])
+            assert chain_to_map(longer) == replaced_chain_to_map(longer)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_chain_to_map_memo_is_built_once_per_diagram(seed):
+    rng = Random(seed)
+    p = FreeForestOperad(random_forest(rng, 5, 0.3, min_components=1))
+    a = random_fin_simplex(rng, 3, 3)
+    try:
+        chains = enumerate_chains(p, a, cap=400)
+    except TreeError:
+        return
+    memo = a._map_pairs
+    assert memo is a._map_pairs and len(memo) == len(a.levels)
+    first = [chain_to_map(ch) for ch in chains]
+    # one entry per colouring of a level, and per arrow components
+    assert [set(objs) for objs, _ in memo] == [{ch.objects[i].colors for ch in chains} for i in range(len(a.levels))]
+    assert [set(arrows) for _, arrows in memo[1:]] == [
+        {ch.arrows[i - 1].components for ch in chains} for i in range(1, len(a.levels))
+    ]
+    kept = [(dict(objs), dict(arrows)) for objs, arrows in memo]
+    again = [chain_to_map(ch) for ch in chains]
+    assert again == first == [replaced_chain_to_map(ch) for ch in chains]
+    assert [(dict(objs), dict(arrows)) for objs, arrows in memo] == kept
+    # a second reading joins the very pair tuples the first one built
+    for m, n in zip(first, again):
+        assert all(x is y for x, y in zip(m.colors + m.components, n.colors + n.components))
+    fresh = FinSimplex(a.levels, a.maps)
+    assert fresh == a and fresh._map_pairs is not memo
+    assert all(not objs and not arrows for objs, arrows in fresh._map_pairs)
+
+
 # The sha256 of the ordered (alpha.values, src.colors, dst.colors) of every
 # pres.hom call, and of the (alpha.values, src.colors, dst.colors,
 # components) of both inputs of every pres.compose call, recorded before the
@@ -1523,6 +1640,41 @@ def test_enumerate_chains_equals_recursive_oracle(seed, kind):
     if n:
         with pytest.raises(TreeError, match=f"would produce {n} > cap {n - 1}"):
             enumerate_chains(p, a, cap=n - 1)
+
+
+@given(seeds, st.sampled_from(["free", "table"]))
+@settings(max_examples=80, deadline=None)
+def test_enumerate_chains_equals_recursive_oracle_over_many_colors(seed, kind):
+    # four or more colors over levels whose elements share targets, so the
+    # same fiber colors come back for many colorings of a level; the
+    # operation sets are asked for at most once per target and fiber colors
+    rng = Random(seed)
+    while True:
+        if kind == "free":
+            p = FreeForestOperad(random_forest(rng, 6, 0.3, min_components=2))
+        else:
+            p = random_table_operad(rng)
+        if len(p.colors()) >= 4:
+            break
+    levels = [[str(j) for j in range(1, rng.randint(2, 3) + 1)] for _ in range(rng.randint(2, 3))]
+    maps = [{x: rng.choice(levels[i + 1][:2] + [STAR]) for x in lev} for i, lev in enumerate(levels[:-1])]
+    a = FinSimplex.from_json({"levels": levels, "maps": maps})
+    if len(p.colors()) ** len(levels[0]) > 300:
+        return
+    asked = []
+    real = p.ops_for_inputs
+    p.ops_for_inputs = lambda inputs: asked.append(tuple(inputs)) or real(inputs)
+    try:
+        want = recursive_enumerate_chains(p, a, cap=3000)
+    except TreeError:
+        return
+    oracle_asks, asked[:] = len(asked), []
+    assert enumerate_chains(p, a) == want
+    xs, als = a.pointed_levels
+    keys = {(i, k, fiber) for i, gamma in enumerate(als) for k in gamma.dst.elements for fiber in
+            {tuple(colors[xs[i].position[x]] for x in gamma.fiber(k))
+             for colors in product(p.colors(), repeat=len(xs[i].elements))}}
+    assert len(asked) <= min(oracle_asks, len(keys))
 
 
 def test_enumerate_chains_counts_before_it_builds(monkeypatch):

@@ -21,11 +21,9 @@ from dendrotensor import (
     as_forest,
     classify_elementary,
     compose,
-    eta,
     hom,
     identity_map,
     is_cut,
-    is_valid,
     maps_into,
     operations,
     parse_forest,
@@ -39,6 +37,20 @@ from dendrotensor.omegacat import _cut_total, _edge_moves, _fold, _rows_above
 from dendrotensor.shuffle import _state_table
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def eta(name="e"):
+    """The edge-only tree."""
+    return Tree(name, ())
+
+
+def is_valid(f):
+    """Whether :func:`validate` accepts ``f``."""
+    try:
+        validate(f)
+    except TreeError:
+        return False
+    return True
 
 
 def closure_operations(scope, e):

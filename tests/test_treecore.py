@@ -15,7 +15,6 @@ from dendrotensor import (
     contract_inner,
     corolla,
     cut_at,
-    eta,
     graft,
     interior,
     max_edges,
@@ -105,6 +104,11 @@ def test_forest_round_trip_random(seed):
 
 
 # -- structure ---------------------------------------------------------------
+
+
+def eta(name="e"):
+    """The edge-only tree (``Tree(name, ())``)."""
+    return Tree(name, ())
 
 
 def test_eta_and_corolla():
