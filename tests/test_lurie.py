@@ -252,6 +252,10 @@ def test_fiberwise_values_survive_pickle_and_copy(cls, fields, trusted):
 
 def test_fiberwise_constructors_raise_the_dataclass_errors():
     two, one = FinPtdObj.skeleton(2), FinPtdObj.skeleton(1)
+    with pytest.raises(TreeError, match="^pointed-set elements must be distinct$"):
+        FinPtdObj((1, 2, 1))
+    with pytest.raises(TreeError, match=r"^'\*' is the basepoint, not an element$"):
+        FinPtdObj(elements=(1, STAR))
     with pytest.raises(TreeError, match="^pointed map must cover every source element$"):
         FinPtdMor(two, one, (1,))
     with pytest.raises(TreeError, match="^pointed map hits a non-element 2$"):
