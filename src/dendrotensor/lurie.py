@@ -42,7 +42,7 @@ from typing import Any
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
 from .omegacat import Operation, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
-from .omegacat import ForestInto, OperadMap
+from .omegacat import ForestInto, OperadMap, _forest_into
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
 
@@ -88,28 +88,23 @@ Label = Any
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinPtdObj:
-    """A finite pointed set, listed without its basepoint ``*``."""
+class FinPtdObj(namedtuple("FinPtdObj", "elements")):
+    """A finite pointed set, listed without its basepoint ``*``: the tuple
+    ``(elements,)``, hashed and compared in C.  Its length is the number of
+    elements."""
 
     elements: tuple[Elem, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.elements)) != len(self.elements):
+    def __new__(cls, elements: tuple[Elem, ...]) -> "FinPtdObj":
+        if len(set(elements)) != len(elements):
             raise TreeError("pointed-set elements must be distinct")
-        if STAR in self.elements:
+        if STAR in elements:
             raise TreeError("'*' is the basepoint, not an element")
-
-    def __hash__(self) -> int:
-        # kept: every object and map over this set hashes it
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(self.elements)
-        return h
+        return tuple.__new__(cls, (elements,))
 
     @staticmethod
     def skeleton(n: int) -> "FinPtdObj":
-        """The skeleton ``<n>``, one shared object per ``n``, so that its hash,
+        """The skeleton ``<n>``, one shared object per ``n``, so that its
         positions and pointed set are built once for every user."""
         sk = _SKELETA.get(n)
         if sk is None:
@@ -819,12 +814,12 @@ def check_fibrous(
     :class:`TreeError`.
 
     Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
-    a memo local to the call, keyed by the plain values of ``(alpha, src,
-    dst)``, keeps the listing with its multiplicities (counts use it, so a
-    family listed twice, as in the ``duplicate-family`` fixture, still
-    counts twice) and, once membership is asked, the set of its morphisms.
-    The memo goes when the call returns.  Random draws and comparisons are
-    those of listing every hom afresh.
+    a memo local to the call, keyed by the tuple ``(alpha, src, dst)``
+    (hashed in C), keeps the listing with its multiplicities (counts use
+    it, so a family listed twice, as in the ``duplicate-family`` fixture,
+    still counts twice) and, once membership is asked, the set of its
+    morphisms.  The memo goes when the call returns.  Random draws and
+    comparisons are those of listing every hom afresh.
     """
     if truncation < 0:
         raise TreeError(f"check_fibrous needs truncation >= 0, got {truncation}")
@@ -875,30 +870,18 @@ def _fibrous_failures(
     listings: dict[tuple, tuple[EllMorphism, ...]] = {}
     members: dict[tuple, frozenset[EllMorphism]] = {}
 
-    # the memo's key is the plain values that make (alpha, src, dst) equal,
-    # which hash without FinPtdObj's Python __hash__; a caller that asks
-    # for one hom repeatedly passes the key it built once
-    def listed(
-        alpha: FinPtdMor, src: EllObject, dst: EllObject, key: tuple | None = None
-    ) -> tuple[EllMorphism, ...]:
-        if key is None:
-            key = (alpha.src.elements, alpha.dst.elements, alpha.values,
-                   src.base.elements, src.colors, dst.base.elements, dst.colors)
+    def listed(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple[EllMorphism, ...]:
+        key = (alpha, src, dst)
         found = listings.get(key)
         if found is None:
             found = listings[key] = pres.hom(alpha, src, dst)
         return found
 
-    def is_listed(
-        alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism,
-        key: tuple | None = None,
-    ) -> bool:
-        if key is None:
-            key = (alpha.src.elements, alpha.dst.elements, alpha.values,
-                   src.base.elements, src.colors, dst.base.elements, dst.colors)
+    def is_listed(alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism) -> bool:
+        key = (alpha, src, dst)
         found = members.get(key)
         if found is None:
-            found = members[key] = frozenset(listed(alpha, src, dst, key))
+            found = members[key] = frozenset(listed(alpha, src, dst))
         return mor in found
 
     # cocartesian lifts of inerts and their universal property
@@ -992,28 +975,19 @@ def _fibrous_failures(
         rhos = [rho(m, i) for i in tuple_base.elements]
         for c_x in _coloring_pool(colors, rng, m, colorings_per_shape):
             x = _ell_obj((tuple_base, c_x))
-            x_part = (tuple_base.elements, c_x)
             lifts = [pres.inert_lift(r, x) for r in rhos]
             for ym in range(truncation + 1):
                 y_base = FinPtdObj.skeleton(ym)
                 fs = _PointedMaps(y_base, (tuple_base,))
                 for f in _sample(rng, fs, betas_per_lift):
-                    f_part = (f.src.elements, f.dst.elements, f.values)
-                    # each leg's hom, with the part of its key fixed by f
-                    legs = [
-                        (leg, lift.dst, (leg.src.elements, leg.dst.elements, leg.values),
-                         (lift.dst.base.elements, lift.dst.colors))
-                        for leg, lift in zip((r.after(f) for r in rhos), lifts)
-                    ]
+                    legs = [(r.after(f), lift.dst) for r, lift in zip(rhos, lifts)]
                     for c_y in _coloring_pool(colors, rng, ym, colorings_per_shape):
                         y = _ell_obj((y_base, c_y))
-                        y_part = (y_base.elements, c_y)
                         report.component_formulas_checked += 1
-                        lhs = listed(f, y, x, f_part + y_part + x_part)
-                        rhs = [(leg, z, head + y_part + tail) for leg, z, head, tail in legs]
+                        lhs = listed(f, y, x)
                         expected = 1
-                        for leg, z, key in rhs:
-                            expected *= len(listed(leg, y, z, key))
+                        for leg, z in legs:
+                            expected *= len(listed(leg, y, z))
                         if len(lhs) != expected:
                             yield (
                                 f"componentwise count over f={f.values} into "
@@ -1024,9 +998,9 @@ def _fibrous_failures(
                         ok = True
                         for g in lhs:
                             tup = []
-                            for lift, (leg, z, key) in zip(lifts, rhs):
+                            for lift, (leg, z) in zip(lifts, legs):
                                 gi = pres.compose(lift, g)
-                                if not is_listed(leg, y, z, gi, key):
+                                if not is_listed(leg, y, z, gi):
                                     ok = False
                                     break
                                 tup.append(gi)
@@ -1180,8 +1154,7 @@ def maps_into(
     components = as_forest(scope).components
     parts = [_odometer(t, moves, count, all_colors) for t, (_, moves, count) in zip(components, passes)]
     rows = parts[0] if len(parts) == 1 else _recombined(components, parts)
-    ordered = ForestInto._ordered
-    return tuple([ordered(colors, comps) for colors, comps in rows])
+    return tuple(map(_forest_into, rows))
 
 
 def _odometer(
@@ -1493,7 +1466,7 @@ def chain_to_map(ch: Chain) -> ForestInto:
         comps += pairs
     if len(ch.objects) > 10 or len(ch.arrows) > 9:  # "ℓ10:" sorts before "ℓ2:"
         return ForestInto.build(colors, comps)
-    return ForestInto._ordered(tuple(colors), tuple(comps))
+    return _forest_into((tuple(colors), tuple(comps)))
 
 
 def map_to_chain(p: FiniteOperad, a: FinSimplex, m: ForestInto) -> Chain:
@@ -1554,21 +1527,18 @@ def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
     two parts at an inner edge, agreeing on the edge's color.  Returns
     whether the restriction pairing is a bijection onto such pairs.
 
-    A map is compared by its pair tuples; the restriction to each part is a
-    fixed selection of the whole's edges and vertices."""
+    A pair of maps is compared as the concatenation of their field tuples;
+    the restriction to each part is a fixed selection of the whole's edges
+    and vertices."""
     lower, upper = cut_at(t, b)
     whole = maps_into(t, p)
     lows = maps_into(lower, p)
     ups = maps_into(upper, p)
     lo_b, up_b = lower.edges.index(b), upper.edges.index(b)
-    ups_at: dict[str, list[tuple]] = {}
+    ups_at: dict[str, list[ForestInto]] = {}
     for up in ups:
-        ups_at.setdefault(up.colors[up_b][1], []).append((up.colors, up.components))
-    matched = {
-        (lo.colors, lo.components) + up
-        for lo in lows
-        for up in ups_at.get(lo.colors[lo_b][1], ())
-    }
+        ups_at.setdefault(up.colors[up_b][1], []).append(up)
+    matched = {lo + up for lo in lows for up in ups_at.get(lo.colors[lo_b][1], ())}
     outs = _vertex_outs(t)
     lo_colors, up_colors = _selecting(t.edges, lower.edges), _selecting(t.edges, upper.edges)
     lo_comps, up_comps = _selecting(outs, _vertex_outs(lower)), _selecting(outs, _vertex_outs(upper))
@@ -1593,14 +1563,14 @@ def segal_components_check(p: FiniteOperad, f: Tree | Forest) -> bool:
     forest = as_forest(f)
     whole = maps_into(forest, p)
     parts = [maps_into(t, p) for t in forest.components]
-    pairs = {(m.colors, m.components) for m in whole}
-    if len(whole) != math.prod(len(q) for q in parts) or len(pairs) != len(whole):
+    distinct = set(whole)
+    if len(whole) != math.prod(len(q) for q in parts) or len(distinct) != len(whole):
         return False
     outs = _vertex_outs(forest)
     for t, q in zip(forest.components, parts):
-        listed = {(m.colors, m.components) for m in q}
+        listed = set(q)
         colors, comps = _selecting(forest.edges, t.edges), _selecting(outs, _vertex_outs(t))
-        if len(listed) != len(q) or not {(colors(c), comps(v)) for c, v in pairs} <= listed:
+        if len(listed) != len(q) or not {(colors(c), comps(v)) for c, v in distinct} <= listed:
             return False
     return True
 

@@ -14,23 +14,23 @@ edge, whose move goes to the inputs of the vertex above it
 inputs, it lists only the cuts up to that arity, which is all a vertex of
 that arity can map to.
 
-A map out of a free forest operad is one record, :class:`ForestInto`: the
+A map out of a free forest operad is one tuple, :class:`ForestInto`: the
 color of each edge (``colors``) and the operation of the target at each
-vertex (``components``).  It is a source-shaped dendrex of the target's
-nerve, so :func:`hom` lists maps with :func:`~dendrotensor.lurie.maps_into`
-and attaches both forests (:class:`OperadMap`).  One walk up from a cut's
-output, with an explicit stack, decides whether a set of edges is a cut and
-lists the vertices inside it.  The image of a cut under a map (:func:`_image`)
-is that walk plus :func:`validate`'s check at each vertex inside, once per
-call of :func:`compose` or :func:`~dendrotensor.lurie.precompose`, which
-send each vertex to the image of its image cut.
+vertex (``components``), hashed and compared in C.  It is a source-shaped
+dendrex of the target's nerve, so :func:`hom` lists maps with
+:func:`~dendrotensor.lurie.maps_into` and attaches both forests
+(:class:`OperadMap`).  One walk up from a cut's output, with an explicit
+stack, decides whether a set of edges is a cut and lists the vertices inside
+it.  The image of a cut under a map (:func:`_image`) is that walk plus
+:func:`validate`'s check at each vertex inside, once per call of
+:func:`compose` or :func:`~dendrotensor.lurie.precompose`, which send each
+vertex to the image of its image cut.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Collection, Container, Iterable, Mapping, Sequence
 
@@ -216,14 +216,11 @@ def is_cut(t: Tree, e: str, members: Iterable[str]) -> bool:
     return _cut_interior(t, e, frozenset(members)) is not None
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
-@dataclass(frozen=True)
-class ForestInto:
+class ForestInto(namedtuple("ForestInto", "colors components")):
     """A map from the free operad of a forest into a finite operad: a color
-    per edge and an operation per vertex (keyed by its output edge)."""
+    per edge and an operation per vertex (keyed by its output edge), as the
+    tuple ``(colors, components)`` of pairs sorted by edge, hashed and
+    compared in C."""
 
     colors: tuple[tuple[str, str], ...]
     components: tuple[tuple[str, Any], ...]
@@ -241,19 +238,15 @@ class ForestInto:
         colors: Iterable[tuple[str, str]], components: Iterable[tuple[str, Any]]
     ) -> "ForestInto":
         """The map with these ``(edge, color)`` and ``(edge, operation)`` pairs."""
-        return ForestInto(tuple(sorted(colors)), tuple(sorted(components)))
-
-    @staticmethod
-    def _ordered(colors: tuple, components: tuple) -> "ForestInto":
-        """The map with these pair tuples, each already sorted by edge."""
-        m = _new(ForestInto)
-        _set(m, "colors", colors)
-        _set(m, "components", components)
-        return m
+        return _forest_into((tuple(sorted(colors)), tuple(sorted(components))))
 
 
-@dataclass(frozen=True)
-class OperadMap(ForestInto):
+# the trusted constructor: the map with these pair tuples, each already
+# sorted by edge
+_forest_into = partial(tuple.__new__, ForestInto)
+
+
+class OperadMap(namedtuple("OperadMap", "colors components source target"), ForestInto):
     """A map of free forest operads: a :class:`ForestInto` whose operations
     are cuts of ``target``, with its ``source`` and ``target`` forests."""
 

@@ -28,7 +28,7 @@ probe tree into the tensor, each held by some shuffle.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -418,8 +418,7 @@ def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocRes
     )
 
 
-@dataclass(frozen=True)
-class TensorHom(ForestInto):
+class TensorHom(namedtuple("TensorHom", "colors components witness"), ForestInto):
     """A map from a probe tree into the shuffle tensor, a
     :class:`~dendrotensor.omegacat.ForestInto` whose colors are tuple edges
     and whose components are cuts, with ``witness``, the first shuffle that
@@ -453,7 +452,7 @@ def _tensor_maps(probe: Tree, tensor: BVTensorOperad, cap: int | None = None) ->
     maps = maps_into(probe, tensor, cap)
     trees = _shuffle_trees(tensor._states.items())
     out = []
-    for colors, comps in sorted((m.colors, m.components) for m in maps):
-        image = {c for _, c in colors}
-        out.append(TensorHom(colors, comps, next(a for a in trees if image <= a.edge_set)))
+    for m in sorted(maps):
+        image = {c for _, c in m.colors}
+        out.append(TensorHom(*m, next(a for a in trees if image <= a.edge_set)))
     return tuple(out)

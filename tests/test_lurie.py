@@ -25,9 +25,11 @@ from dendrotensor import (
     Forest,
     ForestInto,
     FreeForestOperad,
+    OperadMap,
     Operation,
     SimplicialOperator,
     TableOperad,
+    TensorHom,
     Tree,
     TreeError,
     Vertex,
@@ -68,6 +70,7 @@ from dendrotensor.levelforest import edge_name
 from dendrotensor.lurie import EllPresentation, _Inerts, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
 from dendrotensor.shuffle import _state_table, decode
+from dendrotensor.treecore import _cached
 from test_omegacat import (
     binary_text,
     chain_tree,
@@ -205,14 +208,15 @@ def test_fibrous_check_builds_only_the_inerts_it_samples(monkeypatch):
 
 
 def _fiberwise_values():
-    """One value of each tuple type of the fiberwise layer, with its fields,
-    its public constructor and its trusted one."""
+    """One value of each tuple type of the fiberwise layer, with its fields
+    and its trusted constructor (for a pointed set, the shared skeleton)."""
     two, one = FinPtdObj.skeleton(2), FinPtdObj.skeleton(1)
     p = FreeForestOperad(parse_forest("{r[a[x],b[]]}"))
     a = FinSimplex.from_json({"levels": [[1, 2], [1]], "maps": [{"1": 1, "2": 1}]})
     ch = enumerate_chains(p, a)[-1]
     (alpha, src, dst, comps), (obj_base, obj_colors) = ch.arrows[0], ch.objects[0]
     return [
+        (FinPtdObj, ((1, 2),), lambda fields: FinPtdObj.skeleton(2)),
         (FinPtdMor, (two, one, (1, STAR)), lurie_module._ptd_mor),
         (EllObject, (obj_base, obj_colors), lurie_module._ell_obj),
         (EllMorphism, (alpha, src, dst, comps), lurie_module._ell_mor),
@@ -223,7 +227,26 @@ def _fiberwise_values():
 FIBERWISE = _fiberwise_values()
 
 
-@pytest.mark.parametrize("cls, fields, trusted", FIBERWISE, ids=[v[0].__name__ for v in FIBERWISE])
+def _forest_map_values():
+    """One map of each record type for maps out of a free forest operad,
+    with its fields and its trusted constructor."""
+    t = parse_tree("r[a,b]")
+    m = maps_into(t, FreeForestOperad(t))[0]
+    h = hom(t, t)[0]
+    th = tensor_hom(parse_tree("r[a]"), [parse_tree("x[y]")])[0]
+    return [
+        (ForestInto, tuple(m), omegacat_module._forest_into),
+        (OperadMap, tuple(h), OperadMap._make),
+        (TensorHom, tuple(th), TensorHom._make),
+    ]
+
+
+# every value record takes the same checks: field tuple, repr, read-only
+# fields, and pickle and copy
+VALUE_RECORDS = FIBERWISE + _forest_map_values()
+
+
+@pytest.mark.parametrize("cls, fields, trusted", VALUE_RECORDS, ids=[v[0].__name__ for v in VALUE_RECORDS])
 def test_fiberwise_values_are_their_field_tuples(cls, fields, trusted):
     # equal to and hashed as the plain tuple of their fields, with the
     # dataclass's repr, whether built checked or trusted
@@ -239,15 +262,30 @@ def test_fiberwise_values_are_their_field_tuples(cls, fields, trusted):
             setattr(value, name, None)
 
 
-@pytest.mark.parametrize("cls, fields, trusted", FIBERWISE, ids=[v[0].__name__ for v in FIBERWISE])
+@pytest.mark.parametrize("cls, fields, trusted", VALUE_RECORDS, ids=[v[0].__name__ for v in VALUE_RECORDS])
 def test_fiberwise_values_survive_pickle_and_copy(cls, fields, trusted):
     value = trusted(fields)
-    for attr in ("mapping", "fibers", "_pointed_mapping", "component"):
-        getattr(value, attr, None)  # cached views ride along in the instance dict
+    # every cached view is kept in the instance dict, and rides along
+    views = [name for name in dir(cls) if isinstance(getattr(cls, name), _cached)]
+    for name in views:
+        getattr(value, name)
+    assert set(views) <= value.__dict__.keys()
     copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies + [copy.copy(value), copy.deepcopy(value)]:
         assert type(other) is cls and other == value and hash(other) == hash(value)
         assert other.__dict__ == value.__dict__
+
+
+def test_value_records_hash_and_compare_as_tuples():
+    # no value record brings back a Python __hash__ or __eq__
+    for cls in (FinPtdObj, FinPtdMor, EllObject, EllMorphism, lurie_module.Chain,
+                Operation, ForestInto, OperadMap, TensorHom):
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__, cls
+
+
+def test_pointed_set_length_is_its_element_count():
+    assert len(FinPtdObj.skeleton(3)) == 3 and len(FinPtdObj(("a",))) == 1
+    assert len(FinPtdObj.skeleton(0)) == 0
 
 
 def test_fiberwise_constructors_raise_the_dataclass_errors():

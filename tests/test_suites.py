@@ -13,7 +13,7 @@ import pytest
 
 from dendrotensor import suites
 from dendrotensor.suites import SUITE_NAMES, SuiteConfig
-from dendrotensor.treecore import TreeError, parse_forest
+from dendrotensor.treecore import TreeError, cut_at, parse_forest
 
 # suite -> (sha256 over every _rec call, sha256 over the generator's final state)
 DRAW_PINS = {
@@ -172,3 +172,24 @@ def test_level_rename_iso_refuses_what_the_padding_does_not_promise():
     assert not suites._level_rename_iso(padded, parse_forest("{ℓ2:r[ℓ1:a,ℓ1:b]}"))
     # the same edge set in another shape
     assert not suites._level_rename_iso(padded, parse_forest("{ℓ2:r[ℓ1:b,ℓ1:a[ℓ0:c]]}"))
+
+
+def test_shuffle_intersection_check_fails_on_a_face_missing_a_top_vertex(monkeypatch):
+    # the intersection of two shuffles with one top vertex cut off, a vertex
+    # whose inputs are all leaves, drops leaves of both shuffles: the
+    # intersection check's own failure branch fires, and no other check does
+    honest = suites.intersect
+
+    def short(shuffs):
+        inter = honest(shuffs)
+        top = [
+            v.out_edge for v in inter.vertices
+            if v.in_edges and v.out_edge != inter.root and set(v.in_edges) <= set(inter.leaves)
+        ]
+        return cut_at(inter, top[0])[0] if top else inter
+
+    monkeypatch.setattr(suites, "intersect", short)
+    records = _instance_records(suites.run_check("shuffles", SuiteConfig(seed=42)))
+    failed = [r for r in records if r["status"] == "fail"]
+    assert failed and {r["check"] for r in failed} == {"intersection"}
+    assert all("error" not in r["witness"] for r in failed)
