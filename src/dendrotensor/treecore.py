@@ -13,7 +13,10 @@ The concrete grammar is
     node   := '[' (edge (',' edge)*)? ']'
     forest := '{' (tree (';' tree)*)? '}'
 
-so ``e`` is the edge-only tree, ``r[]`` the null corolla (one stump),
+over tokens: each of the reserved characters ``[],;{}`` is a token, a NAME
+is a maximal run of characters that are neither reserved nor whitespace (the
+characters an edge name may hold), and whitespace between tokens is skipped.
+So ``e`` is the edge-only tree, ``r[]`` the null corolla (one stump),
 ``r[a,b]`` the binary corolla and ``{}`` the empty forest.  Serialization is
 canonical: children are emitted in sorted name order.
 """
@@ -72,9 +75,17 @@ class _cached(Generic[_T]):
         return value
 
 
-# a reserved character or whitespace (``\s`` matches exactly the
-# characters for which ``str.isspace`` holds)
-_ILLEGAL = re.compile(r"[\s" + re.escape("".join(sorted(RESERVED_CHARS))) + "]")
+# the characters an edge name may not hold: a reserved character or
+# whitespace (``\s`` matches exactly the characters for which
+# ``str.isspace`` holds)
+_NOT_NAME_CHARS = r"\s" + re.escape("".join(sorted(RESERVED_CHARS)))
+_ILLEGAL = re.compile(f"[{_NOT_NAME_CHARS}]")
+# a token of the tree grammar: an edge name (a maximal run of name
+# characters) or else one non-space character, which is then a reserved
+# one; ``finditer`` skips the whitespace between tokens
+_TOKEN = re.compile(rf"[^{_NOT_NAME_CHARS}]+|\S")
+# the tokens that cannot start an edge, "" marking the end of the text
+_NOT_A_NAME = RESERVED_CHARS | {""}
 
 
 def check_name(name: str) -> str:
@@ -316,104 +327,77 @@ def as_forest(x: Tree | Forest) -> Forest:
 # -- parsing / serialization ------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _at(text: str, i: int) -> str:
+    """Where token ``i`` of ``text`` starts (the text's end when there are no
+    more tokens), as parse errors say it."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    return f"at position {starts[i] if i < len(starts) else len(text)} in {text!r}"
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise TreeError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in RESERVED_CHARS or ch.isspace():
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise TreeError(f"expected edge name at position {start} in {self.text!r}")
-        return self.text[start:self.pos]
-
-    def edge(self, acc: list[Vertex]) -> str:
-        """Parse one edge and everything above it, appending each vertex to
-        ``acc`` as its ``]`` is read; returns the edge's name."""
+def _parse(text: str, forest: bool) -> Tree | Forest:
+    """Read ``text`` as one tree, or as a forest when ``forest`` is set (a
+    bare tree is then a one-tree forest).  Each vertex is built as its ``]``
+    is read and each tree as it ends, so a vertex's or tree's error comes
+    before any syntax error later in the text."""
+    toks = _TOKEN.findall(text)
+    toks.append("")  # the end of the text
+    braced = forest and toks[0] == "{"
+    i = int(braced)
+    trees: list[Tree] = []
+    more = not (braced and toks[i] == "}")
+    while more:
+        acc: list[Vertex] = []
         # the vertices whose "[" has been read and whose "]" has not, each
         # with the inputs parsed so far
         open_: list[tuple[str, list[str]]] = []
         while True:
-            nm = self.name()
-            if self.peek() == "[":
-                self.pos += 1
-                if self.peek() != "]":
+            nm = toks[i]
+            if nm in _NOT_A_NAME:
+                raise TreeError(f"expected edge name {_at(text, i)}")
+            i += 1
+            if toks[i] == "[":
+                i += 1
+                if toks[i] != "]":
                     open_.append((nm, []))
                     continue
-                self.pos += 1
+                i += 1
                 acc.append(Vertex(nm, ()))
             # nm is complete: hand it to the open vertex below it, and close
             # that vertex too when no "," follows
             while open_:
                 out, ins = open_[-1]
                 ins.append(nm)
-                if self.peek() == ",":
-                    self.pos += 1
+                if toks[i] == ",":
+                    i += 1
                     break
-                self.expect("]")
+                if toks[i] != "]":
+                    raise TreeError(f"expected ']' {_at(text, i)}")
+                i += 1
                 open_.pop()
                 acc.append(Vertex(out, tuple(ins)))
                 nm = out
             else:
-                return nm
-
-    def tree(self) -> Tree:
-        acc: list[Vertex] = []
-        root = self.edge(acc)
-        return Tree(root, tuple(acc))
-
-    def forest(self) -> Forest:
-        self.expect("{")
-        comps: list[Tree] = []
-        if self.peek() != "}":
-            comps.append(self.tree())
-            while self.peek() == ";":
-                self.pos += 1
-                comps.append(self.tree())
-        self.expect("}")
-        return Forest(tuple(comps))
-
-    def end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise TreeError(f"trailing input at position {self.pos} in {self.text!r}")
+                break
+        trees.append(Tree(nm, tuple(acc)))
+        more = braced and toks[i] == ";"
+        i += more
+    if braced:
+        if toks[i] != "}":
+            raise TreeError(f"expected '}}' {_at(text, i)}")
+        i += 1
+    result = Forest(tuple(trees)) if forest else trees[0]
+    if toks[i]:
+        raise TreeError(f"trailing input {_at(text, i)}")
+    return result
 
 
 def parse_tree(text: str) -> Tree:
-    p = _Parser(text)
-    t = p.tree()
-    p.end()
-    return t
+    return _parse(text, False)  # type: ignore[return-value]
 
 
 def parse_forest(text: str) -> Forest:
     """Parse ``{t1;t2;...}``; a bare tree is accepted as a one-tree forest."""
-    p = _Parser(text)
-    if p.peek() == "{":
-        f = p.forest()
-    else:
-        f = Forest((p.tree(),))
-    p.end()
-    return f
+    return _parse(text, True)  # type: ignore[return-value]
 
 
 def serialize_tree(t: Tree) -> str:

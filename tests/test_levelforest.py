@@ -484,3 +484,129 @@ def test_face_and_degeneracy_claims_catch_mutants():
                     degeneracies += 1
                     break
     assert faces > 20 and degeneracies > 20
+
+
+# -- ω on outer faces and deaths -----------------------------------------------
+
+
+def _level(e):
+    return split_edge_name(e)[0]
+
+
+def _forest_on(edges, vertices):
+    """The forest with these edges and these ``(output, inputs)`` vertices:
+    each edge that is no vertex's input roots a component."""
+    above = dict(vertices)
+    inputs = {d for _, ins in vertices for d in ins}
+    trees = []
+    for root in sorted(set(edges) - inputs):
+        verts, pending = [], [root]
+        while pending:
+            e = pending.pop()
+            if e in above:
+                verts.append(Vertex(e, tuple(above[e])))
+                pending.extend(above[e])
+        trees.append(Tree(root, tuple(verts)))
+    return Forest(tuple(trees))
+
+
+def face_vertices(a, i):
+    """The vertices of ``a``'s forest that ``omega_mor(d_i, a)`` is claimed
+    to hit, as ``(output, inputs)``: at ``d_0`` every level-1 vertex goes,
+    stumps included (its output becomes a leaf), and every other vertex
+    stays.  At ``i >= 1`` every level-``i`` vertex goes: one over an inner
+    edge merges into the vertex below it (the contraction of that edge), and
+    a dying element's root vertex just goes, so the trees above it become
+    components; at ``d_n`` that is every level-``n`` root vertex."""
+    above = {v.out_edge: v.in_edges for t in a.forest.components for v in t.vertices}
+    if i == 0:
+        return [(out, ins) for out, ins in above.items() if _level(out) >= 2]
+    return [
+        (out, tuple(d for c in ins for d in above[c]) if _level(out) == i + 1 else ins)
+        for out, ins in above.items()
+        if _level(out) != i
+    ]
+
+
+def face_source(a, i):
+    """The claimed source of ``omega_mor(d_i, a)``: the forest on the edges
+    of ``a``'s forest off level ``i`` with the :func:`face_vertices`, each
+    edge ``ℓj:x`` above level ``i`` renamed ``ℓ(j-1):x``."""
+
+    def down(e):
+        level, x = split_edge_name(e)
+        return edge_name(level - 1, x) if level > i else e
+
+    edges = [down(e) for e in a.forest.edges if _level(e) != i]
+    return _forest_on(edges, [(down(out), tuple(map(down, ins))) for out, ins in face_vertices(a, i)])
+
+
+def face_claim_failures(f, a, i):
+    """The parts of the claim about ``omega_mor(d_i, a)`` that ``f`` breaks:
+    ``edges`` unless it is injective on edges with image the edges off
+    level ``i``; ``source`` unless its source is :func:`face_source` up to
+    component order; ``vertices`` unless each source vertex goes to the cut
+    over its carried vertex and the carried vertices are the
+    :func:`face_vertices`."""
+    broken = set()
+    images = [f.color[e] for e in f.source.edges]
+    if len(set(images)) != len(images) or set(images) != {e for e in a.forest.edges if _level(e) != i}:
+        broken.add("edges")
+    if f.source.canonical_key() != face_source(a, i).canonical_key():
+        broken.add("source")
+    carried = set()
+    for t in f.source.components:
+        for v in t.vertices:
+            op = f.component[v.out_edge]
+            if op != Operation(f.color[v.out_edge], [f.color[d] for d in v.in_edges]):
+                broken.add("vertices")
+            carried.add((op.output, op.inputs))
+    if carried != {(out, tuple(sorted(ins))) for out, ins in face_vertices(a, i)}:
+        broken.add("vertices")
+    return broken
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_omega_sends_each_face_to_its_removal_or_contraction(seed):
+    # d_0, d_n, and the inner faces with and without a dying element
+    a = random_fin_simplex(Random(seed), 4, 4)
+    for i in range(a.n + 1) if a.n else ():
+        f = omega_mor(SimplicialOperator.face(a.n, i), a)
+        assert face_claim_failures(f, a, i) == set()
+        if i in (0, a.n):
+            # nothing is contracted: every vertex goes to a generator
+            assert all(op == _generator(a, op.output) for _, op in f.components)
+
+
+def test_face_claims_of_the_worked_example():
+    # d_0 drops every level-1 vertex, the stump ℓ1:2[] included, and moves
+    # the rest down a level; d_2 drops the root ℓ2:1, so ℓ1:1 and ℓ1:2 root
+    # their own components
+    assert face_source(WORKED, 0).canonical_key() == ("ℓ0:3", "ℓ1:1[ℓ0:1,ℓ0:2]")
+    assert face_source(WORKED, 2).canonical_key() == (
+        "ℓ1:1[ℓ0:1,ℓ0:2]", "ℓ1:2[]", "ℓ1:3[ℓ0:3,ℓ0:4]",
+    )
+    # d_1 contracts ℓ1:1 and ℓ1:2 and drops the dying ℓ1:3's root vertex
+    assert face_source(WORKED, 1).canonical_key() == ("ℓ0:3", "ℓ0:4", "ℓ1:1[ℓ0:1,ℓ0:2]")
+    for i in range(3):
+        assert face_claim_failures(omega_mor(SimplicialOperator.face(2, i), WORKED), WORKED, i) == set()
+
+
+def test_outer_face_claims_catch_the_neighbouring_face():
+    # read against the map of the face next to it, the d_0 claim's source
+    # and the d_n claim's edge image fail; the whole claim fails unless the
+    # two maps are equal
+    sources = images = diagrams = 0
+    for seed in range(300):
+        a = random_fin_simplex(Random(seed), 4, 4)
+        if a.n < 2:
+            continue
+        diagrams += 1
+        for i, j in ((0, 1), (a.n, a.n - 1)):
+            f, g = (omega_mor(SimplicialOperator.face(a.n, k), a) for k in (i, j))
+            broken = face_claim_failures(g, a, i)
+            assert bool(broken) == (f != g)
+            sources += i == 0 and "source" in broken
+            images += i == a.n and "edges" in broken
+    assert sources > 0.8 * diagrams and images > 0.9 * diagrams

@@ -6,8 +6,10 @@ built, witness included, and one hashes the state each suite's generator is
 left in.  A change to how suites are run must keep both.
 """
 
+import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -193,3 +195,59 @@ def test_shuffle_intersection_check_fails_on_a_face_missing_a_top_vertex(monkeyp
     failed = [r for r in records if r["status"] == "fail"]
     assert failed and {r["check"] for r in failed} == {"intersection"}
     assert all("error" not in r["witness"] for r in failed)
+
+
+def _repeat_last_shuffle(honest):
+    def shuffles(factors):
+        sh = honest(factors)
+        return sh + sh[-1:] if len(factors) > 1 else sh
+
+    return shuffles
+
+
+# a defect per failure site, patched into the suite's own import: the suite
+# it runs in, the callee replaced, the defective callee built from the
+# honest one, and the failed records per check at seed 42 out of that
+# check's records
+SITE_MUTANTS = {
+    "shuffles-repeat-last": (
+        "shuffles",
+        "shuffles",
+        _repeat_last_shuffle,
+        {"distinct": (68, 100), "chain-count": (28, 28)},
+    ),
+    "shuffle-texts-drop-last": (
+        "interior",
+        "_shuffle_texts",
+        lambda honest: lambda *args: honest(*args)[:-1],
+        {"interior": (25, 25)},
+    ),
+    "free-algebra-drop-first": (
+        "freealg",
+        "free_algebra",
+        lambda honest: lambda *args: honest(*args)[1:],
+        {"free-algebra": (64, 100)},
+    ),
+    "assoc-unreached": (
+        "assoc",
+        "assoc_inclusion",
+        lambda honest: lambda *args: dataclasses.replace(
+            honest(*args), unreached=("x[y]",)
+        ),
+        {"assoc-inclusion": (25, 25)},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", SITE_MUTANTS)
+def test_each_failure_site_fires_on_its_defect(monkeypatch, mutant):
+    # the named check's own failure branch fires and no other check fails;
+    # no failed witness carries an error, so it is not the driver's
+    # TreeError rule that failed them
+    suite, callee, make, want = SITE_MUTANTS[mutant]
+    monkeypatch.setattr(suites, callee, make(getattr(suites, callee)))
+    records = suites.run_check(suite, SuiteConfig(seed=42))["suites"][0]["records"]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert all("error" not in r["witness"] for r in failed)
+    per_check = Counter(r["check"] for r in records)
+    assert {c: (n, per_check[c]) for c, n in Counter(r["check"] for r in failed).items()} == want

@@ -25,7 +25,6 @@ from dendrotensor import (
 )
 from dendrotensor import treecore as treecore_module
 from dendrotensor._rand import random_forest, random_tree
-from dendrotensor.treecore import _Parser
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -299,8 +298,38 @@ def serialize_recursively(above, e):
     return e + "[" + ",".join(serialize_recursively(above, d) for d in v.in_edges) + "]"
 
 
-class RecursiveParser(_Parser):
-    """Reference for the parser: the old recursive ``edge``."""
+class RecursiveParser:
+    """Reference for :func:`parse_tree` and :func:`parse_forest`: the
+    character scanner they replaced, with the old recursive ``edge``."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            raise TreeError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
+        self.pos += 1
+
+    def name(self):
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch in treecore_module.RESERVED_CHARS or ch.isspace():
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise TreeError(f"expected edge name at position {start} in {self.text!r}")
+        return self.text[start:self.pos]
 
     def edge(self, acc):
         nm = self.name()
@@ -315,6 +344,41 @@ class RecursiveParser(_Parser):
             self.expect("]")
             acc.append(Vertex(nm, tuple(ins)))
         return nm
+
+    def tree(self):
+        acc = []
+        root = self.edge(acc)
+        return Tree(root, tuple(acc))
+
+    def forest(self):
+        self.expect("{")
+        comps = []
+        if self.peek() != "}":
+            comps.append(self.tree())
+            while self.peek() == ";":
+                self.pos += 1
+                comps.append(self.tree())
+        self.expect("}")
+        return Forest(tuple(comps))
+
+    def end(self):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise TreeError(f"trailing input at position {self.pos} in {self.text!r}")
+
+
+def oracle_parse_tree(text):
+    p = RecursiveParser(text)
+    t = p.tree()
+    p.end()
+    return t
+
+
+def oracle_parse_forest(text):
+    p = RecursiveParser(text)
+    f = p.forest() if p.peek() == "{" else Forest((p.tree(),))
+    p.end()
+    return f
 
 
 def outcome(f, *args):
@@ -424,23 +488,23 @@ def test_each_defect_names_its_edge(root, vertices, message):
         check_tree(root, verts)
 
 
-@given(st.text(alphabet="ab[],; ", max_size=24))
+# the reserved characters, and whitespace that is a space, a tab and three
+# characters beyond ASCII (NEL, no-break space, ideographic space): the
+# tokenizer's ``\s`` must skip exactly what ``str.isspace`` skips
+@given(st.text(alphabet="ab[],;{} \t\x85\xa0\u3000", max_size=24))
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_the_recursive_one(text):
-    def parse(cls):
-        p = cls(text)
-        t = p.tree()
-        p.end()
-        return t
-
-    assert outcome(parse, _Parser) == outcome(parse, RecursiveParser)
+    assert outcome(parse_tree, text) == outcome(oracle_parse_tree, text)
+    assert outcome(parse_forest, text) == outcome(oracle_parse_forest, text)
 
 
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_parser_matches_the_recursive_one_on_trees(seed):
     text = serialize_tree(random_tree(Random(seed), 12, 0.25))
-    assert RecursiveParser(text).tree() == _Parser(text).tree() == parse_tree(text)
+    assert parse_tree(text) == oracle_parse_tree(text)
+    text = serialize_forest(random_forest(Random(seed), 12, 0.25))
+    assert parse_forest(text) == oracle_parse_forest(text)
 
 
 def chain(n):
