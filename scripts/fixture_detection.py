@@ -8,8 +8,12 @@ at its first failure, since only whether it failed is counted.
 
 Beside the five fixtures of ``defect_fixtures()`` the matrix runs two more
 (``silent_branch_fixtures()``), each built to fire one failure branch of the
-fibrous checks that none of the five fires; the report's fixed set stays
-the five.
+fibrous checks that none of the five fires, and two presentations that are
+not categories (``category_fixtures()``); the report's fixed set stays the
+five.  The last column, ``category``, is the detection rate of
+``check_category`` with every object, pair and one triple per pair checked
+(``CATEGORY_BUDGETS``), at the truncation or, for a category fixture, at
+the one it needs if that is higher.
 
 Usage:
     python3 scripts/fixture_detection.py --seeds 20 --truncation 2
@@ -24,9 +28,12 @@ from random import Random
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dendrotensor import (
+    EllMorphism,
     EllObject,
     EllPresentation,
     FreeForestOperad,
+    TableOperad,
+    check_category,
     check_fibrous,
     defect_fixtures,
     ell_identity,
@@ -70,6 +77,35 @@ def silent_branch_fixtures():
     )
 
 
+class DropTernary(EllPresentation):
+    """Lists no morphism with a component of arity 3 or more.  Composing
+    two listed morphisms can make one (``<3> -> <2> -> <1>``), so it is not
+    a category, yet its fibrous checks pass."""
+
+    def admit(self, alpha, src, dst, mor):  # noqa: D102
+        return 0 if any(len(alpha.fiber(k)) >= 3 for k in alpha.dst.elements) else 1
+
+
+class ConstantCompose(EllPresentation):
+    """Over an operad with one color ``c`` and two unary operations, ``1``
+    (the identity) and ``e``, every composite has ``e`` at each target
+    element: closed and associative, but the identities are not units."""
+
+    def compose(self, g, f):  # noqa: D102
+        comps = tuple((k, "e") for k in g.dst.base.elements)
+        return EllMorphism(g.alpha.after(f.alpha), f.src, g.dst, comps)
+
+
+def category_fixtures():
+    """Two presentations that are not categories, with the truncation at
+    which ``check_category`` is to catch each, kept out of
+    ``defect_fixtures()`` and the fibrous suite."""
+    return (
+        ("drop-ternary", DropTernary(FreeForestOperad(parse_forest("{a[b,c[d,e]]}"))), 3),
+        ("constant-compose", ConstantCompose(TableOperad(["c"], {(("c",), "c"): ["1", "e"]})), 2),
+    )
+
+
 @dataclass(frozen=True)
 class BudgetLevel:
     name: str
@@ -88,17 +124,24 @@ LEVELS = (
 )
 
 
+CATEGORY_BUDGETS = dict(colorings_per_shape=999, maps_per_object=999, arrows_budget=999, triples_per_pair=1)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=20, help="number of rng seeds per cell")
     ap.add_argument("--truncation", type=int, default=2)
     args = ap.parse_args()
 
-    fixtures = defect_fixtures() + tuple((name, pres) for name, pres, _ in silent_branch_fixtures())
-    width = max(len(name) for name, _ in fixtures)
-    header = " ".join(f"{lv.name:>10}" for lv in LEVELS)
+    fixtures = (
+        tuple((name, pres, args.truncation) for name, pres in defect_fixtures())
+        + tuple((name, pres, args.truncation) for name, pres, _ in silent_branch_fixtures())
+        + tuple((name, pres, max(args.truncation, t)) for name, pres, t in category_fixtures())
+    )
+    width = max(len(name) for name, _, _ in fixtures)
+    header = " ".join(f"{name:>10}" for name in [lv.name for lv in LEVELS] + ["category"])
     print(f"{'fixture':<{width}} {header}")
-    for name, pres in fixtures:
+    for name, pres, category_truncation in fixtures:
         cells = []
         for lv in LEVELS:
             caught = 0
@@ -116,6 +159,13 @@ def main() -> int:
                 )
                 caught += 0 if report.passed else 1
             cells.append(f"{caught}/{args.seeds}")
+        caught = sum(
+            not check_category(
+                pres, category_truncation, Random(seed), stop_on_failure=True, **CATEGORY_BUDGETS
+            ).passed
+            for seed in range(args.seeds)
+        )
+        cells.append(f"{caught}/{args.seeds}")
         print(f"{name:<{width}} " + " ".join(f"{c:>10}" for c in cells))
     return 0
 

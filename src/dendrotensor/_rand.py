@@ -9,7 +9,7 @@ from __future__ import annotations
 from random import Random
 
 from .levelforest import STAR, FinSimplex, SimplicialOperator
-from .treecore import Forest, Tree, Vertex
+from .treecore import Forest, Tree, _forest, _out_edge, _tree, _vertex, check_name
 
 __all__ = [
     "random_tree",
@@ -26,24 +26,28 @@ def random_tree(
     prefix: str = "e",
 ) -> Tree:
     """A rooted tree with between 1 and ``max_edges`` edges; interior growth
-    stops at leaves or, with the given probability, at stumps."""
+    stops at leaves or, with the given probability, at stumps.
+
+    Its edges are ``prefix`` followed by distinct numbers, all valid names
+    once ``prefix + "0"`` is, so the tree is a trusted build."""
     budget = rng.randint(1, max_edges)
-    root = f"{prefix}0"
+    root = check_name(f"{prefix}0")
     used = 1
-    vertices: list[Vertex] = []
+    vertices = []
     pending = [root]  # grown in pre-order, each edge's inputs left to right
     while pending and used < budget:
         e = pending.pop()
         roll = rng.random()
         if roll < stump_probability:
-            vertices.append(Vertex(e, ()))
+            vertices.append(_vertex((e, ())))
         elif roll >= stump_probability + 0.25:
             k = rng.randint(1, min(3, budget - used))
-            kids = tuple(f"{prefix}{used + i}" for i in range(k))
+            kids = [f"{prefix}{used + i}" for i in range(k)]
             used += k
-            vertices.append(Vertex(e, kids))
+            vertices.append(_vertex((e, tuple(sorted(kids)))))
             pending += reversed(kids)
-    return Tree(root, tuple(vertices))
+    vertices.sort(key=_out_edge)
+    return _tree((root, tuple(vertices)))
 
 
 def random_forest(
@@ -54,7 +58,9 @@ def random_forest(
     min_components: int = 0,
 ) -> Forest:
     """A forest of up to ``max_components`` trees sharing a ``max_edges``
-    total edge budget (possibly empty when ``min_components`` allows)."""
+    total edge budget (possibly empty when ``min_components`` allows).  The
+    ``i``-th tree's edges start ``t<i>_``, so the components are disjoint
+    and the forest is a trusted build."""
     k = rng.randint(min_components, max_components)
     comps: list[Tree] = []
     remaining = max_edges
@@ -65,7 +71,7 @@ def random_forest(
         t = random_tree(rng, share, stump_probability, prefix=f"t{i}_")
         remaining -= len(t.edges)
         comps.append(t)
-    return Forest(tuple(comps))
+    return _forest((tuple(comps),))
 
 
 def random_fin_simplex(rng: Random, max_width: int, max_length: int) -> FinSimplex:

@@ -17,11 +17,24 @@ forest of a chain: pad each leaf up to a uniform height and read off levels.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping
 
 from .omegacat import OperadMap, Operation, _induced
-from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, check_name
+from .treecore import (
+    Forest,
+    Tree,
+    TreeError,
+    _cached,
+    _forest,
+    _out_edge,
+    _tree,
+    _vertex,
+    as_forest,
+    check_name,
+)
 
 __all__ = [
     "STAR",
@@ -61,13 +74,14 @@ def _element(value: Any) -> str:
     raise TreeError(f"level elements and map values must be strings or integers, got {shown}")
 
 
-@dataclass(frozen=True)
-class FinSimplex:
+class FinSimplex(namedtuple("FinSimplex", "levels maps")):
     """A chain of composable maps between finite sets with a free basepoint.
 
     ``levels[i]`` lists the level-``i`` elements (order is remembered and
     used for deterministic output); ``maps[i]`` sends level-``i`` elements to
-    level-``i+1`` elements or to ``STAR``.
+    level-``i+1`` elements or to ``STAR``.  The tuple ``(levels, maps)``,
+    hashed and compared in C; the constructor checks it, and chains derived
+    here from valid ones skip the check (``_fin_simplex``).
 
     What depends only on the chain (edge names, :attr:`forest`, restrictions,
     pointed levels) is built on first use and goes away with the chain.
@@ -76,23 +90,27 @@ class FinSimplex:
     levels: tuple[tuple[str, ...], ...]
     maps: tuple[tuple[tuple[str, str], ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __init__(
+        self,
+        levels: tuple[tuple[str, ...], ...],
+        maps: tuple[tuple[tuple[str, str], ...], ...],
+    ) -> None:
+        if not levels:
             raise TreeError("a chain needs at least one level")
-        if len(self.maps) != len(self.levels) - 1:
+        if len(maps) != len(levels) - 1:
             raise TreeError("need exactly one map per consecutive level pair")
-        for lev in self.levels:
+        for lev in levels:
             for a in lev:
                 check_name(a)
                 if a == STAR:
                     raise TreeError("'*' is reserved for the basepoint")
             if len(set(lev)) != len(lev):
                 raise TreeError("level elements must be distinct")
-        for i, m in enumerate(self.maps):
+        for i, m in enumerate(maps):
             src = dict(m)
-            if set(src) != set(self.levels[i]) or len(m) != len(self.levels[i]):
+            if set(src) != set(levels[i]) or len(m) != len(levels[i]):
                 raise TreeError(f"map {i} is not total on level {i}")
-            allowed = set(self.levels[i + 1]) | {STAR}
+            allowed = set(levels[i + 1]) | {STAR}
             for a, b in m:
                 if b not in allowed:
                     raise TreeError(f"map {i} sends {a!r} outside level {i + 1}")
@@ -173,21 +191,26 @@ class FinSimplex:
         }
 
 
-@dataclass(frozen=True)
-class SimplicialOperator:
-    """A monotone map ``{0..dom} -> {0..cod}`` acting on chains by reindexing."""
+# the trusted constructor: a chain from valid levels and total maps
+_fin_simplex = partial(tuple.__new__, FinSimplex)
 
+
+class SimplicialOperator(namedtuple("SimplicialOperator", "dom cod values")):
+    """A monotone map ``{0..dom} -> {0..cod}`` acting on chains by
+    reindexing: the tuple ``(dom, cod, values)``, hashed and compared in C."""
+
+    __slots__ = ()
     dom: int
     cod: int
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.dom < 0 or self.cod < 0 or len(self.values) != self.dom + 1:
+    def __init__(self, dom: int, cod: int, values: tuple[int, ...]) -> None:
+        if dom < 0 or cod < 0 or len(values) != dom + 1:
             raise TreeError("operator arity mismatch")
-        for a, b in zip(self.values, self.values[1:]):
+        for a, b in zip(values, values[1:]):
             if a > b:
                 raise TreeError("operator is not monotone")
-        if self.values and not (0 <= self.values[0] and self.values[-1] <= self.cod):
+        if values and not (0 <= values[0] and values[-1] <= cod):
             raise TreeError("operator values out of range")
 
     def __call__(self, j: int) -> int:
@@ -222,7 +245,8 @@ class SimplicialOperator:
 
 def restrict(a: FinSimplex, phi: SimplicialOperator) -> FinSimplex:
     """Reindex the chain along ``phi`` (levels ``phi(0), ..., phi(dom)``),
-    once per chain and operator; the identity gives ``a`` itself."""
+    once per chain and operator; the identity gives ``a`` itself.  The
+    reindexed chain is a trusted build: ``a``'s levels and composites."""
     if phi.cod != a.n:
         raise TreeError(f"operator lands in {phi.cod}, chain has length {a.n}")
     if phi.values == tuple(range(a.n + 1)):
@@ -234,7 +258,7 @@ def restrict(a: FinSimplex, phi: SimplicialOperator) -> FinSimplex:
             tuple(sorted(a.comp(phi(j - 1), phi(j)).items()))
             for j in range(1, phi.dom + 1)
         )
-        b = memo[phi] = FinSimplex(levels, maps)
+        b = memo[phi] = _fin_simplex((levels, maps))
     return b
 
 
@@ -244,6 +268,9 @@ def omega_obj(a: FinSimplex) -> Forest:
 
     Component order: top-level elements first (in level order), then dying
     elements by ascending level, preserving level order within a level.
+    Vertices, trees and the forest are trusted builds: a valid chain's edge
+    names are valid and distinct, and each element is the input of at most
+    one vertex, its image's.
     """
     n = a.n
     roots: list[tuple[int, str]] = [(n, x) for x in a.levels[n]]
@@ -263,18 +290,19 @@ def omega_obj(a: FinSimplex) -> Forest:
     names = a.edge_names
 
     def build(root_level: int, root_elem: str) -> Tree:
-        verts: list[Vertex] = []
+        verts = []
         pending = [(root_level, root_elem)]
         while pending:
             i, x = pending.pop()
             if i == 0:
                 continue
             below = preim[(i, x)]
-            verts.append(Vertex(names[i][x], tuple([names[i - 1][b] for b in below])))
+            verts.append(_vertex((names[i][x], tuple(sorted([names[i - 1][b] for b in below])))))
             pending.extend((i - 1, b) for b in below)
-        return Tree(names[root_level][root_elem], tuple(verts))
+        verts.sort(key=_out_edge)
+        return _tree((names[root_level][root_elem], tuple(verts)))
 
-    return Forest(tuple(build(i, x) for i, x in roots))
+    return _forest((tuple([build(i, x) for i, x in roots]),))
 
 
 def omega_mor(phi: SimplicialOperator, a: FinSimplex) -> OperadMap:
@@ -347,12 +375,14 @@ def retract_witness(f: Tree | Forest) -> RetractWitness:
             for k in range(1, height - depth[leaf] + 1):
                 nm = fresh(f"{leaf}{k}")
                 base_of[nm] = leaf
-                verts.append(Vertex(below, (nm,)))
+                verts.append(_vertex((below, (nm,))))
                 below = nm
-        padded_comps.append(Tree(t.root, tuple(verts)))
+        # trusted: each leaf grows a chain of fresh, checked names
+        verts.sort(key=_out_edge)
+        padded_comps.append(_tree((t.root, tuple(verts))))
         heights.append(height)
 
-    padded = Forest(tuple(padded_comps))
+    padded = _forest((tuple(padded_comps),))
     n = max(heights, default=0)
 
     level_of: dict[str, int] = {}

@@ -64,6 +64,8 @@ __all__ = [
     "EllPresentation",
     "FibrousReport",
     "check_fibrous",
+    "CategoryReport",
+    "check_category",
     "defect_fixtures",
     "ForestInto",
     "maps_into",
@@ -821,20 +823,18 @@ def check_fibrous(
     morphisms.  The memo goes when the call returns.  Random draws and
     comparisons are those of listing every hom afresh.
     """
-    if truncation < 0:
-        raise TreeError(f"check_fibrous needs truncation >= 0, got {truncation}")
-    for name, value in (
-        ("colorings_per_shape", colorings_per_shape),
-        ("inerts_per_shape", inerts_per_shape),
-        ("betas_per_lift", betas_per_lift),
-        ("arrows_budget", arrows_budget),
-        ("pairs_per_fiber", pairs_per_fiber),
-        ("max_failures", max_failures),
-    ):
-        if value < 1:
-            raise TreeError(f"check_fibrous needs {name} >= 1, got {value}")
+    _check_budgets(
+        "check_fibrous",
+        truncation,
+        colorings_per_shape=colorings_per_shape,
+        inerts_per_shape=inerts_per_shape,
+        betas_per_lift=betas_per_lift,
+        arrows_budget=arrows_budget,
+        pairs_per_fiber=pairs_per_fiber,
+        max_failures=max_failures,
+    )
     report = FibrousReport()
-    for msg in _fibrous_failures(
+    failures = _fibrous_failures(
         pres,
         report,
         truncation,
@@ -844,7 +844,25 @@ def check_fibrous(
         betas_per_lift,
         arrows_budget,
         pairs_per_fiber,
-    ):
+    )
+    return _gathered(report, failures, max_failures, stop_on_failure)
+
+
+def _check_budgets(check: str, truncation: int, **budgets: int) -> None:
+    """Refuse a truncation below 0, or a budget below 1, which would run no
+    check of some kind or keep no failure and so pass vacuously."""
+    if truncation < 0:
+        raise TreeError(f"{check} needs truncation >= 0, got {truncation}")
+    for name, value in budgets.items():
+        if value < 1:
+            raise TreeError(f"{check} needs {name} >= 1, got {value}")
+
+
+def _gathered(report: Any, failures: Iterator[str], max_failures: int, stop_on_failure: bool) -> Any:
+    """``report`` with the first ``max_failures`` of ``failures`` kept, or
+    only the first one with ``stop_on_failure``, which then stops the
+    checks there."""
+    for msg in failures:
         if len(report.failures) < max_failures:
             report.failures.append(msg)
         if stop_on_failure:
@@ -1010,6 +1028,160 @@ def _fibrous_failures(
                             yield (
                                 f"componentwise projections over f={f.values} "
                                 f"into colors {c_x} are not jointly bijective"
+                            )
+
+
+# -- the category check ------------------------------------------------------
+
+
+@dataclass
+class CategoryReport:
+    identities_checked: int = 0
+    units_checked: int = 0
+    pairs_checked: int = 0
+    triples_checked: int = 0
+    failures: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def check_category(
+    pres: EllPresentation,
+    truncation: int = 2,
+    rng: Random | None = None,
+    *,
+    colorings_per_shape: int = 2,
+    maps_per_object: int = 4,
+    arrows_budget: int = 8,
+    triples_per_pair: int = 1,
+    max_failures: int = 25,
+    stop_on_failure: bool = False,
+) -> CategoryReport:
+    """Verify, on objects over ``<m>`` for ``m`` up to ``truncation``, that
+    the presentation is a category, which :func:`check_fibrous` takes for
+    granted:
+
+    * the identity (:func:`ell_identity`) of each object is listed, and is
+      a unit on both sides for each morphism out of the object;
+    * the composite of each composable pair is listed, over the composite
+      pointed map, from the first source to the second target;
+    * composition is associative on triples.
+
+    Objects are drawn as :func:`check_fibrous` draws them, up to
+    ``colorings_per_shape`` colorings a shape.  The morphisms out of an
+    object are drawn once, the first time it is reached: up to
+    ``maps_per_object`` pointed maps into the skeleta up to
+    ``truncation``, and up to ``arrows_budget`` morphisms over each (all of
+    them when few, as :meth:`EllPresentation.arrows_from` lists them).
+    Every morphism out of a source is paired with every morphism drawn out
+    of its target, and each pair with up to ``triples_per_pair`` morphisms
+    out of the pair's target.  With budgets at least the counts, every
+    object, pair and (with ``triples_per_pair``) triple is checked.
+    Budgets and failures are kept as :func:`check_fibrous` keeps them.
+    """
+    _check_budgets(
+        "check_category",
+        truncation,
+        colorings_per_shape=colorings_per_shape,
+        maps_per_object=maps_per_object,
+        arrows_budget=arrows_budget,
+        triples_per_pair=triples_per_pair,
+        max_failures=max_failures,
+    )
+    report = CategoryReport()
+    failures = _category_failures(
+        pres,
+        report,
+        truncation,
+        rng or Random(0),
+        colorings_per_shape,
+        maps_per_object,
+        arrows_budget,
+        triples_per_pair,
+    )
+    return _gathered(report, failures, max_failures, stop_on_failure)
+
+
+def _category_failures(
+    pres: EllPresentation,
+    report: CategoryReport,
+    truncation: int,
+    rng: Random,
+    colorings_per_shape: int,
+    maps_per_object: int,
+    arrows_budget: int,
+    triples_per_pair: int,
+) -> Iterator[str]:
+    """The checks of :func:`check_category`, each failure yielded when
+    found and ``report``'s counters raised as the checks are made."""
+    p, compose = pres.operad, pres.compose
+    targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
+    members: dict[tuple, frozenset[EllMorphism]] = {}
+    drawn: dict[EllObject, list[EllMorphism]] = {}
+
+    def is_listed(mor: EllMorphism) -> bool:
+        key = mor[:3]
+        found = members.get(key)
+        if found is None:
+            found = members[key] = frozenset(pres.hom(*key))
+        return mor in found
+
+    def out_of(x: EllObject) -> list[EllMorphism]:
+        found = drawn.get(x)
+        if found is None:
+            found = drawn[x] = [
+                mor
+                for gamma in _sample(rng, _PointedMaps(x.base, targets), maps_per_object)
+                for _, mor in _sampled_arrows(pres, rng, gamma, x, arrows_budget)
+            ]
+        return found
+
+    def closed(g: EllMorphism, f: EllMorphism) -> EllMorphism | None:
+        """``g ∘ f`` when it is listed over the composite map, from ``f``'s
+        source to ``g``'s target; else ``None``."""
+        gf = compose(g, f)
+        if gf[:3] == (g.alpha.after(f.alpha), f.src, g.dst) and is_listed(gf):
+            return gf
+        return None
+
+    def unlisted(g: EllMorphism, f: EllMorphism) -> str:
+        return (
+            f"the composite of morphisms over {f.alpha.values} and "
+            f"{g.alpha.values} from colors {f.src.colors} is not listed"
+        )
+
+    for m in range(truncation + 1):
+        base = FinPtdObj.skeleton(m)
+        for c in _coloring_pool(p.colors(), rng, m, colorings_per_shape):
+            x = _ell_obj((base, c))
+            ident = ell_identity(p, x)
+            report.identities_checked += 1
+            if not is_listed(ident):
+                yield f"the identity of colors {c} is not listed"
+            for f in out_of(x):
+                report.units_checked += 1
+                if compose(f, ident) != f or compose(ell_identity(p, f.dst), f) != f:
+                    yield (
+                        f"the identities are not units for a morphism over "
+                        f"{f.alpha.values} from colors {c}"
+                    )
+                for g in out_of(f.dst):
+                    report.pairs_checked += 1
+                    gf = closed(g, f)
+                    if gf is None:
+                        yield unlisted(g, f)
+                        continue
+                    for h in _sample(rng, out_of(g.dst), triples_per_pair):
+                        report.triples_checked += 1
+                        hg = closed(h, g)
+                        if hg is None:
+                            yield unlisted(h, g)
+                        elif compose(h, gf) != compose(hg, f):
+                            yield (
+                                f"composition is not associative over {f.alpha.values}, "
+                                f"{g.alpha.values} and {h.alpha.values} from colors {c}"
                             )
 
 

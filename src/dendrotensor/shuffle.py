@@ -40,6 +40,9 @@ from .treecore import (
     Tree,
     TreeError,
     Vertex,
+    _out_edge,
+    _tree,
+    _vertex,
     add_stumps,
     contract_inner,
     interior,
@@ -193,9 +196,11 @@ _T = TypeVar("_T")
 def _shuffle_trees(table: _Table) -> tuple[Tree, ...]:
     """:func:`shuffles`, folded from the factors' state table by
     :func:`_shuffle_parts` with one vertex per move; a lone factor's table
-    folds back into a tree equal to the factor."""
-    root, listing = _shuffle_parts(table, lambda state, move: (Vertex(state, move),))
-    return tuple(Tree(root, vs) for vs in listing)
+    folds back into a tree equal to the factor.  Every shuffle of valid
+    factors is a tree, so vertices and trees are trusted builds, sorted as
+    the checked constructors sort them."""
+    root, listing = _shuffle_parts(table, lambda state, move: (_vertex((state, tuple(sorted(move)))),))
+    return tuple([_tree((root, tuple(sorted(vs, key=_out_edge)))) for vs in listing])
 
 
 def _shuffle_parts(

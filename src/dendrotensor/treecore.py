@@ -24,9 +24,10 @@ canonical: children are emitted in sorted name order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Generic, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Any, Callable, Generic, Iterable, NoReturn, Sequence, TypeVar
 
 __all__ = [
     "TreeError",
@@ -43,7 +44,6 @@ __all__ = [
     "interior",
     "add_stumps",
     "cut_at",
-    "graft",
     "contract_inner",
 ]
 
@@ -97,21 +97,24 @@ def check_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A vertex, identified by its output edge; ``in_edges`` is kept sorted."""
+class Vertex(namedtuple("Vertex", "out_edge in_edges")):
+    """A vertex, identified by its output edge; ``in_edges`` is kept sorted.
 
+    The tuple ``(out_edge, in_edges)``, hashed and compared in C; the
+    constructor checks the names and sorts the inputs."""
+
+    __slots__ = ()
     out_edge: str
     in_edges: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        check_name(self.out_edge)
-        ins = tuple(sorted(self.in_edges))
+    def __new__(cls, out_edge: str, in_edges: Iterable[str]) -> "Vertex":
+        check_name(out_edge)
+        ins = tuple(sorted(in_edges))
         for e in ins:
             check_name(e)
         if len(set(ins)) != len(ins):
-            raise TreeError(f"duplicate input edges at vertex {self.out_edge!r}")
-        object.__setattr__(self, "in_edges", ins)
+            raise TreeError(f"duplicate input edges at vertex {out_edge!r}")
+        return tuple.__new__(cls, (out_edge, ins))
 
     @property
     def is_stump(self) -> bool:
@@ -161,22 +164,25 @@ def _reject(root: str, verts: tuple[Vertex, ...]) -> NoReturn:
     raise AssertionError(f"tree walk refused a tree rooted at {root!r}")
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(namedtuple("Tree", "root vertices")):
     """A finite rooted tree, canonically ordered and validated on construction.
 
-    ``vertices`` holds one :class:`Vertex` per vertex, keyed by its output
-    edge; the constructor checks that the result is a single tree hanging
-    below ``root`` with globally distinct edge names.
+    The tuple ``(root, vertices)``, hashed and compared in C.  ``vertices``
+    holds one :class:`Vertex` per vertex, sorted by its output edge; the
+    constructor checks that the result is a single tree hanging below
+    ``root`` with globally distinct edge names.  Trees derived here from
+    valid ones skip the check (``_tree``).
     """
 
     root: str
     vertices: tuple[Vertex, ...]
 
-    def __post_init__(self) -> None:
-        root = check_name(self.root)
-        verts = tuple(sorted(self.vertices, key=_out_edge))
-        object.__setattr__(self, "vertices", verts)
+    def __new__(cls, root: str, vertices: Iterable[Vertex]) -> "Tree":
+        check_name(root)
+        return tuple.__new__(cls, (root, tuple(sorted(vertices, key=_out_edge))))
+
+    def __init__(self, root: str, vertices: Iterable[Vertex]) -> None:
+        root, verts = self
         above = {v.out_edge: v for v in verts}
         # One walk up from the root, opening each vertex at most once.  A
         # tree opens every vertex and reaches each edge once.  A reused input,
@@ -192,7 +198,8 @@ class Tree:
         if len(above) != len(verts) or unopened or len(set(reached)) != len(reached):
             _reject(root, verts)
         # vertex_above is a cached property; filling its slot here hands it the
-        # dict just built instead of rebuilding it on first use
+        # dict just built instead of rebuilding it on first use (a trusted
+        # build leaves it to that first use)
         self.__dict__["vertex_above"] = above
 
     # -- derived structure -------------------------------------------------
@@ -269,19 +276,19 @@ class Tree:
         return serialize_tree(self)
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(namedtuple("Forest", "components")):
     """A finite (possibly empty) sequence of trees with disjoint edge names.
 
-    Component order is preserved as given; use :meth:`canonical_key` to
-    compare forests up to component reordering.
+    The tuple ``(components,)``, hashed and compared in C.  Component order
+    is preserved as given; use :meth:`canonical_key` to compare forests up
+    to component reordering.
     """
 
     components: tuple[Tree, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, components: tuple[Tree, ...]) -> None:
         seen: set[str] = set()
-        for t in self.components:
+        for t in components:
             overlap = seen & t.edge_set
             if overlap:
                 raise TreeError(f"edge names reused across components: {sorted(overlap)}")
@@ -305,11 +312,13 @@ class Forest:
     def __str__(self) -> str:
         return serialize_forest(self)
 
-    def __iter__(self) -> Iterator[Tree]:
-        return iter(self.components)
 
-    def __len__(self) -> int:
-        return len(self.components)
+# the trusted constructors: each builds its tuple in C from fields that are
+# valid by construction, inputs and vertices already sorted as the checked
+# constructors sort them
+_vertex = partial(tuple.__new__, Vertex)
+_tree = partial(tuple.__new__, Tree)
+_forest = partial(tuple.__new__, Forest)
 
 
 # -- constructors ----------------------------------------------------------
@@ -321,7 +330,9 @@ def corolla(root: str, leaves: Sequence[str] = ()) -> Tree:
 
 
 def as_forest(x: Tree | Forest) -> Forest:
-    return x if isinstance(x, Forest) else Forest((x,))
+    """``x`` itself, or the forest of the one tree ``x`` (trusted: a tree is a
+    forest of one)."""
+    return x if isinstance(x, Forest) else _forest(((x,),))
 
 
 # -- parsing / serialization ------------------------------------------------
@@ -434,8 +445,9 @@ def max_edges(t: Tree) -> tuple[str, ...]:
 
 
 def interior(t: Tree) -> Tree:
-    """Delete every stump, turning each stump edge into a leaf."""
-    return Tree(t.root, tuple(v for v in t.vertices if not v.is_stump))
+    """Delete every stump, turning each stump edge into a leaf (trusted: the
+    rest of a tree's sorted vertices)."""
+    return _tree((t.root, tuple([v for v in t.vertices if not v.is_stump])))
 
 
 def add_stumps(t: Tree, leaves: Iterable[str]) -> Tree:
@@ -450,25 +462,14 @@ def add_stumps(t: Tree, leaves: Iterable[str]) -> Tree:
 
 def cut_at(t: Tree, e: str) -> tuple[Tree, Tree]:
     """Split at an inner edge ``e`` into (lower part with ``e`` a leaf, upper
-    part rooted at ``e``).  Grafting the parts back recovers ``t``."""
+    part rooted at ``e``).  Grafting the parts back recovers ``t``.  Both
+    parts are trusted builds: each is a tree of ``t``'s sorted vertices."""
     if not t.is_inner(e):
         raise TreeError(f"{e!r} is not an inner edge of {serialize_tree(t)}")
     upper_edges = t.subtree_edges(e)
-    upper = Tree(e, tuple(v for v in t.vertices if v.out_edge in upper_edges))
-    lower = Tree(t.root, tuple(v for v in t.vertices if v.out_edge not in upper_edges))
+    upper = _tree((e, tuple([v for v in t.vertices if v.out_edge in upper_edges])))
+    lower = _tree((t.root, tuple([v for v in t.vertices if v.out_edge not in upper_edges])))
     return lower, upper
-
-
-def graft(lower: Tree, at: str, upper: Tree) -> Tree:
-    """Attach ``upper`` (rooted at the leaf ``at`` of ``lower``) onto it."""
-    if at not in lower.leaves:
-        raise TreeError(f"{at!r} is not a leaf of {serialize_tree(lower)}")
-    if upper.root != at:
-        raise TreeError(f"graft root mismatch: {upper.root!r} != {at!r}")
-    overlap = (lower.edge_set & upper.edge_set) - {at}
-    if overlap:
-        raise TreeError(f"edge names reused in graft: {sorted(overlap)}")
-    return Tree(lower.root, lower.vertices + upper.vertices)
 
 
 def contract_inner(t: Tree, edges: Iterable[str]) -> Tree:
@@ -477,7 +478,8 @@ def contract_inner(t: Tree, edges: Iterable[str]) -> Tree:
     Each surviving vertex keeps the first non-contracted edge reached walking
     down from its output through the contracted set; its inputs are the
     non-contracted inputs pooled over all merged vertices.  Contracting a
-    stump edge deletes the branch it closes.
+    stump edge deletes the branch it closes.  The result is a trusted build:
+    every surviving edge stays the input of one vertex.
     """
     gone = set(edges)
     for e in gone:
@@ -494,4 +496,4 @@ def contract_inner(t: Tree, edges: Iterable[str]) -> Tree:
         h = host(v.out_edge)
         pooled.setdefault(h, [])
         pooled[h].extend(d for d in v.in_edges if d not in gone)
-    return Tree(t.root, tuple(Vertex(h, tuple(ins)) for h, ins in pooled.items()))
+    return _tree((t.root, tuple([_vertex((h, tuple(sorted(pooled[h])))) for h in sorted(pooled)])))

@@ -35,6 +35,7 @@ from dendrotensor import (
     Vertex,
     as_forest,
     chain_to_map,
+    check_category,
     check_fibrous,
     cut_at,
     defect_fixtures,
@@ -66,6 +67,8 @@ from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor import suites as suites_module
+from dendrotensor import levelforest as levelforest_module
+from dendrotensor import treecore as treecore_module
 from dendrotensor.levelforest import edge_name
 from dendrotensor.lurie import EllPresentation, _Inerts, _PointedMaps
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
@@ -241,9 +244,23 @@ def _forest_map_values():
     ]
 
 
+def _tree_values():
+    """One tree, forest and level-diagram record of each type, with its
+    fields and its trusted constructor."""
+    t = parse_tree("r[a[x],b[]]")
+    a = FinSimplex.from_json({"levels": [[1, 2], [1]], "maps": [{"1": 1, "2": STAR}]})
+    return [
+        (Vertex, ("r", ("a", "b")), treecore_module._vertex),
+        (Tree, tuple(t), treecore_module._tree),
+        (Forest, ((t, parse_tree("s")),), treecore_module._forest),
+        (FinSimplex, tuple(a), levelforest_module._fin_simplex),
+        (SimplicialOperator, (1, 2, (0, 2)), SimplicialOperator._make),
+    ]
+
+
 # every value record takes the same checks: field tuple, repr, read-only
 # fields, and pickle and copy
-VALUE_RECORDS = FIBERWISE + _forest_map_values()
+VALUE_RECORDS = FIBERWISE + _forest_map_values() + _tree_values()
 
 
 @pytest.mark.parametrize("cls, fields, trusted", VALUE_RECORDS, ids=[v[0].__name__ for v in VALUE_RECORDS])
@@ -266,20 +283,23 @@ def test_fiberwise_values_are_their_field_tuples(cls, fields, trusted):
 def test_fiberwise_values_survive_pickle_and_copy(cls, fields, trusted):
     value = trusted(fields)
     # every cached view is kept in the instance dict, and rides along
+    # (a vertex or an operator, with no cached view, has no instance dict)
     views = [name for name in dir(cls) if isinstance(getattr(cls, name), _cached)]
     for name in views:
         getattr(value, name)
-    assert set(views) <= value.__dict__.keys()
+    state = getattr(value, "__dict__", {})
+    assert set(views) <= state.keys()
     copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies + [copy.copy(value), copy.deepcopy(value)]:
         assert type(other) is cls and other == value and hash(other) == hash(value)
-        assert other.__dict__ == value.__dict__
+        assert getattr(other, "__dict__", {}) == state
 
 
 def test_value_records_hash_and_compare_as_tuples():
     # no value record brings back a Python __hash__ or __eq__
     for cls in (FinPtdObj, FinPtdMor, EllObject, EllMorphism, lurie_module.Chain,
-                Operation, ForestInto, OperadMap, TensorHom):
+                Operation, ForestInto, OperadMap, TensorHom,
+                Vertex, Tree, Forest, FinSimplex, SimplicialOperator):
         assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__, cls
 
 
@@ -1140,6 +1160,73 @@ def test_vacuous_settings_are_refused(name, bad):
     kwargs = {"truncation": 2, **EXHAUSTIVE, **VACUOUS[bad]}
     with pytest.raises(TreeError, match=r"^check_fibrous needs [a-z_]+ >= [01], got -?\d+$"):
         check_fibrous(fixtures[name], rng=Random(0), **kwargs)
+
+
+# every object and pair, with one triple per pair
+CATEGORY_EXHAUSTIVE = dict(colorings_per_shape=999, maps_per_object=999, arrows_budget=999, triples_per_pair=1)
+
+
+def _category_fixtures():
+    """``category_fixtures()`` of ``scripts/fixture_detection.py``, read as
+    :func:`_silent_branch_fixtures` reads its fixtures."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fixture_detection.py"
+    script = types.ModuleType("fixture_detection")
+    script.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), script.__dict__)
+    return {name: (pres, truncation) for name, pres, truncation in script.category_fixtures()}
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        EllPresentation(FreeForestOperad(parse_forest("{r[a[x],b[]]}"))),
+        EllPresentation(FreeForestOperad(parse_forest("{p[q,s];e}"))),
+        EllPresentation(BVTensorOperad([parse_tree("r[a]"), parse_tree("x[y]")])),
+    ],
+    ids=["free", "free-two-trees", "tensor"],
+)
+def test_honest_presentations_are_categories(pres):
+    report = check_category(pres, truncation=2, rng=Random(0), **CATEGORY_EXHAUSTIVE)
+    assert report.passed, report.failures[:3]
+    assert min(report.identities_checked, report.units_checked, report.pairs_checked, report.triples_checked) > 0
+
+
+def test_drop_ternary_is_caught_only_by_the_category_check():
+    # no morphism with a component of arity 3 is listed, so composites
+    # <3> -> <2> -> <1> leave the homs; the fibrous checks never see it
+    pres, truncation = _category_fixtures()["drop-ternary"]
+    assert truncation == 3
+    assert check_fibrous(pres, truncation=2, rng=Random(0), **EXHAUSTIVE).passed
+    at_two = check_category(pres, truncation=2, rng=Random(0), **CATEGORY_EXHAUSTIVE)
+    assert at_two.passed and at_two.pairs_checked > 0
+    report = check_category(pres, truncation=3, rng=Random(0), max_failures=100, **CATEGORY_EXHAUSTIVE)
+    assert len(report.failures) == 21
+    assert report.failures[0] == (
+        "the composite of morphisms over (1, 2, 2) and (1, 1) from colors ('b', 'd', 'e') is not listed"
+    )
+    assert all(f.startswith("the composite of morphisms over ") for f in report.failures)
+    stop = check_category(pres, truncation=3, rng=Random(0), stop_on_failure=True, **CATEGORY_EXHAUSTIVE)
+    assert stop.failures == report.failures[:1] and stop.pairs_checked <= report.pairs_checked
+
+
+def test_constant_compose_is_associative_but_not_unital():
+    pres, truncation = _category_fixtures()["constant-compose"]
+    budgets = {**CATEGORY_EXHAUSTIVE, "triples_per_pair": 999}
+    report = check_category(pres, truncation=truncation, rng=Random(0), max_failures=999, **budgets)
+    assert report.failures and report.triples_checked > report.pairs_checked
+    # every failure is a unit failure: closure and associativity hold
+    assert all(f.startswith("the identities are not units for a morphism over ") for f in report.failures)
+    # the 9 of 17 morphisms with a component 1 fail; those with e at every
+    # element, empty ones included, are what the constant composite gives
+    assert (len(report.failures), report.units_checked) == (9, 17)
+
+
+@pytest.mark.parametrize("bad", ["truncation", *CATEGORY_EXHAUSTIVE, "max_failures"])
+def test_vacuous_category_settings_are_refused(bad):
+    pres = EllPresentation(FreeForestOperad(parse_forest("{p[q,s]}")))
+    kwargs = {"truncation": 2, **CATEGORY_EXHAUSTIVE, bad: -1 if bad == "truncation" else 0}
+    with pytest.raises(TreeError, match=rf"^check_category needs {bad} >= [01], got -?\d+$"):
+        check_category(pres, rng=Random(0), **kwargs)
 
 
 def oracle_ell_hom(p, alpha, src, dst):

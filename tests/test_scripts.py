@@ -30,6 +30,15 @@ def test_run_checks_prints_the_pinned_digest():
     assert f"sha256 {REPORT_SHA256}" in out
 
 
+def test_run_checks_prints_a_row_per_interpreter_and_seed():
+    version = ".".join(map(str, sys.version_info[:3]))
+    out = _run("run_checks.py", "--suite", "retract", "--seeds", "1", "2", "--python", sys.executable,
+               "--python", sys.executable).splitlines()
+    assert len(out) == 4 and all(line.startswith(f"python {version} ") for line in out)
+    assert [line.split()[3] for line in out] == ["1:", "2:", "1:", "2:"]
+    assert out[0].split()[-1] == out[2].split()[-1] != out[1].split()[-1]
+
+
 @pytest.mark.parametrize(
     "script, args",
     [

@@ -9,13 +9,16 @@ left in.  A change to how suites are run must keep both.
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
+from pathlib import Path
+from random import Random
 
 import pytest
 
-from dendrotensor import suites
+from dendrotensor import lurie, suites
 from dendrotensor.suites import SUITE_NAMES, SuiteConfig
-from dendrotensor.treecore import TreeError, cut_at, parse_forest
+from dendrotensor.treecore import TreeError, cut_at, interior, parse_forest
 
 # suite -> (sha256 over every _rec call, sha256 over the generator's final state)
 DRAW_PINS = {
@@ -205,11 +208,53 @@ def _repeat_last_shuffle(honest):
     return shuffles
 
 
-# a defect per failure site, patched into the suite's own import: the suite
-# it runs in, the callee replaced, the defective callee built from the
-# honest one, and the failed records per check at seed 42 out of that
-# check's records
+def _keeping_components(keep):
+    """A defect that keeps only the ``keep`` slice of the vertex components
+    of each map the honest callee returns."""
+
+    def make(honest):
+        def defective(*args):
+            m = honest(*args)
+            return m._replace(components=m.components[keep])
+
+        return defective
+
+    return make
+
+
+def _stumpless_upper(honest):
+    """A ``cut_at`` whose upper part loses its stumps."""
+
+    def cut(t, e):
+        lower, upper = honest(t, e)
+        return lower, interior(upper)
+
+    return cut
+
+
+# a defect per failure site, patched into the suite's own import (or, named
+# "lurie.<callee>", into the check function's): the suite it runs in, the
+# callee replaced, the defective callee built from the honest one, and the
+# failed records per check at seed 42 out of that check's records
 SITE_MUTANTS = {
+    "identity-map-drops-first": (
+        "functoriality",
+        "identity_map",
+        _keeping_components(slice(1, None)),
+        {"identity": (152, 200)},
+    ),
+    "compose-drops-last": (
+        "functoriality",
+        "compose",
+        _keeping_components(slice(None, -1)),
+        {"composition": (126, 200)},
+    ),
+    "cut-upper-loses-stumps": (
+        "segal",
+        "lurie.cut_at",
+        _stumpless_upper,
+        {"segal-cut": (8, 100)},
+    ),
     "shuffles-repeat-last": (
         "shuffles",
         "shuffles",
@@ -245,9 +290,44 @@ def test_each_failure_site_fires_on_its_defect(monkeypatch, mutant):
     # no failed witness carries an error, so it is not the driver's
     # TreeError rule that failed them
     suite, callee, make, want = SITE_MUTANTS[mutant]
-    monkeypatch.setattr(suites, callee, make(getattr(suites, callee)))
+    owner = lurie if callee.startswith("lurie.") else suites
+    callee = callee.removeprefix("lurie.")
+    monkeypatch.setattr(owner, callee, make(getattr(owner, callee)))
     records = suites.run_check(suite, SuiteConfig(seed=42))["suites"][0]["records"]
     failed = [r for r in records if r["status"] == "fail"]
     assert all("error" not in r["witness"] for r in failed)
     per_check = Counter(r["check"] for r in records)
     assert {c: (n, per_check[c]) for c, n in Counter(r["check"] for r in failed).items()} == want
+
+
+# The methods of random.Random that src/ draws with, and how a suite seeds
+# its generator (an int or a "seed:suite" string): each method's stream at
+# one seed, from a generator of its own, so that an interpreter whose
+# Random draws differently fails here by name before any report digest.
+# CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 give these streams.
+RANDOM_STREAMS = {
+    "seed": (lambda rng: [Random(42).random(), Random("42:retract").random()],
+             [0.6394267984578837, 0.8722537081528386]),
+    "choice": (lambda rng: [rng.choice("abcdefg") for _ in range(12)],
+               ["a", "b", "b", "g", "c", "e", "c", "c", "a", "d", "a", "e"]),
+    "sample": (lambda rng: [rng.sample(range(50), 5), rng.sample(range(1000), 3), rng.sample(range(4), 4)],
+               [[34, 46, 23, 15, 47], [590, 235, 236], [3, 2, 1, 0]]),
+    "randint": (lambda rng: [rng.randint(0, 9) for _ in range(12)] + [rng.randint(1, 1000) for _ in range(3)],
+                [5, 3, 7, 3, 4, 1, 9, 6, 5, 7, 7, 2, 666, 914, 530]),
+    "random": (lambda rng: [rng.random() for _ in range(3)],
+               [0.57048240310926, 0.6453733719854664, 0.3074378586240749]),
+    "getrandbits": (lambda rng: [rng.getrandbits(3) for _ in range(12)] + [rng.getrandbits(40)],
+                    [1, 1, 0, 7, 4, 7, 5, 6, 1, 2, 5, 1, 78914251100]),
+}
+
+
+@pytest.mark.parametrize("method", RANDOM_STREAMS)
+def test_random_streams_the_suites_draw_from_are_pinned(method):
+    draw, stream = RANDOM_STREAMS[method]
+    assert draw(Random(f"7:{method}")) == stream
+
+
+def test_every_random_method_the_library_calls_has_a_pinned_stream():
+    src = Path(suites.__file__).resolve().parent
+    called = {m for path in src.glob("*.py") for m in re.findall(r"\brng\.(\w+)", path.read_text(encoding="utf-8"))}
+    assert called == set(RANDOM_STREAMS) - {"seed"}

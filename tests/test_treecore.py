@@ -15,7 +15,6 @@ from dendrotensor import (
     contract_inner,
     corolla,
     cut_at,
-    graft,
     interior,
     max_edges,
     parse_forest,
@@ -146,6 +145,19 @@ def test_edge_only_tree_has_no_vertices():
 
 
 # -- surgery -----------------------------------------------------------------
+
+
+def graft(lower, at, upper):
+    """Attach ``upper`` (rooted at the leaf ``at`` of ``lower``) onto it: the
+    inverse of ``cut_at``, which no library code needs."""
+    if at not in lower.leaves:
+        raise TreeError(f"{at!r} is not a leaf of {serialize_tree(lower)}")
+    if upper.root != at:
+        raise TreeError(f"graft root mismatch: {upper.root!r} != {at!r}")
+    overlap = (lower.edge_set & upper.edge_set) - {at}
+    if overlap:
+        raise TreeError(f"edge names reused in graft: {sorted(overlap)}")
+    return Tree(lower.root, lower.vertices + upper.vertices)
 
 
 def test_cut_then_graft_is_identity():
