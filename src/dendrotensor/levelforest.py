@@ -28,6 +28,7 @@ from .treecore import (
     Tree,
     TreeError,
     _cached,
+    _checked_make,
     _forest,
     _out_edge,
     _tree,
@@ -89,6 +90,7 @@ class FinSimplex(namedtuple("FinSimplex", "levels maps")):
 
     levels: tuple[tuple[str, ...], ...]
     maps: tuple[tuple[tuple[str, str], ...], ...]
+    _make = classmethod(_checked_make)
 
     def __init__(
         self,
@@ -203,6 +205,7 @@ class SimplicialOperator(namedtuple("SimplicialOperator", "dom cod values")):
     dom: int
     cod: int
     values: tuple[int, ...]
+    _make = classmethod(_checked_make)
 
     def __init__(self, dom: int, cod: int, values: tuple[int, ...]) -> None:
         if dom < 0 or cod < 0 or len(values) != dom + 1:

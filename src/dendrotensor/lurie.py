@@ -1052,10 +1052,6 @@ def check_category(
     truncation: int = 2,
     rng: Random | None = None,
     *,
-    colorings_per_shape: int = 2,
-    maps_per_object: int = 4,
-    arrows_budget: int = 8,
-    triples_per_pair: int = 1,
     max_failures: int = 25,
     stop_on_failure: bool = False,
 ) -> CategoryReport:
@@ -1069,38 +1065,18 @@ def check_category(
       pointed map, from the first source to the second target;
     * composition is associative on triples.
 
-    Objects are drawn as :func:`check_fibrous` draws them, up to
-    ``colorings_per_shape`` colorings a shape.  The morphisms out of an
-    object are drawn once, the first time it is reached: up to
-    ``maps_per_object`` pointed maps into the skeleta up to
-    ``truncation``, and up to ``arrows_budget`` morphisms over each (all of
-    them when few, as :meth:`EllPresentation.arrows_from` lists them).
-    Every morphism out of a source is paired with every morphism drawn out
-    of its target, and each pair with up to ``triples_per_pair`` morphisms
-    out of the pair's target.  With budgets at least the counts, every
-    object, pair and (with ``triples_per_pair``) triple is checked.
-    Budgets and failures are kept as :func:`check_fibrous` keeps them.
+    Every coloring of every ``<m>`` is an object, and the morphisms out of
+    an object are those :meth:`EllPresentation.arrows_from` lists over
+    every pointed map into the skeleta up to ``truncation``.  Every
+    morphism out of an object is paired with every morphism out of its
+    target, and each pair with one morphism out of the pair's target,
+    drawn with ``rng``, since all triples are several times as many.
+    Failures are kept as :func:`check_fibrous` keeps them; a ``truncation``
+    below 0 or a ``max_failures`` below 1 raises :class:`TreeError`.
     """
-    _check_budgets(
-        "check_category",
-        truncation,
-        colorings_per_shape=colorings_per_shape,
-        maps_per_object=maps_per_object,
-        arrows_budget=arrows_budget,
-        triples_per_pair=triples_per_pair,
-        max_failures=max_failures,
-    )
+    _check_budgets("check_category", truncation, max_failures=max_failures)
     report = CategoryReport()
-    failures = _category_failures(
-        pres,
-        report,
-        truncation,
-        rng or Random(0),
-        colorings_per_shape,
-        maps_per_object,
-        arrows_budget,
-        triples_per_pair,
-    )
+    failures = _category_failures(pres, report, truncation, rng or Random(0))
     return _gathered(report, failures, max_failures, stop_on_failure)
 
 
@@ -1109,17 +1085,13 @@ def _category_failures(
     report: CategoryReport,
     truncation: int,
     rng: Random,
-    colorings_per_shape: int,
-    maps_per_object: int,
-    arrows_budget: int,
-    triples_per_pair: int,
 ) -> Iterator[str]:
     """The checks of :func:`check_category`, each failure yielded when
     found and ``report``'s counters raised as the checks are made."""
     p, compose = pres.operad, pres.compose
     targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
     members: dict[tuple, frozenset[EllMorphism]] = {}
-    drawn: dict[EllObject, list[EllMorphism]] = {}
+    listed_out: dict[EllObject, list[EllMorphism]] = {}
 
     def is_listed(mor: EllMorphism) -> bool:
         key = mor[:3]
@@ -1129,12 +1101,10 @@ def _category_failures(
         return mor in found
 
     def out_of(x: EllObject) -> list[EllMorphism]:
-        found = drawn.get(x)
+        found = listed_out.get(x)
         if found is None:
-            found = drawn[x] = [
-                mor
-                for gamma in _sample(rng, _PointedMaps(x.base, targets), maps_per_object)
-                for _, mor in _sampled_arrows(pres, rng, gamma, x, arrows_budget)
+            found = listed_out[x] = [
+                mor for gamma in _PointedMaps(x.base, targets) for _, mor in pres.arrows_from(gamma, x)
             ]
         return found
 
@@ -1154,7 +1124,7 @@ def _category_failures(
 
     for m in range(truncation + 1):
         base = FinPtdObj.skeleton(m)
-        for c in _coloring_pool(p.colors(), rng, m, colorings_per_shape):
+        for c in product(p.colors(), repeat=m):
             x = _ell_obj((base, c))
             ident = ell_identity(p, x)
             report.identities_checked += 1
@@ -1173,7 +1143,7 @@ def _category_failures(
                     if gf is None:
                         yield unlisted(g, f)
                         continue
-                    for h in _sample(rng, out_of(g.dst), triples_per_pair):
+                    for h in _sample(rng, out_of(g.dst), 1):
                         report.triples_checked += 1
                         hg = closed(h, g)
                         if hg is None:

@@ -97,6 +97,13 @@ def check_name(name: str) -> str:
     return name
 
 
+def _checked_make(cls, iterable: Iterable) -> tuple:
+    """A record's ``_make`` through its checked constructor.  A namedtuple's
+    ``_replace`` builds through ``_make``, so it checks too; only the
+    trusted constructors below build unchecked."""
+    return cls(*iterable)
+
+
 class Vertex(namedtuple("Vertex", "out_edge in_edges")):
     """A vertex, identified by its output edge; ``in_edges`` is kept sorted.
 
@@ -106,6 +113,7 @@ class Vertex(namedtuple("Vertex", "out_edge in_edges")):
     __slots__ = ()
     out_edge: str
     in_edges: tuple[str, ...]
+    _make = classmethod(_checked_make)
 
     def __new__(cls, out_edge: str, in_edges: Iterable[str]) -> "Vertex":
         check_name(out_edge)
@@ -176,6 +184,7 @@ class Tree(namedtuple("Tree", "root vertices")):
 
     root: str
     vertices: tuple[Vertex, ...]
+    _make = classmethod(_checked_make)
 
     def __new__(cls, root: str, vertices: Iterable[Vertex]) -> "Tree":
         check_name(root)
@@ -285,6 +294,7 @@ class Forest(namedtuple("Forest", "components")):
     """
 
     components: tuple[Tree, ...]
+    _make = classmethod(_checked_make)
 
     def __init__(self, components: tuple[Tree, ...]) -> None:
         seen: set[str] = set()

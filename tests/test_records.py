@@ -129,6 +129,31 @@ def test_trees_and_forests_print_as_their_text():
     assert repr(parse_tree("r[]")) == "Tree(root='r', vertices=(Vertex(out_edge='r', in_edges=()),))"
 
 
+def test_replace_and_make_check_as_the_constructors_do():
+    # a namedtuple's _replace and _make build through the checked
+    # constructor, so neither makes a record the constructor refuses
+    t = parse_tree("r[a]")
+    a = FinSimplex((("1",), ("1",)), ((("1", "1"),),))
+    records = [Vertex("r", ("a",)), t, as_forest(t), a, SimplicialOperator(1, 1, (0, 1))]
+    bad = [
+        ("in_edges", ("a", "a"), "^duplicate input edges at vertex 'r'$"),
+        ("root", "a b", r"^illegal character ' ' in edge name 'a b'$"),
+        ("components", (t, t), r"^edge names reused across components: \['a', 'r'\]$"),
+        ("maps", (), "^need exactly one map per consecutive level pair$"),
+        ("values", (1, 0), "^operator is not monotone$"),
+    ]
+    for record, (name, value, error) in zip(records, bad):
+        with pytest.raises(TreeError, match=error):
+            record._replace(**{name: value})
+        with pytest.raises(TreeError, match=error):
+            type(record)._make({**record._asdict(), name: value}.values())
+    # a good replacement comes out sorted and checked, with its views
+    assert Vertex("r", ("a",))._replace(in_edges=("c", "b")) == Vertex("r", ("b", "c"))
+    s = t._replace(vertices=(Vertex("r", ("b", "a")), Vertex("b", ())))
+    assert s == parse_tree("r[a,b[]]") and s.vertex_above == parse_tree("r[a,b[]]").vertex_above
+    assert Tree._make(("r", [Vertex("r", ("a",))])) == t
+
+
 # -- the trusted builds --------------------------------------------------------
 
 
