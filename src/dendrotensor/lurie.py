@@ -14,10 +14,11 @@ each cut counted once).  On top of these sit:
   a pointed map is a family of one operation per target element, composition
   is substitution, and inert maps act by restriction;
 * :func:`check_fibrous`, which verifies at the set level that the
-  presentation behaves fibrously (cocartesian lifts of inerts with their
+  presentation behaves fibrously, in three sections over one per-call hom
+  memo (:class:`_Checks`): cocartesian lifts of inerts with their
   universal property, fibers decomposing as products, mapping into a tuple
-  computed componentwise), plus :func:`defect_fixtures`, five deliberately
-  broken presentations the checks must catch;
+  computed componentwise; :func:`check_category` over the same memo; and
+  :func:`defect_fixtures`, five deliberately broken presentations;
 * chains of the presentation over a level diagram, in bijection with maps
   out of the free operad of the diagram's forest, naturally in the diagram
   (:func:`precompose` reads images of cuts in a cut operad as cuts);
@@ -35,7 +36,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from operator import itemgetter
 from random import Random
 from typing import Any
@@ -44,7 +45,7 @@ from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simpl
 from .omegacat import Operation, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
 from .omegacat import ForestInto, OperadMap, _forest_into
 from .shuffle import _state_table
-from .treecore import Forest, Tree, TreeError, _cached, as_forest, cut_at, parse_forest, serialize_forest
+from .treecore import Forest, Tree, TreeError, _cached, _checked_make, as_forest, cut_at, parse_forest, serialize_forest
 
 __all__ = [
     "FinPtdObj",
@@ -96,6 +97,7 @@ class FinPtdObj(namedtuple("FinPtdObj", "elements")):
     elements."""
 
     elements: tuple[Elem, ...]
+    _make = classmethod(_checked_make)
 
     def __new__(cls, elements: tuple[Elem, ...]) -> "FinPtdObj":
         if len(set(elements)) != len(elements):
@@ -142,6 +144,7 @@ class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
     src: FinPtdObj
     dst: FinPtdObj
     values: tuple[Elem, ...]
+    _make = classmethod(_checked_make)
 
     def __init__(self, src: FinPtdObj, dst: FinPtdObj, values: tuple[Elem, ...]) -> None:
         if len(values) != len(src.elements):
@@ -503,6 +506,7 @@ class EllObject(namedtuple("EllObject", "base colors")):
 
     base: FinPtdObj
     colors: tuple[str, ...]
+    _make = classmethod(_checked_make)
 
     def __new__(cls, base: FinPtdObj, colors: tuple[str, ...]) -> "EllObject":
         if len(colors) != len(base.elements):
@@ -795,16 +799,19 @@ def check_fibrous(
     stop_on_failure: bool = False,
 ) -> FibrousReport:
     """Verify, on finite sets, that the presentation behaves like the
-    category of operators of an operad over pointed sets:
+    category of operators of an operad over pointed sets, in three
+    sections run in this order:
 
     * every inert map has its canonical lift listed, and every morphism out
       of the lift's source factors uniquely through the lift (checked
       against all compatible test arrows up to ``truncation``, sampling
-      colorings and arrows under the given budgets);
+      colorings and arrows under the given budgets;
+      :func:`_lift_failures`);
     * morphisms over an identity are exactly tuples of morphisms between
-      the restrictions to single elements, via the collapse lifts;
+      the restrictions to single elements, via the collapse lifts
+      (:func:`_fiber_failures`);
     * morphisms into an object over ``<m>`` are computed componentwise
-      through the collapse lifts.
+      through the collapse lifts (:func:`_component_failures`).
 
     The report keeps the first ``max_failures`` failures.  With
     ``stop_on_failure`` it is returned as soon as the first failure is
@@ -815,13 +822,9 @@ def check_fibrous(
     kind or keep no failure and so pass vacuously, raises
     :class:`TreeError`.
 
-    Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
-    a memo local to the call, keyed by the tuple ``(alpha, src, dst)``
-    (hashed in C), keeps the listing with its multiplicities (counts use
-    it, so a family listed twice, as in the ``duplicate-family`` fixture,
-    still counts twice) and, once membership is asked, the set of its
-    morphisms.  The memo goes when the call returns.  Random draws and
-    comparisons are those of listing every hom afresh.
+    The sections share one :class:`_Checks`, whose memo lists each hom at
+    most once per call.  Random draws and comparisons are those of listing
+    every hom afresh.
     """
     _check_budgets(
         "check_fibrous",
@@ -833,19 +836,13 @@ def check_fibrous(
         pairs_per_fiber=pairs_per_fiber,
         max_failures=max_failures,
     )
-    report = FibrousReport()
-    failures = _fibrous_failures(
-        pres,
-        report,
-        truncation,
-        rng or Random(0),
-        colorings_per_shape,
-        inerts_per_shape,
-        betas_per_lift,
-        arrows_budget,
-        pairs_per_fiber,
+    ctx = _Checks(pres, FibrousReport(), truncation, rng)
+    failures = chain(
+        _lift_failures(ctx, colorings_per_shape, inerts_per_shape, betas_per_lift, arrows_budget),
+        _fiber_failures(ctx, pairs_per_fiber),
+        _component_failures(ctx, colorings_per_shape, betas_per_lift),
     )
-    return _gathered(report, failures, max_failures, stop_on_failure)
+    return _gathered(ctx.report, failures, max_failures, stop_on_failure)
 
 
 def _check_budgets(check: str, truncation: int, **budgets: int) -> None:
@@ -870,62 +867,68 @@ def _gathered(report: Any, failures: Iterator[str], max_failures: int, stop_on_f
     return report
 
 
-def _fibrous_failures(
-    pres: EllPresentation,
-    report: FibrousReport,
-    truncation: int,
-    rng: Random,
-    colorings_per_shape: int,
-    inerts_per_shape: int,
-    betas_per_lift: int,
-    arrows_budget: int,
-    pairs_per_fiber: int,
-) -> Iterator[str]:
-    """The checks of :func:`check_fibrous`, in order: each failure is
-    yielded when found, and ``report``'s counters are raised as the checks
-    are made."""
-    colors = pres.operad.colors()
-    listings: dict[tuple, tuple[EllMorphism, ...]] = {}
-    members: dict[tuple, frozenset[EllMorphism]] = {}
+class _Checks:
+    """One call of :func:`check_fibrous` or :func:`check_category`, shared
+    by its sections: the presentation, the report whose counters they
+    raise, the generator, the truncation, the operad's colours, the skeleta
+    ``<0>`` to ``<truncation>``, and the call's hom memo.
 
-    def listed(alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple[EllMorphism, ...]:
+    Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
+    the memo, keyed by the caller's tuple ``(alpha, src, dst)`` (hashed in
+    C), keeps the listing with its multiplicities (counts use it, so a
+    family listed twice, as in the ``duplicate-family`` fixture, still
+    counts twice) and, once membership is asked, the set of its morphisms.
+    The memo goes with the call."""
+
+    def __init__(self, pres: EllPresentation, report: Any, truncation: int, rng: Random | None) -> None:
+        self.pres, self.report, self.truncation, self.rng = pres, report, truncation, rng or Random(0)
+        self.colors = pres.operad.colors()
+        self.skeleta = [FinPtdObj.skeleton(m) for m in range(truncation + 1)]
+        self._listings: dict[tuple, tuple[EllMorphism, ...]] = {}
+        self._members: dict[tuple, frozenset[EllMorphism]] = {}
+
+    def listed(self, alpha: FinPtdMor, src: EllObject, dst: EllObject) -> tuple[EllMorphism, ...]:
         key = (alpha, src, dst)
-        found = listings.get(key)
+        found = self._listings.get(key)
         if found is None:
-            found = listings[key] = pres.hom(alpha, src, dst)
+            found = self._listings[key] = self.pres.hom(alpha, src, dst)
         return found
 
-    def is_listed(alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism) -> bool:
+    def has(self, alpha: FinPtdMor, src: EllObject, dst: EllObject, mor: EllMorphism) -> bool:
+        """Whether ``mor`` is listed in the hom ``(alpha, src, dst)``."""
         key = (alpha, src, dst)
-        found = members.get(key)
+        found = self._members.get(key)
         if found is None:
-            found = members[key] = frozenset(listed(alpha, src, dst))
+            found = self._members[key] = frozenset(self.listed(alpha, src, dst))
         return mor in found
 
-    # cocartesian lifts of inerts and their universal property
-    targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
-    for m in range(truncation + 1):
-        src_base = FinPtdObj.skeleton(m)
+
+def _lift_failures(
+    ctx: _Checks, colorings_per_shape: int, inerts_per_shape: int, betas_per_lift: int, arrows_budget: int
+) -> Iterator[str]:
+    """Cocartesian lifts of inerts and their universal property, counted
+    in ``cocartesian_checked``: each failure yielded when found."""
+    pres, rng, listed, has = ctx.pres, ctx.rng, ctx.listed, ctx.has
+    for m, src_base in enumerate(ctx.skeleta):
         inerts = _Inerts(src_base)
-        for c in _coloring_pool(colors, rng, m, colorings_per_shape):
+        for c in _coloring_pool(ctx.colors, rng, m, colorings_per_shape):
             x = _ell_obj((src_base, c))
             for alpha in _sample(rng, inerts, inerts_per_shape):
                 lift = pres.inert_lift(alpha, x)
-                report.cocartesian_checked += 1
-                if not is_listed(alpha, x, lift.dst, lift):
+                ctx.report.cocartesian_checked += 1
+                if not has(alpha, x, lift.dst, lift):
                     yield (
                         f"lift over {alpha.values} from colors {c} is not "
                         "among the listed morphisms"
                     )
                     continue
                 y = lift.dst
-                betas = _PointedMaps(y.base, targets)
-                for beta in _sample(rng, betas, betas_per_lift):
+                for beta in _sample(rng, _PointedMaps(y.base, ctx.skeleta), betas_per_lift):
                     gamma = beta.after(alpha)
                     # per target: how often each composite ``g ∘ lift`` occurs
                     through_lift: dict[EllObject, Counter[EllMorphism]] = {}
                     for z_obj, h in _sampled_arrows(pres, rng, gamma, x, arrows_budget):
-                        if not is_listed(gamma, x, z_obj, h):
+                        if not has(gamma, x, z_obj, h):
                             yield (
                                 f"componentwise morphism over {gamma.values} "
                                 f"from colors {c} is not listed"
@@ -944,18 +947,24 @@ def _fibrous_failures(
                                 f"{alpha.values} from colors {c}"
                             )
 
-    # fibers decompose as products over <1>
+
+def _fiber_failures(ctx: _Checks, pairs_per_fiber: int) -> Iterator[str]:
+    """Fibres over ``<m>`` as products of fibres over ``<1>``, counted in
+    ``fiber_products_checked``: each failure yielded when found.  Every
+    morphism's projections are composed, even after one that is not
+    listed."""
+    pres, rng, listed, has = ctx.pres, ctx.rng, ctx.listed, ctx.has
     one = FinPtdObj.skeleton(1)
     id_one = FinPtdMor.identity(one)
-    for m in range(1, truncation + 1):
-        base = FinPtdObj.skeleton(m)
+    for m in range(1, ctx.truncation + 1):
+        base = ctx.skeleta[m]
         ident = FinPtdMor.identity(base)
         rhos = [rho(m, i) for i in base.elements]
-        pool = _coloring_pool(colors, rng, m, 2 * pairs_per_fiber)
+        pool = _coloring_pool(ctx.colors, rng, m, 2 * pairs_per_fiber)
         pairs = [(a, b) for a in pool for b in pool]
         for c, d in _sample(rng, pairs, pairs_per_fiber):
             x, y = _ell_obj((base, c)), _ell_obj((base, d))
-            report.fiber_products_checked += 1
+            ctx.report.fiber_products_checked += 1
             lhs = listed(ident, x, y)
             factors = [
                 (_ell_obj((one, (c[i],))), _ell_obj((one, (d[i],)))) for i in range(m)
@@ -977,7 +986,7 @@ def _fibrous_failures(
                     single = _ell_mor(
                         (id_one, xi, _ell_obj((one, (gi.dst.colors[0],))), ((1, gi.component[1]),))
                     )
-                    if not is_listed(id_one, xi, yi, single):
+                    if not has(id_one, xi, yi, single):
                         ok = False
                     projections.append(gi)
                 seen.add(tuple(projections))
@@ -987,25 +996,27 @@ def _fibrous_failures(
                     "are not jointly bijective"
                 )
 
-    # mapping into a tuple is computed componentwise
-    for m in range(1, truncation + 1):
-        tuple_base = FinPtdObj.skeleton(m)
+
+def _component_failures(ctx: _Checks, colorings_per_shape: int, betas_per_lift: int) -> Iterator[str]:
+    """Maps into a tuple computed componentwise through the collapse lifts,
+    counted in ``component_formulas_checked``: each failure yielded when
+    found.  A morphism's projections stop at the first that is not
+    listed."""
+    pres, rng, listed, has = ctx.pres, ctx.rng, ctx.listed, ctx.has
+    for m in range(1, ctx.truncation + 1):
+        tuple_base = ctx.skeleta[m]
         rhos = [rho(m, i) for i in tuple_base.elements]
-        for c_x in _coloring_pool(colors, rng, m, colorings_per_shape):
+        for c_x in _coloring_pool(ctx.colors, rng, m, colorings_per_shape):
             x = _ell_obj((tuple_base, c_x))
             lifts = [pres.inert_lift(r, x) for r in rhos]
-            for ym in range(truncation + 1):
-                y_base = FinPtdObj.skeleton(ym)
-                fs = _PointedMaps(y_base, (tuple_base,))
-                for f in _sample(rng, fs, betas_per_lift):
+            for ym, y_base in enumerate(ctx.skeleta):
+                for f in _sample(rng, _PointedMaps(y_base, (tuple_base,)), betas_per_lift):
                     legs = [(r.after(f), lift.dst) for r, lift in zip(rhos, lifts)]
-                    for c_y in _coloring_pool(colors, rng, ym, colorings_per_shape):
+                    for c_y in _coloring_pool(ctx.colors, rng, ym, colorings_per_shape):
                         y = _ell_obj((y_base, c_y))
-                        report.component_formulas_checked += 1
+                        ctx.report.component_formulas_checked += 1
                         lhs = listed(f, y, x)
-                        expected = 1
-                        for leg, z in legs:
-                            expected *= len(listed(leg, y, z))
+                        expected = math.prod(len(listed(leg, y, z)) for leg, z in legs)
                         if len(lhs) != expected:
                             yield (
                                 f"componentwise count over f={f.values} into "
@@ -1018,7 +1029,7 @@ def _fibrous_failures(
                             tup = []
                             for lift, (leg, z) in zip(lifts, legs):
                                 gi = pres.compose(lift, g)
-                                if not is_listed(leg, y, z, gi):
+                                if not has(leg, y, z, gi):
                                     ok = False
                                     break
                                 tup.append(gi)
@@ -1071,40 +1082,26 @@ def check_category(
     morphism out of an object is paired with every morphism out of its
     target, and each pair with one morphism out of the pair's target,
     drawn with ``rng``, since all triples are several times as many.
-    Failures are kept as :func:`check_fibrous` keeps them; a ``truncation``
-    below 0 or a ``max_failures`` below 1 raises :class:`TreeError`.
+    Failures are kept as :func:`check_fibrous` keeps them, and homs are
+    listed through the same :class:`_Checks` memo; a ``truncation`` below 0
+    or a ``max_failures`` below 1 raises :class:`TreeError`.
     """
     _check_budgets("check_category", truncation, max_failures=max_failures)
-    report = CategoryReport()
-    failures = _category_failures(pres, report, truncation, rng or Random(0))
-    return _gathered(report, failures, max_failures, stop_on_failure)
+    ctx = _Checks(pres, CategoryReport(), truncation, rng)
+    return _gathered(ctx.report, _category_failures(ctx), max_failures, stop_on_failure)
 
 
-def _category_failures(
-    pres: EllPresentation,
-    report: CategoryReport,
-    truncation: int,
-    rng: Random,
-) -> Iterator[str]:
+def _category_failures(ctx: _Checks) -> Iterator[str]:
     """The checks of :func:`check_category`, each failure yielded when
-    found and ``report``'s counters raised as the checks are made."""
-    p, compose = pres.operad, pres.compose
-    targets = [FinPtdObj.skeleton(z) for z in range(truncation + 1)]
-    members: dict[tuple, frozenset[EllMorphism]] = {}
+    found and the report's counters raised as the checks are made."""
+    p, compose, has, report = ctx.pres.operad, ctx.pres.compose, ctx.has, ctx.report
     listed_out: dict[EllObject, list[EllMorphism]] = {}
-
-    def is_listed(mor: EllMorphism) -> bool:
-        key = mor[:3]
-        found = members.get(key)
-        if found is None:
-            found = members[key] = frozenset(pres.hom(*key))
-        return mor in found
 
     def out_of(x: EllObject) -> list[EllMorphism]:
         found = listed_out.get(x)
         if found is None:
             found = listed_out[x] = [
-                mor for gamma in _PointedMaps(x.base, targets) for _, mor in pres.arrows_from(gamma, x)
+                mor for gamma in _PointedMaps(x.base, ctx.skeleta) for _, mor in ctx.pres.arrows_from(gamma, x)
             ]
         return found
 
@@ -1112,7 +1109,7 @@ def _category_failures(
         """``g ∘ f`` when it is listed over the composite map, from ``f``'s
         source to ``g``'s target; else ``None``."""
         gf = compose(g, f)
-        if gf[:3] == (g.alpha.after(f.alpha), f.src, g.dst) and is_listed(gf):
+        if gf[:3] == (g.alpha.after(f.alpha), f.src, g.dst) and has(*gf[:3], gf):
             return gf
         return None
 
@@ -1122,13 +1119,12 @@ def _category_failures(
             f"{g.alpha.values} from colors {f.src.colors} is not listed"
         )
 
-    for m in range(truncation + 1):
-        base = FinPtdObj.skeleton(m)
-        for c in product(p.colors(), repeat=m):
+    for m, base in enumerate(ctx.skeleta):
+        for c in product(ctx.colors, repeat=m):
             x = _ell_obj((base, c))
             ident = ell_identity(p, x)
             report.identities_checked += 1
-            if not is_listed(ident):
+            if not has(*ident[:3], ident):
                 yield f"the identity of colors {c} is not listed"
             for f in out_of(x):
                 report.units_checked += 1
@@ -1143,7 +1139,7 @@ def _category_failures(
                     if gf is None:
                         yield unlisted(g, f)
                         continue
-                    for h in _sample(rng, out_of(g.dst), 1):
+                    for h in _sample(ctx.rng, out_of(g.dst), 1):
                         report.triples_checked += 1
                         hg = closed(h, g)
                         if hg is None:

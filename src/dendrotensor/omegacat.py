@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import partial
 from typing import Any, Callable, Collection, Container, Iterable, Mapping, Sequence
 
-from .treecore import Forest, Tree, TreeError, Vertex, _cached, as_forest, serialize_forest
+from .treecore import Forest, Tree, TreeError, Vertex, _cached, _checked_make, as_forest, serialize_forest
 
 __all__ = [
     "Operation",
@@ -62,6 +62,7 @@ class Operation(namedtuple("Operation", "output inputs")):
     __slots__ = ()
     output: str
     inputs: tuple[str, ...]
+    _make = classmethod(_checked_make)
 
     def __new__(cls, output: str, inputs: Iterable[str]) -> "Operation":
         ins = tuple(sorted(inputs))

@@ -157,10 +157,11 @@ def _reject(root: str, verts: tuple[Vertex, ...]) -> NoReturn:
             raise TreeError(
                 f"vertex output {v.out_edge!r} is neither the root nor an input"
             )
-    # walk each edge down along parent links; edges already known to reach
-    # the root end the walk, so each link is followed once
+    # walk each edge, in name order so that the edge a cycle names does not
+    # hang on set order, down along parent links; edges already known to
+    # reach the root end the walk, so each link is followed once
     rooted = {root}
-    for e in edges:
+    for e in sorted(edges):
         path: set[str] = set()
         cur = e
         while cur not in rooted:
@@ -281,9 +282,6 @@ class Tree(namedtuple("Tree", "root vertices")):
     def inner_edges(self) -> tuple[str, ...]:
         return tuple(e for e in self.edges if self.is_inner(e))
 
-    def __str__(self) -> str:
-        return serialize_tree(self)
-
 
 class Forest(namedtuple("Forest", "components")):
     """A finite (possibly empty) sequence of trees with disjoint edge names.
@@ -318,9 +316,6 @@ class Forest(namedtuple("Forest", "components")):
 
     def canonical_key(self) -> tuple[str, ...]:
         return tuple(sorted(serialize_tree(t) for t in self.components))
-
-    def __str__(self) -> str:
-        return serialize_forest(self)
 
 
 # the trusted constructors: each builds its tuple in C from fields that are

@@ -6,6 +6,10 @@ checking it (a trusted build) equals its rebuild through the checked
 constructors, with the same derived views.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -14,8 +18,12 @@ from hypothesis import strategies as st
 
 from dendrotensor import (
     STAR,
+    EllObject,
+    FinPtdMor,
+    FinPtdObj,
     FinSimplex,
     Forest,
+    Operation,
     SimplicialOperator,
     Tree,
     TreeError,
@@ -83,6 +91,23 @@ def test_tree_constructor_raises_the_dataclass_errors():
     assert Tree("r", [b, Vertex("r", ("b", "a")), a]).vertices == (a, b, Vertex("r", ("a", "b")))
 
 
+def test_a_cycle_names_the_same_edge_under_every_hash_seed():
+    # the walk takes the edges in name order, so the edge it names does not
+    # hang on the order of a set of strings, which PYTHONHASHSEED moves
+    code = (
+        "from dendrotensor import Tree, TreeError, Vertex\n"
+        "try:\n"
+        "    Tree('r', (Vertex('r', ()), Vertex('c', ('d',)), Vertex('d', ('c',))))\n"
+        "except TreeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (seed, done.stdout, done.stderr) == (seed, "cycle through edge 'c'\n", "")
+
+
 def test_forest_constructor_raises_the_dataclass_error():
     with pytest.raises(TreeError, match=r"^edge names reused across components: \['a', 'r'\]$"):
         Forest((parse_tree("r[a]"), parse_tree("s[b]"), parse_tree("r[a,c]")))
@@ -121,27 +146,35 @@ def test_chain_constructors_raise_the_dataclass_errors():
         SimplicialOperator(1, 2, (1, 3))
 
 
-def test_trees_and_forests_print_as_their_text():
-    # str gives the canonical text; repr stays the record's
-    t = parse_tree("r[b[],a[x]]")
-    assert str(t) == f"{t}" == "r[a[x],b[]]"
-    assert str(parse_forest("{s;r[b,a]}")) == "{s;r[a,b]}" and str(Forest(())) == "{}"
-    assert repr(parse_tree("r[]")) == "Tree(root='r', vertices=(Vertex(out_edge='r', in_edges=()),))"
-
-
 def test_replace_and_make_check_as_the_constructors_do():
     # a namedtuple's _replace and _make build through the checked
     # constructor, so neither makes a record the constructor refuses
     t = parse_tree("r[a]")
     a = FinSimplex((("1",), ("1",)), ((("1", "1"),),))
-    records = [Vertex("r", ("a",)), t, as_forest(t), a, SimplicialOperator(1, 1, (0, 1))]
+    two = FinPtdObj((1, 2))
+    records = [
+        Vertex("r", ("a",)),
+        t,
+        as_forest(t),
+        a,
+        SimplicialOperator(1, 1, (0, 1)),
+        two,
+        FinPtdMor(two, FinPtdObj((1,)), (1, STAR)),
+        EllObject(two, ("a", "b")),
+        Operation("r", ("a",)),
+    ]
     bad = [
         ("in_edges", ("a", "a"), "^duplicate input edges at vertex 'r'$"),
         ("root", "a b", r"^illegal character ' ' in edge name 'a b'$"),
         ("components", (t, t), r"^edge names reused across components: \['a', 'r'\]$"),
         ("maps", (), "^need exactly one map per consecutive level pair$"),
         ("values", (1, 0), "^operator is not monotone$"),
+        ("elements", (1, 1), "^pointed-set elements must be distinct$"),
+        ("values", (1,), "^pointed map must cover every source element$"),
+        ("colors", ("a",), "^need exactly one color per element$"),
+        ("inputs", ("a", "a"), "^duplicate inputs in operation at 'r'$"),
     ]
+    assert len(records) == len(bad)
     for record, (name, value, error) in zip(records, bad):
         with pytest.raises(TreeError, match=error):
             record._replace(**{name: value})

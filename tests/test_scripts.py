@@ -1,6 +1,7 @@
 """Each script under ``scripts/`` runs to completion on small arguments, so a
 renamed attribute or function in the library cannot break one unnoticed."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +13,21 @@ from dendrotensor.render import gallery_dot
 from test_acceptance import REPORT_SHA256
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# the other interpreters the report digests are pinned on, where present
+OTHER_PYTHONS = [
+    path
+    for version in ("3.10.13", "3.12.1", "3.13.0")
+    if (path := Path.home() / ".pyenv" / "versions" / version / "bin" / "python").exists()
+]
 
 
-def _run(script, *args):
+def _run(script, *args, env=None):
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -37,6 +45,15 @@ def test_run_checks_prints_a_row_per_interpreter_and_seed():
     assert len(out) == 4 and all(line.startswith(f"python {version} ") for line in out)
     assert [line.split()[3] for line in out] == ["1:", "2:", "1:", "2:"]
     assert out[0].split()[-1] == out[2].split()[-1] != out[1].split()[-1]
+
+
+@pytest.mark.skipif(not OTHER_PYTHONS, reason="no CPython 3.10.13, 3.12.1 or 3.13.0 under ~/.pyenv/versions")
+def test_run_checks_prints_the_pinned_digest_under_other_interpreters():
+    pythons = [arg for path in OTHER_PYTHONS for arg in ("--python", str(path))]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = _run("run_checks.py", "--seeds", "42", *pythons, env=env).splitlines()
+    assert len(out) == len(OTHER_PYTHONS)
+    assert all(line.endswith(f"sha256 {REPORT_SHA256}") for line in out), out
 
 
 @pytest.mark.parametrize(

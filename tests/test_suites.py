@@ -222,6 +222,16 @@ def _keeping_components(keep):
     return make
 
 
+def _reversing_arrows(honest):
+    """A ``map_to_chain`` whose chain lists its arrows in reverse."""
+
+    def to_chain(*args):
+        ch = honest(*args)
+        return ch._replace(arrows=ch.arrows[::-1])
+
+    return to_chain
+
+
 def _stumpless_upper(honest):
     """A ``cut_at`` whose upper part loses its stumps."""
 
@@ -254,6 +264,18 @@ SITE_MUTANTS = {
         "lurie.cut_at",
         _stumpless_upper,
         {"segal-cut": (8, 100)},
+    ),
+    "chain-arrows-reversed": (
+        "nerve",
+        "map_to_chain",
+        _reversing_arrows,
+        {"nerve-bijection": (12, 100)},
+    ),
+    "precompose-drops-first": (
+        "nerve",
+        "precompose",
+        _keeping_components(slice(1, None)),
+        {"nerve-naturality": (30, 100)},
     ),
     "shuffles-repeat-last": (
         "shuffles",

@@ -291,7 +291,7 @@ def check_tree(root, vertices):
             raise TreeError(
                 f"vertex output {v.out_edge!r} is neither the root nor an input"
             )
-    for e in edges:
+    for e in sorted(edges):
         seen = set()
         cur = e
         while cur != root:
