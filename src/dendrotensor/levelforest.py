@@ -137,10 +137,10 @@ class FinSimplex(namedtuple("FinSimplex", "levels maps")):
         return {}
 
     @_cached
-    def _map_pairs(self) -> tuple[tuple[dict, dict], ...]:
+    def _map_pairs(self) -> tuple[dict, ...]:
         """Per level, the pair tuples ``lurie.chain_to_map`` has built for
-        object colours and for arrow components, built once per chain."""
-        return tuple(({}, {}) for _ in self.levels)
+        object colours, built once per chain."""
+        return tuple({} for _ in self.levels)
 
     @_cached
     def pointed_levels(self) -> tuple[tuple[Any, ...], tuple[Any, ...]]:

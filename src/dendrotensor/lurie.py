@@ -39,7 +39,7 @@ from functools import partial
 from itertools import chain, combinations_with_replacement, permutations, product
 from operator import itemgetter
 from random import Random
-from typing import Any
+from typing import Any, NamedTuple
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
 from .omegacat import Operation, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
@@ -407,8 +407,11 @@ class FreeForestOperad(_CutOperad):
     def _unknown(self, color: str) -> tuple[()]:
         raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
 
-    def _has(self, op: Operation) -> bool:  # one walk, no listing built
-        return _is_cut_of(self.forest, op)
+    def _has(self, op: Operation) -> bool:
+        """Through the output's index when a listing built it, else one
+        walk of the forest, with no listing built."""
+        index = self._by_inputs.get(op.output)
+        return op.inputs in index if index is not None else _is_cut_of(self.forest, op)
 
 
 class TableOperad(FiniteOperad):
@@ -746,9 +749,13 @@ class _Inerts(Sequence):
 
 
 def _sample(rng: Random, pool: Sequence, k: int) -> list:
+    """``rng.sample(pool, k)``, or all of ``pool`` when it has at most ``k``
+    members.  The sample is drawn on the indices, which takes the same
+    draws and picks the same positions (``Random.sample`` copies a small
+    pool into a list first), so only the picked members are read."""
     if len(pool) <= k:
         return list(pool)
-    return rng.sample(pool, k)
+    return [pool[i] for i in rng.sample(range(len(pool)), k)]
 
 
 def _coloring_pool(
@@ -1497,20 +1504,24 @@ def _pointed_levels(a: FinSimplex) -> tuple[tuple[FinPtdObj, ...], tuple[FinPtdM
     return xs, tuple(out)
 
 
-def enumerate_chains(
-    p: FiniteOperad, a: FinSimplex, cap: int | None = None
-) -> tuple[Chain, ...]:
-    """All chains over the level diagram: a coloring of the bottom level,
-    then one operation per element of each next level at its fiber colors
-    (dying elements impose nothing; empty fibers take nullary operations).
+class _ChainTables(NamedTuple):
+    """What :func:`_walk_chains` lists the chains over ``simplex`` from,
+    built by :func:`_chain_tables`."""
 
-    The arrows out of each coloring of a level are built once, level by
-    level: each target's choices once per fiber colors, each target object
-    once, looked up by its colors before it is built.  Counting the chains
-    from each coloring, top level down, comes before any :class:`Chain` is
-    built, so a ``cap`` below the total raises :class:`TreeError` at once.
-    The chains are then listed depth first in ``product`` order, through
-    the targets that reach the top level only."""
+    simplex: FinSimplex
+    bottom: tuple[EllObject, ...]  # the level-0 objects that start a chain
+    # per level, by coloring: the (target, arrow) pairs that reach the top
+    levels: list[dict[tuple[str, ...], list[tuple[EllObject, EllMorphism]]]]
+    total: int  # how many chains the walk lists
+
+
+def _chain_tables(p: FiniteOperad, a: FinSimplex, cap: int | None = None) -> _ChainTables:
+    """The tables :func:`enumerate_chains` walks: the arrows out of each
+    coloring of a level, built once, level by level: each target's choices
+    once per fiber colors, each target object once, looked up by its colors
+    before it is built.  Counting the chains from each coloring, top level
+    down, keeps only the arrows that reach the top level, and a ``cap``
+    below the total raises :class:`TreeError` before any chain is built."""
     xs, als = a.pointed_levels
     objs = {c: _ell_obj((xs[0], c)) for c in product(p.colors(), repeat=len(xs[0].elements))}
     bottom = list(objs.values())
@@ -1550,18 +1561,38 @@ def enumerate_chains(
     total = sum(count.values())
     if cap is not None and total > cap:
         raise TreeError(f"chain enumeration would produce {total} > cap {cap}")
-    chains: list[Chain] = []
-    stack = [((obj,), ()) for obj in reversed(bottom) if count[obj.colors]]
+    return _ChainTables(a, tuple(obj for obj in bottom if count[obj.colors]), out, total)
+
+
+def _walk_chains(tables: _ChainTables) -> Iterator[Chain]:
+    """The chains of ``tables``, depth first in ``product`` order, each
+    built when it is reached; only the partial chains on the stack are
+    kept."""
+    a, bottom, levels, _ = tables
+    stack = [((obj,), ()) for obj in reversed(bottom)]
     while stack:
         objects, arrows = stack.pop()
-        if len(arrows) == len(als):
-            chains.append(Chain(a, objects, arrows))
+        if len(arrows) == len(levels):
+            yield Chain(a, objects, arrows)
             continue
         stack += [
             (objects + (dst,), arrows + (mor,))
-            for dst, mor in reversed(out[len(arrows)][objects[-1].colors])
+            for dst, mor in reversed(levels[len(arrows)][objects[-1].colors])
         ]
-    return tuple(chains)
+
+
+def enumerate_chains(
+    p: FiniteOperad, a: FinSimplex, cap: int | None = None
+) -> tuple[Chain, ...]:
+    """All chains over the level diagram: a coloring of the bottom level,
+    then one operation per element of each next level at its fiber colors
+    (dying elements impose nothing; empty fibers take nullary operations).
+
+    The chains are counted from :func:`_chain_tables` before any is built,
+    so a ``cap`` below the total raises :class:`TreeError` at once; they are
+    then listed by :func:`_walk_chains`, depth first in ``product`` order,
+    through the targets that reach the top level only."""
+    return tuple(_walk_chains(_chain_tables(p, a, cap)))
 
 
 def _level_pairs(level: dict[str, str], i: int, items: Iterable[tuple[Elem, Any]]) -> tuple:
@@ -1577,16 +1608,16 @@ def chain_to_map(ch: Chain) -> ForestInto:
     the simplex's table; an element off the simplex's levels is named
     afresh.
 
-    Each level's pairs are built once per diagram and kept in its
-    ``_map_pairs``: an object over the level's own set is keyed by its
-    colors, and an arrow by its components once every component is on the
-    table, so ``1`` and ``True`` (equal, but named apart) never share a key."""
+    An object over the level's own set is read once per diagram and
+    coloring: its pairs are kept in the simplex's ``_map_pairs``, keyed by
+    its colors.  An arrow's pairs are built on every reading, since most
+    arrows are read once."""
     a = ch.simplex
     names, memo, levels = a.edge_names, a._map_pairs, a.levels
     colors, comps = [], []
     for i, (base, cs) in enumerate(ch.objects):
         if i < len(levels) and base.elements == levels[i]:
-            seen = memo[i][0]
+            seen = memo[i]
             pairs = seen.get(cs)
             if pairs is None:  # the level's edge names, in its own order
                 pairs = seen[cs] = tuple(sorted(zip(names[i].values(), cs)))
@@ -1594,14 +1625,7 @@ def chain_to_map(ch: Chain) -> ForestInto:
             pairs = _level_pairs(names[i] if i < len(names) else {}, i, zip(base.elements, cs))
         colors += pairs
     for i, mor in enumerate(ch.arrows, start=1):
-        on, cps = i < len(names), mor.components
-        pairs = memo[i][1].get(cps) if on else None
-        if pairs is None:
-            level = names[i] if on else {}
-            pairs = _level_pairs(level, i, cps)
-            if on and all(k in level for k, _ in cps):
-                memo[i][1][cps] = pairs
-        comps += pairs
+        comps += _level_pairs(names[i] if i < len(names) else {}, i, mor.components)
     if len(ch.objects) > 10 or len(ch.arrows) > 9:  # "ℓ10:" sorts before "ℓ2:"
         return ForestInto.build(colors, comps)
     return _forest_into((tuple(colors), tuple(comps)))

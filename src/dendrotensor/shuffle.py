@@ -313,6 +313,18 @@ def stump_transport(factors: Sequence[Tree], i: int, leaf: str) -> TransportResu
     ``leaf`` (``leaf`` itself for a lone factor).  The transported trees
     are checked against the texts folded from the modified factors' state
     table."""
+    result, matched = _stump_transport(factors, i, leaf)
+    if not matched:
+        raise TreeError("stump transport failed to match the direct shuffles")
+    return result
+
+
+def _stump_transport(
+    factors: Sequence[Tree], i: int, leaf: str, table: _Table | None = None
+) -> tuple[TransportResult, bool]:
+    """:func:`stump_transport`, from the factors' state ``table`` when one
+    is given, with whether the transported trees match the direct shuffles
+    instead of a raise when they do not."""
     if not 0 <= i < len(factors):
         raise TreeError(f"no factor {i}")
     after_factors = tuple(
@@ -322,11 +334,10 @@ def stump_transport(factors: Sequence[Tree], i: int, leaf: str) -> TransportResu
         _name(c)
         for c in product(*([leaf] if j == i else t.leaves for j, t in enumerate(factors)))
     }
-    pairs = tuple((a, add_stumps(a, closing)) for a in shuffles(factors))
+    shuffs = _shuffle_trees(_state_table(factors) if table is None else table)
+    pairs = tuple((a, add_stumps(a, closing)) for a in shuffs)
     direct = sorted(_shuffle_texts(_state_table(after_factors)))
-    if direct != sorted(serialize_tree(b) for _, b in pairs):
-        raise TreeError("stump transport failed to match the direct shuffles")
-    return TransportResult(after_factors, pairs)
+    return TransportResult(after_factors, pairs), direct == sorted(serialize_tree(b) for _, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -346,12 +357,18 @@ def interior_decomposition(factors: Sequence[Tree]) -> InteriorDecomposition:
     boundary, those with some stump-edge coordinate, gives a shuffle of the
     factors.  The closed trees are checked against the texts folded from
     the factors' state table."""
+    return _interior_decomposition(factors)
+
+
+def _interior_decomposition(factors: Sequence[Tree], table: _Table | None = None) -> InteriorDecomposition:
+    """:func:`interior_decomposition`, from the factors' state ``table``
+    when one is given."""
     ints = tuple(interior(t) for t in factors)
     max_tuples = {_name(c) for c in product(*(max_edges(t) for t in factors))}
     leaf_tuples = {_name(c) for c in product(*(t.leaves for t in factors))}
     boundary = tuple(sorted(max_tuples - leaf_tuples))
     pairs = tuple((b, add_stumps(b, boundary)) for b in shuffles(ints))
-    direct = sorted(_shuffle_texts(_state_table(factors)))
+    direct = sorted(_shuffle_texts(_state_table(factors) if table is None else table))
     if direct != sorted(serialize_tree(c) for _, c in pairs):
         raise TreeError("interior decomposition failed to recover the shuffles")
     return InteriorDecomposition(ints, boundary, pairs)

@@ -24,20 +24,20 @@ from .levelforest import (
     SimplicialOperator,
     _padded_edge_count,
     omega_mor,
-    omega_obj,
     restrict,
     retract_witness,
     split_edge_name,
 )
 from .lurie import (
     EllPresentation,
+    _chain_tables,
     _key_passes,
     _map_count,
+    _walk_chains,
     FreeForestOperad,
     check_fibrous,
     chain_to_map,
     defect_fixtures,
-    enumerate_chains,
     free_algebra,
     map_to_chain,
     maps_into,
@@ -49,16 +49,16 @@ from .lurie import (
 from .omegacat import _cut_total, compose, identity_map, validate
 from .render import json_text
 from .shuffle import (
+    _count_states,
+    _interior_decomposition,
     _name,
     _shuffle_texts,
+    _shuffle_trees,
     _state_table,
+    _stump_transport,
     assoc_inclusion,
-    count_shuffles,
     inclusion_map,
-    interior_decomposition,
     intersect,
-    shuffles,
-    stump_transport,
 )
 from .treecore import (
     Forest,
@@ -232,7 +232,7 @@ def suite_retract(cfg: SuiteConfig) -> _Suite:
         ok = (
             compose(w.retraction, w.section) == identity_map(f)
             and _level_rename_iso(w.padded, w.omega)
-            and omega_obj(w.simplex).canonical_key() == w.omega.canonical_key()
+            and len(w.omega.edges) == _padded_edge_count(f)
         )
         return [("retract", ok)]
 
@@ -329,27 +329,33 @@ def suite_nerve(cfg: SuiteConfig) -> _Suite:
         if len(p.colors()) ** len(a.levels[0]) > 2000 or _cut_total(g) > MAX_CUTS:
             return None
         try:
-            chains = enumerate_chains(p, a, cap=30000)
+            tables = _chain_tables(p, a, cap=30000)
             maps = maps_into(a.forest, p, cap=60000)
         except TreeError:  # over a cap
             return None
-        return (p, a, chains, maps), {"operad": serialize_forest(g), "simplex": a.to_json()}
+        return (p, a, tables, maps), {"operad": serialize_forest(g), "simplex": a.to_json()}
 
     def check(instance: Any, rng: Random) -> list[tuple]:
-        p, a, chains, maps = instance
-        # each chain is read as a map once; the checks below reuse it
-        image = [chain_to_map(ch) for ch in chains]
-        distinct = set(image)
-        ok = (
-            len(distinct) == len(chains) == len(maps)
-            and distinct == set(maps)
-            and all(map_to_chain(p, a, m) == ch for ch, m in zip(chains[:50], image))
-        )
+        p, a, tables, maps = instance
+        # each chain is read as a map once and struck off the maps: a miss,
+        # a second hit or a map left over fails the bijection
+        left = set(maps)
+        ok = len(left) == len(maps) == tables.total
+        kept = []  # the first chains and their images, for the checks below
+        for ch in _walk_chains(tables):
+            m = chain_to_map(ch)
+            if m in left:
+                left.remove(m)
+            else:
+                ok = False
+            if len(kept) < 50:
+                kept.append((ch, m))
+        ok = ok and not left and all(map_to_chain(p, a, m) == ch for ch, m in kept)
         phi = random_operator(rng, rng.randint(0, 3), a.n)
         h = omega_mor(phi, a)
         nat_ok = all(
             chain_to_map(restrict_chain(p, ch, phi)) == precompose(p, m, h)
-            for ch, m in zip(chains[:20], image)
+            for ch, m in kept[:20]
         )
         drawn = {"phi": _operator_json(phi)}
         return [("nerve-bijection", ok, drawn), ("nerve-naturality", nat_ok, drawn)]
@@ -423,15 +429,18 @@ def _linear(prefix: str, vertices: int) -> Tree:
 
 def _random_factors(
     rng: Random, n_factors: int, max_edges_: int, sp: float, bound: int, suite: str
-) -> list[Tree]:
+) -> tuple[list[Tree], list]:
+    """Factors with at most ``bound`` shuffles, and their state table: the
+    one table a check of these factors reads."""
     prefixes = "abcd"
 
-    def attempt() -> list[Tree] | None:
+    def attempt() -> tuple[list[Tree], list] | None:
         factors = [
             random_tree(rng, max_edges_, sp, prefix=prefixes[j])
             for j in range(n_factors)
         ]
-        return factors if count_shuffles(factors) <= bound else None
+        table = _state_table(factors)
+        return (factors, table) if _count_states(table) <= bound else None
 
     return _draw(
         attempt,
@@ -450,19 +459,20 @@ def suite_shuffles(cfg: SuiteConfig) -> _Suite:
     counts = []
     for m in range(1, 8):
         for k in range(1, 9 - m):
-            count = len(shuffles([_linear("u", m), _linear("v", k)]))
+            count = len(_shuffle_trees(_state_table([_linear("u", m), _linear("v", k)])))
             expected = math.comb(m + k, m)
             witness = {"got": count, "expected": expected}
             counts.append(_rec("chain-count", f"{m}+{k}", count == expected, witness))
 
     def draw(rng: Random, i: int) -> tuple[Any, Witness]:
-        factors = _random_factors(
+        factors, table = _random_factors(
             rng, rng.randint(1, 3), edges, cfg.stump_probability, 3000, "shuffles"
         )
-        return factors, _factors_witness(factors)
+        return (factors, table), _factors_witness(factors)
 
-    def check(factors: list[Tree], rng: Random) -> list[tuple]:
-        sh = shuffles(factors)
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        factors, table = instance
+        sh = _shuffle_trees(table)
         texts = [serialize_tree(s) for s in sh]
         distinct_ok = len(sh) >= 1 and len(set(texts)) == len(sh)
         root = _name(tuple(t.root for t in factors))
@@ -489,16 +499,17 @@ def suite_shuffles(cfg: SuiteConfig) -> _Suite:
                     if not removed <= set(s.inner_edges):
                         inter_ok = False
         leafy = [j for j, t in enumerate(factors) if t.leaves]
+        transport_ok = True  # no leaf to close
         if leafy:
             j = rng.choice(leafy)
             leaf = rng.choice(sorted(factors[j].leaves))
-            stump_transport(factors, j, leaf)
+            transport_ok = _stump_transport(factors, j, leaf, table)[1]
         return [
             ("root-law", root_ok),
             ("max-law", max_ok),
             ("distinct", distinct_ok),
             ("intersection", inter_ok),
-            ("transport", True),
+            ("transport", transport_ok),
         ]
 
     return _Suite(
@@ -516,7 +527,7 @@ def suite_assoc(cfg: SuiteConfig) -> _Suite:
 
     def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         nf = 4 if i % 5 == 4 else 3
-        factors = _random_factors(rng, nf, 3, cfg.stump_probability, 2000, "assoc")
+        factors, _ = _random_factors(rng, nf, 3, cfg.stump_probability, 2000, "assoc")
         br = rng.choice(four if nf == 4 else three)
         return (factors, br), {**_factors_witness(factors), "bracketing": br}
 
@@ -536,13 +547,14 @@ def suite_interior(cfg: SuiteConfig) -> _Suite:
     sp = max(cfg.stump_probability, 0.35)
 
     def draw(rng: Random, i: int) -> tuple[Any, Witness]:
-        factors = _random_factors(rng, rng.randint(1, 3), 4, sp, 2000, "interior")
-        return factors, _factors_witness(factors)
+        factors, table = _random_factors(rng, rng.randint(1, 3), 4, sp, 2000, "interior")
+        return (factors, table), _factors_witness(factors)
 
-    def check(factors: list[Tree], rng: Random) -> list[tuple]:
-        dec = interior_decomposition(factors)
+    def check(instance: Any, rng: Random) -> list[tuple]:
+        factors, table = instance
+        dec = _interior_decomposition(factors, table)
         closed = sorted(serialize_tree(p[1]) for p in dec.pairs)
-        direct = sorted(_shuffle_texts(_state_table(factors)))
+        direct = sorted(_shuffle_texts(table))
         return [("interior", closed == direct and len(set(closed)) == len(closed))]
 
     return _Suite({"instances": _or_default(cfg.instances, 25)}, ("interior",), draw, check)

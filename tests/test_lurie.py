@@ -5,6 +5,7 @@ import pickle
 import re
 import types
 from collections import Counter
+from collections.abc import Sequence
 from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
@@ -154,6 +155,47 @@ def test_lazy_pool_samples_like_the_list():
                 assert r_lazy.sample(lazy, k) == r_built.sample(built, k)
                 assert r_lazy.getstate() == r_built.getstate()
     assert branches == {True, False}
+
+
+class _ReadCounting(Sequence):
+    """A pool of ``n`` members that records which of them are read."""
+
+    def __init__(self, n):
+        self.n, self.read = n, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        self.read.append(i)
+        return ("member", i)
+
+
+def test_sample_draws_as_random_sample_and_reads_only_its_picks():
+    # CPython's sample copies a pool of at most 21 members for k <= 5, and
+    # of at most 85 for k = 6 or 7; around both thresholds _sample picks
+    # what Random.sample picks from the materialized pool, leaves the
+    # generator in the same state, and reads each pick once
+    for n in (1, 5, 6, 7, 20, 21, 22, 84, 85, 86, 300):
+        for k in (0, 1, 5, 6, 7):
+            for seed in range(5):
+                pool, built = _ReadCounting(n), [("member", i) for i in range(n)]
+                mine, theirs = Random(seed), Random(seed)
+                want = built if n <= k else theirs.sample(built, k)
+                assert lurie_module._sample(mine, pool, k) == want
+                assert mine.getstate() == theirs.getstate()
+                assert len(pool.read) == len(set(pool.read)) == min(n, k)
+    for m, targets in POOL_SHAPES:
+        lazy = _PointedMaps(FinPtdObj.skeleton(m), [FinPtdObj.skeleton(n) for n in targets])
+        inerts = _Inerts(FinPtdObj.skeleton(m))
+        for pool in (lazy, inerts):
+            for k in (1, 4, 6):
+                mine, theirs = Random(k), Random(k)
+                want = list(pool) if len(pool) <= k else theirs.sample(list(pool), k)
+                assert lurie_module._sample(mine, pool, k) == want
+                assert mine.getstate() == theirs.getstate()
 
 
 def oracle_all_inerts(src):
@@ -466,6 +508,46 @@ def test_subst_names_each_rejection(p):
     # ``top.output`` lies below ``b``, so the two together are no cut
     with pytest.raises(TreeError, match="which is not an operation"):
         p.subst(top, {a: Operation(a, (top.output,)), b: p.identity(b)})
+
+
+def test_free_forest_membership_reads_the_index_once_built(monkeypatch):
+    # _has answers through an output's _by_inputs index once ops() built
+    # it, with the forest walk's answers, and subst rejects with the same
+    # text either way
+    walks = []
+    real = lurie_module._is_cut_of
+    monkeypatch.setattr(lurie_module, "_is_cut_of", lambda *args: walks.append(args) or real(*args))
+    answers = set()
+    for seed in range(12):
+        rng = Random(seed)
+        forest = random_forest(rng, 6, 0.3, min_components=1)
+        walked, indexed = FreeForestOperad(forest), FreeForestOperad(forest)
+        for c in forest.edges:
+            indexed.ops((), c)
+        edges = sorted(forest.edges)
+        candidates = [op for c in edges for _, ops in walked.ops_by_output(c) for op in ops]
+        candidates += [
+            Operation(rng.choice(edges), rng.sample(edges, rng.randint(0, min(3, len(edges)))))
+            for _ in range(60)
+        ]
+        want = [real(forest, op) for op in candidates]
+        answers.update(want)
+        walks.clear()
+        assert [indexed._has(op) for op in candidates] == want
+        assert walks == []
+        assert [walked._has(op) for op in candidates] == want
+        assert len(walks) == len(candidates)
+        for op, is_cut in zip(candidates, want):
+            # op substituted into the identity of its output: op, or a rejection
+            results = []
+            for p in (walked, indexed):
+                try:
+                    results.append(p.subst(p.identity(op.output), {op.output: op}))
+                except TreeError as exc:
+                    results.append(str(exc))
+            rejection = f"substitution produced {op}, which is not an operation"
+            assert results[0] == results[1] == (op if is_cut else rejection)
+    assert answers == {True, False}
 
 
 def test_table_operad_json_round_trip():
@@ -1554,21 +1636,18 @@ def test_chain_to_map_memo_is_built_once_per_diagram(seed):
     memo = a._map_pairs
     assert memo is a._map_pairs and len(memo) == len(a.levels)
     first = [chain_to_map(ch) for ch in chains]
-    # one entry per colouring of a level, and per arrow components
-    assert [set(objs) for objs, _ in memo] == [{ch.objects[i].colors for ch in chains} for i in range(len(a.levels))]
-    assert [set(arrows) for _, arrows in memo[1:]] == [
-        {ch.arrows[i - 1].components for ch in chains} for i in range(1, len(a.levels))
-    ]
-    kept = [(dict(objs), dict(arrows)) for objs, arrows in memo]
+    # one entry per colouring of a level
+    assert [set(objs) for objs in memo] == [{ch.objects[i].colors for ch in chains} for i in range(len(a.levels))]
+    kept = [dict(objs) for objs in memo]
     again = [chain_to_map(ch) for ch in chains]
     assert again == first == [replaced_chain_to_map(ch) for ch in chains]
-    assert [(dict(objs), dict(arrows)) for objs, arrows in memo] == kept
-    # a second reading joins the very pair tuples the first one built
+    assert [dict(objs) for objs in memo] == kept
+    # a second reading joins the very colour pair tuples the first one built
     for m, n in zip(first, again):
-        assert all(x is y for x, y in zip(m.colors + m.components, n.colors + n.components))
+        assert all(x is y for x, y in zip(m.colors, n.colors))
     fresh = FinSimplex(a.levels, a.maps)
     assert fresh == a and fresh._map_pairs is not memo
-    assert all(not objs and not arrows for objs, arrows in fresh._map_pairs)
+    assert all(not objs for objs in fresh._map_pairs)
 
 
 # The sha256 of the ordered (alpha.values, src.colors, dst.colors) of every
@@ -1802,6 +1881,28 @@ def test_enumerate_chains_equals_recursive_oracle_over_many_colors(seed, kind):
             {tuple(colors[xs[i].position[x]] for x in gamma.fiber(k))
              for colors in product(p.colors(), repeat=len(xs[i].elements))}}
     assert len(asked) <= min(oracle_asks, len(keys))
+
+
+@given(seeds, st.sampled_from(["free", "table"]))
+@settings(max_examples=80, deadline=None)
+def test_chain_walk_lists_the_chains_in_order_and_again(seed, kind):
+    # the nerve suite walks the tables instead of holding the tuple: the
+    # walk is the oracle's listing in order, its count is the tables'
+    # total, and walking does not use the tables up
+    rng = Random(seed)
+    if kind == "free":
+        p = FreeForestOperad(random_forest(rng, 5, 0.3, min_components=1))
+    else:
+        p = random_table_operad(rng)
+    a = random_fin_simplex(rng, 3, 3)
+    try:
+        want = recursive_enumerate_chains(p, a, cap=2000)
+    except TreeError:
+        return
+    tables = lurie_module._chain_tables(p, a)
+    assert tables.total == len(want)
+    assert tuple(lurie_module._walk_chains(tables)) == want == enumerate_chains(p, a)
+    assert tuple(lurie_module._walk_chains(tables)) == want
 
 
 def test_enumerate_chains_counts_before_it_builds(monkeypatch):

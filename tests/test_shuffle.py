@@ -32,6 +32,7 @@ from dendrotensor import (
 )
 from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
+from dendrotensor import shuffle as shuffle_module
 from dendrotensor._rand import random_tree
 from dendrotensor.omegacat import _fold
 from dendrotensor.shuffle import _shuffle_texts, _state_table
@@ -369,6 +370,34 @@ def test_stump_transport_random(seed):
     res = stump_transport(fs, j, leaf)
     direct = {serialize_tree(t) for t in shuffles(res.factors_after)}
     assert {serialize_tree(t) for _, t in res.pairs} <= direct
+
+
+@given(seeds, st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_table_variants_equal_the_factor_functions(seed, k):
+    # the suites hand their draw's table to these; they give what the
+    # public functions give from the factors
+    rng = Random(seed)
+    fs = [random_tree(rng, 4, 0.3, prefix=p) for p in "abc"[:k]]
+    table = _state_table(fs)
+    assert shuffle_module._interior_decomposition(fs, table) == interior_decomposition(fs)
+    for j, t in enumerate(fs):
+        for leaf in sorted(t.leaves):
+            assert shuffle_module._stump_transport(fs, j, leaf, table) == (stump_transport(fs, j, leaf), True)
+
+
+def test_stump_transport_mismatch_is_returned_inside_and_raised_outside(monkeypatch):
+    # with one of several closing stumps left off, the transported trees
+    # miss the direct shuffles: the helper says so, the public call raises
+    fs = [parse_tree("a[b,c]"), parse_tree("d[e,f]")]
+    honest = shuffle_module.add_stumps
+    monkeypatch.setattr(
+        shuffle_module, "add_stumps", lambda t, leaves: honest(t, sorted(leaves)[:-1] if len(leaves) > 1 else leaves)
+    )
+    result, matched = shuffle_module._stump_transport(fs, 0, "b", _state_table(fs))
+    assert not matched and len(result.pairs) == len(shuffles(fs))
+    with pytest.raises(TreeError, match="stump transport failed to match the direct shuffles"):
+        stump_transport(fs, 0, "b")
 
 
 # -- interiors -----------------------------------------------------------------

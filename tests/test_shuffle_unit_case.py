@@ -171,16 +171,18 @@ def lone_suite_failures(monkeypatch, listed):
     """Run the ``shuffles`` suite with each lone factor's shuffles listed as
     ``listed(factor)``, or as they are where that gives ``None``; return the
     factors so replaced and the failed records."""
-    real = suites_module.shuffles
+    real = suites_module._shuffle_trees
     replaced = []
 
-    def patched(factors):
-        if len(factors) == 1 and (wrong := listed(factors[0])) is not None:
-            replaced.append(factors[0])
+    def patched(table):
+        # a lone factor's table names its root bare, and lists the factor
+        sh = real(table)
+        if not table[-1][0].startswith("(") and (wrong := listed(sh[0])) is not None:
+            replaced.append(sh[0])
             return (wrong,)
-        return real(factors)
+        return sh
 
-    monkeypatch.setattr(suites_module, "shuffles", patched)
+    monkeypatch.setattr(suites_module, "_shuffle_trees", patched)
     report = suites_module.run_check("shuffles", suites_module.SuiteConfig(seed=42, instances=30))
     records = report["suites"][0]["records"]
     failed = [r for r in records if r["status"] == "fail"]

@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from dendrotensor import lurie, suites
+from dendrotensor import levelforest, lurie, shuffle, suites
 from dendrotensor.suites import SUITE_NAMES, SuiteConfig
 from dendrotensor.treecore import TreeError, cut_at, interior, parse_forest
 
@@ -111,7 +111,7 @@ CHECK_CALLEES = {
     "fibrous": "EllPresentation",
     "shuffles": "_name",
     "assoc": "assoc_inclusion",
-    "interior": "interior_decomposition",
+    "interior": "_interior_decomposition",
     "freealg": "free_algebra",
 }
 
@@ -143,10 +143,12 @@ def test_an_error_in_a_check_fails_each_declared_check_and_the_run_goes_on(monke
     assert all(r["status"] == "fail" and r["witness"]["error"] == "boom" for r in records)
 
 
-@pytest.mark.parametrize("callee", ["enumerate_chains", "maps_into"])
+@pytest.mark.parametrize("callee", ["_chain_tables", "maps_into"])
 def test_nerve_draw_over_a_cap_is_rejected_and_drawn_again(monkeypatch, callee):
-    # a chain or map count over its cap raises TreeError in the draw, which
-    # rejects the draw: the suite draws again and the run completes
+    # a chain or map count over its cap raises TreeError in the draw (the
+    # chains are counted by lurie._chain_tables, which enumerate_chains
+    # walks), which rejects the draw: the suite draws again and the run
+    # completes
     real, over = getattr(suites, callee), []
 
     def once_over(*args, **kwargs):
@@ -164,6 +166,63 @@ def test_nerve_draw_over_a_cap_is_rejected_and_drawn_again(monkeypatch, callee):
     assert len(over) == 1
     assert [(r["check"], r["instance"]) for r in records] == _declared("nerve", 3)
     assert all(r["status"] == "pass" for r in records) and records == plain
+
+
+def _merging_second_chain(honest):
+    """A ``chain_to_map`` that reads the second chain it meets over each
+    diagram as the first one's image."""
+    first = {}
+
+    def to_map(ch):
+        seen = first.setdefault(ch.simplex, [])
+        if len(seen) == 1 and ch != seen[0][0]:
+            seen.append(None)
+            return seen[0][1]
+        m = honest(ch)
+        if not seen:
+            seen.append((ch, m))
+        return m
+
+    return to_map
+
+
+def _walk_dropping_last(honest):
+    """A ``_walk_chains`` that never yields its last chain."""
+    return lambda tables: list(honest(tables))[:-1]
+
+
+def _walk_repeating_first(honest):
+    """A ``_walk_chains`` that yields its first chain twice."""
+    return lambda tables: (lambda chains: chains[:1] + chains)(list(honest(tables)))
+
+
+# defects the chain-by-chain bijection check must catch: the callee patched
+# in suites, the defect, and the failed records per check at seed 42.  The
+# first three are caught as the check over the whole image caught them,
+# with the same counts; a short walk is caught only by the maps left over,
+# a walk with a repeat only by the second hit
+NERVE_BIJECTION_DEFECTS = {
+    "chain-to-map-merges-two": ("chain_to_map", _merging_second_chain,
+                                {"nerve-bijection": 22, "nerve-naturality": 12}),
+    "maps-drop-first": ("maps_into", lambda honest: lambda *args, **kw: honest(*args, **kw)[1:],
+                        {"nerve-bijection": 49}),
+    "maps-repeat-last": ("maps_into", lambda honest: lambda *args, **kw: (lambda ms: ms + ms[-1:])(honest(*args, **kw)),
+                         {"nerve-bijection": 49}),
+    "walk-drops-last": ("_walk_chains", _walk_dropping_last, {"nerve-bijection": 49}),
+    "walk-repeats-first": ("_walk_chains", _walk_repeating_first, {"nerve-bijection": 49}),
+}
+
+
+@pytest.mark.parametrize("defect", NERVE_BIJECTION_DEFECTS)
+def test_nerve_bijection_catches_each_defect(monkeypatch, defect):
+    # 49 of the 100 instances have a chain and a map; no failure is the
+    # driver's TreeError rule
+    callee, make, want = NERVE_BIJECTION_DEFECTS[defect]
+    monkeypatch.setattr(suites, callee, make(getattr(suites, callee)))
+    records = suites.run_check("nerve", SuiteConfig(seed=42))["suites"][0]["records"]
+    failed = [r for r in records if r["status"] == "fail"]
+    assert all("error" not in r["witness"] for r in failed)
+    assert Counter(r["check"] for r in failed) == want
 
 
 def test_level_rename_iso_refuses_what_the_padding_does_not_promise():
@@ -201,9 +260,12 @@ def test_shuffle_intersection_check_fails_on_a_face_missing_a_top_vertex(monkeyp
 
 
 def _repeat_last_shuffle(honest):
-    def shuffles(factors):
-        sh = honest(factors)
-        return sh + sh[-1:] if len(factors) > 1 else sh
+    """A ``_shuffle_trees`` that lists the last shuffle of two or more
+    factors twice (their table's root state is a tuple name)."""
+
+    def shuffles(table):
+        sh = honest(table)
+        return sh + sh[-1:] if table[-1][0].startswith("(") else sh
 
     return shuffles
 
@@ -232,6 +294,26 @@ def _reversing_arrows(honest):
     return to_chain
 
 
+def _padding_one_higher(honest):
+    """A ``retract_witness`` that pads every leaf one level higher than
+    ``_padded_height`` asks."""
+
+    def witness(f):
+        real = levelforest._padded_height
+        levelforest._padded_height = lambda t: real(t) + 1
+        try:
+            return honest(f)
+        finally:
+            levelforest._padded_height = real
+
+    return witness
+
+
+def _last_leaf_left_open(honest):
+    """An ``add_stumps`` that leaves the last of several leaves open."""
+    return lambda t, leaves: honest(t, sorted(leaves)[:-1] if len(leaves) > 1 else leaves)
+
+
 def _stumpless_upper(honest):
     """A ``cut_at`` whose upper part loses its stumps."""
 
@@ -243,9 +325,10 @@ def _stumpless_upper(honest):
 
 
 # a defect per failure site, patched into the suite's own import (or, named
-# "lurie.<callee>", into the check function's): the suite it runs in, the
-# callee replaced, the defective callee built from the honest one, and the
-# failed records per check at seed 42 out of that check's records
+# "lurie.<callee>" or "shuffle.<callee>", into the check function's): the
+# suite it runs in, the callee replaced, the defective callee built from the
+# honest one, and the failed records per check at seed 42 out of that
+# check's records
 SITE_MUTANTS = {
     "identity-map-drops-first": (
         "functoriality",
@@ -258,6 +341,12 @@ SITE_MUTANTS = {
         "compose",
         _keeping_components(slice(None, -1)),
         {"composition": (126, 200)},
+    ),
+    "padding-one-higher": (
+        "retract",
+        "retract_witness",
+        _padding_one_higher,
+        {"retract": (60, 100)},
     ),
     "cut-upper-loses-stumps": (
         "segal",
@@ -279,9 +368,15 @@ SITE_MUTANTS = {
     ),
     "shuffles-repeat-last": (
         "shuffles",
-        "shuffles",
+        "_shuffle_trees",
         _repeat_last_shuffle,
         {"distinct": (68, 100), "chain-count": (28, 28)},
+    ),
+    "transport-leaves-last-leaf-open": (
+        "shuffles",
+        "shuffle.add_stumps",
+        _last_leaf_left_open,
+        {"transport": (11, 100)},
     ),
     "shuffle-texts-drop-last": (
         "interior",
@@ -312,14 +407,34 @@ def test_each_failure_site_fires_on_its_defect(monkeypatch, mutant):
     # no failed witness carries an error, so it is not the driver's
     # TreeError rule that failed them
     suite, callee, make, want = SITE_MUTANTS[mutant]
-    owner = lurie if callee.startswith("lurie.") else suites
-    callee = callee.removeprefix("lurie.")
+    module, _, callee = callee.rpartition(".")
+    owner = {"": suites, "lurie": lurie, "shuffle": shuffle}[module]
     monkeypatch.setattr(owner, callee, make(getattr(owner, callee)))
     records = suites.run_check(suite, SuiteConfig(seed=42))["suites"][0]["records"]
     failed = [r for r in records if r["status"] == "fail"]
     assert all("error" not in r["witness"] for r in failed)
     per_check = Counter(r["check"] for r in records)
     assert {c: (n, per_check[c]) for c, n in Counter(r["check"] for r in failed).items()} == want
+
+
+# how many state tables each suite builds at seed 42: one per factor tuple
+# drawn (rejected draws included), per tuple of interiors and per tuple with
+# a leaf closed, and one per `chain-count` head record; a check reads the
+# table its draw built (before, `shuffles` built 413 and `interior` 100)
+STATE_TABLES = {
+    "functoriality": 0, "retract": 0, "segal": 0, "d3": 0, "nerve": 0,
+    "fibrous": 0, "shuffles": 221, "assoc": 108, "interior": 50, "freealg": 0,
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_suite_builds_one_state_table_per_factor_tuple(monkeypatch, name):
+    built = []
+    real = shuffle._state_table
+    for module in (shuffle, suites):
+        monkeypatch.setattr(module, "_state_table", lambda factors: built.append(factors) or real(factors))
+    suites.run_check(name, SuiteConfig(seed=42))
+    assert len(built) == STATE_TABLES[name]
 
 
 # The methods of random.Random that src/ draws with, and how a suite seeds
