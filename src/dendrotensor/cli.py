@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .levelforest import FinSimplex, omega_obj
-from .lurie import BVTensorOperad, FreeForestOperad, free_algebra
+from .lurie import BVTensorOperad, FreeForestOperad, _free_algebra_count, free_algebra
 from .omegacat import ForestInto, hom
 from .render import gallery_pieces, json_escape, json_text, listing_json, map_texts
 from .render import shuffle_clusters, term_texts, to_dot
@@ -30,9 +30,9 @@ from .treecore import TreeError, parse_forest, parse_tree, serialize_forest, ser
 
 __all__ = ["main"]
 
-# default cap on the shuffles that ``shuffles`` and ``tensor-hom`` build and
-# on the maps that ``hom`` and ``tensor-hom`` list; each is counted before
-# anything is built
+# default cap on the shuffles that ``shuffles`` and ``tensor-hom`` build, on
+# the maps that ``hom`` and ``tensor-hom`` list and on the terms that
+# ``free-algebra`` lists; each is counted before anything is built
 MAX_RESULTS = 1_000_000
 
 
@@ -203,6 +203,10 @@ def cmd_free_algebra(args: argparse.Namespace) -> int:
     missing = sorted(generators.keys() - inputs.keys())
     if missing:
         raise TreeError(f"generator {missing[0]!r} has no --inputs entry")
+    cap = _check_cap(args.max_results)
+    n = _free_algebra_count(p, generators, inputs, args.output_color)
+    if n > cap:
+        raise ValueError(f"the free algebra has {n} terms at {args.output_color!r}, more than --max-results {cap}")
     terms = free_algebra(p, generators, inputs, args.output_color)
     if args.format == "text":
         lines = (f"{'·'.join(t.indices)} | {t.label} | ({','.join(t.args)})" for t in terms)
@@ -291,6 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fa.add_argument("--output-color", required=True, help="output color of the terms")
     p_fa.add_argument("--format", choices=("json", "text"), default="json")
     p_fa.add_argument("--out", default=None)
+    p_fa.add_argument(
+        "--max-results", type=int, default=MAX_RESULTS,
+        help="refuse more terms than this (default %(default)s)",
+    )
     p_fa.set_defaults(func=cmd_free_algebra)
 
     p_ck = sub.add_parser("check", help="run a seeded verification suite")

@@ -138,8 +138,9 @@ class FinSimplex(namedtuple("FinSimplex", "levels maps")):
 
     @_cached
     def _map_pairs(self) -> tuple[dict, ...]:
-        """Per level, the pair tuples ``lurie.chain_to_map`` has built for
-        object colours, built once per chain."""
+        """Per level, the pair tuples ``lurie._object_pairs`` has built for
+        object colours (read by ``chain_to_map`` and the nerve check's
+        walk), built once per chain."""
         return tuple({} for _ in self.levels)
 
     @_cached

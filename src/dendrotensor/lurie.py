@@ -21,10 +21,16 @@ each cut counted once).  On top of these sit:
   :func:`defect_fixtures`, five deliberately broken presentations;
 * chains of the presentation over a level diagram, in bijection with maps
   out of the free operad of the diagram's forest, naturally in the diagram
-  (:func:`precompose` reads images of cuts in a cut operad as cuts);
+  (:func:`precompose` reads images of cuts in a cut operad as cuts).  The
+  chains are counted and listed from per-level tables (:func:`_chain_tables`,
+  whose level 0 holds only the colorings with an arrow out); the nerve
+  check walks those tables straight into the chains' images
+  (:func:`_walk_images`), with no chain built;
 * the two decompositions of maps out of a free forest operad: cutting a
   tree at an inner edge, and splitting a forest into its components;
-* free algebra term sets with their symmetrization quotient.
+* free algebra term sets with their symmetrization quotient; over a cut
+  operad the terms are counted in one pass over the state table, and only
+  the cuts whose inputs all take an argument are listed.
 """
 
 from __future__ import annotations
@@ -1515,31 +1521,65 @@ class _ChainTables(NamedTuple):
     total: int  # how many chains the walk lists
 
 
+def _live_colorings(
+    colors: Sequence[str], width: int, slots: list[tuple[list[int], list[tuple[str, ...]]]]
+) -> list[tuple[str, ...]]:
+    """The colorings of ``width`` positions by ``colors`` whose colors at
+    each slot's positions (disjoint lists) are one of the slot's keys, in
+    ``product(colors, repeat=width)`` order; a position in no slot takes
+    any color.  Built from the slots' keys, so no other coloring is met."""
+    placed = [j for fib, _ in slots for j in fib]
+    free = sorted(set(range(width)).difference(placed))
+    slots = slots + [(free, list(product(colors, repeat=len(free))))]
+    place = _gather(sorted(range(width), key=[*placed, *free].__getitem__))
+    rank = {c: r for r, c in enumerate(colors)}
+    rows = [place(tuple(chain.from_iterable(combo))) for combo in product(*[keys for _, keys in slots])]
+    return sorted(rows, key=lambda row: [rank[c] for c in row])
+
+
 def _chain_tables(p: FiniteOperad, a: FinSimplex, cap: int | None = None) -> _ChainTables:
     """The tables :func:`enumerate_chains` walks: the arrows out of each
     coloring of a level, built once, level by level: each target's choices
     once per fiber colors, each target object once, looked up by its colors
-    before it is built.  Counting the chains from each coloring, top level
+    before it is built.  Level 0 lists its live colorings only, those with
+    an arrow out (each target's fiber colors accepted by an operation, an
+    empty fiber's by a nullary one; dying elements take any color), read
+    from each target's live fiber colors; a diagram of one level lists
+    every coloring.  Counting the chains from each coloring, top level
     down, keeps only the arrows that reach the top level, and a ``cap``
     below the total raises :class:`TreeError` before any chain is built."""
     xs, als = a.pointed_levels
-    objs = {c: _ell_obj((xs[0], c)) for c in product(p.colors(), repeat=len(xs[0].elements))}
+    cols = p.colors()
+
+    def choices(key: tuple[str, ...], k: Elem, seen: dict) -> list:
+        opts = seen.get(key)
+        if opts is None:
+            opts = seen[key] = [(c, (k, lab)) for c, lab in p.ops_for_inputs(list(key))]
+        return opts
+
+    # per level and target: its fiber's positions, and its choices by fiber colors
+    targets = [
+        [([xs[i].position[x] for x in gamma.fibers.get(k, ())], k, {}) for k in gamma.dst.elements]
+        for i, gamma in enumerate(als)
+    ]
+    width = len(xs[0].elements)
+    if als:
+        live = [(fib, [key for key in product(cols, repeat=len(fib)) if choices(key, k, seen)])
+                for fib, k, seen in targets[0]]
+        colorings = _live_colorings(cols, width, live)
+    else:
+        colorings = product(cols, repeat=width)
+    objs = {c: _ell_obj((xs[0], c)) for c in colorings}
     bottom = list(objs.values())
     out: list[dict[tuple[str, ...], list[tuple[EllObject, EllMorphism]]]] = []  # per level, by coloring
-    for i, gamma in enumerate(als):
-        pos, fibers = xs[i].position, gamma.fibers
-        # per target: its fiber's positions, and its choices by fiber colors
-        targets = [([pos[x] for x in fibers.get(k, ())], k, {}) for k in gamma.dst.elements]
+    for gamma, level_targets in zip(als, targets):
         above: dict[tuple[str, ...], EllObject] = {}
         level = {}
         for colors, obj in objs.items():
             arrows = level[colors] = []
             per_target = []
-            for fib, k, seen in targets:
-                key = tuple([colors[j] for j in fib])
-                opts = seen.get(key)
-                if opts is None:
-                    opts = seen[key] = [(c, (k, lab)) for c, lab in p.ops_for_inputs(list(key))]
+            for fib, k, seen in level_targets:
+                opts = choices(tuple([colors[j] for j in fib]), k, seen)
                 if not opts:
                     break
                 per_target.append(opts)
@@ -1581,6 +1621,29 @@ def _walk_chains(tables: _ChainTables) -> Iterator[Chain]:
         ]
 
 
+def _walk_images(tables: _ChainTables) -> Iterator[ForestInto]:
+    """The images under :func:`chain_to_map` of the chains of ``tables``,
+    in the order of :func:`_walk_chains`, with no chain built: each stack
+    node carries the color and component pairs of its prefix, an object's
+    from :func:`_object_pairs` and an arrow's from :func:`_level_pairs`
+    when the node is pushed."""
+    a, bottom, levels, _ = tables
+    names, top = a.edge_names, len(levels)
+    image = ForestInto.build if top > 9 else lambda colors, comps: _forest_into((colors, comps))
+    stack = [(0, obj.colors, _object_pairs(a, 0, obj.colors), ()) for obj in reversed(bottom)]
+    while stack:
+        i, cs, colors, comps = stack.pop()
+        if i == top:
+            yield image(colors, comps)
+            continue
+        j = i + 1
+        stack += [
+            (j, dst.colors, colors + _object_pairs(a, j, dst.colors),
+             comps + _level_pairs(names[j], j, mor.components))
+            for dst, mor in reversed(levels[i][cs])
+        ]
+
+
 def enumerate_chains(
     p: FiniteOperad, a: FinSimplex, cap: int | None = None
 ) -> tuple[Chain, ...]:
@@ -1601,6 +1664,17 @@ def _level_pairs(level: dict[str, str], i: int, items: Iterable[tuple[Elem, Any]
     return tuple(sorted({level.get(x) or edge_name(i, str(x)): v for x, v in items}.items()))
 
 
+def _object_pairs(a: FinSimplex, i: int, colors: tuple[str, ...]) -> tuple:
+    """The ``(edge, color)`` pairs, in edge order, of a coloring of level
+    ``i`` of ``a``: built once per diagram and coloring, and kept in the
+    simplex's ``_map_pairs``."""
+    seen = a._map_pairs[i]
+    pairs = seen.get(colors)
+    if pairs is None:  # the level's edge names, in its own order
+        pairs = seen[colors] = tuple(sorted(zip(a.edge_names[i].values(), colors)))
+    return pairs
+
+
 def chain_to_map(ch: Chain) -> ForestInto:
     """Read a chain as a map out of the free operad of the diagram's forest:
     the level-``i`` element ``a`` colors edge ``ℓi:a``, the arrow component
@@ -1609,21 +1683,16 @@ def chain_to_map(ch: Chain) -> ForestInto:
     afresh.
 
     An object over the level's own set is read once per diagram and
-    coloring: its pairs are kept in the simplex's ``_map_pairs``, keyed by
-    its colors.  An arrow's pairs are built on every reading, since most
-    arrows are read once."""
+    coloring (:func:`_object_pairs`).  An arrow's pairs are built on every
+    reading, since most arrows are read once."""
     a = ch.simplex
-    names, memo, levels = a.edge_names, a._map_pairs, a.levels
+    names, levels = a.edge_names, a.levels
     colors, comps = [], []
     for i, (base, cs) in enumerate(ch.objects):
         if i < len(levels) and base.elements == levels[i]:
-            seen = memo[i]
-            pairs = seen.get(cs)
-            if pairs is None:  # the level's edge names, in its own order
-                pairs = seen[cs] = tuple(sorted(zip(names[i].values(), cs)))
+            colors += _object_pairs(a, i, cs)
         else:
-            pairs = _level_pairs(names[i] if i < len(names) else {}, i, zip(base.elements, cs))
-        colors += pairs
+            colors += _level_pairs(names[i] if i < len(names) else {}, i, zip(base.elements, cs))
     for i, mor in enumerate(ch.arrows, start=1):
         comps += _level_pairs(names[i] if i < len(names) else {}, i, mor.components)
     if len(ch.objects) > 10 or len(ch.arrows) > 9:  # "ℓ10:" sorts before "ℓ2:"
@@ -1752,6 +1821,71 @@ class FreeTerm:
     args: tuple[str, ...]
 
 
+def _weights(generators: Mapping[str, str], inputs: Mapping[str, Sequence[str]]) -> dict[str, int]:
+    """Per color, the distinct arguments of its generators, summed: how many
+    free-algebra terms an identity at that color has."""
+    weights: dict[str, int] = {}
+    for idx, color in generators.items():
+        weights[color] = weights.get(color, 0) + len(set(inputs.get(idx, ())))
+    return weights
+
+
+def _term_counts(p: _CutOperad, weights: Mapping[str, int], output: str) -> tuple[list, dict[str, int]]:
+    """The rows of the colors weakly above ``output`` in ``p``'s state
+    table, each after the rows its moves reach, and per color its count
+    ``W``: its weight plus, per move, the product of ``W`` over the colors
+    the move reaches (a stump's empty move counts 1).  In a free forest
+    operad, where a color has at most one move, ``W(output)`` is the number
+    of free-algebra terms at ``output``; where a color has two moves, which
+    may meet a cut twice, it bounds that number.  One pass over the rows."""
+    if output not in p._states:
+        p._unknown(output)  # a free forest operad refuses an unknown edge
+        return [], {output: 0}
+    rows = _rows_above(p._states.__getitem__, output)
+    counts: dict[str, int] = {}
+    for d, moves in rows:
+        counts[d] = weights.get(d, 0) + sum(math.prod([counts[c] for c in move]) for move in moves)
+    return rows, counts
+
+
+def _free_algebra_count(
+    p: _CutOperad, generators: Mapping[str, str], inputs: Mapping[str, Sequence[str]], output: str
+) -> int:
+    """How many terms :func:`free_algebra` lists at ``output`` over a free
+    forest operad (a bound over another cut operad), counted without
+    listing a cut."""
+    return _term_counts(p, _weights(generators, inputs), output)[1][output]
+
+
+def _live_cuts(
+    p: _CutOperad, weights: Mapping[str, int], output: str
+) -> list[tuple[tuple[str, ...], tuple[Label, ...]]]:
+    """The ``(inputs, operations)`` entries at ``output`` of the cuts whose
+    inputs all have a positive weight, the only cuts with free-algebra
+    terms, folded over ``p``'s state table: a color's own cut when its
+    weight is positive, and per move every union of one live cut per color
+    it reaches.  A move reaching a color of count 0 has no live union, so
+    only the colors it does not skip are folded."""
+    rows, counts = _term_counts(p, weights, output)
+    need = {output}
+    for d, moves in reversed(rows):  # each color before those its moves reach
+        if d in need:
+            need.update(c for move in moves if all(counts[c] for c in move) for c in move)
+    live: dict[str, list[tuple[str, ...]]] = {}
+    for d, moves in rows:
+        if d in need:
+            cuts = [(d,)] if weights.get(d) else []
+            for move in moves:
+                if all(counts[c] for c in move):
+                    unions: list[tuple[str, ...]] = [()]
+                    for c in move:
+                        unions = [u + cut for u in unions for cut in live[c]]
+                    cuts += unions
+            live[d] = cuts
+    found = sorted({tuple(sorted(cut)) for cut in live.get(output, ())})
+    return [(cut, (_operation(output, cut),)) for cut in found]
+
+
 def free_algebra(
     p: FiniteOperad,
     generators: Mapping[str, str],
@@ -1762,15 +1896,23 @@ def free_algebra(
     ``(operation, arguments)`` for each multiset of generator indices whose
     colors the operation accepts, with one argument drawn per index.  An
     orbit is listed once, its arguments a sorted multiset per block of
-    equal indices (the symmetric action of the realizations is trivial)."""
+    equal indices (the symmetric action of the realizations is trivial).
+
+    Over a cut operad only the cuts whose inputs all take an argument are
+    read (:func:`_live_cuts`); another operad lists every operation at
+    ``output``."""
     def multisets(pool: Iterable[str], k: int) -> Iterator[tuple[str, ...]]:
         return combinations_with_replacement(sorted(set(pool)), k)
 
     by_color: dict[str, list[str]] = {}
     for idx in sorted(generators):
         by_color.setdefault(generators[idx], []).append(idx)
+    if isinstance(p, _CutOperad):
+        entries = _live_cuts(p, _weights(generators, inputs), output)
+    else:
+        entries = p.ops_by_output(output)
     terms: list[FreeTerm] = []
-    for kappa, labels in p.ops_by_output(output):
+    for kappa, labels in entries:
         colors = sorted(Counter(kappa).items())
         for chosen in product(*[multisets(by_color.get(c, ()), k) for c, k in colors]):
             gamma = tuple(sorted(i for grp in chosen for i in grp))

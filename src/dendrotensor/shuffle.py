@@ -411,6 +411,12 @@ class AssocResult:
 
 
 def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocResult:
+    return _assoc_inclusion(factors, bracketing)
+
+
+def _assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing, table: _Table | None = None) -> AssocResult:
+    """:func:`assoc_inclusion`, its flat shuffles folded from the factors'
+    state ``table`` when one is given."""
     order = _flatten_bracketing(bracketing)
     if order != list(range(len(factors))):
         raise TreeError(
@@ -432,7 +438,7 @@ def assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing) -> AssocRes
     for t in evaluate(bracketing):
         r = _rename(t)
         nested[serialize_tree(r)] = r
-    flat = shuffles(list(factors))
+    flat = _shuffle_trees(_state_table(factors) if table is None else table)
     flat_keys = {serialize_tree(t) for t in flat}
     unreached = tuple(sorted(k for k in nested if k not in flat_keys))
     return AssocResult(

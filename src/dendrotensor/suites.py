@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import islice, product
 from random import Random
 from typing import Any, Callable, NamedTuple
 
@@ -34,6 +34,7 @@ from .lurie import (
     _key_passes,
     _map_count,
     _walk_chains,
+    _walk_images,
     FreeForestOperad,
     check_fibrous,
     chain_to_map,
@@ -49,6 +50,7 @@ from .lurie import (
 from .omegacat import _cut_total, compose, identity_map, validate
 from .render import json_text
 from .shuffle import (
+    _assoc_inclusion,
     _count_states,
     _interior_decomposition,
     _name,
@@ -56,7 +58,6 @@ from .shuffle import (
     _shuffle_trees,
     _state_table,
     _stump_transport,
-    assoc_inclusion,
     inclusion_map,
     intersect,
 )
@@ -337,20 +338,22 @@ def suite_nerve(cfg: SuiteConfig) -> _Suite:
 
     def check(instance: Any, rng: Random) -> list[tuple]:
         p, a, tables, maps = instance
-        # each chain is read as a map once and struck off the maps: a miss,
-        # a second hit or a map left over fails the bijection
-        left = set(maps)
-        ok = len(left) == len(maps) == tables.total
-        kept = []  # the first chains and their images, for the checks below
-        for ch in _walk_chains(tables):
-            m = chain_to_map(ch)
-            if m in left:
-                left.remove(m)
-            else:
-                ok = False
-            if len(kept) < 50:
-                kept.append((ch, m))
-        ok = ok and not left and all(map_to_chain(p, a, m) == ch for ch, m in kept)
+        # the chains' images, walked straight off the tables, are struck off
+        # the maps: a miss or a second hit strikes nothing, so the maps
+        # struck fall short of the images walked, or a map is left over
+        left, walked, n = set(maps), [], 0
+        distinct = len(left)
+        for n, m in enumerate(_walk_images(tables), 1):
+            left.discard(m)
+            if n <= 50:
+                walked.append(m)
+        ok = distinct == len(maps) == tables.total == n and not left
+        # the first chains and their images, for the checks below; each
+        # image is the walk's at the same place
+        kept = [(ch, chain_to_map(ch)) for ch in islice(_walk_chains(tables), 50)]
+        ok = ok and len(kept) == len(walked) and all(
+            m == w and map_to_chain(p, a, m) == ch for (ch, m), w in zip(kept, walked)
+        )
         phi = random_operator(rng, rng.randint(0, 3), a.n)
         h = omega_mor(phi, a)
         nat_ok = all(
@@ -527,12 +530,12 @@ def suite_assoc(cfg: SuiteConfig) -> _Suite:
 
     def draw(rng: Random, i: int) -> tuple[Any, Witness]:
         nf = 4 if i % 5 == 4 else 3
-        factors, _ = _random_factors(rng, nf, 3, cfg.stump_probability, 2000, "assoc")
+        factors, table = _random_factors(rng, nf, 3, cfg.stump_probability, 2000, "assoc")
         br = rng.choice(four if nf == 4 else three)
-        return (factors, br), {**_factors_witness(factors), "bracketing": br}
+        return (factors, br, table), {**_factors_witness(factors), "bracketing": br}
 
     def check(instance: Any, rng: Random) -> list[tuple]:
-        res = assoc_inclusion(*instance)
+        res = _assoc_inclusion(*instance)
         ok = (
             not res.unreached
             and len(set(serialize_tree(t) for t in res.nested)) == len(res.nested)

@@ -516,6 +516,34 @@ def test_free_algebra_output_bytes_are_pinned(capsys, fmt):
     assert hashlib.sha256(out).hexdigest() == PINNED_FREE_ALGEBRA[fmt]
 
 
+def test_free_algebra_over_max_results_exits_2_with_one_line(capsys):
+    # the pinned listing has 12 terms, counted before any cut is listed
+    assert main(PIN_FREE_ALGEBRA_ARGV + ["--max-results", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dendrotensor: error: the free algebra has 12 terms at 'r', more than --max-results 11\n"
+    assert main(PIN_FREE_ALGEBRA_ARGV + ["--max-results", "12", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "count: 12"
+    assert main(PIN_FREE_ALGEBRA_ARGV + ["--max-results", "0"]) == 2
+    assert capsys.readouterr().err == "dendrotensor: error: --max-results must be at least 1, got 0\n"
+
+
+def test_free_algebra_counts_before_it_lists(capsys, monkeypatch):
+    # each of the 458,330 cuts of t0 in a binary tree of depth 5 holds an
+    # edge no generator colours, so there is no term: the count says so
+    # without any cut listed (listing them all took seconds)
+    def listed(*args, **kwargs):
+        raise AssertionError("the cuts were listed")
+
+    monkeypatch.setattr(lurie_module.FreeForestOperad, "ops_by_output", listed)
+    argv = ["free-algebra", "{" + binary_text(5, "t") + ";x[y]}", "--generators", '{"1":"t5"}',
+            "--inputs", '{"1":["g"]}', "--output-color", "t0"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 0, "terms": []}
+    assert main(argv + ["--max-results", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 0, "terms": []}
+
+
 def test_free_algebra_terms(capsys):
     code = main(
         [

@@ -1905,6 +1905,142 @@ def test_chain_walk_lists_the_chains_in_order_and_again(seed, kind):
     assert tuple(lurie_module._walk_chains(tables)) == want
 
 
+def replaced_chain_tables(p, a, cap=None):
+    """``lurie._chain_tables`` before level 0 listed its live colorings
+    only: every coloring of level 0 is built and given its arrow list,
+    empty when some target has no operation at its fiber colors."""
+    xs, als = a.pointed_levels
+    objs = {c: lurie_module._ell_obj((xs[0], c)) for c in product(p.colors(), repeat=len(xs[0].elements))}
+    bottom = list(objs.values())
+    out = []
+    for i, gamma in enumerate(als):
+        pos, fibers = xs[i].position, gamma.fibers
+        targets = [([pos[x] for x in fibers.get(k, ())], k, {}) for k in gamma.dst.elements]
+        above = {}
+        level = {}
+        for colors, obj in objs.items():
+            arrows = level[colors] = []
+            per_target = []
+            for fib, k, seen in targets:
+                key = tuple([colors[j] for j in fib])
+                opts = seen.get(key)
+                if opts is None:
+                    opts = seen[key] = [(c, (k, lab)) for c, lab in p.ops_for_inputs(list(key))]
+                if not opts:
+                    break
+                per_target.append(opts)
+            else:
+                for combo in product(*per_target):
+                    dst_colors, comps = zip(*combo) if combo else ((), ())
+                    dst = above.get(dst_colors)
+                    if dst is None:
+                        dst = above[dst_colors] = lurie_module._ell_obj((gamma.dst, dst_colors))
+                    arrows.append((dst, lurie_module._ell_mor((gamma, obj, dst, comps))))
+        out.append(level)
+        objs = above
+    count = dict.fromkeys(objs, 1)
+    for level in reversed(out):
+        below, count = count, {}
+        for colors, arrows in level.items():
+            arrows[:] = [(dst, mor) for dst, mor in arrows if below[dst.colors]]
+            count[colors] = sum(below[dst.colors] for dst, _ in arrows)
+    total = sum(count.values())
+    if cap is not None and total > cap:
+        raise TreeError(f"chain enumeration would produce {total} > cap {cap}")
+    return lurie_module._ChainTables(a, tuple(obj for obj in bottom if count[obj.colors]), out, total)
+
+
+def _random_diagram(rng, n, width):
+    """A level diagram of ``n`` steps between levels of up to ``width``
+    elements, empty levels and dying elements allowed."""
+    levels = [[str(j) for j in range(1, rng.randint(0, width) + 1)] for _ in range(n + 1)]
+    maps = [{x: rng.choice(levels[i + 1] + [STAR]) for x in lev} for i, lev in enumerate(levels[:-1])]
+    return FinSimplex.from_json({"levels": levels, "maps": maps})
+
+
+def _live_arrows(tables):
+    """Per level, the colorings with an arrow that reaches the top, and
+    those arrows, in the tables' order."""
+    return [[(colors, arrows) for colors, arrows in level.items() if arrows] for level in tables.levels]
+
+
+@given(seeds, st.sampled_from(["free", "table"]), st.sampled_from([0, 1, 2, 3, 10, 11]))
+@settings(max_examples=200, deadline=None)
+def test_chain_tables_equal_the_tables_over_every_coloring(seed, kind, n):
+    # level 0 lists its live colorings only; the bottom, the total, every
+    # live arrow list (in order) and the cap's refusal are the oracle's,
+    # whose level 0 holds every coloring
+    rng = Random(seed)
+    if kind == "free":
+        p = FreeForestOperad(random_forest(rng, 5, 0.3, min_components=1))
+    else:
+        p = random_table_operad(rng)
+    a = _random_diagram(rng, n, 3 if n < 4 else 1)
+    if len(p.colors()) ** len(a.levels[0]) > 400:
+        return
+    want = replaced_chain_tables(p, a)
+    got = lurie_module._chain_tables(p, a)
+    assert got.simplex == a and got.bottom == want.bottom and got.total == want.total
+    assert _live_arrows(got) == _live_arrows(want)
+    # level 0 lists, in product order, the colorings at which every target
+    # has an operation; the levels above are the oracle's, and a diagram of
+    # one level starts a chain at every coloring
+    assert [list(level) for level in got.levels[1:]] == [list(level) for level in want.levels[1:]]
+    xs, als = a.pointed_levels
+    colorings = list(product(p.colors(), repeat=len(xs[0].elements)))
+    if als:
+        pos, gamma = xs[0].position, als[0]
+        live = [c for c in colorings
+                if all(p.ops_for_inputs([c[pos[x]] for x in gamma.fiber(k)]) for k in gamma.dst.elements)]
+        assert list(got.levels[0]) == live
+    else:
+        assert got.levels == [] and [obj.colors for obj in got.bottom] == colorings
+    if want.total:
+        for tables in (replaced_chain_tables, lurie_module._chain_tables):
+            with pytest.raises(TreeError, match=f"would produce {want.total} > cap {want.total - 1}$"):
+                tables(p, a, cap=want.total - 1)
+        assert lurie_module._chain_tables(p, a, cap=want.total).total == want.total
+
+
+@given(seeds, st.sampled_from(["free", "table"]), st.sampled_from([0, 1, 2, 3, 10, 11]))
+@settings(max_examples=200, deadline=None)
+def test_image_walk_reads_each_chain_of_the_chain_walk(seed, kind, n):
+    # the images walked straight off the tables are chain_to_map of the
+    # chains the chain walk lists, in its order: over stumps (nullary
+    # operations), dying elements, one level, and eleven or more levels,
+    # where "ℓ10:" sorts before "ℓ2:"
+    rng = Random(seed)
+    if kind == "free":
+        p = FreeForestOperad(random_forest(rng, 5, 0.3, min_components=1))
+    else:
+        p = random_table_operad(rng)
+    a = _random_diagram(rng, n, 3 if n < 4 else 1)
+    try:
+        tables = lurie_module._chain_tables(p, a, cap=2000)
+    except TreeError:
+        return
+    want = [chain_to_map(ch) for ch in lurie_module._walk_chains(tables)]
+    assert list(lurie_module._walk_images(tables)) == want
+    assert len(want) == tables.total
+
+
+def test_image_walk_over_thirteen_levels_sorts_its_edges():
+    # a unary diagram of 13 levels into {r[a]}: the color falls from a to r
+    # at most once, so 14 chains; each image's pairs are in edge order,
+    # "ℓ10:1" before "ℓ2:1"
+    p = FreeForestOperad(parse_forest("{r[a]}"))
+    a = FinSimplex.from_json({"levels": [["1"]] * 13, "maps": [{"1": "1"}] * 12})
+    tables = lurie_module._chain_tables(p, a)
+    images = list(lurie_module._walk_images(tables))
+    assert images == [chain_to_map(ch) for ch in lurie_module._walk_chains(tables)]
+    assert len(images) == tables.total == 14
+    for m in images:
+        assert [e for e, _ in m.colors] == sorted(f"ℓ{i}:1" for i in range(13))
+        assert list(m.colors) == sorted(m.colors) and list(m.components) == sorted(m.components)
+    assert images[0].colors[:3] == (("ℓ0:1", "a"), ("ℓ10:1", "a"), ("ℓ11:1", "a"))
+    assert set(images) == set(maps_into(a.forest, p))
+
+
 def test_enumerate_chains_counts_before_it_builds(monkeypatch):
     # a cap below the total raises before any Chain is built, and a listing
     # builds one Chain per chain listed.  Here 144 partial chains reach
@@ -2775,6 +2911,69 @@ def replaced_free_algebra(p, generators, inputs, output):
                 for args in product(*arg_pools):
                     terms.add(canonical_term(gamma, lab, args))
     return tuple(sorted(terms, key=lambda t: (t.indices, str(t.label), t.args)))
+
+
+def listed_free_algebra(p, generators, inputs, output):
+    """``free_algebra`` before it counted: every operation at ``output``
+    listed, the cuts with an input no generator takes an argument at
+    included."""
+    def multisets(pool, k):
+        return combinations_with_replacement(sorted(set(pool)), k)
+
+    by_color = {}
+    for idx in sorted(generators):
+        by_color.setdefault(generators[idx], []).append(idx)
+    terms = []
+    for kappa, labels in p.ops_by_output(output):
+        colors = sorted(Counter(kappa).items())
+        for chosen in product(*[multisets(by_color.get(c, ()), k) for c, k in colors]):
+            gamma = tuple(sorted(i for grp in chosen for i in grp))
+            for parts in product(*[multisets(inputs.get(i, ()), k) for i, k in Counter(gamma).items()]):
+                args = tuple([a for part in parts for a in part])
+                terms += [lurie_module.FreeTerm(gamma, lab, args) for lab in labels]
+    return tuple(sorted(terms, key=lambda t: (t.indices, str(t.label), t.args)))
+
+
+@given(seeds, st.sampled_from(["free", "tensor"]))
+@settings(max_examples=200, deadline=None)
+def test_free_algebra_reads_the_live_cuts_only(seed, kind):
+    # the terms are those of the listing over every operation; over a free
+    # forest operad the count is their number, over a tensor (a color with
+    # two moves may meet a cut twice) a bound.  Generators miss some
+    # colors and share others, pools repeat entries or are empty, and
+    # forests have stumps
+    rng = Random(seed)
+    if kind == "free":
+        p = FreeForestOperad(random_forest(rng, 7, 0.3, min_components=1))
+    else:
+        p = BVTensorOperad([random_tree(rng, 3, 0.3, prefix=f"{x}") for x in "ab"[: rng.randint(1, 2)]])
+    colors = list(p.colors())
+    gens = {f"g{k}": c for k, c in enumerate(colors * 2) if rng.random() < 0.7}
+    ins = {i: [f"v{rng.randint(0, 2)}" for _ in range(rng.randint(0, 3))] for i in gens}
+    # half the time the color with the most operations, so that cuts of
+    # several inputs, all taking arguments, occur
+    output = rng.choice([rng.choice(colors), max(colors, key=lambda c: len(p.ops_by_output(c)))])
+    want = listed_free_algebra(p, gens, ins, output)
+    assert free_algebra(p, gens, ins, output) == want
+    count = lurie_module._free_algebra_count(p, gens, ins, output)
+    assert count == len(want) if kind == "free" else count >= len(want)
+
+
+def test_free_algebra_count_is_one_pass_over_the_edges():
+    # W(e) = w(e) + the product of W over the inputs of the vertex above e,
+    # a stump's empty product 1 and repeated arguments counted once: r has
+    # the cuts (a, d, e) with 2 · 1 · 3 terms and (a, c) with 2 · 1, each
+    # closing the stump b
+    p = FreeForestOperad(parse_forest("{r[a,b[],c[d,e]];x[y]}"))
+    gens = {"1": "a", "2": "d", "3": "e", "4": "c", "5": "y"}
+    ins = {"1": ["g", "h", "g"], "2": ["u"], "3": ["v", "w", "z"], "4": ["c"], "5": []}
+    terms = free_algebra(p, gens, ins, "r")
+    assert lurie_module._free_algebra_count(p, gens, ins, "r") == len(terms) == 2 * 1 * 3 + 2 * 1
+    assert lurie_module._free_algebra_count(p, gens, ins, "x") == 0 == len(free_algebra(p, gens, ins, "x"))
+    with pytest.raises(TreeError, match="no edge 'z'"):
+        lurie_module._free_algebra_count(p, gens, ins, "z")
+    with pytest.raises(TreeError, match="no edge 'z'"):
+        free_algebra(p, gens, ins, "z")
 
 
 def _random_table(rng):

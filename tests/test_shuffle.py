@@ -381,6 +381,8 @@ def test_table_variants_equal_the_factor_functions(seed, k):
     fs = [random_tree(rng, 4, 0.3, prefix=p) for p in "abc"[:k]]
     table = _state_table(fs)
     assert shuffle_module._interior_decomposition(fs, table) == interior_decomposition(fs)
+    for br in {2: ([0, 1],), 3: ([[0, 1], 2], [0, [1, 2]])}.get(k, ()):
+        assert shuffle_module._assoc_inclusion(fs, br, table) == assoc_inclusion(fs, br)
     for j, t in enumerate(fs):
         for leaf in sorted(t.leaves):
             assert shuffle_module._stump_transport(fs, j, leaf, table) == (stump_transport(fs, j, leaf), True)

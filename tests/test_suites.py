@@ -110,7 +110,7 @@ CHECK_CALLEES = {
     "nerve": "omega_mor",
     "fibrous": "EllPresentation",
     "shuffles": "_name",
-    "assoc": "assoc_inclusion",
+    "assoc": "_assoc_inclusion",
     "interior": "_interior_decomposition",
     "freealg": "free_algebra",
 }
@@ -187,29 +187,49 @@ def _merging_second_chain(honest):
 
 
 def _walk_dropping_last(honest):
-    """A ``_walk_chains`` that never yields its last chain."""
+    """A walk that never yields its last item."""
     return lambda tables: list(honest(tables))[:-1]
 
 
 def _walk_repeating_first(honest):
-    """A ``_walk_chains`` that yields its first chain twice."""
-    return lambda tables: (lambda chains: chains[:1] + chains)(list(honest(tables)))
+    """A walk that yields its first item twice."""
+    return lambda tables: (lambda items: items[:1] + items)(list(honest(tables)))
 
 
-# defects the chain-by-chain bijection check must catch: the callee patched
-# in suites, the defect, and the failed records per check at seed 42.  The
-# first three are caught as the check over the whole image caught them,
-# with the same counts; a short walk is caught only by the maps left over,
-# a walk with a repeat only by the second hit
+def _walk_merging_two(honest):
+    """A walk that yields its first item again in place of its second."""
+    return lambda tables: (lambda items: items[:1] * 2 + items[2:] if len(items) > 1 else items)(list(honest(tables)))
+
+
+def _adding_an_edge(honest):
+    """A ``chain_to_map`` whose image colours one edge more, an edge off
+    the diagram that ``map_to_chain`` does not read."""
+    return lambda ch: (lambda m: m._replace(colors=m.colors + (("ℓ~", "x"),)))(honest(ch))
+
+
+# defects the bijection check must catch: the callee patched in suites, the
+# defect, and the failed records per check at seed 42.  The images are
+# walked by lurie._walk_images and struck off the maps: a short walk is
+# caught only by the maps left over, a walk with a repeat or a merge only
+# by the maps struck falling short of the images walked.  A chain_to_map
+# merging two chains is caught by the kept chains' round trip and their
+# images against the walk's, one with an edge too many by the images
+# against the walk's alone; a chain walk short of the image walk, by the
+# kept chains' count against the walked images' (instances of at most 50
+# chains)
 NERVE_BIJECTION_DEFECTS = {
     "chain-to-map-merges-two": ("chain_to_map", _merging_second_chain,
                                 {"nerve-bijection": 22, "nerve-naturality": 12}),
+    "chain-to-map-adds-an-edge": ("chain_to_map", _adding_an_edge,
+                                  {"nerve-bijection": 49, "nerve-naturality": 49}),
     "maps-drop-first": ("maps_into", lambda honest: lambda *args, **kw: honest(*args, **kw)[1:],
                         {"nerve-bijection": 49}),
     "maps-repeat-last": ("maps_into", lambda honest: lambda *args, **kw: (lambda ms: ms + ms[-1:])(honest(*args, **kw)),
                          {"nerve-bijection": 49}),
-    "walk-drops-last": ("_walk_chains", _walk_dropping_last, {"nerve-bijection": 49}),
-    "walk-repeats-first": ("_walk_chains", _walk_repeating_first, {"nerve-bijection": 49}),
+    "walk-drops-last": ("_walk_images", _walk_dropping_last, {"nerve-bijection": 49}),
+    "walk-repeats-first": ("_walk_images", _walk_repeating_first, {"nerve-bijection": 49}),
+    "walk-merges-two": ("_walk_images", _walk_merging_two, {"nerve-bijection": 36}),
+    "chain-walk-drops-last": ("_walk_chains", _walk_dropping_last, {"nerve-bijection": 34}),
 }
 
 
@@ -392,7 +412,7 @@ SITE_MUTANTS = {
     ),
     "assoc-unreached": (
         "assoc",
-        "assoc_inclusion",
+        "_assoc_inclusion",
         lambda honest: lambda *args: dataclasses.replace(
             honest(*args), unreached=("x[y]",)
         ),
@@ -418,12 +438,14 @@ def test_each_failure_site_fires_on_its_defect(monkeypatch, mutant):
 
 
 # how many state tables each suite builds at seed 42: one per factor tuple
-# drawn (rejected draws included), per tuple of interiors and per tuple with
-# a leaf closed, and one per `chain-count` head record; a check reads the
-# table its draw built (before, `shuffles` built 413 and `interior` 100)
+# drawn (rejected draws included), per tuple of interiors, per tuple with a
+# leaf closed and per tuple of blocks a bracketing shuffles, and one per
+# `chain-count` head record; a check reads the
+# table its draw built (before, `shuffles` built 413, `interior` 100 and
+# `assoc` 108)
 STATE_TABLES = {
     "functoriality": 0, "retract": 0, "segal": 0, "d3": 0, "nerve": 0,
-    "fibrous": 0, "shuffles": 221, "assoc": 108, "interior": 50, "freealg": 0,
+    "fibrous": 0, "shuffles": 221, "assoc": 83, "interior": 50, "freealg": 0,
 }
 
 
