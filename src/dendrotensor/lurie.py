@@ -29,8 +29,8 @@ each cut counted once).  On top of these sit:
 * the two decompositions of maps out of a free forest operad: cutting a
   tree at an inner edge, and splitting a forest into its components;
 * free algebra term sets with their symmetrization quotient; over a cut
-  operad the terms are counted in one pass over the state table, and only
-  the cuts whose inputs all take an argument are listed.
+  operad the terms are counted by ``omegacat._counts`` and only the cuts
+  whose inputs all take an argument are folded (``omegacat._fold``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from random import Random
 from typing import Any, NamedTuple
 
 from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
-from .omegacat import Operation, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
+from .omegacat import Operation, _counts, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
 from .omegacat import ForestInto, OperadMap, _forest_into
 from .shuffle import _state_table
 from .treecore import Forest, Tree, TreeError, _cached, _checked_make, as_forest, cut_at, parse_forest, serialize_forest
@@ -1830,22 +1830,17 @@ def _weights(generators: Mapping[str, str], inputs: Mapping[str, Sequence[str]])
     return weights
 
 
-def _term_counts(p: _CutOperad, weights: Mapping[str, int], output: str) -> tuple[list, dict[str, int]]:
-    """The rows of the colors weakly above ``output`` in ``p``'s state
-    table, each after the rows its moves reach, and per color its count
-    ``W``: its weight plus, per move, the product of ``W`` over the colors
-    the move reaches (a stump's empty move counts 1).  In a free forest
-    operad, where a color has at most one move, ``W(output)`` is the number
-    of free-algebra terms at ``output``; where a color has two moves, which
-    may meet a cut twice, it bounds that number.  One pass over the rows."""
+def _term_counts(p: _CutOperad, weights: Mapping[str, int], output: str) -> dict[str, int]:
+    """Per color weakly above ``output`` in ``p``'s state table, its count
+    ``W`` (:func:`~dendrotensor.omegacat._counts`): its weight plus, per
+    move, the product of ``W`` over the colors the move reaches.  In a free
+    forest operad, where a color has at most one move, ``W(output)`` is the
+    number of free-algebra terms at ``output``; where a color has two moves,
+    which may meet a cut twice, it bounds that number."""
     if output not in p._states:
         p._unknown(output)  # a free forest operad refuses an unknown edge
-        return [], {output: 0}
-    rows = _rows_above(p._states.__getitem__, output)
-    counts: dict[str, int] = {}
-    for d, moves in rows:
-        counts[d] = weights.get(d, 0) + sum(math.prod([counts[c] for c in move]) for move in moves)
-    return rows, counts
+        return {output: 0}
+    return _counts(_rows_above(p._states.__getitem__, output), lambda d, moves: weights.get(d, 0))
 
 
 def _free_algebra_count(
@@ -1854,7 +1849,7 @@ def _free_algebra_count(
     """How many terms :func:`free_algebra` lists at ``output`` over a free
     forest operad (a bound over another cut operad), counted without
     listing a cut."""
-    return _term_counts(p, _weights(generators, inputs), output)[1][output]
+    return _term_counts(p, _weights(generators, inputs), output)[output]
 
 
 def _live_cuts(
@@ -1862,28 +1857,17 @@ def _live_cuts(
 ) -> list[tuple[tuple[str, ...], tuple[Label, ...]]]:
     """The ``(inputs, operations)`` entries at ``output`` of the cuts whose
     inputs all have a positive weight, the only cuts with free-algebra
-    terms, folded over ``p``'s state table: a color's own cut when its
-    weight is positive, and per move every union of one live cut per color
-    it reaches.  A move reaching a color of count 0 has no live union, so
-    only the colors it does not skip are folded."""
-    rows, counts = _term_counts(p, weights, output)
-    need = {output}
-    for d, moves in reversed(rows):  # each color before those its moves reach
-        if d in need:
-            need.update(c for move in moves if all(counts[c] for c in move) for c in move)
+    terms: :func:`_fold` over the moves whose colors all count above 0,
+    each color its own cut when its weight is positive.  A move reaching a
+    color of count 0 has no live union, so the colors only such moves reach
+    are not folded."""
+    counts = _term_counts(p, weights, output)
+    if not counts[output]:
+        return []
     live: dict[str, list[tuple[str, ...]]] = {}
-    for d, moves in rows:
-        if d in need:
-            cuts = [(d,)] if weights.get(d) else []
-            for move in moves:
-                if all(counts[c] for c in move):
-                    unions: list[tuple[str, ...]] = [()]
-                    for c in move:
-                        unions = [u + cut for u in unions for cut in live[c]]
-                    cuts += unions
-            live[d] = cuts
-    found = sorted({tuple(sorted(cut)) for cut in live.get(output, ())})
-    return [(cut, (_operation(output, cut),)) for cut in found]
+    rows = _rows_above(lambda d: [move for move in p._states[d] if all(counts[c] for c in move)], output)
+    _fold(rows, live, own={d for d, w in weights.items() if w})
+    return [(cut, (_operation(output, cut),)) for cut in live[output]]
 
 
 def free_algebra(

@@ -6,13 +6,15 @@ replacing an edge by the inputs of the vertex above it (a stump contributes
 nothing, so nullary operations appear exactly when stumps can close every
 branch).  Because each edge has at most one vertex above it, an operation is
 determined by its output edge together with its set of input edges.
-One fold, :func:`_fold`, lists the cuts of tree edges and of shuffle
-states alike, over ``(node, moves)`` rows, each node after the nodes its
-moves reach, as :func:`_rows_above` walks them up from one node: from an
-edge, whose move goes to the inputs of the vertex above it
-(:func:`_edge_moves`), or from a shuffle state.  Bounded by a number of
-inputs, it lists only the cuts up to that arity, which is all a vertex of
-that arity can map to.
+One table, two algebras.  Cuts of tree edges and of shuffle states alike
+grow over ``(node, moves)`` rows, each node after the nodes its moves
+reach, as :func:`_rows_above` walks them up from one node; an edge's move
+goes to the inputs of the vertex above it (:func:`_edge_moves`).
+:func:`_fold` lists cuts as unions, bounded by an arity if asked, which is
+all a vertex of that arity can map to; :func:`_counts` counts them as sums
+over moves of products, weighting each node where a cut may stop: 1 for
+every cut (:func:`_cut_total`), 1 at leaf states for shuffles (each the
+root state grown into leaf states), a color's weight for free-algebra terms.
 
 A map out of a free forest operad is one tuple, :class:`ForestInto`: the
 color of each edge (``colors``) and the operation of the target at each
@@ -82,27 +84,31 @@ class Operation(namedtuple("Operation", "output inputs")):
         return f"{self.output}<-({','.join(self.inputs)})"
 
 
-def _fold(table: Iterable, tables: dict, limit: float = math.inf, keep: bool = True) -> None:
+def _fold(
+    table: Iterable, tables: dict, limit: float = math.inf, keep: bool = True, own: Container | None = None
+) -> None:
     """Fold into ``tables`` the cuts of the nodes of ``table``, ``(node,
     moves)`` pairs each after the nodes its moves reach: as sorted input
-    tuples of at most ``limit`` inputs, listed by inputs, the node itself
-    plus, move by move, every union of one cut per node the move reaches (a
-    stump's empty move gives the empty cut).  The cuts a move unions are
-    disjoint, so a partial union only grows and one past ``limit`` is
-    dropped at once; the default ``inf`` keeps every cut.  Only a node with
-    two moves can meet a cut twice, so only such nodes deduplicate.  With
-    ``keep`` false each list read is popped or extended in place, for
-    graphs in which every node has one reader."""
+    tuples of at most ``limit`` inputs, listed by inputs, the node itself if
+    ``own`` (default: all) holds it plus, move by move, every union of one
+    cut per node the move reaches (a stump's empty move gives the empty
+    cut).  The cuts a move unions are disjoint, so a partial union only
+    grows and one past ``limit`` is dropped at once; the default ``inf``
+    keeps every cut.  Only a node with two moves can meet a cut twice, so
+    only such nodes deduplicate.  With ``keep`` false each list read is
+    popped or extended in place, for graphs in which every node has one
+    reader."""
     take = tables.__getitem__ if keep else tables.pop
     for d, moves in table:
+        mine = [(d,)] if own is None or d in own else []
         if len(moves) == 1 and len(moves[0]) == 1:
             cuts = take(moves[0][0])
             if keep:
                 cuts = cuts.copy()
-            cuts.append((d,))
-            cuts.sort()  # near-linear: one element appended to a sorted list
+            cuts += mine
+            cuts.sort()  # near-linear: at most one element appended to a sorted list
         elif moves:
-            cuts = [(d,)]
+            cuts = mine
             for move in moves:
                 if len(move) == 1 and limit >= 1:  # each of the child's cuts is within the limit
                     cuts += take(move[0])
@@ -114,8 +120,19 @@ def _fold(table: Iterable, tables: dict, limit: float = math.inf, keep: bool = T
                 cuts += unions if len(move) == 1 else [tuple(sorted(u)) for u in unions]
             cuts = sorted(set(cuts) if len(moves) > 1 else cuts)
         else:
-            cuts = [(d,)]
+            cuts = mine
         tables[d] = cuts
+
+
+def _counts(table: Iterable, own: Callable[[Any, Sequence[tuple]], int]) -> dict:
+    """Per row of ``table``, in :func:`_fold`'s order, how many ways its node
+    grows: it stops, weighted ``own(node, moves)``, or each node one move
+    reaches grows (a stump's empty move in one way).  With ``own`` 1 these
+    are :func:`_fold`'s cuts, a bound on them where a node has two moves."""
+    counts: dict = {}
+    for d, moves in table:
+        counts[d] = own(d, moves) + sum([math.prod([counts[c] for c in move]) for move in moves])
+    return counts
 
 
 def _rows_above(moves: Callable[[Any], Sequence[tuple]], start: Any, done: Container = ()) -> list:
@@ -175,14 +192,10 @@ def operations(scope: Tree | Forest, e: str) -> tuple[Operation, ...]:
 
 
 def _cut_total(forest: Forest) -> int:
-    """How many operations the free operad on ``forest`` has, unlisted: an edge
-    has 1 cut at a leaf, else 1 plus the product of its inputs' counts."""
-    cuts: dict[str, int] = {}
-    for t in forest.components:
-        for e in reversed(t.depth):  # the walk from the root, inputs first
-            v = t.vertex_above.get(e)
-            cuts[e] = 1 if v is None else 1 + math.prod([cuts[d] for d in v.in_edges])
-    return sum(cuts.values())
+    """How many operations the free operad on ``forest`` has, unlisted: the
+    cuts of each edge, counted by :func:`_counts` with every edge its own cut."""
+    counts = [_counts(_rows_above(_edge_moves(t), t.root), lambda d, moves: 1) for t in forest.components]
+    return sum(sum(c.values()) for c in counts)
 
 
 def _cut_interior(t: Tree, e: str, members: Collection[str]) -> list[str] | None:

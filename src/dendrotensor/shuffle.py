@@ -13,7 +13,8 @@ shuffle, and its states keep their bare edge names (:func:`_name`), so it
 takes the same walk and folds as every other tuple.  The reachable tuples
 and their moves are listed once, by one walk without recursion, and that
 table is folded into the shuffles, their texts, the lines of their DOT
-gallery (``render.shuffle_clusters``) or their count; the tensor operad
+gallery (``render.shuffle_clusters``) or their count (``omegacat._counts``,
+a shuffle being the root state grown into leaf states); the tensor operad
 folds it into cuts, every state in one loop, by the fold that lists a free
 forest operad's cuts from its edge table (``omegacat._fold``), which is
 this table for a lone factor.
@@ -31,11 +32,10 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
 
-from .omegacat import ForestInto, OperadMap, _induced, _rows_above, validate
+from .omegacat import ForestInto, OperadMap, _counts, _induced, _rows_above, validate
 from .treecore import (
     Tree,
     TreeError,
@@ -256,18 +256,16 @@ def _shuffle_texts(table: _Table, piece: Callable[[str], str] = str) -> list[str
 
 
 def count_shuffles(factors: Sequence[Tree]) -> int:
-    """How many shuffles the factors admit: :func:`_state_table` folded into
-    sums over moves of products of counts, nothing materialized, so cheap
-    even when the answer is astronomically large."""
+    """How many shuffles the factors admit: :func:`_state_table` counted,
+    nothing materialized, so cheap even when the answer is astronomically
+    large."""
     return _count_states(_state_table(factors))
 
 
 def _count_states(table: _Table) -> int:
-    """:func:`count_shuffles`, folded from the factors' state table."""
-    counts: dict[str, int] = {}
-    for state, moves in table:
-        counts[state] = sum(prod(counts[c] for c in move) for move in moves) if moves else 1
-    return counts[state]  # the root state comes last
+    """:func:`count_shuffles`, from the factors' state table: the ways the
+    root state grows (``omegacat._counts``) that stop at leaf states only."""
+    return next(reversed(_counts(table, lambda state, moves: not moves).values()))  # the root comes last
 
 
 def intersect(shuffs: Sequence[Tree]) -> Tree:

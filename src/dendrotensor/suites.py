@@ -54,7 +54,6 @@ from .shuffle import (
     _count_states,
     _interior_decomposition,
     _name,
-    _shuffle_texts,
     _shuffle_trees,
     _state_table,
     _stump_transport,
@@ -557,7 +556,7 @@ def suite_interior(cfg: SuiteConfig) -> _Suite:
         factors, table = instance
         dec = _interior_decomposition(factors, table)
         closed = sorted(serialize_tree(p[1]) for p in dec.pairs)
-        direct = sorted(_shuffle_texts(table))
+        direct = sorted(serialize_tree(t) for t in _shuffle_trees(table))
         return [("interior", closed == direct and len(set(closed)) == len(closed))]
 
     return _Suite({"instances": _or_default(cfg.instances, 25)}, ("interior",), draw, check)

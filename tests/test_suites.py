@@ -398,9 +398,9 @@ SITE_MUTANTS = {
         _last_leaf_left_open,
         {"transport": (11, 100)},
     ),
-    "shuffle-texts-drop-last": (
+    "shuffle-trees-drop-last": (
         "interior",
-        "_shuffle_texts",
+        "_shuffle_trees",
         lambda honest: lambda *args: honest(*args)[:-1],
         {"interior": (25, 25)},
     ),
