@@ -16,6 +16,7 @@ import json
 import sys
 import time
 import unicodedata
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -226,10 +227,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         truncation=args.truncation,
         stump_probability=args.stump_probability,
     )
-    t0 = time.monotonic()
-    report = run_check(args.suite, cfg)
-    elapsed = time.monotonic() - t0
-    _emit(args.out, report_json(report))
+    timings: dict[str, float] = {}
+    # an unwritable timings file ends the command before any suite runs
+    with open(args.timings, "w", encoding="utf-8") if args.timings else nullcontext() as sink:
+        t0 = time.monotonic()
+        report = run_check(args.suite, cfg, timings) if sink else run_check(args.suite, cfg)
+        elapsed = time.monotonic() - t0
+        _emit(args.out, report_json(report))
+        if sink:
+            sink.write(json_text(timings))
     for s in report["suites"]:
         print(
             f"{s['suite']}: {len(s['records'])} records, {s['failures']} failures",
@@ -311,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ck.add_argument("--truncation", type=int, default=4)
     p_ck.add_argument("--stump-probability", type=float, default=0.2)
     p_ck.add_argument("--out", default=None)
+    p_ck.add_argument("--timings", metavar="FILE", help="write each suite's wall seconds as JSON to FILE")
     p_ck.set_defaults(func=cmd_check)
 
     return parser

@@ -137,7 +137,21 @@ class FinPtdObj(namedtuple("FinPtdObj", "elements")):
         return {x: i for i, x in enumerate(self.elements)}
 
 
+# Fin_* up to truncation t is one finite category: each skeleton <n> and
+# each map between skeleta (``_ptd_mor``, by ``(len(src), len(dst), values)``)
+# is one object whose views are built once per process; the ranked
+# sequences' decodes are kept by shape and the fibres' positions once.  No
+# operad's data, at most sum over n, m <= t of (m + 1) ** n maps, and no map
+# over any other set (such as a nerve's level sets) is kept.
 _SKELETA: dict[int, FinPtdObj] = {}
+_MAPS: dict[tuple[int, int, tuple[Elem, ...]], "FinPtdMor"] = {}
+_DECODES: dict[tuple, dict[int, "FinPtdMor"]] = {}
+_POSITIONS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _skeletal(x: FinPtdObj) -> bool:
+    """Whether ``x`` is the shared skeleton of its size, not an equal copy."""
+    return _SKELETA.get(len(x.elements)) is x
 
 
 class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
@@ -145,12 +159,14 @@ class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
     ``values`` is aligned with ``src.elements`` and may hit ``STAR``.
 
     The tuple ``(src, dst, values)``, hashed and compared in C.  The
-    constructor checks the values; maps built here skip it (``_ptd_mor``)."""
+    constructor checks the values; maps built here skip it (``_ptd_mor``),
+    and one shared map between skeleta keeps its composites (``after``)."""
 
     src: FinPtdObj
     dst: FinPtdObj
     values: tuple[Elem, ...]
     _make = classmethod(_checked_make)
+    _composites: dict[tuple[Elem, ...], "FinPtdMor"] | None = None  # a shared map's own
 
     def __init__(self, src: FinPtdObj, dst: FinPtdObj, values: tuple[Elem, ...]) -> None:
         if len(values) != len(src.elements):
@@ -178,9 +194,22 @@ class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
     def fiber(self, j: Elem) -> tuple[Elem, ...]:
         return self.fibers.get(j, ())
 
-    @property
+    @_cached
+    def slots(self) -> tuple[tuple[int, ...], ...]:
+        """Per element of ``dst``, the positions in ``src.elements`` of its
+        fiber: where an object over ``src`` keeps the fiber's colours."""
+        out: dict[Elem, list[int]] = {j: [] for j in self.dst.elements}
+        for i, v in enumerate(self.values):
+            if v != STAR:
+                out[v].append(i)
+        slots = tuple(map(tuple, out.values()))
+        if self._composites is None:
+            return slots
+        return tuple([_POSITIONS.setdefault(s, s) for s in slots])  # shared by the shared maps
+
+    @_cached
     def is_inert(self) -> bool:
-        return all(len(self.fiber(j)) == 1 for j in self.dst.elements)
+        return all(len(slot) == 1 for slot in self.slots)
 
     @property
     def is_active(self) -> bool:
@@ -194,22 +223,34 @@ class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
     def identity(x: FinPtdObj) -> "FinPtdMor":
         return _ptd_mor((x, x, x.elements))
 
-    @_cached
-    def _pointed_mapping(self) -> dict[Elem, Elem]:
-        """``mapping`` with the basepoint sent to itself."""
-        return dict(zip(self.src.elements + (STAR,), self.values + (STAR,)))
-
     def after(self, other: "FinPtdMor") -> "FinPtdMor":
-        """Composite ``self ∘ other`` (basepoint absorbing)."""
+        """Composite ``self ∘ other`` (basepoint absorbing), kept by a shared map."""
         src, mid, values = other
         if mid is not self.src and mid != self.src:
             raise TreeError("pointed maps do not compose")
-        return _ptd_mor((src, self.dst, tuple(map(self._pointed_mapping.__getitem__, values))))
+        composites = self._composites
+        if composites is None or _SKELETA.get(len(values)) is not src:
+            composites = {}
+        found = composites.get(values)
+        if found is None:
+            mine, pos = self.values, self.src.position
+            image = tuple([STAR if v == STAR else mine[pos[v]] for v in values])
+            found = composites[values] = _ptd_mor((src, self.dst, image))
+        return found
 
 
-# the trusted constructors: each builds its tuple from fields that are valid
-# by construction, in C and without checking them again
-_ptd_mor = partial(tuple.__new__, FinPtdMor)
+def _ptd_mor(fields: tuple[FinPtdObj, FinPtdObj, tuple[Elem, ...]]) -> FinPtdMor:
+    """The trusted constructor: the map with these fields, valid by
+    construction and not checked again; between skeleta, the shared one."""
+    src, dst, values = fields
+    if not (_skeletal(src) and _skeletal(dst)):
+        return tuple.__new__(FinPtdMor, fields)
+    key = (len(src.elements), len(dst.elements), values)
+    found = _MAPS.get(key)
+    if found is None:
+        found = _MAPS[key] = tuple.__new__(FinPtdMor, fields)
+        found._composites = {}
+    return found
 
 
 def factorize(f: FinPtdMor) -> tuple[FinPtdMor, FinPtdMor]:
@@ -550,13 +591,10 @@ def _choices(
 ) -> list[list[tuple[Elem, str, Label]]]:
     """For each target element ``k`` of ``gamma``, every ``(k, output color,
     operation)`` choice accepting the colors of ``k``'s fiber in ``src``."""
-    pos, colors, fibers = src.base.position, src.colors, gamma.fibers
+    colors = src.colors
     return [
-        [
-            (k, c, lab)
-            for c, lab in p.ops_for_inputs([colors[pos[i]] for i in fibers.get(k, ())])
-        ]
-        for k in gamma.dst.elements
+        [(k, c, lab) for c, lab in p.ops_for_inputs([colors[i] for i in slot])]
+        for k, slot in zip(gamma.dst.elements, gamma.slots)
     ]
 
 
@@ -578,10 +616,10 @@ def ell_hom(
     (a_src, a_dst, _), (s_base, colors), (d_base, d_colors) = alpha, src, dst
     if (a_src is not s_base and a_src != s_base) or (a_dst is not d_base and a_dst != d_base):
         raise TreeError("objects do not sit over the pointed map")
-    pos, fibers, targets = s_base.position, alpha.fibers, d_base.elements
+    targets = d_base.elements
     per_elem = []
-    for j, color in zip(targets, d_colors):
-        labels = p.ops([colors[pos[i]] for i in fibers.get(j, ())], color)
+    for slot, color in zip(alpha.slots, d_colors):
+        labels = p.ops([colors[i] for i in slot], color)
         if not labels:
             return ()
         per_elem.append(labels)
@@ -601,11 +639,11 @@ def ell_compose(p: FiniteOperad, g: EllMorphism, f: EllMorphism) -> EllMorphism:
     (g_alpha, mid, g_dst, _), (f_alpha, f_src, f_dst, _) = g, f
     if f_dst is not mid and f_dst != mid:
         raise TreeError("fiberwise morphisms do not compose")
-    pos, colors, fibers = mid.base.position, mid.colors, g_alpha.fibers
+    elements, colors = mid.base.elements, mid.colors
     f_comp, g_comp, subst = f.component, g.component, p.subst
     comps = []
-    for k in g_dst.base.elements:
-        args = {colors[pos[j]]: f_comp[j] for j in fibers.get(k, ())}
+    for k, slot in zip(g_dst.base.elements, g_alpha.slots):
+        args = {colors[i]: f_comp[elements[i]] for i in slot}
         comps.append((k, subst(g_comp[k], args)))
     return _ell_mor((g_alpha.after(f_alpha), f_src, g_dst, tuple(comps)))
 
@@ -665,7 +703,7 @@ class EllPresentation:
         if not alpha.is_inert:
             raise TreeError("lifts are taken over inert maps only")
         targets = alpha.dst.elements
-        colors = tuple([src.color_of(alpha.fiber(j)[0]) for j in targets])
+        colors = tuple([src.colors[slot[0]] for slot in alpha.slots])
         dst = _ell_obj((alpha.dst, colors))
         return _ell_mor((alpha, src, dst, tuple(zip(targets, map(self.operad.identity, colors)))))
 
@@ -687,13 +725,32 @@ class FibrousReport:
         return not self.failures
 
 
-class _PointedMaps(Sequence):
+class _Ranked(Sequence):
+    """A sequence of maps by rank: the ``i``-th is decoded (``_decode``)
+    when first asked for and kept, shared by every sequence of its
+    ``shape`` between skeleta; ``Random.sample`` draws from ``len`` alone."""
+
+    def __init__(self, shape: tuple, size: int, *objs: FinPtdObj) -> None:
+        self.size = size
+        self.decoded = _DECODES.setdefault(shape, {}) if all(map(_skeletal, objs)) else {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> FinPtdMor:
+        if not 0 <= i < self.size:
+            raise IndexError("map index out of range")
+        found = self.decoded.get(i)
+        if found is None:
+            found = self.decoded[i] = self._decode(i)
+        return found
+
+
+class _PointedMaps(_Ranked):
     """Every pointed map from ``src`` into each of ``dsts`` in turn, each
     block in the order ``product`` lists the value tuples (``STAR`` last
-    among the choices).  The ``i``-th map is decoded from ``i`` when asked
-    for, so sampling a few maps builds only those; ``Random.sample`` draws
-    its indices from ``len`` alone and picks the same maps as it would from
-    the materialized list."""
+    among the choices); ``Random.sample`` picks the same maps as it would
+    from the materialized list."""
 
     def __init__(self, src: FinPtdObj, dsts: Sequence[FinPtdObj]):
         self.src = src
@@ -701,14 +758,10 @@ class _PointedMaps(Sequence):
         self.blocks = tuple(
             (dst, (len(dst) + 1) ** len(src), dst.elements + (STAR,)) for dst in dsts
         )
-        self.size = sum(n for _, n, _ in self.blocks)
+        shape = ("maps", len(src), tuple([len(dst) for dst in dsts]))
+        super().__init__(shape, sum(n for _, n, _ in self.blocks), src, *dsts)
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> FinPtdMor:
-        if not 0 <= i < self.size:
-            raise IndexError("pointed map index out of range")
+    def _decode(self, i: int) -> FinPtdMor:
         for dst, n, choices in self.blocks:
             if i >= n:
                 i -= n
@@ -722,25 +775,17 @@ class _PointedMaps(Sequence):
             return _ptd_mor((self.src, dst, tuple(values)))
 
 
-class _Inerts(Sequence):
+class _Inerts(_Ranked):
     """Every inert map out of ``src``: for ``k = 0, ..., |src|`` in turn,
     one per ordered choice of ``k`` kept elements, in the order
-    ``permutations`` lists them, the ``j``-th kept element sent to ``j``.
-    As in :class:`_PointedMaps`, the ``i``-th map is decoded from ``i`` when
-    asked for, so ``Random.sample`` picks the maps of the listed blocks
-    while building only those it picks."""
+    ``permutations`` lists them, the ``j``-th kept element sent to ``j``."""
 
     def __init__(self, src: FinPtdObj):
         self.src = src
         self.blocks = tuple(math.perm(len(src), k) for k in range(len(src) + 1))
-        self.size = sum(self.blocks)
+        super().__init__(("inerts", len(src)), sum(self.blocks), src)
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> FinPtdMor:
-        if not 0 <= i < self.size:
-            raise IndexError("inert map index out of range")
+    def _decode(self, i: int) -> FinPtdMor:
         k = 0
         while i >= self.blocks[k]:
             i -= self.blocks[k]
@@ -884,19 +929,22 @@ class _Checks:
     """One call of :func:`check_fibrous` or :func:`check_category`, shared
     by its sections: the presentation, the report whose counters they
     raise, the generator, the truncation, the operad's colours, the skeleta
-    ``<0>`` to ``<truncation>``, and the call's hom memo.
+    ``<0>`` to ``<truncation>`` with the pointed maps out of each, and the
+    call's hom memo.
 
     Each hom ``pres.hom(alpha, src, dst)`` is listed at most once per call:
     the memo, keyed by the caller's tuple ``(alpha, src, dst)`` (hashed in
     C), keeps the listing with its multiplicities (counts use it, so a
     family listed twice, as in the ``duplicate-family`` fixture, still
     counts twice) and, once membership is asked, the set of its morphisms.
-    The memo goes with the call."""
+    The memo goes with the call; only Fin_* outlives it: the maps between
+    skeleta (at most sum over n, m <= truncation of (m + 1) ** n, ``_MAPS``)."""
 
     def __init__(self, pres: EllPresentation, report: Any, truncation: int, rng: Random | None) -> None:
         self.pres, self.report, self.truncation, self.rng = pres, report, truncation, rng or Random(0)
         self.colors = pres.operad.colors()
         self.skeleta = [FinPtdObj.skeleton(m) for m in range(truncation + 1)]
+        self.maps_out = {base: _PointedMaps(base, self.skeleta) for base in self.skeleta}
         self._listings: dict[tuple, tuple[EllMorphism, ...]] = {}
         self._members: dict[tuple, frozenset[EllMorphism]] = {}
 
@@ -936,7 +984,8 @@ def _lift_failures(
                     )
                     continue
                 y = lift.dst
-                for beta in _sample(rng, _PointedMaps(y.base, ctx.skeleta), betas_per_lift):
+                betas = ctx.maps_out.get(y.base) or _PointedMaps(y.base, ctx.skeleta)
+                for beta in _sample(rng, betas, betas_per_lift):
                     gamma = beta.after(alpha)
                     # per target: how often each composite ``g ∘ lift`` occurs
                     through_lift: dict[EllObject, Counter[EllMorphism]] = {}
@@ -1019,11 +1068,12 @@ def _component_failures(ctx: _Checks, colorings_per_shape: int, betas_per_lift: 
     for m in range(1, ctx.truncation + 1):
         tuple_base = ctx.skeleta[m]
         rhos = [rho(m, i) for i in tuple_base.elements]
+        into = [_PointedMaps(y_base, (tuple_base,)) for y_base in ctx.skeleta]
         for c_x in _coloring_pool(ctx.colors, rng, m, colorings_per_shape):
             x = _ell_obj((tuple_base, c_x))
             lifts = [pres.inert_lift(r, x) for r in rhos]
             for ym, y_base in enumerate(ctx.skeleta):
-                for f in _sample(rng, _PointedMaps(y_base, (tuple_base,)), betas_per_lift):
+                for f in _sample(rng, into[ym], betas_per_lift):
                     legs = [(r.after(f), lift.dst) for r, lift in zip(rhos, lifts)]
                     for c_y in _coloring_pool(ctx.colors, rng, ym, colorings_per_shape):
                         y = _ell_obj((y_base, c_y))
@@ -1114,7 +1164,7 @@ def _category_failures(ctx: _Checks) -> Iterator[str]:
         found = listed_out.get(x)
         if found is None:
             found = listed_out[x] = [
-                mor for gamma in _PointedMaps(x.base, ctx.skeleta) for _, mor in ctx.pres.arrows_from(gamma, x)
+                mor for gamma in ctx.maps_out[x.base] for _, mor in ctx.pres.arrows_from(gamma, x)
             ]
         return found
 
@@ -1558,10 +1608,7 @@ def _chain_tables(p: FiniteOperad, a: FinSimplex, cap: int | None = None) -> _Ch
         return opts
 
     # per level and target: its fiber's positions, and its choices by fiber colors
-    targets = [
-        [([xs[i].position[x] for x in gamma.fibers.get(k, ())], k, {}) for k in gamma.dst.elements]
-        for i, gamma in enumerate(als)
-    ]
+    targets = [[(slot, k, {}) for k, slot in zip(gamma.dst.elements, gamma.slots)] for gamma in als]
     width = len(xs[0].elements)
     if als:
         live = [(fib, [key for key in product(cols, repeat=len(fib)) if choices(key, k, seen)])

@@ -14,6 +14,7 @@ time-dependent, so identical seeds and configs give byte-identical reports.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass
 from itertools import islice, product
 from random import Random
@@ -649,15 +650,19 @@ def _run(name: str, cfg: SuiteConfig) -> tuple[list[Record], dict[str, Any]]:
     return records + suite.tail(), suite.params
 
 
-def run_check(name: str, cfg: SuiteConfig) -> dict[str, Any]:
-    """Run one suite (or ``all``) and assemble the deterministic report."""
+def run_check(name: str, cfg: SuiteConfig, timings: dict[str, float] | None = None) -> dict[str, Any]:
+    """Run one suite (or ``all``) and assemble the deterministic report;
+    each suite's wall seconds go to ``timings``, when given."""
     if name != "all" and name not in _SUITES:
         raise TreeError(f"unknown suite {name!r}; choose from {('all',) + SUITE_NAMES}")
     names = SUITE_NAMES if name == "all" else (name,)
     suites = []
     total_failures = 0
     for s in names:
+        t0 = time.perf_counter()
         records, params = _run(s, cfg)
+        if timings is not None:
+            timings[s] = time.perf_counter() - t0
         failures = sum(1 for r in records if r["status"] != "pass")
         total_failures += failures
         suites.append(

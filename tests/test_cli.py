@@ -688,6 +688,32 @@ def test_check_records_a_functoriality_error_per_instance(monkeypatch, tmp_path,
     assert "total: 6 failures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_check_timings_are_a_side_channel(tmp_path, capsys, out):
+    # the report's bytes (stdout or --out), the exit code and stderr's
+    # record lines are those of the same run without --timings
+    runs = []
+    for timings in (None, tmp_path / "timings.json"):
+        dest = tmp_path / f"report-{timings is None}.json"
+        argv = ["check", "all", "--seed", "3", "--instances", "2"] + (["--out", str(dest)] if out else [])
+        code = main(argv + (["--timings", str(timings)] if timings else []))
+        captured = capsys.readouterr()
+        report = dest.read_bytes() if out else captured.out.encode()
+        runs.append((code, report, captured.out, captured.err.splitlines()[:-1]))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
+    seconds = json.loads((tmp_path / "timings.json").read_text(encoding="utf-8"))
+    assert list(seconds) == sorted(json.loads(runs[0][1])["suites"][i]["suite"] for i in range(10))
+    assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+
+
+def test_check_timings_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for bad in (tmp_path / "missing" / "timings.json", tmp_path):
+        assert main(["check", "d3", "--instances", "1", "--timings", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("dendrotensor: error:")
+
+
 def test_check_report_is_deterministic(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

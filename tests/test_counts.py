@@ -23,6 +23,7 @@ from dendrotensor import (
     as_forest,
     count_shuffles,
     free_algebra,
+    hom,
 )
 from dendrotensor import lurie as lurie_module
 from dendrotensor._rand import random_forest, random_tree
@@ -253,3 +254,32 @@ def test_free_algebra_count_on_a_corolla(seed, k):
     want = w["r"] + math.prod(w[f"l{i}"] for i in range(k))
     assert _free_algebra_count(p, gens, ins, "r") == len(free_algebra(p, gens, ins, "r")) == want
 
+
+
+def closed_cut_count(t, e):
+    """``c(e)``, the cuts of ``t`` with output ``e``, by recursion up the
+    tree: 1 at a leaf, else 1 (the identity) plus the product over the
+    inputs of the vertex above, so 2 at a stump."""
+    v = t.vertex_above.get(e)
+    return 1 if v is None else 1 + math.prod(closed_cut_count(t, d) for d in v.in_edges)
+
+
+@given(seeds, st.sampled_from([0.0, 0.3, 0.6]))
+@settings(max_examples=100, deadline=None)
+def test_hom_from_eta_and_cuts_per_edge_have_closed_forms(seed, stump_probability):
+    # a map out of the free operad of η picks one colour; the operations
+    # of a free tree operad with output e are the cuts above e, each with
+    # its own inputs
+    t = random_tree(Random(seed), 8, stump_probability)
+    assert len(hom(Tree("eta", ()), t)) == len(t.edges)
+    p = FreeForestOperad(t)
+    for e in t.edges:
+        assert len(p.ops_by_output(e)) == closed_cut_count(t, e)
+
+
+def test_cut_closed_form_counts_stumps_twice():
+    # negative control for the recursion: a stump has its identity and its
+    # empty cut, a leaf only its identity
+    stump, leaf = corolla(0), Tree("l", ())
+    assert closed_cut_count(stump, "r") == len(FreeForestOperad(stump).ops_by_output("r")) == 2
+    assert closed_cut_count(leaf, "l") == len(FreeForestOperad(leaf).ops_by_output("l")) == 1

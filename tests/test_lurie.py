@@ -253,6 +253,186 @@ def test_fibrous_check_builds_only_the_inerts_it_samples(monkeypatch):
     assert len(built) < 5_000
 
 
+# -- the shared maps between skeleta ---------------------------------------------
+
+# the trusted constructor before the maps between skeleta were shared: a new
+# tuple for every call
+replaced_ptd_mor = partial(tuple.__new__, FinPtdMor)
+
+
+def replaced_pointed_map(src, dsts, i):
+    """``_PointedMaps(src, dsts)[i]`` before the decodes were shared: the
+    map decoded afresh from ``i``."""
+    blocks = tuple((dst, (len(dst) + 1) ** len(src), dst.elements + (STAR,)) for dst in dsts)
+    if not 0 <= i < sum(n for _, n, _ in blocks):
+        raise IndexError("pointed map index out of range")
+    for dst, n, choices in blocks:
+        if i >= n:
+            i -= n
+            continue
+        base = len(choices)
+        values = []
+        for _ in src.elements:
+            i, digit = divmod(i, base)
+            values.append(choices[digit])
+        values.reverse()
+        return replaced_ptd_mor((src, dst, tuple(values)))
+
+
+def replaced_inert(src, i):
+    """``_Inerts(src)[i]`` before the decodes were shared."""
+    blocks = tuple(math.perm(len(src), k) for k in range(len(src) + 1))
+    if not 0 <= i < sum(blocks):
+        raise IndexError("inert map index out of range")
+    k = 0
+    while i >= blocks[k]:
+        i -= blocks[k]
+        k += 1
+    rest = list(src.elements)
+    index = {}
+    for j in range(1, k + 1):
+        digit, i = divmod(i, math.perm(len(rest) - 1, k - j))
+        index[rest.pop(digit)] = j
+    values = tuple(index.get(x, STAR) for x in src.elements)
+    return replaced_ptd_mor((src, FinPtdObj.skeleton(k), values))
+
+
+def replaced_after(g, f):
+    """``g.after(f)`` before composites were kept: through the pointed
+    mapping of ``g``, built on each map."""
+    src, mid, values = f
+    if mid is not g.src and mid != g.src:
+        raise TreeError("pointed maps do not compose")
+    pointed = dict(zip(g.src.elements + (STAR,), g.values + (STAR,)))
+    return replaced_ptd_mor((src, g.dst, tuple(map(pointed.__getitem__, values))))
+
+
+SMALL_SKELETA = [FinPtdObj.skeleton(n) for n in range(4)]
+
+
+def _maps_between_small_skeleta():
+    """Every pointed map between the skeleta <0> to <3>, checked."""
+    return [
+        FinPtdMor(src, dst, values)
+        for src in SMALL_SKELETA
+        for dst in SMALL_SKELETA
+        for values in product(dst.elements + (STAR,), repeat=len(src))
+    ]
+
+
+def test_maps_between_skeleta_are_shared():
+    checked = _maps_between_small_skeleta()
+    assert len(checked) == sum((m + 1) ** n for n in range(4) for m in range(4))
+    for f in checked:
+        shared = lurie_module._ptd_mor(tuple(f))
+        assert shared == f and type(shared) is FinPtdMor
+        assert shared is lurie_module._ptd_mor(tuple(f))
+        assert shared.src is f.src and shared.dst is f.dst
+        # the fibre positions, recomputed from the positions and the fibres
+        assert shared.slots == tuple(
+            tuple(f.src.position[x] for x in f.fibers.get(j, ())) for j in f.dst.elements)
+        assert shared.is_inert == all(len(f.fiber(j)) == 1 for j in f.dst.elements)
+        assert all(lurie_module._POSITIONS[slot] is slot for slot in shared.slots)
+    assert all(lurie_module._MAPS[len(f.src), len(f.dst), f.values] == f for f in checked)
+    for n in range(4):
+        assert FinPtdMor.identity(SMALL_SKELETA[n]) is lurie_module._ptd_mor(
+            (SMALL_SKELETA[n], SMALL_SKELETA[n], SMALL_SKELETA[n].elements))
+        for i in range(1, n + 1):
+            assert rho(n, i) is lurie_module._ptd_mor(tuple(rho(n, i)))
+
+
+def test_shared_decodes_equal_the_replaced_decoders():
+    for src in SMALL_SKELETA:
+        for dsts in [[dst] for dst in SMALL_SKELETA] + [SMALL_SKELETA]:
+            pool = _PointedMaps(src, dsts)
+            for i in range(len(pool)):
+                assert pool[i] == replaced_pointed_map(src, dsts, i)
+                assert pool[i] is _PointedMaps(src, dsts)[i] is lurie_module._ptd_mor(tuple(pool[i]))
+        inerts = _Inerts(src)
+        for i in range(len(inerts)):
+            assert inerts[i] == replaced_inert(src, i)
+            assert inerts[i] is _Inerts(src)[i] is lurie_module._ptd_mor(tuple(inerts[i]))
+
+
+def test_shared_composites_equal_the_replaced_composite():
+    maps = _maps_between_small_skeleta()
+    out_of = {}
+    for g in maps:
+        out_of.setdefault(len(g.src), []).append(g)
+    pairs = 0
+    for f in maps:
+        for g in out_of[len(f.dst)]:
+            gf = lurie_module._ptd_mor(tuple(g)).after(f)
+            assert gf == replaced_after(g, f)
+            assert gf is lurie_module._ptd_mor(tuple(gf)) is g.after(f)
+            pairs += 1
+    assert pairs == 9866
+
+
+def test_maps_over_other_sets_are_not_shared():
+    two, one = FinPtdObj((1, 2)), FinPtdObj.skeleton(1)  # equal to <2>, but built directly
+    shared = lurie_module._ptd_mor((FinPtdObj.skeleton(2), one, (1, STAR)))
+    own = lurie_module._ptd_mor((two, one, (1, STAR)))
+    assert own == shared and own is not shared and own._composites is None
+    assert own is not lurie_module._ptd_mor((two, one, (1, STAR)))
+    assert _PointedMaps(two, [one])[1] == shared and _PointedMaps(two, [one])[1] is not shared
+    assert _Inerts(two)[1].src is two
+    ident = FinPtdMor.identity(two)
+    assert own.after(ident) == own and own.after(ident) is not own
+    assert not any(f is g for f in lurie_module._MAPS.values() for g in (own, ident, own.after(ident)))
+    # a nerve's level sets: the chains' maps stay their own, and so do
+    # their composites
+    p = FreeForestOperad(parse_forest("{r[a[x],b[]]}"))
+    a = FinSimplex.from_json({"levels": [[1, 2], [1], [1]], "maps": [{"1": 1, "2": 1}, {"1": 1}]})
+    xs, als = a.pointed_levels
+    for ch in enumerate_chains(p, a):
+        restrict_chain(p, ch, SimplicialOperator.face(2, 1))
+    kept = list(lurie_module._MAPS.values())
+    assert all(lurie_module._skeletal(f.src) and lurie_module._skeletal(f.dst) for f in kept)
+    composite = als[1].after(als[0])
+    assert not any(f is g for f in kept for g in (*als, composite))
+    assert all(f._composites is None for f in (*als, composite))
+    positions = list(lurie_module._POSITIONS.values())
+    assert not any(p is slot for f in als for slot in f.slots if slot for p in positions)
+
+
+def _table_entries():
+    return dict(lurie_module._MAPS)
+
+
+def test_the_tables_hold_fin_star_data_only(monkeypatch):
+    # the fibrous check at truncation 2 on two operads and a defect fixture:
+    # every map it keeps lies between skeleta <= 2, at most 23 in all, and
+    # a second operad keeps no map outside that bound
+    for name in ("_MAPS", "_DECODES", "_POSITIONS"):
+        monkeypatch.setattr(lurie_module, name, {})
+    bound = sum((m + 1) ** n for n in range(3) for m in range(3))
+    assert bound == 23
+
+    def kept_within_bound():
+        entries = _table_entries()
+        for (n, m, values), f in entries.items():
+            assert n <= 2 and m <= 2
+            assert f == FinPtdMor(FinPtdObj.skeleton(n), FinPtdObj.skeleton(m), values)
+        assert len(entries) <= bound
+        for decoded in lurie_module._DECODES.values():
+            assert all(f is entries[len(f.src), len(f.dst), f.values] for f in decoded.values())
+        assert all(set(slot) <= {0, 1} for slot in lurie_module._POSITIONS)
+        return entries
+
+    runs = [
+        EllPresentation(FreeForestOperad(parse_forest("{r[a[x],b[]]}"))),
+        EllPresentation(BVTensorOperad([parse_tree("x[y,z]"), parse_tree("u[v]")])),
+        dict(defect_fixtures())["duplicate-family"],
+    ]
+    first = None
+    for pres in runs:
+        check_fibrous(pres, truncation=2, rng=Random(5))
+        entries = kept_within_bound()
+        first = first or entries
+    assert first and set(first) <= set(_table_entries())
+
+
 def _fiberwise_values():
     """One value of each tuple type of the fiberwise layer, with its fields
     and its trusted constructor (for a pointed set, the shared skeleton)."""
