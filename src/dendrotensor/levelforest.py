@@ -1,5 +1,13 @@
 """Level diagrams of finite pointed sets and the forests they generate.
 
+Fin_* comes first: pointed sets and maps (:class:`FinPtdObj`,
+:class:`FinPtdMor`), the inert-active factorization, the collapse maps
+``rho(n, i)``, the lexicographic smash product, and the pointed maps out of
+a skeleton as ranked sequences (:class:`_PointedMaps`, :class:`_Inerts`).
+Each skeleton and each map between skeleta is one shared object, kept with
+its views in process-wide tables (``_SKELETA``, ``_MAPS``): the only memos
+that outlive a call.
+
 A :class:`FinSimplex` of length ``n`` is a chain ``A_0 -> A_1 -> ... -> A_n``
 of finite sets where each map may also send elements to the basepoint ``*``
 (dying).  Such a chain generates a forest: one edge per element, the element
@@ -17,7 +25,9 @@ forest of a chain: pad each leaf up to a uniform height and read off levels.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Mapping
@@ -39,6 +49,11 @@ from .treecore import (
 
 __all__ = [
     "STAR",
+    "FinPtdObj",
+    "FinPtdMor",
+    "factorize",
+    "rho",
+    "smash",
     "FinSimplex",
     "SimplicialOperator",
     "edge_name",
@@ -73,6 +88,280 @@ def _element(value: Any) -> str:
         return str(value)
     shown = json.dumps(value, ensure_ascii=False, default=repr)
     raise TreeError(f"level elements and map values must be strings or integers, got {shown}")
+
+
+# -- Fin_*: finite pointed sets and pointed maps -----------------------------
+
+Elem = str | int
+
+
+class FinPtdObj(namedtuple("FinPtdObj", "elements")):
+    """A finite pointed set, listed without its basepoint ``*``: the tuple
+    ``(elements,)``, hashed and compared in C.  Its length is the number of
+    elements."""
+
+    elements: tuple[Elem, ...]
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, elements: tuple[Elem, ...]) -> "FinPtdObj":
+        if len(set(elements)) != len(elements):
+            raise TreeError("pointed-set elements must be distinct")
+        if STAR in elements:
+            raise TreeError("'*' is the basepoint, not an element")
+        return tuple.__new__(cls, (elements,))
+
+    @staticmethod
+    def skeleton(n: int) -> "FinPtdObj":
+        """The skeleton ``<n>``, one shared object per ``n``, so that its
+        positions and pointed set are built once for every user."""
+        sk = _SKELETA.get(n)
+        if sk is None:
+            sk = _SKELETA[n] = FinPtdObj(tuple(range(1, n + 1)))
+        return sk
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @_cached
+    def pointed(self) -> frozenset[Elem]:
+        """The elements with the basepoint: the values a map into this set
+        may take, built once for every map that checks them."""
+        return frozenset(self.elements + (STAR,))
+
+    @_cached
+    def position(self) -> dict[Elem, int]:
+        """Each element's index in ``elements``: where an object over this
+        set keeps the element's colour."""
+        return {x: i for i, x in enumerate(self.elements)}
+
+
+# Fin_* up to truncation t is one finite category: each skeleton <n> and
+# each map between skeleta (``_ptd_mor``, by ``(len(src), len(dst), values)``)
+# is one object whose views are built once per process; the ranked
+# sequences' decodes are kept by shape and the fibres' positions once.  No
+# operad's data, at most sum over n, m <= t of (m + 1) ** n maps, and no map
+# over any other set (such as a nerve's level sets) is kept.
+_SKELETA: dict[int, FinPtdObj] = {}
+_MAPS: dict[tuple[int, int, tuple[Elem, ...]], "FinPtdMor"] = {}
+_DECODES: dict[tuple, dict[int, "FinPtdMor"]] = {}
+_POSITIONS: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _skeletal(x: FinPtdObj) -> bool:
+    """Whether ``x`` is the shared skeleton of its size, not an equal copy."""
+    return _SKELETA.get(len(x.elements)) is x
+
+
+class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
+    """A pointed map, recorded on the non-basepoint source elements;
+    ``values`` is aligned with ``src.elements`` and may hit ``STAR``.
+
+    The tuple ``(src, dst, values)``, hashed and compared in C.  The
+    constructor checks the values; maps built here skip it (``_ptd_mor``),
+    and one shared map between skeleta keeps its composites (``after``)."""
+
+    src: FinPtdObj
+    dst: FinPtdObj
+    values: tuple[Elem, ...]
+    _make = classmethod(_checked_make)
+    _composites: dict[tuple[Elem, ...], "FinPtdMor"] | None = None  # a shared map's own
+
+    def __init__(self, src: FinPtdObj, dst: FinPtdObj, values: tuple[Elem, ...]) -> None:
+        if len(values) != len(src.elements):
+            raise TreeError("pointed map must cover every source element")
+        allowed = dst.pointed
+        if not allowed.issuperset(values):
+            bad = next(v for v in values if v not in allowed)
+            raise TreeError(f"pointed map hits a non-element {bad!r}")
+
+    @_cached
+    def mapping(self) -> dict[Elem, Elem]:
+        return dict(zip(self.src.elements, self.values))
+
+    def __call__(self, x: Elem) -> Elem:
+        return self.mapping[x]
+
+    @_cached
+    def fibers(self) -> dict[Elem, tuple[Elem, ...]]:
+        """The fiber of every value hit (``STAR`` included), in source order."""
+        out: dict[Elem, tuple[Elem, ...]] = {}
+        for x, v in zip(self.src.elements, self.values):
+            out[v] = out[v] + (x,) if v in out else (x,)
+        return out
+
+    def fiber(self, j: Elem) -> tuple[Elem, ...]:
+        return self.fibers.get(j, ())
+
+    @_cached
+    def slots(self) -> tuple[tuple[int, ...], ...]:
+        """Per element of ``dst``, the positions in ``src.elements`` of its
+        fiber: where an object over ``src`` keeps the fiber's colours."""
+        out: dict[Elem, list[int]] = {j: [] for j in self.dst.elements}
+        for i, v in enumerate(self.values):
+            if v != STAR:
+                out[v].append(i)
+        slots = tuple(map(tuple, out.values()))
+        if self._composites is None:
+            return slots
+        return tuple([_POSITIONS.setdefault(s, s) for s in slots])  # shared by the shared maps
+
+    @_cached
+    def is_inert(self) -> bool:
+        return all(len(slot) == 1 for slot in self.slots)
+
+    @property
+    def is_active(self) -> bool:
+        return STAR not in self.values
+
+    @property
+    def is_identity(self) -> bool:
+        return self.src == self.dst and self.values == self.src.elements
+
+    @staticmethod
+    def identity(x: FinPtdObj) -> "FinPtdMor":
+        return _ptd_mor((x, x, x.elements))
+
+    def after(self, other: "FinPtdMor") -> "FinPtdMor":
+        """Composite ``self ∘ other`` (basepoint absorbing), kept by a shared map."""
+        src, mid, values = other
+        if mid is not self.src and mid != self.src:
+            raise TreeError("pointed maps do not compose")
+        composites = self._composites
+        if composites is None or _SKELETA.get(len(values)) is not src:
+            composites = {}
+        found = composites.get(values)
+        if found is None:
+            mine, pos = self.values, self.src.position
+            image = tuple([STAR if v == STAR else mine[pos[v]] for v in values])
+            found = composites[values] = _ptd_mor((src, self.dst, image))
+        return found
+
+
+def _ptd_mor(fields: tuple[FinPtdObj, FinPtdObj, tuple[Elem, ...]]) -> FinPtdMor:
+    """The trusted constructor: the map with these fields, valid by
+    construction and not checked again; between skeleta, the shared one."""
+    src, dst, values = fields
+    if not (_skeletal(src) and _skeletal(dst)):
+        return tuple.__new__(FinPtdMor, fields)
+    key = (len(src.elements), len(dst.elements), values)
+    found = _MAPS.get(key)
+    if found is None:
+        found = _MAPS[key] = tuple.__new__(FinPtdMor, fields)
+        found._composites = {}
+    return found
+
+
+def factorize(f: FinPtdMor) -> tuple[FinPtdMor, FinPtdMor]:
+    """Split ``f`` as an inert map onto the skeleton of its survivors
+    followed by an active map; composing the parts recovers ``f``."""
+    survivors = [x for x, v in zip(f.src.elements, f.values) if v != STAR]
+    mid = FinPtdObj.skeleton(len(survivors))
+    index = {x: k + 1 for k, x in enumerate(survivors)}
+    inert = FinPtdMor(f.src, mid, tuple(index.get(x, STAR) for x in f.src.elements))
+    active = FinPtdMor(mid, f.dst, tuple(f.mapping[x] for x in survivors))
+    return inert, active
+
+
+def rho(n: int, i: int) -> FinPtdMor:
+    """The inert collapse ``<n> -> <1>`` keeping only element ``i``."""
+    if not 1 <= i <= n:
+        raise TreeError(f"rho({n}, {i}) out of range")
+    sk = FinPtdObj.skeleton(n)
+    return _ptd_mor((sk, FinPtdObj.skeleton(1), tuple(1 if x == i else STAR for x in sk.elements)))
+
+
+def smash(f: FinPtdMor, g: FinPtdMor) -> FinPtdMor:
+    """Smash product of two maps between skeleta: pairs are ordered
+    lexicographically, ``(i, j)`` of ``<m> ^ <n>`` being ``(i-1)n + j``."""
+    for h in (f, g):
+        for obj in (h.src, h.dst):
+            if obj != FinPtdObj.skeleton(len(obj)):
+                raise TreeError("smash is defined on skeleta")
+    np_ = len(g.dst)
+    values = []
+    for i in f.src.elements:
+        for j in g.src.elements:
+            fi, gj = f(i), g(j)
+            values.append(STAR if STAR in (fi, gj) else (fi - 1) * np_ + gj)
+    return FinPtdMor(
+        FinPtdObj.skeleton(len(f.src) * len(g.src)),
+        FinPtdObj.skeleton(len(f.dst) * np_),
+        tuple(values),
+    )
+
+
+class _Ranked(Sequence):
+    """A sequence of maps by rank: the ``i``-th is decoded (``_decode``)
+    when first asked for and kept, shared by every sequence of its
+    ``shape`` between skeleta; ``Random.sample`` draws from ``len`` alone."""
+
+    def __init__(self, shape: tuple, size: int, *objs: FinPtdObj) -> None:
+        self.size = size
+        self.decoded = _DECODES.setdefault(shape, {}) if all(map(_skeletal, objs)) else {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> FinPtdMor:
+        if not 0 <= i < self.size:
+            raise IndexError("map index out of range")
+        found = self.decoded.get(i)
+        if found is None:
+            found = self.decoded[i] = self._decode(i)
+        return found
+
+
+class _PointedMaps(_Ranked):
+    """Every pointed map from ``src`` into each of ``dsts`` in turn, each
+    block in the order ``product`` lists the value tuples (``STAR`` last
+    among the choices); ``Random.sample`` picks the same maps as it would
+    from the materialized list."""
+
+    def __init__(self, src: FinPtdObj, dsts: Sequence[FinPtdObj]):
+        self.src = src
+        # per target: its size and the values a map may take, STAR last
+        self.blocks = tuple(
+            (dst, (len(dst) + 1) ** len(src), dst.elements + (STAR,)) for dst in dsts
+        )
+        shape = ("maps", len(src), tuple([len(dst) for dst in dsts]))
+        super().__init__(shape, sum(n for _, n, _ in self.blocks), src, *dsts)
+
+    def _decode(self, i: int) -> FinPtdMor:
+        for dst, n, choices in self.blocks:
+            if i >= n:
+                i -= n
+                continue
+            base = len(choices)
+            values = []
+            for _ in self.src.elements:
+                i, digit = divmod(i, base)
+                values.append(choices[digit])
+            values.reverse()
+            return _ptd_mor((self.src, dst, tuple(values)))
+
+
+class _Inerts(_Ranked):
+    """Every inert map out of ``src``: for ``k = 0, ..., |src|`` in turn,
+    one per ordered choice of ``k`` kept elements, in the order
+    ``permutations`` lists them, the ``j``-th kept element sent to ``j``."""
+
+    def __init__(self, src: FinPtdObj):
+        self.src = src
+        self.blocks = tuple(math.perm(len(src), k) for k in range(len(src) + 1))
+        super().__init__(("inerts", len(src)), sum(self.blocks), src)
+
+    def _decode(self, i: int) -> FinPtdMor:
+        k = 0
+        while i >= self.blocks[k]:
+            i -= self.blocks[k]
+            k += 1
+        rest = list(self.src.elements)
+        index = {}
+        for j in range(1, k + 1):  # the j-th kept element, ranked among the rest
+            digit, i = divmod(i, math.perm(len(rest) - 1, k - j))
+            index[rest.pop(digit)] = j
+        values = tuple(index.get(x, STAR) for x in self.src.elements)
+        return _ptd_mor((self.src, FinPtdObj.skeleton(k), values))
 
 
 class FinSimplex(namedtuple("FinSimplex", "levels maps")):
@@ -144,11 +433,16 @@ class FinSimplex(namedtuple("FinSimplex", "levels maps")):
         return tuple({} for _ in self.levels)
 
     @_cached
-    def pointed_levels(self) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+    def pointed_levels(self) -> tuple[tuple[FinPtdObj, ...], tuple[FinPtdMor, ...]]:
         """The levels as pointed sets and the maps between them, built once."""
-        from .lurie import _pointed_levels
-
-        return _pointed_levels(self)
+        xs = tuple(FinPtdObj(tuple(lev)) for lev in self.levels)
+        out = []
+        for i in range(self.n):
+            step = self.alpha(i + 1)
+            out.append(
+                FinPtdMor(xs[i], xs[i + 1], tuple(step[b] for b in xs[i].elements))
+            )
+        return xs, tuple(out)
 
     def alpha(self, i: int) -> dict[str, str]:
         """The map out of level ``i-1`` (so ``alpha(1)`` starts the chain)."""

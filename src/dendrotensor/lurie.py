@@ -1,14 +1,7 @@
-"""Finite pointed sets, finite colored operads, and the fiberwise calculus.
+"""The fiberwise calculus of a finite colored operad over Fin_*.
 
-The first half implements pointed-set combinatorics on skeleta ``<n>``:
-inert/active classification, the inert-active factorization, the collapse
-maps ``rho(n, i)`` and the lexicographic smash product.
-
-The second half implements finite colored operads as tables of operation
-sets indexed by an input color multiset and an output color, with three
-realizations: the free operad of a forest (operations are cuts), explicit
-JSON-loadable tables, and the tensor of trees (the cuts of all shuffles,
-each cut counted once).  On top of these sit:
+Lurie's side of the comparison, built on Fin_* (``levelforest``) and the
+finite operads with the maps out of free forest operads (``omegacat``):
 
 * the fiberwise presentation of the category of operators: a morphism over
   a pointed map is a family of one operation per target element, composition
@@ -21,13 +14,10 @@ each cut counted once).  On top of these sit:
   :func:`defect_fixtures`, five deliberately broken presentations;
 * chains of the presentation over a level diagram, in bijection with maps
   out of the free operad of the diagram's forest, naturally in the diagram
-  (:func:`precompose` reads images of cuts in a cut operad as cuts).  The
-  chains are counted and listed from per-level tables (:func:`_chain_tables`,
-  whose level 0 holds only the colorings with an arrow out); the nerve
-  check walks those tables straight into the chains' images
-  (:func:`_walk_images`), with no chain built;
-* the two decompositions of maps out of a free forest operad: cutting a
-  tree at an inner edge, and splitting a forest into its components;
+  (``omegacat.precompose``).  The chains are counted and listed from
+  per-level tables (:func:`_chain_tables`, whose level 0 holds only the
+  colorings with an arrow out); the nerve check walks those tables straight
+  into the chains' images (:func:`_walk_images`), with no chain built;
 * free algebra term sets with their symmetrization quotient; over a cut
   operad the terms are counted by ``omegacat._counts`` and only the cuts
   whose inputs all take an argument are folded (``omegacat._fold``).
@@ -35,34 +25,28 @@ each cut counted once).  On top of these sit:
 
 from __future__ import annotations
 
-import json
 import math
-from abc import ABC, abstractmethod
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations_with_replacement, permutations, product
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement, product
 from random import Random
 from typing import Any, NamedTuple
 
-from .levelforest import STAR, FinSimplex, edge_name, restrict as restrict_simplex
-from .omegacat import Operation, _counts, _edge_moves, _fold, _image, _is_cut_of, _operation, _rows_above
-from .omegacat import ForestInto, OperadMap, _forest_into
-from .shuffle import _state_table
-from .treecore import Forest, Tree, TreeError, _cached, _checked_make, as_forest, cut_at, parse_forest, serialize_forest
+from .levelforest import Elem, FinPtdMor, FinPtdObj, FinSimplex, _Inerts, _PointedMaps, edge_name, rho
+from .levelforest import restrict as restrict_simplex
+from .omegacat import FiniteOperad, ForestInto, FreeForestOperad, Label, _counts, _CutOperad, _fold, _forest_into
+from .omegacat import _gather, _operation, _rows_above
+from .treecore import TreeError, _cached, _checked_make, parse_forest
+
+# Defined in lower modules and bound here too: perfbench reads them through
+# ``lurie``, its tracer naming their spans ``lurie.*`` and wrapping a
+# function in every module that binds it.
+from .omegacat import TableOperad, maps_into, segal_components_check, segal_cut_check  # noqa: F401
+from .shuffle import BVTensorOperad  # noqa: F401
 
 __all__ = [
-    "FinPtdObj",
-    "FinPtdMor",
-    "factorize",
-    "rho",
-    "smash",
-    "FiniteOperad",
-    "FreeForestOperad",
-    "TableOperad",
-    "BVTensorOperad",
     "EllObject",
     "EllMorphism",
     "ell_hom",
@@ -74,475 +58,14 @@ __all__ = [
     "CategoryReport",
     "check_category",
     "defect_fixtures",
-    "ForestInto",
-    "maps_into",
     "Chain",
     "enumerate_chains",
     "chain_to_map",
     "map_to_chain",
     "restrict_chain",
-    "precompose",
-    "segal_cut_check",
-    "segal_components_check",
     "FreeTerm",
     "free_algebra",
 ]
-
-Elem = str | int
-Label = Any
-
-
-# ---------------------------------------------------------------------------
-# pointed sets
-# ---------------------------------------------------------------------------
-
-
-class FinPtdObj(namedtuple("FinPtdObj", "elements")):
-    """A finite pointed set, listed without its basepoint ``*``: the tuple
-    ``(elements,)``, hashed and compared in C.  Its length is the number of
-    elements."""
-
-    elements: tuple[Elem, ...]
-    _make = classmethod(_checked_make)
-
-    def __new__(cls, elements: tuple[Elem, ...]) -> "FinPtdObj":
-        if len(set(elements)) != len(elements):
-            raise TreeError("pointed-set elements must be distinct")
-        if STAR in elements:
-            raise TreeError("'*' is the basepoint, not an element")
-        return tuple.__new__(cls, (elements,))
-
-    @staticmethod
-    def skeleton(n: int) -> "FinPtdObj":
-        """The skeleton ``<n>``, one shared object per ``n``, so that its
-        positions and pointed set are built once for every user."""
-        sk = _SKELETA.get(n)
-        if sk is None:
-            sk = _SKELETA[n] = FinPtdObj(tuple(range(1, n + 1)))
-        return sk
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @_cached
-    def pointed(self) -> frozenset[Elem]:
-        """The elements with the basepoint: the values a map into this set
-        may take, built once for every map that checks them."""
-        return frozenset(self.elements + (STAR,))
-
-    @_cached
-    def position(self) -> dict[Elem, int]:
-        """Each element's index in ``elements``: where an object over this
-        set keeps the element's colour."""
-        return {x: i for i, x in enumerate(self.elements)}
-
-
-# Fin_* up to truncation t is one finite category: each skeleton <n> and
-# each map between skeleta (``_ptd_mor``, by ``(len(src), len(dst), values)``)
-# is one object whose views are built once per process; the ranked
-# sequences' decodes are kept by shape and the fibres' positions once.  No
-# operad's data, at most sum over n, m <= t of (m + 1) ** n maps, and no map
-# over any other set (such as a nerve's level sets) is kept.
-_SKELETA: dict[int, FinPtdObj] = {}
-_MAPS: dict[tuple[int, int, tuple[Elem, ...]], "FinPtdMor"] = {}
-_DECODES: dict[tuple, dict[int, "FinPtdMor"]] = {}
-_POSITIONS: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
-def _skeletal(x: FinPtdObj) -> bool:
-    """Whether ``x`` is the shared skeleton of its size, not an equal copy."""
-    return _SKELETA.get(len(x.elements)) is x
-
-
-class FinPtdMor(namedtuple("FinPtdMor", "src dst values")):
-    """A pointed map, recorded on the non-basepoint source elements;
-    ``values`` is aligned with ``src.elements`` and may hit ``STAR``.
-
-    The tuple ``(src, dst, values)``, hashed and compared in C.  The
-    constructor checks the values; maps built here skip it (``_ptd_mor``),
-    and one shared map between skeleta keeps its composites (``after``)."""
-
-    src: FinPtdObj
-    dst: FinPtdObj
-    values: tuple[Elem, ...]
-    _make = classmethod(_checked_make)
-    _composites: dict[tuple[Elem, ...], "FinPtdMor"] | None = None  # a shared map's own
-
-    def __init__(self, src: FinPtdObj, dst: FinPtdObj, values: tuple[Elem, ...]) -> None:
-        if len(values) != len(src.elements):
-            raise TreeError("pointed map must cover every source element")
-        allowed = dst.pointed
-        if not allowed.issuperset(values):
-            bad = next(v for v in values if v not in allowed)
-            raise TreeError(f"pointed map hits a non-element {bad!r}")
-
-    @_cached
-    def mapping(self) -> dict[Elem, Elem]:
-        return dict(zip(self.src.elements, self.values))
-
-    def __call__(self, x: Elem) -> Elem:
-        return self.mapping[x]
-
-    @_cached
-    def fibers(self) -> dict[Elem, tuple[Elem, ...]]:
-        """The fiber of every value hit (``STAR`` included), in source order."""
-        out: dict[Elem, tuple[Elem, ...]] = {}
-        for x, v in zip(self.src.elements, self.values):
-            out[v] = out[v] + (x,) if v in out else (x,)
-        return out
-
-    def fiber(self, j: Elem) -> tuple[Elem, ...]:
-        return self.fibers.get(j, ())
-
-    @_cached
-    def slots(self) -> tuple[tuple[int, ...], ...]:
-        """Per element of ``dst``, the positions in ``src.elements`` of its
-        fiber: where an object over ``src`` keeps the fiber's colours."""
-        out: dict[Elem, list[int]] = {j: [] for j in self.dst.elements}
-        for i, v in enumerate(self.values):
-            if v != STAR:
-                out[v].append(i)
-        slots = tuple(map(tuple, out.values()))
-        if self._composites is None:
-            return slots
-        return tuple([_POSITIONS.setdefault(s, s) for s in slots])  # shared by the shared maps
-
-    @_cached
-    def is_inert(self) -> bool:
-        return all(len(slot) == 1 for slot in self.slots)
-
-    @property
-    def is_active(self) -> bool:
-        return STAR not in self.values
-
-    @property
-    def is_identity(self) -> bool:
-        return self.src == self.dst and self.values == self.src.elements
-
-    @staticmethod
-    def identity(x: FinPtdObj) -> "FinPtdMor":
-        return _ptd_mor((x, x, x.elements))
-
-    def after(self, other: "FinPtdMor") -> "FinPtdMor":
-        """Composite ``self ∘ other`` (basepoint absorbing), kept by a shared map."""
-        src, mid, values = other
-        if mid is not self.src and mid != self.src:
-            raise TreeError("pointed maps do not compose")
-        composites = self._composites
-        if composites is None or _SKELETA.get(len(values)) is not src:
-            composites = {}
-        found = composites.get(values)
-        if found is None:
-            mine, pos = self.values, self.src.position
-            image = tuple([STAR if v == STAR else mine[pos[v]] for v in values])
-            found = composites[values] = _ptd_mor((src, self.dst, image))
-        return found
-
-
-def _ptd_mor(fields: tuple[FinPtdObj, FinPtdObj, tuple[Elem, ...]]) -> FinPtdMor:
-    """The trusted constructor: the map with these fields, valid by
-    construction and not checked again; between skeleta, the shared one."""
-    src, dst, values = fields
-    if not (_skeletal(src) and _skeletal(dst)):
-        return tuple.__new__(FinPtdMor, fields)
-    key = (len(src.elements), len(dst.elements), values)
-    found = _MAPS.get(key)
-    if found is None:
-        found = _MAPS[key] = tuple.__new__(FinPtdMor, fields)
-        found._composites = {}
-    return found
-
-
-def factorize(f: FinPtdMor) -> tuple[FinPtdMor, FinPtdMor]:
-    """Split ``f`` as an inert map onto the skeleton of its survivors
-    followed by an active map; composing the parts recovers ``f``."""
-    survivors = [x for x, v in zip(f.src.elements, f.values) if v != STAR]
-    mid = FinPtdObj.skeleton(len(survivors))
-    index = {x: k + 1 for k, x in enumerate(survivors)}
-    inert = FinPtdMor(f.src, mid, tuple(index.get(x, STAR) for x in f.src.elements))
-    active = FinPtdMor(mid, f.dst, tuple(f.mapping[x] for x in survivors))
-    return inert, active
-
-
-def rho(n: int, i: int) -> FinPtdMor:
-    """The inert collapse ``<n> -> <1>`` keeping only element ``i``."""
-    if not 1 <= i <= n:
-        raise TreeError(f"rho({n}, {i}) out of range")
-    sk = FinPtdObj.skeleton(n)
-    return _ptd_mor((sk, FinPtdObj.skeleton(1), tuple(1 if x == i else STAR for x in sk.elements)))
-
-
-def smash(f: FinPtdMor, g: FinPtdMor) -> FinPtdMor:
-    """Smash product of two maps between skeleta: pairs are ordered
-    lexicographically, ``(i, j)`` of ``<m> ^ <n>`` being ``(i-1)n + j``."""
-    for h in (f, g):
-        for obj in (h.src, h.dst):
-            if obj != FinPtdObj.skeleton(len(obj)):
-                raise TreeError("smash is defined on skeleta")
-    np_ = len(g.dst)
-    values = []
-    for i in f.src.elements:
-        for j in g.src.elements:
-            fi, gj = f(i), g(j)
-            values.append(STAR if STAR in (fi, gj) else (fi - 1) * np_ + gj)
-    return FinPtdMor(
-        FinPtdObj.skeleton(len(f.src) * len(g.src)),
-        FinPtdObj.skeleton(len(f.dst) * np_),
-        tuple(values),
-    )
-
-
-# ---------------------------------------------------------------------------
-# finite colored operads
-# ---------------------------------------------------------------------------
-
-
-class FiniteOperad(ABC):
-    """A finite colored operad presented by tables.
-
-    Operation sets are indexed by an *unordered* family of input colors and
-    an output color; ``ops`` ignores the order of ``inputs``.  ``subst``
-    composes one operation into another; the cut-based realizations below
-    support it (their operation families never repeat an input color, so
-    arguments can be keyed by color), plain tables do not, nor does
-    :func:`precompose` take them.
-    """
-
-    @abstractmethod
-    def colors(self) -> tuple[str, ...]: ...
-
-    @abstractmethod
-    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]: ...
-
-    @abstractmethod
-    def ops_by_output(
-        self, output: str, arity: int | None = None
-    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        """The ``(inputs, operations)`` entries with this output color, in a
-        fixed order; with an ``arity``, exactly the entries of that many
-        inputs, in the same relative order."""
-
-    @abstractmethod
-    def identity(self, color: str) -> Label: ...
-
-    def subst(self, p: Label, args: Mapping[str, Label]) -> Label:
-        raise NotImplementedError(f"{type(self).__name__} has no substitution")
-
-    def ops_for_inputs(self, inputs: Sequence[str]) -> tuple[tuple[str, Label], ...]:
-        """All ``(output color, operation)`` pairs accepting these inputs."""
-        return self._input_index.get(tuple(sorted(inputs)), ())
-
-    @_cached
-    def _input_index(self) -> dict[tuple[str, ...], tuple[tuple[str, Label], ...]]:
-        index: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
-        for c in self.colors():
-            for key, labels in self.ops_by_output(c):
-                index.setdefault(key, []).extend((c, p) for p in labels)
-        return {key: tuple(pairs) for key, pairs in index.items()}
-
-
-def _index_by_output(
-    table: Mapping[tuple[tuple[str, ...], str], tuple[Label, ...]],
-) -> dict[str, tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]]:
-    """Group an ``(inputs, output) -> labels`` table by output, each group
-    in the order of its inputs (the order of the sorted table)."""
-    index: dict[str, list[tuple[tuple[str, ...], tuple[Label, ...]]]] = {}
-    for (inputs, output), labels in sorted(table.items()):
-        index.setdefault(output, []).append((inputs, labels))
-    return {output: tuple(entries) for output, entries in index.items()}
-
-
-class _CutOperad(FiniteOperad):
-    """A finite operad whose operations are cuts, each an :class:`Operation`
-    with distinct inputs: the trivial cut is the identity and substitution
-    is cut union.  A subclass gives a table of ``(color, moves)`` pairs
-    (``_states``).  A listing of a color the memo ``_folds`` lacks folds
-    into it the rows of the colors above that color that it lacks
-    (``_cuts``), so a leaf folds one row; its lists all hold the cuts of at
-    most ``_limit`` inputs.  A listing of one arity ``k`` needs the bound
-    ``k``, a full listing the bound ``inf``; the memo is emptied only when a
-    larger bound than ``_limit`` is asked for.  A full listing is sorted
-    stably by ``_key`` (the fold lists by inputs), an arity slice keeps the
-    fold's order.  Listings are memoized per ``(color, arity)``."""
-
-    _key = None
-
-    def __init__(self, table: Iterable[tuple[str, Sequence[tuple[str, ...]]]]):
-        self._states = dict(table)  # each color's moves, in the table's order
-        self._colors = tuple(sorted(self._states))
-        self._limit: float = 0  # the bound of every list in _folds
-        self._folds: dict[str, list[tuple[str, ...]]] = {}
-        self._listed: dict[tuple[str, int | None], tuple] = {}  # by (color, arity or None)
-        self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
-
-    def colors(self) -> tuple[str, ...]:
-        return self._colors
-
-    def _unknown(self, color: str) -> tuple[()]:
-        return ()  # the listing of a color this operad lacks
-
-    def _cuts(self, color: str) -> list[tuple[str, ...]]:
-        """The color's cuts of at most ``_limit`` inputs, from ``_folds``."""
-        cuts = self._folds.get(color)
-        if cuts is None:
-            rows = _rows_above(self._states.__getitem__, color, self._folds)
-            _fold(rows, self._folds, self._limit)
-            cuts = self._folds[color]
-        return cuts
-
-    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
-        index = self._by_inputs.get(output)
-        if index is None and output in self._states:
-            index = self._by_inputs[output] = dict(self.ops_by_output(output))
-        return () if index is None else index.get(tuple(sorted(inputs)), ())
-
-    def ops_by_output(
-        self, output: str, arity: int | None = None
-    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        entries = self._listed.get((output, arity))
-        if entries is None:
-            if output not in self._states:
-                return self._unknown(output)
-            bound = math.inf if arity is None else arity
-            if bound > self._limit:  # a larger bound serves every smaller one
-                self._limit, self._folds = bound, {}
-            cuts = self._cuts(output)
-            if arity is None:
-                cuts = sorted(cuts, key=self._key)
-            else:
-                cuts = [c for c in cuts if len(c) == arity]
-            entries = self._listed[output, arity] = tuple((c, (_operation(output, c),)) for c in cuts)
-        return entries
-
-    def identity(self, color: str) -> Label:
-        return Operation(color, (color,))
-
-    def subst(self, p: Operation, args: Mapping[str, Operation]) -> Operation:
-        if set(args) != set(p.inputs):
-            raise TreeError(f"substitution arguments do not match the inputs of {p}")
-        collected: list[str] = []
-        for c in p.inputs:
-            q = args[c]
-            if q.output != c:
-                raise TreeError(f"substitution argument at {c!r} has output {q.output!r}")
-            collected.extend(q.inputs)
-        out = Operation(p.output, tuple(collected))
-        if not self._has(out):
-            raise TreeError(f"substitution produced {out}, which is not an operation")
-        return out
-
-    def _has(self, op: Operation) -> bool:
-        """Whether the cut ``op`` is an operation of this operad: listed."""
-        return bool(self.ops(op.inputs, op.output))
-
-
-class FreeForestOperad(_CutOperad):
-    """The free operad of a forest: colors are edges, operations are cuts,
-    listed by size and then lexicographically; an unknown color raises.
-    Its table gives each edge the moves it has in its tree's one-factor
-    shuffle state table (``omegacat._edge_moves``)."""
-
-    _key = len
-
-    def __init__(self, forest: Tree | Forest):
-        self.forest = as_forest(forest)
-        trees = self.forest.components
-        super().__init__((e, moves(e)) for t in trees for moves in [_edge_moves(t)] for e in t.edges)
-
-    ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
-
-    def _unknown(self, color: str) -> tuple[()]:
-        raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
-
-    def _has(self, op: Operation) -> bool:
-        """Through the output's index when a listing built it, else one
-        walk of the forest, with no listing built."""
-        index = self._by_inputs.get(op.output)
-        return op.inputs in index if index is not None else _is_cut_of(self.forest, op)
-
-
-class TableOperad(FiniteOperad):
-    """An operad presented by explicit tables, loadable from JSON.
-
-    The JSON shape is ``{"colors": [...], "operations": [{"inputs": [...],
-    "output": ..., "elements": [...]}, ...]}``; input order inside an entry
-    is irrelevant.  Unary identities are synthesized as ``id:<color>``
-    unless an entry already provides one.  No composition data is carried,
-    so substitution is unavailable.
-    """
-
-    def __init__(
-        self,
-        colors: Sequence[str],
-        table: Mapping[tuple[tuple[str, ...], str], Sequence[str]],
-    ):
-        self._colors = tuple(sorted(colors))
-        cset = set(self._colors)
-        self._table: dict[tuple[tuple[str, ...], str], tuple[str, ...]] = {}
-        for (inputs, output), labels in sorted(table.items()):
-            key = (tuple(sorted(inputs)), output)
-            if output not in cset or any(c not in cset for c in key[0]):
-                raise TreeError(f"operation table mentions unknown colors: {key}")
-            merged = sorted(set(self._table.get(key, ())) | set(labels))
-            self._table[key] = tuple(merged)
-        for c in self._colors:
-            key = ((c,), c)
-            if not self._table.get(key):
-                self._table[key] = (f"id:{c}",)
-        self._by_output = _index_by_output(self._table)
-
-    @staticmethod
-    def from_json(obj: Mapping[str, Any] | str) -> "TableOperad":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        table: dict[tuple[tuple[str, ...], str], list[str]] = {}
-        for entry in obj.get("operations", ()):
-            key = (
-                tuple(sorted(str(c) for c in entry["inputs"])),
-                str(entry["output"]),
-            )
-            table.setdefault(key, []).extend(str(x) for x in entry["elements"])
-        return TableOperad([str(c) for c in obj["colors"]], table)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "colors": list(self._colors),
-            "operations": [
-                {"inputs": list(inputs), "output": output, "elements": list(labels)}
-                for (inputs, output), labels in sorted(self._table.items())
-            ],
-        }
-
-    def colors(self) -> tuple[str, ...]:
-        return self._colors
-
-    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
-        return self._table.get((tuple(sorted(inputs)), output), ())
-
-    def ops_by_output(
-        self, output: str, arity: int | None = None
-    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
-        entries = self._by_output.get(output, ())
-        return entries if arity is None else tuple(e for e in entries if len(e[0]) == arity)
-
-    def identity(self, color: str) -> Label:
-        return self._table[((color,), color)][0]
-
-
-class BVTensorOperad(_CutOperad):
-    """The tensor of trees as a finite operad: colors are the tuple edges of
-    the shuffles, operations are the cuts of all shuffles with each cut
-    appearing once.  Substitution is cut union, under which the family is
-    closed.  Its table is the shuffle state table (``shuffle._state_table``),
-    built up front without any shuffle, so a lone factor is the free operad
-    of that tree.  Entries are listed by sorted inputs; an unknown color
-    lists nothing."""
-
-    def __init__(self, factors: Sequence[Tree]):
-        self.factors = tuple(factors)
-        super().__init__(_state_table(self.factors))
-
-    ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
 
 
 # ---------------------------------------------------------------------------
@@ -723,80 +246,6 @@ class FibrousReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-class _Ranked(Sequence):
-    """A sequence of maps by rank: the ``i``-th is decoded (``_decode``)
-    when first asked for and kept, shared by every sequence of its
-    ``shape`` between skeleta; ``Random.sample`` draws from ``len`` alone."""
-
-    def __init__(self, shape: tuple, size: int, *objs: FinPtdObj) -> None:
-        self.size = size
-        self.decoded = _DECODES.setdefault(shape, {}) if all(map(_skeletal, objs)) else {}
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> FinPtdMor:
-        if not 0 <= i < self.size:
-            raise IndexError("map index out of range")
-        found = self.decoded.get(i)
-        if found is None:
-            found = self.decoded[i] = self._decode(i)
-        return found
-
-
-class _PointedMaps(_Ranked):
-    """Every pointed map from ``src`` into each of ``dsts`` in turn, each
-    block in the order ``product`` lists the value tuples (``STAR`` last
-    among the choices); ``Random.sample`` picks the same maps as it would
-    from the materialized list."""
-
-    def __init__(self, src: FinPtdObj, dsts: Sequence[FinPtdObj]):
-        self.src = src
-        # per target: its size and the values a map may take, STAR last
-        self.blocks = tuple(
-            (dst, (len(dst) + 1) ** len(src), dst.elements + (STAR,)) for dst in dsts
-        )
-        shape = ("maps", len(src), tuple([len(dst) for dst in dsts]))
-        super().__init__(shape, sum(n for _, n, _ in self.blocks), src, *dsts)
-
-    def _decode(self, i: int) -> FinPtdMor:
-        for dst, n, choices in self.blocks:
-            if i >= n:
-                i -= n
-                continue
-            base = len(choices)
-            values = []
-            for _ in self.src.elements:
-                i, digit = divmod(i, base)
-                values.append(choices[digit])
-            values.reverse()
-            return _ptd_mor((self.src, dst, tuple(values)))
-
-
-class _Inerts(_Ranked):
-    """Every inert map out of ``src``: for ``k = 0, ..., |src|`` in turn,
-    one per ordered choice of ``k`` kept elements, in the order
-    ``permutations`` lists them, the ``j``-th kept element sent to ``j``."""
-
-    def __init__(self, src: FinPtdObj):
-        self.src = src
-        self.blocks = tuple(math.perm(len(src), k) for k in range(len(src) + 1))
-        super().__init__(("inerts", len(src)), sum(self.blocks), src)
-
-    def _decode(self, i: int) -> FinPtdMor:
-        k = 0
-        while i >= self.blocks[k]:
-            i -= self.blocks[k]
-            k += 1
-        rest = list(self.src.elements)
-        index = {}
-        for j in range(1, k + 1):  # the j-th kept element, ranked among the rest
-            digit, i = divmod(i, math.perm(len(rest) - 1, k - j))
-            index[rest.pop(digit)] = j
-        values = tuple(index.get(x, STAR) for x in self.src.elements)
-        return _ptd_mor((self.src, FinPtdObj.skeleton(k), values))
 
 
 def _sample(rng: Random, pool: Sequence, k: int) -> list:
@@ -1300,239 +749,8 @@ def defect_fixtures() -> tuple[tuple[str, EllPresentation], ...]:
 
 
 # ---------------------------------------------------------------------------
-# maps out of free forest operads, chains, and the nerve bijection
+# chains and the nerve bijection
 # ---------------------------------------------------------------------------
-
-
-def _gather(order: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The function taking a sequence to the tuple of its items at
-    ``order``, one C-level ``itemgetter`` call for two or more."""
-    if len(order) > 1:
-        return itemgetter(*order)
-    if order:
-        (i,) = order
-        return lambda row: (row[i],)
-    return lambda row: ()
-
-
-def _sorting(names: Sequence[str]) -> Callable[[Sequence], tuple]:
-    """The gather putting items named ``names`` (distinct) in name order."""
-    return _gather(sorted(range(len(names)), key=names.__getitem__))
-
-
-def _vertex_outs(scope: Tree | Forest) -> list[str]:
-    """The output edges of the vertices, in the order of a map's
-    ``components``."""
-    return sorted(v.out_edge for t in as_forest(scope).components for v in t.vertices)
-
-
-def _selecting(among: Sequence[str], names: Iterable[str]) -> Callable[[Sequence], tuple]:
-    """The gather reading, from items named ``among``, those named ``names``."""
-    at = {e: i for i, e in enumerate(among)}
-    return _gather([at[e] for e in names])
-
-
-def maps_into(
-    scope: Tree | Forest, p: FiniteOperad, cap: int | None = None
-) -> tuple[ForestInto, ...]:
-    """Enumerate the maps from the free operad of ``scope`` into ``p``:
-    choose a color per edge and, at each vertex, an operation accepting the
-    chosen input colors (in any matching of inputs to colors).  A vertex of
-    arity ``k`` asks ``p`` only for its families of ``k`` inputs
-    (``p.ops_by_output(color, k)``).
-
-    :func:`_key_passes` gives each component's keys with their moves and
-    map counts; with a ``cap``, a count above it raises :class:`TreeError`
-    before any map is listed.  :func:`_odometer` lists each component's
-    maps as pair tuples already in edge order, and the maps out of a forest
-    join one map of each component (:func:`_recombined`)."""
-    passes = _key_passes(scope, p)
-    if cap is not None:
-        total = _map_count(passes, p)
-        if total > cap:
-            raise TreeError(f"map enumeration would produce {total} > cap {cap}")
-    all_colors = p.colors()
-    components = as_forest(scope).components
-    parts = [_odometer(t, moves, count, all_colors) for t, (_, moves, count) in zip(components, passes)]
-    rows = parts[0] if len(parts) == 1 else _recombined(components, parts)
-    return tuple(map(_forest_into, rows))
-
-
-def _odometer(
-    t: Tree, moves: dict, count: dict, all_colors: Sequence[str]
-) -> list[tuple[tuple, tuple]]:
-    """The pair tuples of the maps out of ``t``, each in edge order, as
-    :func:`maps_into` lists them: by root color, then as an odometer over
-    the positions of ``t``'s Euler tour, a move on entering a vertex and a
-    label on leaving it, the last position turning fastest.  At every
-    vertex that is move, then ``product`` over the children, then label.
-    A label position is left out where every move has one label, as no
-    turn of it is possible.
-
-    The choice at a position writes into two rows kept in edge order: a
-    move writes its child keys (they are the ``(edge, color)`` pairs) and
-    its first label's ``(edge, operation)`` pair, a label its own pair.  A
-    move also sets the options of the positions it opens: its child
-    vertices' moves and its own labels.  ``live`` holds the positions that
-    can still turn, with their next option, the last on top; turning one
-    resets every later position to its first option.  Every key reached
-    has a count above 0 and keeps only the moves that reach a map
-    (:func:`_key_passes`), so no reset meets a dead end and each turn emits
-    one map."""
-    above = t.vertex_above
-    multi = {e for (e, _), fam_moves in moves.items() for labels, _ in fam_moves if len(labels) > 1}
-    slot = {e: i for i, e in enumerate(t.edges)}  # the edges are sorted
-    vslot = {e: i for i, e in enumerate(sorted(above))}
-    # per position of the tour: the child slots it writes, the (child,
-    # position) pairs and the label position it opens, and the slot and
-    # edge of its (edge, operation) pair
-    slots, opened, labelled, pair_at, edge = [], [], [], [], []
-    stack = [(t.root, 0, 0)] if t.root in above else []  # (edge, position of its parent, child index)
-    while stack:
-        e, up, i = stack.pop()
-        q = len(edge)
-        edge.append(e)
-        pair_at.append(vslot[e])
-        labelled.append(None)
-        if i < 0:  # the label position of the vertex entered at up
-            labelled[up] = q
-            slots.append(())
-            opened.append(())
-            continue
-        if q:
-            opened[up].append((i, q))
-        ins = above[e].in_edges
-        slots.append(tuple([slot[d] for d in ins]))
-        opened.append([])
-        if e in multi:
-            stack.append((e, q, -1))
-        for i in range(len(ins) - 1, -1, -1):
-            if ins[i] in above:
-                stack.append((ins[i], q, i))
-    m = len(edge)
-    colors: list = [None] * len(slot)
-    comps: list = [None] * len(vslot)
-    opts: list = [()] * m
-    root = slot[t.root]
-    rows: list[tuple[tuple, tuple]] = []
-    for c in all_colors:
-        key = (t.root, c)
-        if not count[key]:
-            continue
-        colors[root] = key
-        if not m:  # a bare edge
-            rows.append(((key,), ()))
-            continue
-        opts[0] = moves[key]
-        live = [(0, 0)]
-        while live:
-            q, j = live.pop()
-            for q in range(q, m):
-                o = opts[q]
-                if len(o) > j + 1:
-                    live.append((q, j + 1))
-                labels, kids = o[j]
-                for s, d in zip(slots[q], kids):
-                    colors[s] = d
-                for i, r in opened[q]:
-                    opts[r] = moves[kids[i]]
-                comps[pair_at[q]] = (edge[q], labels[0])
-                if labelled[q] is not None:  # a label position's options, as moves
-                    opts[labelled[q]] = [((lab,), ()) for lab in labels]
-                j = 0
-            rows.append((tuple(colors), tuple(comps)))
-    return rows
-
-
-def _recombined(
-    components: Sequence[Tree], parts: Sequence[Sequence[tuple[tuple, tuple]]]
-) -> list[tuple[tuple, tuple]]:
-    """The pair tuples of each tuple of maps out of the ``components``, one
-    map of each from ``parts`` in ``product`` order, where each map is given
-    by its pair tuples sorted by edge.  A tuple's pairs are concatenated and
-    put in edge order by one permutation, found once."""
-    rows: list[tuple[tuple, tuple]] = [((), ())]
-    for part in parts:
-        rows = [(c + pc, v + pv) for c, v in rows for pc, pv in part]
-    colors_of = _sorting([e for t in components for e in t.edges])
-    components_of = _sorting([e for t in components for e in _vertex_outs(t)])
-    return [(colors_of(c), components_of(v)) for c, v in rows]
-
-
-def _key_passes(scope: Tree | Forest, p: FiniteOperad) -> list[tuple[str, dict, dict]]:
-    """Per component of ``scope``, one explicit-stack pass over ``(edge,
-    color)`` keys: ``(root, moves, count)``.  ``moves`` expands each key
-    above a vertex into its ``(labels, child keys)`` moves and ``count``
-    gives each key's number of sub-maps, listing the keys in post-order,
-    each after its children.  A key's count is the sum over its moves of
-    the labels times the product of the child counts; once it is known,
-    only the moves of a count above 0 are kept.  A leaf key counts 1 and is
-    done when first seen.
-
-    The root keys are pushed in reverse, so they pop, and ``p`` is asked
-    for their operations, in ``p.colors()`` order, root first.  A cut
-    operad that folds lazily (``_CutOperad``) then folds at the first ask
-    the rows above the first color, a root of its table in the usual case,
-    in one :func:`_fold` call, where asking a leaf color first folds one
-    row per call.  The order of the asks shows nowhere else:
-    ``moves`` and ``count`` are read by key only."""
-    all_colors = p.colors()
-    passes: list[tuple[str, dict, dict]] = []
-    for t in as_forest(scope).components:
-        above = t.vertex_above
-        moves: dict[tuple[str, str], list] = {}
-        count: dict[tuple[str, str], int] = {}  # post-order: each key after its children
-        stack = [(t.root, c) for c in reversed(all_colors)]
-        if t.root not in above:
-            count = dict.fromkeys(reversed(stack), 1)
-            stack = []
-        while stack:
-            key = stack.pop()
-            if key in count:
-                continue
-            fam_moves = moves.get(key)
-            if fam_moves is not None:  # every child is done
-                n = 0
-                kept = []
-                for move in fam_moves:
-                    m = len(move[0])
-                    for d in move[1]:
-                        m *= count[d]
-                    if m:
-                        n += m
-                        kept.append(move)
-                moves[key] = kept
-                count[key] = n
-                continue
-            ins = above[key[0]].in_edges
-            k = len(ins)
-            moves[key] = fam_moves = [
-                (labels, tuple(zip(ins, assignment)))
-                for fam, labels in p.ops_by_output(key[1], k)
-                # fam is sorted: with distinct colors permutations come in order, once each
-                for assignment in (permutations(fam) if k < 2 or len(set(fam)) == k
-                                   else sorted(set(permutations(fam))))
-            ]
-            stack.append(key)
-            for _, kids in fam_moves:
-                for d in kids:
-                    if d not in count:
-                        if d[0] in above:
-                            stack.append(d)
-                        else:
-                            count[d] = 1
-        passes.append((t.root, moves, count))
-    return passes
-
-
-def _map_count(passes: list[tuple[str, dict, dict]], p: FiniteOperad) -> int:
-    """How many maps :func:`maps_into` lists from these passes, read from
-    their counts without building one: the product over components of the
-    counts at the root."""
-    total = 1
-    for root, _, count in passes:
-        total *= sum(count[(root, c)] for c in p.colors())
-    return total
 
 
 class Chain(namedtuple("Chain", "simplex objects arrows")):
@@ -1545,19 +763,6 @@ class Chain(namedtuple("Chain", "simplex objects arrows")):
 
 
 _chain = partial(tuple.__new__, Chain)
-
-
-def _pointed_levels(a: FinSimplex) -> tuple[tuple[FinPtdObj, ...], tuple[FinPtdMor, ...]]:
-    """The levels of ``a`` as pointed sets and its maps between them; read
-    through :attr:`FinSimplex.pointed_levels`, which keeps them on ``a``."""
-    xs = tuple(FinPtdObj(tuple(lev)) for lev in a.levels)
-    out = []
-    for i in range(a.n):
-        step = a.alpha(i + 1)
-        out.append(
-            FinPtdMor(xs[i], xs[i + 1], tuple(step[b] for b in xs[i].elements))
-        )
-    return xs, tuple(out)
 
 
 class _ChainTables(NamedTuple):
@@ -1779,78 +984,6 @@ def restrict_chain(p: FiniteOperad, ch: Chain, phi) -> Chain:
                 acc = ell_compose(p, ch.arrows[t], acc)
             arrows.append(acc)
     return _chain((b, tuple(objs), tuple(arrows)))
-
-
-def precompose(p: FiniteOperad, m: ForestInto, h: OperadMap) -> ForestInto:
-    """Precompose a map ``m`` out of the free operad of ``h.target`` with the
-    operad map ``h``: each edge of ``h.source`` takes the color of its image,
-    and each vertex the image under ``m`` of its image cut, a cut of ``p``
-    (``omegacat._image``); an operad ``p`` of another kind raises."""
-    if not isinstance(p, _CutOperad):
-        raise TreeError(f"precompose needs a cut operad, not a {type(p).__name__}")
-    checked: set[str] = set()
-    return ForestInto.build(
-        ((e, m.color[img]) for e, img in h.colors),
-        ((w, _image(p._has, m, h.target, op, checked)) for w, op in h.components),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Segal decompositions
-# ---------------------------------------------------------------------------
-
-
-def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
-    """Maps out of the free operad of a tree are pairs of maps out of the
-    two parts at an inner edge, agreeing on the edge's color.  Returns
-    whether the restriction pairing is a bijection onto such pairs.
-
-    A pair of maps is compared as the concatenation of their field tuples;
-    the restriction to each part is a fixed selection of the whole's edges
-    and vertices."""
-    lower, upper = cut_at(t, b)
-    whole = maps_into(t, p)
-    lows = maps_into(lower, p)
-    ups = maps_into(upper, p)
-    lo_b, up_b = lower.edges.index(b), upper.edges.index(b)
-    ups_at: dict[str, list[ForestInto]] = {}
-    for up in ups:
-        ups_at.setdefault(up.colors[up_b][1], []).append(up)
-    matched = {lo + up for lo in lows for up in ups_at.get(lo.colors[lo_b][1], ())}
-    outs = _vertex_outs(t)
-    lo_colors, up_colors = _selecting(t.edges, lower.edges), _selecting(t.edges, upper.edges)
-    lo_comps, up_comps = _selecting(outs, _vertex_outs(lower)), _selecting(outs, _vertex_outs(upper))
-    split = [
-        (lo_colors(m.colors), lo_comps(m.components), up_colors(m.colors), up_comps(m.components))
-        for m in whole
-    ]
-    distinct = set(split)
-    return len(split) == len(distinct) == len(matched) and distinct == matched
-
-
-def segal_components_check(p: FiniteOperad, f: Tree | Forest) -> bool:
-    """Maps out of the free operad of a forest are tuples of maps out of its
-    components (the empty forest admitting exactly the empty map).
-
-    Checked from the whole's side: the whole's maps and each component's
-    are distinct, the whole has as many as the product of the components'
-    counts, and each component's restrictions of the whole's maps lie in its
-    listing.  The restrictions are fixed, disjoint selections of the whole's
-    edges and vertices that cover it, so restriction is injective and, with
-    the counts, a bijection."""
-    forest = as_forest(f)
-    whole = maps_into(forest, p)
-    parts = [maps_into(t, p) for t in forest.components]
-    distinct = set(whole)
-    if len(whole) != math.prod(len(q) for q in parts) or len(distinct) != len(whole):
-        return False
-    outs = _vertex_outs(forest)
-    for t, q in zip(forest.components, parts):
-        listed = set(q)
-        colors, comps = _selecting(forest.edges, t.edges), _selecting(outs, _vertex_outs(t))
-        if len(listed) != len(q) or not {(colors(c), comps(v)) for c, v in distinct} <= listed:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

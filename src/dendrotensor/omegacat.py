@@ -16,38 +16,55 @@ over moves of products, weighting each node where a cut may stop: 1 for
 every cut (:func:`_cut_total`), 1 at leaf states for shuffles (each the
 root state grown into leaf states), a color's weight for free-algebra terms.
 
-A map out of a free forest operad is one tuple, :class:`ForestInto`: the
-color of each edge (``colors``) and the operation of the target at each
-vertex (``components``), hashed and compared in C.  It is a source-shaped
-dendrex of the target's nerve, so :func:`hom` lists maps with
-:func:`~dendrotensor.lurie.maps_into` and attaches both forests
-(:class:`OperadMap`).  One walk up from a cut's output, with an explicit
+A finite colored operad (:class:`FiniteOperad`) is a table of operation
+sets: the free operad of a forest (:class:`FreeForestOperad`) and the
+tensor of trees (``shuffle.BVTensorOperad``) are cut operads that fold
+their state tables when read (:class:`_CutOperad`); :class:`TableOperad`
+is an explicit table.  A map out of a free forest operad into one is one
+tuple, :class:`ForestInto`: the color of each edge (``colors``) and the
+operation of the target at each vertex (``components``), hashed and
+compared in C.  It is a source-shaped dendrex of the target's nerve;
+:func:`maps_into` lists them, :func:`hom` attaches both forests to the maps
+into a free forest operad (:class:`OperadMap`), and :func:`segal_cut_check`
+and :func:`segal_components_check` decompose them.  One walk up from a cut's output, with an explicit
 stack, decides whether a set of edges is a cut and lists the vertices inside
 it.  The image of a cut under a map (:func:`_image`) is that walk plus
 :func:`validate`'s check at each vertex inside, once per call of
-:func:`compose` or :func:`~dendrotensor.lurie.precompose`, which send each
+:func:`compose` or :func:`precompose`, which send each
 vertex to the image of its image cut.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from abc import ABC, abstractmethod
 from collections import namedtuple
 from functools import partial
+from itertools import permutations
+from operator import itemgetter
 from typing import Any, Callable, Collection, Container, Iterable, Mapping, Sequence
 
-from .treecore import Forest, Tree, TreeError, Vertex, _cached, _checked_make, as_forest, serialize_forest
+from .treecore import Forest, Tree, TreeError, Vertex, _cached, _checked_make, as_forest, cut_at, serialize_forest
 
 __all__ = [
     "Operation",
+    "ForestInto",
     "OperadMap",
     "operations",
     "is_cut",
+    "FiniteOperad",
+    "FreeForestOperad",
+    "TableOperad",
+    "maps_into",
     "hom",
     "identity_map",
     "compose",
+    "precompose",
     "validate",
     "classify_elementary",
+    "segal_cut_check",
+    "segal_components_check",
 ]
 
 
@@ -305,22 +322,490 @@ def identity_map(scope: Tree | Forest) -> OperadMap:
     return _induced(f, f, lambda e: e)
 
 
+# -- finite colored operads --------------------------------------------------
+
+Label = Any
+
+
+class FiniteOperad(ABC):
+    """A finite colored operad presented by tables.
+
+    Operation sets are indexed by an *unordered* family of input colors and
+    an output color; ``ops`` ignores the order of ``inputs``.  ``subst``
+    composes one operation into another; the cut-based realizations below
+    support it (their operation families never repeat an input color, so
+    arguments can be keyed by color), plain tables do not, nor does
+    :func:`precompose` take them.
+    """
+
+    @abstractmethod
+    def colors(self) -> tuple[str, ...]: ...
+
+    @abstractmethod
+    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]: ...
+
+    @abstractmethod
+    def ops_by_output(
+        self, output: str, arity: int | None = None
+    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+        """The ``(inputs, operations)`` entries with this output color, in a
+        fixed order; with an ``arity``, exactly the entries of that many
+        inputs, in the same relative order."""
+
+    @abstractmethod
+    def identity(self, color: str) -> Label: ...
+
+    def subst(self, p: Label, args: Mapping[str, Label]) -> Label:
+        raise NotImplementedError(f"{type(self).__name__} has no substitution")
+
+    def ops_for_inputs(self, inputs: Sequence[str]) -> tuple[tuple[str, Label], ...]:
+        """All ``(output color, operation)`` pairs accepting these inputs."""
+        return self._input_index.get(tuple(sorted(inputs)), ())
+
+    @_cached
+    def _input_index(self) -> dict[tuple[str, ...], tuple[tuple[str, Label], ...]]:
+        index: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
+        for c in self.colors():
+            for key, labels in self.ops_by_output(c):
+                index.setdefault(key, []).extend((c, p) for p in labels)
+        return {key: tuple(pairs) for key, pairs in index.items()}
+
+
+def _index_by_output(
+    table: Mapping[tuple[tuple[str, ...], str], tuple[Label, ...]],
+) -> dict[str, tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]]:
+    """Group an ``(inputs, output) -> labels`` table by output, each group
+    in the order of its inputs (the order of the sorted table)."""
+    index: dict[str, list[tuple[tuple[str, ...], tuple[Label, ...]]]] = {}
+    for (inputs, output), labels in sorted(table.items()):
+        index.setdefault(output, []).append((inputs, labels))
+    return {output: tuple(entries) for output, entries in index.items()}
+
+
+class _CutOperad(FiniteOperad):
+    """A finite operad whose operations are cuts, each an :class:`Operation`
+    with distinct inputs: the trivial cut is the identity and substitution
+    is cut union.  A subclass gives a table of ``(color, moves)`` pairs
+    (``_states``).  A listing of a color the memo ``_folds`` lacks folds
+    into it the rows of the colors above that color that it lacks
+    (``_cuts``), so a leaf folds one row; its lists all hold the cuts of at
+    most ``_limit`` inputs.  A listing of one arity ``k`` needs the bound
+    ``k``, a full listing the bound ``inf``; the memo is emptied only when a
+    larger bound than ``_limit`` is asked for.  A full listing is sorted
+    stably by ``_key`` (the fold lists by inputs), an arity slice keeps the
+    fold's order.  Listings are memoized per ``(color, arity)``."""
+
+    _key = None
+
+    def __init__(self, table: Iterable[tuple[str, Sequence[tuple[str, ...]]]]):
+        self._states = dict(table)  # each color's moves, in the table's order
+        self._colors = tuple(sorted(self._states))
+        self._limit: float = 0  # the bound of every list in _folds
+        self._folds: dict[str, list[tuple[str, ...]]] = {}
+        self._listed: dict[tuple[str, int | None], tuple] = {}  # by (color, arity or None)
+        self._by_inputs: dict[str, dict[tuple[str, ...], tuple[Operation]]] = {}
+
+    def colors(self) -> tuple[str, ...]:
+        return self._colors
+
+    def _unknown(self, color: str) -> tuple[()]:
+        return ()  # the listing of a color this operad lacks
+
+    def _cuts(self, color: str) -> list[tuple[str, ...]]:
+        """The color's cuts of at most ``_limit`` inputs, from ``_folds``."""
+        cuts = self._folds.get(color)
+        if cuts is None:
+            rows = _rows_above(self._states.__getitem__, color, self._folds)
+            _fold(rows, self._folds, self._limit)
+            cuts = self._folds[color]
+        return cuts
+
+    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
+        index = self._by_inputs.get(output)
+        if index is None and output in self._states:
+            index = self._by_inputs[output] = dict(self.ops_by_output(output))
+        return () if index is None else index.get(tuple(sorted(inputs)), ())
+
+    def ops_by_output(
+        self, output: str, arity: int | None = None
+    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+        entries = self._listed.get((output, arity))
+        if entries is None:
+            if output not in self._states:
+                return self._unknown(output)
+            bound = math.inf if arity is None else arity
+            if bound > self._limit:  # a larger bound serves every smaller one
+                self._limit, self._folds = bound, {}
+            cuts = self._cuts(output)
+            if arity is None:
+                cuts = sorted(cuts, key=self._key)
+            else:
+                cuts = [c for c in cuts if len(c) == arity]
+            entries = self._listed[output, arity] = tuple((c, (_operation(output, c),)) for c in cuts)
+        return entries
+
+    def identity(self, color: str) -> Label:
+        return Operation(color, (color,))
+
+    def subst(self, p: Operation, args: Mapping[str, Operation]) -> Operation:
+        if set(args) != set(p.inputs):
+            raise TreeError(f"substitution arguments do not match the inputs of {p}")
+        collected: list[str] = []
+        for c in p.inputs:
+            q = args[c]
+            if q.output != c:
+                raise TreeError(f"substitution argument at {c!r} has output {q.output!r}")
+            collected.extend(q.inputs)
+        out = Operation(p.output, tuple(collected))
+        if not self._has(out):
+            raise TreeError(f"substitution produced {out}, which is not an operation")
+        return out
+
+    def _has(self, op: Operation) -> bool:
+        """Whether the cut ``op`` is an operation of this operad: listed."""
+        return bool(self.ops(op.inputs, op.output))
+
+
+class FreeForestOperad(_CutOperad):
+    """The free operad of a forest: colors are edges, operations are cuts,
+    listed by size and then lexicographically; an unknown color raises.
+    Its table gives each edge the moves it has in its tree's one-factor
+    shuffle state table (:func:`_edge_moves`)."""
+
+    _key = len
+
+    def __init__(self, forest: Tree | Forest):
+        self.forest = as_forest(forest)
+        trees = self.forest.components
+        super().__init__((e, moves(e)) for t in trees for moves in [_edge_moves(t)] for e in t.edges)
+
+    ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
+
+    def _unknown(self, color: str) -> tuple[()]:
+        raise TreeError(f"no edge {color!r} in {serialize_forest(self.forest)}")
+
+    def _has(self, op: Operation) -> bool:
+        """Through the output's index when a listing built it, else one
+        walk of the forest, with no listing built."""
+        index = self._by_inputs.get(op.output)
+        return op.inputs in index if index is not None else _is_cut_of(self.forest, op)
+
+
+class TableOperad(FiniteOperad):
+    """An operad presented by explicit tables, loadable from JSON.
+
+    The JSON shape is ``{"colors": [...], "operations": [{"inputs": [...],
+    "output": ..., "elements": [...]}, ...]}``; input order inside an entry
+    is irrelevant.  Unary identities are synthesized as ``id:<color>``
+    unless an entry already provides one.  No composition data is carried,
+    so substitution is unavailable.
+    """
+
+    def __init__(
+        self,
+        colors: Sequence[str],
+        table: Mapping[tuple[tuple[str, ...], str], Sequence[str]],
+    ):
+        self._colors = tuple(sorted(colors))
+        cset = set(self._colors)
+        self._table: dict[tuple[tuple[str, ...], str], tuple[str, ...]] = {}
+        for (inputs, output), labels in sorted(table.items()):
+            key = (tuple(sorted(inputs)), output)
+            if output not in cset or any(c not in cset for c in key[0]):
+                raise TreeError(f"operation table mentions unknown colors: {key}")
+            merged = sorted(set(self._table.get(key, ())) | set(labels))
+            self._table[key] = tuple(merged)
+        for c in self._colors:
+            key = ((c,), c)
+            if not self._table.get(key):
+                self._table[key] = (f"id:{c}",)
+        self._by_output = _index_by_output(self._table)
+
+    @staticmethod
+    def from_json(obj: Mapping[str, Any] | str) -> "TableOperad":
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        table: dict[tuple[tuple[str, ...], str], list[str]] = {}
+        for entry in obj.get("operations", ()):
+            key = (
+                tuple(sorted(str(c) for c in entry["inputs"])),
+                str(entry["output"]),
+            )
+            table.setdefault(key, []).extend(str(x) for x in entry["elements"])
+        return TableOperad([str(c) for c in obj["colors"]], table)
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "colors": list(self._colors),
+            "operations": [
+                {"inputs": list(inputs), "output": output, "elements": list(labels)}
+                for (inputs, output), labels in sorted(self._table.items())
+            ],
+        }
+
+    def colors(self) -> tuple[str, ...]:
+        return self._colors
+
+    def ops(self, inputs: Sequence[str], output: str) -> tuple[Label, ...]:
+        return self._table.get((tuple(sorted(inputs)), output), ())
+
+    def ops_by_output(
+        self, output: str, arity: int | None = None
+    ) -> tuple[tuple[tuple[str, ...], tuple[Label, ...]], ...]:
+        entries = self._by_output.get(output, ())
+        return entries if arity is None else tuple(e for e in entries if len(e[0]) == arity)
+
+    def identity(self, color: str) -> Label:
+        return self._table[((color,), color)][0]
+
+
+# -- maps out of a free forest operad ----------------------------------------
+
+
+def _gather(order: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function taking a sequence to the tuple of its items at
+    ``order``, one C-level ``itemgetter`` call for two or more."""
+    if len(order) > 1:
+        return itemgetter(*order)
+    if order:
+        (i,) = order
+        return lambda row: (row[i],)
+    return lambda row: ()
+
+
+def _sorting(names: Sequence[str]) -> Callable[[Sequence], tuple]:
+    """The gather putting items named ``names`` (distinct) in name order."""
+    return _gather(sorted(range(len(names)), key=names.__getitem__))
+
+
+def _vertex_outs(scope: Tree | Forest) -> list[str]:
+    """The output edges of the vertices, in the order of a map's
+    ``components``."""
+    return sorted(v.out_edge for t in as_forest(scope).components for v in t.vertices)
+
+
+def _selecting(among: Sequence[str], names: Iterable[str]) -> Callable[[Sequence], tuple]:
+    """The gather reading, from items named ``among``, those named ``names``."""
+    at = {e: i for i, e in enumerate(among)}
+    return _gather([at[e] for e in names])
+
+
+def maps_into(
+    scope: Tree | Forest, p: FiniteOperad, cap: int | None = None
+) -> tuple[ForestInto, ...]:
+    """Enumerate the maps from the free operad of ``scope`` into ``p``:
+    choose a color per edge and, at each vertex, an operation accepting the
+    chosen input colors (in any matching of inputs to colors).  A vertex of
+    arity ``k`` asks ``p`` only for its families of ``k`` inputs
+    (``p.ops_by_output(color, k)``).
+
+    :func:`_key_passes` gives each component's keys with their moves and
+    map counts; with a ``cap``, a count above it raises :class:`TreeError`
+    before any map is listed.  :func:`_odometer` lists each component's
+    maps as pair tuples already in edge order, and the maps out of a forest
+    join one map of each component (:func:`_recombined`)."""
+    passes = _key_passes(scope, p)
+    if cap is not None:
+        total = _map_count(passes, p)
+        if total > cap:
+            raise TreeError(f"map enumeration would produce {total} > cap {cap}")
+    all_colors = p.colors()
+    components = as_forest(scope).components
+    parts = [_odometer(t, moves, count, all_colors) for t, (_, moves, count) in zip(components, passes)]
+    rows = parts[0] if len(parts) == 1 else _recombined(components, parts)
+    return tuple(map(_forest_into, rows))
+
+
+def _odometer(
+    t: Tree, moves: dict, count: dict, all_colors: Sequence[str]
+) -> list[tuple[tuple, tuple]]:
+    """The pair tuples of the maps out of ``t``, each in edge order, as
+    :func:`maps_into` lists them: by root color, then as an odometer over
+    the positions of ``t``'s Euler tour, a move on entering a vertex and a
+    label on leaving it, the last position turning fastest.  At every
+    vertex that is move, then ``product`` over the children, then label.
+    A label position is left out where every move has one label, as no
+    turn of it is possible.
+
+    The choice at a position writes into two rows kept in edge order: a
+    move writes its child keys (they are the ``(edge, color)`` pairs) and
+    its first label's ``(edge, operation)`` pair, a label its own pair.  A
+    move also sets the options of the positions it opens: its child
+    vertices' moves and its own labels.  ``live`` holds the positions that
+    can still turn, with their next option, the last on top; turning one
+    resets every later position to its first option.  Every key reached
+    has a count above 0 and keeps only the moves that reach a map
+    (:func:`_key_passes`), so no reset meets a dead end and each turn emits
+    one map."""
+    above = t.vertex_above
+    multi = {e for (e, _), fam_moves in moves.items() for labels, _ in fam_moves if len(labels) > 1}
+    slot = {e: i for i, e in enumerate(t.edges)}  # the edges are sorted
+    vslot = {e: i for i, e in enumerate(sorted(above))}
+    # per position of the tour: the child slots it writes, the (child,
+    # position) pairs and the label position it opens, and the slot and
+    # edge of its (edge, operation) pair
+    slots, opened, labelled, pair_at, edge = [], [], [], [], []
+    stack = [(t.root, 0, 0)] if t.root in above else []  # (edge, position of its parent, child index)
+    while stack:
+        e, up, i = stack.pop()
+        q = len(edge)
+        edge.append(e)
+        pair_at.append(vslot[e])
+        labelled.append(None)
+        if i < 0:  # the label position of the vertex entered at up
+            labelled[up] = q
+            slots.append(())
+            opened.append(())
+            continue
+        if q:
+            opened[up].append((i, q))
+        ins = above[e].in_edges
+        slots.append(tuple([slot[d] for d in ins]))
+        opened.append([])
+        if e in multi:
+            stack.append((e, q, -1))
+        for i in range(len(ins) - 1, -1, -1):
+            if ins[i] in above:
+                stack.append((ins[i], q, i))
+    m = len(edge)
+    colors: list = [None] * len(slot)
+    comps: list = [None] * len(vslot)
+    opts: list = [()] * m
+    root = slot[t.root]
+    rows: list[tuple[tuple, tuple]] = []
+    for c in all_colors:
+        key = (t.root, c)
+        if not count[key]:
+            continue
+        colors[root] = key
+        if not m:  # a bare edge
+            rows.append(((key,), ()))
+            continue
+        opts[0] = moves[key]
+        live = [(0, 0)]
+        while live:
+            q, j = live.pop()
+            for q in range(q, m):
+                o = opts[q]
+                if len(o) > j + 1:
+                    live.append((q, j + 1))
+                labels, kids = o[j]
+                for s, d in zip(slots[q], kids):
+                    colors[s] = d
+                for i, r in opened[q]:
+                    opts[r] = moves[kids[i]]
+                comps[pair_at[q]] = (edge[q], labels[0])
+                if labelled[q] is not None:  # a label position's options, as moves
+                    opts[labelled[q]] = [((lab,), ()) for lab in labels]
+                j = 0
+            rows.append((tuple(colors), tuple(comps)))
+    return rows
+
+
+def _recombined(
+    components: Sequence[Tree], parts: Sequence[Sequence[tuple[tuple, tuple]]]
+) -> list[tuple[tuple, tuple]]:
+    """The pair tuples of each tuple of maps out of the ``components``, one
+    map of each from ``parts`` in ``product`` order, where each map is given
+    by its pair tuples sorted by edge.  A tuple's pairs are concatenated and
+    put in edge order by one permutation, found once."""
+    rows: list[tuple[tuple, tuple]] = [((), ())]
+    for part in parts:
+        rows = [(c + pc, v + pv) for c, v in rows for pc, pv in part]
+    colors_of = _sorting([e for t in components for e in t.edges])
+    components_of = _sorting([e for t in components for e in _vertex_outs(t)])
+    return [(colors_of(c), components_of(v)) for c, v in rows]
+
+
+def _key_passes(scope: Tree | Forest, p: FiniteOperad) -> list[tuple[str, dict, dict]]:
+    """Per component of ``scope``, one explicit-stack pass over ``(edge,
+    color)`` keys: ``(root, moves, count)``.  ``moves`` expands each key
+    above a vertex into its ``(labels, child keys)`` moves and ``count``
+    gives each key's number of sub-maps, listing the keys in post-order,
+    each after its children.  A key's count is the sum over its moves of
+    the labels times the product of the child counts; once it is known,
+    only the moves of a count above 0 are kept.  A leaf key counts 1 and is
+    done when first seen.
+
+    The root keys are pushed in reverse, so they pop, and ``p`` is asked
+    for their operations, in ``p.colors()`` order, root first.  A cut
+    operad that folds lazily (``_CutOperad``) then folds at the first ask
+    the rows above the first color, a root of its table in the usual case,
+    in one :func:`_fold` call, where asking a leaf color first folds one
+    row per call.  The order of the asks shows nowhere else:
+    ``moves`` and ``count`` are read by key only."""
+    all_colors = p.colors()
+    passes: list[tuple[str, dict, dict]] = []
+    for t in as_forest(scope).components:
+        above = t.vertex_above
+        moves: dict[tuple[str, str], list] = {}
+        count: dict[tuple[str, str], int] = {}  # post-order: each key after its children
+        stack = [(t.root, c) for c in reversed(all_colors)]
+        if t.root not in above:
+            count = dict.fromkeys(reversed(stack), 1)
+            stack = []
+        while stack:
+            key = stack.pop()
+            if key in count:
+                continue
+            fam_moves = moves.get(key)
+            if fam_moves is not None:  # every child is done
+                n = 0
+                kept = []
+                for move in fam_moves:
+                    m = len(move[0])
+                    for d in move[1]:
+                        m *= count[d]
+                    if m:
+                        n += m
+                        kept.append(move)
+                moves[key] = kept
+                count[key] = n
+                continue
+            ins = above[key[0]].in_edges
+            k = len(ins)
+            moves[key] = fam_moves = [
+                (labels, tuple(zip(ins, assignment)))
+                for fam, labels in p.ops_by_output(key[1], k)
+                # fam is sorted: with distinct colors permutations come in order, once each
+                for assignment in (permutations(fam) if k < 2 or len(set(fam)) == k
+                                   else sorted(set(permutations(fam))))
+            ]
+            stack.append(key)
+            for _, kids in fam_moves:
+                for d in kids:
+                    if d not in count:
+                        if d[0] in above:
+                            stack.append(d)
+                        else:
+                            count[d] = 1
+        passes.append((t.root, moves, count))
+    return passes
+
+
+def _map_count(passes: list[tuple[str, dict, dict]], p: FiniteOperad) -> int:
+    """How many maps :func:`maps_into` lists from these passes, read from
+    their counts without building one: the product over components of the
+    counts at the root."""
+    total = 1
+    for root, _, count in passes:
+        total *= sum(count[(root, c)] for c in p.colors())
+    return total
+
+
 def hom(
     source: Tree | Forest, target: Tree | Forest, cap: int | None = None
 ) -> tuple[OperadMap, ...]:
     """Enumerate every operad map between the generated free operads.
 
-    Each map of :func:`~dendrotensor.lurie.maps_into` into
-    :class:`~dendrotensor.lurie.FreeForestOperad` gets the two forests
-    attached, in the order listed there.  Each source root may
+    Each map of :func:`maps_into` into :class:`FreeForestOperad` gets the
+    two forests attached, in the order listed there.  Each source root may
     land on any target edge; a vertex of arity ``k`` then lands on any
     arity-``k`` cut above its output's image, in any of the ``k!`` input
     matchings; the target's cuts are folded only up to the source's arities.
     The empty source forest has exactly one (empty) map anywhere.  ``cap`` raises :class:`TreeError`
     when there are more maps than that, before any is built.
     """
-    from .lurie import FreeForestOperad, maps_into
-
     src = as_forest(source)
     tgt = as_forest(target)
     maps = maps_into(src, FreeForestOperad(tgt), cap)
@@ -376,6 +861,20 @@ def compose(g: OperadMap, f: OperadMap) -> OperadMap:
     colors = {d: g.color[img] for d, img in f.colors}
     components = {w: _image(has, g, g.source, op, checked) for w, op in f.components}
     return OperadMap.build(f.source, g.target, colors, components)
+
+
+def precompose(p: FiniteOperad, m: ForestInto, h: OperadMap) -> ForestInto:
+    """Precompose a map ``m`` out of the free operad of ``h.target`` with the
+    operad map ``h``: each edge of ``h.source`` takes the color of its image,
+    and each vertex the image under ``m`` of its image cut, a cut of ``p``
+    (:func:`_image`); an operad ``p`` of another kind raises."""
+    if not isinstance(p, _CutOperad):
+        raise TreeError(f"precompose needs a cut operad, not a {type(p).__name__}")
+    checked: set[str] = set()
+    return ForestInto.build(
+        ((e, m.color[img]) for e, img in h.colors),
+        ((w, _image(p._has, m, h.target, op, checked)) for w, op in h.components),
+    )
 
 
 def _strictly_sorted(pairs: tuple[tuple[str, Any], ...]) -> bool:
@@ -459,3 +958,59 @@ def classify_elementary(f: OperadMap) -> str:
             return "outer_face"
 
     return "other"
+
+
+# -- Segal decompositions -----------------------------------------------------
+
+
+def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
+    """Maps out of the free operad of a tree are pairs of maps out of the
+    two parts at an inner edge, agreeing on the edge's color.  Returns
+    whether the restriction pairing is a bijection onto such pairs.
+
+    A pair of maps is compared as the concatenation of their field tuples;
+    the restriction to each part is a fixed selection of the whole's edges
+    and vertices."""
+    lower, upper = cut_at(t, b)
+    whole = maps_into(t, p)
+    lows = maps_into(lower, p)
+    ups = maps_into(upper, p)
+    lo_b, up_b = lower.edges.index(b), upper.edges.index(b)
+    ups_at: dict[str, list[ForestInto]] = {}
+    for up in ups:
+        ups_at.setdefault(up.colors[up_b][1], []).append(up)
+    matched = {lo + up for lo in lows for up in ups_at.get(lo.colors[lo_b][1], ())}
+    outs = _vertex_outs(t)
+    lo_colors, up_colors = _selecting(t.edges, lower.edges), _selecting(t.edges, upper.edges)
+    lo_comps, up_comps = _selecting(outs, _vertex_outs(lower)), _selecting(outs, _vertex_outs(upper))
+    split = [
+        (lo_colors(m.colors), lo_comps(m.components), up_colors(m.colors), up_comps(m.components))
+        for m in whole
+    ]
+    distinct = set(split)
+    return len(split) == len(distinct) == len(matched) and distinct == matched
+
+
+def segal_components_check(p: FiniteOperad, f: Tree | Forest) -> bool:
+    """Maps out of the free operad of a forest are tuples of maps out of its
+    components (the empty forest admitting exactly the empty map).
+
+    Checked from the whole's side: the whole's maps and each component's
+    are distinct, the whole has as many as the product of the components'
+    counts, and each component's restrictions of the whole's maps lie in its
+    listing.  The restrictions are fixed, disjoint selections of the whole's
+    edges and vertices that cover it, so restriction is injective and, with
+    the counts, a bijection."""
+    forest = as_forest(f)
+    whole = maps_into(forest, p)
+    parts = [maps_into(t, p) for t in forest.components]
+    distinct = set(whole)
+    if len(whole) != math.prod(len(q) for q in parts) or len(distinct) != len(whole):
+        return False
+    outs = _vertex_outs(forest)
+    for t, q in zip(forest.components, parts):
+        listed = set(q)
+        colors, comps = _selecting(forest.edges, t.edges), _selecting(outs, _vertex_outs(t))
+        if len(listed) != len(q) or not {(colors(c), comps(v)) for c, v in distinct} <= listed:
+            return False
+    return True

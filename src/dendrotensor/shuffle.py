@@ -15,7 +15,7 @@ and their moves are listed once, by one walk without recursion, and that
 table is folded into the shuffles, their texts, the lines of their DOT
 gallery (``render.shuffle_clusters``) or their count (``omegacat._counts``,
 a shuffle being the root state grown into leaf states); the tensor operad
-folds it into cuts, every state in one loop, by the fold that lists a free
+(:class:`BVTensorOperad`) folds it into cuts, every state in one loop, by the fold that lists a free
 forest operad's cuts from its edge table (``omegacat._fold``), which is
 this table for a lone factor.
 
@@ -24,7 +24,8 @@ pairwise (and wider) intersections by contracting the non-shared inner
 edges, transport of shuffles along closing a factor leaf with a stump,
 recovery of all shuffles from the shuffles of the stump-free interiors, the
 inclusion of nested (bracketed) shuffles into flat ones, and maps from a
-probe tree into the tensor, each held by some shuffle.
+probe tree into the tensor operad (``omegacat.maps_into``), each held by
+some shuffle.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
-from .omegacat import ForestInto, OperadMap, _counts, _induced, _rows_above, validate
+from .omegacat import ForestInto, OperadMap, _CutOperad, _counts, _induced, _rows_above, maps_into, validate
 from .treecore import (
     Tree,
     TreeError,
@@ -49,9 +50,6 @@ from .treecore import (
     max_edges,
     serialize_tree,
 )
-
-if TYPE_CHECKING:
-    from .lurie import BVTensorOperad
 
 __all__ = [
     "encode",
@@ -67,6 +65,7 @@ __all__ = [
     "InteriorDecomposition",
     "assoc_inclusion",
     "AssocResult",
+    "BVTensorOperad",
     "tensor_hom",
     "TensorHom",
 ]
@@ -444,6 +443,22 @@ def _assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing, table: _Ta
     )
 
 
+class BVTensorOperad(_CutOperad):
+    """The tensor of trees as a finite operad: colors are the tuple edges of
+    the shuffles, operations are the cuts of all shuffles with each cut
+    appearing once.  Substitution is cut union, under which the family is
+    closed.  Its table is the shuffle state table (:func:`_state_table`),
+    built up front without any shuffle, so a lone factor is the free operad
+    of that tree.  Entries are listed by sorted inputs; an unknown color
+    lists nothing."""
+
+    def __init__(self, factors: Sequence[Tree]):
+        self.factors = tuple(factors)
+        super().__init__(_state_table(self.factors))
+
+    ops_by_output = _CutOperad.ops_by_output  # per class, for perfbench/tracer.py
+
+
 class TensorHom(namedtuple("TensorHom", "colors components witness"), ForestInto):
     """A map from a probe tree into the shuffle tensor, a
     :class:`~dendrotensor.omegacat.ForestInto` whose colors are tuple edges
@@ -457,24 +472,19 @@ def tensor_hom(
     probe: Tree, factors: Sequence[Tree], cap: int | None = None
 ) -> tuple[TensorHom, ...]:
     """All maps from the free operad of the tree ``probe`` into the tensor of
-    the factors: the maps into :class:`~dendrotensor.lurie.BVTensorOperad`,
-    sorted, each of which lands in a shuffle.  A forest probe is refused, as
-    its components may land in different shuffles.  ``cap`` raises
+    the factors: the maps into :class:`BVTensorOperad`, sorted, each of
+    which lands in a shuffle.  A forest probe is refused, as its components
+    may land in different shuffles.  ``cap`` raises
     :class:`TreeError` when there are more maps than that, before any map
     or shuffle is built."""
-    from .lurie import BVTensorOperad
-
     if not isinstance(probe, Tree):
         raise TreeError("tensor_hom takes a tree probe, not a forest")
     return _tensor_maps(probe, BVTensorOperad(factors), cap)
 
 
 def _tensor_maps(probe: Tree, tensor: BVTensorOperad, cap: int | None = None) -> tuple[TensorHom, ...]:
-    """:func:`tensor_hom` into ``tensor``, a built
-    :class:`~dendrotensor.lurie.BVTensorOperad`, whose one state table gives
-    both the operad and the witnesses."""
-    from .lurie import maps_into
-
+    """:func:`tensor_hom` into ``tensor``, a built :class:`BVTensorOperad`,
+    whose one state table gives both the operad and the witnesses."""
     maps = maps_into(probe, tensor, cap)
     trees = _shuffle_trees(tensor._states.items())
     out = []

@@ -32,23 +32,28 @@ from .levelforest import (
 from .lurie import (
     EllPresentation,
     _chain_tables,
-    _key_passes,
-    _map_count,
     _walk_chains,
     _walk_images,
-    FreeForestOperad,
     check_fibrous,
     chain_to_map,
     defect_fixtures,
     free_algebra,
     map_to_chain,
+    restrict_chain,
+)
+from .omegacat import (
+    FreeForestOperad,
+    _cut_total,
+    _key_passes,
+    _map_count,
+    compose,
+    identity_map,
     maps_into,
     precompose,
-    restrict_chain,
     segal_components_check,
     segal_cut_check,
+    validate,
 )
-from .omegacat import _cut_total, compose, identity_map, validate
 from .render import json_text
 from .shuffle import (
     _assoc_inclusion,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from dendrotensor import cli as cli_module
-from dendrotensor import lurie as lurie_module
+from dendrotensor import omegacat as omegacat_module
 from dendrotensor import render as render_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor.cli import main
@@ -338,7 +338,7 @@ def test_state_table_built_once_per_listing(monkeypatch, capsys, argv, tables):
         built.append(tuple(factors))
         return real(factors)
 
-    for module in (shuffle_module, cli_module, lurie_module):
+    for module in (shuffle_module, cli_module):
         monkeypatch.setattr(module, "_state_table", counted)
     assert main(argv) == 0
     capsys.readouterr()
@@ -535,7 +535,7 @@ def test_free_algebra_counts_before_it_lists(capsys, monkeypatch):
     def listed(*args, **kwargs):
         raise AssertionError("the cuts were listed")
 
-    monkeypatch.setattr(lurie_module.FreeForestOperad, "ops_by_output", listed)
+    monkeypatch.setattr(omegacat_module.FreeForestOperad, "ops_by_output", listed)
     argv = ["free-algebra", "{" + binary_text(5, "t") + ";x[y]}", "--generators", '{"1":"t5"}',
             "--inputs", '{"1":["g"]}', "--output-color", "t0"]
     assert main(argv) == 0
@@ -824,7 +824,7 @@ def test_suite_config_validates_its_settings():
 def test_check_exit_one_on_failures(monkeypatch, capsys):
     import dendrotensor.cli as cli_mod
 
-    def fake_run_check(name, cfg):
+    def fake_run_check(name, cfg, timings):
         return {
             "command": f"check {name}",
             "config": {"seed": cfg.seed},

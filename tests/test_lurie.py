@@ -71,8 +71,8 @@ from dendrotensor import shuffle as shuffle_module
 from dendrotensor import suites as suites_module
 from dendrotensor import levelforest as levelforest_module
 from dendrotensor import treecore as treecore_module
-from dendrotensor.levelforest import edge_name
-from dendrotensor.lurie import EllPresentation, _Inerts, _PointedMaps
+from dendrotensor.levelforest import _Inerts, _PointedMaps, edge_name
+from dendrotensor.lurie import EllPresentation
 from dendrotensor._rand import random_fin_simplex, random_forest, random_tree
 from dendrotensor.shuffle import _state_table, decode
 from dendrotensor.treecore import _cached
@@ -244,8 +244,8 @@ def test_fibrous_check_builds_only_the_inerts_it_samples(monkeypatch):
     # up to ⟨8⟩ built 129,327 maps in this call, where drawing four per
     # coloring from the ranked sequence builds 3,741
     built = []
-    trusted, init = lurie_module._ptd_mor, FinPtdMor.__init__
-    monkeypatch.setattr(lurie_module, "_ptd_mor", lambda fields: built.append(fields) or trusted(fields))
+    trusted, init = levelforest_module._ptd_mor, FinPtdMor.__init__
+    monkeypatch.setattr(levelforest_module, "_ptd_mor", lambda fields: built.append(fields) or trusted(fields))
     monkeypatch.setattr(FinPtdMor, "__init__", lambda f, *args: built.append(f) or init(f, *args))
     pres = EllPresentation(FreeForestOperad(parse_tree("r[a]")))
     report = check_fibrous(pres, truncation=8, rng=Random(0))
@@ -324,21 +324,21 @@ def test_maps_between_skeleta_are_shared():
     checked = _maps_between_small_skeleta()
     assert len(checked) == sum((m + 1) ** n for n in range(4) for m in range(4))
     for f in checked:
-        shared = lurie_module._ptd_mor(tuple(f))
+        shared = levelforest_module._ptd_mor(tuple(f))
         assert shared == f and type(shared) is FinPtdMor
-        assert shared is lurie_module._ptd_mor(tuple(f))
+        assert shared is levelforest_module._ptd_mor(tuple(f))
         assert shared.src is f.src and shared.dst is f.dst
         # the fibre positions, recomputed from the positions and the fibres
         assert shared.slots == tuple(
             tuple(f.src.position[x] for x in f.fibers.get(j, ())) for j in f.dst.elements)
         assert shared.is_inert == all(len(f.fiber(j)) == 1 for j in f.dst.elements)
-        assert all(lurie_module._POSITIONS[slot] is slot for slot in shared.slots)
-    assert all(lurie_module._MAPS[len(f.src), len(f.dst), f.values] == f for f in checked)
+        assert all(levelforest_module._POSITIONS[slot] is slot for slot in shared.slots)
+    assert all(levelforest_module._MAPS[len(f.src), len(f.dst), f.values] == f for f in checked)
     for n in range(4):
-        assert FinPtdMor.identity(SMALL_SKELETA[n]) is lurie_module._ptd_mor(
+        assert FinPtdMor.identity(SMALL_SKELETA[n]) is levelforest_module._ptd_mor(
             (SMALL_SKELETA[n], SMALL_SKELETA[n], SMALL_SKELETA[n].elements))
         for i in range(1, n + 1):
-            assert rho(n, i) is lurie_module._ptd_mor(tuple(rho(n, i)))
+            assert rho(n, i) is levelforest_module._ptd_mor(tuple(rho(n, i)))
 
 
 def test_shared_decodes_equal_the_replaced_decoders():
@@ -347,11 +347,11 @@ def test_shared_decodes_equal_the_replaced_decoders():
             pool = _PointedMaps(src, dsts)
             for i in range(len(pool)):
                 assert pool[i] == replaced_pointed_map(src, dsts, i)
-                assert pool[i] is _PointedMaps(src, dsts)[i] is lurie_module._ptd_mor(tuple(pool[i]))
+                assert pool[i] is _PointedMaps(src, dsts)[i] is levelforest_module._ptd_mor(tuple(pool[i]))
         inerts = _Inerts(src)
         for i in range(len(inerts)):
             assert inerts[i] == replaced_inert(src, i)
-            assert inerts[i] is _Inerts(src)[i] is lurie_module._ptd_mor(tuple(inerts[i]))
+            assert inerts[i] is _Inerts(src)[i] is levelforest_module._ptd_mor(tuple(inerts[i]))
 
 
 def test_shared_composites_equal_the_replaced_composite():
@@ -362,24 +362,24 @@ def test_shared_composites_equal_the_replaced_composite():
     pairs = 0
     for f in maps:
         for g in out_of[len(f.dst)]:
-            gf = lurie_module._ptd_mor(tuple(g)).after(f)
+            gf = levelforest_module._ptd_mor(tuple(g)).after(f)
             assert gf == replaced_after(g, f)
-            assert gf is lurie_module._ptd_mor(tuple(gf)) is g.after(f)
+            assert gf is levelforest_module._ptd_mor(tuple(gf)) is g.after(f)
             pairs += 1
     assert pairs == 9866
 
 
 def test_maps_over_other_sets_are_not_shared():
     two, one = FinPtdObj((1, 2)), FinPtdObj.skeleton(1)  # equal to <2>, but built directly
-    shared = lurie_module._ptd_mor((FinPtdObj.skeleton(2), one, (1, STAR)))
-    own = lurie_module._ptd_mor((two, one, (1, STAR)))
+    shared = levelforest_module._ptd_mor((FinPtdObj.skeleton(2), one, (1, STAR)))
+    own = levelforest_module._ptd_mor((two, one, (1, STAR)))
     assert own == shared and own is not shared and own._composites is None
-    assert own is not lurie_module._ptd_mor((two, one, (1, STAR)))
+    assert own is not levelforest_module._ptd_mor((two, one, (1, STAR)))
     assert _PointedMaps(two, [one])[1] == shared and _PointedMaps(two, [one])[1] is not shared
     assert _Inerts(two)[1].src is two
     ident = FinPtdMor.identity(two)
     assert own.after(ident) == own and own.after(ident) is not own
-    assert not any(f is g for f in lurie_module._MAPS.values() for g in (own, ident, own.after(ident)))
+    assert not any(f is g for f in levelforest_module._MAPS.values() for g in (own, ident, own.after(ident)))
     # a nerve's level sets: the chains' maps stay their own, and so do
     # their composites
     p = FreeForestOperad(parse_forest("{r[a[x],b[]]}"))
@@ -387,17 +387,17 @@ def test_maps_over_other_sets_are_not_shared():
     xs, als = a.pointed_levels
     for ch in enumerate_chains(p, a):
         restrict_chain(p, ch, SimplicialOperator.face(2, 1))
-    kept = list(lurie_module._MAPS.values())
-    assert all(lurie_module._skeletal(f.src) and lurie_module._skeletal(f.dst) for f in kept)
+    kept = list(levelforest_module._MAPS.values())
+    assert all(levelforest_module._skeletal(f.src) and levelforest_module._skeletal(f.dst) for f in kept)
     composite = als[1].after(als[0])
     assert not any(f is g for f in kept for g in (*als, composite))
     assert all(f._composites is None for f in (*als, composite))
-    positions = list(lurie_module._POSITIONS.values())
+    positions = list(levelforest_module._POSITIONS.values())
     assert not any(p is slot for f in als for slot in f.slots if slot for p in positions)
 
 
 def _table_entries():
-    return dict(lurie_module._MAPS)
+    return dict(levelforest_module._MAPS)
 
 
 def test_the_tables_hold_fin_star_data_only(monkeypatch):
@@ -405,7 +405,7 @@ def test_the_tables_hold_fin_star_data_only(monkeypatch):
     # every map it keeps lies between skeleta <= 2, at most 23 in all, and
     # a second operad keeps no map outside that bound
     for name in ("_MAPS", "_DECODES", "_POSITIONS"):
-        monkeypatch.setattr(lurie_module, name, {})
+        monkeypatch.setattr(levelforest_module, name, {})
     bound = sum((m + 1) ** n for n in range(3) for m in range(3))
     assert bound == 23
 
@@ -415,9 +415,9 @@ def test_the_tables_hold_fin_star_data_only(monkeypatch):
             assert n <= 2 and m <= 2
             assert f == FinPtdMor(FinPtdObj.skeleton(n), FinPtdObj.skeleton(m), values)
         assert len(entries) <= bound
-        for decoded in lurie_module._DECODES.values():
+        for decoded in levelforest_module._DECODES.values():
             assert all(f is entries[len(f.src), len(f.dst), f.values] for f in decoded.values())
-        assert all(set(slot) <= {0, 1} for slot in lurie_module._POSITIONS)
+        assert all(set(slot) <= {0, 1} for slot in levelforest_module._POSITIONS)
         return entries
 
     runs = [
@@ -443,7 +443,7 @@ def _fiberwise_values():
     (alpha, src, dst, comps), (obj_base, obj_colors) = ch.arrows[0], ch.objects[0]
     return [
         (FinPtdObj, ((1, 2),), lambda fields: FinPtdObj.skeleton(2)),
-        (FinPtdMor, (two, one, (1, STAR)), lurie_module._ptd_mor),
+        (FinPtdMor, (two, one, (1, STAR)), levelforest_module._ptd_mor),
         (EllObject, (obj_base, obj_colors), lurie_module._ell_obj),
         (EllMorphism, (alpha, src, dst, comps), lurie_module._ell_mor),
         (lurie_module.Chain, (a, ch.objects, ch.arrows), lurie_module._chain),
@@ -695,8 +695,8 @@ def test_free_forest_membership_reads_the_index_once_built(monkeypatch):
     # it, with the forest walk's answers, and subst rejects with the same
     # text either way
     walks = []
-    real = lurie_module._is_cut_of
-    monkeypatch.setattr(lurie_module, "_is_cut_of", lambda *args: walks.append(args) or real(*args))
+    real = omegacat_module._is_cut_of
+    monkeypatch.setattr(omegacat_module, "_is_cut_of", lambda *args: walks.append(args) or real(*args))
     answers = set()
     for seed in range(12):
         rng = Random(seed)
@@ -856,13 +856,16 @@ def test_bare_edge_probe_folds_no_tensor_cuts(monkeypatch):
         raise AssertionError("folded")
 
     monkeypatch.setattr(omegacat_module, "_fold", refuse)
-    monkeypatch.setattr(lurie_module, "_fold", refuse)
     factors = [chain_tree(1500), parse_tree("x")]
     maps = maps_into(Tree("f", ()), BVTensorOperad(factors))
     assert len(maps) == len(set(maps)) == 1501
     homs = tensor_hom(Tree("f", ()), factors)
     assert len(homs) == 1501
     assert {h.colors for h in homs} == {m.colors for m in maps}
+    # positive control: a probe with a vertex asks for operations, so the
+    # same stub refuses its first fold
+    with pytest.raises(AssertionError, match="folded"):
+        maps_into(parse_tree("f[g]"), BVTensorOperad(factors))
 
 
 def _arity_slice_oracle(p, c):
@@ -987,8 +990,8 @@ def test_cut_listing_reads_memo_hits_without_folding(monkeypatch, kind):
         p, root = FreeForestOperad(parse_tree("r[a[x,y,z[]],b[u,v],c]")), "r"
     else:
         p, root = BVTensorOperad([parse_tree("p[x,y]"), parse_tree("q[u[w],v]")]), "(p|q)"
-    table_fold, limits = lurie_module._fold, []
-    monkeypatch.setattr(lurie_module, "_fold", lambda *a: limits.append(a[2]) or table_fold(*a))
+    table_fold, limits = omegacat_module._fold, []
+    monkeypatch.setattr(omegacat_module, "_fold", lambda *a: limits.append(a[2]) or table_fold(*a))
     p.ops_by_output(root, 2)
     assert set(p._folds) == set(p.colors())
     for c in p.colors():
@@ -1020,7 +1023,7 @@ def test_cut_listing_folds_only_the_rows_above_its_color(monkeypatch, kind):
         p = BVTensorOperad([big, parse_tree("x")])
         above = lambda c: {d for d in p.colors() if decode(d)[0] in big.subtree_edges(decode(c)[0])}
         asks, root = ["(t5|x)", "(t2|x)", "(t33|x)"], "(t0|x)"
-    fold, folded = lurie_module._fold, []
+    fold, folded = omegacat_module._fold, []
 
     def counted(rows, *args):
         rows = list(rows)
@@ -1028,7 +1031,7 @@ def test_cut_listing_folds_only_the_rows_above_its_color(monkeypatch, kind):
         assert len(rows) < 63 - 30, "folded the root's rows"
         return fold(rows, *args)
 
-    monkeypatch.setattr(lurie_module, "_fold", counted)
+    monkeypatch.setattr(omegacat_module, "_fold", counted)
     done = set()
     for c in asks:
         assert p.ops_by_output(c) == p.ops_by_output(c)  # the second is a hit
@@ -1052,21 +1055,21 @@ def test_maps_into_folds_once_per_table_root(monkeypatch, kind):
     else:
         make = lambda: BVTensorOperad([parse_tree("x0[x1[x3,x4],x2]"), parse_tree("y0[y1[y2]]")])
         roots = ["(x0|y0)"]
-    fold, folded = lurie_module._fold, []
+    fold, folded = omegacat_module._fold, []
 
     def counted(rows, *args):
         rows = list(rows)
         folded.append([d for d, _ in rows])
         return fold(rows, *args)
 
-    monkeypatch.setattr(lurie_module, "_fold", counted)
+    monkeypatch.setattr(omegacat_module, "_fold", counted)
     corolla = parse_tree("s[a,b]")
     p = make()
     maps = maps_into(corolla, p)
     assert [rows[-1] for rows in folded] == roots
     assert sum(map(len, folded)) == len(p.colors())
     folded.clear()
-    monkeypatch.setattr(lurie_module, "_key_passes", leaf_first_key_passes)
+    monkeypatch.setattr(omegacat_module, "_key_passes", leaf_first_key_passes)
     assert maps_into(corolla, make()) == maps
     assert len(folded) > 2 * len(roots)
 
@@ -1075,12 +1078,13 @@ def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):
     # bin5 has 459,892 cuts over its 63 edges; every vertex of bin2 is
     # binary, so only the 31 cuts of two inputs can take one
     built = []
+    real = omegacat_module._operation
 
     def counting(output, inputs):
         built.append(output)
-        return omegacat_module._operation(output, inputs)
+        return real(output, inputs)
 
-    monkeypatch.setattr(lurie_module, "_operation", counting)
+    monkeypatch.setattr(omegacat_module, "_operation", counting)
     maps = hom(parse_tree(binary_text(2, "s")), parse_tree(binary_text(5, "t")))
     assert len(maps) == len(set(maps)) == 120
     assert len(built) < 1_000
@@ -1088,17 +1092,20 @@ def test_hom_into_a_deep_binary_tree_wraps_only_the_cuts_it_uses(monkeypatch):
 
 def test_maps_into_counts_before_building(monkeypatch):
     # over the cap, maps_into must refuse from its counts alone: no map is
-    # listed, so neither the odometer nor a product is ever called
+    # listed, so the odometer is never called
     def refuse(*args, **kwargs):
         raise AssertionError("built")
 
     scope = parse_forest("{s[a,b];u[v[w]]}")
     p = FreeForestOperad(parse_tree("r[x[p,q],y[z]]"))
     n = len(maps_into(scope, p))
-    monkeypatch.setattr(lurie_module, "product", refuse)
-    monkeypatch.setattr(lurie_module, "_odometer", refuse)
+    monkeypatch.setattr(omegacat_module, "_odometer", refuse)
     with pytest.raises(TreeError, match=f"would produce {n} > cap {n - 1}"):
         maps_into(scope, p, cap=n - 1)
+    # positive control: with no cap the maps are listed, and the same stub
+    # refuses the first odometer
+    with pytest.raises(AssertionError, match="built"):
+        maps_into(scope, p)
 
 
 def random_table_operad(rng):
@@ -2345,12 +2352,12 @@ def test_map_count_equals_the_listing(seed, kind):
     rng = Random(seed)
     p = _random_target(rng, kind)
     scope = random_forest(rng, 6, 0.3)
-    passes = lurie_module._key_passes(scope, p)
-    assert lurie_module._map_count(passes, p) == len(maps_into(scope, p))
+    passes = omegacat_module._key_passes(scope, p)
+    assert omegacat_module._map_count(passes, p) == len(maps_into(scope, p))
 
 
 def leaf_first_key_passes(scope, p):
-    """:func:`lurie._key_passes` as it asked before: the root keys pushed in
+    """:func:`omegacat._key_passes` as it asked before: the root keys pushed in
     color order, so they pop, and are asked for, last color first."""
     all_colors = p.colors()
     passes = []
@@ -2411,10 +2418,10 @@ def test_root_first_asks_list_the_leaf_first_maps(seed, kind, stump_probability)
     got = maps_into(scope, p)
     rng.setstate(state)
     q = _random_target(rng, kind)
-    with patch.object(lurie_module, "_key_passes", leaf_first_key_passes):
+    with patch.object(omegacat_module, "_key_passes", leaf_first_key_passes):
         want = maps_into(scope, q)
     assert [(m.colors, m.components) for m in got] == [(m.colors, m.components) for m in want]
-    assert lurie_module._key_passes(scope, p) == leaf_first_key_passes(scope, q)
+    assert omegacat_module._key_passes(scope, p) == leaf_first_key_passes(scope, q)
 
 
 # -- maps_into and the Segal checks against the sort-based assembly -------------
@@ -2422,10 +2429,10 @@ def test_root_first_asks_list_the_leaf_first_maps(seed, kind, stump_probability)
 
 def sorted_assembly_maps_into(scope, p):
     """The assembly the fixed edge order replaced: the same explicit-stack
-    pass over the keys of :func:`lurie._key_passes`, sub-maps as nodes
+    pass over the keys of :func:`omegacat._key_passes`, sub-maps as nodes
     ``(key, (edge, operation), *child nodes)`` or ``(key, None)``, and every
     map walked and sorted by ``ForestInto.build``."""
-    passes = lurie_module._key_passes(scope, p)
+    passes = omegacat_module._key_passes(scope, p)
     all_colors = p.colors()
     per_comp = []
     for root, moves, order in passes:
@@ -2470,9 +2477,9 @@ def oracle_segal_cut_check(p, t, b):
     and sorted, and every pair of ``lows x ups`` scanned for agreement at
     ``b``."""
     lower, upper = cut_at(t, b)
-    whole = lurie_module.maps_into(t, p)
-    lows = lurie_module.maps_into(lower, p)
-    ups = lurie_module.maps_into(upper, p)
+    whole = omegacat_module.maps_into(t, p)
+    lows = omegacat_module.maps_into(lower, p)
+    ups = omegacat_module.maps_into(upper, p)
     matched = {(lo, up) for lo in lows for up in ups if lo.color[b] == up.color[b]}
     split = [(_restrict_into_oracle(m, lower), _restrict_into_oracle(m, upper)) for m in whole]
     return len(split) == len(set(split)) == len(matched) and set(split) == matched
@@ -2482,8 +2489,8 @@ def oracle_segal_components_check(p, f):
     """The components check as it read before: each tuple of part maps
     rebuilt and sorted by ``ForestInto.build``."""
     forest = as_forest(f)
-    whole = lurie_module.maps_into(forest, p)
-    parts = [lurie_module.maps_into(t, p) for t in forest.components]
+    whole = omegacat_module.maps_into(forest, p)
+    parts = [omegacat_module.maps_into(t, p) for t in forest.components]
     if len(whole) != len(list(product(*parts))):
         return False
     rebuilt = {
@@ -2621,7 +2628,7 @@ def node_walk_maps_into(scope, p, cap=None):
                 part.append((tuple(keys[i] for i in by_edge), tuple(pairs[i] for i in by_edge if pairs[i] is not None)))
         parts.append(part)
     components = as_forest(scope).components
-    rows = parts[0] if len(parts) == 1 else lurie_module._recombined(components, parts)
+    rows = parts[0] if len(parts) == 1 else omegacat_module._recombined(components, parts)
     return tuple(ForestInto(colors, comps) for colors, comps in rows)
 
 
@@ -2679,7 +2686,7 @@ def test_maps_into_equals_node_walk_assembly(seed, kind, shape):
     assert got == want
     assert [(m.colors, m.components) for m in got] == [(m.colors, m.components) for m in want]
     n = len(want)
-    assert lurie_module._map_count(lurie_module._key_passes(scope, p), p) == n
+    assert omegacat_module._map_count(omegacat_module._key_passes(scope, p), p) == n
     if n:
         with pytest.raises(TreeError) as raised:
             maps_into(scope, p, cap=n - 1)
@@ -2733,15 +2740,15 @@ PERTURBATIONS = {"drop": _drop, "duplicate": _duplicate, "swap": _swap_color}
 
 
 def _perturbing(monkeypatch, hit, how):
-    """``lurie.maps_into`` with ``how`` applied to its maps of every scope
+    """``omegacat.maps_into`` with ``how`` applied to its maps of every scope
     for which ``hit(scope)`` holds."""
-    real = lurie_module.maps_into
+    real = omegacat_module.maps_into
 
     def fake(scope, p, cap=None):
         maps = real(scope, p, cap)
         return how(maps, p) if hit(scope) else maps
 
-    monkeypatch.setattr(lurie_module, "maps_into", fake)
+    monkeypatch.setattr(omegacat_module, "maps_into", fake)
 
 
 def _cut_instance(rng, kind):
@@ -2844,7 +2851,7 @@ def test_segal_components_check_sees_a_wrong_recombination(monkeypatch):
     # rebuilt the whole with the same function
     p, forest = COMPONENTS_CONTROL
     assert segal_components_check(p, forest)
-    recombined = lurie_module._recombined
+    recombined = omegacat_module._recombined
 
     def swapped(components, parts):
         # the colours of the first two edges trade places
@@ -2853,7 +2860,7 @@ def test_segal_components_check_sees_a_wrong_recombination(monkeypatch):
             return rows
         return [(((a, y), (b, x), *colors), comps) for ((a, x), (b, y), *colors), comps in rows]
 
-    monkeypatch.setattr(lurie_module, "_recombined", swapped)
+    monkeypatch.setattr(omegacat_module, "_recombined", swapped)
     assert not segal_components_check(p, forest)
 
 
@@ -2870,13 +2877,13 @@ def test_segal_suites_size_their_draws_without_building_maps(monkeypatch, suite)
     # each draw is sized by the count alone: maps_into runs only inside the
     # Segal checks, never with a cap, and the draws are the same
     calls = []
-    real = lurie_module.maps_into
+    real = omegacat_module.maps_into
 
     def counted(scope, p, cap=None):
         calls.append(cap)
         return real(scope, p, cap)
 
-    monkeypatch.setattr(lurie_module, "maps_into", counted)
+    monkeypatch.setattr(omegacat_module, "maps_into", counted)
     monkeypatch.setattr(suites_module, "maps_into", counted)
     report = suites_module.run_check(suite, suites_module.SuiteConfig(seed=42))
     text = suites_module.report_json(report)

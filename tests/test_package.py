@@ -57,14 +57,9 @@ def test_benchmark_tracer_names_resolve():
 # the package's modules, lowest layer first: a module imports only from the
 # layers below it, at run time
 LAYERS = ("treecore", "omegacat", "levelforest", "shuffle", "lurie", "render", "_rand", "suites", "cli", "__init__")
-# the runtime imports that still reach up a layer, each from inside one
-# function: (module, function, imported module, imported names)
-UPWARD_IMPORTS = {
-    ("levelforest", "FinSimplex.pointed_levels", "lurie", ("_pointed_levels",)),
-    ("omegacat", "hom", "lurie", ("FreeForestOperad", "maps_into")),
-    ("shuffle", "tensor_hom", "lurie", ("BVTensorOperad",)),
-    ("shuffle", "_tensor_maps", "lurie", ("maps_into",)),
-}
+# the runtime imports that still reach up a layer, as (module, function,
+# imported module, imported names): none
+UPWARD_IMPORTS: set[tuple[str, str, str, tuple[str, ...]]] = set()
 
 
 def _runtime_imports(tree, scope=""):
@@ -101,7 +96,7 @@ def _upward_imports(package):
 
 
 def test_imports_follow_the_layers():
-    assert _upward_imports(Path(dendrotensor.__file__).parent) == UPWARD_IMPORTS
+    assert _upward_imports(Path(dendrotensor.__file__).parent) == UPWARD_IMPORTS == set()
 
 
 def test_a_fifth_upward_import_fails_the_layer_check(tmp_path):
@@ -113,3 +108,63 @@ def test_a_fifth_upward_import_fails_the_layer_check(tmp_path):
     render = tmp_path / "render.py"
     render.write_text(render.read_text(encoding="utf-8") + "\nfrom .suites import run_check\n", encoding="utf-8")
     assert _upward_imports(tmp_path) - UPWARD_IMPORTS == {("render", "", "suites", ("run_check",))}
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_value(file, name):
+    """The literal assigned to ``name`` in ``perfbench/<file>``, read by
+    AST: nothing there is imported or run."""
+    for node in ast.parse((PERFBENCH / file).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{file} assigns no {name}")
+
+
+def _untraced_modules(package):
+    """The module files of ``package``, ``__init__`` aside, that the
+    benchmark's ``MODULES`` leaves out: its tracer patches no function there,
+    so their calls would read 0 in ``--trace 1``."""
+    return {path.stem for path in package.glob("*.py")} - {"__init__"} - set(_perfbench_value("run.py", "MODULES"))
+
+
+def _workload_lurie_names():
+    """Each ``lurie.<name>`` that ``perfbench/workloads.py`` reads."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (getattr(node.value, "id", None) == "lurie" or getattr(node.value, "attr", None) == "lurie")
+    }
+
+
+def test_the_tracer_sees_every_module_and_the_defining_objects():
+    # a function that moves into a module the tracer does not patch, or a
+    # name perfbench reads through ``lurie`` that is not the object the
+    # other modules call, would read 0 calls in ``--trace 1``: each name is
+    # one object in every module that binds it, the defining one included
+    package = Path(dendrotensor.__file__).parent
+    assert _untraced_modules(package) == set()
+    modules = [dendrotensor] + [importlib.import_module(f"dendrotensor.{path.stem}")
+                                for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    read = [(module, attr) for module, attr, _, _ in _perfbench_value("tracer.py", "FUNCTIONS")]
+    read += [(module, cls) for module, cls, _, _ in _perfbench_value("tracer.py", "METHODS")]
+    workload_names = _workload_lurie_names()
+    assert {"maps_into", "FreeForestOperad", "BVTensorOperad"} <= workload_names
+    read += [("lurie", attr) for attr in sorted(workload_names)]
+    for module, attr in read:
+        obj = getattr(importlib.import_module(f"dendrotensor.{module}"), attr)
+        assert getattr(importlib.import_module(obj.__module__), attr) is obj, f"{module}.{attr}"
+        for other in modules:
+            assert vars(other).get(attr, obj) is obj, f"{other.__name__}.{attr} is not {module}.{attr}"
+
+
+def test_an_extra_module_is_reported_untraced(tmp_path):
+    # negative control: a copy of the package with one more module file
+    package = Path(dendrotensor.__file__).parent
+    for path in package.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "extra.py").write_text('"""An extra module."""\n', encoding="utf-8")
+    assert _untraced_modules(tmp_path) == {"extra"}

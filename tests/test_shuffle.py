@@ -30,7 +30,6 @@ from dendrotensor import (
     tensor_hom,
     validate,
 )
-from dendrotensor import lurie as lurie_module
 from dendrotensor import omegacat as omegacat_module
 from dendrotensor import shuffle as shuffle_module
 from dendrotensor._rand import random_tree
@@ -532,7 +531,7 @@ def test_tensor_hom_equals_union_over_shuffles(seed, k):
 
 def test_tensor_hom_reads_maps_into_once(monkeypatch):
     calls = []
-    real = lurie_module.maps_into
+    real = shuffle_module.maps_into
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -543,7 +542,7 @@ def test_tensor_hom_reads_maps_into_once(monkeypatch):
 
     probe, fs = parse_tree("e[f,g]"), [parse_tree("p[x,y]"), parse_tree("q[u]")]
     expected = oracle_tensor_hom(probe, fs)
-    monkeypatch.setattr(lurie_module, "maps_into", counted)
+    monkeypatch.setattr(shuffle_module, "maps_into", counted)
     monkeypatch.setattr(omegacat_module, "hom", refuse)
     assert tensor_hom(probe, fs) == expected
     assert len(calls) == 1

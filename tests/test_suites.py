@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from dendrotensor import levelforest, lurie, shuffle, suites
+from dendrotensor import levelforest, omegacat, shuffle, suites
 from dendrotensor.suites import SUITE_NAMES, SuiteConfig
 from dendrotensor.treecore import TreeError, cut_at, interior, parse_forest
 
@@ -345,7 +345,7 @@ def _stumpless_upper(honest):
 
 
 # a defect per failure site, patched into the suite's own import (or, named
-# "lurie.<callee>" or "shuffle.<callee>", into the check function's): the
+# "omegacat.<callee>" or "shuffle.<callee>", into the check function's): the
 # suite it runs in, the callee replaced, the defective callee built from the
 # honest one, and the failed records per check at seed 42 out of that
 # check's records
@@ -370,7 +370,7 @@ SITE_MUTANTS = {
     ),
     "cut-upper-loses-stumps": (
         "segal",
-        "lurie.cut_at",
+        "omegacat.cut_at",
         _stumpless_upper,
         {"segal-cut": (8, 100)},
     ),
@@ -428,7 +428,7 @@ def test_each_failure_site_fires_on_its_defect(monkeypatch, mutant):
     # TreeError rule that failed them
     suite, callee, make, want = SITE_MUTANTS[mutant]
     module, _, callee = callee.rpartition(".")
-    owner = {"": suites, "lurie": lurie, "shuffle": shuffle}[module]
+    owner = {"": suites, "omegacat": omegacat, "shuffle": shuffle}[module]
     monkeypatch.setattr(owner, callee, make(getattr(owner, callee)))
     records = suites.run_check(suite, SuiteConfig(seed=42))["suites"][0]["records"]
     failed = [r for r in records if r["status"] == "fail"]
