@@ -428,8 +428,8 @@ class FinSimplex(namedtuple("FinSimplex", "levels maps")):
     @_cached
     def _map_pairs(self) -> tuple[dict, ...]:
         """Per level, the pair tuples ``lurie._object_pairs`` has built for
-        object colours (read by ``chain_to_map`` and the nerve check's
-        walk), built once per chain."""
+        object colours (read by ``chain_to_map`` and the chain walk), built
+        once per colouring."""
         return tuple({} for _ in self.levels)
 
     @_cached

@@ -16,8 +16,8 @@ finite operads with the maps out of free forest operads (``omegacat``):
   out of the free operad of the diagram's forest, naturally in the diagram
   (``omegacat.precompose``).  The chains are counted and listed from
   per-level tables (:func:`_chain_tables`, whose level 0 holds only the
-  colorings with an arrow out); the nerve check walks those tables straight
-  into the chains' images (:func:`_walk_images`), with no chain built;
+  colorings with an arrow out); one walk of those tables yields each chain
+  with its image (:func:`_walk_chains`), for the listing and the nerve check;
 * free algebra term sets with their symmetrization quotient; over a cut
   operad the terms are counted by ``omegacat._counts`` and only the cuts
   whose inputs all take an argument are folded (``omegacat._fold``).
@@ -856,43 +856,27 @@ def _chain_tables(p: FiniteOperad, a: FinSimplex, cap: int | None = None) -> _Ch
     return _ChainTables(a, tuple(obj for obj in bottom if count[obj.colors]), out, total)
 
 
-def _walk_chains(tables: _ChainTables) -> Iterator[Chain]:
-    """The chains of ``tables``, depth first in ``product`` order, each
-    built when it is reached; only the partial chains on the stack are
-    kept."""
-    a, bottom, levels, _ = tables
-    stack = [((obj,), ()) for obj in reversed(bottom)]
-    while stack:
-        objects, arrows = stack.pop()
-        if len(arrows) == len(levels):
-            yield Chain(a, objects, arrows)
-            continue
-        stack += [
-            (objects + (dst,), arrows + (mor,))
-            for dst, mor in reversed(levels[len(arrows)][objects[-1].colors])
-        ]
-
-
-def _walk_images(tables: _ChainTables) -> Iterator[ForestInto]:
-    """The images under :func:`chain_to_map` of the chains of ``tables``,
-    in the order of :func:`_walk_chains`, with no chain built: each stack
-    node carries the color and component pairs of its prefix, an object's
-    from :func:`_object_pairs` and an arrow's from :func:`_level_pairs`
-    when the node is pushed."""
+def _walk_chains(tables: _ChainTables) -> Iterator[tuple[Chain, ForestInto]]:
+    """The chains of ``tables``, depth first in ``product`` order, each with
+    its image under :func:`chain_to_map`, built when it is reached: each
+    stack node carries its prefix's objects and arrows with their color and
+    component pairs, an object's from :func:`_object_pairs` and an arrow's
+    from :func:`_level_pairs` when the node is pushed."""
     a, bottom, levels, _ = tables
     names, top = a.edge_names, len(levels)
     image = ForestInto.build if top > 9 else lambda colors, comps: _forest_into((colors, comps))
-    stack = [(0, obj.colors, _object_pairs(a, 0, obj.colors), ()) for obj in reversed(bottom)]
+    stack = [((obj,), (), _object_pairs(a, 0, obj.colors), ()) for obj in reversed(bottom)]
     while stack:
-        i, cs, colors, comps = stack.pop()
+        objects, arrows, colors, comps = stack.pop()
+        i = len(arrows)
         if i == top:
-            yield image(colors, comps)
+            yield _chain((a, objects, arrows)), image(colors, comps)
             continue
         j = i + 1
         stack += [
-            (j, dst.colors, colors + _object_pairs(a, j, dst.colors),
+            (objects + (dst,), arrows + (mor,), colors + _object_pairs(a, j, dst.colors),
              comps + _level_pairs(names[j], j, mor.components))
-            for dst, mor in reversed(levels[i][cs])
+            for dst, mor in reversed(levels[i][objects[-1].colors])
         ]
 
 
@@ -907,7 +891,7 @@ def enumerate_chains(
     so a ``cap`` below the total raises :class:`TreeError` at once; they are
     then listed by :func:`_walk_chains`, depth first in ``product`` order,
     through the targets that reach the top level only."""
-    return tuple(_walk_chains(_chain_tables(p, a, cap)))
+    return tuple(ch for ch, _ in _walk_chains(_chain_tables(p, a, cap)))
 
 
 def _level_pairs(level: dict[str, str], i: int, items: Iterable[tuple[Elem, Any]]) -> tuple:

@@ -966,7 +966,7 @@ def classify_elementary(f: OperadMap) -> str:
 def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
     """Maps out of the free operad of a tree are pairs of maps out of the
     two parts at an inner edge, agreeing on the edge's color.  Returns
-    whether the restriction pairing is a bijection onto such pairs.
+    whether restriction is a bijection onto such pairs, no map listed twice.
 
     A pair of maps is compared as the concatenation of their field tuples;
     the restriction to each part is a fixed selection of the whole's edges
@@ -975,6 +975,8 @@ def segal_cut_check(p: FiniteOperad, t: Tree, b: str) -> bool:
     whole = maps_into(t, p)
     lows = maps_into(lower, p)
     ups = maps_into(upper, p)
+    if len(set(lows)) != len(lows) or len(set(ups)) != len(ups):
+        return False
     lo_b, up_b = lower.edges.index(b), upper.edges.index(b)
     ups_at: dict[str, list[ForestInto]] = {}
     for up in ups:

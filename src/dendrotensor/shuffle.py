@@ -375,17 +375,21 @@ Bracketing = int | Sequence["Bracketing"]
 
 
 def _flatten_bracketing(br: Bracketing) -> list[int]:
+    return [br] if isinstance(br, int) else [i for b in br for i in _flatten_bracketing(b)]
+
+
+def _flatten_by(name: str, br: Bracketing) -> list[str]:
+    """The factor edges of an edge of a nested shuffle at ``br``: ``name``
+    is decoded only as deep as ``br`` nests, a factor's edge kept whole."""
     if isinstance(br, int):
-        return [br]
-    out: list[int] = []
-    for b in br:
-        out.extend(_flatten_bracketing(b))
-    return out
+        return [name]
+    parts = decode(name) if len(br) > 1 else (name,)  # a lone block keeps its names
+    return [e for part, b in zip(parts, br) for e in _flatten_by(part, b)]
 
 
-def _rename(t: Tree) -> Tree:
+def _rename(t: Tree, br: Bracketing) -> Tree:
     def flat(e: str) -> str:
-        return _name(flatten_name(e))
+        return _name(_flatten_by(e, br))
 
     return Tree(
         flat(t.root),
@@ -433,7 +437,7 @@ def _assoc_inclusion(factors: Sequence[Tree], bracketing: Bracketing, table: _Ta
 
     nested: dict[str, Tree] = {}
     for t in evaluate(bracketing):
-        r = _rename(t)
+        r = _rename(t, bracketing)
         nested[serialize_tree(r)] = r
     flat = _shuffle_trees(_state_table(factors) if table is None else table)
     flat_keys = {serialize_tree(t) for t in flat}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from itertools import islice, product
+from itertools import product
 from random import Random
 from typing import Any, Callable, NamedTuple
 
@@ -33,7 +33,6 @@ from .lurie import (
     EllPresentation,
     _chain_tables,
     _walk_chains,
-    _walk_images,
     check_fibrous,
     chain_to_map,
     defect_fixtures,
@@ -343,27 +342,25 @@ def suite_nerve(cfg: SuiteConfig) -> _Suite:
 
     def check(instance: Any, rng: Random) -> list[tuple]:
         p, a, tables, maps = instance
-        # the chains' images, walked straight off the tables, are struck off
+        # each chain's image, walked with it off the tables, is struck off
         # the maps: a miss or a second hit strikes nothing, so the maps
-        # struck fall short of the images walked, or a map is left over
-        left, walked, n = set(maps), [], 0
+        # struck fall short of the chains walked, or a map is left over
+        left, kept, n = set(maps), [], 0
         distinct = len(left)
-        for n, m in enumerate(_walk_images(tables), 1):
+        for n, (ch, m) in enumerate(_walk_chains(tables), 1):
             left.discard(m)
             if n <= 50:
-                walked.append(m)
+                kept.append((ch, m))
         ok = distinct == len(maps) == tables.total == n and not left
-        # the first chains and their images, for the checks below; each
-        # image is the walk's at the same place
-        kept = [(ch, chain_to_map(ch)) for ch in islice(_walk_chains(tables), 50)]
-        ok = ok and len(kept) == len(walked) and all(
-            m == w and map_to_chain(p, a, m) == ch for (ch, m), w in zip(kept, walked)
-        )
+        # the first chains round-trip through their images, and naturality
+        # reads chain_to_map's images of them
+        images = [chain_to_map(ch) for ch, _ in kept]
+        ok = ok and all(mine == m and map_to_chain(p, a, m) == ch for (ch, m), mine in zip(kept, images))
         phi = random_operator(rng, rng.randint(0, 3), a.n)
         h = omega_mor(phi, a)
         nat_ok = all(
             chain_to_map(restrict_chain(p, ch, phi)) == precompose(p, m, h)
-            for ch, m in kept[:20]
+            for (ch, _), m in zip(kept[:20], images)
         )
         drawn = {"phi": _operator_json(phi)}
         return [("nerve-bijection", ok, drawn), ("nerve-naturality", nat_ok, drawn)]

@@ -168,3 +168,34 @@ def test_an_extra_module_is_reported_untraced(tmp_path):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     (tmp_path / "extra.py").write_text('"""An extra module."""\n', encoding="utf-8")
     assert _untraced_modules(tmp_path) == {"extra"}
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _rebound_names(directory):
+    """Each (module, name) where a ``*.py`` file in ``directory`` binds a
+    top-level function or class name a second time: the later binding
+    shadows the earlier, and a shadowed ``test_*`` is never collected."""
+    out = set()
+    for path in sorted(directory.glob("*.py")):
+        seen = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    out.add((path.stem, node.name))
+                seen.add(node.name)
+    return out
+
+
+def test_no_test_module_binds_a_top_level_name_twice():
+    assert _rebound_names(TESTS) == set()
+
+
+def test_a_second_def_is_reported_rebound(tmp_path):
+    # negative control: a copy of a test module with one test defined again
+    source = (TESTS / "test_package.py").read_text(encoding="utf-8")
+    (tmp_path / "test_copy.py").write_text(
+        source + "\n\ndef test_exports_are_unchanged_and_resolve():\n    pass\n", encoding="utf-8"
+    )
+    assert _rebound_names(tmp_path) == {("test_copy", "test_exports_are_unchanged_and_resolve")}

@@ -437,6 +437,18 @@ def test_assoc_inclusion_three_factors():
         assert len(nested) == len(res.nested)
 
 
+def test_assoc_inclusion_keeps_factor_edges_that_read_like_tuples():
+    # factor edges named "(q)", "()" and "(|)" pass the tuple-name check;
+    # each nested name is decoded only as deep as the bracketing nests, so
+    # none of them is split or emptied and every nested shuffle is reached
+    fs = [parse_tree("(q)[(r),s[]]"), parse_tree("b[()]"), parse_tree("(|)[z]")]
+    for br, nested in (([[0, 1], 2], 8), ([0, [1, 2]], 6)):
+        res = assoc_inclusion(fs, br)
+        assert res.unreached == () and len(res.nested) == nested and len(res.flat) == 8
+        triples = set(product(*(t.edges for t in fs)))
+        assert all(decode(e) in triples for t in res.nested for e in t.edges)
+
+
 def test_assoc_inclusion_rejects_wrong_index_set():
     fs = [linear("u", 1), linear("v", 1)]
     with pytest.raises(TreeError):

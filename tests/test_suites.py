@@ -208,15 +208,13 @@ def _adding_an_edge(honest):
 
 
 # defects the bijection check must catch: the callee patched in suites, the
-# defect, and the failed records per check at seed 42.  The images are
-# walked by lurie._walk_images and struck off the maps: a short walk is
-# caught only by the maps left over, a walk with a repeat or a merge only
-# by the maps struck falling short of the images walked.  A chain_to_map
-# merging two chains is caught by the kept chains' round trip and their
-# images against the walk's, one with an edge too many by the images
-# against the walk's alone; a chain walk short of the image walk, by the
-# kept chains' count against the walked images' (instances of at most 50
-# chains)
+# defect, and the failed records per check at seed 42.  One walk,
+# lurie._walk_chains, yields each chain with its image, and the images are
+# struck off the maps: a short walk is caught only by the maps left over, a
+# walk with a repeat or a merge only by the maps struck falling short of
+# the chains walked.  A chain_to_map merging two chains is caught by the
+# kept chains' images against the walk's and their round trip, one with an
+# edge too many by the images against the walk's alone
 NERVE_BIJECTION_DEFECTS = {
     "chain-to-map-merges-two": ("chain_to_map", _merging_second_chain,
                                 {"nerve-bijection": 22, "nerve-naturality": 12}),
@@ -226,10 +224,9 @@ NERVE_BIJECTION_DEFECTS = {
                         {"nerve-bijection": 49}),
     "maps-repeat-last": ("maps_into", lambda honest: lambda *args, **kw: (lambda ms: ms + ms[-1:])(honest(*args, **kw)),
                          {"nerve-bijection": 49}),
-    "walk-drops-last": ("_walk_images", _walk_dropping_last, {"nerve-bijection": 49}),
-    "walk-repeats-first": ("_walk_images", _walk_repeating_first, {"nerve-bijection": 49}),
-    "walk-merges-two": ("_walk_images", _walk_merging_two, {"nerve-bijection": 36}),
-    "chain-walk-drops-last": ("_walk_chains", _walk_dropping_last, {"nerve-bijection": 34}),
+    "walk-drops-last": ("_walk_chains", _walk_dropping_last, {"nerve-bijection": 49}),
+    "walk-repeats-first": ("_walk_chains", _walk_repeating_first, {"nerve-bijection": 49}),
+    "walk-merges-two": ("_walk_chains", _walk_merging_two, {"nerve-bijection": 36}),
 }
 
 
